@@ -1,39 +1,22 @@
-(* Benchmark harness.
-
-   Part 1 regenerates every table and figure of the paper (the experiment
-   harness proper): Table 1, Table 2, Figures 5-9, plus the NBLT and
-   buffering-strategy ablations called out in the text. Every simulation
-   behind these numbers is differentially validated against the functional
-   reference simulator.
-
-   Part 2 runs Bechamel micro-benchmarks of the simulator's own hot paths
-   (one per major substrate), so performance regressions in the simulator
-   are visible.
+(* Benchmark harness: regenerates every table and figure of the paper
+   (the experiment harness proper) — Table 1, Table 2, Figures 5-9, plus
+   the NBLT and buffering-strategy ablations called out in the text.
+   Every simulation behind these numbers is differentially validated
+   against the functional reference simulator.
 
    Run with: dune exec bench/main.exe
-   (pass --quick to skip the full sweep and only run the microbenchmarks,
-   or --figures-only to skip the microbenchmarks; --jobs N parallelizes
-   the figure regeneration over N worker processes, --no-cache disables
-   the on-disk result cache, --serve ADDR runs the simulations through a
-   riq-sim serve daemon instead of local workers)
+   (--jobs N parallelizes the figure regeneration over N worker
+   processes, --no-cache disables the on-disk result cache, --serve ADDR
+   runs the simulations through a riq-sim serve daemon instead of local
+   workers)
 
    The sweep behind Figures 5-8 is also exported machine-readably to
    BENCH_sweep.json so the performance trajectory is comparable across
-   PRs. *)
+   revisions. The simulator's own speed is measured by perfledger/ (per
+   layer and end to end) and gated by bench/perf_gate.exe. *)
 
 open Riq_util
-open Riq_isa
-open Riq_asm
-open Riq_interp
-open Riq_mem
-open Riq_branch
-open Riq_ooo
-open Riq_core
 open Riq_harness
-
-(* ------------------------------------------------------------------ *)
-(* Part 1: the paper's tables and figures.                             *)
-(* ------------------------------------------------------------------ *)
 
 let run_figures ~jobs ~use_cache ~serve () =
   print_endline "==============================================================";
@@ -105,143 +88,8 @@ let run_figures ~jobs ~use_cache ~serve () =
     (100. *. Riq_exp.Engine.utilization engine);
   print_newline ()
 
-(* ------------------------------------------------------------------ *)
-(* Part 2: Bechamel micro-benchmarks of the simulator itself.          *)
-(* ------------------------------------------------------------------ *)
-
-let bench_encode_decode =
-  let words = Array.init 256 (fun i -> Encode.encode (Insn.Alui (Add, 2, 3, i))) in
-  Bechamel.Test.make ~name:"isa: decode 256 words"
-    (Bechamel.Staged.stage (fun () ->
-         Array.iter (fun w -> ignore (Encode.decode_exn w)) words))
-
-let bench_cache =
-  let c =
-    Cache.create (Cache.config ~name:"b" ~sets:256 ~ways:4 ~line_bytes:32 ~hit_latency:1)
-  in
-  Bechamel.Test.make ~name:"mem: 1k cache accesses"
-    (Bechamel.Staged.stage (fun () ->
-         for i = 0 to 999 do
-           ignore (Cache.access c ~addr:(i * 64 land 0xFFFF) ~write:(i land 7 = 0))
-         done))
-
-let bench_bimod =
-  let b = Bimod.create 2048 in
-  Bechamel.Test.make ~name:"branch: 1k bimod predict+update"
-    (Bechamel.Staged.stage (fun () ->
-         for i = 0 to 999 do
-           let pc = i * 4 in
-           let t = Bimod.predict b ~pc in
-           Bimod.update b ~pc ~taken:(not t)
-         done))
-
-let bench_iq =
-  Bechamel.Test.make ~name:"ooo: iq dispatch/wakeup/compact (64 slots)"
-    (Bechamel.Staged.stage (fun () ->
-         let iq = Iq.create 64 in
-         for i = 0 to 63 do
-           let s = Iq.dispatch iq in
-           s.Iq.seq <- i;
-           s.Iq.src1_tag <- i land 7;
-           s.Iq.src2_tag <- -1;
-           s.Iq.dead <- false
-         done;
-         for tag = 0 to 7 do
-           Iq.wakeup iq ~tag ~value_i:tag ~value_f:0.
-         done;
-         let slots = Iq.slots iq in
-         for i = 0 to Iq.count iq - 1 do
-           slots.(i).Iq.dead <- i land 1 = 0
-         done;
-         ignore (Iq.compact iq)))
-
-let interp_program =
-  Parse.program_exn
-    {|
-    li r2, 0
-    li r3, 0
-loop:
-    add r2, r2, r3
-    xor r5, r2, r3
-    addi r3, r3, 1
-    slti r4, r3, 2000
-    bne r4, r0, loop
-    halt
-|}
-
-let bench_interp =
-  Bechamel.Test.make ~name:"interp: 10k-instruction loop"
-    (Bechamel.Staged.stage (fun () ->
-         let m = Machine.create interp_program in
-         ignore (Machine.run m)))
-
-let bench_processor mode =
-  let cfg = if mode = "reuse" then Config.reuse else Config.baseline in
-  Bechamel.Test.make
-    ~name:(Printf.sprintf "core: 10k-instruction loop, %s processor" mode)
-    (Bechamel.Staged.stage (fun () ->
-         let p = Processor.create cfg interp_program in
-         ignore (Processor.run p)))
-
-let bench_power =
-  let model = Riq_power.Model.create Riq_power.Model.baseline_geometry in
-  Bechamel.Test.make ~name:"power: 1k accounting ticks"
-    (Bechamel.Staged.stage (fun () ->
-         let a = Riq_power.Account.create model in
-         for _ = 1 to 1000 do
-           Riq_power.Account.add a Riq_power.Component.Icache 1.;
-           Riq_power.Account.add a Riq_power.Component.Ialu 3.;
-           Riq_power.Account.tick a
-         done))
-
-let bench_workload_compile =
-  let w = Riq_workloads.Workloads.find "vpenta" in
-  Bechamel.Test.make ~name:"loopir: compile + distribute vpenta"
-    (Bechamel.Staged.stage (fun () ->
-         ignore (Riq_workloads.Workloads.optimized w)))
-
-let run_microbench () =
-  print_endline "==============================================================";
-  print_endline " Simulator micro-benchmarks (Bechamel)";
-  print_endline "==============================================================";
-  let open Bechamel in
-  let open Toolkit in
-  let tests =
-    Test.make_grouped ~name:"riq"
-      [
-        bench_encode_decode;
-        bench_cache;
-        bench_bimod;
-        bench_iq;
-        bench_interp;
-        bench_processor "baseline";
-        bench_processor "reuse";
-        bench_power;
-        bench_workload_compile;
-      ]
-  in
-  let instances = Instance.[ monotonic_clock ] in
-  let cfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) ~kde:None () in
-  let raw = Benchmark.all cfg instances tests in
-  let ols =
-    Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |]
-  in
-  let results = Analyze.all ols Instance.monotonic_clock raw in
-  let rows = Hashtbl.fold (fun name ols acc -> (name, ols) :: acc) results [] in
-  List.iter
-    (fun (name, ols) ->
-      match Analyze.OLS.estimates ols with
-      | Some [ ns ] ->
-          if ns >= 1e6 then Printf.printf "  %-48s %10.3f ms/run\n" name (ns /. 1e6)
-          else if ns >= 1e3 then Printf.printf "  %-48s %10.3f us/run\n" name (ns /. 1e3)
-          else Printf.printf "  %-48s %10.1f ns/run\n" name ns
-      | Some _ | None -> Printf.printf "  %-48s (no estimate)\n" name)
-    (List.sort compare rows)
-
 let () =
   let args = Array.to_list Sys.argv in
-  let quick = List.mem "--quick" args in
-  let figures_only = List.mem "--figures-only" args in
   let use_cache = not (List.mem "--no-cache" args) in
   let jobs =
     let rec find = function
@@ -263,5 +111,4 @@ let () =
     in
     find args
   in
-  if not quick then run_figures ~jobs ~use_cache ~serve ();
-  if not figures_only then run_microbench ()
+  run_figures ~jobs ~use_cache ~serve ()

@@ -10,15 +10,8 @@
    reintroducing per-cycle allocation in the issue/wakeup path), not
    single-digit drift.
 
-   The gate doubles as a fast-path smoke test: the algorithmic fast
-   paths (Config.skip_ahead, Config.loop_ffwd — DESIGN.md §9.5/§9.6)
-   are on in the measured configs, and the run must show loop
-   fast-forward actually firing on at least one reuse cell
-   (ffwd_iterations > 0 somewhere). A silently-disabled fast path would
-   otherwise only show up as unattributed throughput drift.
-
-   Exit status is the contract: 0 = within tolerance, 1 = regression or
-   dead fast path, 2 = usage/baseline error. *)
+   Exit status is the contract: 0 = within tolerance, 1 = regression,
+   2 = usage/baseline error. *)
 
 open Riq_util
 open Riq_ooo
@@ -30,8 +23,6 @@ type cell = {
   config : string;
   insns : int;
   seconds : float;
-  ffwd : int;  (* loop fast-forward iterations replayed analytically *)
-  skipped : int;  (* cycles covered by event skip-ahead *)
 }
 
 let measure ~repeats =
@@ -41,7 +32,6 @@ let measure ~repeats =
       List.map
         (fun (config, cfg) ->
           let best = ref infinity and insns = ref 0 in
-          let ffwd = ref 0 and skipped = ref 0 in
           for _ = 1 to repeats do
             let p = Processor.create cfg program in
             let t0 = (Unix.times ()).Unix.tms_utime in
@@ -53,19 +43,9 @@ let measure ~repeats =
                 exit 2);
             let dt = (Unix.times ()).Unix.tms_utime -. t0 in
             if dt < !best then best := dt;
-            insns := Processor.committed p;
-            let st = Processor.stats p in
-            ffwd := st.Processor.ffwd_iterations;
-            skipped := st.Processor.skipped_cycles
+            insns := Processor.committed p
           done;
-          {
-            bench = w.Workloads.name;
-            config;
-            insns = !insns;
-            seconds = !best;
-            ffwd = !ffwd;
-            skipped = !skipped;
-          })
+          { bench = w.Workloads.name; config; insns = !insns; seconds = !best })
         [ ("baseline", Config.baseline); ("reuse", Config.reuse) ])
     Workloads.all
 
@@ -98,8 +78,6 @@ let to_json cells =
                        (if c.seconds > 0. then
                           float_of_int c.insns /. c.seconds /. 1e6
                         else 0.) );
-                   ("ffwd_iterations", Json.Int c.ffwd);
-                   ("skipped_cycles", Json.Int c.skipped);
                  ])
              cells) );
     ]
@@ -149,10 +127,6 @@ let () =
     cells;
   let measured = minsns cells in
   Printf.printf "AGGREGATE %.3f Minsns/s\n" measured;
-  let total_ffwd = List.fold_left (fun a c -> a + c.ffwd) 0 cells in
-  let total_skipped = List.fold_left (fun a c -> a + c.skipped) 0 cells in
-  Printf.printf "fast paths: %d ffwd iterations, %d skipped cycles\n" total_ffwd
-    total_skipped;
   if !json_out <> "" then Json.to_file !json_out (to_json cells);
   if !update then begin
     Json.to_file !baseline
@@ -175,15 +149,6 @@ let () =
     if measured < gate then begin
       Printf.eprintf
         "perf_gate: REGRESSION: %.3f Minsns/s is below the gate of %.3f\n" measured gate;
-      exit 1
-    end
-    else if total_ffwd = 0 then begin
-      (* The kernel suite contains dense reused loops (aps, wss, tsf)
-         that are known to stabilise into a verifiable period; none of
-         them fast-forwarding means the controller is dead. *)
-      Printf.eprintf
-        "perf_gate: loop fast-forward never fired on any kernel (expected \
-         ffwd_iterations > 0 on at least one reuse cell)\n";
       exit 1
     end
     else print_endline "perf gate: PASS"

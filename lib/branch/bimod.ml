@@ -1,28 +1,18 @@
 open Riq_util
 
-type t = { table : Bytes.t; mask : int; mutable version : int }
+type t = { table : Bytes.t; mask : int }
 
 let create entries =
   if not (Bits.is_pow2 entries) then invalid_arg "Bimod.create: entries must be a power of two";
-  { table = Bytes.make entries '\001'; mask = entries - 1; version = 0 }
+  { table = Bytes.make entries '\001'; mask = entries - 1 }
 
 let entries t = Bytes.length t.table
 let index t ~pc = (pc lsr 2) land t.mask
 let counter t ~pc = Char.code (Bytes.get t.table (index t ~pc))
 let predict t ~pc = counter t ~pc >= 2
 
-(* Content version: bumped only when a stored counter actually changes,
-   so equal versions prove the table is bit-identical between the two
-   observations (saturated updates are no-ops). O(1) where hashing the
-   table would be O(entries) -- this runs at every loop-iteration
-   boundary of the fast-forward controller. *)
-let version t = t.version
-
 let update t ~pc ~taken =
   let i = index t ~pc in
   let c = Char.code (Bytes.get t.table i) in
   let c' = if taken then min 3 (c + 1) else max 0 (c - 1) in
-  if c' <> c then begin
-    Bytes.set t.table i (Char.chr c');
-    t.version <- t.version + 1
-  end
+  Bytes.set t.table i (Char.chr c')

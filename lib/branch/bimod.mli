@@ -17,8 +17,3 @@ val update : t -> pc:int -> taken:bool -> unit
 
 val counter : t -> pc:int -> int
 (** Raw 2-bit state, for tests. *)
-
-val version : t -> int
-(** Content version: monotonic, bumped exactly when a stored counter
-    changes. Two equal readings prove the table did not change in
-    between (fast-forward snapshot support). *)

@@ -10,7 +10,6 @@ type t = {
   mutable n_lookup : int;
   mutable n_hit : int;
   mutable n_update : int;
-  mutable version : int;
 }
 
 let create ~sets ~ways =
@@ -25,7 +24,6 @@ let create ~sets ~ways =
     n_lookup = 0;
     n_hit = 0;
     n_update = 0;
-    version = 0;
   }
 
 (* Table index of the matching way, or -1: the hot path stays free of
@@ -65,10 +63,7 @@ let update t ~pc ~target =
   let i = find_idx t ~pc in
   if i >= 0 then begin
     let e = t.table.(i) in
-    if e.target <> target then begin
-      e.target <- target;
-      t.version <- t.version + 1
-    end;
+    e.target <- target;
     e.lru <- t.clock
   end
   else begin
@@ -87,41 +82,8 @@ let update t ~pc ~target =
     v.tag <- tag;
     v.target <- target;
     v.valid <- true;
-    v.lru <- t.clock;
-    t.version <- t.version + 1
+    v.lru <- t.clock
   end
-
-(* Fast-forward snapshots (Processor's loop fast-forward, DESIGN §9):
-   tags/targets/valid bits must repeat exactly across loop iterations,
-   while the clock and the LRU stamps advance by a constant amount per
-   iteration — so content changes are tracked by an O(1) version counter
-   (bumped on any tag/target/valid change; refreshing an entry with the
-   target it already holds is a no-op) and the clock/LRU stamps are
-   snapshotted separately and relocated by adding a multiple of the
-   observed per-iteration stride. *)
-
-let version t = t.version
-
-let ffwd_affine t =
-  let n = Array.length t.table in
-  let a = Array.make (4 + n) 0 in
-  a.(0) <- t.clock;
-  a.(1) <- t.n_lookup;
-  a.(2) <- t.n_hit;
-  a.(3) <- t.n_update;
-  for i = 0 to n - 1 do
-    a.(4 + i) <- t.table.(i).lru
-  done;
-  a
-
-let ffwd_set_affine t a =
-  t.clock <- a.(0);
-  t.n_lookup <- a.(1);
-  t.n_hit <- a.(2);
-  t.n_update <- a.(3);
-  for i = 0 to Array.length t.table - 1 do
-    t.table.(i).lru <- a.(4 + i)
-  done
 
 let lookups t = t.n_lookup
 let hits t = t.n_hit

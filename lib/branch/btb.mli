@@ -17,17 +17,3 @@ val update : t -> pc:int -> target:int -> unit
 val lookups : t -> int
 val hits : t -> int
 val updates : t -> int
-
-(** {2 Fast-forward snapshot support} (see [Riq_core.Processor]) *)
-
-val version : t -> int
-(** Content version: monotonic, bumped exactly when some entry's
-    tag/target/valid changes (refreshing a hit with an identical target
-    is a no-op). Equal readings prove the stored targets did not change
-    in between. *)
-
-val ffwd_affine : t -> int array
-(** Clock, access counters and per-entry LRU stamps — values that advance
-    by a constant stride per steady-state iteration. *)
-
-val ffwd_set_affine : t -> int array -> unit

@@ -1,12 +1,6 @@
 open Riq_util
 
-type t = {
-  table : Bytes.t;
-  mask : int;
-  hmask : int;
-  mutable history : int;
-  mutable version : int;
-}
+type t = { table : Bytes.t; mask : int; hmask : int; mutable history : int }
 
 let create ~entries ~history_bits =
   if not (Bits.is_pow2 entries) then invalid_arg "Gshare.create: entries must be a power of two";
@@ -16,14 +10,7 @@ let create ~entries ~history_bits =
     mask = entries - 1;
     hmask = (1 lsl history_bits) - 1;
     history = 0;
-    version = 0;
   }
-
-(* Content version (see Bimod): counter-table and history changes both
-   count. The history register shifts on every update, so under gshare
-   the version essentially always advances and the fast-forward
-   controller correctly refuses to extrapolate. *)
-let version t = t.version
 
 let index t ~pc = ((pc lsr 2) lxor t.history) land t.mask
 let predict t ~pc = Char.code (Bytes.get t.table (index t ~pc)) >= 2
@@ -32,12 +19,5 @@ let update t ~pc ~taken =
   let i = index t ~pc in
   let c = Char.code (Bytes.get t.table i) in
   let c' = if taken then min 3 (c + 1) else max 0 (c - 1) in
-  if c' <> c then begin
-    Bytes.set t.table i (Char.chr c');
-    t.version <- t.version + 1
-  end;
-  let h = ((t.history lsl 1) lor (if taken then 1 else 0)) land t.hmask in
-  if h <> t.history then begin
-    t.history <- h;
-    t.version <- t.version + 1
-  end
+  Bytes.set t.table i (Char.chr c');
+  t.history <- ((t.history lsl 1) lor (if taken then 1 else 0)) land t.hmask

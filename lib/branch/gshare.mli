@@ -8,7 +8,3 @@ type t
 val create : entries:int -> history_bits:int -> t
 val predict : t -> pc:int -> bool
 val update : t -> pc:int -> taken:bool -> unit
-
-val version : t -> int
-(** Content version: monotonic, bumped when a counter or the history
-    register changes (fast-forward snapshot support). *)

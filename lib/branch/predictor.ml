@@ -130,36 +130,6 @@ let resolve t ~pc ~insn ~taken ~target =
   | K_return -> () (* returns are served by the RAS, keeping the BTB clean *)
   | K_int | K_fp | K_load | K_store | K_nop | K_halt -> ()
 
-(* Fast-forward snapshot support: the direction tables, BTB contents and
-   RAS window must repeat exactly across steady-state loop iterations
-   (rigid); the BTB clock/LRU stamps and the access counters advance by a
-   constant per-iteration stride (affine) and are relocated by adding a
-   multiple of that stride. Rigid equality is proven in O(1) by content
-   version counters: each component bumps its version exactly when stored
-   content changes, so two equal readings of the sum certify that no
-   component mutated in between (the counters are individually monotonic
-   non-decreasing, making the sum collision-free). *)
-
-let ffwd_version t =
-  (match t.dir with
-  | Dir_bimod b -> Bimod.version b
-  | Dir_gshare g -> Gshare.version g)
-  + Btb.version t.btb + Ras.version t.ras
-
-let ffwd_affine t =
-  let btb = Btb.ffwd_affine t.btb in
-  let n = Array.length btb in
-  let a = Array.make (2 + n) 0 in
-  a.(0) <- t.n_dir_lookup;
-  a.(1) <- t.n_dir_update;
-  Array.blit btb 0 a 2 n;
-  a
-
-let ffwd_set_affine t a =
-  t.n_dir_lookup <- a.(0);
-  t.n_dir_update <- a.(1);
-  Btb.ffwd_set_affine t.btb (Array.sub a 2 (Array.length a - 2))
-
 type checkpoint = int
 
 let checkpoint t = Ras.checkpoint t.ras

@@ -64,26 +64,6 @@ val checkpoint : t -> checkpoint
 
 val restore : t -> checkpoint -> unit
 
-(** {2 Fast-forward snapshot support}
-
-    [Riq_core.Processor]'s steady-state loop fast-forward verifies that
-    predictor state repeats across loop iterations before replaying them
-    analytically. Table contents must match exactly ({!ffwd_version});
-    monotonic clocks and access counters advance by a constant stride per
-    iteration and are captured/relocated separately ({!ffwd_affine}). *)
-
-val ffwd_version : t -> int
-(** Sum of the component content versions (direction table, BTB, RAS).
-    Each component's version is monotonic non-decreasing and bumps exactly
-    when its stored content changes, so equal readings at two points prove
-    the tables were bit-identical throughout the interval — an O(1),
-    strictly conservative stand-in for hashing the tables. *)
-
-val ffwd_affine : t -> int array
-(** Access counters, BTB clock and per-entry LRU stamps. *)
-
-val ffwd_set_affine : t -> int array -> unit
-
 (** {2 Access statistics (power model inputs)} *)
 
 val dir_lookups : t -> int

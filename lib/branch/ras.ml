@@ -5,31 +5,20 @@ type t = {
   mutable live : int;
   mutable n_push : int;
   mutable n_pop : int;
-  mutable version : int;
 }
 
 let create size =
   if size <= 0 then invalid_arg "Ras.create: size must be positive";
-  {
-    stack = Array.make size 0;
-    size;
-    tos = 0;
-    live = 0;
-    n_push = 0;
-    n_pop = 0;
-    version = 0;
-  }
+  { stack = Array.make size 0; size; tos = 0; live = 0; n_push = 0; n_pop = 0 }
 
 let push t v =
   t.n_push <- t.n_push + 1;
-  t.version <- t.version + 1;
   t.stack.(t.tos) <- v;
   t.tos <- (t.tos + 1) mod t.size;
   t.live <- min t.size (t.live + 1)
 
 let pop t =
   t.n_pop <- t.n_pop + 1;
-  t.version <- t.version + 1;
   if t.live = 0 then None
   else begin
     t.tos <- (t.tos + t.size - 1) mod t.size;
@@ -41,16 +30,8 @@ let pop t =
 let checkpoint t = (t.tos lsl 16) lor t.live
 
 let restore t ck =
-  t.version <- t.version + 1;
   t.tos <- (ck lsr 16) mod t.size;
   t.live <- min t.size (ck land 0xFFFF)
-
-(* Every push/pop/restore changes the observable stack (window or top
-   index), so the version counts all of them. RAS traffic only happens
-   on the fetch path, which Code Reuse gates, so during a reused loop
-   the version is frozen -- exactly the property the fast-forward
-   controller verifies. *)
-let version t = t.version
 
 let depth t = t.live
 let pushes t = t.n_push

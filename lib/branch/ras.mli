@@ -26,8 +26,3 @@ val depth : t -> int
 
 val pushes : t -> int
 val pops : t -> int
-
-val version : t -> int
-(** Content version: monotonic, bumped on every push, pop and restore.
-    Equal readings prove the observable stack did not change in between
-    (fast-forward snapshot support). *)

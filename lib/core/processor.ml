@@ -116,187 +116,6 @@ type loop_decision = {
    loop tail — the same key the reuse IQ and the NBLT use. *)
 let dc_ways = 16
 
-(* ------------------------------------------------------------------ *)
-(* Steady-state loop fast-forward (Config.loop_ffwd).                  *)
-(*                                                                     *)
-(* Once the machine is in Code Reuse, every commit of the loop-ending  *)
-(* instruction is an iteration boundary. The controller observes       *)
-(* [ffwd_verify_periods] consecutive periods (boundary to boundary):   *)
-(* the machine state at each boundary must repeat exactly up to a      *)
-(* uniform relocation (sequence numbers, wheel rotation, monotonic     *)
-(* counters), and the per-cycle activity/occupancy/commit logs and the *)
-(* memory access pattern (one common address stride for every memory   *)
-(* op) must be bitwise identical period to period. Verified periods    *)
-(* are then replayed analytically: per cycle, the logged activity      *)
-(* vector is charged and the logged commits/occupancies drive the      *)
-(* sampler, while a semantic machine executes the loop body in program  *)
-(* order to produce the values, addresses and branch outcomes the       *)
-(* relocated pipeline state needs at exit. Floats are never            *)
-(* extrapolated — every replayed cycle performs the same [Account]     *)
-(* additions the cycle-accurate path would, so energy accumulation is  *)
-(* bit-identical. *)
-
-type ivec = { mutable iv : int array; mutable ivn : int }
-type fvec = { mutable fv : float array; mutable fvn : int }
-
-let iv_make () = { iv = Array.make 256 0; ivn = 0 }
-let iv_clear v = v.ivn <- 0
-
-let iv_push v x =
-  (if v.ivn = Array.length v.iv then begin
-     let b = Array.make (2 * v.ivn) 0 in
-     Array.blit v.iv 0 b 0 v.ivn;
-     v.iv <- b
-   end);
-  v.iv.(v.ivn) <- x;
-  v.ivn <- v.ivn + 1
-
-let iv_equal a b =
-  a.ivn = b.ivn
-  &&
-  let ok = ref true in
-  let i = ref 0 in
-  while !ok && !i < a.ivn do
-    if a.iv.(!i) <> b.iv.(!i) then ok := false;
-    incr i
-  done;
-  !ok
-
-let iv_copy_into dst src =
-  if Array.length dst.iv < src.ivn then dst.iv <- Array.make (Array.length src.iv) 0;
-  Array.blit src.iv 0 dst.iv 0 src.ivn;
-  dst.ivn <- src.ivn
-
-let fv_make () = { fv = Array.make 256 0.; fvn = 0 }
-let fv_clear v = v.fvn <- 0
-
-let fv_append v src n =
-  (if v.fvn + n > Array.length v.fv then begin
-     let cap = ref (2 * Array.length v.fv) in
-     while !cap < v.fvn + n do
-       cap := 2 * !cap
-     done;
-     let b = Array.make !cap 0. in
-     Array.blit v.fv 0 b 0 v.fvn;
-     v.fv <- b
-   end);
-  Array.blit src 0 v.fv v.fvn n;
-  v.fvn <- v.fvn + n
-
-(* Controller modes: 0 = idle (waiting for the first boundary),
-   4 = searching for the period, 1 = observing, 3 = dormant (too many
-   verification failures for this reuse episode; reset on reuse exit).
-
-   The period of the machine state is a whole number of loop iterations
-   but not necessarily one: when the loop body length is not a multiple
-   of the commit width, the commit phase rotates by a fixed amount per
-   iteration and the pipeline state only repeats every few iterations
-   (e.g. a 35-instruction body on a 4-wide machine repeats every 4
-   iterations). The search mode keeps a short history of boundary
-   snapshots and picks the smallest boundary distance at which the
-   snapshot recurs; everything downstream then works in units of that
-   super-period. *)
-type ffwd = {
-  ff_k : int; (* periods to verify before replaying *)
-  mutable ff_mode : int;
-  mutable ff_fails : int;
-  mutable ff_super : int; (* boundaries per machine-state period *)
-  mutable ff_bcount : int; (* boundaries since the last super-boundary *)
-  ff_hist : ivec array; (* search mode: recent boundary snapshots *)
-  ff_hist_pred : int array;
-  mutable ff_hist_n : int; (* boundaries recorded by the search *)
-  (* Cumulative snapshot work spent per loop (keyed by head/tail)
-     without a successful replay. A loop that keeps rejecting — or whose
-     episodes are too short to ever reach a replay — would otherwise
-     re-pay the snapshot-per-boundary search on every one of its (often
-     thousands of) episodes, turning the fast path into a slowdown. Once
-     a loop exhausts the budget it stays dormant; a successful replay
-     resets its account. *)
-  ff_work : (int, int ref) Hashtbl.t;
-  mutable ff_cur_work : int ref; (* the active loop's account *)
-  mutable ff_boundary : bool; (* set by commit, consumed by [run] *)
-  mutable ff_poison : bool; (* irregularity inside the current period *)
-  mutable ff_periods : int; (* boundaries survived since observation start *)
-  mutable ff_cycle_start : int;
-  mutable ff_seq_start : int;
-  mutable ff_last_committed : int;
-  (* Per-cycle logs: activity vector, (iq, rob, lsq) occupancy, commit
-     count. The reference period is the log every later period must
-     reproduce bitwise. *)
-  mutable ff_ref_act : fvec;
-  mutable ff_cur_act : fvec;
-  mutable ff_ref_occ : ivec;
-  mutable ff_cur_occ : ivec;
-  mutable ff_ref_com : ivec;
-  mutable ff_cur_com : ivec;
-  (* Memory log, 5 ints per op: kind (0 load access / 1 store commit /
-     2 forward), cycle offset, seq offset, latency, address. Everything
-     but the address must repeat; addresses advance by one common
-     stride. *)
-  mutable ff_ref_mem : ivec;
-  mutable ff_cur_mem : ivec;
-  (* Dispatch log, 3 ints per op: wi, pc, pred_npc — the loop body in
-     program order, the replay lookahead's template. *)
-  mutable ff_ref_dsp : ivec;
-  mutable ff_cur_dsp : ivec;
-  (* Boundary snapshots: relocation-invariant state (must repeat
-     exactly) and monotonic counters (per-period delta must repeat). *)
-  mutable ff_rigid_prev : ivec;
-  mutable ff_rigid_cur : ivec;
-  mutable ff_pred_prev : int;
-  mutable ff_aff_prev : int array;
-  mutable ff_adiff : int array; (* [||] until the first delta is seen *)
-  mutable ff_mem_prev : int array; (* last period's address column *)
-  mutable ff_mem_stride : int array; (* [||] until set at period 3 *)
-}
-
-(* Longest machine-state period the search can find, and how many
-   boundaries it may examine before concluding the loop has none. *)
-let ff_hist_len = 32
-let ff_search_budget = 128
-
-let ff_create k =
-  {
-    ff_k = k;
-    ff_mode = 0;
-    ff_fails = 0;
-    ff_super = 1;
-    ff_bcount = 0;
-    ff_hist = Array.init ff_hist_len (fun _ -> iv_make ());
-    ff_hist_pred = Array.make ff_hist_len 0;
-    ff_hist_n = 0;
-    ff_work = Hashtbl.create 16;
-    ff_cur_work = ref 0;
-    ff_boundary = false;
-    ff_poison = false;
-    ff_periods = 0;
-    ff_cycle_start = 0;
-    ff_seq_start = 0;
-    ff_last_committed = 0;
-    ff_ref_act = fv_make ();
-    ff_cur_act = fv_make ();
-    ff_ref_occ = iv_make ();
-    ff_cur_occ = iv_make ();
-    ff_ref_com = iv_make ();
-    ff_cur_com = iv_make ();
-    ff_ref_mem = iv_make ();
-    ff_cur_mem = iv_make ();
-    ff_ref_dsp = iv_make ();
-    ff_cur_dsp = iv_make ();
-    ff_rigid_prev = iv_make ();
-    ff_rigid_cur = iv_make ();
-    ff_pred_prev = 0;
-    ff_aff_prev = [||];
-    ff_adiff = [||];
-    ff_mem_prev = [||];
-    ff_mem_stride = [||];
-  }
-
-(* Verification failures tolerated per reuse episode before going
-   dormant (restarting observation forever on an irregular loop would
-   burn more time than it could ever save). *)
-let ff_max_fails = 16
-
 type t = {
   cfg : Config.t;
   program : Program.t;
@@ -364,10 +183,6 @@ type t = {
   mutable n_reuse_commit : int;
   loop_log : (int, loop_decision) Hashtbl.t; (* keyed by tail pc *)
   mutable cur_reuse_tail : int; (* tail of the last promoted loop, -1 = none *)
-  (* Simulator-only fast paths (no timing/power effect). *)
-  ff : ffwd option; (* loop fast-forward controller, None = disabled *)
-  mutable n_skipped : int; (* cycles covered by event skip-ahead *)
-  mutable n_ffwd_iters : int; (* loop iterations replayed analytically *)
   (* Observability. The tracer defaults to the null sink (one dead branch
      per emission site); the sampler is absent unless attached. *)
   tracer : Tracer.t;
@@ -407,17 +222,6 @@ let create ?tracer ?sampler cfg program =
   let arch_i = Array.make 32 0 in
   arch_i.(Reg.sp) <- Machine.default_sp;
   let iq = Iq.create cfg.Config.iq_entries in
-  (* Fast-forward needs reuse periods to observe, no competing loop
-     cache rewriting the front end, and no tracer (per-cycle trace
-     events cannot be replayed in bulk). *)
-  let ff =
-    if
-      cfg.Config.loop_ffwd && cfg.Config.reuse_enabled
-      && cfg.Config.loop_cache_entries = 0
-      && not (Tracer.enabled tracer)
-    then Some (ff_create cfg.Config.ffwd_verify_periods)
-    else None
-  in
   {
     cfg;
     program;
@@ -484,9 +288,6 @@ let create ?tracer ?sampler cfg program =
     n_reuse_commit = 0;
     loop_log = Hashtbl.create 16;
     cur_reuse_tail = -1;
-    ff;
-    n_skipped = 0;
-    n_ffwd_iters = 0;
     tracer;
     sampler;
     counter_stride =
@@ -578,49 +379,6 @@ let push_replay t ~seq ~rob ~addr =
   t.rp_rob.(n) <- rob;
   t.rp_addr.(n) <- addr;
   t.rp_n <- n + 1
-
-(* Fast-forward observation hooks. All are no-ops unless the controller
-   is in observing mode; the [match] is allocation-free and the hooks
-   sit on paths that are already per-event, not per-cycle. *)
-
-let ff_note_mem t ~kind ~seq ~addr ~lat =
-  match t.ff with
-  | Some f when f.ff_mode = 1 ->
-      iv_push f.ff_cur_mem kind;
-      iv_push f.ff_cur_mem (t.now - f.ff_cycle_start);
-      iv_push f.ff_cur_mem (seq - f.ff_seq_start);
-      iv_push f.ff_cur_mem lat;
-      iv_push f.ff_cur_mem addr
-  | Some _ | None -> ()
-
-let ff_note_dispatch t ~wi ~pc ~pred_npc =
-  match t.ff with
-  | Some f when f.ff_mode = 1 ->
-      iv_push f.ff_cur_dsp wi;
-      iv_push f.ff_cur_dsp pc;
-      iv_push f.ff_cur_dsp pred_npc
-  | Some _ | None -> ()
-
-(* An event the replay cannot reproduce (e.g. a wrong-path load with a
-   garbage address): the current observation attempt is abandoned at the
-   next boundary. *)
-let ff_poison t =
-  match t.ff with
-  | Some f when f.ff_mode = 1 -> f.ff_poison <- true
-  | Some _ | None -> ()
-
-let ff_reset t =
-  match t.ff with
-  | Some f ->
-      f.ff_mode <- 0;
-      f.ff_fails <- 0;
-      f.ff_super <- 1;
-      f.ff_bcount <- 0;
-      f.ff_hist_n <- 0;
-      f.ff_boundary <- false;
-      f.ff_poison <- false;
-      f.ff_periods <- 0
-  | None -> ()
 
 (* Memory hierarchy wrappers that charge the power account, including the
    L2 accesses triggered by L1 misses. *)
@@ -842,7 +600,6 @@ let revoke_buffering t ~register_nblt ~cause =
 let exit_reuse t =
   Iq.clear_classification t.iq;
   Iq.set_reuse_ptr t.iq 0;
-  ff_reset t;
   Reuse_state.exit_reuse ~now:t.now t.reuse
 
 (* Conventional branch-misprediction recovery (Section 2.5), plus the
@@ -904,8 +661,7 @@ let commit_one t (e : Rob.entry) =
     if e.Rob.is_store then begin
       t.n_stores <- t.n_stores + 1;
       charge1 t Component.Lsq;
-      let wlat = data_latency t ~addr:le.Lsq.addr ~write:true in
-      ff_note_mem t ~kind:1 ~seq:e.Rob.seq ~addr:le.Lsq.addr ~lat:wlat;
+      ignore (data_latency t ~addr:le.Lsq.addr ~write:true);
       if le.Lsq.is_fp then Store.write_float t.memory le.Lsq.addr le.Lsq.data_f
       else if le.Lsq.width = 1 then Store.write_byte t.memory le.Lsq.addr le.Lsq.data_i
       else if le.Lsq.width = 2 then Store.write_half t.memory le.Lsq.addr le.Lsq.data_i
@@ -959,21 +715,12 @@ let commit_one t (e : Rob.entry) =
           t.attr_memo.(wi) <- Some !best;
           !best
     in
-    (match best with
+    match best with
     | Some r -> r.ld_reuse_committed <- r.ld_reuse_committed + 1
     | None -> (
         match Hashtbl.find_opt t.loop_log t.cur_reuse_tail with
         | Some r -> r.ld_reuse_committed <- r.ld_reuse_committed + 1
-        | None -> ()));
-    (* Iteration boundary for the fast-forward controller: the loop-ending
-       instruction of the reused loop committed this cycle. *)
-    match t.ff with
-    | Some f
-      when f.ff_mode <> 3
-           && e.Rob.pc = t.reuse.Reuse_state.tail
-           && t.reuse.Reuse_state.state = Reuse_state.Reusing ->
-        f.ff_boundary <- true
-    | Some _ | None -> ()
+        | None -> ())
   end;
   t.committed <- t.committed + 1;
   Rob.pop_head t.rob
@@ -1040,7 +787,6 @@ let start_load ?(charge_search = true) t ~rob_idx ~(e : Rob.entry) ~addr =
   | Lsq.Forward se ->
       if le.Lsq.is_fp then e.Rob.value_f <- se.Lsq.data_f
       else e.Rob.value_i <- load_from_reg t.dec.Decoded.ext.(e.Rob.wi) se.Lsq.data_i;
-      ff_note_mem t ~kind:2 ~seq:e.Rob.seq ~addr ~lat:0;
       schedule_complete t ~cycle:(t.now + 1) ~seq:e.Rob.seq ~rob:rob_idx;
       true
   | Lsq.Access ->
@@ -1052,13 +798,9 @@ let start_load ?(charge_search = true) t ~rob_idx ~(e : Rob.entry) ~addr =
           let lat = data_latency t ~addr ~write:false in
           if le.Lsq.is_fp then e.Rob.value_f <- Store.read_float t.memory addr
           else e.Rob.value_i <- load_from_memory t t.dec.Decoded.ext.(wi) addr;
-          ff_note_mem t ~kind:0 ~seq:e.Rob.seq ~addr ~lat;
           lat
         end
-        else begin
-          ff_poison t;
-          1 (* wrong-path garbage address: complete without touching memory *)
-        end
+        else 1 (* wrong-path garbage address: complete without touching memory *)
       in
       schedule_complete t ~cycle:(t.now + lat) ~seq:e.Rob.seq ~rob:rob_idx;
       true
@@ -1450,7 +1192,6 @@ let reuse_dispatch_one t ~allow_wrap =
         charge1 t Component.Lrl;
         charge t Component.Iq_payload Model.iq_partial_update_fraction;
         t.n_reuse_dispatch <- t.n_reuse_dispatch + 1;
-        ff_note_dispatch t ~wi ~pc ~pred_npc:s.Iq.pred_npc;
         Iq.set_reuse_ptr t.iq (rptr + 1);
         true
       end
@@ -1493,7 +1234,13 @@ let handle_capture t (f : fetched) ~head ~tail =
        begins with the second iteration, so it only makes sense when the
        branch is predicted to loop back. *)
     Reuse_state.start_buffering ~now:t.now t.reuse ~head ~tail;
-    dcache_install t ~head ~tail
+    dcache_install t ~head ~tail;
+    (* Everything already in the decode latch is older than this tail, so
+       none of it belongs to the new buffer — not even an entry flagged by
+       an attempt that was revoked earlier in this decode group. Clearing
+       every ring slot covers the live entries; the rest are overwritten
+       on push. *)
+    Array.iter (fun g -> g.f_buffered <- false) t.decode_latch.slots
   end
 
 let decode_reuse_hooks t (f : fetched) =
@@ -1686,16 +1433,14 @@ let fetch_stage t =
 (* ------------------------------------------------------------------ *)
 
 (* Windowed sample over (samp_last_cycle, now]: IPC, queue occupancies and
-   per-group power, in [sample_channels] order. The occupancies are
-   parameters so the fast-forward replay can sample from its logged
-   occupancy columns while the pipeline structures stay frozen. *)
-let sample_values_occ t ~iqc ~robc ~lsqc =
+   per-group power, in [sample_channels] order. *)
+let sample_values t =
   let dc = float_of_int (max 1 (t.now - t.samp_last_cycle)) in
   let v = Array.make (5 + Array.length sample_groups) 0. in
   v.(0) <- float_of_int (t.committed - t.samp_last_committed) /. dc;
-  v.(1) <- float_of_int iqc;
-  v.(2) <- float_of_int robc;
-  v.(3) <- float_of_int lsqc;
+  v.(1) <- float_of_int (Iq.count t.iq);
+  v.(2) <- float_of_int (Rob.count t.rob);
+  v.(3) <- float_of_int (Lsq.count t.lsq);
   let total = ref 0. in
   Array.iteri
     (fun i g ->
@@ -1709,10 +1454,6 @@ let sample_values_occ t ~iqc ~robc ~lsqc =
   t.samp_last_cycle <- t.now;
   t.samp_last_committed <- t.committed;
   v
-
-let sample_values t =
-  sample_values_occ t ~iqc:(Iq.count t.iq) ~robc:(Rob.count t.rob)
-    ~lsqc:(Lsq.count t.lsq)
 
 let sample_tick t =
   let sampler_due =
@@ -1736,17 +1477,6 @@ let sample_tick t =
     end
   end
 
-(* End-of-cycle capture for the fast-forward observation: the activity
-   vector (before [Account.tick] consumes it), the queue occupancies and
-   the cycle's commit count. *)
-let ff_capture_cycle t f =
-  fv_append f.ff_cur_act (Account.activity t.acct) Component.count;
-  iv_push f.ff_cur_occ (Iq.count t.iq);
-  iv_push f.ff_cur_occ (Rob.count t.rob);
-  iv_push f.ff_cur_occ (Lsq.count t.lsq);
-  iv_push f.ff_cur_com (t.committed - f.ff_last_committed);
-  f.ff_last_committed <- t.committed
-
 let step_cycle t =
   commit_stage t;
   if not t.halted then begin
@@ -1765,962 +1495,17 @@ let step_cycle t =
     let removed = Iq.compact t.iq in
     if removed > 0 then charge t Component.Iq_payload (float_of_int removed)
   end;
-  (match t.ff with
-  | Some f when f.ff_mode = 1 -> ff_capture_cycle t f
-  | Some _ | None -> ());
   Account.tick t.acct;
   t.now <- t.now + 1;
   sample_tick t
 
-(* ------------------------------------------------------------------ *)
-(* Event skip-ahead (Config.skip_ahead).                               *)
-(*                                                                     *)
-(* When nothing in the pipeline can make progress this cycle — no      *)
-(* writeback event due, no replay pending, nothing ready to issue,     *)
-(* commit blocked on an incomplete head, front end drained and fetch   *)
-(* stalled or gated — the machine's only per-cycle work is the idle    *)
-(* power accounting. Such a cycle changes no pipeline state, so the    *)
-(* same is true of every following cycle until the next writeback      *)
-(* event (or the fetch stall expiring). Those cycles are run through a *)
-(* lean loop that performs exactly the charges, accounting and        *)
-(* sampling the full cycle loop would, in the same order.              *)
-
-(* Fetch can do nothing now or on any later event-free cycle: gated by
-   Code Reuse, blocked on an unresolved redirect, stalled on a miss, or
-   past the end of the program. *)
-let fetch_blocked t =
-  t.reuse.Reuse_state.state = Reuse_state.Reusing
-  || t.fetch_pc < 0
-  || t.now < t.fetch_stall_until
-  || not (Decoded.valid t.dec t.fetch_pc)
-
-(* Mirror of [reuse_dispatch_one]'s early-outs (with wrap allowed, as
-   the first dispatch of a cycle has): true when the reuse queue cannot
-   dispatch anything this cycle. All inputs change only through events,
-   so the answer is stable across event-free cycles. *)
-let reuse_dispatch_blocked t =
-  let first = Iq.first_reusable t.iq in
-  first < 0
-  ||
-  let p = Iq.reuse_ptr t.iq in
-  let needs_wrap = p >= Iq.count t.iq || not (Iq.slots t.iq).(p).Iq.reusable in
-  let rptr = if needs_wrap then first else p in
-  let s = (Iq.slots t.iq).(rptr) in
-  (not s.Iq.issued) || Rob.is_full t.rob || (s.Iq.is_mem && Lsq.is_full t.lsq)
-
-let quiescent t =
-  (not t.halted)
-  && t.rp_n = 0
-  && t.ev_n.(t.now land wheel_mask) = 0
-  && (let rdy = Iq.ready t.iq in
-      rdy.Iq.r_next == rdy)
-  && (Rob.count t.rob = 0
-     || not (Rob.entry t.rob (Rob.head t.rob)).Rob.completed)
-  && t.fetch_q.len = 0
-  && t.decode_latch.len = 0
-  &&
-  match t.reuse.Reuse_state.state with
-  | Reuse_state.Reusing -> reuse_dispatch_blocked t
-  | Reuse_state.Normal | Reuse_state.Buffering -> fetch_blocked t
-
-(* First cycle at which a quiescent machine can make progress: the next
-   scheduled writeback event, or the fetch stall expiring (when fetch is
-   runnable after it), or the cycle limit. *)
-let next_wake t ~cycle_limit =
-  let best = ref cycle_limit in
-  let k = ref 1 in
-  let found = ref false in
-  while (not !found) && !k <= wheel_mask do
-    if t.ev_n.((t.now + !k) land wheel_mask) > 0 then begin
-      let c = t.now + !k in
-      if c < !best then best := c;
-      found := true
-    end;
-    incr k
-  done;
-  if
-    t.reuse.Reuse_state.state <> Reuse_state.Reusing
-    && t.fetch_pc >= 0
-    && t.fetch_stall_until > t.now
-    && Decoded.valid t.dec t.fetch_pc
-    && t.fetch_stall_until < !best
-  then best := t.fetch_stall_until;
-  !best
-
-(* Lean cycle loop covering [t.now, target): the only charges a
-   quiescent cycle makes are the occupied-queue select probe and the
-   Code Reuse gating logic, in [step_cycle]'s order; both are invariant
-   across the skipped stretch. *)
-let skip_to t ~target =
-  let iq_busy = Iq.count t.iq > 0 in
-  let reusing = t.reuse.Reuse_state.state = Reuse_state.Reusing in
-  while t.now < target do
-    if iq_busy then charge1 t Component.Iq_select;
-    if reusing then begin
-      t.gated_cycles <- t.gated_cycles + 1;
-      charge1 t Component.Reuse_logic
-    end;
-    (match t.ff with
-    | Some f when f.ff_mode = 1 -> ff_capture_cycle t f
-    | Some _ | None -> ());
-    Account.tick t.acct;
-    t.now <- t.now + 1;
-    t.n_skipped <- t.n_skipped + 1;
-    sample_tick t
-  done
-
-(* ------------------------------------------------------------------ *)
-(* Fast-forward: boundary snapshots, verification and replay.          *)
-(* ------------------------------------------------------------------ *)
-
-(* Relocation-invariant snapshot of the machine at an iteration
-   boundary. Sequence numbers are encoded relative to [seq_ctr], ROB
-   references as distance from the ROB head, LSQ references as age rank
-   (position in sequence order), cycles as distance from [now] — all
-   invariant under the uniform relocation a replay applies. Semantic
-   payloads (operand values, addresses, store data) are excluded; the
-   replay recomputes and patches them at exit. *)
-let ff_rigid_vec t v =
-  iv_clear v;
-  let rs = Rob.size t.rob and rh = Rob.head t.rob in
-  let rrel i = if i < 0 then -1 else (i - rh + rs) mod rs in
-  let ls = Lsq.size t.lsq in
-  let lrank = Array.make (max 1 ls) (-1) in
-  let lids = ref [] in
-  for i = ls - 1 downto 0 do
-    if (Lsq.entry t.lsq i).Lsq.live then lids := i :: !lids
-  done;
-  let lids =
-    List.sort
-      (fun a b -> compare (Lsq.entry t.lsq a).Lsq.seq (Lsq.entry t.lsq b).Lsq.seq)
-      !lids
-  in
-  List.iteri (fun rank i -> lrank.(i) <- rank) lids;
-  let lrel i = if i < 0 then -1 else lrank.(i) in
-  let sc = t.seq_ctr in
-  let b x = if x then 1 else 0 in
-  let r = t.reuse in
-  iv_push v
-    (match r.Reuse_state.state with Normal -> 0 | Buffering -> 1 | Reusing -> 2);
-  iv_push v r.Reuse_state.head;
-  iv_push v r.Reuse_state.tail;
-  iv_push v r.Reuse_state.iter_count;
-  iv_push v r.Reuse_state.call_depth;
-  iv_push v r.Reuse_state.iters_buffered;
-  iv_push v t.cur_reuse_tail;
-  iv_push v t.fetch_pc;
-  iv_push v (max 0 (t.fetch_stall_until - t.now));
-  iv_push v t.fetch_q.len;
-  iv_push v t.decode_latch.len;
-  iv_push v t.rp_n;
-  iv_push v t.dc_hits;
-  iv_push v t.dc_installs;
-  List.iter (iv_push v) (Fu.ffwd_busy_rel t.fu ~now:t.now);
-  Array.iter (fun m -> iv_push v (rrel m)) t.map;
-  iv_push v (Rob.count t.rob);
-  Rob.iter_oldest_first t.rob (fun _ e ->
-      iv_push v (e.Rob.seq - sc);
-      iv_push v e.Rob.pc;
-      iv_push v e.Rob.wi;
-      iv_push v (b e.Rob.completed);
-      iv_push v e.Rob.dest;
-      iv_push v (b e.Rob.is_store);
-      iv_push v (lrel e.Rob.lsq_idx);
-      iv_push v (b e.Rob.is_ctrl);
-      iv_push v e.Rob.pred_npc;
-      iv_push v e.Rob.actual_npc;
-      iv_push v (b e.Rob.taken);
-      iv_push v e.Rob.ras_ck;
-      iv_push v (b e.Rob.from_reuse));
-  iv_push v (Iq.count t.iq);
-  iv_push v (Iq.reuse_ptr t.iq);
-  iv_push v (Iq.first_reusable t.iq);
-  let slots = Iq.slots t.iq in
-  for i = 0 to Iq.count t.iq - 1 do
-    let s = slots.(i) in
-    iv_push v (s.Iq.seq - sc);
-    iv_push v (rrel s.Iq.rob_idx);
-    iv_push v s.Iq.pc;
-    iv_push v s.Iq.wi;
-    iv_push v
-      (match s.Iq.fu with
-      | Insn.FU_none -> 0
-      | FU_ialu -> 1
-      | FU_imult -> 2
-      | FU_fpalu -> 3
-      | FU_fpmult -> 4
-      | FU_mem -> 5);
-    iv_push v s.Iq.lat;
-    iv_push v (b s.Iq.pipe);
-    iv_push v (b s.Iq.is_mem);
-    iv_push v (b s.Iq.is_store);
-    iv_push v (rrel s.Iq.src1_tag);
-    iv_push v (rrel s.Iq.src2_tag);
-    iv_push v (b s.Iq.issued);
-    iv_push v (b s.Iq.reusable);
-    iv_push v (b s.Iq.dead);
-    iv_push v s.Iq.pred_npc;
-    iv_push v (b (s.Iq.r_next != s));
-    iv_push v (b (s.Iq.w1_next != s));
-    iv_push v (b (s.Iq.w2_next != s))
-  done;
-  iv_push v (Lsq.count t.lsq);
-  List.iter
-    (fun i ->
-      let le = Lsq.entry t.lsq i in
-      iv_push v (le.Lsq.seq - sc);
-      iv_push v (rrel le.Lsq.rob_idx);
-      iv_push v (b le.Lsq.is_store);
-      iv_push v (b le.Lsq.is_fp);
-      iv_push v (b le.Lsq.addr_ready);
-      iv_push v le.Lsq.width;
-      iv_push v (b le.Lsq.data_ready);
-      iv_push v (rrel le.Lsq.data_tag))
-    lids;
-  for k = 0 to wheel_mask do
-    let sl = (t.now + k) land wheel_mask in
-    let n = t.ev_n.(sl) in
-    if n > 0 then begin
-      iv_push v k;
-      iv_push v n;
-      for j = 0 to n - 1 do
-        iv_push v t.ev_kind.(sl).(j);
-        iv_push v (t.ev_seq.(sl).(j) - sc);
-        iv_push v (rrel t.ev_rob.(sl).(j));
-        iv_push v (rrel t.ev_dtag.(sl).(j))
-      done
-    end
-  done
-
-(* Monotonic counters that advance by a constant amount per period:
-   captured at each boundary; relocation adds a multiple of the verified
-   per-period delta. Field order here and in [ff_affine_restore] must
-   match. *)
-let ff_affine_vec t =
-  let loops =
-    List.sort
-      (fun a b -> compare a.ld_tail b.ld_tail)
-      (Hashtbl.fold (fun _ r acc -> r :: acc) t.loop_log [])
-  in
-  let fuc = Fu.ffwd_counters t.fu in
-  let pa = Predictor.ffwd_affine t.pred in
-  let n = 9 + List.length loops + Array.length fuc + Array.length pa in
-  let a = Array.make n 0 in
-  a.(0) <- t.committed;
-  a.(1) <- t.seq_ctr;
-  a.(2) <- t.gated_cycles;
-  a.(3) <- t.n_branches;
-  a.(4) <- t.n_mispredicts;
-  a.(5) <- t.n_loads;
-  a.(6) <- t.n_stores;
-  a.(7) <- t.n_reuse_dispatch;
-  a.(8) <- t.n_reuse_commit;
-  let i = ref 9 in
-  List.iter
-    (fun r ->
-      a.(!i) <- r.ld_reuse_committed;
-      incr i)
-    loops;
-  Array.iter
-    (fun x ->
-      a.(!i) <- x;
-      incr i)
-    fuc;
-  Array.iter
-    (fun x ->
-      a.(!i) <- x;
-      incr i)
-    pa;
-  a
-
-let ff_affine_restore t base ~m ~d =
-  let n = Array.length base in
-  let v = Array.init n (fun i -> base.(i) + (m * d.(i))) in
-  t.committed <- v.(0);
-  t.seq_ctr <- v.(1);
-  t.gated_cycles <- v.(2);
-  t.n_branches <- v.(3);
-  t.n_mispredicts <- v.(4);
-  t.n_loads <- v.(5);
-  t.n_stores <- v.(6);
-  t.n_reuse_dispatch <- v.(7);
-  t.n_reuse_commit <- v.(8);
-  let loops =
-    List.sort
-      (fun a b -> compare a.ld_tail b.ld_tail)
-      (Hashtbl.fold (fun _ r acc -> r :: acc) t.loop_log [])
-  in
-  let i = ref 9 in
-  List.iter
-    (fun r ->
-      r.ld_reuse_committed <- v.(!i);
-      incr i)
-    loops;
-  let nf = Array.length (Fu.ffwd_counters t.fu) in
-  Fu.ffwd_set_counters t.fu (Array.sub v !i nf);
-  i := !i + nf;
-  Predictor.ffwd_set_affine t.pred (Array.sub v !i (n - !i))
-
-(* (Re)start observation with the current boundary as the base state. *)
-let ff_snapshot_start t f =
-  f.ff_mode <- 1;
-  f.ff_periods <- 0;
-  f.ff_poison <- false;
-  f.ff_cycle_start <- t.now;
-  f.ff_seq_start <- t.seq_ctr;
-  f.ff_last_committed <- t.committed;
-  fv_clear f.ff_cur_act;
-  iv_clear f.ff_cur_occ;
-  iv_clear f.ff_cur_com;
-  iv_clear f.ff_cur_mem;
-  iv_clear f.ff_cur_dsp;
-  f.ff_adiff <- [||];
-  f.ff_mem_prev <- [||];
-  f.ff_mem_stride <- [||];
-  ff_rigid_vec t f.ff_rigid_prev;
-  f.ff_pred_prev <- Predictor.ffwd_version t.pred;
-  f.ff_aff_prev <- ff_affine_vec t
-
-(* One iteration boundary under observation: check this period against
-   the base snapshot and the reference logs, and roll the observation
-   window forward on success. Period 1's cycle logs are discarded
-   (observation started mid-way through its first cycle); period 2
-   becomes the reference; periods 3+ must reproduce it bitwise. *)
-let ff_verify_boundary t f =
-  let p = f.ff_periods + 1 in
-  ff_rigid_vec t f.ff_rigid_cur;
-  let pred = Predictor.ffwd_version t.pred in
-  let acur = ff_affine_vec t in
-  let ok = ref ((not f.ff_poison) && t.rp_n = 0) in
-  if !ok then
-    ok := iv_equal f.ff_rigid_cur f.ff_rigid_prev && pred = f.ff_pred_prev;
-  if !ok then begin
-    let na = Array.length acur in
-    if na <> Array.length f.ff_aff_prev then ok := false
-    else begin
-      let d = Array.init na (fun i -> acur.(i) - f.ff_aff_prev.(i)) in
-      if p = 1 then f.ff_adiff <- d else if d <> f.ff_adiff then ok := false
-    end
-  end;
-  if !ok && p >= 3 then begin
-    ok :=
-      f.ff_cur_act.fvn = f.ff_ref_act.fvn
-      && iv_equal f.ff_cur_occ f.ff_ref_occ
-      && iv_equal f.ff_cur_com f.ff_ref_com
-      && iv_equal f.ff_cur_dsp f.ff_ref_dsp
-      && f.ff_cur_mem.ivn = f.ff_ref_mem.ivn;
-    if !ok then begin
-      let i = ref 0 in
-      while !ok && !i < f.ff_cur_act.fvn do
-        if f.ff_cur_act.fv.(!i) <> f.ff_ref_act.fv.(!i) then ok := false;
-        incr i
-      done
-    end;
-    if !ok then begin
-      let nm = f.ff_ref_mem.ivn / 5 in
-      let j = ref 0 in
-      while !ok && !j < nm do
-        let base = 5 * !j in
-        if
-          f.ff_cur_mem.iv.(base) <> f.ff_ref_mem.iv.(base)
-          || f.ff_cur_mem.iv.(base + 1) <> f.ff_ref_mem.iv.(base + 1)
-          || f.ff_cur_mem.iv.(base + 2) <> f.ff_ref_mem.iv.(base + 2)
-          || f.ff_cur_mem.iv.(base + 3) <> f.ff_ref_mem.iv.(base + 3)
-        then ok := false;
-        incr j
-      done;
-      (* Per-op address strides: each memory op must advance by its own
-         constant stride from period to period. Equal-stride pairs keep
-         a constant address distance (so their forwarding and aliasing
-         relationship is frozen); unequal-stride pairs drift, and the
-         replay bounds the number of periods it runs to provably before
-         any such pair can come to overlap ([ff_alias_cap]). *)
-      if !ok then begin
-        if p = 3 then
-          f.ff_mem_stride <-
-            Array.init nm (fun j ->
-                f.ff_cur_mem.iv.((5 * j) + 4) - f.ff_mem_prev.(j))
-        else
-          for j = 0 to nm - 1 do
-            if
-              f.ff_cur_mem.iv.((5 * j) + 4) - f.ff_mem_prev.(j)
-              <> f.ff_mem_stride.(j)
-            then ok := false
-          done
-      end
-    end
-  end;
-  if !ok then begin
-    f.ff_periods <- p;
-    (if p = 2 then begin
-       let sf = f.ff_ref_act in
-       f.ff_ref_act <- f.ff_cur_act;
-       f.ff_cur_act <- sf;
-       let o = f.ff_ref_occ in
-       f.ff_ref_occ <- f.ff_cur_occ;
-       f.ff_cur_occ <- o;
-       let c = f.ff_ref_com in
-       f.ff_ref_com <- f.ff_cur_com;
-       f.ff_cur_com <- c;
-       let mm = f.ff_ref_mem in
-       f.ff_ref_mem <- f.ff_cur_mem;
-       f.ff_cur_mem <- mm;
-       let dd = f.ff_ref_dsp in
-       f.ff_ref_dsp <- f.ff_cur_dsp;
-       f.ff_cur_dsp <- dd
-     end);
-    (if p >= 2 then begin
-       let src = if p = 2 then f.ff_ref_mem else f.ff_cur_mem in
-       let nm = src.ivn / 5 in
-       if Array.length f.ff_mem_prev <> nm then f.ff_mem_prev <- Array.make nm 0;
-       for j = 0 to nm - 1 do
-         f.ff_mem_prev.(j) <- src.iv.((5 * j) + 4)
-       done
-     end);
-    let rtmp = f.ff_rigid_prev in
-    f.ff_rigid_prev <- f.ff_rigid_cur;
-    f.ff_rigid_cur <- rtmp;
-    f.ff_pred_prev <- pred;
-    f.ff_aff_prev <- acur;
-    f.ff_cycle_start <- t.now;
-    f.ff_seq_start <- t.seq_ctr;
-    f.ff_last_committed <- t.committed;
-    fv_clear f.ff_cur_act;
-    iv_clear f.ff_cur_occ;
-    iv_clear f.ff_cur_com;
-    iv_clear f.ff_cur_mem;
-    iv_clear f.ff_cur_dsp;
-    true
-  end
-  else false
-
-exception Ff_stop
-
-(* Replay verified periods until the loop's behaviour stops matching the
-   template (typically the loop exit), memory timing stops repeating, or
-   the cycle budget runs out. Pipeline structures are frozen throughout;
-   a semantic machine executes the loop body in program order to supply
-   the values the relocated state needs. All checks that can reject a
-   period run before the period mutates any processor state — the
-   semantic machine works entirely on private copies. *)
-let ff_replay_periods t f ~nd ~dc ~cycle_limit =
-  let dec = t.dec in
-  let base_now = t.now and base_seq = t.seq_ctr in
-  let ncomp = Component.count in
-  (* Semantic record ring, indexed by sequence number. Sized so records
-     stay alive from semantic execution until the commit fold and the
-     exit patch reach them. *)
-  let cap =
-    let need = Rob.size t.rob + (2 * nd) + 64 in
-    let c = ref 256 in
-    while !c < need do
-      c := !c * 2
-    done;
-    !c
-  in
-  let rmask = cap - 1 in
-  let r_seq = Array.make cap min_int in
-  let r_wi = Array.make cap 0
-  and r_res_i = Array.make cap 0
-  and r_s1i = Array.make cap 0
-  and r_s2i = Array.make cap 0
-  and r_addr = Array.make cap 0
-  and r_sdi = Array.make cap 0
-  and r_npc = Array.make cap 0 in
-  let r_res_f = Array.make cap 0.
-  and r_s1f = Array.make cap 0.
-  and r_s2f = Array.make cap 0.
-  and r_sdf = Array.make cap 0. in
-  let r_taken = Array.make cap false in
-  let priv = Store.copy t.memory in
-  let sem_i = Array.copy t.arch_i and sem_f = Array.copy t.arch_f in
-  let carch_i = Array.copy t.arch_i and carch_f = Array.copy t.arch_f in
-  let scratch_rob = Rob.create 1 in
-  let se = Rob.entry scratch_rob (Rob.alloc scratch_rob) in
-  let load_priv ext addr =
-    if ext = Decoded.ext_word then Bits.of_i32 (Store.read_word priv addr)
-    else if ext = Decoded.ext_s8 then
-      Bits.sign_extend (Store.read_byte priv addr) ~width:8
-    else if ext = Decoded.ext_u8 then Store.read_byte priv addr
-    else if ext = Decoded.ext_s16 then
-      Bits.sign_extend (Store.read_half priv addr) ~width:16
-    else Store.read_half priv addr
-  in
-  (* Execute one instruction architecturally on the private image,
-     recording everything the relocation needs. Raises [Ff_stop] on
-     anything the replay must not extrapolate over (halt, unusable
-     memory address). *)
-  let sem_exec ~wi ~pc ~seq =
-    let r1 = dec.Decoded.r1.(wi) and r2 = dec.Decoded.r2.(wi) in
-    let s1i = if r1 >= 0 && r1 < 32 then sem_i.(r1) else 0 in
-    let s1f = if r1 >= 32 then sem_f.(r1 - 32) else 0. in
-    let s2i = if r2 >= 0 && r2 < 32 then sem_i.(r2) else 0 in
-    let s2f = if r2 >= 32 then sem_f.(r2 - 32) else 0. in
-    let i = seq land rmask in
-    r_seq.(i) <- seq;
-    r_wi.(i) <- wi;
-    r_s1i.(i) <- s1i;
-    r_s1f.(i) <- s1f;
-    r_s2i.(i) <- s2i;
-    r_s2f.(i) <- s2f;
-    r_addr.(i) <- 0;
-    r_sdi.(i) <- 0;
-    r_sdf.(i) <- 0.;
-    let npc =
-      match dec.Decoded.kind.(wi) with
-      | Insn.K_load ->
-          let addr = Bits.add32 s1i dec.Decoded.imm.(wi) in
-          if addr < 0 || addr land dec.Decoded.amask.(wi) <> 0 then raise Ff_stop;
-          r_addr.(i) <- addr;
-          (if dec.Decoded.is_fp_mem.(wi) then begin
-             r_res_f.(i) <- Store.read_float priv addr;
-             r_res_i.(i) <- 0
-           end
-           else begin
-             r_res_i.(i) <- load_priv dec.Decoded.ext.(wi) addr;
-             r_res_f.(i) <- 0.
-           end);
-          r_taken.(i) <- false;
-          pc + 4
-      | K_store ->
-          let addr = Bits.add32 s1i dec.Decoded.imm.(wi) in
-          if addr < 0 || addr land dec.Decoded.amask.(wi) <> 0 then raise Ff_stop;
-          r_addr.(i) <- addr;
-          r_sdi.(i) <- s2i;
-          r_sdf.(i) <- s2f;
-          r_res_i.(i) <- 0;
-          r_res_f.(i) <- 0.;
-          r_taken.(i) <- false;
-          (if dec.Decoded.is_fp_mem.(wi) then Store.write_float priv addr s2f
-           else if dec.Decoded.width.(wi) = 1 then Store.write_byte priv addr s2i
-           else if dec.Decoded.width.(wi) = 2 then Store.write_half priv addr s2i
-           else Store.write_word priv addr (Bits.to_u32 s2i));
-          pc + 4
-      | K_halt -> raise Ff_stop
-      | K_branch | K_jump | K_call | K_return | K_ijump | K_int | K_fp | K_nop
-        ->
-          execute_into t se ~wi ~pc ~s1i ~s1f ~s2i ~s2f;
-          r_res_i.(i) <- se.Rob.value_i;
-          r_res_f.(i) <- se.Rob.value_f;
-          r_taken.(i) <- se.Rob.taken;
-          se.Rob.actual_npc
-    in
-    r_npc.(i) <- npc;
-    (let dst = dec.Decoded.dst.(wi) in
-     if dst >= 0 then
-       if dst >= 32 then sem_f.(dst - 32) <- r_res_f.(i)
-       else sem_i.(dst) <- r_res_i.(i));
-    npc
-  in
-  (* Dispatch and memory templates from the reference period. *)
-  let dw = Array.make nd 0 and dp = Array.make nd 0 and dq = Array.make nd 0 in
-  for i = 0 to nd - 1 do
-    dw.(i) <- f.ff_ref_dsp.iv.(3 * i);
-    dp.(i) <- f.ff_ref_dsp.iv.((3 * i) + 1);
-    dq.(i) <- f.ff_ref_dsp.iv.((3 * i) + 2)
-  done;
-  let nm = f.ff_ref_mem.ivn / 5 in
-  let mkind = Array.make (max 1 nm) 0
-  and moff = Array.make (max 1 nm) 0
-  and mrel = Array.make (max 1 nm) 0
-  and mlat = Array.make (max 1 nm) 0 in
-  for j = 0 to nm - 1 do
-    mkind.(j) <- f.ff_ref_mem.iv.(5 * j);
-    moff.(j) <- f.ff_ref_mem.iv.((5 * j) + 1);
-    mrel.(j) <- f.ff_ref_mem.iv.((5 * j) + 2);
-    mlat.(j) <- f.ff_ref_mem.iv.((5 * j) + 3)
-  done;
-  let mlast = Array.copy f.ff_mem_prev in
-  let stride = f.ff_mem_stride in
-  let ipp = ref 0 in
-  for i = 0 to nd - 1 do
-    if dp.(i) = t.reuse.Reuse_state.tail then incr ipp
-  done;
-  (* Periods the replay may run before any unequal-stride pair involving
-     a store could come to overlap. Equal-stride pairs keep a constant
-     address distance, so whatever LSQ forwarding/disambiguation
-     relationship the observed periods had is frozen; an unequal-stride
-     pair drifts linearly — period [m]'s op [j] accesses
-     [L_j + (m+1)s_j, +w_j) — so the first period at which ops [j] (in
-     period [m]) and [j'] (in period [m+r], for every straddle distance
-     [r] the in-flight window allows) can overlap is closed-form. An
-     overlap before the replay window (m < 0, i.e. during the observed
-     periods themselves) taints the template: the logged timing may
-     embed a forwarding event whose address geometry will not recur. *)
-  let alias_cap =
-    if nm = 0 then max_int
-    else begin
-      let fdiv a b =
-        let q = a / b and r = a mod b in
-        if r <> 0 && r < 0 <> (b < 0) then q - 1 else q
-      in
-      let cdiv a b = -fdiv (-a) b in
-      let w = Array.make nm 1 in
-      for j = 0 to nm - 1 do
-        (* [mrel] can be <= 0 (an op still in flight from an earlier
-           period); the dispatch template repeats every [nd] sequence
-           numbers, so the op's slot — and hence its window index and
-           width — is the offset mod [nd]. *)
-        let slot = (((mrel.(j) - 1) mod nd) + nd) mod nd in
-        let wi = dw.(slot) in
-        w.(j) <-
-          (if dec.Decoded.is_fp_mem.(wi) then 8 else dec.Decoded.width.(wi))
-      done;
-      let cap = ref max_int in
-      let rspan = (Rob.size t.rob + nd - 1) / nd in
-      let m0 = -f.ff_periods in
-      for j = 0 to nm - 1 do
-        for j' = 0 to nm - 1 do
-          if
-            mkind.(j) <= 1
-            && mkind.(j') <= 1
-            && (mkind.(j) = 1 || mkind.(j') = 1)
-            && stride.(j) <> stride.(j')
-          then
-            for r = 0 to rspan do
-              if r > 0 || j <> j' then begin
-                let dlt = stride.(j') - stride.(j) in
-                let d0 =
-                  mlast.(j') + ((r + 1) * stride.(j'))
-                  - (mlast.(j) + stride.(j))
-                in
-                (* Overlap iff 1 - w_j' <= d0 + m*dlt <= w_j - 1. *)
-                let lo = 1 - w.(j') and hi = w.(j) - 1 in
-                let mlo, mhi =
-                  if dlt > 0 then (cdiv (lo - d0) dlt, fdiv (hi - d0) dlt)
-                  else (cdiv (hi - d0) dlt, fdiv (lo - d0) dlt)
-                in
-                if mhi >= m0 then begin
-                  let first = max m0 mlo in
-                  if first <= mhi then cap := min !cap (max 0 first)
-                end
-              end
-            done
-        done
-      done;
-      !cap
-    end
-  in
-  let m = ref 0 in
-  let frontier = ref ((Rob.entry t.rob (Rob.head t.rob)).Rob.seq - 1) in
-  (try
-     (* Catch up on the in-flight window: every instruction already in
-        the ROB must execute to its predicted outcome, or the pipeline
-        would leave the loop before the next boundary. *)
-     let chain = ref min_int in
-     Rob.iter_oldest_first t.rob (fun _ e ->
-         if !chain <> min_int && e.Rob.pc <> !chain then raise Ff_stop;
-         let npc = sem_exec ~wi:e.Rob.wi ~pc:e.Rob.pc ~seq:e.Rob.seq in
-         if npc <> e.Rob.pred_npc then raise Ff_stop;
-         chain := npc);
-     while true do
-       if t.now + dc > cycle_limit then raise Ff_stop;
-       if !m >= alias_cap then raise Ff_stop;
-       let sbase = base_seq + (!m * nd) in
-       (* Lookahead: the next period must follow the dispatch template
-          and conform to its predictions (the loop exit surfaces as a
-          conformance failure here, before any state is touched). *)
-       for i = 0 to nd - 1 do
-         if dp.(i) <> !chain then raise Ff_stop;
-         let npc = sem_exec ~wi:dw.(i) ~pc:dp.(i) ~seq:(sbase + 1 + i) in
-         if npc <> dq.(i) then raise Ff_stop;
-         chain := npc
-       done;
-       (* Memory pre-check: addresses advance by the verified stride and
-          cache/TLB accesses will hit (so latencies and the power
-          charges baked into the activity log are exact). *)
-       for j = 0 to nm - 1 do
-         let sq = sbase + mrel.(j) in
-         let i = sq land rmask in
-         if r_seq.(i) <> sq then raise Ff_stop;
-         if r_addr.(i) <> mlast.(j) + stride.(j) then raise Ff_stop;
-         if mkind.(j) <= 1 && not (Hierarchy.data_would_hit t.hier ~addr:r_addr.(i))
-         then raise Ff_stop
-       done;
-       (* The period is certain: replay its cycles. Memory ops touch the
-          real hierarchy (counters, LRU) and the real memory image at
-          their logged offsets; charges ride in the activity log. *)
-       let act = Account.activity t.acct in
-       let mj = ref 0 in
-       for j = 0 to dc - 1 do
-         while !mj < nm && moff.(!mj) = j do
-           let jj = !mj in
-           (if mkind.(jj) <= 1 then begin
-              let sq = sbase + mrel.(jj) in
-              let i = sq land rmask in
-              let a = r_addr.(i) in
-              let lat =
-                Hierarchy.data_at t.hier ~now:t.now ~addr:a
-                  ~write:(mkind.(jj) = 1)
-              in
-              assert (lat = mlat.(jj));
-              if mkind.(jj) = 1 then begin
-                let wi = r_wi.(i) in
-                if dec.Decoded.is_fp_mem.(wi) then
-                  Store.write_float t.memory a r_sdf.(i)
-                else if dec.Decoded.width.(wi) = 1 then
-                  Store.write_byte t.memory a r_sdi.(i)
-                else if dec.Decoded.width.(wi) = 2 then
-                  Store.write_half t.memory a r_sdi.(i)
-                else Store.write_word t.memory a (Bits.to_u32 r_sdi.(i))
-              end
-            end);
-           incr mj
-         done;
-         Array.blit f.ff_ref_act.fv (j * ncomp) act 0 ncomp;
-         Account.tick t.acct;
-         t.committed <- t.committed + f.ff_ref_com.iv.(j);
-         t.now <- t.now + 1;
-         match t.sampler with
-         | Some s when Sampler.due s ~cycle:t.now ->
-             let v =
-               sample_values_occ t
-                 ~iqc:f.ff_ref_occ.iv.(3 * j)
-                 ~robc:f.ff_ref_occ.iv.((3 * j) + 1)
-                 ~lsqc:f.ff_ref_occ.iv.((3 * j) + 2)
-             in
-             Sampler.record s ~cycle:t.now v
-         | Some _ | None -> ()
-       done;
-       (* Fold the period's commits into the architectural image. *)
-       for s = 1 to nd do
-         let sq = !frontier + s in
-         let i = sq land rmask in
-         assert (r_seq.(i) = sq);
-         let dst = dec.Decoded.dst.(r_wi.(i)) in
-         if dst >= 0 then
-           if dst >= 32 then carch_f.(dst - 32) <- r_res_f.(i)
-           else carch_i.(dst) <- r_res_i.(i)
-       done;
-       frontier := !frontier + nd;
-       for j = 0 to nm - 1 do
-         mlast.(j) <- mlast.(j) + stride.(j)
-       done;
-       incr m
-     done
-   with Ff_stop -> ());
-  if !m > 0 then begin
-    (* Relocate the frozen pipeline state by m periods: bump sequence
-       numbers, rotate the event wheel, patch semantic payloads from the
-       records, restore monotonic counters and the architectural
-       registers. *)
-    let dtot = !m * nd in
-    Rob.iter_oldest_first t.rob (fun _ e ->
-        e.Rob.seq <- e.Rob.seq + dtot;
-        let i = e.Rob.seq land rmask in
-        if r_seq.(i) = e.Rob.seq then begin
-          e.Rob.value_i <- r_res_i.(i);
-          e.Rob.value_f <- r_res_f.(i);
-          e.Rob.taken <- r_taken.(i);
-          e.Rob.actual_npc <- r_npc.(i)
-        end);
-    let slots = Iq.slots t.iq in
-    for i = 0 to Iq.count t.iq - 1 do
-      let s = slots.(i) in
-      s.Iq.seq <- s.Iq.seq + dtot;
-      let ri = s.Iq.seq land rmask in
-      if r_seq.(ri) = s.Iq.seq then begin
-        if s.Iq.src1_tag < 0 then begin
-          s.Iq.src1_i <- r_s1i.(ri);
-          s.Iq.src1_f <- r_s1f.(ri)
-        end;
-        if s.Iq.src2_tag < 0 then begin
-          s.Iq.src2_i <- r_s2i.(ri);
-          s.Iq.src2_f <- r_s2f.(ri)
-        end
-      end
-    done;
-    for i = 0 to Lsq.size t.lsq - 1 do
-      let le = Lsq.entry t.lsq i in
-      if le.Lsq.live then begin
-        le.Lsq.seq <- le.Lsq.seq + dtot;
-        let ri = le.Lsq.seq land rmask in
-        if r_seq.(ri) = le.Lsq.seq then begin
-          if le.Lsq.addr_ready then le.Lsq.addr <- r_addr.(ri);
-          if le.Lsq.is_store && le.Lsq.data_ready then begin
-            le.Lsq.data_i <- r_sdi.(ri);
-            le.Lsq.data_f <- r_sdf.(ri)
-          end
-        end
-      end
-    done;
-    let wrot = (!m * dc) land wheel_mask in
-    (if wrot <> 0 then begin
-       let rot a =
-         let tmp = Array.copy a in
-         for sl = 0 to wheel_mask do
-           a.((sl + wrot) land wheel_mask) <- tmp.(sl)
-         done
-       in
-       rot t.ev_seq;
-       rot t.ev_rob;
-       rot t.ev_kind;
-       rot t.ev_addr;
-       rot t.ev_di;
-       rot t.ev_dtag;
-       rot t.ev_df;
-       rot t.ev_n
-     end);
-    for sl = 0 to wheel_mask do
-      for j = 0 to t.ev_n.(sl) - 1 do
-        let sq = t.ev_seq.(sl).(j) + dtot in
-        t.ev_seq.(sl).(j) <- sq;
-        if t.ev_kind.(sl).(j) = ev_agen then begin
-          let ri = sq land rmask in
-          if r_seq.(ri) = sq then begin
-            t.ev_addr.(sl).(j) <- r_addr.(ri);
-            if
-              dec.Decoded.kind.(r_wi.(ri)) = Insn.K_store
-              && t.ev_dtag.(sl).(j) < 0
-            then begin
-              t.ev_di.(sl).(j) <- r_sdi.(ri);
-              t.ev_df.(sl).(j) <- r_sdf.(ri)
-            end
-          end
-        end
-      done
-    done;
-    Fu.ffwd_rebase t.fu ~old_now:base_now ~new_now:t.now;
-    ff_affine_restore t f.ff_aff_prev ~m:!m ~d:f.ff_adiff;
-    Array.blit carch_i 0 t.arch_i 0 32;
-    Array.blit carch_f 0 t.arch_f 0 32;
-    t.n_ffwd_iters <- t.n_ffwd_iters + (!m * !ipp);
-    (* A productive loop earns its snapshot budget back. *)
-    f.ff_cur_work := 0;
-    f.ff_fails <- 0
-  end
-
-(* Gate on everything the replay's correctness argument needs, then
-   replay. Called at a verified boundary. *)
-let ff_try_replay t f ~cycle_limit =
-  let nd = f.ff_ref_dsp.ivn / 3 in
-  let dc = f.ff_ref_com.ivn in
-  if
-    nd > 0 && dc > 0
-    && Array.length f.ff_adiff > 1
-    && f.ff_adiff.(0) = nd (* commits per period = dispatches per period *)
-    && f.ff_adiff.(1) = nd (* sequence numbers advance by the same *)
-    && Array.length f.ff_mem_stride * 5 = f.ff_ref_mem.ivn
-    && t.rp_n = 0
-    && Rob.count t.rob > 0
-    && Hierarchy.quiescent_at t.hier ~now:t.now
-    && t.now + dc <= cycle_limit
-  then ff_replay_periods t f ~nd ~dc ~cycle_limit
-
-(* Record the current boundary snapshot in the search ring. *)
-let ff_search_record f pred =
-  let slot = f.ff_hist_n mod ff_hist_len in
-  iv_copy_into f.ff_hist.(slot) f.ff_rigid_cur;
-  f.ff_hist_pred.(slot) <- pred;
-  f.ff_hist_n <- f.ff_hist_n + 1
-
-(* Smallest distance k at which the current snapshot matches a recorded
-   one (0 = no match in the window). *)
-let ff_search_find f pred =
-  let kmax = min f.ff_hist_n ff_hist_len in
-  let rec go k =
-    if k > kmax then 0
-    else
-      let slot = (f.ff_hist_n - k) mod ff_hist_len in
-      if
-        iv_equal f.ff_rigid_cur f.ff_hist.(slot) && pred = f.ff_hist_pred.(slot)
-      then k
-      else go (k + 1)
-  in
-  go 1
-
-let ff_loop_key t =
-  (t.reuse.Reuse_state.head lsl 25) lxor t.reuse.Reuse_state.tail
-
-(* Snapshot-work budget per loop before it is written off. Generous
-   enough for the search plus several observation restarts, small enough
-   that a hopeless loop costs a bounded amount over the whole run. *)
-let ff_work_budget = 512
-
-let ff_go_dormant f =
-  f.ff_mode <- 3;
-  f.ff_cur_work := ff_work_budget + 1
-
-let ff_on_boundary t f ~cycle_limit =
-  match f.ff_mode with
-  | 0 ->
-      let key = ff_loop_key t in
-      let cell =
-        match Hashtbl.find_opt f.ff_work key with
-        | Some r -> r
-        | None ->
-            let r = ref 0 in
-            Hashtbl.add f.ff_work key r;
-            r
-      in
-      f.ff_cur_work <- cell;
-      if !cell > ff_work_budget then f.ff_mode <- 3
-      else begin
-        (* First boundary of the episode: seed the period search. *)
-        incr cell;
-        ff_rigid_vec t f.ff_rigid_cur;
-        f.ff_hist_n <- 0;
-        ff_search_record f (Predictor.ffwd_version t.pred);
-        f.ff_mode <- 4
-      end
-  | 4 when !(f.ff_cur_work) > ff_work_budget -> ff_go_dormant f
-  | 4 -> (
-      incr f.ff_cur_work;
-      ff_rigid_vec t f.ff_rigid_cur;
-      let pred = Predictor.ffwd_version t.pred in
-      match ff_search_find f pred with
-      | 0 ->
-          ff_search_record f pred;
-          if f.ff_hist_n > ff_search_budget then ff_go_dormant f
-      | k ->
-          f.ff_super <- k;
-          f.ff_bcount <- 0;
-          ff_snapshot_start t f)
-  | 1 ->
-      f.ff_bcount <- f.ff_bcount + 1;
-      if f.ff_bcount >= f.ff_super then begin
-        f.ff_bcount <- 0;
-        incr f.ff_cur_work;
-        if ff_verify_boundary t f then begin
-          if f.ff_periods >= f.ff_k + 1 then begin
-            ff_try_replay t f ~cycle_limit;
-            (* Whether the replay advanced or stopped immediately, the
-               machine sits at a super-boundary: restart observation
-               from it. *)
-            f.ff_bcount <- 0;
-            ff_snapshot_start t f
-          end
-        end
-        else begin
-          f.ff_fails <- f.ff_fails + 1;
-          if f.ff_fails >= ff_max_fails then ff_go_dormant f
-          else begin
-            (* Restart the period search, seeded with this boundary. *)
-            f.ff_hist_n <- 0;
-            ff_search_record f (Predictor.ffwd_version t.pred);
-            f.ff_mode <- 4
-          end
-        end
-      end
-  | _ -> ()
-
 let run ?(cycle_limit = 200_000_000) t =
-  let skip = t.cfg.Config.skip_ahead in
   let rec go () =
     if t.halted then Halted
     else if t.now >= cycle_limit then Cycle_limit
     else begin
-      if skip && quiescent t then skip_to t ~target:(next_wake t ~cycle_limit);
-      if t.now >= cycle_limit then Cycle_limit
-      else begin
-        step_cycle t;
-        (match t.ff with
-        | Some f when f.ff_boundary ->
-            f.ff_boundary <- false;
-            ff_on_boundary t f ~cycle_limit
-        | Some _ | None -> ());
-        go ()
-      end
+      step_cycle t;
+      go ()
     end
   in
   go ()
@@ -2804,6 +1589,6 @@ let stats t =
     icache_misses = Cache.misses (Hierarchy.l1i t.hier);
     dcache_accesses = Cache.accesses (Hierarchy.l1d t.hier);
     dcache_misses = Cache.misses (Hierarchy.l1d t.hier);
-    skipped_cycles = t.n_skipped;
-    ffwd_iterations = t.n_ffwd_iters;
+    skipped_cycles = 0;
+    ffwd_iterations = 0;
   }

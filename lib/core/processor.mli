@@ -154,12 +154,12 @@ type stats = {
   dcache_accesses : int;
   dcache_misses : int;
   skipped_cycles : int;
-      (** cycles run through the quiescent-stretch lean loop (0 with
-          [Config.skip_ahead] off; purely diagnostic — identical
-          behaviour either way) *)
   ffwd_iterations : int;
-      (** reused loop iterations replayed analytically (0 with
-          [Config.loop_ffwd] off; likewise behaviour-neutral) *)
+      (** Always 0. [skipped_cycles] and [ffwd_iterations] counted the work
+          of two removed fast paths (DESIGN.md §9.5). They keep the
+          [riq-report/3] and [riq-sweep/2] documents and the benchmark
+          under [perfledger/] unchanged in shape until that benchmark drops
+          them. *)
 }
 
 val stats : t -> stats

@@ -1043,7 +1043,10 @@ let decode_reuse_hooks t (f : fetched) =
             end
             else if f.f_pred_npc = head then begin
               ld.P.ld_attempts <- ld.P.ld_attempts + 1;
-              Reuse_state.start_buffering ~now:t.now r ~head ~tail
+              Reuse_state.start_buffering ~now:t.now r ~head ~tail;
+              (* Latched entries are older than the tail: none belongs to
+                 the new buffer (see [Processor.handle_capture]). *)
+              Queue.iter (fun g -> g.f_buffered <- false) t.decode_latch
             end
         | Detector.Too_large _ | Detector.Not_a_loop -> ())
     | Reuse_state.Buffering ->

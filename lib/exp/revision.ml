@@ -6,7 +6,7 @@
    Bumping it orphans the old cache tree (a warm run simply repopulates a
    fresh subdirectory); it never corrupts it. *)
 
-let stamp = "riq-sim-2026-08-09.2"
+let stamp = "riq-sim-2026-10-17.1"
 
 (* On-disk format of cache entries, independent of the simulator revision:
    bump when the marshalled [Outcome.t] layout changes. *)

@@ -2,11 +2,10 @@ open Riq_ooo
 
 (** Fuzzing campaign driver: generate [count] programs from a base seed,
     fan the simulations out over the experiment engine's worker pool
-    ({!Riq_exp.Engine} — three differential jobs per program: reuse on,
-    reuse off, and reuse on with the algorithmic fast paths off, whose
-    stats must match the first job's bit-for-bit), re-check every
-    engine-reported failure in-process through the {!Oracle}, shrink it
-    ({!Shrink.minimize}) and hand back standalone repro assembly.
+    ({!Riq_exp.Engine} — two differential jobs per program, reuse on and
+    off), re-check every engine-reported failure in-process through the
+    {!Oracle}, shrink it ({!Shrink.minimize}) and hand back standalone
+    repro assembly.
 
     Everything here is deterministic: equal (config, seed, count) produce
     an equal {!result} and byte-equal {!summary_to_string}, regardless of

@@ -30,10 +30,9 @@ type params = {
       (** probability that a straight-line slot draws the counter-scaled
           strided memory pattern: long-latency loads walking one cache
           line per loop iteration, whose miss fills straddle iteration
-          boundaries and break the timing repeatability the loop
-          fast-forward relies on. Nonzero keeps the four-leg oracle's
-          ffwd-off leg honest; [> 0.] also widens the program's integer
-          data window to 8 KiB. *)
+          boundaries, so reused loops run with long-latency misses in
+          flight; [> 0.] also widens the program's integer data window
+          to 8 KiB. *)
 }
 
 val default : params

@@ -37,7 +37,6 @@ type failure =
   | Verdict_mismatch of string
   | Alias_mismatch of string
   | Accounting of string
-  | Fastforward_mismatch of string
 
 let failure_to_string = function
   | Reference_stuck s -> "reference interpreter stuck: " ^ s
@@ -48,52 +47,9 @@ let failure_to_string = function
   | Verdict_mismatch s -> "static/dynamic verdict mismatch: " ^ s
   | Alias_mismatch s -> "static no-alias claim contradicted dynamically: " ^ s
   | Accounting s -> "reuse accounting inconsistency: " ^ s
-  | Fastforward_mismatch s -> "fast-path (skip-ahead/fast-forward) divergence: " ^ s
 
-(* The two fast paths are contracted to be invisible everywhere except
-   their own diagnostic counters; scrub those before comparing. *)
 let scrub_fast (s : Processor.stats) =
   { s with Processor.skipped_cycles = 0; ffwd_iterations = 0 }
-
-let stats_diff (a : Processor.stats) (b : Processor.stats) =
-  let fields =
-    [
-      ("cycles", (fun s -> string_of_int s.Processor.cycles));
-      ("committed", fun s -> string_of_int s.Processor.committed);
-      ("gated_cycles", fun s -> string_of_int s.Processor.gated_cycles);
-      ("branches", fun s -> string_of_int s.Processor.branches);
-      ("mispredicts", fun s -> string_of_int s.Processor.mispredicts);
-      ("loads", fun s -> string_of_int s.Processor.loads);
-      ("stores", fun s -> string_of_int s.Processor.stores);
-      ("reuse_dispatches", fun s -> string_of_int s.Processor.reuse_dispatches);
-      ("reuse_committed", fun s -> string_of_int s.Processor.reuse_committed);
-      ("buffer_attempts", fun s -> string_of_int s.Processor.buffer_attempts);
-      ("revokes", fun s -> string_of_int s.Processor.revokes);
-      ("promotions", fun s -> string_of_int s.Processor.promotions);
-      ("reuse_exits", fun s -> string_of_int s.Processor.reuse_exits);
-      ( "avg_power",
-        fun s ->
-          Printf.sprintf "%.17g (%Lx)" s.Processor.avg_power
-            (Int64.bits_of_float s.Processor.avg_power) );
-      ("icache_accesses", fun s -> string_of_int s.Processor.icache_accesses);
-      ("icache_misses", fun s -> string_of_int s.Processor.icache_misses);
-      ("dcache_accesses", fun s -> string_of_int s.Processor.dcache_accesses);
-      ("dcache_misses", fun s -> string_of_int s.Processor.dcache_misses);
-    ]
-  in
-  let diffs =
-    List.filter_map
-      (fun (name, get) ->
-        let va = get a and vb = get b in
-        if va = vb then None else Some (Printf.sprintf "%s: %s vs %s" name va vb))
-      fields
-  in
-  match diffs with
-  | [] ->
-      (* The records differ but no named field does: a stat added since
-         this list was written. Still a real divergence. *)
-      "stats records differ in a field not covered by the diff printer"
-  | _ -> String.concat "; " diffs
 
 type summary = {
   committed : int;
@@ -148,39 +104,6 @@ let check ?(runner = default_runner ()) ?(ref_limit = 5_000_000) ~cfg program =
               off.stats.Processor.reuse_committed off.stats.Processor.promotions))
   in
   let* on = run_leg runner ~name:"reuse-on" ~golden cfg program in
-  (* Fourth leg: same configuration with both algorithmic fast paths
-     forced off. Beyond agreeing with the reference architecturally, the
-     cycle-accurate run must match the fast-path run bit-for-bit on every
-     stat (power included, to the float bit) and on the per-loop decision
-     log — the fast paths are accelerations, not approximations. Skipped
-     when [cfg] already has both paths off (the legs would be identical). *)
-  let* () =
-    if not (cfg.Config.skip_ahead || cfg.Config.loop_ffwd) then Ok ()
-    else
-      let* slow =
-        run_leg runner ~name:"ffwd-off" ~golden
-          { cfg with Config.skip_ahead = false; loop_ffwd = false }
-          program
-      in
-      let sst = slow.stats in
-      if sst.Processor.skipped_cycles <> 0 || sst.Processor.ffwd_iterations <> 0
-      then
-        Error
-          (Accounting
-             (Printf.sprintf
-                "fast paths disabled but diagnostics nonzero (%d skipped, %d ffwd)"
-                sst.Processor.skipped_cycles sst.Processor.ffwd_iterations))
-      else if scrub_fast sst <> scrub_fast on.stats then
-        Error
-          (Fastforward_mismatch
-             ("stats (ffwd-off vs reuse-on): "
-             ^ stats_diff (scrub_fast sst) (scrub_fast on.stats)))
-      else if slow.decisions <> on.decisions then
-        Error
-          (Fastforward_mismatch
-             "per-loop decision logs differ between ffwd-off and reuse-on")
-      else Ok ()
-  in
   let st = on.stats in
   let* () =
     if st.Processor.reuse_committed > 0 && st.Processor.promotions = 0 then

@@ -3,19 +3,14 @@ open Riq_ooo
 open Riq_core
 open Riq_interp
 
-(** Four-way differential oracle.
+(** Three-way differential oracle.
 
-    One generated program is run on four machines — the functional
+    One generated program is run on three machines — the functional
     reference ({!Riq_interp.Machine}), the out-of-order core with reuse
-    disabled, the same core with the reusable issue queue on, and that
-    reuse configuration again with the algorithmic fast paths
-    ([Config.skip_ahead] and [Config.loop_ffwd]) forced off — and the
-    final architectural states must agree bit-for-bit. The fourth leg
-    additionally pins the fast paths to their contract: every stat
-    (power to the float bit) and the per-loop decision log must be
-    bit-identical between the fast and cycle-accurate runs. On top of
-    the state comparisons the oracle cross-checks the dynamic reuse
-    decisions against the static {!Riq_analysis.Bufferability} verdicts
+    disabled, and the same core with the reusable issue queue on — and the
+    final architectural states must agree bit-for-bit. On top of the state
+    comparison the oracle cross-checks the dynamic reuse decisions against
+    the static {!Riq_analysis.Bufferability} verdicts
     ({!Riq_analysis.Bufferability.consistency}) and the processor's own
     reuse accounting. *)
 
@@ -53,18 +48,15 @@ type failure =
       (** the processor's reuse counters are self-inconsistent (e.g.
           reused commits without a promotion, or reuse activity in the
           reuse-off run) *)
-  | Fastforward_mismatch of string
-      (** the fast-path run (skip-ahead / loop fast-forward on) and the
-          cycle-accurate run disagree on a stat or a per-loop decision —
-          a soundness bug in one of the fast paths (DESIGN §9) *)
 
 val failure_to_string : failure -> string
 
 val scrub_fast : Processor.stats -> Processor.stats
-(** Zero the two fast-path diagnostic counters ([skipped_cycles] and
-    [ffwd_iterations]) — everything else in a stats record is covered by
-    the fast paths' bit-identity contract, so comparisons go through this
-    first. Shared with the campaign driver's engine-level leg check. *)
+(** Inert: zeroes [skipped_cycles] and [ffwd_iterations], which are
+    always 0 now that the fast paths they counted are gone (DESIGN.md
+    §9.5), so this returns a record equal to its argument. Nothing in the
+    simulator calls it. The benchmark under [perfledger/] still does, so
+    it stays until that benchmark no longer needs it. *)
 
 (** Aggregate reuse activity of the reuse-on run, summed over all detected
     loops. The corpus tests assert every transition of the paper's Figure 2
@@ -92,8 +84,6 @@ val check :
   Program.t ->
   (summary, failure) result
 (** [check ~cfg program] with [cfg.reuse_enabled]; the reuse-off leg is
-    [cfg] with the mechanism switched off, and the ffwd-off leg is [cfg]
-    with only the fast paths switched off, so each pair of out-of-order
-    runs differs in exactly one feature under test. The ffwd-off leg is
-    skipped when [cfg] already has both fast paths off. [ref_limit]
-    bounds the reference interpreter (default 5 million instructions). *)
+    [cfg] with the mechanism switched off, so the two out-of-order runs
+    differ only in the feature under test. [ref_limit] bounds the
+    reference interpreter (default 5 million instructions). *)

@@ -5,9 +5,9 @@ open Riq_core
 open Riq_obs
 
 (* /2: loop decisions gained the per-cause revoke split.
-   /3: stats gained skipped_cycles and ffwd_iterations (fast-path
-   diagnostics; both are zero when the corresponding Config flag is
-   off and never affect any other reported number). *)
+   /3: stats gained skipped_cycles and ffwd_iterations, the counters of
+   two simulator-only fast paths that have since been removed; both are
+   always 0 and stay only to keep this shape (DESIGN.md §9.5). *)
 let schema = "riq-report/3"
 
 let stats_json (s : Processor.stats) =

@@ -151,11 +151,6 @@ let fetch t ?now ~addr () =
 let data t ?now ~addr ~write () =
   data_at t ~now:(match now with None -> -1 | Some n -> n) ~addr ~write
 
-let quiescent_at t ~now = now >= !(t.pmax_d) && now >= !(t.pmax_i)
-
-let data_would_hit t ~addr =
-  addr >= 0 && Cache.probe t.dtlb ~addr && Cache.probe t.l1d ~addr
-
 let l0i t = t.l0i
 let l1i t = t.l1i
 let l1d t = t.l1d

@@ -52,17 +52,6 @@ val data : t -> ?now:int -> addr:int -> write:bool -> unit -> int
     reported latency is 1 (write buffer), but the line fill still occurs
     and is charged to the counters. [now] as in {!fetch}. *)
 
-val quiescent_at : t -> now:int -> bool
-(** No in-flight line fill (instruction or data side) completes after
-    [now]: every future access latency is a pure function of cache
-    contents. The repeatability precondition for the loop fast-forward. *)
-
-val data_would_hit : t -> addr:int -> bool
-(** Non-mutating: a data access at [addr] would hit the DTLB and the L1D
-    (so its latency is the L1D hit latency for reads, 1 for writes, and
-    the access would not disturb L2/DRAM state). Combined with
-    {!quiescent_at} this makes the access timing provably repeatable. *)
-
 val l0i : t -> Cache.t option
 val l1i : t -> Cache.t
 val l1d : t -> Cache.t

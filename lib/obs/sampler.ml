@@ -35,14 +35,6 @@ let length t = t.n
 
 let due t ~cycle = cycle mod t.cur_stride = 0
 
-(* First due cycle >= [cycle]. Lets bulk cycle advances (skip-ahead, loop
-   fast-forward) jump between sample points instead of testing [due]
-   every cycle. Callers must re-query after each [record]: a decimation
-   doubles the stride and moves later due points. *)
-let next_due t ~cycle =
-  let r = cycle mod t.cur_stride in
-  if r = 0 then cycle else cycle + (t.cur_stride - r)
-
 (* Keep every other sample (the even indices, preserving the first) and
    double the stride; the series still spans the whole run. *)
 let decimate t =

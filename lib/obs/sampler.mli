@@ -27,11 +27,6 @@ val due : t -> cycle:int -> bool
 (** Whether [cycle] falls on the current stride — the pipeline's cheap
     per-cycle check. *)
 
-val next_due : t -> cycle:int -> int
-(** First due cycle at or after [cycle], for bulk cycle advances
-    (skip-ahead, loop fast-forward). Must be re-queried after every
-    {!record}: a decimation doubles the stride mid-run. *)
-
 val record : t -> cycle:int -> float array -> unit
 (** Append one sample ([Array.length] must equal the channel count);
     decimates first when the buffer is full. *)

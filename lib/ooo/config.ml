@@ -23,7 +23,6 @@ type t = {
   loop_cache_entries : int;
   skip_ahead : bool;
   loop_ffwd : bool;
-  ffwd_verify_periods : int;
 }
 
 let baseline =
@@ -47,9 +46,8 @@ let baseline =
     nblt_entries = 8;
     buffer_multiple_iterations = true;
     loop_cache_entries = 0;
-    skip_ahead = true;
-    loop_ffwd = true;
-    ffwd_verify_periods = 3;
+    skip_ahead = false;
+    loop_ffwd = false;
   }
 
 let reuse = { baseline with reuse_enabled = true }
@@ -104,9 +102,7 @@ let validate t =
   if t.reuse_enabled && t.loop_cache_entries > 0 then
     invalid_arg "Config: the reuse issue queue and the loop cache are alternatives";
   if t.rob_entries < t.iq_entries then
-    invalid_arg "Config: ROB must be at least as large as the issue queue";
-  if t.ffwd_verify_periods < 2 then
-    invalid_arg "Config: ffwd_verify_periods must be >= 2 (two period deltas are needed)"
+    invalid_arg "Config: ROB must be at least as large as the issue queue"
 
 let pp ppf t =
   let cache_line name (c : Cache.config) =

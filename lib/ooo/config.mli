@@ -35,21 +35,13 @@ type t = {
           supplies instructions instead of the L1I — but, unlike the
           paper's issue-queue reuse, leaves branch prediction and decode
           running. *)
-  skip_ahead : bool;
-      (** Simulator-only fast path (no timing/power effect): when the
-          pipeline is provably quiescent and the writeback event wheel
-          knows the next wakeup, advance the cycle counter with a lean
-          per-cycle loop instead of running the full stage machinery. *)
+  skip_ahead : bool; (** Inert; see {!field-loop_ffwd}. *)
   loop_ffwd : bool;
-      (** Simulator-only fast path (no timing/power effect): once a
-          buffered loop's per-iteration timing signature has repeated for
-          {!field-ffwd_verify_periods} consecutive iterations, replay
-          further iterations analytically and drop back to cycle-accurate
-          mode on any deviation. Disabled automatically while a tracer is
-          attached. *)
-  ffwd_verify_periods : int;
-      (** Consecutive identical iteration periods required before the
-          fast-forward replay may engage (>= 2; default 3). *)
+      (** Inert: nothing in the simulator reads [skip_ahead] or
+          [loop_ffwd], and both default to [false]. They switched two
+          simulator-only fast paths that have been removed (DESIGN.md
+          §9.5). The benchmark under [perfledger/] still sets them, so they
+          stay until it no longer does. *)
 }
 
 val baseline : t

@@ -49,34 +49,3 @@ let acquire t cls ~now ~latency ~pipelined =
   | FU_mem -> acquire_pool t.mem ~now ~latency ~pipelined
 
 let issued_of t cls = match pool_of t cls with None -> 0 | Some pool -> pool.n_issued
-
-(* Fast-forward support (see Processor's loop fast-forward): the pool
-   state is a pure function of "cycles until free", so it can be compared
-   and relocated relative to the current cycle. *)
-
-let pools t = [| t.ialu; t.imult; t.fpalu; t.fpmult; t.mem |]
-
-let ffwd_busy_rel t ~now =
-  let out = ref [] in
-  let ps = pools t in
-  for p = Array.length ps - 1 downto 0 do
-    let b = ps.(p).busy_until in
-    for i = Array.length b - 1 downto 0 do
-      out := (if b.(i) > now then b.(i) - now else 0) :: !out
-    done
-  done;
-  !out
-
-let ffwd_rebase t ~old_now ~new_now =
-  let ps = pools t in
-  Array.iter
-    (fun p ->
-      let b = p.busy_until in
-      for i = 0 to Array.length b - 1 do
-        b.(i) <- new_now + if b.(i) > old_now then b.(i) - old_now else 0
-      done)
-    ps
-
-let ffwd_counters t = Array.map (fun p -> p.n_issued) (pools t)
-
-let ffwd_set_counters t v = Array.iteri (fun i p -> p.n_issued <- v.(i)) (pools t)

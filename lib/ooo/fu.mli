@@ -18,22 +18,3 @@ val acquire : t -> Insn.fu_class -> now:int -> latency:int -> pipelined:bool -> 
 
 val issued_of : t -> Insn.fu_class -> int
 (** Total operations accepted per class (power/statistics). *)
-
-(** {2 Fast-forward support}
-
-    The busy state of every unit is a pure function of "cycles until
-    free", so the loop fast-forward (Processor) can snapshot it relative
-    to the current cycle, compare across iteration boundaries, and
-    relocate it after an analytic time jump. *)
-
-val ffwd_busy_rel : t -> now:int -> int list
-(** Per-unit [max (busy_until - now) 0], in a fixed pool order. *)
-
-val ffwd_rebase : t -> old_now:int -> new_now:int -> unit
-(** Translate every unit's [busy_until] from [old_now]-relative to
-    [new_now]-relative (free units stay free). *)
-
-val ffwd_counters : t -> int array
-(** Per-pool issue counters, for affine (constant-stride) relocation. *)
-
-val ffwd_set_counters : t -> int array -> unit

@@ -662,9 +662,7 @@ let test_reuse_state_illegal_transitions () =
    fresh L1 line, and every other line misses the L2 out to DRAM. With
    per-load latencies around 8..170 cycles and nothing else in flight,
    writeback events constantly land on wheel slots numerically below the
-   current one (cycle land 255 wraps), and the quiescent stretches between
-   them are exactly what the skip-ahead lean loop has to cross without
-   disturbing a single counter. *)
+   current one (cycle land 255 wraps). *)
 let chase_src =
   let zeros = String.concat " " (List.init 1024 (fun _ -> "0")) in
   Printf.sprintf {|
@@ -697,22 +695,42 @@ let test_event_wheel_wraparound () =
   (* ...which wraps the 256-slot wheel dozens of times. *)
   Alcotest.(check bool) "wheel wrapped many times" true
     (st.Processor.cycles > 256 * 10);
-  Alcotest.(check bool) "skip-ahead crossed the stalls" true
-    (st.Processor.skipped_cycles > 0);
-  (* The lean loop must be invisible next to the cycle-by-cycle core. *)
-  let off =
-    Processor.create
-      { Config.reuse with Config.skip_ahead = false; loop_ffwd = false }
-      (Parse.program_exn chase_src)
+  (* The wheel must drain exactly like the reference pipeline's per-cycle
+     event table, down to every stat and the power bits. *)
+  let slow = Slowpath.create Config.reuse (Parse.program_exn chase_src) in
+  (match Slowpath.run ~cycle_limit:10_000_000 slow with
+  | Slowpath.Halted -> ()
+  | Slowpath.Cycle_limit -> Alcotest.fail "reference pipeline hit cycle limit");
+  Alcotest.(check bool) "stats bit-identical to the reference pipeline" true
+    (Slowpath.stats slow = st)
+
+(* An inner-loop revoke and a new capture in one decode group. While the
+   outer loop is buffering, the first inner tail is flagged as buffered
+   and then revokes (inner loop); the next inner tail in the same group
+   starts a new buffer. The revoked tail still in the decode latch must
+   not enter that buffer, or reuse executes it twice. *)
+let test_revoked_tail_not_rebuffered () =
+  let _, proc =
+    run_both ~cfg:(Config.with_iq_size Config.reuse 64) {|
+    li r16, 3
+.Lh1:
+    sll r9, r8, 7
+    li r17, 29
+.Lh3:
+    bgez r11, .Lg5
+.Lg5:
+    addi r17, r17, -1
+    bgtz r17, .Lh3
+    sltu r10, r10, r8
+    and r9, r8, r13
+    addi r16, r16, -1
+    bgtz r16, .Lh1
+    halt
+|}
   in
-  (match Processor.run ~cycle_limit:10_000_000 off with
-  | Processor.Halted -> ()
-  | Processor.Cycle_limit -> Alcotest.fail "fast-off run hit cycle limit");
-  let scrub (s : Processor.stats) =
-    { s with Processor.skipped_cycles = 0; ffwd_iterations = 0 }
-  in
-  Alcotest.(check bool) "stats bit-identical to fast-off" true
-    (scrub (Processor.stats off) = scrub st)
+  let st = Processor.stats proc in
+  Alcotest.(check bool) "inner-loop revoke taken" true (st.Processor.revokes > 0);
+  Alcotest.(check bool) "inner loop still promotes" true (st.Processor.promotions > 0)
 
 let test_decode_cache_way_conflict () =
   (* 17 distinct loop tails over a 16-way decode cache: tails sit 5 words
@@ -756,6 +774,8 @@ let misc_suites =
       [
         Alcotest.test_case "indirect jump resolution" `Quick test_indirect_jump_resolution;
         Alcotest.test_case "biased if keeps reuse" `Quick test_stable_branch_stays_in_reuse;
+        Alcotest.test_case "revoked tail not re-buffered" `Quick
+          test_revoked_tail_not_rebuffered;
       ] );
     ( "reuse-structures",
       [

@@ -3,10 +3,9 @@ open Riq_fuzz
 
 (* The fixed-seed corpus replayed on every `dune runtest` (and by the CI
    corpus job through `riq-fuzz run`): [corpus_size] programs derived from
-   base seed 42, each pushed through the full four-way oracle —
-   reference interpreter vs out-of-order core with reuse off, on, and on
-   with the algorithmic fast paths disabled — plus the static-verdict and
-   accounting cross-checks. *)
+   base seed 42, each pushed through the full oracle — reference
+   interpreter vs out-of-order core with reuse off and on — plus the
+   static-verdict and accounting cross-checks. *)
 let base_seed = 42
 let corpus_size = 50
 
@@ -200,59 +199,22 @@ let test_mutation_caught_and_shrunk () =
     true
     (n > 0 && n <= 20)
 
-(* ---- mutation test: the fourth leg catches a fast-path bug ---- *)
+(* ---- regression seeds ---- *)
 
-(* A runner whose cycle-accurate (fast-paths-off) reuse leg runs one cycle
-   long — modelling a skip-ahead or fast-forward that mis-accounts time.
-   Architectural state is untouched, so only the new stats bit-identity
-   check can see it; the reuse-off leg keeps [loop_ffwd] set and is
-   unaffected. *)
-let ffwd_faulty_runner : Oracle.runner =
-  let real = Oracle.default_runner () in
-  fun cfg program ->
-    Result.map
-      (fun (r : Oracle.run) ->
-        if cfg.Riq_ooo.Config.reuse_enabled && not cfg.Riq_ooo.Config.loop_ffwd
-        then
-          let st = r.Oracle.stats in
-          {
-            r with
-            Oracle.stats =
-              { st with Riq_core.Processor.cycles = st.Riq_core.Processor.cycles + 1 };
-          }
-        else r)
-      (real cfg program)
-
-let fails_ffwd prog =
-  match Prog.to_program prog with
-  | Error _ -> false
-  | Ok program ->
-      Result.is_error
-        (Oracle.check ~runner:ffwd_faulty_runner ~cfg:default_cfg program)
-
-let test_ffwd_mutation_caught_and_shrunk () =
-  let victim = List.hd (Lazy.force corpus) in
-  (match
-     Oracle.check ~runner:ffwd_faulty_runner ~cfg:default_cfg
-       (assemble_exn victim)
-   with
-  | Error (Oracle.Fastforward_mismatch detail) ->
-      Alcotest.(check bool)
-        "detail names the diverging stat" true
-        (let contains hay needle =
-           let n = String.length needle and h = String.length hay in
-           let rec go i = i + n <= h && (String.sub hay i n = needle || go (i + 1)) in
-           go 0
-         in
-         contains detail "cycles")
-  | Error f ->
-      Alcotest.failf "expected a fast-forward mismatch, got: %s"
-        (Oracle.failure_to_string f)
-  | Ok _ -> Alcotest.fail "oracle missed the injected fast-path bug");
-  let repro = Shrink.minimize ~still_fails:fails_ffwd victim in
-  Alcotest.(check bool) "shrunk repro still fails" true (fails_ffwd repro);
-  Alcotest.(check bool) "repro shrank" true
-    (Prog.size_insns repro <= Prog.size_insns victim)
+(* Generated programs that once failed the oracle with reuse at IQ 64.
+   3476801604450188894 and 4046031877806986103 committed one instruction
+   more than the interpreter: a loop tail flagged by a buffering attempt
+   that was revoked in the same decode group entered the next buffer and
+   was executed twice. 2241039784650454715 crashed a since-removed loop
+   fast-forward. *)
+let test_regression_seeds () =
+  let cfg = Riq_ooo.Config.with_iq_size Riq_ooo.Config.reuse 64 in
+  List.iter
+    (fun seed ->
+      match Oracle.check ~cfg (assemble_exn (Gen.program ~seed ())) with
+      | Ok _ -> ()
+      | Error f -> Alcotest.failf "seed %d: %s" seed (Oracle.failure_to_string f))
+    [ 3476801604450188894; 4046031877806986103; 2241039784650454715 ]
 
 let test_shrink_removes_irrelevant_items () =
   (* A hand-built program where only the loop matters: the shrinker must
@@ -297,8 +259,8 @@ let suites =
           test_driver_rejects_unknown_config;
         Alcotest.test_case "injected bug caught and shrunk" `Quick
           test_mutation_caught_and_shrunk;
-        Alcotest.test_case "injected fast-path bug caught and shrunk" `Quick
-          test_ffwd_mutation_caught_and_shrunk;
+        Alcotest.test_case "known-bad seeds pass at reuse IQ 64" `Quick
+          test_regression_seeds;
         Alcotest.test_case "shrinker drops irrelevant items" `Quick
           test_shrink_removes_irrelevant_items;
       ] );

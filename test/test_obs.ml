@@ -149,16 +149,9 @@ let test_traced_run_matches_untraced () =
   (match Processor.run traced with
   | Processor.Halted -> ()
   | Processor.Cycle_limit -> Alcotest.fail "traced run hit cycle limit");
-  (* Observability must not perturb the simulation. A tracer does force
-     the cycle-accurate path (loop fast-forward cannot reproduce
-     per-cycle trace events, so [create] disables it), which is allowed
-     to show up in the two diagnostic fast-path counters — and nowhere
-     else. *)
-  let scrub (s : Processor.stats) =
-    { s with Processor.skipped_cycles = 0; ffwd_iterations = 0 }
-  in
+  (* Observability must not perturb the simulation. *)
   Alcotest.(check bool) "stats bit-identical" true
-    (scrub (Processor.stats plain) = scrub (Processor.stats traced));
+    (Processor.stats plain = Processor.stats traced);
   let counts = Tracer.counts tracer in
   let count name = try List.assoc name counts with Not_found -> 0 in
   Alcotest.(check bool) "loop-buffering spans" true (count "loop-buffering" > 0);
