@@ -1,10 +1,11 @@
 (* riq-cache: maintenance entry points for the shared result store.
 
-   The store is the engine's content-addressed result cache plus the
-   concurrency machinery the serve daemon uses (recency-tracked reads,
-   a cooperative maintenance lock, LRU eviction, age-based gc). This
-   tool runs the maintenance operations standalone, against the same
-   tree local sweeps and daemons share:
+   The store is the engine's content-addressed result cache
+   ({!Riq_exp.Cache}), with the concurrency machinery many processes
+   sharing it need (recency-tracked reads, a cooperative maintenance
+   lock, LRU eviction, age-based gc). This tool runs the maintenance
+   operations standalone, against the same tree local sweeps and daemons
+   share:
 
      stat  — entry count, total bytes, age span
      gc    — drop entries older than a cutoff
@@ -19,7 +20,7 @@ let cache_dir_arg =
 let json_arg =
   Arg.(value & flag & info [ "json" ] ~doc:"Emit machine-readable JSON.")
 
-let open_store cache_dir = Riq_svc.Store.open_ ?root:cache_dir ()
+let open_store cache_dir = Riq_exp.Cache.open_ ?root:cache_dir ()
 
 let human_bytes b =
   if b >= 1024 * 1024 then Printf.sprintf "%.1f MiB" (float_of_int b /. 1048576.)
@@ -31,21 +32,21 @@ let human_bytes b =
    state with the same parser it uses for daemon scrapes. *)
 let stat_metrics_json store =
   let module M = Riq_obs.Metrics in
-  let s = Riq_svc.Store.stat store in
+  let s = Riq_exp.Cache.stat store in
   let registry = M.create () in
   let gauge name help v = M.set (M.gauge registry ~help name) v in
-  gauge "store_entries" "Entries in the shared store" (float_of_int s.Riq_svc.Store.entry_count);
-  gauge "store_bytes" "Total bytes across store entries" (float_of_int s.Riq_svc.Store.total_bytes);
+  gauge "store_entries" "Entries in the shared store" (float_of_int s.Riq_exp.Cache.entry_count);
+  gauge "store_bytes" "Total bytes across store entries" (float_of_int s.Riq_exp.Cache.total_bytes);
   let now = Unix.gettimeofday () in
-  (match s.Riq_svc.Store.oldest_mtime with
+  (match s.Riq_exp.Cache.oldest_mtime with
   | Some t -> gauge "store_oldest_age_seconds" "Age of the least recently used entry" (now -. t)
   | None -> ());
-  (match s.Riq_svc.Store.newest_mtime with
+  (match s.Riq_exp.Cache.newest_mtime with
   | Some t -> gauge "store_newest_age_seconds" "Age of the most recently used entry" (now -. t)
   | None -> ());
   Riq_util.Json.Obj
     [
-      ("stat", Riq_svc.Store.stat_json store);
+      ("stat", Riq_exp.Cache.stat_json store);
       ("metrics", M.to_json (M.snapshot registry));
     ]
 
@@ -54,16 +55,16 @@ let stat_cmd =
     let store = open_store cache_dir in
     if json then print_endline (Riq_util.Json.to_string (stat_metrics_json store))
     else begin
-      let s = Riq_svc.Store.stat store in
-      Printf.printf "root      %s\n" (Riq_svc.Store.root store);
-      Printf.printf "entries   %d\n" s.Riq_svc.Store.entry_count;
-      Printf.printf "bytes     %d (%s)\n" s.Riq_svc.Store.total_bytes
-        (human_bytes s.Riq_svc.Store.total_bytes);
+      let s = Riq_exp.Cache.stat store in
+      Printf.printf "root      %s\n" (Riq_exp.Cache.root store);
+      Printf.printf "entries   %d\n" s.Riq_exp.Cache.entry_count;
+      Printf.printf "bytes     %d (%s)\n" s.Riq_exp.Cache.total_bytes
+        (human_bytes s.Riq_exp.Cache.total_bytes);
       let now = Unix.gettimeofday () in
-      (match s.Riq_svc.Store.oldest_mtime with
+      (match s.Riq_exp.Cache.oldest_mtime with
       | Some t -> Printf.printf "oldest    %.0f s ago\n" (now -. t)
       | None -> ());
-      match s.Riq_svc.Store.newest_mtime with
+      match s.Riq_exp.Cache.newest_mtime with
       | Some t -> Printf.printf "newest    %.0f s ago\n" (now -. t)
       | None -> ()
     end
@@ -80,7 +81,7 @@ let gc_cmd =
   in
   let action cache_dir json older_than =
     let store = open_store cache_dir in
-    let removed, bytes = Riq_svc.Store.gc store ~max_age_seconds:older_than in
+    let removed, bytes = Riq_exp.Cache.gc store ~max_age_seconds:older_than in
     if json then
       print_endline
         (Riq_util.Json.to_string
@@ -100,7 +101,7 @@ let evict_cmd =
   in
   let action cache_dir json budget =
     let store = open_store cache_dir in
-    let removed = Riq_svc.Store.evict_to_budget store (budget * 1024 * 1024) in
+    let removed = Riq_exp.Cache.evict_to_budget store (budget * 1024 * 1024) in
     if json then
       print_endline
         (Riq_util.Json.to_string

@@ -618,8 +618,8 @@ let serve_cmd =
   let metrics_out =
     Arg.(value & opt (some string) None & info [ "metrics-out" ] ~docv:"FILE"
            ~doc:"Atomically rewrite FILE with the Prometheus text exposition of the \
-                 daemon's merged metrics (daemon + workers) every few seconds and at \
-                 shutdown — a scrape target for file-based collectors.")
+                 daemon's metrics every few seconds and at shutdown — a scrape \
+                 target for file-based collectors.")
   in
   let metrics_interval =
     Arg.(value & opt float 5. & info [ "metrics-interval" ] ~docv:"SECONDS"
@@ -631,7 +631,7 @@ let serve_cmd =
        series come back in a single scrape. *)
     let metrics = Riq_obs.Metrics.create () in
     let store =
-      Riq_svc.Store.open_ ?root:cache_dir
+      Riq_exp.Cache.open_ ?root:cache_dir
         ?budget_bytes:(Option.map (fun mb -> mb * 1024 * 1024) budget)
         ~metrics ()
     in
@@ -739,7 +739,7 @@ let top_cmd =
           (member_int "evictions" store)
     | None -> ());
     Printf.printf "workers   %d jobs executed by residents\n"
-      (counter_of snap "worker_jobs_total" []);
+      (counter_of snap "serve_executed_total" []);
     Printf.printf "wait(i)   %s\n"
       (hist_line snap "serve_queue_wait_seconds" [ ("class", "interactive") ]);
     Printf.printf "wait(b)   %s\n"

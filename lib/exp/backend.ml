@@ -4,8 +4,9 @@
    outcomes; the engine keeps ownership of caching, deduplication,
    progress and statistics, and hands the backend only the set of indices
    it could not serve locally. Two implementations live here (in-process,
-   fork pool); the remote-worker client that speaks the serve daemon's
-   wire protocol lives in [lib/svc] and plugs into the same record. *)
+   and the fork pool over {!Workers}); the remote-worker client that
+   speaks the serve daemon's wire protocol lives in [lib/svc] and plugs
+   into the same record. *)
 
 type stats = {
   busy_seconds : float;
@@ -45,6 +46,32 @@ let in_process =
         { busy_seconds = 0.; retries = 0 });
   }
 
+(* Drive [indices] through a pool of resident workers, oldest first. *)
+let run_pool ~workers ~timeout (jobs : Job.t array) indices on_result =
+  let pool = Workers.create ~workers ~timeout () in
+  let todo = Queue.of_seq (List.to_seq indices) in
+  let left = ref (Queue.length todo) and busy = ref 0. in
+  Fun.protect
+    ~finally:(fun () -> Workers.shutdown pool)
+    (fun () ->
+      while !left > 0 do
+        while Workers.idle pool > 0 && not (Queue.is_empty todo) do
+          let i = Queue.pop todo in
+          Workers.submit pool i jobs.(i)
+        done;
+        let wait = Option.value (Workers.deadline pool) ~default:(-1.) in
+        let readable, _, _ =
+          Workers.restart_on_intr (fun () -> Unix.select (Workers.fds pool) [] [] wait)
+        in
+        List.iter
+          (fun (f : int Workers.finished) ->
+            decr left;
+            busy := !busy +. f.seconds;
+            on_result f.key ~seconds:f.seconds f.outcome)
+          (Workers.collect pool readable)
+      done;
+      { busy_seconds = !busy; retries = Workers.retries pool })
+
 let fork_pool ~workers =
   if workers < 1 then invalid_arg "Backend.fork_pool: workers must be >= 1";
   {
@@ -53,8 +80,7 @@ let fork_pool ~workers =
     telemetry = no_telemetry;
     execute =
       (fun ~timeout ~jobs ~indices ~on_result ->
-        if workers = 1 || List.length indices <= 1 || not (Pool.available ())
-        then begin
+        if workers = 1 || List.length indices <= 1 || not Sys.unix then begin
           run_in_process jobs indices on_result;
           { busy_seconds = 0.; retries = 0 }
         end
@@ -66,9 +92,7 @@ let fork_pool ~workers =
             Hashtbl.replace done_ i ();
             on_result i ~seconds outcome
           in
-          try
-            let s = Pool.run ~workers ~timeout ~jobs ~indices ~on_result () in
-            { busy_seconds = s.Pool.busy_seconds; retries = s.Pool.retries }
+          try run_pool ~workers ~timeout jobs indices on_result
           with _ ->
             run_in_process jobs
               (List.filter (fun i -> not (Hashtbl.mem done_ i)) indices)

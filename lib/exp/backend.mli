@@ -34,10 +34,11 @@ val in_process : t
 (** Sequential execution in the calling process. *)
 
 val fork_pool : workers:int -> t
-(** The Unix-fork worker pool ({!Pool}), with per-job [timeout]
-    enforcement and retry-once on worker death. Falls back to in-process
-    execution when forking is unavailable or there is nothing to
-    parallelize. *)
+(** Jobs in index order over a pool of resident forked {!Workers}, with
+    its per-job [timeout] and retry-once on worker death. Runs
+    in-process when [workers = 1], for a single job, or when forking is
+    unavailable, and finishes in-process whatever is left if the pool
+    fails (e.g. fork exhaustion). *)
 
 val default : workers:int -> t
 (** {!fork_pool} when [workers > 1], else {!in_process} — the engine's

@@ -1,21 +1,71 @@
-(* On-disk content-addressed result store.
+(* On-disk content-addressed result cache.
 
    Layout:  <root>/v<format>/<revision-stamp>/<k0k1>/<fingerprint>
    where <k0k1> is the first two hex digits of the fingerprint (256-way
-   fan-out keeps directories small on big sweeps). Each entry is the
-   marshalled pair (revision stamp, outcome); the stamp inside the file is
-   checked again on read so a mislaid file can never leak stale results.
+   fan-out keeps directories small on big sweeps). Each entry is one text
+   line, "<revision-stamp> <hex md5 of the payload>\n", followed by the
+   marshalled outcome. A read checks the stamp and the digest before it
+   unmarshals anything: a flipped bit or a truncation reads as a miss,
+   never as a crash or a wrong hit, and a mislaid file can never leak
+   stale results.
 
    Writes go through a per-process temporary file renamed into place, so
    concurrent writers (parallel workers, or two sweeps racing) are safe:
-   rename is atomic and last-writer-wins with identical contents. *)
+   rename is atomic and last-writer-wins with identical contents.
+
+   Sharing the tree between many processes adds:
+   - hits touch the entry's mtime, giving the tree a cross-process
+     recency order without any index file;
+   - a cooperative lockfile for the maintenance operations (eviction and
+     gc walk-and-delete; plain entry writes don't need it);
+   - LRU eviction to a byte budget, and an age-based gc, both of which
+     only ever delete whole entries — a reader that raced an eviction
+     sees a miss, never a torn file. *)
+
+module Metrics = Riq_obs.Metrics
 
 let default_root () =
   match Sys.getenv_opt "RIQ_CACHE_DIR" with
   | Some dir when dir <> "" -> dir
   | _ -> ".riq-cache"
 
-type t = { root : string; dir : string }
+(* Registered against a caller-supplied registry so the daemon, the
+   engine and the CLIs each see their own process's cache traffic under
+   the same metric names. *)
+type instruments = {
+  i_hits : Metrics.counter;
+  i_misses : Metrics.counter;
+  i_writes : Metrics.counter;
+  i_evictions : Metrics.counter;
+  i_lock_wait : Metrics.histogram;
+}
+
+let instruments_of registry =
+  let counter = Metrics.counter registry in
+  {
+    i_hits =
+      counter ~help:"Store reads served from the shared tree"
+        ~labels:[ ("result", "hit") ] "store_reads_total";
+    i_misses =
+      counter ~help:"Store reads served from the shared tree"
+        ~labels:[ ("result", "miss") ] "store_reads_total";
+    i_writes = counter ~help:"Outcomes written to the store" "store_writes_total";
+    i_evictions =
+      counter ~help:"Entries evicted by budget enforcement" "store_evictions_total";
+    i_lock_wait =
+      Metrics.histogram registry
+        ~help:"Seconds spent waiting for the maintenance lockfile"
+        "store_lock_wait_seconds";
+  }
+
+type t = {
+  root : string;
+  dir : string;
+  budget_bytes : int option;
+  ins : instruments option;
+  mutable evictions : int; (* entries evicted by this process *)
+  mutable stores : int; (* stores since the last budget check *)
+}
 
 let rec mkdir_p dir =
   if not (Sys.file_exists dir) then begin
@@ -23,7 +73,7 @@ let rec mkdir_p dir =
     try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
   end
 
-let open_ ?root () =
+let open_ ?root ?budget_bytes ?metrics () =
   let root = match root with Some r -> r | None -> default_root () in
   let dir =
     Filename.concat
@@ -31,49 +81,261 @@ let open_ ?root () =
       Revision.stamp
   in
   mkdir_p dir;
-  { root; dir }
+  {
+    root;
+    dir;
+    budget_bytes;
+    ins = Option.map instruments_of metrics;
+    evictions = 0;
+    stores = 0;
+  }
 
+let count t f = match t.ins with None -> () | Some ins -> Metrics.inc (f ins)
 let root t = t.root
+let evictions t = t.evictions
 
 let path t key =
   if String.length key < 2 then invalid_arg "Cache.path: key too short";
   Filename.concat (Filename.concat t.dir (String.sub key 0 2)) key
 
-let find t key : Outcome.t option =
+(* ------------------------------------------------------------------ *)
+(* Entries                                                             *)
+(* ------------------------------------------------------------------ *)
+
+let header payload =
+  Printf.sprintf "%s %s\n" Revision.stamp (Digest.to_hex (Digest.string payload))
+
+let decode data : Outcome.t option =
+  match String.index_opt data '\n' with
+  | None -> None
+  | Some i ->
+      let payload = String.sub data (i + 1) (String.length data - i - 1) in
+      if String.sub data 0 (i + 1) <> header payload then None
+      else Some (Marshal.from_string payload 0)
+
+let touch file = try Unix.utimes file 0. 0. (* both zero = set to now *) with _ -> ()
+
+let find t key =
   let file = path t key in
-  if not (Sys.file_exists file) then None
-  else
-    try
-      let ic = open_in_bin file in
-      Fun.protect
-        ~finally:(fun () -> close_in_noerr ic)
-        (fun () ->
-          let stamp, (outcome : Outcome.t) = Marshal.from_channel ic in
-          if stamp = Revision.stamp then Some outcome else None)
-    with _ -> None (* truncated/corrupt entries behave like misses *)
+  match decode (In_channel.with_open_bin file In_channel.input_all) with
+  | Some outcome ->
+      (* Recency for LRU eviction: hits refresh the entry's mtime. *)
+      touch file;
+      count t (fun i -> i.i_hits);
+      Some outcome
+  | None | (exception _) ->
+      count t (fun i -> i.i_misses);
+      None
+
+(* ------------------------------------------------------------------ *)
+(* Lockfile                                                            *)
+(* ------------------------------------------------------------------ *)
+
+let lock_stale_seconds = 60.
+let lock_path t = Filename.concat t.root ".riq-lock"
+
+(* O_CREAT|O_EXCL is atomic on every filesystem we care about. The lock
+   is cooperative and only guards maintenance; a holder that died leaves
+   a stale file, which the next taker breaks once it is older than
+   [lock_stale_seconds] (maintenance passes take milliseconds). *)
+let try_lock t =
+  let path = lock_path t in
+  try
+    let fd = Unix.openfile path [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_EXCL ] 0o644 in
+    let pid = Bytes.of_string (string_of_int (Unix.getpid ()) ^ "\n") in
+    ignore (Unix.write fd pid 0 (Bytes.length pid));
+    Unix.close fd;
+    true
+  with Unix.Unix_error (Unix.EEXIST, _, _) ->
+    (match Unix.stat path with
+    | { Unix.st_mtime; _ } when Unix.gettimeofday () -. st_mtime > lock_stale_seconds ->
+        (try Sys.remove path with _ -> ())
+    | _ -> ()
+    | exception _ -> ());
+    false
+
+let unlock t = try Sys.remove (lock_path t) with _ -> ()
+
+let with_lock ?(timeout = 30.) t f =
+  let started = Unix.gettimeofday () in
+  let deadline = started +. timeout in
+  let rec acquire () =
+    if try_lock t then ()
+    else if Unix.gettimeofday () > deadline then
+      failwith ("Cache.with_lock: timed out waiting for " ^ lock_path t)
+    else begin
+      (try ignore (Unix.select [] [] [] 0.01) with _ -> ());
+      acquire ()
+    end
+  in
+  acquire ();
+  (match t.ins with
+  | None -> ()
+  | Some ins ->
+      Metrics.observe ins.i_lock_wait (Unix.gettimeofday () -. started));
+  Fun.protect ~finally:(fun () -> unlock t) f
+
+(* ------------------------------------------------------------------ *)
+(* Entry walk                                                          *)
+(* ------------------------------------------------------------------ *)
+
+type entry = { e_path : string; e_bytes : int; e_mtime : float }
+
+(* Walks every format/revision subtree under the root, so stat/gc/evict
+   also see (and can reclaim) entries orphaned by a bump. Temp files and
+   the lockfile are not entries. *)
+let entries t =
+  let acc = ref [] in
+  let is_entry name =
+    (* 32-hex-digit fingerprint, no suffix *)
+    String.length name = 32
+    && String.for_all
+         (function '0' .. '9' | 'a' .. 'f' -> true | _ -> false)
+         name
+  in
+  let rec walk dir =
+    match Sys.readdir dir with
+    | exception _ -> ()
+    | names ->
+        Array.iter
+          (fun name ->
+            let path = Filename.concat dir name in
+            match Unix.lstat path with
+            | exception _ -> ()
+            | { Unix.st_kind = Unix.S_DIR; _ } -> walk path
+            | { Unix.st_kind = Unix.S_REG; st_size; st_mtime; _ }
+              when is_entry name ->
+                acc := { e_path = path; e_bytes = st_size; e_mtime = st_mtime } :: !acc
+            | _ -> ())
+          names
+  in
+  walk t.root;
+  !acc
+
+type stat = {
+  entry_count : int;
+  total_bytes : int;
+  oldest_mtime : float option;
+  newest_mtime : float option;
+}
+
+let stat t =
+  let es = entries t in
+  let bytes = List.fold_left (fun a e -> a + e.e_bytes) 0 es in
+  let fold f =
+    match es with
+    | [] -> None
+    | e :: rest -> Some (List.fold_left (fun a e -> f a e.e_mtime) e.e_mtime rest)
+  in
+  {
+    entry_count = List.length es;
+    total_bytes = bytes;
+    oldest_mtime = fold min;
+    newest_mtime = fold max;
+  }
+
+let remove_entry e = try Sys.remove e.e_path with _ -> ()
+
+(* Evict least-recently-used entries until the tree fits the budget.
+   Under the lock so two maintainers don't double-delete; entry removal
+   itself is safe against concurrent readers (they just miss). *)
+let evict_to_budget_locked t budget =
+  let es = List.sort (fun a b -> compare a.e_mtime b.e_mtime) (entries t) in
+  let total = List.fold_left (fun a e -> a + e.e_bytes) 0 es in
+  let over = ref (total - budget) in
+  let removed = ref 0 in
+  List.iter
+    (fun e ->
+      if !over > 0 then begin
+        remove_entry e;
+        over := !over - e.e_bytes;
+        incr removed
+      end)
+    es;
+  t.evictions <- t.evictions + !removed;
+  (match t.ins with
+  | None -> ()
+  | Some ins -> Metrics.add ins.i_evictions !removed);
+  !removed
+
+let evict_to_budget t budget = with_lock t (fun () -> evict_to_budget_locked t budget)
+
+(* Deletes entries whose mtime is strictly older than [now - max_age];
+   anything newer than the cutoff survives by construction. Returns
+   (entries removed, bytes freed). *)
+let gc ?(now = Unix.gettimeofday ()) t ~max_age_seconds =
+  with_lock t (fun () ->
+      let cutoff = now -. max_age_seconds in
+      List.fold_left
+        (fun (n, bytes) e ->
+          if e.e_mtime < cutoff then begin
+            remove_entry e;
+            (n + 1, bytes + e.e_bytes)
+          end
+          else (n, bytes))
+        (0, 0) (entries t))
+
+let stat_json t =
+  let s = stat t in
+  let open Riq_util.Json in
+  let age = function None -> Null | Some m -> Float (Unix.gettimeofday () -. m) in
+  Obj
+    [
+      ("root", String t.root);
+      ("entries", Int s.entry_count);
+      ("bytes", Int s.total_bytes);
+      ("oldest_age_seconds", age s.oldest_mtime);
+      ("newest_age_seconds", age s.newest_mtime);
+      ("budget_bytes", match t.budget_bytes with None -> Null | Some b -> Int b);
+      ("evictions", Int t.evictions);
+    ]
+
+(* ------------------------------------------------------------------ *)
+(* Write                                                               *)
+(* ------------------------------------------------------------------ *)
 
 (* Distinguishes two temp files written by the same process for the same
-   key (e.g. an engine and a serve daemon's store sharing one root). *)
+   key (e.g. an engine and a serve daemon sharing one root). *)
 let tmp_counter = ref 0
+
+(* Budget enforcement piggybacks on stores, amortized: checking the whole
+   tree per store would turn every simulation into a directory walk. *)
+let budget_check_interval = 32
 
 let store t key (outcome : Outcome.t) =
   if Outcome.cacheable outcome then begin
     let file = path t key in
     incr tmp_counter;
     let tmp = Printf.sprintf "%s.tmp.%d.%d" file (Unix.getpid ()) !tmp_counter in
+    let payload = Marshal.to_string outcome [] in
     (* Best-effort: a cache that cannot be written (read-only tree, full
        disk, permissions) degrades to a pass-through, it never kills the
        experiment that was trying to warm it. *)
-    try
-      mkdir_p (Filename.dirname file);
-      let oc = open_out_bin tmp in
-      (try
-         Marshal.to_channel oc (Revision.stamp, outcome) [];
+    (try
+       mkdir_p (Filename.dirname file);
+       let oc = open_out_bin tmp in
+       try
+         output_string oc (header payload);
+         output_string oc payload;
          close_out oc;
          Sys.rename tmp file
        with exn ->
          close_out_noerr oc;
          (try Sys.remove tmp with _ -> ());
-         raise exn)
-    with _ -> ()
+         raise exn
+     with _ -> ());
+    count t (fun i -> i.i_writes);
+    match t.budget_bytes with
+    | None -> ()
+    | Some budget ->
+        t.stores <- t.stores + 1;
+        if t.stores >= budget_check_interval then begin
+          t.stores <- 0;
+          (* Non-blocking: if another process holds the lock, it is
+             already doing the maintenance we wanted to do. *)
+          if try_lock t then
+            Fun.protect
+              ~finally:(fun () -> unlock t)
+              (fun () -> ignore (evict_to_budget_locked t budget))
+        end
   end

@@ -1,10 +1,19 @@
-(** On-disk content-addressed result cache.
+(** The on-disk content-addressed result cache, shared by local sweeps,
+    fuzz campaigns, the serve daemon and [riq-cache].
 
     Entries live under [<root>/v<format>/<revision-stamp>/<k0k1>/<key>],
     keyed by {!Job.fingerprint}; bumping {!Revision.stamp} orphans every
-    old entry. Corrupt or stale files read as misses. Writes are atomic
-    (temp file + rename), so parallel workers and concurrent sweeps can
-    share one cache. *)
+    old entry. Each entry is a one-line text header carrying the revision
+    stamp and the hex MD5 of the payload, then the marshalled outcome;
+    a read checks both before unmarshalling, so a corrupt, truncated or
+    stale file reads as a miss. Writes are atomic (temp file + rename), so
+    parallel workers and concurrent sweeps can share one tree.
+
+    What many processes sharing the tree need is here too: hits refresh
+    the entry's mtime (the cross-process LRU order), a cooperative
+    maintenance lockfile, LRU eviction to a byte budget, and age-based
+    gc. Maintenance only ever deletes whole entries; a reader racing an
+    eviction sees a miss, never a torn file. *)
 
 type t
 
@@ -12,9 +21,15 @@ val default_root : unit -> string
 (** [$RIQ_CACHE_DIR] when set and non-empty, else [".riq-cache"] in the
     working directory. *)
 
-val open_ : ?root:string -> unit -> t
-(** Open (and create if needed) the cache under [root]
-    (default {!default_root}). *)
+val open_ :
+  ?root:string -> ?budget_bytes:int -> ?metrics:Riq_obs.Metrics.t -> unit -> t
+(** Open (and create if needed) the cache under [root] (default
+    {!default_root}). With [budget_bytes], every 32nd {!store}
+    opportunistically evicts to the budget (skipped without blocking if
+    another process holds the maintenance lock). With [metrics], the
+    cache registers [store_reads_total{result=hit|miss}],
+    [store_writes_total], [store_evictions_total] and the
+    [store_lock_wait_seconds] histogram against the given registry. *)
 
 val root : t -> string
 
@@ -23,9 +38,55 @@ val path : t -> string -> string
     CLI's cache description. *)
 
 val find : t -> string -> Outcome.t option
+(** A hit refreshes the entry's mtime, which is the tree's LRU order. *)
 
 val store : t -> string -> Outcome.t -> unit
 (** No-op for outcomes that are not {!Outcome.cacheable} (crashes,
     timeouts). Writes are atomic (unique temp file + rename) and
     best-effort: an unwritable cache (read-only tree, full disk) is
-    silently skipped rather than failing the experiment. *)
+    silently skipped rather than failing the experiment. Also runs the
+    amortized budget enforcement. *)
+
+(** {1 Maintenance} *)
+
+val with_lock : ?timeout:float -> t -> (unit -> 'a) -> 'a
+(** Run [f] holding the maintenance lockfile ([<root>/.riq-lock], atomic
+    [O_CREAT|O_EXCL]); polls up to [timeout] (default 30 s) then raises
+    [Failure]. A lockfile older than 60 s is considered stale (a dead
+    holder) and broken. Entry writes do not need the lock — they are
+    atomic on their own; this serializes maintenance walks. *)
+
+val try_lock : t -> bool
+(** One non-blocking acquisition attempt (breaks a stale lock as a side
+    effect). Pair with {!unlock}. *)
+
+val unlock : t -> unit
+
+type entry = { e_path : string; e_bytes : int; e_mtime : float }
+
+val entries : t -> entry list
+(** Every entry under the root, across all format and revision subtrees
+    (so gc and eviction reclaim trees orphaned by a bump too). *)
+
+type stat = {
+  entry_count : int;
+  total_bytes : int;
+  oldest_mtime : float option;
+  newest_mtime : float option;
+}
+
+val stat : t -> stat
+val stat_json : t -> Riq_util.Json.t
+
+val evict_to_budget : t -> int -> int
+(** Evict least-recently-used entries until total bytes fit the given
+    budget (under the lock); returns entries removed. *)
+
+val gc : ?now:float -> t -> max_age_seconds:float -> int * int
+(** Remove entries strictly older than [now - max_age_seconds] (under
+    the lock); never touches anything newer than the cutoff. Returns
+    (entries removed, bytes freed). *)
+
+val evictions : t -> int
+(** Entries evicted by this process (budget enforcement + explicit
+    {!evict_to_budget}). *)

@@ -9,5 +9,6 @@
 let stamp = "riq-sim-2026-10-17.1"
 
 (* On-disk format of cache entries, independent of the simulator revision:
-   bump when the marshalled [Outcome.t] layout changes. *)
-let format_version = 4
+   bump when the entry layout or the marshalled [Outcome.t] layout
+   changes. 5: a checksummed text header precedes the payload. *)
+let format_version = 5

@@ -9,8 +9,7 @@
      cumulation happens once, at exposition time, where Prometheus wants
      it.
    - Snapshots are plain immutable data sorted by (name, labels), so
-     [Marshal] moves them between forked processes and equal registries
-     produce byte-equal expositions. *)
+     equal registries produce byte-equal expositions. *)
 
 open Riq_util
 
@@ -203,60 +202,6 @@ let snapshot t =
          in
          { s_name = r.r_name; s_help = r.r_help; s_labels = r.r_labels; s_value = v })
        t.all)
-
-let merge_sample name a b =
-  match (a, b) with
-  | Counter_sample x, Counter_sample y -> Counter_sample (x + y)
-  | Gauge_sample x, Gauge_sample y -> Gauge_sample (x +. y)
-  | Histogram_sample x, Histogram_sample y ->
-      if x.bounds <> y.bounds then
-        invalid_arg
-          (Printf.sprintf "Metrics.merge: %s has mismatched histogram bounds" name);
-      Histogram_sample
-        {
-          bounds = x.bounds;
-          counts = Array.mapi (fun i c -> c + y.counts.(i)) x.counts;
-          sum = x.sum +. y.sum;
-        }
-  | _ ->
-      invalid_arg
-        (Printf.sprintf "Metrics.merge: %s appears as two different kinds" name)
-
-(* Merge-join over the two sorted series lists. *)
-let merge a b =
-  let rec go a b acc =
-    match (a, b) with
-    | [], rest | rest, [] -> List.rev_append acc rest
-    | x :: xs, y :: ys -> (
-        match compare_series x y with
-        | 0 -> go xs ys ({ x with s_value = merge_sample x.s_name x.s_value y.s_value } :: acc)
-        | c when c < 0 -> go xs b (x :: acc)
-        | _ -> go a ys (y :: acc))
-  in
-  go a b []
-
-let merge_all = List.fold_left merge []
-
-let absorb t snap =
-  List.iter
-    (fun s ->
-      match s.s_value with
-      | Counter_sample v ->
-          let c = counter t ~help:s.s_help ~labels:s.s_labels s.s_name in
-          add c v
-      | Gauge_sample v ->
-          let g = gauge t ~help:s.s_help ~labels:s.s_labels s.s_name in
-          set g (g.g +. v)
-      | Histogram_sample { bounds; counts; sum } ->
-          let h = histogram t ~help:s.s_help ~labels:s.s_labels ~buckets:bounds s.s_name in
-          if h.bounds <> bounds then
-            invalid_arg
-              (Printf.sprintf "Metrics.absorb: %s has mismatched histogram bounds"
-                 s.s_name);
-          Array.iteri (fun i c -> h.counts.(i) <- h.counts.(i) + c) counts;
-          h.sum <- h.sum +. sum;
-          h.n <- h.n + Array.fold_left ( + ) 0 counts)
-    snap
 
 (* ------------------------------------------------------------------ *)
 (* Exposition                                                          *)

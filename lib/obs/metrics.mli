@@ -10,14 +10,9 @@
     can instrument themselves against a shared registry without
     coordination.
 
-    Snapshots are immutable, marshalable values with a total merge
-    operation (counters and histogram buckets add, gauges add — the
-    convention that makes per-worker gauges like jobs-in-flight sum to
-    the fleet value). Forked workers snapshot their registry and ship it
-    back over the pipe or wire they already use for results; the parent
-    merges. Exposition: Prometheus text format and a JSON document
-    (schema [riq-metrics/1]) that round-trips through {!snapshot_of_json}
-    for wire transport. *)
+    Snapshots are immutable data sorted by (name, labels). Exposition:
+    Prometheus text format and a JSON document (schema [riq-metrics/1])
+    that round-trips through {!snapshot_of_json} for wire transport. *)
 
 type t
 (** A registry. *)
@@ -91,22 +86,9 @@ type series = {
 
 type snapshot = series list
 (** Sorted by (name, labels) — deterministic, so expositions diff
-    cleanly. Plain immutable data: safe to [Marshal] across processes
-    built from the same source. *)
+    cleanly. *)
 
 val snapshot : t -> snapshot
-
-val merge : snapshot -> snapshot -> snapshot
-(** Pointwise union: counters and histogram buckets add, gauges add.
-    Raises [Invalid_argument] if one (name, labels) series appears with
-    different kinds or histogram bounds on the two sides. *)
-
-val merge_all : snapshot list -> snapshot
-
-val absorb : t -> snapshot -> unit
-(** Merge a snapshot into live registry state (creating series as
-    needed) — how a parent folds a finished worker's registry into its
-    own. Same kind/bounds constraints as {!merge}. *)
 
 (** {1 Exposition} *)
 

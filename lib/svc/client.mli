@@ -44,8 +44,7 @@ val service_json : t -> Riq_util.Json.t
 (** The telemetry block described under {!backend}. *)
 
 val server_metrics : t -> (Riq_obs.Metrics.snapshot, string) result
-(** One [metrics] round-trip: the daemon's merged fleet snapshot
-    (daemon + live workers + retired workers). *)
+(** One [metrics] round-trip: the daemon's metrics snapshot. *)
 
 val server_exposition : t -> (string, string) result
 (** Same scrape, rendered daemon-side as Prometheus text exposition. *)

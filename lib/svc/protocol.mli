@@ -45,8 +45,8 @@ type request =
   | Result of { ticket : int }
   | Stats
   | Metrics
-      (** Merged metrics snapshot (daemon + workers), as riq-metrics/1
-          JSON plus rendered Prometheus exposition. *)
+      (** The daemon's metrics snapshot, as riq-metrics/1 JSON plus
+          rendered Prometheus exposition. *)
   | Trace of { since : int }
       (** Daemon/worker trace events with global index [>= since];
           clients poll incrementally with the returned cursor. *)

@@ -3,14 +3,15 @@
    One single-threaded select loop multiplexes three kinds of file
    descriptor: the listening socket, client connections speaking the
    length-prefixed JSON protocol ({!Wire}/{!Protocol}), and the result
-   pipes of a resident pool of forked simulation workers. Nothing in the
-   loop blocks on simulation: jobs travel to workers over pipes and come
-   back as (seconds, outcome) records, so status/stats requests stay
-   responsive while a sweep grinds.
+   pipes of the resident forked workers ({!Riq_exp.Workers}, the pool the
+   local fork backend runs on too). Nothing in the loop blocks on
+   simulation: jobs travel to workers over pipes and come back as
+   (seconds, outcome) records, so status/stats requests stay responsive
+   while a sweep grinds.
 
    Scheduling. Submitted jobs are keyed by {!Riq_exp.Job.fingerprint}.
    Each fingerprint is resolved exactly once: first against the shared
-   {!Store} (read-through hit), then against the in-flight table (a
+   {!Riq_exp.Cache} (read-through hit), then against the in-flight table (a
    second request for a fingerprint that is queued or running is batched
    onto it — one execution fans out to every waiter), and only then
    queued for a worker. The queue is two-class — interactive ahead of
@@ -19,7 +20,7 @@
    so a nightly fuzz campaign can never starve an interactive sweep nor
    be starved by one.
 
-   Failure containment mirrors the fork pool: a worker that dies mid-job
+   Failure containment is the worker pool's: a worker that dies mid-job
    gets the job retried once on a fresh worker; a worker that exceeds the
    per-job timeout is SIGKILLed and the job is answered [Job_timeout];
    replacements are forked on demand.
@@ -41,7 +42,7 @@ module Log = Riq_obs.Log
    goes to the batch queue. *)
 let batch_share = 4
 
-(* Daemon- and worker-side trace events are stamped in wall-clock
+(* Daemon-side trace events are stamped in wall-clock
    microseconds, the unit Chrome traces use natively; clients shift them
    by the estimated clock offset before merging. *)
 let us seconds = int_of_float (seconds *. 1e6)
@@ -49,7 +50,7 @@ let us seconds = int_of_float (seconds *. 1e6)
 type config = {
   address : Protocol.address;
   workers : int;
-  store : Store.t;
+  store : Cache.t;
   timeout : float option; (* per-job wall-clock budget *)
   metrics : Metrics.t;
   metrics_out : string option; (* periodic atomic exposition dump *)
@@ -61,66 +62,6 @@ let config ?(workers = 1) ?(timeout = Some 600.) ?metrics ?metrics_out
   if workers < 1 then invalid_arg "Server.config: workers must be >= 1";
   let metrics = match metrics with Some m -> m | None -> Metrics.create () in
   { address; workers; store; timeout; metrics; metrics_out; metrics_interval }
-
-(* ------------------------------------------------------------------ *)
-(* Worker processes                                                    *)
-(* ------------------------------------------------------------------ *)
-
-(* Parent -> worker: one frame (4-byte BE length + marshalled Job.t).
-   Worker -> parent: one frame (marshalled
-   (seconds, Outcome.t, Metrics.snapshot)) — the snapshot is the worker's
-   cumulative registry, so the parent always holds each worker's latest
-   totals and loses nothing when a worker dies between results.
-   EOF on the request pipe shuts the worker down. *)
-
-let read_frame fd =
-  let hdr = Wire.read_exact fd 4 in
-  let len = Int32.to_int (Bytes.get_int32_be hdr 0) in
-  if len <= 0 || len > Wire.max_frame then raise (Wire.Protocol_error "bad frame");
-  Wire.read_exact fd len
-
-let write_frame fd payload =
-  let hdr = Bytes.create 4 in
-  Bytes.set_int32_be hdr 0 (Int32.of_int (Bytes.length payload));
-  Wire.write_all fd hdr;
-  Wire.write_all fd payload
-
-let worker_main req_r res_w =
-  let registry = Metrics.create () in
-  let jobs =
-    Metrics.counter registry ~help:"Jobs executed by this resident worker"
-      "worker_jobs_total"
-  in
-  let job_seconds =
-    Metrics.histogram registry ~help:"Wall-clock seconds per worker job"
-      "worker_job_seconds"
-  in
-  let rec loop () =
-    match read_frame req_r with
-    | exception (Wire.Closed | Wire.Protocol_error _) -> ()
-    | payload ->
-        let job : Job.t = Marshal.from_bytes payload 0 in
-        let t0 = Unix.gettimeofday () in
-        let outcome = Runner.execute_safe job in
-        let seconds = Unix.gettimeofday () -. t0 in
-        Metrics.inc jobs;
-        Metrics.observe job_seconds seconds;
-        write_frame res_w
-          (Marshal.to_bytes
-             (seconds, (outcome : Outcome.t), Metrics.snapshot registry)
-             []);
-        loop ()
-  in
-  loop ()
-
-type worker = {
-  w_pid : int;
-  w_req : Unix.file_descr;
-  w_res : Unix.file_descr;
-  mutable w_fp : string option; (* fingerprint in flight *)
-  mutable w_started : float;
-  mutable w_snap : Metrics.snapshot; (* latest cumulative registry *)
-}
 
 (* ------------------------------------------------------------------ *)
 (* Server state                                                        *)
@@ -137,9 +78,7 @@ type pending = {
   p_klass : Protocol.klass;
   p_enqueued : float; (* wall clock at submit, for queue-wait spans *)
   p_trace : Protocol.trace_context option;
-  mutable p_state : [ `Queued | `Running ];
   mutable p_waiters : waiter list; (* reverse submission order *)
-  mutable p_retried : bool;
 }
 
 type ticket = {
@@ -158,7 +97,7 @@ type conn = {
 }
 
 (* The daemon's own instruments, registered against cfg.metrics (which
-   the caller usually shares with the {!Store} it opened). Request
+   the caller usually shares with the {!Riq_exp.Cache} it opened). Request
    counters are registered lazily per op label. *)
 type instruments = {
   i_submitted : Metrics.counter;
@@ -221,9 +160,8 @@ type t = {
   listen_fd : Unix.file_descr;
   ins : instruments;
   tracer : Tracer.t; (* ring of wall-clock-us service spans *)
-  mutable retired : Metrics.snapshot; (* folded registries of dead workers *)
   mutable conns : conn list;
-  mutable pool : worker list;
+  workers : string Workers.t; (* jobs keyed by fingerprint *)
   pending : (string, pending) Hashtbl.t; (* fingerprint -> queued/running *)
   q_interactive : string Queue.t;
   q_batch : string Queue.t;
@@ -238,8 +176,6 @@ type t = {
   mutable n_hits : int;
   mutable n_executed : int;
   mutable n_batched : int;
-  mutable n_retries : int;
-  mutable n_timeouts : int;
   mutable n_batch_jobs : int; (* waiters fanned out per execution, summed *)
   mutable n_max_batch : int;
   mutable n_max_queue : int;
@@ -248,30 +184,21 @@ type t = {
 
 let queue_depth t = Queue.length t.q_interactive + Queue.length t.q_batch
 
-let inflight t = List.length (List.filter (fun w -> w.w_fp <> None) t.pool)
-
-(* Point-in-time gauges are refreshed right before any snapshot leaves
-   the daemon (metrics op, periodic dump) rather than on every change. *)
-let refresh_gauges t =
+(* Point-in-time gauges, and the retry/timeout counters the worker pool
+   keeps, are brought up to date right before any snapshot leaves the
+   daemon (metrics op, periodic dump) rather than on every change. *)
+let snapshot t =
+  let catch_up counter n = Metrics.add counter (n - Metrics.counter_value counter) in
+  catch_up t.ins.i_retries (Workers.retries t.workers);
+  catch_up t.ins.i_timeouts (Workers.timeouts t.workers);
   Metrics.set t.ins.i_queue_interactive (float_of_int (Queue.length t.q_interactive));
   Metrics.set t.ins.i_queue_batch (float_of_int (Queue.length t.q_batch));
-  Metrics.set t.ins.i_inflight (float_of_int (inflight t));
-  Metrics.set t.ins.i_workers (float_of_int (List.length t.pool));
+  Metrics.set t.ins.i_inflight (float_of_int (Workers.busy t.workers));
+  Metrics.set t.ins.i_workers (float_of_int (List.length (Workers.pids t.workers)));
   Metrics.set t.ins.i_connections (float_of_int (List.length t.conns));
   Metrics.set t.ins.i_tickets (float_of_int (Hashtbl.length t.tickets));
-  Metrics.set t.ins.i_uptime (Unix.gettimeofday () -. t.started)
-
-(* Daemon totals + every worker's latest cumulative registry + what dead
-   workers left behind. Gauges sum across processes by convention, and
-   the worker registries only carry counters/histograms, so the merge is
-   exactly the fleet view. *)
-let merged_snapshot t =
-  refresh_gauges t;
-  Metrics.merge_all
-    (Metrics.snapshot t.cfg.metrics :: t.retired
-    :: List.filter_map
-         (fun w -> if w.w_snap = [] then None else Some w.w_snap)
-         t.pool)
+  Metrics.set t.ins.i_uptime (Unix.gettimeofday () -. t.started);
+  Metrics.snapshot t.cfg.metrics
 
 (* ------------------------------------------------------------------ *)
 (* Socket setup / teardown                                             *)
@@ -310,55 +237,6 @@ let close_listener t =
   match t.cfg.address with
   | Protocol.Unix_socket path -> ( try Sys.remove path with _ -> ())
   | Protocol.Tcp _ -> ()
-
-(* ------------------------------------------------------------------ *)
-(* Worker lifecycle                                                    *)
-(* ------------------------------------------------------------------ *)
-
-let spawn_worker t =
-  let req_r, req_w = Unix.pipe () in
-  let res_r, res_w = Unix.pipe () in
-  flush stdout;
-  flush stderr;
-  match Unix.fork () with
-  | 0 ->
-      Unix.close req_w;
-      Unix.close res_r;
-      (try Unix.close t.listen_fd with _ -> ());
-      List.iter (fun c -> try Unix.close c.c_fd with _ -> ()) t.conns;
-      List.iter
-        (fun w ->
-          (try Unix.close w.w_req with _ -> ());
-          try Unix.close w.w_res with _ -> ())
-        t.pool;
-      (try worker_main req_r res_w with _ -> ());
-      Unix._exit 0
-  | pid ->
-      Unix.close req_r;
-      Unix.close res_w;
-      let w =
-        {
-          w_pid = pid;
-          w_req = req_w;
-          w_res = res_r;
-          w_fp = None;
-          w_started = 0.;
-          w_snap = [];
-        }
-      in
-      t.pool <- w :: t.pool;
-      Tracer.set_process_name t.tracer ~pid (Printf.sprintf "riq-serve worker %d" pid);
-      Log.debug ~scope:"serve" ~kv:[ ("pid", Log.int pid) ] "worker spawned";
-      w
-
-let reap_worker t ?(kill = false) w =
-  if kill then (try Unix.kill w.w_pid Sys.sigkill with _ -> ());
-  (try Unix.close w.w_req with _ -> ());
-  (try Unix.close w.w_res with _ -> ());
-  (try ignore (Unix.waitpid [] w.w_pid) with _ -> ());
-  (* Keep the dead worker's totals in the fleet view. *)
-  if w.w_snap <> [] then t.retired <- Metrics.merge t.retired w.w_snap;
-  t.pool <- List.filter (fun w' -> w'.w_pid <> w.w_pid) t.pool
 
 (* ------------------------------------------------------------------ *)
 (* Delivery                                                            *)
@@ -418,14 +296,11 @@ let span_args p =
   | None -> []
   | Some tc -> [ ("trace_id", Tracer.Str tc.Protocol.trace_id) ])
 
-let dispatch_one t w fp =
+let dispatch_one t fp =
   match Hashtbl.find_opt t.pending fp with
   | None -> () (* evaporated (shouldn't happen) *)
-  | Some p -> (
-      p.p_state <- `Running;
-      w.w_fp <- Some fp;
-      w.w_started <- Unix.gettimeofday ();
-      let wait = Float.max 0. (w.w_started -. p.p_enqueued) in
+  | Some p ->
+      let wait = Float.max 0. (Unix.gettimeofday () -. p.p_enqueued) in
       let wait_hist, tid =
         match p.p_klass with
         | Protocol.Interactive -> (t.ins.i_wait_interactive, 1)
@@ -434,106 +309,30 @@ let dispatch_one t w fp =
       Metrics.observe wait_hist wait;
       Tracer.complete t.tracer ~now:(us p.p_enqueued) ~dur:(us wait) ~tid
         ~args:(span_args p) ~cat:"serve" "queue-wait";
-      try write_frame w.w_req (Marshal.to_bytes p.p_job [])
-      with _ ->
-        (* Worker died between jobs: retry via the crash path. *)
-        w.w_fp <- None;
-        reap_worker t w;
-        p.p_state <- `Queued;
-        Queue.push fp
-          (match p.p_klass with
-          | Protocol.Interactive -> t.q_interactive
-          | Protocol.Batch -> t.q_batch))
+      Workers.submit t.workers fp p.p_job
 
-let fill_workers t =
-  (* Replace crashed workers while there is work for them. *)
-  while List.length t.pool < min t.cfg.workers (max 1 (queue_depth t)) do
-    ignore (spawn_worker t)
-  done;
-  List.iter
-    (fun w ->
-      if w.w_fp = None then
-        match next_fingerprint t with
-        | Some fp -> dispatch_one t w fp
-        | None -> ())
-    t.pool
+let rec fill_workers t =
+  if Workers.idle t.workers > 0 then
+    match next_fingerprint t with
+    | Some fp ->
+        dispatch_one t fp;
+        fill_workers t
+    | None -> ()
 
-let requeue_front t fp p =
-  p.p_state <- `Queued;
-  let q =
-    match p.p_klass with
-    | Protocol.Interactive -> t.q_interactive
-    | Protocol.Batch -> t.q_batch
-  in
-  (* Queue has no push-front; rebuild. Queues are short-lived and small
-     relative to simulation time, so this is fine. *)
-  let rest = Queue.copy q in
-  Queue.clear q;
-  Queue.push fp q;
-  Queue.transfer rest q
-
-let worker_crashed t w =
-  (match w.w_fp with
-  | None -> ()
-  | Some fp -> (
-      match Hashtbl.find_opt t.pending fp with
-      | None -> ()
-      | Some p ->
-          if p.p_retried then
-            resolve_pending t fp ~seconds:0.
-              (Error (Outcome.Worker_crashed "serve worker died mid-job"))
-          else begin
-            p.p_retried <- true;
-            t.n_retries <- t.n_retries + 1;
-            Metrics.inc t.ins.i_retries;
-            Log.warn ~scope:"serve"
-              ~kv:[ ("pid", Log.int w.w_pid) ]
-              "worker died mid-job, retrying";
-            requeue_front t fp p
-          end));
-  reap_worker t w
-
-let worker_result t w =
-  match read_frame w.w_res with
-  | exception _ -> worker_crashed t w
-  | payload ->
-      let seconds, (outcome : Outcome.t), (snap : Metrics.snapshot) =
-        Marshal.from_bytes payload 0
-      in
-      w.w_snap <- snap;
-      (match w.w_fp with
-      | None -> ()
-      | Some fp ->
-          Store.store t.cfg.store fp outcome;
-          t.n_executed <- t.n_executed + 1;
-          Metrics.inc t.ins.i_executed;
-          Metrics.observe t.ins.i_simulate seconds;
-          (match Hashtbl.find_opt t.pending fp with
-          | Some p ->
-              Tracer.complete t.tracer ~now:(us w.w_started) ~dur:(us seconds)
-                ~pid:w.w_pid ~args:(span_args p) ~cat:"serve" "simulate"
-          | None -> ());
-          resolve_pending t fp ~seconds outcome);
-      w.w_fp <- None
-
-let check_timeouts t =
-  match t.cfg.timeout with
-  | None -> ()
-  | Some budget ->
-      let now = Unix.gettimeofday () in
-      List.iter
-        (fun w ->
-          match w.w_fp with
-          | Some fp when now -. w.w_started > budget ->
-              t.n_timeouts <- t.n_timeouts + 1;
-              Metrics.inc t.ins.i_timeouts;
-              Log.warn ~scope:"serve"
-                ~kv:[ ("pid", Log.int w.w_pid); ("budget", Log.float budget) ]
-                "job exceeded wall-clock budget, killing worker";
-              resolve_pending t fp ~seconds:budget (Error (Outcome.Job_timeout budget));
-              reap_worker t ~kill:true w
-          | _ -> ())
-        t.pool
+(* Every finished job — a result, or the pool's verdict on a timeout or a
+   second worker death — is stored (when cacheable), timed and fanned out
+   to its waiters. *)
+let finish t (f : string Workers.finished) =
+  Cache.store t.cfg.store f.key f.outcome;
+  t.n_executed <- t.n_executed + 1;
+  Metrics.inc t.ins.i_executed;
+  Metrics.observe t.ins.i_simulate f.seconds;
+  (match Hashtbl.find_opt t.pending f.key with
+  | Some p ->
+      Tracer.complete t.tracer ~now:(us f.started) ~dur:(us f.seconds) ~pid:f.pid
+        ~args:(span_args p) ~cat:"serve" "simulate"
+  | None -> ());
+  resolve_pending t f.key ~seconds:f.seconds f.outcome
 
 (* ------------------------------------------------------------------ *)
 (* Requests                                                            *)
@@ -554,12 +353,12 @@ let stats_json t =
       ("misses", Json.Int (t.n_submitted - t.n_hits - t.n_batched));
       ("executed", Json.Int t.n_executed);
       ("batched", Json.Int t.n_batched);
-      ("retries", Json.Int t.n_retries);
-      ("timeouts", Json.Int t.n_timeouts);
+      ("retries", Json.Int (Workers.retries t.workers));
+      ("timeouts", Json.Int (Workers.timeouts t.workers));
       ("queue_interactive", Json.Int (Queue.length t.q_interactive));
       ("queue_batch", Json.Int (Queue.length t.q_batch));
       ("queue_depth_max", Json.Int t.n_max_queue);
-      ("inflight", Json.Int (List.length (List.filter (fun w -> w.w_fp <> None) t.pool)));
+      ("inflight", Json.Int (Workers.busy t.workers));
       ("tickets_open", Json.Int (Hashtbl.length t.tickets));
       ( "batch",
         Json.Obj
@@ -568,7 +367,7 @@ let stats_json t =
             ("jobs_fanned_out", Json.Int t.n_batch_jobs);
             ("max_fanout", Json.Int t.n_max_batch);
           ] );
-      ("store", Store.stat_json t.cfg.store);
+      ("store", Cache.stat_json t.cfg.store);
     ]
 
 let handle_submit t ~klass ~trace ~(wire_jobs : string list) =
@@ -597,7 +396,7 @@ let handle_submit t ~klass ~trace ~(wire_jobs : string list) =
             t.n_submitted <- t.n_submitted + 1;
             Metrics.inc t.ins.i_submitted;
             let fp = Job.fingerprint job in
-            match Store.find t.cfg.store fp with
+            match Cache.find t.cfg.store fp with
             | Some outcome ->
                 t.n_hits <- t.n_hits + 1;
                 Metrics.inc t.ins.i_store_hits;
@@ -620,10 +419,8 @@ let handle_submit t ~klass ~trace ~(wire_jobs : string list) =
                         p_klass = klass;
                         p_enqueued = now;
                         p_trace = trace;
-                        p_state = `Queued;
                         p_waiters =
                           [ { wt_ticket = id; wt_index = index; wt_source = Protocol.Executed } ];
-                        p_retried = false;
                       }
                     in
                     Hashtbl.replace t.pending fp p;
@@ -729,7 +526,7 @@ let handle_request t conn (req : Protocol.request) =
           end)
   | Protocol.Stats -> stats_json t
   | Protocol.Metrics ->
-      let snap = merged_snapshot t in
+      let snap = snapshot t in
       Protocol.ok
         [
           ("metrics", Metrics.to_json snap);
@@ -763,38 +560,36 @@ let close_conn t conn =
 
 (* Peel complete frames off the connection's accumulation buffer and
    answer each; responses are written synchronously (they are small, and
-   a client that cannot drain its own responses deserves the stall). *)
-let service_conn_buffer t conn =
-  let continue_ = ref true in
-  while !continue_ do
-    let data = Buffer.contents conn.c_buf in
-    let len = String.length data in
-    if len < 4 then continue_ := false
-    else
-      let frame_len = Int32.to_int (String.get_int32_be data 0) in
-      if frame_len < 0 || frame_len > Wire.max_frame then begin
-        Wire.send conn.c_fd (Protocol.error "bad frame length");
-        close_conn t conn;
-        continue_ := false
-      end
-      else if len < 4 + frame_len then continue_ := false
-      else begin
-        Buffer.clear conn.c_buf;
-        Buffer.add_substring conn.c_buf data (4 + frame_len) (len - 4 - frame_len);
-        let response =
-          match Json.of_string (String.sub data 4 frame_len) with
-          | Error msg -> Protocol.error msg
-          | Ok j -> (
-              match Protocol.request_of_json j with
-              | Error msg -> Protocol.error msg
-              | Ok req -> handle_request t conn req)
-        in
-        try Wire.send conn.c_fd response
-        with _ ->
-          close_conn t conn;
-          continue_ := false
-      end
-  done
+   a client that cannot drain its own responses deserves the stall). A
+   frame is copied out only once it is complete, so a large submit
+   arriving in many reads costs one copy, not one per read. *)
+let rec service_conn_buffer t conn =
+  let buf = conn.c_buf in
+  let len = Buffer.length buf in
+  if len >= 4 then begin
+    let frame_len = Int32.to_int (String.get_int32_be (Buffer.sub buf 0 4) 0) in
+    if frame_len < 0 || frame_len > Wire.max_frame then begin
+      (try Wire.send conn.c_fd (Protocol.error "bad frame length") with _ -> ());
+      close_conn t conn
+    end
+    else if len >= 4 + frame_len then begin
+      let frame = Buffer.sub buf 4 frame_len in
+      let rest = Buffer.sub buf (4 + frame_len) (len - 4 - frame_len) in
+      Buffer.clear buf;
+      Buffer.add_string buf rest;
+      let response =
+        match Json.of_string frame with
+        | Error msg -> Protocol.error msg
+        | Ok j -> (
+            match Protocol.request_of_json j with
+            | Error msg -> Protocol.error msg
+            | Ok req -> handle_request t conn req)
+      in
+      match Wire.send conn.c_fd response with
+      | () -> service_conn_buffer t conn
+      | exception _ -> close_conn t conn
+    end
+  end
 
 let conn_readable t conn =
   let chunk = Bytes.create 65536 in
@@ -818,15 +613,14 @@ let install_signal_handlers () =
     (fun s -> try Sys.set_signal s handle with _ -> ())
     [ Sys.sigterm; Sys.sigint ]
 
-let work_left t =
-  queue_depth t > 0 || List.exists (fun w -> w.w_fp <> None) t.pool
+let work_left t = queue_depth t > 0 || Workers.busy t.workers > 0
 
 (* Atomic exposition dump: scrapers never see a torn file. *)
 let dump_metrics t path =
   try
     let tmp = path ^ ".tmp" in
     let oc = open_out tmp in
-    output_string oc (Metrics.to_prometheus (merged_snapshot t));
+    output_string oc (Metrics.to_prometheus (snapshot t));
     close_out oc;
     Sys.rename tmp path
   with e ->
@@ -851,15 +645,29 @@ let serve cfg =
   Tracer.set_thread_name tracer ~tid:0 "daemon";
   Tracer.set_thread_name tracer ~tid:1 "queue interactive";
   Tracer.set_thread_name tracer ~tid:2 "queue batch";
+  let listen_fd = listen_socket cfg.address in
+  (* A client that disappears mid-write must not kill the daemon. *)
+  let old_sigpipe =
+    try Some (Sys.signal Sys.sigpipe Sys.Signal_ignore) with _ -> None
+  in
+  (* A worker must not keep the listener or any client connection open;
+     the hook is set once [t] exists. *)
+  let close_sockets = ref ignore in
+  let on_spawn pid =
+    Tracer.set_process_name tracer ~pid (Printf.sprintf "riq-serve worker %d" pid);
+    Log.debug ~scope:"serve" ~kv:[ ("pid", Log.int pid) ] "worker spawned"
+  in
   let t =
     {
       cfg;
-      listen_fd = listen_socket cfg.address;
+      listen_fd;
       ins = instruments_of cfg.metrics;
       tracer;
-      retired = [];
       conns = [];
-      pool = [];
+      workers =
+        Workers.create
+          ~in_child:(fun () -> !close_sockets ())
+          ~on_spawn ~workers:cfg.workers ~timeout:cfg.timeout ();
       pending = Hashtbl.create 256;
       q_interactive = Queue.create ();
       q_batch = Queue.create ();
@@ -873,26 +681,25 @@ let serve cfg =
       n_hits = 0;
       n_executed = 0;
       n_batched = 0;
-      n_retries = 0;
-      n_timeouts = 0;
       n_batch_jobs = 0;
       n_max_batch = 0;
       n_max_queue = 0;
       n_requests = 0;
     }
   in
+  (close_sockets :=
+     fun () ->
+       List.iter
+         (fun fd -> try Unix.close fd with _ -> ())
+         (t.listen_fd :: List.map (fun c -> c.c_fd) t.conns));
   drain_requested := false;
   install_signal_handlers ();
-  (* A client that disappears mid-write must not kill the daemon. *)
-  let old_sigpipe =
-    try Some (Sys.signal Sys.sigpipe Sys.Signal_ignore) with _ -> None
-  in
   Log.info ~scope:"serve"
     ~kv:
       [
         ("address", Protocol.address_to_string cfg.address);
         ("workers", Log.int cfg.workers);
-        ("store", Store.root cfg.store);
+        ("store", Cache.root cfg.store);
         ("pid", Log.int (Unix.getpid ()));
       ]
     "listening";
@@ -901,10 +708,9 @@ let serve cfg =
     ~finally:(fun () ->
       List.iter (fun c -> try Unix.close c.c_fd with _ -> ()) t.conns;
       t.conns <- [];
-      List.iter (fun w -> reap_worker t w) t.pool;
+      Workers.shutdown t.workers;
       if !listener_open then close_listener t;
-      (* Last write wins: the post-mortem exposition includes everything
-         the retired workers reported. *)
+      (* Last write wins: the post-mortem exposition has every job. *)
       (match cfg.metrics_out with Some path -> dump_metrics t path | None -> ());
       match old_sigpipe with
       | Some b -> ( try Sys.set_signal Sys.sigpipe b with _ -> ())
@@ -918,7 +724,7 @@ let serve cfg =
             ~kv:
               [
                 ("queued", Log.int (queue_depth t));
-                ("inflight", Log.int (inflight t));
+                ("inflight", Log.int (Workers.busy t.workers));
               ]
             "drain requested";
           (* Stop accepting new clients; existing ones keep polling. *)
@@ -929,20 +735,13 @@ let serve cfg =
         else begin
           fill_workers t;
           maybe_dump_metrics t;
-          let busy = List.filter (fun w -> w.w_fp <> None) t.pool in
           let read_fds =
             (if !listener_open then [ t.listen_fd ] else [])
             @ List.map (fun c -> c.c_fd) t.conns
-            @ List.map (fun w -> w.w_res) busy
+            @ Workers.fds t.workers
           in
           let select_timeout =
-            match (t.cfg.timeout, busy) with
-            | Some budget, _ :: _ ->
-                let now = Unix.gettimeofday () in
-                List.fold_left
-                  (fun acc w -> min acc (max 0.05 (budget -. (now -. w.w_started))))
-                  1.0 busy
-            | _ -> 1.0
+            match Workers.deadline t.workers with Some d -> Float.min 1.0 d | None -> 1.0
           in
           let readable =
             match Unix.select read_fds [] [] select_timeout with
@@ -951,12 +750,7 @@ let serve cfg =
             | exception Unix.Unix_error (Unix.EBADF, _, _) -> []
           in
           (* Workers first: results unblock waiters and free slots. *)
-          List.iter
-            (fun w -> if List.memq w.w_res readable then worker_result t w)
-            busy;
-          (* Dead workers show up as EOF on their result pipe too; the
-             read inside worker_result handled that via worker_crashed. *)
-          check_timeouts t;
+          List.iter (finish t) (Workers.collect t.workers readable);
           List.iter
             (fun conn -> if List.memq conn.c_fd readable then conn_readable t conn)
             (List.filter (fun c -> List.memq c.c_fd readable) t.conns);

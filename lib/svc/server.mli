@@ -1,6 +1,7 @@
 (** The [riq-sim serve] daemon: a single-threaded select loop multiplexing
-    the listening socket, wire-protocol clients and a resident pool of
-    forked simulation workers, over a shared {!Store}.
+    the listening socket, wire-protocol clients and the result pipes of
+    resident forked simulation workers ({!Riq_exp.Workers}), over a
+    shared {!Riq_exp.Cache}.
 
     Scheduling: jobs are keyed by fingerprint and each fingerprint
     resolves exactly once — store read-through, then coalescing onto an
@@ -16,17 +17,17 @@
 
     Observability: the daemon instruments itself against [metrics]
     ([serve_*], [store_hits_total]; share the registry with the
-    {!Store.open_} call so [store_*] series land in the same scrape) and
-    keeps a bounded ring of wall-clock-microsecond spans (queue-wait per
-    class, simulate per worker pid). Both are served over the wire
-    ([metrics] and [trace] ops); workers ship their own registries back
-    with each result and the daemon merges them into the fleet view.
-    Logging goes through {!Riq_obs.Log} under scope ["serve"]. *)
+    {!Riq_exp.Cache.open_} call so [store_*] series land in the same
+    scrape) and keeps a bounded ring of wall-clock-microsecond spans
+    (queue-wait per class, simulate per worker pid). Both are served over
+    the wire ([metrics] and [trace] ops). Every job's time is the one its
+    worker measured, recorded once, by the daemon. Logging goes through
+    {!Riq_obs.Log} under scope ["serve"]. *)
 
 type config = {
   address : Protocol.address;
   workers : int;
-  store : Store.t;
+  store : Riq_exp.Cache.t;
   timeout : float option;
   metrics : Riq_obs.Metrics.t;
   metrics_out : string option;
@@ -40,7 +41,7 @@ val config :
   ?metrics_out:string ->
   ?metrics_interval:float ->
   address:Protocol.address ->
-  Store.t ->
+  Riq_exp.Cache.t ->
   config
 (** [workers] defaults to 1, [timeout] to 600 s per job ([None]
     disables). [metrics] defaults to a fresh registry; pass the one the

@@ -1,287 +1,3 @@
-(* The shared, concurrency-safe result store.
-
-   This wraps the engine's content-addressed {!Riq_exp.Cache} (same
-   on-disk layout, so local sweeps, fuzz campaigns and the serve daemon
-   all interoperate on one tree) and adds what sharing a tree between
-   many processes needs:
-
-   - read-through [find] that touches the entry's mtime, giving the tree
-     a cross-process recency order without any index file;
-   - a cooperative lockfile for the maintenance operations (eviction and
-     gc walk-and-delete; plain entry writes don't need it — the cache's
-     temp-file-plus-rename is already atomic and last-writer-wins with
-     identical contents);
-   - LRU eviction to a byte budget, and an age-based gc, both of which
-     only ever delete whole entries — a reader that raced an eviction
-     sees a miss, never a torn file. *)
-
-open Riq_exp
-module Metrics = Riq_obs.Metrics
-
-(* Store-level instruments, registered against a caller-supplied registry
-   so the daemon, the engine and the CLIs each see their own process's
-   store traffic under the same metric names. *)
-type instruments = {
-  i_hits : Metrics.counter;
-  i_misses : Metrics.counter;
-  i_writes : Metrics.counter;
-  i_evictions : Metrics.counter;
-  i_lock_wait : Metrics.histogram;
-}
-
-let instruments_of registry =
-  let counter = Metrics.counter registry in
-  {
-    i_hits =
-      counter ~help:"Store reads served from the shared tree"
-        ~labels:[ ("result", "hit") ] "store_reads_total";
-    i_misses =
-      counter ~help:"Store reads served from the shared tree"
-        ~labels:[ ("result", "miss") ] "store_reads_total";
-    i_writes = counter ~help:"Outcomes written to the store" "store_writes_total";
-    i_evictions =
-      counter ~help:"Entries evicted by budget enforcement" "store_evictions_total";
-    i_lock_wait =
-      Metrics.histogram registry
-        ~help:"Seconds spent waiting for the maintenance lockfile"
-        "store_lock_wait_seconds";
-  }
-
-type t = {
-  cache : Cache.t;
-  root : string;
-  budget_bytes : int option;
-  ins : instruments option;
-  mutable evictions : int; (* entries evicted by this process *)
-  mutable stores : int; (* stores since the last budget check *)
-}
-
-let lock_stale_seconds = 60.
-
-let open_ ?root ?budget_bytes ?metrics () =
-  let cache = Cache.open_ ?root () in
-  {
-    cache;
-    root = Cache.root cache;
-    budget_bytes;
-    ins = Option.map instruments_of metrics;
-    evictions = 0;
-    stores = 0;
-  }
-
-let count t f = match t.ins with None -> () | Some ins -> Metrics.inc (f ins)
-
-let cache t = t.cache
-let root t = t.root
-let evictions t = t.evictions
-
-(* ------------------------------------------------------------------ *)
-(* Lockfile                                                            *)
-(* ------------------------------------------------------------------ *)
-
-let lock_path t = Filename.concat t.root ".riq-lock"
-
-(* O_CREAT|O_EXCL is atomic on every filesystem we care about. The lock
-   is cooperative and only guards maintenance; a holder that died leaves
-   a stale file, which the next taker breaks once it is older than
-   [lock_stale_seconds] (maintenance passes take milliseconds). *)
-let try_lock t =
-  let path = lock_path t in
-  try
-    let fd = Unix.openfile path [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_EXCL ] 0o644 in
-    let pid = Bytes.of_string (string_of_int (Unix.getpid ()) ^ "\n") in
-    ignore (Unix.write fd pid 0 (Bytes.length pid));
-    Unix.close fd;
-    true
-  with Unix.Unix_error (Unix.EEXIST, _, _) ->
-    (match Unix.stat path with
-    | { Unix.st_mtime; _ } when Unix.gettimeofday () -. st_mtime > lock_stale_seconds ->
-        (try Sys.remove path with _ -> ())
-    | _ -> ()
-    | exception _ -> ());
-    false
-
-let unlock t = try Sys.remove (lock_path t) with _ -> ()
-
-let with_lock ?(timeout = 30.) t f =
-  let started = Unix.gettimeofday () in
-  let deadline = started +. timeout in
-  let rec acquire () =
-    if try_lock t then ()
-    else if Unix.gettimeofday () > deadline then
-      failwith ("Store.with_lock: timed out waiting for " ^ lock_path t)
-    else begin
-      (try ignore (Unix.select [] [] [] 0.01) with _ -> ());
-      acquire ()
-    end
-  in
-  acquire ();
-  (match t.ins with
-  | None -> ()
-  | Some ins ->
-      Metrics.observe ins.i_lock_wait (Unix.gettimeofday () -. started));
-  Fun.protect ~finally:(fun () -> unlock t) f
-
-(* ------------------------------------------------------------------ *)
-(* Entry walk                                                          *)
-(* ------------------------------------------------------------------ *)
-
-type entry = { e_path : string; e_bytes : int; e_mtime : float }
-
-(* Walks every version/revision subtree under the root, so stat/gc/evict
-   also see (and can reclaim) entries orphaned by a revision bump. Temp
-   files and the lockfile are not entries. *)
-let entries t =
-  let acc = ref [] in
-  let is_entry name =
-    (* 32-hex-digit fingerprint, no suffix *)
-    String.length name = 32
-    && String.for_all
-         (function '0' .. '9' | 'a' .. 'f' -> true | _ -> false)
-         name
-  in
-  let rec walk dir depth =
-    match Sys.readdir dir with
-    | exception _ -> ()
-    | names ->
-        Array.iter
-          (fun name ->
-            let path = Filename.concat dir name in
-            match Unix.lstat path with
-            | exception _ -> ()
-            | { Unix.st_kind = Unix.S_DIR; _ } -> walk path (depth + 1)
-            | { Unix.st_kind = Unix.S_REG; st_size; st_mtime; _ }
-              when is_entry name ->
-                acc := { e_path = path; e_bytes = st_size; e_mtime = st_mtime } :: !acc
-            | _ -> ())
-          names
-  in
-  walk t.root 0;
-  !acc
-
-type stat = {
-  entry_count : int;
-  total_bytes : int;
-  oldest_mtime : float option;
-  newest_mtime : float option;
-}
-
-let stat t =
-  let es = entries t in
-  let bytes = List.fold_left (fun a e -> a + e.e_bytes) 0 es in
-  let fold f =
-    match es with
-    | [] -> None
-    | e :: rest -> Some (List.fold_left (fun a e -> f a e.e_mtime) e.e_mtime rest)
-  in
-  {
-    entry_count = List.length es;
-    total_bytes = bytes;
-    oldest_mtime = fold min;
-    newest_mtime = fold max;
-  }
-
-let remove_entry e = try Sys.remove e.e_path with _ -> ()
-
-(* ------------------------------------------------------------------ *)
-(* Read-through / write                                                *)
-(* ------------------------------------------------------------------ *)
-
-let touch path =
-  try Unix.utimes path 0. 0. (* both zero = set to now *) with _ -> ()
-
-let find t key =
-  match Cache.find t.cache key with
-  | None ->
-      count t (fun i -> i.i_misses);
-      None
-  | Some outcome ->
-      (* Recency for LRU eviction: hits refresh the entry's mtime. *)
-      touch (Cache.path t.cache key);
-      count t (fun i -> i.i_hits);
-      Some outcome
-
-(* Evict least-recently-used entries until the tree fits the budget.
-   Under the lock so two maintainers don't double-delete; entry removal
-   itself is safe against concurrent readers (they just miss). *)
-let evict_to_budget_locked t budget =
-  let es = List.sort (fun a b -> compare a.e_mtime b.e_mtime) (entries t) in
-  let total = List.fold_left (fun a e -> a + e.e_bytes) 0 es in
-  let over = ref (total - budget) in
-  let removed = ref 0 in
-  List.iter
-    (fun e ->
-      if !over > 0 then begin
-        remove_entry e;
-        over := !over - e.e_bytes;
-        incr removed
-      end)
-    es;
-  t.evictions <- t.evictions + !removed;
-  (match t.ins with
-  | None -> ()
-  | Some ins -> Metrics.add ins.i_evictions !removed);
-  !removed
-
-let evict_to_budget t budget = with_lock t (fun () -> evict_to_budget_locked t budget)
-
-(* Budget enforcement piggybacks on stores, amortized: checking the whole
-   tree per store would turn every simulation into a directory walk. *)
-let budget_check_interval = 32
-
-let store t key outcome =
-  Cache.store t.cache key outcome;
-  count t (fun i -> i.i_writes);
-  match t.budget_bytes with
-  | None -> ()
-  | Some budget ->
-      t.stores <- t.stores + 1;
-      if t.stores >= budget_check_interval then begin
-        t.stores <- 0;
-        (* Non-blocking: if another process holds the lock, it is already
-           doing the maintenance we wanted to do. *)
-        if try_lock t then
-          Fun.protect
-            ~finally:(fun () -> unlock t)
-            (fun () -> ignore (evict_to_budget_locked t budget))
-      end
-
-(* ------------------------------------------------------------------ *)
-(* GC                                                                  *)
-(* ------------------------------------------------------------------ *)
-
-(* Deletes entries whose mtime is strictly older than [now - max_age];
-   anything newer than the cutoff survives by construction. Returns
-   (entries removed, bytes freed). *)
-let gc ?(now = Unix.gettimeofday ()) t ~max_age_seconds =
-  with_lock t (fun () ->
-      let cutoff = now -. max_age_seconds in
-      List.fold_left
-        (fun (n, bytes) e ->
-          if e.e_mtime < cutoff then begin
-            remove_entry e;
-            (n + 1, bytes + e.e_bytes)
-          end
-          else (n, bytes))
-        (0, 0) (entries t))
-
-let stat_json t =
-  let s = stat t in
-  let open Riq_util.Json in
-  Obj
-    [
-      ("root", String t.root);
-      ("entries", Int s.entry_count);
-      ("bytes", Int s.total_bytes);
-      ( "oldest_age_seconds",
-        match s.oldest_mtime with
-        | None -> Null
-        | Some m -> Float (Unix.gettimeofday () -. m) );
-      ( "newest_age_seconds",
-        match s.newest_mtime with
-        | None -> Null
-        | Some m -> Float (Unix.gettimeofday () -. m) );
-      ( "budget_bytes",
-        match t.budget_bytes with None -> Null | Some b -> Int b );
-      ("evictions", Int t.evictions);
-    ]
+(* The former shared-store layer, now part of {!Riq_exp.Cache}; kept as an
+   alias for existing callers. *)
+include Riq_exp.Cache

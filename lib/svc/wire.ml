@@ -1,42 +1,28 @@
 (* Length-prefixed JSON framing over a file descriptor.
 
-   Every message — request or response, client/daemon or daemon/worker —
+   Every message between a client and the daemon — request or response —
    is one frame: a 4-byte big-endian payload length followed by that many
    bytes of UTF-8 JSON. The fixed prefix makes the stream self-delimiting
    without scanning, keeps partial reads trivially resumable (the server's
    event loop accumulates bytes per connection and peels off whole frames)
    and puts a hard bound on per-message memory before a single payload
-   byte is read. *)
+   byte is read. The daemon talks to its workers in marshalled frames
+   instead; those belong to {!Riq_exp.Workers}. *)
 
 let max_frame = 64 * 1024 * 1024
-(* A sweep's job batch marshals to well under a megabyte; anything near
-   the cap is a protocol error or a hostile peer, not a bigger sweep. *)
+(* A submit carries its jobs as hex-encoded marshalled values: the paper
+   sweep's 32-job batch is 3.1 MB marshalled and 6.2 MB on the wire, the
+   full 64-job grid about twice that. Anything near the cap is a protocol
+   error or a hostile peer, not a bigger sweep. *)
 
 exception Closed
 exception Protocol_error of string
 
-let rec restart_on_intr f =
-  try f () with Unix.Unix_error (Unix.EINTR, _, _) -> restart_on_intr f
+let write_all = Riq_exp.Workers.write_all
 
 (* [read_exact fd n] raises [Closed] on EOF before [n] bytes. *)
 let read_exact fd n =
-  let b = Bytes.create n in
-  let rec go off =
-    if off = n then b
-    else
-      let r = restart_on_intr (fun () -> Unix.read fd b off (n - off)) in
-      if r = 0 then raise Closed else go (off + r)
-  in
-  go 0
-
-let write_all fd b =
-  let n = Bytes.length b in
-  let rec go off =
-    if off < n then
-      let w = restart_on_intr (fun () -> Unix.write fd b off (n - off)) in
-      go (off + w)
-  in
-  go 0
+  try Riq_exp.Workers.read_exact fd n with End_of_file -> raise Closed
 
 let frame json =
   let payload = Bytes.unsafe_of_string (Riq_util.Json.to_string json) in

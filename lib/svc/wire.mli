@@ -1,5 +1,5 @@
-(** Length-prefixed JSON framing: every message on every socket of the
-    serving subsystem is a 4-byte big-endian length followed by that many
+(** Length-prefixed JSON framing: every message between a client and the
+    serve daemon is a 4-byte big-endian length followed by that many
     bytes of JSON. See DESIGN.md section 7 for the message catalogue. *)
 
 exception Closed
@@ -21,7 +21,6 @@ val frame : Riq_util.Json.t -> bytes
 (** The encoded frame bytes, for callers that buffer writes themselves. *)
 
 val write_all : Unix.file_descr -> bytes -> unit
-val read_exact : Unix.file_descr -> int -> bytes
 
 val to_hex : string -> string
 val of_hex : string -> string

@@ -24,6 +24,32 @@ loop:
 let tiny_job ?(check = false) ?(cycle_limit = Job.default_cycle_limit) () =
   Job.make ~check ~cycle_limit Config.baseline tiny_program
 
+(* Never halts: with an unbounded cycle budget only a wall-clock budget or
+   a kill ends it. *)
+let spin_job =
+  Job.make ~cycle_limit:max_int Config.baseline
+    (Parse.program_exn {|
+loop:
+    j loop
+    halt
+|})
+
+(* A few tenths of a second of simulation: long enough to kill mid-job. *)
+let long_job =
+  Job.make Config.baseline
+    (Parse.program_exn
+       {|
+    li r2, 0
+    li r3, 0
+    li r5, 100000
+loop:
+    add r2, r2, r3
+    addi r3, r3, 1
+    slt r4, r3, r5
+    bne r4, r0, loop
+    halt
+|})
+
 let with_temp_cache f =
   let root = Filename.temp_dir "riq-cache-test" "" in
   Fun.protect
@@ -55,7 +81,7 @@ let test_fingerprint_sensitivity () =
 (* The property the on-disk cache depends on: the fingerprint of the same
    job computed in a different process is byte-identical. *)
 let test_fingerprint_cross_process () =
-  if not (Pool.available ()) then ()
+  if not Sys.unix then ()
   else begin
     let job = Job.make ~check:true (Config.with_iq_size Config.reuse 128) tiny_program in
     let parent_fp = Job.fingerprint job in
@@ -127,6 +153,104 @@ let test_cache_corruption_is_miss () =
       close_out oc;
       Alcotest.(check bool) "corrupt entry reads as miss" true (Cache.find cache key = None))
 
+(* Every single-bit corruption and every truncation of a stored entry
+   reads as a miss: nothing is unmarshalled before the revision stamp and
+   the payload digest check out, so a damaged file can neither crash the
+   reader nor come back as a different outcome. *)
+let test_cache_bit_flips_are_misses () =
+  with_temp_cache (fun cache ->
+      let job =
+        Job.make (Config.with_iq_size Config.reuse 32)
+          (Workloads.program (Workloads.find "tsf"))
+      in
+      let key = Job.fingerprint job in
+      let outcome = Runner.execute job in
+      Cache.store cache key outcome;
+      let file = Cache.path cache key in
+      let intact = In_channel.with_open_bin file In_channel.input_all in
+      let write s = Out_channel.with_open_bin file (fun oc -> output_string oc s) in
+      let hits = ref 0 in
+      for bit = 0 to (8 * String.length intact) - 1 do
+        let b = Bytes.of_string intact in
+        let i = bit / 8 in
+        Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor (1 lsl (bit mod 8))));
+        write (Bytes.to_string b);
+        if Cache.find cache key <> None then incr hits
+      done;
+      Alcotest.(check int) "no bit-flipped entry is a hit" 0 !hits;
+      for len = 0 to String.length intact - 1 do
+        write (String.sub intact 0 len);
+        if Cache.find cache key <> None then incr hits
+      done;
+      Alcotest.(check int) "no truncated entry is a hit" 0 !hits;
+      write intact;
+      Alcotest.(check bool) "intact entry is a hit" true (Cache.find cache key = Some outcome))
+
+(* ------------------------------------------------------------------ *)
+(* Worker pool faults                                                  *)
+(* ------------------------------------------------------------------ *)
+
+(* One select + collect over the pool, bounded so a broken pool fails the
+   test instead of hanging it. *)
+let step pool =
+  let readable, _, _ =
+    Workers.restart_on_intr (fun () -> Unix.select (Workers.fds pool) [] [] 10.)
+  in
+  if readable = [] then Alcotest.fail "no worker became readable";
+  Workers.collect pool readable
+
+let reaped pid =
+  match Unix.waitpid [ Unix.WNOHANG ] pid with
+  | exception Unix.Unix_error (Unix.ECHILD, _, _) -> true
+  | _ -> false
+
+let test_workers_kill_once () =
+  if Sys.unix then begin
+    let expected = Outcome.zero_timing (Runner.execute long_job) in
+    let pool = Workers.create ~workers:1 ~timeout:None () in
+    let first, last =
+      Fun.protect
+        ~finally:(fun () -> Workers.shutdown pool)
+        (fun () ->
+          Workers.submit pool () long_job;
+          let first = List.hd (Workers.pids pool) in
+          ignore (Unix.select [] [] [] 0.05);
+          Unix.kill first Sys.sigkill;
+          Alcotest.(check int) "death is not a result" 0 (List.length (step pool));
+          Alcotest.(check int) "one retry" 1 (Workers.retries pool);
+          match step pool with
+          | [ f ] ->
+              Alcotest.(check bool) "rerun matches in-process" true
+                (Outcome.zero_timing f.Workers.outcome = expected);
+              Alcotest.(check bool) "rerun on a replacement" true (f.Workers.pid <> first);
+              (first, f.Workers.pid)
+          | _ -> Alcotest.fail "expected exactly one finished job")
+    in
+    Alcotest.(check bool) "no worker left after shutdown" true (reaped first && reaped last)
+  end
+
+let test_workers_kill_twice () =
+  if Sys.unix then begin
+    let pool = Workers.create ~workers:1 ~timeout:None () in
+    let pids =
+      Fun.protect
+        ~finally:(fun () -> Workers.shutdown pool)
+        (fun () ->
+          Workers.submit pool "spin" spin_job;
+          let first = List.hd (Workers.pids pool) in
+          Unix.kill first Sys.sigkill;
+          Alcotest.(check int) "first death is retried" 0 (List.length (step pool));
+          let second = List.hd (Workers.pids pool) in
+          Unix.kill second Sys.sigkill;
+          (match step pool with
+          | [ { Workers.key = "spin"; outcome = Error (Outcome.Worker_crashed _); _ } ] -> ()
+          | _ -> Alcotest.fail "expected the job reported as Worker_crashed");
+          Alcotest.(check int) "one retry" 1 (Workers.retries pool);
+          [ first; second ])
+    in
+    Alcotest.(check bool) "no worker left after shutdown" true (List.for_all reaped pids)
+  end
+
 (* ------------------------------------------------------------------ *)
 (* Engine                                                              *)
 (* ------------------------------------------------------------------ *)
@@ -180,6 +304,24 @@ let test_engine_dedup () =
   Alcotest.(check int) "one execution" 1 s.Engine.executed;
   Alcotest.(check int) "two deduped" 2 s.Engine.deduped;
   Alcotest.(check bool) "identical outcomes" true (out.(0) = out.(1) && out.(1) = out.(2))
+
+(* A job past the wall-clock budget is killed and recorded; the batch's
+   other jobs are untouched. Two or more jobs, because a single job runs
+   in-process, where no budget applies. *)
+let test_engine_timeout () =
+  let jobs = [| tiny_job (); spin_job; Job.make Config.reuse tiny_program |] in
+  let engine = Engine.create ~workers:2 ~timeout:0.5 () in
+  let out = Engine.run engine jobs in
+  Alcotest.(check bool) "non-halting job timed out" true
+    (out.(1) = Error (Outcome.Job_timeout 0.5));
+  List.iter
+    (fun i ->
+      Alcotest.(check bool)
+        (Printf.sprintf "job %d matches in-process" i)
+        true
+        (Outcome.zero_timing out.(i) = Outcome.zero_timing (Runner.execute jobs.(i))))
+    [ 0; 2 ];
+  Alcotest.(check int) "one timeout counted" 1 (Engine.stats engine).Engine.timeouts
 
 (* One diverging job must not take the batch down — and must keep its
    structured error. Run through the pool to exercise the worker path. *)
@@ -243,6 +385,11 @@ let suites =
         Alcotest.test_case "fingerprint cross-process" `Quick test_fingerprint_cross_process;
         Alcotest.test_case "cache round trip" `Quick test_cache_round_trip;
         Alcotest.test_case "cache corruption" `Quick test_cache_corruption_is_miss;
+        Alcotest.test_case "cache bit flips are misses" `Quick
+          test_cache_bit_flips_are_misses;
+        Alcotest.test_case "workers kill once, rerun" `Quick test_workers_kill_once;
+        Alcotest.test_case "workers kill twice, crashed" `Quick test_workers_kill_twice;
+        Alcotest.test_case "engine timeout" `Quick test_engine_timeout;
         Alcotest.test_case "parallel sweep bit-identical" `Slow
           test_parallel_sweep_bit_identical;
         Alcotest.test_case "warm cache executes nothing" `Quick

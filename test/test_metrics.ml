@@ -64,87 +64,6 @@ let test_log_buckets () =
   Alcotest.(check bool) "strictly ascending" true !ascending;
   Alcotest.(check bool) "spans minutes" true (d.(29) > 300.)
 
-(* ---- Snapshot merge across a real fork ---- *)
-
-let find_sample name snap =
-  match List.find_opt (fun s -> s.Metrics.s_name = name) snap with
-  | Some s -> s.Metrics.s_value
-  | None -> Alcotest.fail ("series missing: " ^ name)
-
-(* The worker protocol in miniature: the child instruments its own
-   registry and ships one marshaled snapshot back over a pipe; the parent
-   merges it with its own. Counters and buckets add; gauges add (the
-   fleet-sum convention for per-worker gauges). *)
-let instrument m ~jobs ~inflight ~observations =
-  Metrics.add (Metrics.counter m "jobs_total") jobs;
-  Metrics.set (Metrics.gauge m "inflight") inflight;
-  let h = Metrics.histogram m ~buckets:[| 0.1; 1. |] "dur_seconds" in
-  List.iter (Metrics.observe h) observations;
-  m
-
-let test_fork_merge () =
-  let rd, wr = Unix.pipe () in
-  match Unix.fork () with
-  | 0 ->
-      Unix.close rd;
-      let m =
-        instrument (Metrics.create ()) ~jobs:3 ~inflight:2. ~observations:[ 0.5; 5. ]
-      in
-      let oc = Unix.out_channel_of_descr wr in
-      Marshal.to_channel oc (Metrics.snapshot m) [];
-      flush oc;
-      Unix._exit 0
-  | pid ->
-      Unix.close wr;
-      let ic = Unix.in_channel_of_descr rd in
-      let child : Metrics.snapshot = Marshal.from_channel ic in
-      close_in ic;
-      (match Unix.waitpid [] pid with
-      | _, Unix.WEXITED 0 -> ()
-      | _ -> Alcotest.fail "child did not exit cleanly");
-      let parent =
-        instrument (Metrics.create ()) ~jobs:2 ~inflight:1. ~observations:[ 0.05 ]
-      in
-      let merged = Metrics.merge (Metrics.snapshot parent) child in
-      (match find_sample "jobs_total" merged with
-      | Metrics.Counter_sample v -> Alcotest.(check int) "counters add" 5 v
-      | _ -> Alcotest.fail "jobs_total not a counter");
-      (match find_sample "inflight" merged with
-      | Metrics.Gauge_sample v -> Alcotest.(check (float 0.)) "gauges add" 3. v
-      | _ -> Alcotest.fail "inflight not a gauge");
-      (match find_sample "dur_seconds" merged with
-      | Metrics.Histogram_sample { counts; sum; _ } ->
-          Alcotest.(check (array int)) "buckets add" [| 1; 1; 1 |] counts;
-          Alcotest.(check (float 1e-9)) "sums add" 5.55 sum
-      | _ -> Alcotest.fail "dur_seconds not a histogram");
-      (* absorb folds the same snapshot into live registry state. *)
-      let live =
-        instrument (Metrics.create ()) ~jobs:2 ~inflight:1. ~observations:[ 0.05 ]
-      in
-      Metrics.absorb live child;
-      Alcotest.(check bool) "absorb = merge" true (Metrics.snapshot live = merged)
-
-let test_merge_mismatch () =
-  let snap_of build =
-    let m = Metrics.create () in
-    build m;
-    Metrics.snapshot m
-  in
-  let refuses a b =
-    try
-      ignore (Metrics.merge a b);
-      false
-    with Invalid_argument _ -> true
-  in
-  Alcotest.(check bool) "kind mismatch" true
-    (refuses
-       (snap_of (fun m -> ignore (Metrics.counter m "x_total")))
-       (snap_of (fun m -> ignore (Metrics.gauge m "x_total"))));
-  Alcotest.(check bool) "bounds mismatch" true
-    (refuses
-       (snap_of (fun m -> ignore (Metrics.histogram m ~buckets:[| 1. |] "h_seconds")))
-       (snap_of (fun m -> ignore (Metrics.histogram m ~buckets:[| 2. |] "h_seconds"))))
-
 (* ---- Exposition ---- *)
 
 let golden_registry () =
@@ -238,8 +157,6 @@ let suites =
         Alcotest.test_case "registration" `Quick test_registration;
         Alcotest.test_case "histogram bucket edges" `Quick test_bucket_edges;
         Alcotest.test_case "log buckets" `Quick test_log_buckets;
-        Alcotest.test_case "merge across fork" `Quick test_fork_merge;
-        Alcotest.test_case "merge mismatch" `Quick test_merge_mismatch;
         Alcotest.test_case "prometheus golden" `Quick test_prometheus_golden;
         Alcotest.test_case "label escaping" `Quick test_label_escaping;
         Alcotest.test_case "json round trip" `Quick test_json_round_trip;

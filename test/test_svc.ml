@@ -1,7 +1,8 @@
 (* The serving subsystem: wire framing, protocol message round-trips, the
-   shared store's concurrency machinery (lockfile, LRU eviction, gc), and
-   an end-to-end forked daemon exercised through the engine's remote
-   backend — including the 100%-hit repeat and the SIGTERM drain. *)
+   shared store's concurrency machinery ({!Cache}: lockfile, LRU
+   eviction, gc), and an end-to-end forked daemon exercised through the
+   engine's remote backend — including the 100%-hit repeat, the SIGTERM
+   drain, a job past its budget and frames split across socket reads. *)
 
 open Riq_asm
 open Riq_ooo
@@ -32,7 +33,7 @@ let with_temp_dir f =
   Fun.protect ~finally:(fun () -> rm_rf dir) (fun () -> f dir)
 
 let with_temp_store ?budget_bytes f =
-  with_temp_dir (fun dir -> f (Store.open_ ~root:(Filename.concat dir "cache") ?budget_bytes ()))
+  with_temp_dir (fun dir -> f (Cache.open_ ~root:(Filename.concat dir "cache") ?budget_bytes ()))
 
 (* ------------------------------------------------------------------ *)
 (* Wire framing                                                        *)
@@ -156,7 +157,7 @@ let test_address_parsing () =
   | _ -> Alcotest.fail "non-numeric port means Unix socket"
 
 (* ------------------------------------------------------------------ *)
-(* Store                                                               *)
+(* Shared store (Cache)                                                *)
 (* ------------------------------------------------------------------ *)
 
 let stored_outcome = lazy (Runner.execute (tiny_job ()))
@@ -167,7 +168,7 @@ let store_n store n =
   List.map
     (fun i ->
       let key = Job.fingerprint (tiny_job ~cycle_limit:(1000 + i) ()) in
-      Store.store store key outcome;
+      Cache.store store key outcome;
       key)
     (List.init n Fun.id)
 
@@ -179,11 +180,11 @@ let set_mtimes store keys =
     (fun i key ->
       let entry =
         List.find
-          (fun e -> Filename.basename e.Store.e_path = key)
-          (Store.entries store)
+          (fun e -> Filename.basename e.Cache.e_path = key)
+          (Cache.entries store)
       in
       let t = now -. 1000. +. (10. *. float_of_int i) in
-      Unix.utimes entry.Store.e_path t t)
+      Unix.utimes entry.Cache.e_path t t)
     keys;
   now
 
@@ -191,57 +192,57 @@ let test_store_round_trip () =
   with_temp_store (fun store ->
       let job = tiny_job () in
       let key = Job.fingerprint job in
-      Alcotest.(check bool) "cold miss" true (Store.find store key = None);
+      Alcotest.(check bool) "cold miss" true (Cache.find store key = None);
       let outcome = Lazy.force stored_outcome in
-      Store.store store key outcome;
-      Alcotest.(check bool) "hit after store" true (Store.find store key = Some outcome);
-      let s = Store.stat store in
-      Alcotest.(check int) "one entry" 1 s.Store.entry_count;
-      Alcotest.(check bool) "bytes counted" true (s.Store.total_bytes > 0))
+      Cache.store store key outcome;
+      Alcotest.(check bool) "hit after store" true (Cache.find store key = Some outcome);
+      let s = Cache.stat store in
+      Alcotest.(check int) "one entry" 1 s.Cache.entry_count;
+      Alcotest.(check bool) "bytes counted" true (s.Cache.total_bytes > 0))
 
 let test_store_find_touches () =
   with_temp_store (fun store ->
       let keys = store_n store 1 in
       let key = List.hd keys in
-      let entry () = List.hd (Store.entries store) in
-      Unix.utimes (entry ()).Store.e_path 1000. 1000.;
-      Alcotest.(check bool) "mtime pinned old" true ((entry ()).Store.e_mtime < 2000.);
-      ignore (Store.find store key);
+      let entry () = List.hd (Cache.entries store) in
+      Unix.utimes (entry ()).Cache.e_path 1000. 1000.;
+      Alcotest.(check bool) "mtime pinned old" true ((entry ()).Cache.e_mtime < 2000.);
+      ignore (Cache.find store key);
       (* A read refreshes recency: the entry must no longer be the
          1000-epoch relic, i.e. LRU order follows use, not creation. *)
       Alcotest.(check bool) "read refreshed mtime" true
-        ((entry ()).Store.e_mtime > 1000000.))
+        ((entry ()).Cache.e_mtime > 1000000.))
 
 let test_store_eviction_respects_budget () =
   with_temp_store (fun store ->
       let keys = store_n store 5 in
       ignore (set_mtimes store keys);
-      let per_entry = (List.hd (Store.entries store)).Store.e_bytes in
+      let per_entry = (List.hd (Cache.entries store)).Cache.e_bytes in
       let budget = (2 * per_entry) + (per_entry / 2) in
-      let removed = Store.evict_to_budget store budget in
+      let removed = Cache.evict_to_budget store budget in
       Alcotest.(check int) "evicted down to budget" 3 removed;
-      let s = Store.stat store in
-      Alcotest.(check int) "two entries left" 2 s.Store.entry_count;
-      Alcotest.(check bool) "under budget" true (s.Store.total_bytes <= budget);
+      let s = Cache.stat store in
+      Alcotest.(check int) "two entries left" 2 s.Cache.entry_count;
+      Alcotest.(check bool) "under budget" true (s.Cache.total_bytes <= budget);
       (* LRU: the two most recently used survive. *)
-      let survivors = List.map (fun e -> Filename.basename e.Store.e_path) (Store.entries store) in
+      let survivors = List.map (fun e -> Filename.basename e.Cache.e_path) (Cache.entries store) in
       List.iteri
         (fun i key ->
           Alcotest.(check bool)
             (Printf.sprintf "entry %d %s" i (if i >= 3 then "kept" else "evicted"))
             (i >= 3) (List.mem key survivors))
         keys;
-      Alcotest.(check int) "eviction counter" 3 (Store.evictions store))
+      Alcotest.(check int) "eviction counter" 3 (Cache.evictions store))
 
 let test_store_gc_respects_cutoff () =
   with_temp_store (fun store ->
       let keys = store_n store 4 in
       let now = set_mtimes store keys in
       (* Ages are 1000, 990, 980, 970 seconds; cut at 985. *)
-      let removed, bytes = Store.gc ~now store ~max_age_seconds:985. in
+      let removed, bytes = Cache.gc ~now store ~max_age_seconds:985. in
       Alcotest.(check int) "two old entries removed" 2 removed;
       Alcotest.(check bool) "bytes freed" true (bytes > 0);
-      let survivors = List.map (fun e -> Filename.basename e.Store.e_path) (Store.entries store) in
+      let survivors = List.map (fun e -> Filename.basename e.Cache.e_path) (Cache.entries store) in
       List.iteri
         (fun i key ->
           Alcotest.(check bool)
@@ -249,51 +250,51 @@ let test_store_gc_respects_cutoff () =
                (if i >= 2 then "kept" else "removed"))
             (i >= 2) (List.mem key survivors))
         keys;
-      let removed', _ = Store.gc ~now store ~max_age_seconds:985. in
+      let removed', _ = Cache.gc ~now store ~max_age_seconds:985. in
       Alcotest.(check int) "gc is idempotent" 0 removed')
 
 let test_store_budget_enforced_on_store () =
   with_temp_dir (fun dir ->
       let root = Filename.concat dir "cache" in
-      let probe = Store.open_ ~root () in
+      let probe = Cache.open_ ~root () in
       let keys = store_n probe 1 in
-      let per_entry = (List.hd (Store.entries probe)).Store.e_bytes in
+      let per_entry = (List.hd (Cache.entries probe)).Cache.e_bytes in
       ignore keys;
       rm_rf root;
       (* Budget for ~3 entries; write 64 so several of the amortized
          every-32nd-store sweeps trigger. *)
-      let store = Store.open_ ~root ~budget_bytes:(3 * per_entry) () in
+      let store = Cache.open_ ~root ~budget_bytes:(3 * per_entry) () in
       ignore (store_n store 64);
-      let s = Store.stat store in
+      let s = Cache.stat store in
       Alcotest.(check bool) "amortized eviction kept the store bounded" true
-        (s.Store.entry_count < 40);
-      Alcotest.(check bool) "evictions counted" true (Store.evictions store > 0))
+        (s.Cache.entry_count < 40);
+      Alcotest.(check bool) "evictions counted" true (Cache.evictions store > 0))
 
 let test_store_lock_stale_break () =
   with_temp_store (fun store ->
-      let lock_path = Filename.concat (Store.root store) ".riq-lock" in
+      let lock_path = Filename.concat (Cache.root store) ".riq-lock" in
       let fd = Unix.openfile lock_path [ Unix.O_CREAT; Unix.O_WRONLY ] 0o644 in
       Unix.close fd;
       Unix.utimes lock_path 1000. 1000.;
       (* A lockfile from a dead holder must not wedge maintenance. *)
-      Store.with_lock ~timeout:5. store (fun () -> ());
+      Cache.with_lock ~timeout:5. store (fun () -> ());
       Alcotest.(check bool) "fresh lock released" true (not (Sys.file_exists lock_path)))
 
 (* Cross-process mutual exclusion: two forked writers increment a shared
    counter file under the store lock; lost updates would leave the final
    count short. *)
 let test_store_lock_contention () =
-  if not (Pool.available ()) then ()
+  if not Sys.unix then ()
   else
     with_temp_store (fun store ->
-        let counter = Filename.concat (Store.root store) "counter" in
+        let counter = Filename.concat (Cache.root store) "counter" in
         let oc = open_out counter in
         output_string oc "0";
         close_out oc;
         let rounds = 25 in
         let child () =
           for _ = 1 to rounds do
-            Store.with_lock ~timeout:30. store (fun () ->
+            Cache.with_lock ~timeout:30. store (fun () ->
                 let ic = open_in counter in
                 let v = int_of_string (input_line ic) in
                 close_in ic;
@@ -326,14 +327,14 @@ let test_store_lock_contention () =
    it: every read sees either a miss or one complete, valid outcome —
    never a torn entry. *)
 let test_store_concurrent_writers_one_fingerprint () =
-  if not (Pool.available ()) then ()
+  if not Sys.unix then ()
   else
     with_temp_store (fun store ->
         let key = Job.fingerprint (tiny_job ()) in
         let outcome = Lazy.force stored_outcome in
         let writer () =
           for _ = 1 to 50 do
-            Store.store store key outcome
+            Cache.store store key outcome
           done;
           Unix._exit 0
         in
@@ -343,7 +344,7 @@ let test_store_concurrent_writers_one_fingerprint () =
           List.init 2 (fun _ -> match Unix.fork () with 0 -> writer () | pid -> pid)
         in
         for _ = 1 to 200 do
-          match Store.find store key with
+          match Cache.find store key with
           | None -> ()
           | Some got ->
               Alcotest.(check bool) "read is complete and valid" true (got = outcome)
@@ -355,14 +356,14 @@ let test_store_concurrent_writers_one_fingerprint () =
             | _ -> Alcotest.fail "writer child failed")
           pids;
         Alcotest.(check bool) "entry present at the end" true
-          (Store.find store key = Some outcome))
+          (Cache.find store key = Some outcome))
 
 (* ------------------------------------------------------------------ *)
 (* End-to-end daemon                                                   *)
 (* ------------------------------------------------------------------ *)
 
-let with_daemon ?(workers = 1) f =
-  if not (Pool.available ()) then ()
+let with_daemon ?(workers = 1) ?(timeout = 60.) f =
+  if not Sys.unix then ()
   else
     with_temp_dir (fun dir ->
         let sock = Filename.concat dir "d.sock" in
@@ -371,9 +372,9 @@ let with_daemon ?(workers = 1) f =
         match Unix.fork () with
         | 0 ->
             (try
-               let store = Store.open_ ~root:(Filename.concat dir "cache") () in
+               let store = Cache.open_ ~root:(Filename.concat dir "cache") () in
                Server.serve
-                 (Server.config ~workers ~timeout:(Some 60.)
+                 (Server.config ~workers ~timeout:(Some timeout)
                     ~address:(Protocol.Unix_socket sock) store)
              with _ -> Unix._exit 1);
             Unix._exit 0
@@ -462,7 +463,7 @@ let test_daemon_end_to_end () =
             (member_int [ "hits" ] stats);
           Alcotest.(check int) "daemon executed counter" (Array.length jobs)
             (member_int [ "executed" ] stats));
-      (* The metrics op: the fleet snapshot carries the store-hit counter
+      (* The metrics op: the daemon snapshot carries the store-hit counter
          CI asserts on, and the duration histograms saw every executed
          job (cold run) and every dispatch. *)
       (match Client.server_metrics c2 with
@@ -483,17 +484,12 @@ let test_daemon_end_to_end () =
               Alcotest.(check int) "serve_executed_total = cold submits"
                 (Array.length jobs) v
           | _ -> Alcotest.fail "serve_executed_total not a counter");
-          (match sample "serve_simulate_seconds" with
+          match sample "serve_simulate_seconds" with
           | Riq_obs.Metrics.Histogram_sample { counts; _ } ->
               Alcotest.(check int) "simulate histogram counts executions"
                 (Array.length jobs)
                 (Array.fold_left ( + ) 0 counts)
           | _ -> Alcotest.fail "serve_simulate_seconds not a histogram");
-          (match sample "worker_jobs_total" with
-          | Riq_obs.Metrics.Counter_sample v ->
-              Alcotest.(check int) "worker snapshots merged in"
-                (Array.length jobs) v
-          | _ -> Alcotest.fail "worker_jobs_total not a counter"));
       (match Client.server_exposition c2 with
       | Error msg -> Alcotest.fail ("exposition op failed: " ^ msg)
       | Ok text ->
@@ -547,6 +543,64 @@ let test_daemon_batch_class () =
         (norm got = norm expected);
       Client.close client)
 
+(* A job past the daemon's budget is answered [Job_timeout], counted, and
+   the daemon keeps serving on a fresh worker. *)
+let test_daemon_timeout () =
+  with_daemon ~timeout:0.5 (fun ~sock ~pid:_ ->
+      let spin =
+        Job.make ~cycle_limit:max_int Config.baseline
+          (Parse.program_exn "loop:\n    j loop\n    halt\n")
+      in
+      let client = Client.connect ~request_timeout:30. (Protocol.Unix_socket sock) in
+      let engine = Riq_exp.Engine.create ~backend:(Client.backend client) () in
+      Alcotest.(check bool) "ticket answered Job_timeout" true
+        ((Riq_exp.Engine.run engine [| spin |]).(0) = Error (Outcome.Job_timeout 0.5));
+      (match Client.server_metrics client with
+      | Error msg -> Alcotest.fail ("metrics op failed: " ^ msg)
+      | Ok snap -> (
+          match
+            List.find_opt (fun s -> s.Riq_obs.Metrics.s_name = "serve_timeouts_total") snap
+          with
+          | Some { Riq_obs.Metrics.s_value = Riq_obs.Metrics.Counter_sample v; _ } ->
+              Alcotest.(check int) "serve_timeouts_total" 1 v
+          | _ -> Alcotest.fail "serve_timeouts_total missing"));
+      let job = tiny_job () in
+      Alcotest.(check bool) "next submit succeeds" true
+        (Outcome.zero_timing (Riq_exp.Engine.run engine [| job |]).(0)
+        = Outcome.zero_timing (Runner.execute job));
+      Client.close client)
+
+(* Frames do not line up with reads: two requests in one write, then one
+   request dribbled over several writes. Every request gets its answer. *)
+let test_daemon_split_frames () =
+  with_daemon (fun ~sock ~pid:_ ->
+      let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+      Fun.protect
+        ~finally:(fun () -> Unix.close fd)
+        (fun () ->
+          Unix.connect fd (Unix.ADDR_UNIX sock);
+          Unix.setsockopt_float fd Unix.SO_RCVTIMEO 10.;
+          let frame req = Wire.frame (Protocol.request_to_json req) in
+          let hello =
+            Protocol.Hello
+              { revision = Revision.stamp; format = Revision.format_version; t_client = None }
+          in
+          Wire.write_all fd (Bytes.cat (frame hello) (frame Protocol.Stats));
+          let stats = frame Protocol.Stats in
+          let n = Bytes.length stats in
+          List.iter
+            (fun (off, len) ->
+              Wire.write_all fd (Bytes.sub stats off len);
+              ignore (Unix.select [] [] [] 0.05))
+            [ (0, 2); (2, 3); (5, n - 5) ];
+          Alcotest.(check bool) "hello answered" true (Protocol.is_ok (Wire.recv fd));
+          for i = 1 to 2 do
+            Alcotest.(check bool)
+              (Printf.sprintf "stats %d answered" i)
+              true
+              (Json.member "submitted" (Wire.recv fd) <> None)
+          done))
+
 (* ------------------------------------------------------------------ *)
 (* The sweep export survives its own parser                            *)
 (* ------------------------------------------------------------------ *)
@@ -599,6 +653,8 @@ let suites =
         Alcotest.test_case "end to end, warm repeat 100% hits" `Slow
           test_daemon_end_to_end;
         Alcotest.test_case "batch class end to end" `Slow test_daemon_batch_class;
+        Alcotest.test_case "job past budget times out" `Slow test_daemon_timeout;
+        Alcotest.test_case "frames split across reads" `Slow test_daemon_split_frames;
         Alcotest.test_case "sweep json parses" `Slow test_sweep_json_parses;
       ] );
   ]
