@@ -111,13 +111,7 @@ let run_cmd =
            ~doc:"Write the unified run report (stats, power groups, loop decisions, \
                  sampler summary) as schema-versioned JSON.")
   in
-  let repeat =
-    Arg.(value & opt int 1 & info [ "repeat" ] ~docv:"N"
-           ~doc:"Run the simulation N times on fresh processor instances and report \
-                 the median wall time (results are deterministic; only timing varies).")
-  in
-  let action bench file iq reuse optimized breakdown check report repeat =
-    if repeat < 1 then failwith "--repeat must be >= 1";
+  let action bench file iq reuse optimized breakdown check report =
     let program = load_program bench file optimized in
     let cfg = Config.with_iq_size (if reuse then Config.reuse else Config.baseline) iq in
     let sampler =
@@ -125,35 +119,12 @@ let run_cmd =
       | None -> None
       | Some _ -> Some (Riq_obs.Sampler.create ~channels:Processor.sample_channels ())
     in
-    (* With --repeat, the simulation runs N times on fresh processor
-       instances (results are deterministic, so only timing varies); the
-       median wall time is the reported figure and the last instance
-       supplies the stats. The sampler only rides the last run. *)
-    let walls = Array.make repeat 0. in
-    let last = ref None in
-    let last_cpu = ref 0. in
-    for i = 0 to repeat - 1 do
-      let sampler = if i = repeat - 1 then sampler else None in
-      let p = Processor.create ?sampler cfg program in
-      let w0 = Unix.gettimeofday () in
-      let c0 = (Unix.times ()).Unix.tms_utime in
-      (match Processor.run p with
-      | Processor.Halted -> ()
-      | Processor.Cycle_limit -> failwith "cycle limit exceeded");
-      last_cpu := (Unix.times ()).Unix.tms_utime -. c0;
-      walls.(i) <- Unix.gettimeofday () -. w0;
-      last := Some p
-    done;
-    let p = match !last with Some p -> p | None -> assert false in
-    let wall_median =
-      let a = Array.copy walls in
-      Array.sort compare a;
-      a.(Array.length a / 2)
-    in
-    if repeat > 1 then
-      Printf.printf "wall time           %.4f s median of %d runs (%.3f Minsns/s)\n"
-        wall_median repeat
-        (float_of_int (Processor.committed p) /. wall_median /. 1e6);
+    let p = Processor.create ?sampler cfg program in
+    let c0 = (Unix.times ()).Unix.tms_utime in
+    (match Processor.run p with
+    | Processor.Halted -> ()
+    | Processor.Cycle_limit -> failwith "cycle limit exceeded");
+    let sim_seconds = (Unix.times ()).Unix.tms_utime -. c0 in
     if check then begin
       let m = Riq_interp.Machine.create program in
       match Riq_interp.Machine.run m with
@@ -172,7 +143,7 @@ let run_cmd =
     let result =
       {
         Run.stats = Processor.stats p;
-        sim_seconds = !last_cpu;
+        sim_seconds;
         icache_power = Account.group_power acct Component.G_icache;
         bpred_power = Account.group_power acct Component.G_bpred;
         iq_power = Account.group_power acct Component.G_iq;
@@ -191,8 +162,7 @@ let run_cmd =
   Cmd.v
     (Cmd.info "run" ~doc:"Simulate a benchmark or an assembly file")
     Term.(
-      const action $ bench $ file $ iq $ reuse $ optimized $ breakdown $ check $ report
-      $ repeat)
+      const action $ bench $ file $ iq $ reuse $ optimized $ breakdown $ check $ report)
 
 let bench_cmd =
   let action () =
@@ -426,7 +396,10 @@ let fig_cmd =
       | "revokes" -> emit (Figures.revoke_causes ())
       | "nblt" -> emit (Figures.nblt_ablation ~engine ~check ())
       | "strategy" -> emit (Figures.strategy_ablation ~engine ~check ())
-      | "related" -> emit (Figures.related_work ~engine ~check ())
+      | "related" ->
+          emit (Figures.related_work ~engine ~check ~iq_size:64 ());
+          print_newline ();
+          emit (Figures.related_work ~engine ~check ~iq_size:256 ())
       | "predictor" -> emit (Figures.predictor_ablation ~engine ~check ())
       | "unroll" -> emit (Figures.unroll_ablation ~engine ~check ())
       | other -> failwith ("unknown figure: " ^ other)

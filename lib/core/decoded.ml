@@ -5,9 +5,9 @@ open Riq_interp
 
 (* Struct-of-arrays side tables for one program, built once at
    [Processor.create]: every per-instruction property the cycle loop
-   needs, pre-derived from the packed words so the hot path is pure
-   [int array]/flag-array indexing — no constructor matches, no option
-   or tuple allocation, no per-cycle re-derivation.
+   needs, pre-derived from the program's instructions so the hot path
+   is pure [int array]/flag-array indexing — no constructor matches, no
+   option or tuple allocation, no per-cycle re-derivation.
 
    Indexing is by word index [wi = (pc - text_base) / 4]; [valid] tells
    whether a pc maps into the text segment at all (the flat-array
@@ -28,8 +28,6 @@ let ext_u16 = 4
 type t = {
   n : int;
   text_base : int;
-  insns : Insn.t array;  (** original constructors; rare seams only *)
-  words : Packed.word array;
   exe : int array;  (** [Insn.code] per word *)
   kind : Insn.kind array;
   fu : Insn.fu_class array;
@@ -107,8 +105,6 @@ let of_program (p : Program.t) =
     {
       n;
       text_base;
-      insns = Array.copy code;
-      words = Packed.of_code_array code;
       exe = Array.make n 0;
       kind = Array.make n Insn.K_nop;
       fu = Array.make n Insn.FU_none;
@@ -158,61 +154,3 @@ let of_program (p : Program.t) =
       (match Insn.ctrl_target insn ~pc with Some tgt -> tgt | None -> -1)
   done;
   t
-
-(* ------------------------------------------------------------------ *)
-(* Dispatch descriptors: the decode-cache payload.                     *)
-(* ------------------------------------------------------------------ *)
-
-(* Everything rename/dispatch needs about one instruction, packed into a
-   single int so a decode-cache hit replaces ~10 side-table loads with
-   one load and a few shifts:
-
-     bits  0..6   r1 + 1
-     bits  7..13  r2 + 1
-     bits 14..20  dst + 1
-     bits 21..25  latency
-     bits 26..28  fu class
-     bit  29     pipelined
-     bit  30     is_mem
-     bit  31     is_store
-     bit  32     is_fp_mem
-     bit  33     is_ctrl
-     bits 34..36  load extension code
-     bits 37..39  access width *)
-
-let fu_to_int = function
-  | Insn.FU_none -> 0
-  | FU_ialu -> 1
-  | FU_imult -> 2
-  | FU_fpalu -> 3
-  | FU_fpmult -> 4
-  | FU_mem -> 5
-
-let fu_of_int = [| Insn.FU_none; FU_ialu; FU_imult; FU_fpalu; FU_fpmult; FU_mem |]
-
-let descriptor t wi =
-  (t.r1.(wi) + 1)
-  lor ((t.r2.(wi) + 1) lsl 7)
-  lor ((t.dst.(wi) + 1) lsl 14)
-  lor (t.lat.(wi) lsl 21)
-  lor (fu_to_int t.fu.(wi) lsl 26)
-  lor ((if t.pipe.(wi) then 1 else 0) lsl 29)
-  lor ((if t.is_mem.(wi) then 1 else 0) lsl 30)
-  lor ((if t.is_store.(wi) then 1 else 0) lsl 31)
-  lor ((if t.is_fp_mem.(wi) then 1 else 0) lsl 32)
-  lor ((if t.is_ctrl.(wi) then 1 else 0) lsl 33)
-  lor (t.ext.(wi) lsl 34)
-  lor (t.width.(wi) lsl 37)
-
-let d_r1 d = (d land 0x7F) - 1
-let d_r2 d = ((d lsr 7) land 0x7F) - 1
-let d_dst d = ((d lsr 14) land 0x7F) - 1
-let d_lat d = (d lsr 21) land 0x1F
-let d_fu d = fu_of_int.((d lsr 26) land 0x7)
-let d_pipe d = (d lsr 29) land 1 <> 0
-let d_is_mem d = (d lsr 30) land 1 <> 0
-let d_is_store d = (d lsr 31) land 1 <> 0
-let d_is_fp_mem d = (d lsr 32) land 1 <> 0
-let d_is_ctrl d = (d lsr 33) land 1 <> 0
-let d_ext d = (d lsr 34) land 0x7
-let d_width d = (d lsr 37) land 0x7

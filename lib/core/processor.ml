@@ -111,11 +111,6 @@ type loop_decision = {
   mutable ld_reuse_committed : int; (* committed instructions supplied by reuse *)
 }
 
-(* Ways of the steady-state decode cache: dispatch descriptors for the
-   loop being buffered, installed when buffering starts and keyed by the
-   loop tail — the same key the reuse IQ and the NBLT use. *)
-let dc_ways = 16
-
 type t = {
   cfg : Config.t;
   program : Program.t;
@@ -158,13 +153,6 @@ type t = {
   mutable rp2_seq : int array;
   mutable rp2_rob : int array;
   mutable rp2_addr : int array;
-  (* Decode cache: per-way loop window [dc_head..dc_tail] (word indices)
-     and the dispatch descriptors covering it. *)
-  dc_head : int array;
-  dc_tail : int array;
-  dc_desc : int array array;
-  mutable dc_hits : int;
-  mutable dc_installs : int;
   (* Issue-select scratch, [issue_width] wide, reset every cycle. *)
   issue_cand : Iq.slot array;
   issue_cand_seq : int array;
@@ -268,11 +256,6 @@ let create ?tracer ?sampler cfg program =
     rp2_seq = Array.make 16 0;
     rp2_rob = Array.make 16 0;
     rp2_addr = Array.make 16 0;
-    dc_head = Array.make dc_ways (-1);
-    dc_tail = Array.make dc_ways (-1);
-    dc_desc = Array.init dc_ways (fun _ -> [||]);
-    dc_hits = 0;
-    dc_installs = 0;
     issue_cand = Array.make cfg.Config.issue_width (Iq.slots iq).(0);
     issue_cand_seq = Array.make cfg.Config.issue_width max_int;
     attr_memo = Array.make (max 1 (Array.length program.Program.code)) None;
@@ -972,11 +955,15 @@ let issue_stage t =
   done
 
 (* ------------------------------------------------------------------ *)
-(* Dispatch (rename + queue): normal mode.                             *)
+(* Dispatch steps shared by normal and reuse dispatch.                 *)
 (* ------------------------------------------------------------------ *)
 
-let fill_rob_entry t ~rob_idx ~seq ~pc ~wi ~pred_npc ~ras_ck ~from_reuse ~dst
-    ~is_store ~is_ctrl =
+(* Claim and fill the ROB entry of one dispatched instance of word [wi]
+   and, for a memory operation, its LSQ entry; returns the ROB index. *)
+let claim_entries t ~seq ~wi ~pc ~pred_npc ~ras_ck ~from_reuse =
+  let d = t.dec in
+  let rob_idx = Rob.alloc t.rob in
+  charge1 t Component.Rob;
   let e = Rob.entry t.rob rob_idx in
   e.Rob.seq <- seq;
   e.Rob.pc <- pc;
@@ -984,103 +971,77 @@ let fill_rob_entry t ~rob_idx ~seq ~pc ~wi ~pred_npc ~ras_ck ~from_reuse ~dst
   e.Rob.completed <- false;
   e.Rob.value_i <- 0;
   e.Rob.value_f <- 0.;
-  e.Rob.dest <- dst;
-  e.Rob.is_store <- is_store;
+  e.Rob.dest <- d.Decoded.dst.(wi);
+  e.Rob.is_store <- d.Decoded.is_store.(wi);
   e.Rob.lsq_idx <- -1;
-  e.Rob.is_ctrl <- is_ctrl;
+  e.Rob.is_ctrl <- d.Decoded.is_ctrl.(wi);
   e.Rob.pred_npc <- pred_npc;
   e.Rob.actual_npc <- pc + 4;
   e.Rob.taken <- false;
   e.Rob.ras_ck <- ras_ck;
   e.Rob.from_reuse <- from_reuse;
-  e
+  if d.Decoded.is_mem.(wi) then begin
+    let li = Lsq.alloc t.lsq in
+    let le = Lsq.entry t.lsq li in
+    le.Lsq.seq <- seq;
+    le.Lsq.rob_idx <- rob_idx;
+    le.Lsq.is_store <- e.Rob.is_store;
+    le.Lsq.is_fp <- d.Decoded.is_fp_mem.(wi);
+    le.Lsq.width <- d.Decoded.width.(wi);
+    e.Rob.lsq_idx <- li
+  end;
+  rob_idx
 
-let rename_into_slot t (s : Iq.slot) ~seq ~rob_idx ~pc ~wi ~pred_npc ~d =
+(* Rename one instance of word [wi] into slot [s]: read both sources
+   through the map table, then remap the destination — after the reads,
+   so an instruction that reads its own destination register sees the
+   older producer. *)
+let rename_operands t (s : Iq.slot) ~wi ~seq ~rob_idx =
+  let d = t.dec in
   charge1 t Component.Rename;
-  read_src1 t s (Decoded.d_r1 d);
-  read_src2 t s (Decoded.d_r2 d);
+  read_src1 t s d.Decoded.r1.(wi);
+  read_src2 t s d.Decoded.r2.(wi);
   s.Iq.seq <- seq;
   s.Iq.rob_idx <- rob_idx;
-  s.Iq.pc <- pc;
-  s.Iq.wi <- wi;
-  s.Iq.fu <- Decoded.d_fu d;
-  s.Iq.lat <- Decoded.d_lat d;
-  s.Iq.pipe <- Decoded.d_pipe d;
-  s.Iq.is_mem <- Decoded.d_is_mem d;
-  s.Iq.is_store <- Decoded.d_is_store d;
-  s.Iq.issued <- false;
-  s.Iq.pred_npc <- pred_npc;
-  let dst = Decoded.d_dst d in
+  let dst = d.Decoded.dst.(wi) in
   if dst >= 0 then t.map.(dst) <- rob_idx
 
-(* Decode-cache lookup for the loop currently being buffered; falls back
-   to packing a descriptor from the side tables (callee instructions
-   buffered from inside the loop live outside the cached window). *)
-let dcache_lookup t wi =
-  let tail_wi = Decoded.wi_of_pc t.dec t.reuse.Reuse_state.tail in
-  let way = tail_wi land (dc_ways - 1) in
-  if t.dc_tail.(way) = tail_wi && wi >= t.dc_head.(way) && wi <= tail_wi then begin
-    t.dc_hits <- t.dc_hits + 1;
-    t.dc_desc.(way).(wi - t.dc_head.(way))
-  end
-  else Decoded.descriptor t.dec wi
-
-let dcache_install t ~head ~tail =
-  let head_wi = Decoded.wi_of_pc t.dec head in
-  let tail_wi = Decoded.wi_of_pc t.dec tail in
-  if head_wi >= 0 && tail_wi >= head_wi && tail_wi < t.dec.Decoded.n then begin
-    let way = tail_wi land (dc_ways - 1) in
-    if t.dc_tail.(way) <> tail_wi || t.dc_head.(way) <> head_wi then begin
-      t.dc_installs <- t.dc_installs + 1;
-      t.dc_head.(way) <- head_wi;
-      t.dc_tail.(way) <- tail_wi;
-      t.dc_desc.(way) <-
-        Array.init (tail_wi - head_wi + 1) (fun k ->
-            Decoded.descriptor t.dec (head_wi + k))
-    end
-  end
+(* ------------------------------------------------------------------ *)
+(* Dispatch in Normal and Loop Buffering states.                       *)
+(* ------------------------------------------------------------------ *)
 
 (* Dispatch one decoded instruction; returns false on a structural stall. *)
 let dispatch_one t (f : fetched) =
-  let buffering = t.reuse.Reuse_state.state = Reuse_state.Buffering in
-  let d =
-    if buffering && f.f_buffered then dcache_lookup t f.f_wi
-    else Decoded.descriptor t.dec f.f_wi
-  in
-  let is_mem = Decoded.d_is_mem d in
+  let d = t.dec in
+  let wi = f.f_wi in
+  let buffered = f.f_buffered && t.reuse.Reuse_state.state = Reuse_state.Buffering in
   if Rob.is_full t.rob then false
   else if Iq.is_full t.iq then begin
     (* Queue exhausted while buffering a loop (e.g. a too-large procedure
        inside it): the loop is non-bufferable (Section 2.2.2). *)
-    if buffering && f.f_buffered then
-      revoke_buffering t ~register_nblt:true ~cause:Rv_overflow;
+    if buffered then revoke_buffering t ~register_nblt:true ~cause:Rv_overflow;
     false
   end
-  else if is_mem && Lsq.is_full t.lsq then false
+  else if d.Decoded.is_mem.(wi) && Lsq.is_full t.lsq then false
   else begin
     let seq = next_seq t in
-    let rob_idx = Rob.alloc t.rob in
-    charge1 t Component.Rob;
-    let e =
-      fill_rob_entry t ~rob_idx ~seq ~pc:f.f_pc ~wi:f.f_wi ~pred_npc:f.f_pred_npc
-        ~ras_ck:f.f_ras_ck ~from_reuse:false ~dst:(Decoded.d_dst d)
-        ~is_store:(Decoded.d_is_store d) ~is_ctrl:(Decoded.d_is_ctrl d)
+    let rob_idx =
+      claim_entries t ~seq ~wi ~pc:f.f_pc ~pred_npc:f.f_pred_npc ~ras_ck:f.f_ras_ck
+        ~from_reuse:false
     in
-    if is_mem then begin
-      let li = Lsq.alloc t.lsq in
-      let le = Lsq.entry t.lsq li in
-      le.Lsq.seq <- seq;
-      le.Lsq.rob_idx <- rob_idx;
-      le.Lsq.is_store <- e.Rob.is_store;
-      le.Lsq.is_fp <- Decoded.d_is_fp_mem d;
-      le.Lsq.width <- Decoded.d_width d;
-      e.Rob.lsq_idx <- li
-    end;
     let s = Iq.dispatch t.iq in
-    rename_into_slot t s ~seq ~rob_idx ~pc:f.f_pc ~wi:f.f_wi ~pred_npc:f.f_pred_npc ~d;
+    rename_operands t s ~wi ~seq ~rob_idx;
+    s.Iq.pc <- f.f_pc;
+    s.Iq.wi <- wi;
+    s.Iq.fu <- d.Decoded.fu.(wi);
+    s.Iq.lat <- d.Decoded.lat.(wi);
+    s.Iq.pipe <- d.Decoded.pipe.(wi);
+    s.Iq.is_mem <- d.Decoded.is_mem.(wi);
+    s.Iq.is_store <- d.Decoded.is_store.(wi);
+    s.Iq.pred_npc <- f.f_pred_npc;
     Iq.enqueue t.iq s;
     charge1 t Component.Iq_payload;
-    if buffering && f.f_buffered then begin
+    if buffered then begin
       s.Iq.reusable <- true;
       charge1 t Component.Lrl;
       t.reuse.Reuse_state.iter_count <- t.reuse.Reuse_state.iter_count + 1;
@@ -1132,20 +1093,6 @@ let dispatch_normal t =
 (* Dispatch in Code Reuse state: the queue feeds rename itself.        *)
 (* ------------------------------------------------------------------ *)
 
-(* Rename a reused slot in place: only the register information, the ROB
-   pointer and the sequence number change (Section 2.4) — the payload
-   fields cached at capture (wi, fu, latency, classification) are the
-   point of reuse and stay. *)
-let rename_reuse_slot t (s : Iq.slot) ~seq ~rob_idx =
-  charge1 t Component.Rename;
-  read_src1 t s t.dec.Decoded.r1.(s.Iq.wi);
-  read_src2 t s t.dec.Decoded.r2.(s.Iq.wi);
-  s.Iq.seq <- seq;
-  s.Iq.rob_idx <- rob_idx;
-  Iq.mark_renamed t.iq s;
-  let dst = t.dec.Decoded.dst.(s.Iq.wi) in
-  if dst >= 0 then t.map.(dst) <- rob_idx
-
 (* [allow_wrap] implements the paper's unidirectional scan: within one
    cycle the pointer only moves forward; it resets to the first buffered
    instruction after the last one is reused, so a wrap ends the cycle's
@@ -1165,29 +1112,17 @@ let reuse_dispatch_one t ~allow_wrap =
       else if s.Iq.is_mem && Lsq.is_full t.lsq then false
       else begin
         let wi = s.Iq.wi in
-        let pc = s.Iq.pc in
         let seq = next_seq t in
-        let rob_idx = Rob.alloc t.rob in
-        charge1 t Component.Rob;
-        let e =
-          fill_rob_entry t ~rob_idx ~seq ~pc ~wi ~pred_npc:s.Iq.pred_npc
+        let rob_idx =
+          claim_entries t ~seq ~wi ~pc:s.Iq.pc ~pred_npc:s.Iq.pred_npc
             ~ras_ck:(Predictor.checkpoint t.pred) ~from_reuse:true
-            ~dst:t.dec.Decoded.dst.(wi) ~is_store:s.Iq.is_store
-            ~is_ctrl:t.dec.Decoded.is_ctrl.(wi)
         in
-        if s.Iq.is_mem then begin
-          let li = Lsq.alloc t.lsq in
-          let le = Lsq.entry t.lsq li in
-          le.Lsq.seq <- seq;
-          le.Lsq.rob_idx <- rob_idx;
-          le.Lsq.is_store <- e.Rob.is_store;
-          le.Lsq.is_fp <- t.dec.Decoded.is_fp_mem.(wi);
-          le.Lsq.width <- t.dec.Decoded.width.(wi);
-          e.Rob.lsq_idx <- li
-        end;
-        (* Partial update: only the register information and the ROB pointer
-           change (Section 2.4) — renaming happens as in normal dispatch. *)
-        rename_reuse_slot t s ~seq ~rob_idx;
+        (* Partial update (Section 2.4): only the register information,
+           the ROB pointer and the sequence number change — the payload
+           written at capture (wi, fu, latency, classification) is the
+           point of reuse and stays. *)
+        rename_operands t s ~wi ~seq ~rob_idx;
+        Iq.mark_renamed t.iq s;
         s.Iq.reusable <- true;
         charge1 t Component.Lrl;
         charge t Component.Iq_payload Model.iq_partial_update_fraction;
@@ -1234,7 +1169,6 @@ let handle_capture t (f : fetched) ~head ~tail =
        begins with the second iteration, so it only makes sense when the
        branch is predicted to loop back. *)
     Reuse_state.start_buffering ~now:t.now t.reuse ~head ~tail;
-    dcache_install t ~head ~tail;
     (* Everything already in the decode latch is older than this tail, so
        none of it belongs to the new buffer — not even an entry flagged by
        an attempt that was revoked earlier in this decode group. Clearing
@@ -1243,37 +1177,44 @@ let handle_capture t (f : fetched) ~head ~tail =
     Array.iter (fun g -> g.f_buffered <- false) t.decode_latch.slots
   end
 
+(* The Section 2.1 check on the side tables: the static span of a
+   backward conditional branch or direct jump at [pc] (both always carry
+   a static target), or 0 when the instruction is neither. *)
+let loop_span t ~wi ~pc =
+  match t.dec.Decoded.kind.(wi) with
+  | Insn.K_branch | K_jump ->
+      let head = t.dec.Decoded.target.(wi) in
+      if head <= pc then ((pc - head) / 4) + 1 else 0
+  | K_call | K_return | K_ijump | K_int | K_fp | K_load | K_store | K_nop | K_halt -> 0
+
 let decode_reuse_hooks t (f : fetched) =
   if t.cfg.Config.reuse_enabled then begin
     let r = t.reuse in
     let dec = t.dec in
     let wi = f.f_wi in
+    let iq_size = t.cfg.Config.iq_entries in
     match r.Reuse_state.state with
     | Reuse_state.Normal ->
         if dec.Decoded.is_ctrl.(wi) then charge1 t Component.Reuse_logic;
-        if Tracer.enabled t.tracer then begin
-          (* The tracer wants the detector's instants, so take the
-             constructor-matching reference path. *)
-          match
-            Detector.examine ~tracer:t.tracer ~now:t.now
-              ~iq_size:t.cfg.Config.iq_entries ~pc:f.f_pc dec.Decoded.insns.(wi)
-          with
-          | Detector.Capturable { head; tail; span = _ } ->
-              handle_capture t f ~head ~tail
-          | Detector.Too_large _ | Detector.Not_a_loop -> ()
-        end
-        else begin
-          (* Pure side-table form of [Detector.examine]: conditional
-             branches and direct jumps always carry a static target. *)
-          match dec.Decoded.kind.(wi) with
-          | Insn.K_branch | K_jump ->
-              let head = dec.Decoded.target.(wi) in
-              let tail = f.f_pc in
-              if head <= tail && ((tail - head) / 4) + 1 <= t.cfg.Config.iq_entries
-              then handle_capture t f ~head ~tail
-          | K_call | K_return | K_ijump | K_int | K_fp | K_load | K_store
-          | K_nop | K_halt ->
-              ()
+        let span = loop_span t ~wi ~pc:f.f_pc in
+        if span > 0 then begin
+          let head = dec.Decoded.target.(wi) in
+          let tail = f.f_pc in
+          if span <= iq_size then begin
+            if Tracer.enabled t.tracer then
+              Tracer.instant t.tracer ~now:t.now
+                ~args:
+                  [
+                    ("head", Tracer.Int head); ("tail", Tracer.Int tail);
+                    ("span", Tracer.Int span);
+                  ]
+                ~cat:"detector" "loop-detected";
+            handle_capture t f ~head ~tail
+          end
+          else if Tracer.enabled t.tracer then
+            Tracer.instant t.tracer ~now:t.now
+              ~args:[ ("tail", Tracer.Int tail); ("span", Tracer.Int span) ]
+              ~cat:"detector" "loop-too-large"
         end
     | Reuse_state.Buffering ->
         let in_loop = Reuse_state.in_loop r ~pc:f.f_pc in
@@ -1292,17 +1233,9 @@ let decode_reuse_hooks t (f : fetched) =
           revoke_buffering t ~register_nblt:true ~cause:Rv_left_loop
         else begin
           (* An inner loop makes the current loop non-bufferable. *)
-          match dec.Decoded.kind.(wi) with
-          | Insn.K_branch | K_jump ->
-              let head = dec.Decoded.target.(wi) in
-              if
-                head <= f.f_pc
-                && ((f.f_pc - head) / 4) + 1 <= t.cfg.Config.iq_entries
-                && f.f_pc <> r.Reuse_state.tail
-              then revoke_buffering t ~register_nblt:true ~cause:Rv_inner_loop
-          | K_call | K_return | K_ijump | K_int | K_fp | K_load | K_store
-          | K_nop | K_halt ->
-              ()
+          let span = loop_span t ~wi ~pc:f.f_pc in
+          if span > 0 && span <= iq_size && f.f_pc <> r.Reuse_state.tail then
+            revoke_buffering t ~register_nblt:true ~cause:Rv_inner_loop
         end
     | Reuse_state.Reusing -> ()
   end
@@ -1516,8 +1449,6 @@ let committed t = t.committed
 let ipc t = if t.now = 0 then 0. else float_of_int t.committed /. float_of_int t.now
 let gated_cycles t = t.gated_cycles
 let occupancy t = (Iq.count t.iq, Rob.count t.rob, Lsq.count t.lsq)
-let decode_cache_hits t = t.dc_hits
-let decode_cache_installs t = t.dc_installs
 
 let arch_state t =
   {

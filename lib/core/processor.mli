@@ -8,7 +8,9 @@ open Riq_interp
     Execute, WriteBack, Commit) and, when [Config.reuse_enabled] is set,
     the paper's reusable-instruction issue queue:
 
-    - loop detection at decode ({!Detector}),
+    - loop detection at decode: the Section 2.1 check runs here, on the
+      pre-decoded side tables ({!Detector} is the same check over
+      instruction constructors, the form {!Slowpath} uses),
     - Loop Buffering with the multiple-iteration strategy of Section 2.2.1
       and the procedure-call handling of Section 2.2.2,
     - the non-bufferable loop table of Section 2.2.3,
@@ -66,14 +68,6 @@ val occupancy : t -> int * int * int
     the sampler. Once {!run} returns [Halted] the queues have been drained
     (anything younger than the halt is wrong-path), so this reads
     (0, 0, 0). *)
-
-val decode_cache_hits : t -> int
-(** Dispatch descriptors served by the steady-state decode cache while
-    buffering a loop (correctness-neutral memoization; see DESIGN.md §9). *)
-
-val decode_cache_installs : t -> int
-(** Loop windows whose descriptors were installed into the decode cache
-    when buffering started. *)
 
 val tracer : t -> Riq_obs.Tracer.t
 val sampler : t -> Riq_obs.Sampler.t option

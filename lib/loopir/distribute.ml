@@ -93,8 +93,6 @@ let access_distance v (w : Ir.access) (o : Ir.access) =
 
 (* ---- pairwise statement dependence ---- *)
 
-let stmt_accesses ~procs stmt = resolve_accesses procs stmt
-
 let loop_vars_of_program (p : Ir.program) =
   let rec of_stmt acc = function
     | Ir.Sfor { var; body; _ } -> List.fold_left of_stmt (var :: acc) body

@@ -35,23 +35,3 @@ val statement_dependence : Ir.program -> loop_var:string -> Ir.stmt -> Ir.stmt -
 (** Dependence classification for an ordered pair of body statements
     (first argument textually first): [Forward] means only first-to-second
     edges exist, [Backward] only second-to-first, [Both] a cycle. *)
-
-(** {2 Building blocks shared with the other passes} *)
-
-type distance =
-  | Dist of int (** consistent dependence distance along the loop variable *)
-  | Any (** every iteration pair may conflict *)
-  | Never (** provably disjoint *)
-  | Unknown
-
-val access_distance : string -> Ir.access -> Ir.access -> distance
-(** [access_distance v write access]: signed distance (accessor iteration
-    minus writer iteration) along loop variable [v], for the affine
-    subscript forms the analysis understands. *)
-
-val stmt_accesses :
-  procs:(string * Ir.stmt list) list ->
-  Ir.stmt ->
-  string list * Ir.access list * string list * Ir.access list
-(** Scalar reads, array reads, scalar writes, array writes of a statement,
-    with procedure calls resolved transitively. *)

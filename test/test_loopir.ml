@@ -441,102 +441,3 @@ let unroll_suites =
         Alcotest.test_case "workload semantics" `Slow test_unroll_workload_semantics;
       ] );
   ]
-
-(* ---- interchange ---- *)
-
-let nest2 body = for_ "i" (ic 0) (ic 8) [ for_ "j" (ic 0) (ic 8) body ]
-
-let test_interchange_legal () =
-  let p = prog ~arrays:[ farr "x" [ 8; 8 ]; farr0 "y" [ 8; 8 ] ] [] in
-  (* y[i][j] = x[i][j]: no carried dependences; interchange legal *)
-  let nest = nest2 [ st "y" [ iv "i"; iv "j" ] (ld "x" [ iv "i"; iv "j" ]) ] in
-  (match Interchange.interchange p nest with
-  | Some (Ir.Sfor { var = "j"; body = [ Ir.Sfor { var = "i"; _ } ]; _ }) -> ()
-  | Some _ -> Alcotest.fail "wrong shape"
-  | None -> Alcotest.fail "expected legal");
-  (* and the swapped nest computes the same values *)
-  let mk nest = { p with Ir.main = [ nest ] } in
-  let r1 = run_ir (mk nest) in
-  let r2 = run_ir (mk (Option.get (Interchange.interchange p nest))) in
-  Alcotest.(check bool) "same arrays" true (arrays_equal p r1 r2)
-
-let test_interchange_illegal_direction () =
-  let p = prog ~arrays:[ farr0 "y" [ 16; 16 ] ] [] in
-  (* y[i][j] = y[i-1][j+1]: direction (<, >) — interchange must refuse *)
-  let nest =
-    for_ "i" (ic 1) (ic 8)
-      [
-        for_ "j" (ic 0) (ic 7)
-          [
-            st "y" [ iv "i"; iv "j" ] (ld "y" [ iv "i" -! ic 1; iv "j" +! ic 1 ]);
-          ];
-      ]
-  in
-  Alcotest.(check bool) "illegal refused" true (Interchange.interchange p nest = None)
-
-let test_interchange_legal_same_sign () =
-  let p = prog ~arrays:[ farr0 "y" [ 16; 16 ] ] [] in
-  (* y[i][j] = y[i-1][j-1]: direction (<, <) — interchange legal *)
-  let nest =
-    for_ "i" (ic 1) (ic 8)
-      [
-        for_ "j" (ic 1) (ic 8)
-          [
-            st "y" [ iv "i"; iv "j" ] (ld "y" [ iv "i" -! ic 1; iv "j" -! ic 1 ]);
-          ];
-      ]
-  in
-  (match Interchange.interchange p nest with
-  | Some _ -> ()
-  | None -> Alcotest.fail "(<,<) must be legal");
-  let mk nest = { p with Ir.main = [ nest ] } in
-  let r1 = run_ir (mk nest) in
-  let r2 = run_ir (mk (Option.get (Interchange.interchange p nest))) in
-  Alcotest.(check bool) "same arrays" true (arrays_equal p r1 r2)
-
-let test_interchange_imperfect_nest () =
-  let p = prog ~arrays:[ farr0 "y" [ 8; 8 ] ] ~floats:[ "s" ] [] in
-  let nest =
-    for_ "i" (ic 0) (ic 8)
-      [
-        Ir.Sfassign ("s", fc 0.);
-        for_ "j" (ic 0) (ic 8) [ st "y" [ iv "i"; iv "j" ] (fv "s") ];
-      ]
-  in
-  Alcotest.(check bool) "imperfect refused" true (Interchange.interchange p nest = None)
-
-let test_interchange_bound_dependence () =
-  let p = prog ~arrays:[ farr0 "y" [ 8; 8 ] ] [] in
-  (* triangular nest: inner bound mentions the outer index *)
-  let nest =
-    for_ "i" (ic 0) (ic 8)
-      [ for_ "j" (ic 0) (iv "i") [ st "y" [ iv "i"; iv "j" ] (fc 1.) ] ]
-  in
-  Alcotest.(check bool) "triangular refused" true (Interchange.interchange p nest = None)
-
-let test_interchange_program_counts () =
-  let p =
-    prog ~arrays:[ farr "x" [ 8; 8 ]; farr0 "y" [ 8; 8 ] ]
-      [
-        nest2 [ st "y" [ iv "i"; iv "j" ] (ld "x" [ iv "j"; iv "i" ]) ];
-        Ir.Sfassign ("dummy", fc 0.);
-      ]
-  in
-  let p = { p with Ir.float_scalars = [ "dummy" ] } in
-  let p', n = Interchange.interchange_program p in
-  Alcotest.(check int) "one nest swapped" 1 n;
-  let r1 = run_ir p and r2 = run_ir p' in
-  Alcotest.(check bool) "same arrays" true (arrays_equal p r1 r2)
-
-let interchange_suites =
-  [
-    ( "interchange",
-      [
-        Alcotest.test_case "legal independent nest" `Quick test_interchange_legal;
-        Alcotest.test_case "(<,>) refused" `Quick test_interchange_illegal_direction;
-        Alcotest.test_case "(<,<) legal" `Quick test_interchange_legal_same_sign;
-        Alcotest.test_case "imperfect nest refused" `Quick test_interchange_imperfect_nest;
-        Alcotest.test_case "triangular bounds refused" `Quick test_interchange_bound_dependence;
-        Alcotest.test_case "program-wide pass" `Quick test_interchange_program_counts;
-      ] );
-  ]

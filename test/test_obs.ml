@@ -137,28 +137,42 @@ let test_sampler_exports () =
 
 let reuse_cfg = Config.with_iq_size Config.reuse 64
 
-let test_traced_run_matches_untraced () =
-  let program = Workloads.program (Workloads.find "tsf") in
-  let plain = Processor.create reuse_cfg program in
+(* Tracing must not perturb the simulation, and the detector's instants
+   must agree with the decision log. [tsf] captures its loops; [btrix] at
+   IQ 32 also meets loops too large for the queue. *)
+let check_traced_run ~bench ~iq ~too_large =
+  let cfg = Config.with_iq_size Config.reuse iq in
+  let program = Workloads.program (Workloads.find bench) in
+  let plain = Processor.create cfg program in
   (match Processor.run plain with
   | Processor.Halted -> ()
   | Processor.Cycle_limit -> Alcotest.fail "plain run hit cycle limit");
-  let tracer = Tracer.ring ~capacity:65536 () in
+  let tracer = Tracer.ring ~capacity:(1 lsl 17) () in
   let sampler = Sampler.create ~channels:Processor.sample_channels () in
-  let traced = Processor.create ~tracer ~sampler reuse_cfg program in
+  let traced = Processor.create ~tracer ~sampler cfg program in
   (match Processor.run traced with
   | Processor.Halted -> ()
   | Processor.Cycle_limit -> Alcotest.fail "traced run hit cycle limit");
-  (* Observability must not perturb the simulation. *)
-  Alcotest.(check bool) "stats bit-identical" true
-    (Processor.stats plain = Processor.stats traced);
+  let check what = Alcotest.(check bool) (bench ^ ": " ^ what) true in
+  check "stats bit-identical" (Processor.stats plain = Processor.stats traced);
+  check "loop decisions identical"
+    (Processor.loop_decisions plain = Processor.loop_decisions traced);
   let counts = Tracer.counts tracer in
   let count name = try List.assoc name counts with Not_found -> 0 in
-  Alcotest.(check bool) "loop-buffering spans" true (count "loop-buffering" > 0);
-  Alcotest.(check bool) "code-reuse spans" true (count "code-reuse" > 0);
-  Alcotest.(check bool) "counter tracks" true (count "power" > 0 && count "ipc" > 0);
-  Alcotest.(check bool) "halt instant" true (count "halted" = 1);
-  Alcotest.(check bool) "sampler ran" true (Sampler.length sampler > 0);
+  let detections =
+    List.fold_left
+      (fun n d -> n + d.Processor.ld_detections)
+      0
+      (Processor.loop_decisions traced)
+  in
+  Alcotest.(check int) (bench ^ ": loop-detected instants = detections") detections
+    (count "loop-detected");
+  if too_large then check "loop-too-large instants" (count "loop-too-large" > 0);
+  check "loop-buffering spans" (count "loop-buffering" > 0);
+  check "code-reuse spans" (count "code-reuse" > 0);
+  check "counter tracks" (count "power" > 0 && count "ipc" > 0);
+  check "halt instant" (count "halted" = 1);
+  check "sampler ran" (Sampler.length sampler > 0);
   (* Spans balance: every begin has its end. *)
   let balance = ref 0 in
   List.iter
@@ -168,7 +182,11 @@ let test_traced_run_matches_untraced () =
       | Tracer.End -> decr balance
       | _ -> ())
     (Tracer.events tracer);
-  Alcotest.(check int) "spans balanced" 0 !balance
+  Alcotest.(check int) (bench ^ ": spans balanced") 0 !balance
+
+let test_traced_run_matches_untraced () =
+  check_traced_run ~bench:"tsf" ~iq:64 ~too_large:false;
+  check_traced_run ~bench:"btrix" ~iq:32 ~too_large:true
 
 let test_sampler_channel_validation () =
   let program = Workloads.program (Workloads.find "tsf") in

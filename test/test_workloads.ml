@@ -113,48 +113,3 @@ let suites =
         Alcotest.test_case "find" `Quick test_find;
       ] );
   ]
-
-let test_interchange_on_workloads () =
-  (* the pass must at least run and preserve array contents wherever it
-     fires on the real kernels *)
-  List.iter
-    (fun w ->
-      let p', n = Riq_loopir.Interchange.interchange_program w.Workloads.ir in
-      if n > 0 then begin
-        let run p =
-          let prog = Codegen.compile p in
-          let m = Riq_interp.Machine.create prog in
-          match Riq_interp.Machine.run ~limit:50_000_000 m with
-          | Riq_interp.Machine.Halted -> (prog, m)
-          | _ -> Alcotest.failf "%s did not halt" w.Workloads.name
-        in
-        let prog1, m1 = run w.Workloads.ir in
-        let prog2, m2 = run p' in
-        List.iter
-          (fun (a : Riq_loopir.Ir.array_decl) ->
-            let nwords = List.fold_left ( * ) 1 a.Riq_loopir.Ir.a_dims in
-            let b1 =
-              Option.get
-                (Riq_asm.Program.address_of prog1 ("g_" ^ a.Riq_loopir.Ir.a_name))
-            in
-            let b2 =
-              Option.get
-                (Riq_asm.Program.address_of prog2 ("g_" ^ a.Riq_loopir.Ir.a_name))
-            in
-            for k = 0 to nwords - 1 do
-              if
-                Riq_mem.Store.read_word (Riq_interp.Machine.mem m1) (b1 + (4 * k))
-                <> Riq_mem.Store.read_word (Riq_interp.Machine.mem m2) (b2 + (4 * k))
-              then
-                Alcotest.failf "%s: %s[%d] differs after interchange" w.Workloads.name
-                  a.Riq_loopir.Ir.a_name k
-            done)
-          w.Workloads.ir.Riq_loopir.Ir.arrays
-      end)
-    Workloads.all
-
-let extra_suites =
-  [
-    ( "workload-transforms",
-      [ Alcotest.test_case "interchange preserves semantics" `Slow test_interchange_on_workloads ] );
-  ]
