@@ -1,6 +1,7 @@
 # A loop whose static span exceeds the 32-entry issue queue: the dynamic
-# detector rejects it at decode time (Detector.Too_large), so the analyzer
-# must report too-large and predict that it never promotes.
+# detector rejects it at decode time (Decoded.loop_span is above the queue
+# size), so the analyzer must report too-large and predict that it never
+# promotes.
 #
 #= loops 1
 #= loop loop too-large never

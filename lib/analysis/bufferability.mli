@@ -5,8 +5,9 @@ open Riq_asm
 
     The analysis mirrors what the dynamic core decides while running:
 
-    - the {!Riq_core.Detector} candidate test (backward conditional branch
-      or direct jump whose static span fits the issue queue);
+    - the [Riq_core.Decoded.loop_span] candidate test (backward
+      conditional branch or direct jump whose static span fits the issue
+      queue);
     - the revoke conditions of Sections 2.2.2-2.2.3 (an inner loop, a
       procedure that overflows the queue, an indirect transfer, leaving
       the loop while buffering);

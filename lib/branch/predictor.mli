@@ -45,7 +45,7 @@ val resolve : t -> pc:int -> insn:Insn.t -> taken:bool -> target:int -> unit
 (** Train the unit with the architectural outcome. *)
 
 val lookup_decoded : t -> pc:int -> kind:Insn.kind -> static_target:int -> int
-(** Allocation-free {!lookup} for the packed fast path: the caller
+(** Allocation-free {!lookup} for the core's hot path: the caller
     supplies the pre-decoded kind and statically-known taken target
     ([-1] = unknown), and gets the predicted next pc back directly
     ([-1] = no target, fetch must stall). Performs exactly the same table

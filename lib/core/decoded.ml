@@ -51,6 +51,17 @@ let wi_of_pc t pc = (pc - t.text_base) asr 2
 let pc_of_wi t wi = t.text_base + (wi lsl 2)
 let valid t pc = pc land 3 = 0 && pc >= t.text_base && wi_of_pc t pc < t.n
 
+(* The Section 2.1 loop check: the static span of a backward conditional
+   branch or direct jump at word [wi] (both always carry a static
+   target), or 0 when the instruction is neither. The loop is capturable
+   when the span is at most the issue-queue size. *)
+let loop_span t wi =
+  match t.kind.(wi) with
+  | Insn.K_branch | K_jump ->
+      let pc = pc_of_wi t wi and head = t.target.(wi) in
+      if head <= pc then ((pc - head) / 4) + 1 else 0
+  | K_call | K_return | K_ijump | K_int | K_fp | K_load | K_store | K_nop | K_halt -> 0
+
 (* Operand registers exactly as the seed core's [operand_regs]: integer
    registers are filtered through "r0 is never a dependence", FP
    registers are not; for stores r1 is the base and r2 the data. *)

@@ -36,7 +36,7 @@ val on_fetch : t -> pc:int -> insn:Insn.t -> pred_npc:int -> unit
 
 val on_fetch_decoded :
   t -> pc:int -> kind:Insn.kind -> static_target:int -> pred_npc:int -> unit
-(** {!on_fetch} for the packed fast path: kind and statically-known taken
+(** {!on_fetch} for the core's hot path: kind and statically-known taken
     target ([-1] = none) are pre-decoded side-table loads. Identical
     state-machine behavior and counters. *)
 

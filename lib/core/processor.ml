@@ -8,12 +8,10 @@ open Riq_ooo
 open Riq_interp
 open Riq_obs
 
-(* The packed fast-path execution core. The pipeline structure is the
-   seed core's (see [Slowpath], the locked reference copy the
-   differential suite compares against), but every per-instruction
-   property is pre-decoded once at [create] into the flat side tables of
-   [Decoded], and the cycle loop's dynamic structures are preallocated
-   flat arrays:
+(* The execution core. The pipeline structure is the seed core's, but
+   every per-instruction property is pre-decoded once at [create] into
+   the flat side tables of [Decoded], and the cycle loop's dynamic
+   structures are preallocated flat arrays:
 
    - fetch queue and decode latch are rings of mutable records instead
      of [Queue.t]s (no cell allocation per instruction);
@@ -26,7 +24,9 @@ open Riq_obs
    Everything observable — architectural state, statistics counters, and
    the exact per-component order of power charges (floats accumulate, so
    charge order matters bit-for-bit) — is kept identical to the seed
-   core; the differential suite asserts this on every corpus program. *)
+   core. test/golden/core.digests pins it on the kernels and the fuzz
+   corpus; the interpreter checks the architectural state of every
+   fuzzed program. *)
 
 (* Instruction fetched but not yet dispatched: one preallocated record
    per ring slot, fields overwritten in place. *)
@@ -1177,16 +1177,6 @@ let handle_capture t (f : fetched) ~head ~tail =
     Array.iter (fun g -> g.f_buffered <- false) t.decode_latch.slots
   end
 
-(* The Section 2.1 check on the side tables: the static span of a
-   backward conditional branch or direct jump at [pc] (both always carry
-   a static target), or 0 when the instruction is neither. *)
-let loop_span t ~wi ~pc =
-  match t.dec.Decoded.kind.(wi) with
-  | Insn.K_branch | K_jump ->
-      let head = t.dec.Decoded.target.(wi) in
-      if head <= pc then ((pc - head) / 4) + 1 else 0
-  | K_call | K_return | K_ijump | K_int | K_fp | K_load | K_store | K_nop | K_halt -> 0
-
 let decode_reuse_hooks t (f : fetched) =
   if t.cfg.Config.reuse_enabled then begin
     let r = t.reuse in
@@ -1196,7 +1186,7 @@ let decode_reuse_hooks t (f : fetched) =
     match r.Reuse_state.state with
     | Reuse_state.Normal ->
         if dec.Decoded.is_ctrl.(wi) then charge1 t Component.Reuse_logic;
-        let span = loop_span t ~wi ~pc:f.f_pc in
+        let span = Decoded.loop_span dec wi in
         if span > 0 then begin
           let head = dec.Decoded.target.(wi) in
           let tail = f.f_pc in
@@ -1233,7 +1223,7 @@ let decode_reuse_hooks t (f : fetched) =
           revoke_buffering t ~register_nblt:true ~cause:Rv_left_loop
         else begin
           (* An inner loop makes the current loop non-bufferable. *)
-          let span = loop_span t ~wi ~pc:f.f_pc in
+          let span = Decoded.loop_span dec wi in
           if span > 0 && span <= iq_size && f.f_pc <> r.Reuse_state.tail then
             revoke_buffering t ~register_nblt:true ~cause:Rv_inner_loop
         end

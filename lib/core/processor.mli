@@ -8,9 +8,8 @@ open Riq_interp
     Execute, WriteBack, Commit) and, when [Config.reuse_enabled] is set,
     the paper's reusable-instruction issue queue:
 
-    - loop detection at decode: the Section 2.1 check runs here, on the
-      pre-decoded side tables ({!Detector} is the same check over
-      instruction constructors, the form {!Slowpath} uses),
+    - loop detection at decode: the Section 2.1 check
+      ({!Decoded.loop_span}) on the pre-decoded side tables,
     - Loop Buffering with the multiple-iteration strategy of Section 2.2.1
       and the procedure-call handling of Section 2.2.2,
     - the non-bufferable loop table of Section 2.2.3,

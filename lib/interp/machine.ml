@@ -5,7 +5,6 @@ open Riq_mem
 
 type t = {
   program : Program.t;
-  words : Packed.word array; (* program text packed once at create *)
   memory : Store.t;
   int_regs : int array;
   fp_regs : float array;
@@ -25,7 +24,6 @@ let create program =
   int_regs.(Reg.sp) <- default_sp;
   {
     program;
-    words = Packed.of_code_array program.Program.code;
     memory;
     int_regs;
     fp_regs = Array.make 32 0.;
@@ -54,168 +52,70 @@ let set_freg t r v =
   if not (Reg.is_fp r) then invalid_arg "Machine.set_freg: integer register";
   t.fp_regs.(Reg.index r) <- Semantics.to_single v
 
-(* Operand access for the packed path, as top-level functions so the hot
-   loop builds no closures. Integer registers index the file directly;
-   FP register numbers are offset by 32 (see {!Reg}). *)
+(* Operand access as top-level functions, so [step] builds no closures.
+   A [Reg.t] indexes its file directly: integer registers are their own
+   index, FP register numbers are offset by 32 (see {!Reg}). *)
 let rv_ t r = Bits.of_i32 t.int_regs.(r)
 let fv_ t r = t.fp_regs.(r - 32)
 let wr_ t r v = if r <> 0 then t.int_regs.(r) <- Bits.of_i32 v
 let wf_ t r v = t.fp_regs.(r - 32) <- Semantics.to_single v
+let addr t base off = Bits.add32 (rv_ t base) off
 
 let step t =
+  let byte = t.pc - t.program.Program.text_base in
   if t.halted then Some Halted
+  else if t.pc land 3 <> 0 || byte < 0 || byte >= 4 * Array.length t.program.Program.code then
+    Some (Bad_pc t.pc)
   else begin
-    match Program.insn_at t.program t.pc with
-    | None -> Some (Bad_pc t.pc)
-    | Some insn ->
-        let rv r = Bits.of_i32 t.int_regs.(Reg.index r) in
-        let fv r = t.fp_regs.(Reg.index r) in
-        let wr r v = if r <> Reg.zero then t.int_regs.(Reg.index r) <- Bits.of_i32 v in
-        let wf r v = t.fp_regs.(Reg.index r) <- Semantics.to_single v in
-        let next = t.pc + 4 in
-        let new_pc = ref next in
-        (match insn with
-        | Insn.Alu (op, rd, rs, rt) -> wr rd (Semantics.alu op (rv rs) (rv rt))
-        | Alui (op, rt, rs, imm) -> wr rt (Semantics.alu op (rv rs) (Semantics.alui_imm op imm))
-        | Shift (op, rd, rt, sh) -> wr rd (Semantics.shift op (rv rt) sh)
-        | Shiftv (op, rd, rt, rs) -> wr rd (Semantics.shift op (rv rt) (rv rs))
-        | Lui (rt, imm) -> wr rt (Bits.of_i32 (imm lsl 16))
-        | Mul (rd, rs, rt) -> wr rd (Semantics.mul (rv rs) (rv rt))
-        | Div (rd, rs, rt) -> wr rd (Semantics.div (rv rs) (rv rt))
-        | Fpu (op, fd, fs, ft) -> wf fd (Semantics.fpu op (fv fs) (fv ft))
-        | Fcmp (op, rd, fs, ft) -> wr rd (Semantics.fcmp op (fv fs) (fv ft))
-        | Cvtsw (fd, rs) -> wf fd (Semantics.cvt_s_w (rv rs))
-        | Cvtws (rd, fs) -> wr rd (Semantics.cvt_w_s (fv fs))
-        | Lw (rt, base, off) -> wr rt (Store.read_word t.memory (Bits.add32 (rv base) off))
-        | Lb (rt, base, off) ->
-            wr rt (Bits.sign_extend (Store.read_byte t.memory (Bits.add32 (rv base) off)) ~width:8)
-        | Lbu (rt, base, off) -> wr rt (Store.read_byte t.memory (Bits.add32 (rv base) off))
-        | Lh (rt, base, off) ->
-            wr rt (Bits.sign_extend (Store.read_half t.memory (Bits.add32 (rv base) off)) ~width:16)
-        | Lhu (rt, base, off) -> wr rt (Store.read_half t.memory (Bits.add32 (rv base) off))
-        | Sw (rt, base, off) ->
-            Store.write_word t.memory (Bits.add32 (rv base) off) (Bits.to_u32 (rv rt))
-        | Sb (rt, base, off) -> Store.write_byte t.memory (Bits.add32 (rv base) off) (rv rt)
-        | Sh (rt, base, off) -> Store.write_half t.memory (Bits.add32 (rv base) off) (rv rt)
-        | Lwf (ft, base, off) -> wf ft (Store.read_float t.memory (Bits.add32 (rv base) off))
-        | Swf (ft, base, off) -> Store.write_float t.memory (Bits.add32 (rv base) off) (fv ft)
-        | Br (cond, rs, rt, off) ->
-            if Semantics.branch_taken cond (rv rs) (rv rt) then new_pc := t.pc + 4 + (4 * off)
-        | J tgt -> new_pc := 4 * tgt
-        | Jal tgt ->
-            wr Reg.ra next;
-            new_pc := 4 * tgt
-        | Jr rs -> new_pc := rv rs
-        | Jalr (rd, rs) ->
-            let target = rv rs in
-            wr rd next;
-            new_pc := target
-        | Nop -> ()
-        | Halt -> t.halted <- true);
-        t.count <- t.count + 1;
-        t.pc <- !new_pc;
-        if t.halted then Some Halted else None
+    let next = t.pc + 4 in
+    let new_pc = ref next in
+    (match t.program.Program.code.(byte lsr 2) with
+    | Insn.Alu (op, rd, rs, rt) -> wr_ t rd (Semantics.alu op (rv_ t rs) (rv_ t rt))
+    | Alui (op, rt, rs, imm) -> wr_ t rt (Semantics.alu op (rv_ t rs) (Semantics.alui_imm op imm))
+    | Shift (op, rd, rt, sh) -> wr_ t rd (Semantics.shift op (rv_ t rt) sh)
+    | Shiftv (op, rd, rt, rs) -> wr_ t rd (Semantics.shift op (rv_ t rt) (rv_ t rs))
+    | Lui (rt, imm) -> wr_ t rt (Bits.of_i32 (imm lsl 16))
+    | Mul (rd, rs, rt) -> wr_ t rd (Semantics.mul (rv_ t rs) (rv_ t rt))
+    | Div (rd, rs, rt) -> wr_ t rd (Semantics.div (rv_ t rs) (rv_ t rt))
+    | Fpu (op, fd, fs, ft) -> wf_ t fd (Semantics.fpu op (fv_ t fs) (fv_ t ft))
+    | Fcmp (op, rd, fs, ft) -> wr_ t rd (Semantics.fcmp op (fv_ t fs) (fv_ t ft))
+    | Cvtsw (fd, rs) -> wf_ t fd (Semantics.cvt_s_w (rv_ t rs))
+    | Cvtws (rd, fs) -> wr_ t rd (Semantics.cvt_w_s (fv_ t fs))
+    | Lw (rt, base, off) -> wr_ t rt (Store.read_word t.memory (addr t base off))
+    | Lb (rt, base, off) ->
+        wr_ t rt (Bits.sign_extend (Store.read_byte t.memory (addr t base off)) ~width:8)
+    | Lbu (rt, base, off) -> wr_ t rt (Store.read_byte t.memory (addr t base off))
+    | Lh (rt, base, off) ->
+        wr_ t rt (Bits.sign_extend (Store.read_half t.memory (addr t base off)) ~width:16)
+    | Lhu (rt, base, off) -> wr_ t rt (Store.read_half t.memory (addr t base off))
+    | Sw (rt, base, off) -> Store.write_word t.memory (addr t base off) (Bits.to_u32 (rv_ t rt))
+    | Sb (rt, base, off) -> Store.write_byte t.memory (addr t base off) (rv_ t rt)
+    | Sh (rt, base, off) -> Store.write_half t.memory (addr t base off) (rv_ t rt)
+    | Lwf (ft, base, off) -> wf_ t ft (Store.read_float t.memory (addr t base off))
+    | Swf (ft, base, off) -> Store.write_float t.memory (addr t base off) (fv_ t ft)
+    | Br (cond, rs, rt, off) ->
+        if Semantics.branch_taken cond (rv_ t rs) (rv_ t rt) then new_pc := next + (4 * off)
+    | J tgt -> new_pc := 4 * tgt
+    | Jal tgt ->
+        wr_ t Reg.ra next;
+        new_pc := 4 * tgt
+    | Jr rs -> new_pc := rv_ t rs
+    | Jalr (rd, rs) ->
+        let target = rv_ t rs in
+        wr_ t rd next;
+        new_pc := target
+    | Nop -> ()
+    | Halt -> t.halted <- true);
+    t.count <- t.count + 1;
+    t.pc <- !new_pc;
+    if t.halted then Some Halted else None
   end
 
-(* Packed execution: the same semantics as {!step}, dispatched on the
-   packed word's execution code instead of reconstructing an [Insn.t].
-   [step] stays on the constructor path and serves as the oracle for the
-   fast/slow interpreter equality test. *)
-
-let exec_word t w =
-  let a = Packed.ra w and b = Packed.rb w in
-  let imm = Packed.imm w in
-  (* Register fields carry Reg.t values verbatim: integer registers are
-     their own index, FP registers are offset by 32. *)
-  let next = t.pc + 4 in
-  let new_pc = ref next in
-  (match Packed.code w with
-  | 0 -> wr_ t a (Semantics.alu Insn.Add (rv_ t b) (rv_ t (Packed.rc w)))
-  | 1 -> wr_ t a (Semantics.alu Insn.Sub (rv_ t b) (rv_ t (Packed.rc w)))
-  | 2 -> wr_ t a (Semantics.alu Insn.And (rv_ t b) (rv_ t (Packed.rc w)))
-  | 3 -> wr_ t a (Semantics.alu Insn.Or (rv_ t b) (rv_ t (Packed.rc w)))
-  | 4 -> wr_ t a (Semantics.alu Insn.Xor (rv_ t b) (rv_ t (Packed.rc w)))
-  | 5 -> wr_ t a (Semantics.alu Insn.Nor (rv_ t b) (rv_ t (Packed.rc w)))
-  | 6 -> wr_ t a (Semantics.alu Insn.Slt (rv_ t b) (rv_ t (Packed.rc w)))
-  | 7 -> wr_ t a (Semantics.alu Insn.Sltu (rv_ t b) (rv_ t (Packed.rc w)))
-  | 8 -> wr_ t a (Semantics.alu Insn.Add (rv_ t b) (Semantics.alui_imm Insn.Add imm))
-  | 9 -> wr_ t a (Semantics.alu Insn.And (rv_ t b) (Semantics.alui_imm Insn.And imm))
-  | 10 -> wr_ t a (Semantics.alu Insn.Or (rv_ t b) (Semantics.alui_imm Insn.Or imm))
-  | 11 -> wr_ t a (Semantics.alu Insn.Xor (rv_ t b) (Semantics.alui_imm Insn.Xor imm))
-  | 12 -> wr_ t a (Semantics.alu Insn.Slt (rv_ t b) (Semantics.alui_imm Insn.Slt imm))
-  | 13 -> wr_ t a (Semantics.alu Insn.Sltu (rv_ t b) (Semantics.alui_imm Insn.Sltu imm))
-  | 14 -> wr_ t a (Semantics.shift Insn.Sll (rv_ t b) imm)
-  | 15 -> wr_ t a (Semantics.shift Insn.Srl (rv_ t b) imm)
-  | 16 -> wr_ t a (Semantics.shift Insn.Sra (rv_ t b) imm)
-  | 17 -> wr_ t a (Semantics.shift Insn.Sll (rv_ t b) (rv_ t (Packed.rc w)))
-  | 18 -> wr_ t a (Semantics.shift Insn.Srl (rv_ t b) (rv_ t (Packed.rc w)))
-  | 19 -> wr_ t a (Semantics.shift Insn.Sra (rv_ t b) (rv_ t (Packed.rc w)))
-  | 20 -> wr_ t a (Bits.of_i32 (imm lsl 16))
-  | 21 -> wr_ t a (Semantics.mul (rv_ t b) (rv_ t (Packed.rc w)))
-  | 22 -> wr_ t a (Semantics.div (rv_ t b) (rv_ t (Packed.rc w)))
-  | 23 -> wf_ t a (Semantics.fpu Insn.Fadd (fv_ t b) (fv_ t (Packed.rc w)))
-  | 24 -> wf_ t a (Semantics.fpu Insn.Fsub (fv_ t b) (fv_ t (Packed.rc w)))
-  | 25 -> wf_ t a (Semantics.fpu Insn.Fmul (fv_ t b) (fv_ t (Packed.rc w)))
-  | 26 -> wf_ t a (Semantics.fpu Insn.Fdiv (fv_ t b) (fv_ t (Packed.rc w)))
-  | 27 -> wf_ t a (Semantics.fpu Insn.Fsqrt (fv_ t b) (fv_ t (Packed.rc w)))
-  | 28 -> wf_ t a (Semantics.fpu Insn.Fneg (fv_ t b) (fv_ t (Packed.rc w)))
-  | 29 -> wf_ t a (Semantics.fpu Insn.Fabs (fv_ t b) (fv_ t (Packed.rc w)))
-  | 30 -> wf_ t a (Semantics.fpu Insn.Fmov (fv_ t b) (fv_ t (Packed.rc w)))
-  | 31 -> wr_ t a (Semantics.fcmp Insn.Feq (fv_ t b) (fv_ t (Packed.rc w)))
-  | 32 -> wr_ t a (Semantics.fcmp Insn.Flt (fv_ t b) (fv_ t (Packed.rc w)))
-  | 33 -> wr_ t a (Semantics.fcmp Insn.Fle (fv_ t b) (fv_ t (Packed.rc w)))
-  | 34 -> wf_ t a (Semantics.cvt_s_w (rv_ t b))
-  | 35 -> wr_ t a (Semantics.cvt_w_s (fv_ t b))
-  | 36 -> wr_ t a (Store.read_word t.memory (Bits.add32 (rv_ t b) imm))
-  | 37 ->
-      wr_ t a
-        (Bits.sign_extend (Store.read_byte t.memory (Bits.add32 (rv_ t b) imm)) ~width:8)
-  | 38 -> wr_ t a (Store.read_byte t.memory (Bits.add32 (rv_ t b) imm))
-  | 39 ->
-      wr_ t a
-        (Bits.sign_extend (Store.read_half t.memory (Bits.add32 (rv_ t b) imm)) ~width:16)
-  | 40 -> wr_ t a (Store.read_half t.memory (Bits.add32 (rv_ t b) imm))
-  | 41 -> wf_ t a (Store.read_float t.memory (Bits.add32 (rv_ t b) imm))
-  | 42 -> Store.write_word t.memory (Bits.add32 (rv_ t b) imm) (Bits.to_u32 (rv_ t a))
-  | 43 -> Store.write_byte t.memory (Bits.add32 (rv_ t b) imm) (rv_ t a)
-  | 44 -> Store.write_half t.memory (Bits.add32 (rv_ t b) imm) (rv_ t a)
-  | 45 -> Store.write_float t.memory (Bits.add32 (rv_ t b) imm) (fv_ t a)
-  | 46 -> if Semantics.branch_taken Insn.Beq (rv_ t a) (rv_ t b) then new_pc := t.pc + 4 + (4 * imm)
-  | 47 -> if Semantics.branch_taken Insn.Bne (rv_ t a) (rv_ t b) then new_pc := t.pc + 4 + (4 * imm)
-  | 48 -> if Semantics.branch_taken Insn.Blez (rv_ t a) (rv_ t b) then new_pc := t.pc + 4 + (4 * imm)
-  | 49 -> if Semantics.branch_taken Insn.Bgtz (rv_ t a) (rv_ t b) then new_pc := t.pc + 4 + (4 * imm)
-  | 50 -> if Semantics.branch_taken Insn.Bltz (rv_ t a) (rv_ t b) then new_pc := t.pc + 4 + (4 * imm)
-  | 51 -> if Semantics.branch_taken Insn.Bgez (rv_ t a) (rv_ t b) then new_pc := t.pc + 4 + (4 * imm)
-  | 52 -> new_pc := 4 * imm
-  | 53 ->
-      wr_ t Reg.ra next;
-      new_pc := 4 * imm
-  | 54 | 55 -> new_pc := rv_ t a
-  | 56 ->
-      let target = rv_ t b in
-      wr_ t a next;
-      new_pc := target
-  | 57 -> ()
-  | 58 -> t.halted <- true
-  | _ -> invalid_arg "Machine.exec_word");
-  t.count <- t.count + 1;
-  t.pc <- !new_pc
-
 let run ?(limit = 100_000_000) t =
-  let words = t.words in
-  let base = t.program.Program.text_base in
-  let n4 = 4 * Array.length words in
   let rec go () =
     if t.count >= limit then Insn_limit
     else if t.halted then Halted
-    else begin
-      let off = t.pc - base in
-      if t.pc land 3 <> 0 || off < 0 || off >= n4 then Bad_pc t.pc
-      else begin
-        exec_word t (Array.unsafe_get words (off lsr 2));
-        go ()
-      end
-    end
+    else match step t with None | Some Halted -> go () | Some stop -> stop
   in
   go ()
 

@@ -23,7 +23,9 @@ val step : t -> stop option
 (** Execute one instruction; [Some reason] when the machine stopped. *)
 
 val run : ?limit:int -> t -> stop
-(** Step until halt or until [limit] instructions (default 100 million). *)
+(** {!step} until halt or until [limit] instructions (default 100
+    million); the limit is checked first, so a halt that is exactly the
+    [limit]th instruction reports [Insn_limit]. *)
 
 val pc : t -> int
 val insn_count : t -> int

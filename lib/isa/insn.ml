@@ -58,7 +58,7 @@ let fpu_unary = function
    of nested pattern matches. [Jr] gets two codes because its kind depends
    on the source register (return vs indirect jump); both decode back to
    [Jr]. The numbering is internal — only [code_count] and the accessors
-   below are meant for clients (see [Packed]). *)
+   below are meant for clients (see [Riq_core.Decoded]). *)
 
 let code_count = 59
 

@@ -104,8 +104,8 @@ val code : t -> int
 (** Dense execution code in [0, code_count): one value per
     (constructor, operation) pair, with [Jr r31] (return) and other [Jr]
     (indirect jump) split so every per-code property is exact. This is
-    what makes the property tables below and the {!Packed} side tables
-    single array loads. *)
+    what makes the property tables below, and the core's decoded side
+    tables built from them, single array loads. *)
 
 val of_code : int -> t
 (** Representative instruction for a code (registers/immediates zeroed);
@@ -119,6 +119,18 @@ val pipelined_table : bool array
 val access_bytes_table : int array
 (** Indexed by {!code}; [access_bytes_table.(c)] is 0 for non-memory
     codes (where {!access_bytes} raises). *)
+
+val kind_match : t -> kind
+val fu_match : t -> fu_class
+val latency_match : t -> int
+val pipelined_match : t -> bool
+
+val access_bytes_match : t -> int
+(** The constructor matches the tables are built from, applied to one
+    representative per code ([access_bytes_match] raises like
+    {!access_bytes}). Tests check the tables against them on arbitrary
+    instructions; everything else uses the table-backed accessors
+    below. *)
 
 val kind : t -> kind
 val fu : t -> fu_class

@@ -25,7 +25,7 @@ type slot = {
   mutable pc : int;
   mutable wi : int;
       (** decoded word index ([(pc - text_base) / 4]); the slot's pointer
-          into the packed side tables *)
+          into the decoded side tables *)
   mutable fu : Insn.fu_class;
   mutable lat : int; (** execution latency, cached at rename *)
   mutable pipe : bool; (** functional unit pipelined for this op *)

@@ -17,7 +17,7 @@
 type entry = {
   mutable seq : int; (** global dynamic sequence number *)
   mutable pc : int;
-  mutable wi : int; (** decoded word index into the packed side tables *)
+  mutable wi : int; (** word index into the decoded side tables *)
   mutable completed : bool;
   mutable value_i : int; (** integer result *)
   mutable value_f : float; (** FP result *)

@@ -287,10 +287,11 @@ let next_fingerprint t =
     Some (Queue.pop qi)
   end
 
-(* Span args carry the fingerprint (and the submitting client's trace id
-   when it sent one) so merged traces can be joined back to jobs. *)
-let span_args p =
-  ("fp", Tracer.Str (String.sub (Job.fingerprint p.p_job) 0 12))
+(* Span args carry the fingerprint prefix (and the submitting client's
+   trace id when it sent one) so merged traces can be joined back to
+   jobs. [fp] is the job's pending key, its {!Job.fingerprint}. *)
+let span_args fp p =
+  ("fp", Tracer.Str (String.sub fp 0 12))
   ::
   (match p.p_trace with
   | None -> []
@@ -308,7 +309,7 @@ let dispatch_one t fp =
       in
       Metrics.observe wait_hist wait;
       Tracer.complete t.tracer ~now:(us p.p_enqueued) ~dur:(us wait) ~tid
-        ~args:(span_args p) ~cat:"serve" "queue-wait";
+        ~args:(span_args fp p) ~cat:"serve" "queue-wait";
       Workers.submit t.workers fp p.p_job
 
 let rec fill_workers t =
@@ -330,7 +331,7 @@ let finish t (f : string Workers.finished) =
   (match Hashtbl.find_opt t.pending f.key with
   | Some p ->
       Tracer.complete t.tracer ~now:(us f.started) ~dur:(us f.seconds) ~pid:f.pid
-        ~args:(span_args p) ~cat:"serve" "simulate"
+        ~args:(span_args f.key p) ~cat:"serve" "simulate"
   | None -> ());
   resolve_pending t f.key ~seconds:f.seconds f.outcome
 

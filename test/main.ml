@@ -8,5 +8,5 @@ let () =
    @ Test_core.misc_suites @ Test_loopir.suites
    @ Test_loopir.unroll_suites @ Test_workloads.suites
    @ Test_differential.suites @ Test_asm_fuzz.suites @ Test_harness.suites @ Test_analysis.suites @ Test_dataflow.suites
-   @ Test_exp.suites @ Test_obs.suites @ Test_metrics.suites @ Test_fuzz.suites @ Test_fastpath.suites
+   @ Test_exp.suites @ Test_obs.suites @ Test_metrics.suites @ Test_fuzz.suites
    @ Test_svc.suites)

@@ -57,40 +57,63 @@ let prop_nblt_vs_model =
           else Nblt.mem n v = List.mem v !model)
         ops)
 
-(* ---- Detector ---- *)
+(* ---- Loop detection (Decoded.loop_span, the check decode runs) ---- *)
+
+(* [insn] at word [at] of a program at 0x1000 padded with nops. *)
+let span_at ~at insn =
+  let code = Array.make (max 8 (at + 1)) Insn.Nop in
+  code.(at) <- insn;
+  let dec = Decoded.of_program (Program.make code) in
+  (dec, Decoded.loop_span dec at)
 
 let test_detector () =
-  let iq = 64 in
   (* backward branch spanning 8 instructions *)
-  (match Detector.examine ~iq_size:iq ~pc:0x101C (Insn.Br (Bne, 1, 0, -8)) with
-  | Detector.Capturable { head; tail; span } ->
-      Alcotest.(check int) "head" 0x1000 head;
-      Alcotest.(check int) "tail" 0x101C tail;
-      Alcotest.(check int) "span" 8 span
-  | _ -> Alcotest.fail "expected capturable");
-  (* forward branch *)
-  (match Detector.examine ~iq_size:iq ~pc:0x1000 (Insn.Br (Bne, 1, 0, 4)) with
-  | Detector.Not_a_loop -> ()
-  | _ -> Alcotest.fail "forward branch is not a loop");
-  (* too large *)
-  (match Detector.examine ~iq_size:iq ~pc:0x1000 (Insn.Br (Bne, 1, 0, -1000)) with
-  | Detector.Too_large span -> Alcotest.(check int) "span" 1000 span
-  | _ -> Alcotest.fail "expected too large");
-  (* direct backward jump *)
-  (match Detector.examine ~iq_size:iq ~pc:0x1010 (Insn.J (0x1000 / 4)) with
-  | Detector.Capturable { span; _ } -> Alcotest.(check int) "jump span" 5 span
-  | _ -> Alcotest.fail "backward jump is a loop");
-  (* indirect jump is never a loop end *)
-  match Detector.examine ~iq_size:iq ~pc:0x1010 (Insn.Jr (Reg.r 5)) with
-  | Detector.Not_a_loop -> ()
-  | _ -> Alcotest.fail "indirect jump must not detect"
+  let dec, span = span_at ~at:7 (Insn.Br (Bne, 1, 0, -8)) in
+  Alcotest.(check int) "head" 0x1000 dec.Decoded.target.(7);
+  Alcotest.(check int) "tail" 0x101C (Decoded.pc_of_wi dec 7);
+  Alcotest.(check int) "span" 8 span;
+  Alcotest.(check int) "forward branch is not a loop" 0
+    (snd (span_at ~at:0 (Insn.Br (Bne, 1, 0, 4))));
+  Alcotest.(check int) "span past the queue" 1000
+    (snd (span_at ~at:999 (Insn.Br (Bne, 1, 0, -1000))));
+  Alcotest.(check int) "backward jump span" 5 (snd (span_at ~at:4 (Insn.J (0x1000 / 4))));
+  Alcotest.(check int) "indirect jump is never a loop end" 0
+    (snd (span_at ~at:4 (Insn.Jr (Reg.r 5))))
+
+(* The loops [Processor] recorded for [src] at issue-queue size [iq]. *)
+let decisions ~iq src =
+  let cfg = { (Config.with_iq_size Config.reuse (max iq 8)) with Config.iq_entries = iq } in
+  let p = Processor.create cfg (Parse.program_exn src) in
+  (match Processor.run ~cycle_limit:10_000_000 p with
+  | Processor.Halted -> ()
+  | Processor.Cycle_limit -> Alcotest.fail "cycle limit");
+  Processor.loop_decisions p
 
 let test_detector_boundary () =
   (* span exactly equal to the queue size is capturable (paper: "no larger
-     than the issue queue size") *)
-  match Detector.examine ~iq_size:8 ~pc:0x101C (Insn.Br (Bne, 1, 0, -8)) with
-  | Detector.Capturable _ -> ()
-  | _ -> Alcotest.fail "boundary span must be capturable"
+     than the issue queue size"); one entry fewer and decode never flags it *)
+  let src = {|
+    li r2, 0
+loop:
+    addi r2, r2, 1
+    nop
+    nop
+    nop
+    nop
+    nop
+    slti r3, r2, 50
+    bne r3, r0, loop
+    halt
+|} in
+  (match decisions ~iq:8 src with
+  | [ d ] ->
+      Alcotest.(check int) "span" 8 d.Processor.ld_span;
+      Alcotest.(check bool) "detected at IQ 8" true (d.Processor.ld_detections > 0)
+  | l -> Alcotest.failf "expected one loop at IQ 8, got %d" (List.length l));
+  Alcotest.(check int) "no decision at IQ 7" 0 (List.length (decisions ~iq:7 src));
+  let big = "    li r2, 2\nloop:\n" ^ String.concat "" (List.init 998 (fun _ -> "    nop\n"))
+    ^ "    addi r2, r2, -1\n    bgtz r2, loop\n    halt\n" in
+  Alcotest.(check int) "span 1000 too large at IQ 64" 0 (List.length (decisions ~iq:64 big))
 
 (* ---- Reuse_state ---- *)
 
@@ -657,29 +680,8 @@ let test_reuse_state_illegal_transitions () =
 
 (* ---- packed-core edge cases ---- *)
 
-(* A dependency chain of long-latency loads: every iteration's address
-   depends on the previous load's (zero) value, each access lands on a
-   fresh L1 line, and every other line misses the L2 out to DRAM. With
-   per-load latencies around 8..170 cycles and nothing else in flight,
-   writeback events constantly land on wheel slots numerically below the
-   current one (cycle land 255 wraps). *)
-let chase_src =
-  let zeros = String.concat " " (List.init 1024 (fun _ -> "0")) in
-  Printf.sprintf {|
-    la r2, buf
-    li r6, 120
-chase:
-    lw r5, 0(r2)
-    add r2, r2, r5
-    addi r2, r2, 32
-    addi r6, r6, -1
-    bgtz r6, chase
-    halt
-.word buf %s
-|} zeros
-
 let test_event_wheel_wraparound () =
-  let _, proc = run_both chase_src in
+  let _, proc = run_both Golden_cells.chase_src in
   let st = Processor.stats proc in
   (* The chain must actually be long-latency and serialized, or the wheel
      never sees distant events: >100 L1 misses and a cycle count that can
@@ -692,17 +694,11 @@ let test_event_wheel_wraparound () =
     (Printf.sprintf "latency-bound (%d cycles)" st.Processor.cycles)
     true
     (st.Processor.cycles > 120 * 30);
-  (* ...which wraps the 256-slot wheel dozens of times. *)
+  (* ...which wraps the 256-slot wheel dozens of times. The chase/reuse
+     line of test/golden/core.digests pins how the wheel drains, down to
+     every stat and the power bits. *)
   Alcotest.(check bool) "wheel wrapped many times" true
-    (st.Processor.cycles > 256 * 10);
-  (* The wheel must drain exactly like the reference pipeline's per-cycle
-     event table, down to every stat and the power bits. *)
-  let slow = Slowpath.create Config.reuse (Parse.program_exn chase_src) in
-  (match Slowpath.run ~cycle_limit:10_000_000 slow with
-  | Slowpath.Halted -> ()
-  | Slowpath.Cycle_limit -> Alcotest.fail "reference pipeline hit cycle limit");
-  Alcotest.(check bool) "stats bit-identical to the reference pipeline" true
-    (Slowpath.stats slow = st)
+    (st.Processor.cycles > 256 * 10)
 
 (* An inner-loop revoke and a new capture in one decode group. While the
    outer loop is buffering, the first inner tail is flagged as buffered

@@ -168,22 +168,20 @@ let test_latency_classes () =
   Alcotest.(check bool) "fadd unit" true
     (Insn.fu (Insn.Fpu (Fadd, Reg.f 1, Reg.f 2, Reg.f 3)) = Insn.FU_fpalu)
 
-let prop_packed_round_trip =
-  QCheck.Test.make ~name:"pack/unpack round-trip" ~count:2000 arbitrary_insn
-    (fun insn -> Insn.equal insn (Packed.unpack (Packed.pack insn)))
-
-let prop_packed_properties =
-  QCheck.Test.make ~name:"packed property tables match Insn" ~count:2000
-    arbitrary_insn (fun insn ->
-      let w = Packed.pack insn in
-      Packed.kind w = Insn.kind insn
-      && Packed.fu w = Insn.fu insn
-      && Packed.latency w = Insn.latency insn
-      && Packed.pipelined w = Insn.pipelined insn
+(* The accessors and Decoded.of_program read these tables, which hold
+   each code's representative; every instruction must share them. *)
+let prop_property_tables =
+  QCheck.Test.make ~name:"property tables match accessors" ~count:2000 arbitrary_insn
+    (fun insn ->
+      let c = Insn.code insn in
+      Insn.kind_table.(c) = Insn.kind_match insn
+      && Insn.fu_table.(c) = Insn.fu_match insn
+      && Insn.latency_table.(c) = Insn.latency_match insn
+      && Insn.pipelined_table.(c) = Insn.pipelined_match insn
       &&
-      match Insn.kind insn with
-      | Insn.K_load | K_store -> Packed.access_bytes w = Insn.access_bytes insn
-      | _ -> Packed.access_bytes w = 0)
+      match Insn.kind_match insn with
+      | Insn.K_load | K_store -> Insn.access_bytes_table.(c) = Insn.access_bytes_match insn
+      | _ -> Insn.access_bytes_table.(c) = 0)
 
 let test_code_round_trip () =
   for c = 0 to Insn.code_count - 1 do
@@ -210,7 +208,6 @@ let suites =
         QCheck_alcotest.to_alcotest prop_encode_32bit;
         QCheck_alcotest.to_alcotest prop_dest_not_source_of_store;
         Alcotest.test_case "code/of_code round-trip" `Quick test_code_round_trip;
-        QCheck_alcotest.to_alcotest prop_packed_round_trip;
-        QCheck_alcotest.to_alcotest prop_packed_properties;
+        QCheck_alcotest.to_alcotest prop_property_tables;
       ] );
   ]

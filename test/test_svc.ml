@@ -517,6 +517,18 @@ let test_daemon_end_to_end () =
             (List.exists (named "queue-wait") events);
           Alcotest.(check bool) "simulate spans present" true
             (List.exists (named "simulate") events);
+          (* Each job span's fp arg is the 12-character prefix of a
+             submitted job's fingerprint. *)
+          let prefixes =
+            Array.to_list (Array.map (fun j -> String.sub (Job.fingerprint j) 0 12) jobs)
+          in
+          List.iter
+            (fun e ->
+              if named "queue-wait" e || named "simulate" e then
+                match Option.bind (Json.member "args" e) (Json.member "fp") with
+                | Some (Json.String fp) when List.mem fp prefixes -> ()
+                | _ -> Alcotest.failf "span fp is no submitted job's: %s" (Json.to_string e))
+            events;
           (* Worker spans carry the worker pid, distinct from the daemon's. *)
           let pids =
             List.sort_uniq compare
