@@ -347,10 +347,11 @@ let check_expects ctx expects =
 
 let print_dynamic cfg program =
   let open Riq_core in
-  let p = Processor.create cfg program in
-  (match Processor.run p with
-  | Processor.Halted -> ()
-  | Cycle_limit -> failwith "cycle limit hit");
+  let p =
+    match Riq_exp.Runner.simulate (Riq_exp.Job.make cfg program) with
+    | Ok (p, _) -> p
+    | Error e -> failwith (Riq_exp.Outcome.error_to_string e)
+  in
   let s = Processor.stats p in
   Printf.printf "  dynamic: %d committed, %d from reuse (%.1f%% coverage)\n"
     s.Processor.committed s.Processor.reuse_committed

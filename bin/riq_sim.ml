@@ -46,8 +46,7 @@ let load_program bench file optimized =
   | Some _, Some _ -> failwith "give either --bench or --file, not both"
   | None, None -> failwith "one of --bench or --file is required"
 
-let print_stats cfg (r : Run.result) breakdown_requested account =
-  let s = r.Run.stats in
+let print_stats cfg (s : Processor.stats) breakdown_requested account =
   Printf.printf "cycles              %d\n" s.Processor.cycles;
   Printf.printf "instructions        %d\n" s.Processor.committed;
   Printf.printf "IPC                 %.3f\n" s.Processor.ipc;
@@ -119,40 +118,17 @@ let run_cmd =
       | None -> None
       | Some _ -> Some (Riq_obs.Sampler.create ~channels:Processor.sample_channels ())
     in
-    let p = Processor.create ?sampler cfg program in
-    let c0 = (Unix.times ()).Unix.tms_utime in
-    (match Processor.run p with
-    | Processor.Halted -> ()
-    | Processor.Cycle_limit -> failwith "cycle limit exceeded");
-    let sim_seconds = (Unix.times ()).Unix.tms_utime -. c0 in
-    if check then begin
-      let m = Riq_interp.Machine.create program in
-      match Riq_interp.Machine.run m with
-      | Riq_interp.Machine.Halted ->
-          if
-            not
-              (Riq_interp.Machine.equal_arch
-                 (Riq_interp.Machine.arch_state m)
-                 (Processor.arch_state p))
-          then failwith "architectural state mismatch vs reference simulator"
-          else print_endline "differential check: architectural state matches"
-      | Riq_interp.Machine.Insn_limit | Riq_interp.Machine.Bad_pc _ ->
-          failwith "reference simulator did not halt"
-    end;
-    let acct = Processor.account p in
-    let result =
-      {
-        Run.stats = Processor.stats p;
-        sim_seconds;
-        icache_power = Account.group_power acct Component.G_icache;
-        bpred_power = Account.group_power acct Component.G_bpred;
-        iq_power = Account.group_power acct Component.G_iq;
-        overhead_power = Account.group_power acct Component.G_overhead;
-        total_power = Account.avg_power acct;
-        arch_ok = None;
-      }
+    let job = Riq_exp.Job.make ~check cfg program in
+    let fail e = failwith (Riq_exp.Outcome.error_to_string e) in
+    let p =
+      match Riq_exp.Runner.simulate ?sampler job with Ok (p, _) -> p | Error e -> fail e
     in
-    print_stats cfg result breakdown acct;
+    if check then begin
+      match Riq_exp.Runner.check job (Riq_exp.Runner.observe p) with
+      | Ok _ -> print_endline "differential check: architectural state matches"
+      | Error e -> fail e
+    end;
+    print_stats cfg (Processor.stats p) breakdown (Processor.account p);
     match report with
     | None -> ()
     | Some path ->
@@ -213,33 +189,27 @@ let progress_reporter () =
       if p.Riq_exp.Engine.finished = p.Riq_exp.Engine.total then Printf.eprintf "\n%!"
     end
 
-(* Engine + (in serve mode) the client it runs through, both instrumented
-   against one metrics registry so `engine_*` and `client_*` series land
-   in the same scrape. *)
+(* Engine + (in serve mode) the client it runs through. *)
 let make_engine ?serve ?trace ~jobs ~no_cache ~cache_dir ~timeout ~progress () =
   let on_progress = if progress then Some (progress_reporter ()) else None in
-  let metrics = Riq_obs.Metrics.create () in
   match serve with
   | Some addr ->
       (* Remote backend: no local cache — the daemon's shared store is the
          cache, and keeping a local one would hide its hit counters. *)
       let client =
-        Riq_svc.Client.connect ~klass:Riq_svc.Protocol.Interactive ~metrics ?trace
+        Riq_svc.Client.connect ~klass:Riq_svc.Protocol.Interactive ?trace
           (Riq_svc.Protocol.address_of_string addr)
       in
       let engine =
         Riq_exp.Engine.create ~backend:(Riq_svc.Client.backend client) ~timeout
-          ~metrics ?on_progress ()
+          ?on_progress ()
       in
-      (engine, Some client, metrics)
+      (engine, Some client)
   | None ->
       let cache =
         if no_cache then None else Some (Riq_exp.Cache.open_ ?root:cache_dir ())
       in
-      let engine =
-        Riq_exp.Engine.create ~workers:jobs ?cache ~timeout ~metrics ?on_progress ()
-      in
-      (engine, None, metrics)
+      (Riq_exp.Engine.create ~workers:jobs ?cache ~timeout ?on_progress (), None)
 
 (* One merged Chrome trace: the client's own spans plus the daemon's span
    ring (already shifted onto the client clock by the handshake offset).
@@ -333,7 +303,7 @@ let sweep_cmd =
           Riq_obs.Tracer.set_thread_name tr ~tid:0 "client";
           Some tr
     in
-    let engine, client, _metrics =
+    let engine, client =
       make_engine ?serve ?trace:tracer ~jobs ~no_cache ~cache_dir ~timeout
         ~progress:true ()
     in
@@ -379,7 +349,7 @@ let fig_cmd =
   in
   let action which no_check csv jobs no_cache cache_dir timeout serve =
     let check = not no_check in
-    let engine, _client, _metrics =
+    let engine, _client =
       make_engine ?serve ~jobs ~no_cache ~cache_dir ~timeout ~progress:true ()
     in
     let sweep = lazy (Sweep.run ~engine ~check ()) in
@@ -461,10 +431,11 @@ let trace_cmd =
     let oc = open_out path in
     let tracer = Riq_obs.Tracer.stream ~process_name:label oc in
     let sampler = Riq_obs.Sampler.create ~stride ~channels:Processor.sample_channels () in
-    let p = Processor.create ~tracer ~sampler cfg program in
-    (match Processor.run p with
-    | Processor.Halted -> ()
-    | Processor.Cycle_limit -> failwith "cycle limit exceeded");
+    let p =
+      match Riq_exp.Runner.simulate ~tracer ~sampler (Riq_exp.Job.make cfg program) with
+      | Ok (p, _) -> p
+      | Error e -> failwith (Riq_exp.Outcome.error_to_string e)
+    in
     (* Close any gating span still open when the halt committed, so the
        viewer never sees an unterminated slice. *)
     (match (Processor.reuse_state p).Reuse_state.state with

@@ -688,9 +688,9 @@ let hard_reject = function
    reference interpreter directly: replay the program, record every
    effective address each claimed instruction produces, and test the
    cartesian byte overlap. One contradicted pair is a soundness bug in
-   the dataflow stack. Callers (the fuzz oracle, the experiment runner's
-   verdict jobs, riq-lint --dynamic) treat the error like any other
-   static/dynamic mismatch. *)
+   the dataflow stack. The one caller, Riq_exp.Runner.check, runs it on
+   every verdict job (the reuse-on leg of every fuzz program) and reports
+   the error like any other static/dynamic mismatch. *)
 let validate_no_alias ?(limit = 5_000_000) program report =
   let claims =
     List.concat_map

@@ -159,9 +159,9 @@ val validate_no_alias :
     every {!field-no_alias} claim against the effective addresses actually
     produced: a store byte range intersecting a load byte range under a
     [No_alias] verdict is a soundness bug in the dataflow stack. Returns
-    the number of claims validated. The fuzz oracle and the experiment
-    runner's verdict jobs both call this, so the analyses are
-    differentially tested on every corpus program. *)
+    the number of claims validated. [Riq_exp.Runner.check] calls this on
+    every verdict job — the reuse-on leg of every fuzz program — so the
+    analyses are differentially tested on every corpus program. *)
 
 val coverage_of : report -> tail:int -> float option
 (** Predicted coverage contribution (percent of all committed

@@ -20,45 +20,11 @@ type stats = {
   busy_seconds : float;
 }
 
-module Metrics = Riq_obs.Metrics
-
-(* Engine-side instruments: one set per registry, mirroring [stats] so a
-   metrics scrape and the engine summary always agree. *)
-type instruments = {
-  i_jobs : Metrics.counter;
-  i_hits : Metrics.counter;
-  i_dedup : Metrics.counter;
-  i_exec : Metrics.counter;
-  i_fail : Metrics.counter;
-  i_retries : Metrics.counter;
-  i_timeouts : Metrics.counter;
-  i_job_seconds : Metrics.histogram;
-}
-
-let instruments_of registry =
-  let counter = Metrics.counter registry in
-  {
-    i_jobs = counter ~help:"Jobs submitted to the engine" "engine_jobs_total";
-    i_hits = counter ~help:"Jobs served from the local cache" "engine_cache_hits_total";
-    i_dedup =
-      counter ~help:"Jobs coalesced onto an identical in-batch job"
-        "engine_dedup_total";
-    i_exec = counter ~help:"Jobs executed by the backend" "engine_executed_total";
-    i_fail = counter ~help:"Jobs that finished with an error" "engine_failures_total";
-    i_retries =
-      counter ~help:"Jobs re-dispatched after a worker crash" "engine_retries_total";
-    i_timeouts = counter ~help:"Jobs that hit the wall-clock budget" "engine_timeouts_total";
-    i_job_seconds =
-      Metrics.histogram registry ~help:"Wall-clock seconds per executed job"
-        "engine_job_seconds";
-  }
-
 type t = {
   backend : Backend.t;
   timeout : float option;
   cache : Cache.t option;
   on_progress : (progress -> unit) option;
-  ins : instruments option;
   mutable s_jobs : int;
   mutable s_hits : int;
   mutable s_dedup : int;
@@ -71,7 +37,7 @@ type t = {
   mutable s_job_secs : float list; (* per executed job, unordered *)
 }
 
-let create ?(workers = 1) ?backend ?cache ?(timeout = 600.) ?metrics ?on_progress () =
+let create ?(workers = 1) ?backend ?cache ?(timeout = 600.) ?on_progress () =
   if workers < 1 then invalid_arg "Engine.create: workers must be >= 1";
   let timeout = if timeout <= 0. then None else Some timeout in
   let backend =
@@ -82,7 +48,6 @@ let create ?(workers = 1) ?backend ?cache ?(timeout = 600.) ?metrics ?on_progres
     timeout;
     cache;
     on_progress;
-    ins = Option.map instruments_of metrics;
     s_jobs = 0;
     s_hits = 0;
     s_dedup = 0;
@@ -164,9 +129,7 @@ let run t (jobs : Job.t array) : Outcome.t array =
       | Error e -> (
           incr failures;
           match e with
-          | Outcome.Job_timeout _ ->
-              t.s_timeouts <- t.s_timeouts + 1;
-              Option.iter (fun i -> Metrics.inc i.i_timeouts) t.ins
+          | Outcome.Job_timeout _ -> t.s_timeouts <- t.s_timeouts + 1
           | _ -> ())
       | Ok _ -> ());
       emit ()
@@ -190,9 +153,6 @@ let run t (jobs : Job.t array) : Outcome.t array =
       (match t.cache with Some c -> Cache.store c fps.(i) outcome | None -> ());
       incr executed;
       if seconds > 0. then t.s_job_secs <- seconds :: t.s_job_secs;
-      Option.iter
-        (fun ins -> Metrics.observe ins.i_job_seconds (Float.max 0. seconds))
-        t.ins;
       record i outcome
     in
     (if misses <> [] then begin
@@ -201,8 +161,7 @@ let run t (jobs : Job.t array) : Outcome.t array =
            ~on_result:complete
        in
        t.s_busy <- t.s_busy +. s.Backend.busy_seconds;
-       t.s_retries <- t.s_retries + s.Backend.retries;
-       Option.iter (fun i -> Metrics.add i.i_retries s.Backend.retries) t.ins
+       t.s_retries <- t.s_retries + s.Backend.retries
      end);
     (* Resolve duplicates from their representatives. *)
     List.iter
@@ -220,14 +179,6 @@ let run t (jobs : Job.t array) : Outcome.t array =
     t.s_exec <- t.s_exec + !executed;
     t.s_fail <- t.s_fail + !failures;
     t.s_wall <- t.s_wall +. wall;
-    Option.iter
-      (fun ins ->
-        Metrics.add ins.i_jobs n;
-        Metrics.add ins.i_hits !hits;
-        Metrics.add ins.i_dedup !deduped;
-        Metrics.add ins.i_exec !executed;
-        Metrics.add ins.i_fail !failures)
-      t.ins;
     Array.map
       (function
         | Some o -> o
@@ -242,6 +193,3 @@ let run_exn t jobs =
       | Ok r -> r
       | Error e -> failwith (Printf.sprintf "job %d: %s" i (Outcome.error_to_string e)))
     (run t jobs)
-
-let simulate_exn t ?check ?cycle_limit cfg program =
-  (run_exn t [| Job.make ?check ?cycle_limit cfg program |]).(0)

@@ -1,5 +1,3 @@
-open Riq_asm
-open Riq_ooo
 
 (** The experiment engine: schedules {!Job.t}s over a fork worker pool,
     serves repeats from the content-addressed {!Cache}, deduplicates
@@ -37,7 +35,6 @@ val create :
   ?backend:Backend.t ->
   ?cache:Cache.t ->
   ?timeout:float ->
-  ?metrics:Riq_obs.Metrics.t ->
   ?on_progress:(progress -> unit) ->
   unit ->
   t
@@ -47,10 +44,8 @@ val create :
     [cache] disables local result caching (a remote backend typically
     runs cache-less and lets the daemon's shared store serve repeats).
     [timeout] (default 600 s; [<= 0.] disables) is the per-job wall-clock
-    budget passed to the backend. With [metrics], the engine registers
-    [engine_*_total] counters mirroring {!stats} plus the
-    [engine_job_seconds] histogram against the given registry.
-    [on_progress] fires after every job completion. *)
+    budget passed to the backend. [on_progress] fires after every job
+    completion. *)
 
 val run : t -> Job.t array -> Outcome.t array
 (** Outcomes in job order. Per-job failures are recorded, never raised:
@@ -59,10 +54,6 @@ val run : t -> Job.t array -> Outcome.t array
 val run_exn : t -> Job.t array -> Outcome.sim_result array
 (** Like {!run} but raises [Failure] on the first failed job — for
     experiments whose tables need every cell. *)
-
-val simulate_exn :
-  t -> ?check:bool -> ?cycle_limit:int -> Config.t -> Program.t -> Outcome.sim_result
-(** One-job convenience wrapper over {!run_exn}. *)
 
 val workers : t -> int
 (** The backend's parallelism. *)

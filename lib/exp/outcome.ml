@@ -15,6 +15,7 @@ type error =
   | Cycle_limit_exceeded of int
   | Arch_state_mismatch of string
   | Verdict_mismatch of string
+  | Accounting_mismatch of string
   | Reference_did_not_halt
   | Worker_crashed of string
   | Job_timeout of float
@@ -25,7 +26,7 @@ type t = (sim_result, error) result
    crashes and timeouts depend on the host and must be retried next run. *)
 let error_is_deterministic = function
   | Cycle_limit_exceeded _ | Arch_state_mismatch _ | Verdict_mismatch _
-  | Reference_did_not_halt ->
+  | Accounting_mismatch _ | Reference_did_not_halt ->
       true
   | Worker_crashed _ | Job_timeout _ -> false
 
@@ -35,6 +36,7 @@ let error_to_string = function
       "architectural state mismatch vs reference simulator:\n" ^ diff
   | Verdict_mismatch msg ->
       "dynamic reuse decisions contradict the static bufferability verdicts: " ^ msg
+  | Accounting_mismatch msg -> "reuse accounting inconsistency: " ^ msg
   | Reference_did_not_halt -> "reference simulator did not halt"
   | Worker_crashed msg -> "worker crashed: " ^ msg
   | Job_timeout s -> Printf.sprintf "job timed out after %.1f s" s

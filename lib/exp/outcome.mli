@@ -26,8 +26,14 @@ type error =
           register/memory diff ({!Riq_interp.Machine.diff_string}) *)
   | Verdict_mismatch of string
       (** requested with [Job.verdicts]: a dynamically promoted loop the
-          static {!Riq_analysis.Bufferability} pass hard-rejects, or a
-          promoted tail the analysis never saw *)
+          static {!Riq_analysis.Bufferability} pass hard-rejects, a
+          promoted tail the analysis never saw, a revoke cause the
+          analysis rules out, or a no-alias claim the interpreter's
+          addresses contradict *)
+  | Accounting_mismatch of string
+      (** the run's reuse counters contradict each other: reuse activity
+          with reuse off, reused commits without a promotion, or per-loop
+          promotions that do not sum to the aggregate *)
   | Reference_did_not_halt
   | Worker_crashed of string (** worker process died; host-dependent *)
   | Job_timeout of float (** per-job wall-clock budget exhausted *)

@@ -10,5 +10,6 @@ let stamp = "riq-sim-2026-10-17.1"
 
 (* On-disk format of cache entries, independent of the simulator revision:
    bump when the entry layout or the marshalled [Outcome.t] layout
-   changes. 5: a checksummed text header precedes the payload. *)
-let format_version = 5
+   changes. 5: a checksummed text header precedes the payload. 6:
+   [Outcome.error] gains [Accounting_mismatch]. *)
+let format_version = 6

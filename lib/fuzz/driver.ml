@@ -49,8 +49,6 @@ type result = {
   agg : agg;
 }
 
-let cycle_limit = 10_000_000
-
 (* Shrink against the full in-process oracle: any failure keeps the
    candidate (chasing a second bug the shrink uncovers is fine — the repro
    still fails the oracle); a program that stops assembling is dead. *)
@@ -86,17 +84,15 @@ let run ?engine ?(shrink_checks = 400) ~config:name ~seed ~count () =
                      p.Prog.seed msg))
           progs
       in
+      (* The oracle's two legs per program, reuse-off first; each job
+         carries every check, so the outcomes are the diagnosis. *)
       let jobs =
         Array.concat
           (Array.to_list
              (Array.map
                 (fun program ->
-                  [|
-                    Job.make ~check:true ~verdicts:true ~cycle_limit cfg program;
-                    Job.make ~check:true ~cycle_limit
-                      { cfg with Config.reuse_enabled = false }
-                      program;
-                  |])
+                  let off, on = Oracle.legs cfg program in
+                  [| off; on |])
                 programs))
       in
       let outcomes = Engine.run engine jobs in
@@ -120,7 +116,7 @@ let run ?engine ?(shrink_checks = 400) ~config:name ~seed ~count () =
             { a with
               static_insns = a.static_insns + Array.length program.Riq_asm.Program.code
             };
-          let on = outcomes.(2 * i) and off = outcomes.((2 * i) + 1) in
+          let off = outcomes.(2 * i) and on = outcomes.((2 * i) + 1) in
           (match on with
           | Ok r ->
               let st = r.Outcome.stats in
@@ -137,27 +133,15 @@ let run ?engine ?(shrink_checks = 400) ~config:name ~seed ~count () =
                     a.reuse_committed + st.Riq_core.Processor.reuse_committed;
                 }
           | Error _ -> ());
-          let engine_error =
-            match (on, off) with
-            | Ok _, Ok _ -> None
-            | Error e, _ | _, Error e -> Some (Outcome.error_to_string e)
-          in
-          match engine_error with
+          match Oracle.first_failure (off, on) with
           | None -> ()
-          | Some engine_detail ->
-              (* Re-check in-process for the richer oracle diagnosis, then
-                 shrink whatever still fails. *)
-              let detail =
-                match Oracle.check ~cfg programs.(i) with
-                | Error f -> Oracle.failure_to_string f
-                | Ok _ -> "engine-only failure: " ^ engine_detail
-              in
+          | Some f ->
               let repro = shrink ~cfg ~max_checks:shrink_checks progs.(i) in
               failures :=
                 {
                   f_seed = progs.(i).Prog.seed;
                   f_index = i;
-                  f_detail = detail;
+                  f_detail = Oracle.failure_to_string f;
                   f_repro = repro;
                   f_repro_insns = Prog.size_insns repro;
                 }

@@ -2,9 +2,10 @@ open Riq_ooo
 
 (** Fuzzing campaign driver: generate [count] programs from a base seed,
     fan the simulations out over the experiment engine's worker pool
-    ({!Riq_exp.Engine} — two differential jobs per program, reuse on and
-    off), re-check every engine-reported failure in-process through the
-    {!Oracle}, shrink it ({!Shrink.minimize}) and hand back standalone
+    ({!Riq_exp.Engine} — the {!Oracle}'s two legs per program, reuse off
+    and on, each a job that carries every check), take a failing leg's
+    engine error as the diagnosis, shrink the program against the
+    in-process {!Oracle} ({!Shrink.minimize}) and hand back standalone
     repro assembly.
 
     Everything here is deterministic: equal (config, seed, count) produce
@@ -23,7 +24,7 @@ val config : string -> (Config.t * Gen.params, string) result
 type failure = {
   f_seed : int;  (** per-program generator seed *)
   f_index : int;  (** index of the program in the campaign *)
-  f_detail : string;  (** rendered oracle (or engine) failure *)
+  f_detail : string;  (** the failing leg's error ({!Oracle.failure_to_string}) *)
   f_repro : Prog.t;  (** shrunk reproducer *)
   f_repro_insns : int;  (** assembled size of the reproducer *)
 }

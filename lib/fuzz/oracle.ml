@@ -1,52 +1,30 @@
-open Riq_asm
 open Riq_ooo
 open Riq_core
-open Riq_interp
 open Riq_analysis
+open Riq_exp
 
-type run = {
-  arch : Machine.arch_state;
-  stats : Processor.stats;
-  decisions : Processor.loop_decision list;
-}
+let cycle_limit = 10_000_000
 
-type runner = Config.t -> Program.t -> (run, string) result
+let legs cfg program =
+  ( Job.make ~check:true ~cycle_limit { cfg with Config.reuse_enabled = false } program,
+    Job.make ~check:true ~verdicts:true ~cycle_limit cfg program )
 
-let default_runner ?(cycle_limit = 10_000_000) () : runner =
- fun cfg program ->
-  match
-    let p = Processor.create cfg program in
-    match Processor.run ~cycle_limit p with
-    | Processor.Cycle_limit ->
-        Error (Printf.sprintf "cycle limit exceeded (%d cycles)" cycle_limit)
-    | Processor.Halted ->
-        Ok
-          {
-            arch = Processor.arch_state p;
-            stats = Processor.stats p;
-            decisions = Processor.loop_decisions p;
-          }
-  with
-  | result -> result
-  | exception exn -> Error ("exception: " ^ Printexc.to_string exn)
+type runner = Job.t -> (Runner.run, Outcome.error) result
 
-type failure =
-  | Reference_stuck of string
-  | Ooo_stuck of { config : string; detail : string }
-  | Arch_mismatch of { config : string; diff : string }
-  | Verdict_mismatch of string
-  | Alias_mismatch of string
-  | Accounting of string
+let default_runner job =
+  match Runner.simulate job with
+  | Ok (p, _) -> Ok (Runner.observe p)
+  | Error e -> Error e
+  | exception exn -> Error (Outcome.Worker_crashed (Printexc.to_string exn))
 
-let failure_to_string = function
-  | Reference_stuck s -> "reference interpreter stuck: " ^ s
-  | Ooo_stuck { config; detail } ->
-      Printf.sprintf "out-of-order run (%s) stuck: %s" config detail
-  | Arch_mismatch { config; diff } ->
-      Printf.sprintf "architectural state mismatch (%s vs reference):\n%s" config diff
-  | Verdict_mismatch s -> "static/dynamic verdict mismatch: " ^ s
-  | Alias_mismatch s -> "static no-alias claim contradicted dynamically: " ^ s
-  | Accounting s -> "reuse accounting inconsistency: " ^ s
+type failure = { leg : string; error : Outcome.error }
+
+let failure_to_string f = f.leg ^ " leg: " ^ Outcome.error_to_string f.error
+
+let first_failure = function
+  | Error error, _ -> Some { leg = "reuse-off"; error }
+  | Ok _, Error error -> Some { leg = "reuse-on"; error }
+  | Ok _, Ok _ -> None
 
 let scrub_fast (s : Processor.stats) =
   { s with Processor.skipped_cycles = 0; ffwd_iterations = 0 }
@@ -69,116 +47,57 @@ type summary = {
 
 let ( let* ) = Result.bind
 
-let run_leg (runner : runner) ~name ~golden cfg program =
-  let* r =
-    Result.map_error (fun detail -> Ooo_stuck { config = name; detail })
-      (runner cfg program)
+let summarize (r : Runner.run) (verdicts : Runner.verdicts option) =
+  let st = r.Runner.stats in
+  let sum f = List.fold_left (fun acc d -> acc + f d) 0 r.Runner.decisions in
+  let loops =
+    match verdicts with
+    | Some v -> v.Runner.report.Bufferability.loops
+    | None -> []
   in
-  if Machine.equal_arch golden r.arch then Ok r
-  else
-    Error
-      (Arch_mismatch { config = name; diff = Machine.diff_string golden r.arch })
+  {
+    committed = st.Processor.committed;
+    detections = sum (fun d -> d.Processor.ld_detections);
+    nblt_filtered = sum (fun d -> d.Processor.ld_nblt_filtered);
+    attempts = sum (fun d -> d.Processor.ld_attempts);
+    revokes = sum (fun d -> d.Processor.ld_revokes);
+    nblt_registered = sum (fun d -> d.Processor.ld_nblt_registered);
+    promotions = st.Processor.promotions;
+    exits = st.Processor.reuse_exits;
+    reuse_committed = st.Processor.reuse_committed;
+    static_loops = List.length loops;
+    hard_rejected =
+      List.length
+        (List.filter
+           (fun (l : Bufferability.loop_report) ->
+             match l.Bufferability.verdict with
+             | Error r -> Bufferability.hard_reject r
+             | Ok () -> false)
+           loops);
+    no_alias_claims =
+      (match verdicts with Some v -> v.Runner.no_alias_claims | None -> 0);
+    alias_risks =
+      List.fold_left
+        (fun acc (l : Bufferability.loop_report) ->
+          acc
+          + List.length
+              (List.filter
+                 (function
+                   | Bufferability.Aliasing_store _ -> true
+                   | Bufferability.Data_dependent_trip -> false)
+                 l.Bufferability.risks))
+        0 loops;
+  }
 
-let check ?(runner = default_runner ()) ?(ref_limit = 5_000_000) ~cfg program =
-  let m = Machine.create program in
-  let* golden =
-    match Machine.run ~limit:ref_limit m with
-    | Machine.Halted -> Ok (Machine.arch_state m)
-    | Machine.Insn_limit ->
-        Error (Reference_stuck (Printf.sprintf "instruction limit (%d)" ref_limit))
-    | Machine.Bad_pc pc -> Error (Reference_stuck (Printf.sprintf "bad pc 0x%x" pc))
+let check ?(runner = default_runner) ~cfg program =
+  let off, on = legs cfg program in
+  let leg name job =
+    Result.map_error
+      (fun error -> { leg = name; error })
+      (let* r = runner job in
+       let* verdicts = Runner.check job r in
+       Ok (r, verdicts))
   in
-  let* off =
-    run_leg runner ~name:"reuse-off" ~golden
-      { cfg with Config.reuse_enabled = false }
-      program
-  in
-  let* () =
-    if off.stats.Processor.reuse_committed = 0 && off.stats.Processor.promotions = 0
-    then Ok ()
-    else
-      Error
-        (Accounting
-           (Printf.sprintf
-              "reuse-off run reports reuse activity (%d reused commits, %d promotions)"
-              off.stats.Processor.reuse_committed off.stats.Processor.promotions))
-  in
-  let* on = run_leg runner ~name:"reuse-on" ~golden cfg program in
-  let st = on.stats in
-  let* () =
-    if st.Processor.reuse_committed > 0 && st.Processor.promotions = 0 then
-      Error
-        (Accounting
-           (Printf.sprintf "%d reused commits but no promotion"
-              st.Processor.reuse_committed))
-    else Ok ()
-  in
-  let sum f = List.fold_left (fun acc d -> acc + f d) 0 on.decisions in
-  let per_loop_promotions = sum (fun d -> d.Processor.ld_promotions) in
-  let* () =
-    if per_loop_promotions = st.Processor.promotions then Ok ()
-    else
-      Error
-        (Accounting
-           (Printf.sprintf "per-loop promotions (%d) != stats.promotions (%d)"
-              per_loop_promotions st.Processor.promotions))
-  in
-  let report = Bufferability.analyze_config cfg program in
-  let promotions =
-    List.map (fun d -> (d.Processor.ld_tail, d.Processor.ld_promotions)) on.decisions
-  in
-  let causes =
-    List.map
-      (fun d ->
-        ( d.Processor.ld_tail,
-          {
-            Bufferability.rc_inner = d.Processor.ld_rv_inner;
-            rc_left = d.Processor.ld_rv_left;
-            rc_overflow = d.Processor.ld_rv_overflow;
-            rc_mispredict = d.Processor.ld_rv_mispredict;
-          } ))
-      on.decisions
-  in
-  let* () =
-    Result.map_error (fun s -> Verdict_mismatch s)
-      (Bufferability.consistency ~causes report ~promotions)
-  in
-  let* no_alias_claims =
-    Result.map_error (fun s -> Alias_mismatch s)
-      (Bufferability.validate_no_alias ~limit:ref_limit program report)
-  in
-  let hard_rejected =
-    List.length
-      (List.filter
-         (fun (l : Bufferability.loop_report) ->
-           match l.Bufferability.verdict with
-           | Error r -> Bufferability.hard_reject r
-           | Ok () -> false)
-         report.Bufferability.loops)
-  in
-  Ok
-    {
-      committed = st.Processor.committed;
-      detections = sum (fun d -> d.Processor.ld_detections);
-      nblt_filtered = sum (fun d -> d.Processor.ld_nblt_filtered);
-      attempts = sum (fun d -> d.Processor.ld_attempts);
-      revokes = sum (fun d -> d.Processor.ld_revokes);
-      nblt_registered = sum (fun d -> d.Processor.ld_nblt_registered);
-      promotions = st.Processor.promotions;
-      exits = st.Processor.reuse_exits;
-      reuse_committed = st.Processor.reuse_committed;
-      static_loops = List.length report.Bufferability.loops;
-      hard_rejected;
-      no_alias_claims;
-      alias_risks =
-        List.fold_left
-          (fun acc (l : Bufferability.loop_report) ->
-            acc
-            + List.length
-                (List.filter
-                   (function
-                     | Bufferability.Aliasing_store _ -> true
-                     | Bufferability.Data_dependent_trip -> false)
-                   l.Bufferability.risks))
-          0 report.Bufferability.loops;
-    }
+  let* _ = leg "reuse-off" off in
+  let* r, verdicts = leg "reuse-on" on in
+  Ok (summarize r verdicts)

@@ -1,55 +1,49 @@
 open Riq_asm
 open Riq_ooo
 open Riq_core
-open Riq_interp
+open Riq_exp
 
 (** Three-way differential oracle.
 
     One generated program is run on three machines — the functional
     reference ({!Riq_interp.Machine}), the out-of-order core with reuse
-    disabled, and the same core with the reusable issue queue on — and the
-    final architectural states must agree bit-for-bit. On top of the state
-    comparison the oracle cross-checks the dynamic reuse decisions against
-    the static {!Riq_analysis.Bufferability} verdicts
-    ({!Riq_analysis.Bufferability.consistency}) and the processor's own
-    reuse accounting. *)
+    disabled, and the same core with the reusable issue queue on. The two
+    out-of-order runs are the two {!Riq_exp.Job.t}s a fuzz campaign
+    submits ({!legs}), and every check — final architectural state
+    against the reference, the processor's reuse accounting, and the
+    dynamic reuse decisions against the static
+    {!Riq_analysis.Bufferability} verdicts — is {!Riq_exp.Runner.check}'s,
+    so a replayed or shrunk program is held to exactly the contract the
+    campaign's engine jobs are. *)
 
-type run = {
-  arch : Machine.arch_state;
-  stats : Processor.stats;
-  decisions : Processor.loop_decision list;
+val legs : Config.t -> Program.t -> Job.t * Job.t
+(** [legs cfg program] is [(off, on)]. [on] runs [cfg] (a reuse
+    configuration) and is checked against the interpreter and the static
+    verdicts; [off] is [cfg] with the mechanism switched off, checked
+    against the interpreter, so the two runs differ only in the feature
+    under test. Both carry a 10-million-cycle budget: generated programs
+    execute tens of thousands of instructions, so anything near it is a
+    livelock. *)
+
+type runner = Job.t -> (Runner.run, Outcome.error) result
+(** How the oracle executes one leg. Injectable so the mutation tests can
+    wrap {!default_runner} with a deliberate fault and prove the checks
+    catch it. *)
+
+val default_runner : runner
+(** {!Riq_exp.Runner.simulate} in this process; an exception becomes
+    [Worker_crashed]. *)
+
+type failure = {
+  leg : string;  (** ["reuse-off"] or ["reuse-on"] *)
+  error : Outcome.error;
 }
 
-type runner = Config.t -> Program.t -> (run, string) result
-(** How the oracle executes one out-of-order simulation. Injectable so the
-    mutation tests can wrap {!default_runner} with a deliberate fault and
-    prove the oracle catches it. *)
-
-val default_runner : ?cycle_limit:int -> unit -> runner
-(** In-process {!Riq_core.Processor} run ([cycle_limit] defaults to 10
-    million — generated programs execute tens of thousands of
-    instructions, so anything near the limit is a livelock). *)
-
-type failure =
-  | Reference_stuck of string
-      (** the golden model did not halt — a generator invariant broke *)
-  | Ooo_stuck of { config : string; detail : string }
-      (** an out-of-order run hit its cycle limit or crashed *)
-  | Arch_mismatch of { config : string; diff : string }
-      (** final architectural state differs from the reference *)
-  | Verdict_mismatch of string
-      (** dynamic promotions or revoke causes contradict the static
-          bufferability verdicts *)
-  | Alias_mismatch of string
-      (** a static [No_alias] claim was contradicted by effective
-          addresses observed on the reference interpreter — a soundness
-          bug in the dataflow analyses *)
-  | Accounting of string
-      (** the processor's reuse counters are self-inconsistent (e.g.
-          reused commits without a promotion, or reuse activity in the
-          reuse-off run) *)
-
 val failure_to_string : failure -> string
+
+val first_failure : Outcome.t * Outcome.t -> failure option
+(** The failure of the first failing leg among the [(off, on)] outcomes,
+    reuse-off first — the failure {!check} reports for the same runs. *)
 
 val scrub_fast : Processor.stats -> Processor.stats
 (** Inert: zeroes [skipped_cycles] and [ffwd_iterations], which are
@@ -77,13 +71,6 @@ type summary = {
   alias_risks : int;  (** store/load pairs flagged [Aliasing_store] *)
 }
 
-val check :
-  ?runner:runner ->
-  ?ref_limit:int ->
-  cfg:Config.t ->
-  Program.t ->
-  (summary, failure) result
-(** [check ~cfg program] with [cfg.reuse_enabled]; the reuse-off leg is
-    [cfg] with the mechanism switched off, so the two out-of-order runs
-    differ only in the feature under test. [ref_limit] bounds the
-    reference interpreter (default 5 million instructions). *)
+val check : ?runner:runner -> cfg:Config.t -> Program.t -> (summary, failure) result
+(** Run and check the reuse-off leg, then the reuse-on leg, of
+    [legs cfg program]. *)

@@ -46,16 +46,17 @@ let fig5 sweep =
     ~title:
       "Figure 5. Percentage of total execution cycles with the pipeline front-end gated."
     ~digits:1 sweep
-    (fun c -> 100. *. c.Sweep.reuse.Run.stats.Processor.gated_fraction)
+    (fun c -> 100. *. c.Sweep.reuse.Outcome.stats.Processor.gated_fraction)
 
 let fig7 sweep =
   per_bench_table ~title:"Figure 7. Overall power (per cycle) reduction." ~digits:1 sweep
-    (fun c -> Run.reduction c.Sweep.baseline.Run.total_power c.Sweep.reuse.Run.total_power)
+    (fun c ->
+      Sweep.reduction c.Sweep.baseline.Outcome.total_power c.Sweep.reuse.Outcome.total_power)
 
 let fig8 sweep =
   per_bench_table ~title:"Figure 8. Performance (IPC) degradation." ~digits:2 sweep (fun c ->
-      Run.reduction c.Sweep.baseline.Run.stats.Processor.ipc
-        c.Sweep.reuse.Run.stats.Processor.ipc)
+      Sweep.reduction c.Sweep.baseline.Outcome.stats.Processor.ipc
+        c.Sweep.reuse.Outcome.stats.Processor.ipc)
 
 (* Static bufferability analysis vs. dynamic measurement: for every
    benchmark and queue size, the reuse coverage (percent of committed
@@ -88,7 +89,7 @@ let coverage sweep =
             let predicted =
               Option.value ~default:0. report.Riq_analysis.Bufferability.coverage
             in
-            let s = c.Sweep.reuse.Run.stats in
+            let s = c.Sweep.reuse.Outcome.stats in
             let measured =
               if s.Processor.committed = 0 then 0.
               else
@@ -122,14 +123,13 @@ let fig6 sweep =
       sweep.Sweep.sizes
   in
   let row name vals = Table.add_row t (name :: List.map (Table.cell_pct ~digits:1) vals) in
-  row "Icache"
-    (avg (fun c -> Run.reduction c.Sweep.baseline.Run.icache_power c.Sweep.reuse.Run.icache_power));
-  row "Bpred"
-    (avg (fun c -> Run.reduction c.Sweep.baseline.Run.bpred_power c.Sweep.reuse.Run.bpred_power));
-  row "IssueQueue"
-    (avg (fun c -> Run.reduction c.Sweep.baseline.Run.iq_power c.Sweep.reuse.Run.iq_power));
+  let group f = avg (fun c -> Sweep.reduction (f c.Sweep.baseline) (f c.Sweep.reuse)) in
+  row "Icache" (group (fun r -> r.Outcome.icache_power));
+  row "Bpred" (group (fun r -> r.Outcome.bpred_power));
+  row "IssueQueue" (group (fun r -> r.Outcome.iq_power));
   row "Overhead"
-    (avg (fun c -> 100. *. c.Sweep.reuse.Run.overhead_power /. c.Sweep.reuse.Run.total_power));
+    (avg (fun c ->
+         100. *. c.Sweep.reuse.Outcome.overhead_power /. c.Sweep.reuse.Outcome.total_power));
   t
 
 (* ------------------------------------------------------------------ *)
@@ -182,12 +182,12 @@ let fig9 ?engine ?(check = true) () =
       let bo = r.(0) and ro = r.(1) and bp = r.(2) and rp = r.(3) in
       let vals =
         [|
-          Run.reduction bo.Run.total_power ro.Run.total_power;
-          Run.reduction bp.Run.total_power rp.Run.total_power;
-          100. *. ro.Run.stats.Processor.gated_fraction;
-          100. *. rp.Run.stats.Processor.gated_fraction;
-          Run.reduction bo.Run.stats.Processor.ipc ro.Run.stats.Processor.ipc;
-          Run.reduction bp.Run.stats.Processor.ipc rp.Run.stats.Processor.ipc;
+          Sweep.reduction bo.Outcome.total_power ro.Outcome.total_power;
+          Sweep.reduction bp.Outcome.total_power rp.Outcome.total_power;
+          100. *. ro.Outcome.stats.Processor.gated_fraction;
+          100. *. rp.Outcome.stats.Processor.gated_fraction;
+          Sweep.reduction bo.Outcome.stats.Processor.ipc ro.Outcome.stats.Processor.ipc;
+          Sweep.reduction bp.Outcome.stats.Processor.ipc rp.Outcome.stats.Processor.ipc;
         |]
       in
       Array.iteri (fun i v -> acc.(i) <- acc.(i) +. v) vals;
@@ -222,8 +222,8 @@ let nblt_ablation ?engine ?(check = true) () =
       ])
     (fun w r ->
       let without = r.(0) and with_ = r.(1) in
-      let rate (x : Run.result) =
-        let s = x.Run.stats in
+      let rate (x : Outcome.sim_result) =
+        let s = x.Outcome.stats in
         Stats.percent
           (float_of_int s.Processor.revokes)
           (float_of_int (max 1 s.Processor.buffer_attempts))
@@ -233,8 +233,8 @@ let nblt_ablation ?engine ?(check = true) () =
           w.Workloads.name;
           Table.cell_pct ~digits:1 (rate without);
           Table.cell_pct ~digits:1 (rate with_);
-          Table.cell_pct ~digits:1 (100. *. without.Run.stats.Processor.gated_fraction);
-          Table.cell_pct ~digits:1 (100. *. with_.Run.stats.Processor.gated_fraction);
+          Table.cell_pct ~digits:1 (100. *. without.Outcome.stats.Processor.gated_fraction);
+          Table.cell_pct ~digits:1 (100. *. with_.Outcome.stats.Processor.gated_fraction);
         ]);
   t
 
@@ -264,10 +264,10 @@ let strategy_ablation ?engine ?(check = true) () =
       Table.add_row t
         [
           w.Workloads.name;
-          Table.cell_pct ~digits:1 (100. *. s1.Run.stats.Processor.gated_fraction);
-          Table.cell_pct ~digits:1 (100. *. s2.Run.stats.Processor.gated_fraction);
-          Table.cell_f ~digits:2 s1.Run.stats.Processor.ipc;
-          Table.cell_f ~digits:2 s2.Run.stats.Processor.ipc;
+          Table.cell_pct ~digits:1 (100. *. s1.Outcome.stats.Processor.gated_fraction);
+          Table.cell_pct ~digits:1 (100. *. s2.Outcome.stats.Processor.gated_fraction);
+          Table.cell_f ~digits:2 s1.Outcome.stats.Processor.ipc;
+          Table.cell_f ~digits:2 s2.Outcome.stats.Processor.ipc;
         ]);
   t
 
@@ -306,14 +306,14 @@ let related_work ?engine ?(check = true) ?(iq_size = 64) () =
       let base = r.(0) and lc = r.(1) and fc = r.(2) and ru = r.(3) in
       let vals =
         [|
-          Run.reduction base.Run.icache_power lc.Run.icache_power;
-          Run.reduction base.Run.icache_power fc.Run.icache_power;
-          Run.reduction base.Run.icache_power ru.Run.icache_power;
-          Run.reduction base.Run.total_power lc.Run.total_power;
-          Run.reduction base.Run.total_power fc.Run.total_power;
-          Run.reduction base.Run.total_power ru.Run.total_power;
-          Run.reduction base.Run.stats.Processor.ipc fc.Run.stats.Processor.ipc;
-          Run.reduction base.Run.stats.Processor.ipc ru.Run.stats.Processor.ipc;
+          Sweep.reduction base.Outcome.icache_power lc.Outcome.icache_power;
+          Sweep.reduction base.Outcome.icache_power fc.Outcome.icache_power;
+          Sweep.reduction base.Outcome.icache_power ru.Outcome.icache_power;
+          Sweep.reduction base.Outcome.total_power lc.Outcome.total_power;
+          Sweep.reduction base.Outcome.total_power fc.Outcome.total_power;
+          Sweep.reduction base.Outcome.total_power ru.Outcome.total_power;
+          Sweep.reduction base.Outcome.stats.Processor.ipc fc.Outcome.stats.Processor.ipc;
+          Sweep.reduction base.Outcome.stats.Processor.ipc ru.Outcome.stats.Processor.ipc;
         |]
       in
       Array.iteri (fun i v -> acc.(i) <- acc.(i) +. v) vals;
@@ -361,10 +361,12 @@ let predictor_ablation ?engine ?(check = true) () =
       Table.add_row t
         [
           w.Workloads.name;
-          Table.cell_pct ~digits:1 (100. *. br.Run.stats.Processor.gated_fraction);
-          Table.cell_pct ~digits:1 (100. *. gr.Run.stats.Processor.gated_fraction);
-          Table.cell_pct ~digits:1 (Run.reduction bb.Run.total_power br.Run.total_power);
-          Table.cell_pct ~digits:1 (Run.reduction gb.Run.total_power gr.Run.total_power);
+          Table.cell_pct ~digits:1 (100. *. br.Outcome.stats.Processor.gated_fraction);
+          Table.cell_pct ~digits:1 (100. *. gr.Outcome.stats.Processor.gated_fraction);
+          Table.cell_pct ~digits:1
+            (Sweep.reduction bb.Outcome.total_power br.Outcome.total_power);
+          Table.cell_pct ~digits:1
+            (Sweep.reduction gb.Outcome.total_power gr.Outcome.total_power);
         ]);
   t
 
@@ -405,12 +407,14 @@ let unroll_ablation ?engine ?(check = true) ?(factor = 4) () =
       Table.add_row t
         [
           w.Workloads.name;
-          Table.cell_pct ~digits:1 (100. *. ro.Run.stats.Processor.gated_fraction);
-          Table.cell_pct ~digits:1 (100. *. ru.Run.stats.Processor.gated_fraction);
-          Table.cell_pct ~digits:1 (Run.reduction bo.Run.total_power ro.Run.total_power);
-          Table.cell_pct ~digits:1 (Run.reduction bu.Run.total_power ru.Run.total_power);
-          Table.cell_f ~digits:2 ro.Run.stats.Processor.ipc;
-          Table.cell_f ~digits:2 ru.Run.stats.Processor.ipc;
+          Table.cell_pct ~digits:1 (100. *. ro.Outcome.stats.Processor.gated_fraction);
+          Table.cell_pct ~digits:1 (100. *. ru.Outcome.stats.Processor.gated_fraction);
+          Table.cell_pct ~digits:1
+            (Sweep.reduction bo.Outcome.total_power ro.Outcome.total_power);
+          Table.cell_pct ~digits:1
+            (Sweep.reduction bu.Outcome.total_power ru.Outcome.total_power);
+          Table.cell_f ~digits:2 ro.Outcome.stats.Processor.ipc;
+          Table.cell_f ~digits:2 ru.Outcome.stats.Processor.ipc;
         ]);
   t
 
@@ -443,10 +447,11 @@ let revoke_causes ?(iq_size = 32) () =
     (fun w ->
       let program = Workloads.program w in
       let report = Riq_analysis.Bufferability.analyze_config cfg program in
-      let p = Processor.create cfg program in
-      (match Processor.run p with
-      | Processor.Halted -> ()
-      | Processor.Cycle_limit -> failwith (w.Workloads.name ^ ": cycle limit hit"));
+      let p =
+        match Runner.simulate (Job.make cfg program) with
+        | Ok (p, _) -> p
+        | Error e -> failwith (w.Workloads.name ^ ": " ^ Outcome.error_to_string e)
+      in
       List.iter
         (fun d ->
           let predicted =

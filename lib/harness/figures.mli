@@ -79,5 +79,5 @@ val revoke_causes : ?iq_size:int -> unit -> Table.t
     loop, the cause the {!Riq_analysis.Bufferability} verdict implies (if
     any), the measured inner-loop / left-loop / overflow / mispredict
     revoke counts, and whether the dominant measured cause matches the
-    prediction. Runs the processor in-process — the cause counters are
-    per-loop, not part of the engine's summary statistics. *)
+    prediction. Runs {!Riq_exp.Runner.simulate} in-process — the cause
+    counters are per-loop, not part of the engine's summary statistics. *)

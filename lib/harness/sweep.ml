@@ -4,7 +4,9 @@ open Riq_core
 open Riq_workloads
 open Riq_exp
 
-type cell = { baseline : Run.result; reuse : Run.result }
+type cell = { baseline : Outcome.sim_result; reuse : Outcome.sim_result }
+
+let reduction base with_ = if base = 0. then 0. else 100. *. (1. -. (with_ /. base))
 
 type t = {
   sizes : int list;
@@ -81,28 +83,28 @@ let cell t ~bench ~size =
    exports stay field-compatible. *)
 let stats_json = Report.stats_json
 
-let insns_per_sec (r : Run.result) =
-  if r.Run.sim_seconds > 0. then
-    float_of_int r.Run.stats.Processor.committed /. r.Run.sim_seconds
+let insns_per_sec (r : Outcome.sim_result) =
+  if r.Outcome.sim_seconds > 0. then
+    float_of_int r.Outcome.stats.Processor.committed /. r.Outcome.sim_seconds
   else 0.
 
-let result_json (r : Run.result) =
+let result_json (r : Outcome.sim_result) =
   Json.Obj
     [
-      ("stats", stats_json r.Run.stats);
-      ("sim_seconds", Json.Float r.Run.sim_seconds);
+      ("stats", stats_json r.Outcome.stats);
+      ("sim_seconds", Json.Float r.Outcome.sim_seconds);
       ("sim_insns_per_sec", Json.Float (insns_per_sec r));
       ( "power",
         Json.Obj
           [
-            ("icache", Json.Float r.Run.icache_power);
-            ("bpred", Json.Float r.Run.bpred_power);
-            ("iq", Json.Float r.Run.iq_power);
-            ("overhead", Json.Float r.Run.overhead_power);
-            ("total", Json.Float r.Run.total_power);
+            ("icache", Json.Float r.Outcome.icache_power);
+            ("bpred", Json.Float r.Outcome.bpred_power);
+            ("iq", Json.Float r.Outcome.iq_power);
+            ("overhead", Json.Float r.Outcome.overhead_power);
+            ("total", Json.Float r.Outcome.total_power);
           ] );
       ( "arch_ok",
-        match r.Run.arch_ok with None -> Json.Null | Some b -> Json.Bool b );
+        match r.Outcome.arch_ok with None -> Json.Null | Some b -> Json.Bool b );
     ]
 
 let engine_json engine =
@@ -162,13 +164,13 @@ let to_json ?engine t =
                 ("reuse", result_json c.reuse);
                 ( "power_reduction_pct",
                   Json.Float
-                    (Run.reduction c.baseline.Run.total_power c.reuse.Run.total_power) );
+                    (reduction c.baseline.Outcome.total_power c.reuse.Outcome.total_power) );
                 ( "ipc_degradation_pct",
                   Json.Float
-                    (Run.reduction c.baseline.Run.stats.Processor.ipc
-                       c.reuse.Run.stats.Processor.ipc) );
+                    (reduction c.baseline.Outcome.stats.Processor.ipc
+                       c.reuse.Outcome.stats.Processor.ipc) );
                 ( "gated_pct",
-                  Json.Float (100. *. c.reuse.Run.stats.Processor.gated_fraction) );
+                  Json.Float (100. *. c.reuse.Outcome.stats.Processor.gated_fraction) );
               ])
           per_size)
       t.cells
@@ -180,9 +182,9 @@ let to_json ?engine t =
       (fun acc (_, per_size) ->
         List.fold_left
           (fun (i, s) (_, c) ->
-            ( i + c.baseline.Run.stats.Processor.committed
-              + c.reuse.Run.stats.Processor.committed,
-              s +. c.baseline.Run.sim_seconds +. c.reuse.Run.sim_seconds ))
+            ( i + c.baseline.Outcome.stats.Processor.committed
+              + c.reuse.Outcome.stats.Processor.committed,
+              s +. c.baseline.Outcome.sim_seconds +. c.reuse.Outcome.sim_seconds ))
           acc per_size)
       (0, 0.) t.cells
   in

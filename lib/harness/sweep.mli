@@ -10,7 +10,11 @@ open Riq_workloads
     serve cells from the on-disk result cache. Cell values are
     bit-identical whatever the worker count. *)
 
-type cell = { baseline : Run.result; reuse : Run.result }
+type cell = { baseline : Riq_exp.Outcome.sim_result; reuse : Riq_exp.Outcome.sim_result }
+
+val reduction : float -> float -> float
+(** [reduction base with_] = percent reduction, [100*(1 - with_/base)];
+    0 when [base] is 0. *)
 
 type t = {
   sizes : int list;
@@ -37,7 +41,7 @@ val run :
     differential validation on every simulation. [progress] is called
     with a short label per cell at submission time; live completion
     progress comes from the engine's [on_progress]. Raises [Failure] if
-    any cell fails (see {!Run.error}). *)
+    any cell fails (see {!Riq_exp.Outcome.error}). *)
 
 val cell : t -> bench:string -> size:int -> cell
 

@@ -1,7 +1,7 @@
 (* Client side of the serve protocol, packaged as an engine backend.
 
    The engine hands over its cache-missing job indices; the client
-   submits them as one ticket, polls status, fetches the outcomes and
+   submits them as one ticket, polls until the outcomes are ready and
    replays them through [on_result]. All the serving leverage lives
    daemon-side (shared store, cross-client batching, fair queue), so the
    client stays deliberately dumb: a blocking request/response socket
@@ -47,10 +47,12 @@ let instruments_of registry =
         "client_request_seconds";
   }
 
+(* Pause between [result] polls while a ticket is pending. *)
+let poll_interval = 0.02
+
 type t = {
   address : Protocol.address;
   klass : Protocol.klass;
-  poll_interval : float;
   request_timeout : float;
   ins : instruments option;
   tracer : Tracer.t option; (* caller-owned sink for client-side spans *)
@@ -161,8 +163,8 @@ let rec request ?(retried = false) t req =
         request ~retried:true t req
       end
 
-let connect ?(klass = Protocol.Interactive) ?(poll_interval = 0.02)
-    ?(request_timeout = 120.) ?metrics ?trace address =
+let connect ?(klass = Protocol.Interactive) ?(request_timeout = 120.) ?metrics ?trace
+    address =
   let trace_id =
     Printf.sprintf "%d-%06x" (Unix.getpid ())
       (int_of_float (Unix.gettimeofday () *. 1e6) land 0xffffff)
@@ -171,7 +173,6 @@ let connect ?(klass = Protocol.Interactive) ?(poll_interval = 0.02)
     {
       address;
       klass;
-      poll_interval;
       request_timeout;
       ins = Option.map instruments_of metrics;
       tracer = trace;
@@ -307,7 +308,7 @@ let run_batch t (jobs : Job.t array) indices on_result =
           let resp = request t (Protocol.Result { ticket }) in
           if Protocol.is_ok resp then resp
           else if Protocol.error_of resp = "pending" then begin
-            (try ignore (Unix.select [] [] [] t.poll_interval) with _ -> ());
+            (try ignore (Unix.select [] [] [] poll_interval) with _ -> ());
             wait ()
           end
           else failwith ("riq-serve result refused: " ^ Protocol.error_of resp)

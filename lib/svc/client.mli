@@ -9,7 +9,6 @@ type t
 
 val connect :
   ?klass:Protocol.klass ->
-  ?poll_interval:float ->
   ?request_timeout:float ->
   ?metrics:Riq_obs.Metrics.t ->
   ?trace:Riq_obs.Tracer.t ->
@@ -17,8 +16,8 @@ val connect :
   t
 (** Connect and handshake ([hello] with this build's revision stamp).
     [klass] (default [Interactive]) is the daemon queue class for every
-    submit; [poll_interval] (default 20 ms) paces result polling;
-    [request_timeout] (default 120 s) is SO_RCVTIMEO per request. With
+    submit; a pending ticket is polled every 20 ms. [request_timeout]
+    (default 120 s) is SO_RCVTIMEO per request. With
     [metrics], the client registers [client_requests_total],
     [client_reconnects_total] and the [client_request_seconds] histogram.
     With [trace] (a caller-owned sink), submit/await spans are emitted in

@@ -62,7 +62,6 @@ type request =
       jobs : string list; (* wire-encoded *)
       trace : trace_context option;
     }
-  | Status of { ticket : int }
   | Result of { ticket : int }
   | Stats
   | Metrics
@@ -92,8 +91,6 @@ let request_to_json = function
         match trace with
         | None -> []
         | Some tc -> [ ("trace", trace_context_to_json tc) ])
-  | Status { ticket } ->
-      Json.Obj [ ("op", Json.String "status"); ("ticket", Json.Int ticket) ]
   | Result { ticket } ->
       Json.Obj [ ("op", Json.String "result"); ("ticket", Json.Int ticket) ]
   | Stats -> Json.Obj [ ("op", Json.String "stats") ]
@@ -146,9 +143,6 @@ let request_of_json j : (request, string) result =
       in
       let trace = Option.bind (Json.member "trace" j) trace_context_of_json in
       Ok (Submit { klass; jobs; trace })
-  | "status" ->
-      let* ticket = field "ticket" Json.to_int j in
-      Ok (Status { ticket })
   | "result" ->
       let* ticket = field "ticket" Json.to_int j in
       Ok (Result { ticket })

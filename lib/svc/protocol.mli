@@ -41,7 +41,6 @@ type request =
           can estimate the clock offset and align merged trace
           timestamps. Absent from older clients. *)
   | Submit of { klass : klass; jobs : string list; trace : trace_context option }
-  | Status of { ticket : int }
   | Result of { ticket : int }
   | Stats
   | Metrics

@@ -6,7 +6,7 @@
    pipes of the resident forked workers ({!Riq_exp.Workers}, the pool the
    local fork backend runs on too). Nothing in the loop blocks on
    simulation: jobs travel to workers over pipes and come back as
-   (seconds, outcome) records, so status/stats requests stay responsive
+   (seconds, outcome) records, so result/stats requests stay responsive
    while a sweep grinds.
 
    Scheduling. Submitted jobs are keyed by {!Riq_exp.Job.fingerprint}.
@@ -27,7 +27,7 @@
 
    SIGTERM/SIGINT starts a graceful drain: the listening socket closes,
    new submits are refused, queued and in-flight jobs run to completion
-   (connected clients can still poll status and fetch results), then the
+   (connected clients can still poll for and fetch results), then the
    workers are shut down over their pipes, reaped, and the socket file is
    unlinked. No orphaned processes, no stale lockfiles: the store lock is
    only ever held across a bounded maintenance walk. *)
@@ -76,13 +76,12 @@ type waiter = {
 type pending = {
   p_job : Job.t;
   p_klass : Protocol.klass;
-  p_enqueued : float; (* wall clock at submit, for queue-wait spans *)
+  p_enqueued : float; (* wall clock when queued, for queue-wait spans *)
   p_trace : Protocol.trace_context option;
   mutable p_waiters : waiter list; (* reverse submission order *)
 }
 
 type ticket = {
-  t_id : int;
   t_total : int;
   t_outcomes : Outcome.t option array;
   t_sources : Protocol.source array;
@@ -382,7 +381,6 @@ let handle_submit t ~klass ~trace ~(wire_jobs : string list) =
         t.next_ticket <- id + 1;
         let tk =
           {
-            t_id = id;
             t_total = total;
             t_outcomes = Array.make total None;
             t_sources = Array.make total Protocol.Hit;
@@ -391,7 +389,6 @@ let handle_submit t ~klass ~trace ~(wire_jobs : string list) =
           }
         in
         Hashtbl.replace t.tickets id tk;
-        let now = Unix.gettimeofday () in
         List.iteri
           (fun index job ->
             t.n_submitted <- t.n_submitted + 1;
@@ -418,7 +415,7 @@ let handle_submit t ~klass ~trace ~(wire_jobs : string list) =
                       {
                         p_job = job;
                         p_klass = klass;
-                        p_enqueued = now;
+                        p_enqueued = Unix.gettimeofday ();
                         p_trace = trace;
                         p_waiters =
                           [ { wt_ticket = id; wt_index = index; wt_source = Protocol.Executed } ];
@@ -428,9 +425,12 @@ let handle_submit t ~klass ~trace ~(wire_jobs : string list) =
                     Queue.push fp
                       (match klass with
                       | Protocol.Interactive -> t.q_interactive
-                      | Protocol.Batch -> t.q_batch)))
+                      | Protocol.Batch -> t.q_batch);
+                    (* An idle worker starts on this job now, while the
+                       rest of the submit is still being fingerprinted. *)
+                    fill_workers t;
+                    if queue_depth t > t.n_max_queue then t.n_max_queue <- queue_depth t))
           jobs;
-        if queue_depth t > t.n_max_queue then t.n_max_queue <- queue_depth t;
         Protocol.ok
           [
             ("ticket", Json.Int id);
@@ -442,7 +442,6 @@ let handle_submit t ~klass ~trace ~(wire_jobs : string list) =
 let op_name = function
   | Protocol.Hello _ -> "hello"
   | Protocol.Submit _ -> "submit"
-  | Protocol.Status _ -> "status"
   | Protocol.Result _ -> "result"
   | Protocol.Stats -> "stats"
   | Protocol.Metrics -> "metrics"
@@ -480,17 +479,6 @@ let handle_request t conn (req : Protocol.request) =
   | _ when not conn.c_hello -> Protocol.error "hello required before any other op"
   | Protocol.Submit { klass; jobs; trace } ->
       handle_submit t ~klass ~trace ~wire_jobs:jobs
-  | Protocol.Status { ticket } -> (
-      match Hashtbl.find_opt t.tickets ticket with
-      | None -> Protocol.error "unknown ticket"
-      | Some tk ->
-          Protocol.ok
-            [
-              ("ticket", Json.Int tk.t_id);
-              ("done", Json.Int tk.t_done);
-              ("total", Json.Int tk.t_total);
-              ("queue_depth", Json.Int (queue_depth t));
-            ])
   | Protocol.Result { ticket } -> (
       match Hashtbl.find_opt t.tickets ticket with
       | None -> Protocol.error "unknown ticket"

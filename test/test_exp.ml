@@ -275,7 +275,7 @@ let test_parallel_sweep_bit_identical () =
         ( bench,
           List.map
             (fun (size, c) ->
-              let z (r : Run.result) = { r with Run.sim_seconds = 0. } in
+              let z (r : Outcome.sim_result) = { r with Outcome.sim_seconds = 0. } in
               (size, { Sweep.baseline = z c.Sweep.baseline; reuse = z c.Sweep.reuse }))
             per_size ))
       cells
@@ -335,16 +335,83 @@ let test_per_job_failure_recorded () =
   Alcotest.(check int) "failure counted" 1 (Engine.stats engine).Engine.failures
 
 let test_run_simulate_result () =
-  match Run.simulate_result ~cycle_limit:10 Config.baseline tiny_program with
+  let job = tiny_job ~cycle_limit:10 () in
+  (match Runner.simulate job with
   | Ok _ -> Alcotest.fail "expected cycle-limit error"
   | Error e ->
-      Alcotest.(check bool) "structured error" true (e = Run.Cycle_limit_exceeded 10);
-      (* The raising wrapper still raises for legacy call sites. *)
-      Alcotest.(check bool) "wrapper raises" true
-        (try
-           ignore (Run.simulate ~cycle_limit:10 Config.baseline tiny_program);
-           false
-         with Failure _ -> true)
+      Alcotest.(check bool) "structured error" true (e = Outcome.Cycle_limit_exceeded 10));
+  Alcotest.(check bool) "execute reports it" true
+    (Runner.execute job = Error (Outcome.Cycle_limit_exceeded 10))
+
+(* ---- Runner.check on crafted runs: one broken invariant each ---- *)
+
+(* A genuine finished run of [tiny_program] on [cfg], for the checks to
+   read and the cases below to corrupt. *)
+let finished cfg =
+  match Runner.simulate (Job.make cfg tiny_program) with
+  | Ok (p, _) -> Runner.observe p
+  | Error e -> Alcotest.failf "tiny program: %s" (Outcome.error_to_string e)
+
+let expect_error name pred job run =
+  match Runner.check job run with
+  | Error e when pred e -> ()
+  | Error e -> Alcotest.failf "%s: wrong error: %s" name (Outcome.error_to_string e)
+  | Ok _ -> Alcotest.failf "%s: check passed" name
+
+let is_accounting = function Outcome.Accounting_mismatch _ -> true | _ -> false
+
+let test_check_genuine_runs_pass () =
+  let off = Job.make ~check:true Config.baseline tiny_program in
+  let on = Job.make ~check:true ~verdicts:true Config.reuse tiny_program in
+  Alcotest.(check bool) "reuse-off passes, no verdicts" true
+    (Runner.check off (finished Config.baseline) = Ok None);
+  let r = finished Config.reuse in
+  Alcotest.(check bool) "the reuse run promotes" true
+    (r.Runner.stats.Riq_core.Processor.promotions > 0);
+  match Runner.check on r with
+  | Ok (Some v) ->
+      Alcotest.(check bool) "static analysis saw the loop" true
+        (v.Runner.report.Riq_analysis.Bufferability.loops <> [])
+  | Ok None -> Alcotest.fail "verdict job returned no verdicts"
+  | Error e -> Alcotest.failf "genuine run failed: %s" (Outcome.error_to_string e)
+
+(* A genuine reuse run handed in as the reuse-off leg: its counters are
+   self-consistent, so only the reuse-off invariant can catch it. *)
+let test_check_reuse_off_reports_reuse () =
+  let r = finished Config.reuse in
+  Alcotest.(check bool) "the reuse run reuses" true
+    (r.Runner.stats.Riq_core.Processor.reuse_committed > 0);
+  expect_error "reuse-off with reused commits" is_accounting
+    (Job.make Config.baseline tiny_program)
+    r
+
+let test_check_reuse_without_promotion () =
+  let r = finished Config.reuse in
+  let stats =
+    { r.Runner.stats with Riq_core.Processor.reuse_committed = 5; promotions = 0 }
+  in
+  expect_error "reused commits, no promotion" is_accounting
+    (Job.make Config.reuse tiny_program)
+    { r with Runner.stats; decisions = [] }
+
+let test_check_per_loop_promotions () =
+  let r = finished Config.reuse in
+  let st = r.Runner.stats in
+  let stats =
+    { st with Riq_core.Processor.promotions = st.Riq_core.Processor.promotions + 1 }
+  in
+  expect_error "per-loop promotions != stats.promotions" is_accounting
+    (Job.make Config.reuse tiny_program)
+    { r with Runner.stats }
+
+let test_check_flipped_register () =
+  let r = finished Config.reuse in
+  let int_regs = Array.copy r.Runner.arch.Riq_interp.Machine.int_regs in
+  int_regs.(2) <- int_regs.(2) lxor 1;
+  expect_error "flipped register"
+    (function Outcome.Arch_state_mismatch _ -> true | _ -> false)
+    (Job.make ~check:true Config.reuse tiny_program)
+    { r with Runner.arch = { r.Runner.arch with Riq_interp.Machine.int_regs } }
 
 let test_json_export () =
   let sizes = [ 32 ] in
@@ -397,6 +464,14 @@ let suites =
         Alcotest.test_case "engine dedup" `Quick test_engine_dedup;
         Alcotest.test_case "per-job failure recorded" `Quick test_per_job_failure_recorded;
         Alcotest.test_case "run simulate_result" `Quick test_run_simulate_result;
+        Alcotest.test_case "check: genuine runs pass" `Quick test_check_genuine_runs_pass;
+        Alcotest.test_case "check: reuse-off with reused commits" `Quick
+          test_check_reuse_off_reports_reuse;
+        Alcotest.test_case "check: reused commits, no promotion" `Quick
+          test_check_reuse_without_promotion;
+        Alcotest.test_case "check: per-loop promotions sum" `Quick
+          test_check_per_loop_promotions;
+        Alcotest.test_case "check: flipped register" `Quick test_check_flipped_register;
         Alcotest.test_case "sweep json export" `Slow test_json_export;
         Alcotest.test_case "json printer" `Quick test_json_printer;
       ] );

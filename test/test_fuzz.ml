@@ -159,17 +159,16 @@ let test_driver_rejects_unknown_config () =
    replays an instruction with a stale operand. The reuse-off leg is
    untouched, so only the feature under test diverges. *)
 let faulty_runner : Oracle.runner =
-  let real = Oracle.default_runner () in
-  fun cfg program ->
-    Result.map
-      (fun (r : Oracle.run) ->
-        if r.Oracle.stats.Riq_core.Processor.reuse_committed > 0 then begin
-          let regs = Array.copy r.Oracle.arch.Riq_interp.Machine.int_regs in
-          regs.(8) <- regs.(8) + 1;
-          { r with Oracle.arch = { r.Oracle.arch with Riq_interp.Machine.int_regs = regs } }
-        end
-        else r)
-      (real cfg program)
+ fun job ->
+  Result.map
+    (fun (r : Riq_exp.Runner.run) ->
+      if r.stats.Riq_core.Processor.reuse_committed > 0 then begin
+        let int_regs = Array.copy r.arch.Riq_interp.Machine.int_regs in
+        int_regs.(8) <- int_regs.(8) + 1;
+        { r with arch = { r.arch with int_regs } }
+      end
+      else r)
+    (Oracle.default_runner job)
 
 let fails_with_fault prog =
   match Prog.to_program prog with
@@ -185,7 +184,7 @@ let test_mutation_caught_and_shrunk () =
     | None -> Alcotest.fail "no corpus program exercises the injected bug"
   in
   (match Oracle.check ~runner:faulty_runner ~cfg:default_cfg (assemble_exn victim) with
-  | Error (Oracle.Arch_mismatch _) -> ()
+  | Error { Oracle.error = Riq_exp.Outcome.Arch_state_mismatch _; _ } -> ()
   | Error f ->
       Alcotest.failf "expected an architectural mismatch, got: %s"
         (Oracle.failure_to_string f)

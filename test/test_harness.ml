@@ -5,17 +5,20 @@ open Riq_workloads
 
 let test_run_simulate () =
   let w = Workloads.find "tsf" in
-  let r = Run.simulate ~check:true Config.reuse (Workloads.program w) in
-  Alcotest.(check bool) "checked" true (r.Run.arch_ok = Some true);
-  Alcotest.(check bool) "total covers groups" true
-    (r.Run.total_power
-    > r.Run.icache_power +. r.Run.bpred_power +. r.Run.iq_power +. r.Run.overhead_power);
-  Alcotest.(check bool) "gating" true (r.Run.stats.Processor.gated_fraction > 0.5)
+  let job = Riq_exp.Job.make ~check:true Config.reuse (Workloads.program w) in
+  match Riq_exp.Runner.execute job with
+  | Error e -> Alcotest.fail (Riq_exp.Outcome.error_to_string e)
+  | Ok r ->
+      Alcotest.(check bool) "checked" true (r.Riq_exp.Outcome.arch_ok = Some true);
+      Alcotest.(check bool) "total covers groups" true
+        (r.Riq_exp.Outcome.total_power
+        > r.icache_power +. r.bpred_power +. r.iq_power +. r.overhead_power);
+      Alcotest.(check bool) "gating" true (r.stats.Processor.gated_fraction > 0.5)
 
 let test_reduction () =
-  Alcotest.(check (float 1e-9)) "half" 50. (Run.reduction 10. 5.);
-  Alcotest.(check (float 1e-9)) "zero base" 0. (Run.reduction 0. 5.);
-  Alcotest.(check (float 1e-9)) "increase" (-10.) (Run.reduction 10. 11.)
+  Alcotest.(check (float 1e-9)) "half" 50. (Sweep.reduction 10. 5.);
+  Alcotest.(check (float 1e-9)) "zero base" 0. (Sweep.reduction 0. 5.);
+  Alcotest.(check (float 1e-9)) "increase" (-10.) (Sweep.reduction 10. 11.)
 
 (* A reduced sweep exercises every figure printer. *)
 let small_sweep =
@@ -28,9 +31,9 @@ let test_sweep_cells () =
   let s = Lazy.force small_sweep in
   let c = Sweep.cell s ~bench:"tsf" ~size:32 in
   Alcotest.(check bool) "baseline no gating" true
-    (c.Sweep.baseline.Run.stats.Processor.gated_cycles = 0);
+    (c.Sweep.baseline.Riq_exp.Outcome.stats.Processor.gated_cycles = 0);
   Alcotest.(check bool) "reuse gates" true
-    (c.Sweep.reuse.Run.stats.Processor.gated_fraction > 0.5);
+    (c.Sweep.reuse.Riq_exp.Outcome.stats.Processor.gated_fraction > 0.5);
   Alcotest.(check bool) "unknown bench" true
     (try
        ignore (Sweep.cell s ~bench:"zzz" ~size:32);
@@ -72,7 +75,7 @@ let test_fig5_values_sane () =
     (fun (bench, per_size) ->
       List.iter
         (fun (_, c) ->
-          let g = c.Sweep.reuse.Run.stats.Processor.gated_fraction in
+          let g = c.Sweep.reuse.Riq_exp.Outcome.stats.Processor.gated_fraction in
           Alcotest.(check bool) (bench ^ " gating in [0,1]") true (g >= 0. && g <= 1.))
         per_size)
     s.Sweep.cells

@@ -112,7 +112,6 @@ let test_request_round_trip () =
           jobs = [];
           trace = Some { Protocol.trace_id = "42-00abcd"; parent_span = 3 };
         };
-      Protocol.Status { ticket = 7 };
       Protocol.Result { ticket = 0 };
       Protocol.Stats;
       Protocol.Metrics;
@@ -582,6 +581,52 @@ let test_daemon_timeout () =
         = Outcome.zero_timing (Runner.execute job));
       Client.close client)
 
+(* Queue wait is time spent waiting for a worker, not time the daemon
+   spends hashing the rest of the submit. One worker, one submit: a tiny
+   job first, then halt-only jobs whose 100k-word data images make each
+   fingerprint slow. The tiny job is queued while the worker is idle, so
+   its wait must be well under what fingerprinting the others costs
+   (half of it, measured here in the test process, so host noise cannot
+   blur the two). *)
+let test_daemon_queue_wait_excludes_hashing () =
+  with_daemon (fun ~sock ~pid:_ ->
+      let tiny = tiny_job ~cycle_limit:30_000 () in
+      let heavy =
+        List.init 4 (fun i ->
+            Job.make Config.baseline
+              (Program.make
+                 ~data:
+                   [ Program.Words { base = 0x100000; values = Array.init 100_000 (( + ) i) } ]
+                 [| Riq_isa.Insn.Halt |]))
+      in
+      let t0 = Unix.gettimeofday () in
+      List.iter (fun j -> ignore (Job.fingerprint j)) heavy;
+      let hashing = Unix.gettimeofday () -. t0 in
+      let client = Client.connect ~request_timeout:30. (Protocol.Unix_socket sock) in
+      let engine = Riq_exp.Engine.create ~backend:(Client.backend client) () in
+      let out = Riq_exp.Engine.run engine (Array.of_list (tiny :: heavy)) in
+      Alcotest.(check bool) "every job ran" true (Array.for_all Result.is_ok out);
+      let tiny_fp = String.sub (Job.fingerprint tiny) 0 12 in
+      (match Client.server_trace ~since:0 client with
+      | Error msg -> Alcotest.fail ("trace op failed: " ^ msg)
+      | Ok (events, _) -> (
+          let is_tiny_wait e =
+            Json.member "name" e = Some (Json.String "queue-wait")
+            && Option.bind (Json.member "args" e) (Json.member "fp")
+               = Some (Json.String tiny_fp)
+          in
+          match List.find_opt is_tiny_wait events with
+          | None -> Alcotest.fail "no queue-wait span for the tiny job"
+          | Some e ->
+              let wait =
+                float_of_int (Option.get (Option.bind (Json.member "dur" e) Json.to_int))
+                /. 1e6
+              in
+              if not (wait < hashing /. 2.) then
+                Alcotest.failf "tiny job waited %.4f s; fingerprinting the rest took %.4f s"
+                  wait hashing));
+      Client.close client)
+
 (* Frames do not line up with reads: two requests in one write, then one
    request dribbled over several writes. Every request gets its answer. *)
 let test_daemon_split_frames () =
@@ -666,6 +711,8 @@ let suites =
           test_daemon_end_to_end;
         Alcotest.test_case "batch class end to end" `Slow test_daemon_batch_class;
         Alcotest.test_case "job past budget times out" `Slow test_daemon_timeout;
+        Alcotest.test_case "queue wait excludes submit hashing" `Slow
+          test_daemon_queue_wait_excludes_hashing;
         Alcotest.test_case "frames split across reads" `Slow test_daemon_split_frames;
         Alcotest.test_case "sweep json parses" `Slow test_sweep_json_parses;
       ] );
