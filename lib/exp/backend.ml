@@ -20,6 +20,7 @@ type t = {
   execute :
     timeout:float option ->
     jobs:Job.t array ->
+    keys:string array ->
     indices:int list ->
     on_result:(int -> seconds:float -> Outcome.t -> unit) ->
     stats;
@@ -41,7 +42,7 @@ let in_process =
     parallelism = 1;
     telemetry = no_telemetry;
     execute =
-      (fun ~timeout:_ ~jobs ~indices ~on_result ->
+      (fun ~timeout:_ ~jobs ~keys:_ ~indices ~on_result ->
         run_in_process jobs indices on_result;
         { busy_seconds = 0.; retries = 0 });
   }
@@ -79,7 +80,7 @@ let fork_pool ~workers =
     parallelism = workers;
     telemetry = no_telemetry;
     execute =
-      (fun ~timeout ~jobs ~indices ~on_result ->
+      (fun ~timeout ~jobs ~keys:_ ~indices ~on_result ->
         if workers = 1 || List.length indices <= 1 || not Sys.unix then begin
           run_in_process jobs indices on_result;
           { busy_seconds = 0.; retries = 0 }

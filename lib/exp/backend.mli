@@ -21,13 +21,17 @@ type t = {
   execute :
     timeout:float option ->
     jobs:Job.t array ->
+    keys:string array ->
     indices:int list ->
     on_result:(int -> seconds:float -> Outcome.t -> unit) ->
     stats;
       (** Run [indices] (a subset of [jobs]), reporting each outcome
-          exactly once via [on_result]. Must not raise: per-job failures
-          travel as [Error] outcomes. An index never reported is recorded
-          by the engine as [Worker_crashed]. *)
+          exactly once via [on_result]. [keys.(i)] is
+          [Job.fingerprint jobs.(i)], computed once by the engine, so a
+          backend that needs keys never hashes a job again. Must not
+          raise: per-job failures travel as [Error] outcomes. An index
+          never reported is recorded by the engine as
+          [Worker_crashed]. *)
 }
 
 val in_process : t

@@ -310,7 +310,8 @@ let store t key (outcome : Outcome.t) =
     let payload = Marshal.to_string outcome [] in
     (* Best-effort: a cache that cannot be written (read-only tree, full
        disk, permissions) degrades to a pass-through, it never kills the
-       experiment that was trying to warm it. *)
+       experiment that was trying to warm it. Only an entry renamed into
+       place counts as a write. *)
     (try
        mkdir_p (Filename.dirname file);
        let oc = open_out_bin tmp in
@@ -318,13 +319,13 @@ let store t key (outcome : Outcome.t) =
          output_string oc (header payload);
          output_string oc payload;
          close_out oc;
-         Sys.rename tmp file
+         Sys.rename tmp file;
+         count t (fun i -> i.i_writes)
        with exn ->
          close_out_noerr oc;
          (try Sys.remove tmp with _ -> ());
          raise exn
      with _ -> ());
-    count t (fun i -> i.i_writes);
     match t.budget_bytes with
     | None -> ()
     | Some budget ->

@@ -28,8 +28,9 @@ val open_ :
     opportunistically evicts to the budget (skipped without blocking if
     another process holds the maintenance lock). With [metrics], the
     cache registers [store_reads_total{result=hit|miss}],
-    [store_writes_total], [store_evictions_total] and the
-    [store_lock_wait_seconds] histogram against the given registry. *)
+    [store_writes_total] (entries actually renamed into place),
+    [store_evictions_total] and the [store_lock_wait_seconds] histogram
+    against the given registry. *)
 
 val root : t -> string
 
@@ -44,8 +45,8 @@ val store : t -> string -> Outcome.t -> unit
 (** No-op for outcomes that are not {!Outcome.cacheable} (crashes,
     timeouts). Writes are atomic (unique temp file + rename) and
     best-effort: an unwritable cache (read-only tree, full disk) is
-    silently skipped rather than failing the experiment. Also runs the
-    amortized budget enforcement. *)
+    silently skipped rather than failing the experiment, and counts as no
+    write. Also runs the amortized budget enforcement. *)
 
 (** {1 Maintenance} *)
 

@@ -108,8 +108,9 @@ let run t (jobs : Job.t array) : Outcome.t array =
             }
     in
     (* Identical jobs inside one batch (the ablations re-request many sweep
-       cells) collapse onto one representative execution. *)
-    let fps = Array.map Job.fingerprint jobs in
+       cells) collapse onto one representative execution. These keys are
+       the batch's only hashing: the backend gets them too. *)
+    let fps = Job.fingerprints jobs in
     let rep = Hashtbl.create (2 * n) in
     let uniques = ref [] in
     let duplicates = ref [] in
@@ -157,7 +158,7 @@ let run t (jobs : Job.t array) : Outcome.t array =
     in
     (if misses <> [] then begin
        let s =
-         t.backend.Backend.execute ~timeout:t.timeout ~jobs ~indices:misses
+         t.backend.Backend.execute ~timeout:t.timeout ~jobs ~keys:fps ~indices:misses
            ~on_result:complete
        in
        t.s_busy <- t.s_busy +. s.Backend.busy_seconds;

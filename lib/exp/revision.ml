@@ -10,6 +10,8 @@ let stamp = "riq-sim-2026-10-17.1"
 
 (* On-disk format of cache entries, independent of the simulator revision:
    bump when the entry layout or the marshalled [Outcome.t] layout
-   changes. 5: a checksummed text header precedes the payload. 6:
-   [Outcome.error] gains [Accounting_mismatch]. *)
-let format_version = 6
+   changes, or when the job fingerprint's image changes (it names every
+   entry). 5: a checksummed text header precedes the payload. 6:
+   [Outcome.error] gains [Accounting_mismatch]. 7: fingerprints hash a
+   binary image instead of hex text. *)
+let format_version = 7

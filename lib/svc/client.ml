@@ -1,17 +1,21 @@
 (* Client side of the serve protocol, packaged as an engine backend.
 
-   The engine hands over its cache-missing job indices; the client
-   submits them as one ticket, polls until the outcomes are ready and
-   replays them through [on_result]. All the serving leverage lives
-   daemon-side (shared store, cross-client batching, fair queue), so the
-   client stays deliberately dumb: a blocking request/response socket
-   with one reconnect-and-retry per request.
+   The engine hands over its cache-missing job indices and their
+   fingerprints; the client submits the fingerprints as one ticket,
+   supplies the bodies of the jobs the daemon says it needs, polls until
+   the outcomes are ready and replays them through [on_result]. A warm
+   daemon therefore costs one small submit, with no job on the wire. All
+   the serving leverage lives daemon-side (shared store, cross-client
+   batching, fair queue), so the client stays deliberately dumb: a
+   blocking request/response socket with one reconnect-and-retry per
+   request.
 
-   Per-request timeouts come from SO_RCVTIMEO on the socket; requests are
-   safe to retry because submission is idempotent up to ticket identity —
-   a resubmitted batch just opens a fresh ticket whose jobs are served
-   from the store or coalesced onto the still-running execution of the
-   lost one.
+   Per-request timeouts come from SO_RCVTIMEO on the socket. A submit is
+   safe to retry: a resubmitted batch just opens a fresh ticket whose
+   jobs are served from the store or coalesced onto the still-running
+   execution of the lost one. A supply is not: once applied, its indices
+   are no longer needed, so a retry after a lost reply is refused and the
+   batch's jobs come back to the engine unreported.
 
    Observability: the hello handshake carries the client's wall clock
    and returns the daemon's, bracketed by the round trip, which gives a
@@ -279,25 +283,49 @@ let span t ~started name args k =
         ~args ~cat:"client" name;
       r
 
-(* One engine batch: submit, poll to completion, fetch, replay. *)
-let run_batch t (jobs : Job.t array) indices on_result =
-  let wire_jobs = List.map (fun i -> Protocol.job_to_wire jobs.(i)) indices in
-  let submit_started = Unix.gettimeofday () in
-  let resp =
-    span t ~started:submit_started "submit-batch"
-      [ ("jobs", Tracer.Int (List.length wire_jobs));
-        ("trace_id", Tracer.Str t.trace_id) ]
-      (fun span_id ->
-        let trace =
-          Option.map
-            (fun parent_span -> { Protocol.trace_id = t.trace_id; parent_span })
-            span_id
-        in
-        request t (Protocol.Submit { klass = t.klass; jobs = wire_jobs; trace }))
+(* Submit the batch's fingerprints, then supply the jobs the daemon
+   lacks; returns the ticket. *)
+let submit t (jobs : Job.t array) keys indices =
+  let submitted = Array.of_list indices in
+  let checked what resp =
+    if not (Protocol.is_ok resp) then
+      failwith (Printf.sprintf "riq-serve %s refused: %s" what (Protocol.error_of resp));
+    resp
   in
-  if not (Protocol.is_ok resp) then
-    failwith ("riq-serve submit refused: " ^ Protocol.error_of resp);
-  let ticket = require "ticket" Json.to_int resp in
+  span t ~started:(Unix.gettimeofday ()) "submit-batch"
+    [ ("jobs", Tracer.Int (Array.length submitted)); ("trace_id", Tracer.Str t.trace_id) ]
+    (fun span_id ->
+      let trace =
+        Option.map
+          (fun parent_span -> { Protocol.trace_id = t.trace_id; parent_span })
+          span_id
+      in
+      let keys = List.map (fun i -> keys.(i)) indices in
+      let resp =
+        checked "submit" (request t (Protocol.Submit { klass = t.klass; keys; trace }))
+      in
+      let ticket = require "ticket" Json.to_int resp in
+      let need =
+        List.map
+          (fun j ->
+            match Json.to_int j with
+            | Some k when k >= 0 && k < Array.length submitted -> k
+            | _ -> raise (Wire.Protocol_error "bad index in need"))
+          (require "need" Json.to_list resp)
+      in
+      if need <> [] then begin
+        let bodies = Array.of_list (List.map (fun k -> jobs.(submitted.(k))) need) in
+        ignore
+          (checked "supply"
+             (request t
+                (Protocol.Supply
+                   { ticket; indices = need; jobs = Protocol.jobs_to_wire bodies })))
+      end;
+      ticket)
+
+(* One engine batch: submit and supply, poll to completion, fetch, replay. *)
+let run_batch t (jobs : Job.t array) keys indices on_result =
+  let ticket = submit t jobs keys indices in
   t.c_submitted <- t.c_submitted + List.length indices;
   let await_started = Unix.gettimeofday () in
   let resp =
@@ -367,11 +395,11 @@ let backend t =
     parallelism = t.server_workers;
     telemetry = (fun () -> [ ("service", service_json t) ]);
     execute =
-      (fun ~timeout:_ ~jobs ~indices ~on_result ->
+      (fun ~timeout:_ ~jobs ~keys ~indices ~on_result ->
         (* The daemon enforces its own per-job budget; a connection-level
            failure surfaces as unreported indices, which the engine
            records as [Worker_crashed]. *)
-        (try run_batch t jobs indices on_result
+        (try run_batch t jobs keys indices on_result
          with _ -> disconnect t);
         { Backend.busy_seconds = 0.; retries = 0 });
   }

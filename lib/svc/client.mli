@@ -1,9 +1,10 @@
 (** Client side of the serve protocol, packaged as an engine
-    {!Riq_exp.Backend.t}: submit the engine's cache-missing jobs as one
-    ticket, poll, fetch, replay through [on_result]. Connection loss is
-    retried once per request (submission is idempotent: a reopened ticket
-    is served from the daemon's store or coalesced onto the still-running
-    execution). *)
+    {!Riq_exp.Backend.t}: submit the fingerprints of the engine's
+    cache-missing jobs as one ticket, supply the bodies the daemon lacks,
+    poll, fetch, replay through [on_result]. Connection loss is retried
+    once per request (a reopened ticket is served from the daemon's store
+    or coalesced onto the still-running execution; a supply whose reply
+    was lost is refused on retry, and its batch comes back unreported). *)
 
 type t
 

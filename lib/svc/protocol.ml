@@ -2,6 +2,14 @@
    and the client/daemon address syntax. Framing is Wire's job; this
    module only builds and destructures the JSON inside each frame.
 
+   Submission is content-addressed. A [submit] carries only the jobs'
+   fingerprints; the daemon answers what its store holds or already runs
+   and names the indices it still needs, and a [supply] carries exactly
+   those jobs as one marshalled [Job.t array], so a program shared by
+   several jobs travels once. The daemon re-fingerprints every supplied
+   job and refuses a body whose key differs from the one submitted at
+   its index.
+
    Marshalled OCaml values (jobs, outcomes) are opaque to the protocol:
    they ride as hex strings and are only meaningful between binaries built
    from the same source revision, which is why every session opens with a
@@ -11,7 +19,7 @@
 open Riq_util
 open Riq_exp
 
-let version = "riq-serve/1"
+let version = "riq-serve/2"
 
 type klass = Interactive | Batch
 
@@ -35,9 +43,9 @@ let source_of_string = function
   | "batched" -> Ok Batched
   | s -> Error (Printf.sprintf "unknown source %S" s)
 
-let job_to_wire (job : Job.t) = Wire.to_hex (Marshal.to_string job [])
+let jobs_to_wire (jobs : Job.t array) = Wire.to_hex (Marshal.to_string jobs [])
 
-let job_of_wire s : Job.t = Marshal.from_string (Wire.of_hex s) 0
+let jobs_of_wire s : Job.t array = Marshal.from_string (Wire.of_hex s) 0
 
 let outcome_to_wire (o : Outcome.t) = Wire.to_hex (Marshal.to_string o [])
 
@@ -57,11 +65,8 @@ let trace_context_to_json { trace_id; parent_span } =
 
 type request =
   | Hello of { revision : string; format : int; t_client : float option }
-  | Submit of {
-      klass : klass;
-      jobs : string list; (* wire-encoded *)
-      trace : trace_context option;
-    }
+  | Submit of { klass : klass; keys : string list; trace : trace_context option }
+  | Supply of { ticket : int; indices : int list; jobs : string (* wire-encoded *) }
   | Result of { ticket : int }
   | Stats
   | Metrics
@@ -80,17 +85,25 @@ let request_to_json = function
         match t_client with
         | None -> []
         | Some t -> [ ("t_client", Json.Float t) ])
-  | Submit { klass; jobs; trace } ->
+  | Submit { klass; keys; trace } ->
       Json.Obj
         ([
            ("op", Json.String "submit");
            ("class", Json.String (klass_to_string klass));
-           ("jobs", Json.List (List.map (fun j -> Json.String j) jobs));
+           ("keys", Json.List (List.map (fun k -> Json.String k) keys));
          ]
         @
         match trace with
         | None -> []
         | Some tc -> [ ("trace", trace_context_to_json tc) ])
+  | Supply { ticket; indices; jobs } ->
+      Json.Obj
+        [
+          ("op", Json.String "supply");
+          ("ticket", Json.Int ticket);
+          ("indices", Json.List (List.map (fun i -> Json.Int i) indices));
+          ("jobs", Json.String jobs);
+        ]
   | Result { ticket } ->
       Json.Obj [ ("op", Json.String "result"); ("ticket", Json.Int ticket) ]
   | Stats -> Json.Obj [ ("op", Json.String "stats") ]
@@ -113,6 +126,27 @@ let opt_float name j =
   | Some (Json.Int i) -> Some (float_of_int i)
   | _ -> None
 
+(* Every element of the list field [name], converted by [conv]. *)
+let list_field name conv what j =
+  let* items = field name Json.to_list j in
+  List.fold_right
+    (fun item acc ->
+      let* acc = acc in
+      match conv item with
+      | Some v -> Ok (v :: acc)
+      | None -> Error (Printf.sprintf "%s in %S" what name))
+    items (Ok [])
+
+(* A key names a store entry, so only a fingerprint's shape is accepted:
+   32 lowercase hex digits, never a path. *)
+let key_of_json item =
+  match Json.to_str item with
+  | Some k
+    when String.length k = 32
+         && String.for_all (function '0' .. '9' | 'a' .. 'f' -> true | _ -> false) k ->
+      Some k
+  | _ -> None
+
 let trace_context_of_json j =
   match
     ( Option.bind (Json.member "trace_id" j) Json.to_str,
@@ -131,18 +165,14 @@ let request_of_json j : (request, string) result =
   | "submit" ->
       let* klass_s = field "class" Json.to_str j in
       let* klass = klass_of_string klass_s in
-      let* items = field "jobs" Json.to_list j in
-      let* jobs =
-        List.fold_right
-          (fun item acc ->
-            let* acc = acc in
-            match Json.to_str item with
-            | Some s -> Ok (s :: acc)
-            | None -> Error "non-string entry in jobs")
-          items (Ok [])
-      in
+      let* keys = list_field "keys" key_of_json "malformed fingerprint" j in
       let trace = Option.bind (Json.member "trace" j) trace_context_of_json in
-      Ok (Submit { klass; jobs; trace })
+      Ok (Submit { klass; keys; trace })
+  | "supply" ->
+      let* ticket = field "ticket" Json.to_int j in
+      let* indices = list_field "indices" Json.to_int "non-integer entry" j in
+      let* jobs = field "jobs" Json.to_str j in
+      Ok (Supply { ticket; indices; jobs })
   | "result" ->
       let* ticket = field "ticket" Json.to_int j in
       Ok (Result { ticket })

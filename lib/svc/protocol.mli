@@ -3,7 +3,13 @@
     revision stamp and cache format version; the daemon rejects a
     mismatched peer before decoding any marshalled payload, so the opaque
     hex-encoded jobs/outcomes only ever travel between binaries that
-    agree on their layout. *)
+    agree on their layout.
+
+    Submission is content-addressed: [submit] carries fingerprints only,
+    the reply names the indices the daemon still [need]s (neither stored
+    nor running), and [supply] carries just those jobs. The daemon
+    re-fingerprints each supplied job and refuses a body whose key
+    differs from the one submitted at its index. *)
 
 open Riq_exp
 
@@ -25,8 +31,14 @@ type source = Hit | Executed | Batched
 val source_to_string : source -> string
 val source_of_string : string -> (source, string) result
 
-val job_to_wire : Job.t -> string
-val job_of_wire : string -> Job.t
+val jobs_to_wire : Job.t array -> string
+(** One marshalled array, so a program shared by several jobs is encoded
+    once. *)
+
+val jobs_of_wire : string -> Job.t array
+(** Raises on bad hex or bytes that are not a marshalled value. Bytes
+    that unmarshal as some other type are not detected. *)
+
 val outcome_to_wire : Outcome.t -> string
 val outcome_of_wire : string -> Outcome.t
 
@@ -40,7 +52,13 @@ type request =
           send time; the daemon echoes its own in the reply so the client
           can estimate the clock offset and align merged trace
           timestamps. Absent from older clients. *)
-  | Submit of { klass : klass; jobs : string list; trace : trace_context option }
+  | Submit of { klass : klass; keys : string list; trace : trace_context option }
+      (** [keys] are {!Job.fingerprint}s; the parser accepts only 32
+          lowercase hex digits. The reply carries the [ticket] and the
+          [need] list: indices into [keys] whose bodies must be supplied. *)
+  | Supply of { ticket : int; indices : int list; jobs : string }
+      (** The bodies of needed indices of [ticket], in [indices] order,
+          as {!jobs_to_wire} of one array. *)
   | Result of { ticket : int }
   | Stats
   | Metrics

@@ -9,16 +9,22 @@
    (seconds, outcome) records, so result/stats requests stay responsive
    while a sweep grinds.
 
-   Scheduling. Submitted jobs are keyed by {!Riq_exp.Job.fingerprint}.
+   Scheduling. A submit names jobs by {!Riq_exp.Job.fingerprint} only.
    Each fingerprint is resolved exactly once: first against the shared
    {!Riq_exp.Cache} (read-through hit), then against the in-flight table (a
    second request for a fingerprint that is queued or running is batched
-   onto it — one execution fans out to every waiter), and only then
-   queued for a worker. The queue is two-class — interactive ahead of
-   batch, with a weighted round-robin (BATCH_SHARE) that guarantees the
-   batch class one dispatch in every four when both classes are waiting,
-   so a nightly fuzz campaign can never starve an interactive sweep nor
-   be starved by one.
+   onto it — one execution fans out to every waiter). What neither
+   answers, the reply lists as needed, and the client supplies those
+   bodies. A supply is checked whole before any of it is used: every
+   body must fingerprint to the key submitted at its index, so no client
+   can file an outcome under another job's key. Its jobs are then
+   resolved again (the store or another client may have caught up since
+   the submit) and only then queued for a worker. Jobs answered from the
+   store or coalesced are never unmarshalled. The queue is two-class —
+   interactive ahead of batch, with a weighted round-robin (BATCH_SHARE)
+   that guarantees the batch class one dispatch in every four when both
+   classes are waiting, so a nightly fuzz campaign can never starve an
+   interactive sweep nor be starved by one.
 
    Failure containment is the worker pool's: a worker that dies mid-job
    gets the job retried once on a fresh worker; a worker that exceeds the
@@ -41,6 +47,11 @@ module Log = Riq_obs.Log
 (* When both classes are waiting, of every [batch_share] dispatches one
    goes to the batch queue. *)
 let batch_share = 4
+
+(* A connection whose half-sent frame gets no byte for this long is
+   closed: a peer that stopped mid-frame is gone or broken, and its
+   buffer would otherwise be held forever. *)
+let frame_stall_seconds = 5.
 
 (* Daemon-side trace events are stamped in wall-clock
    microseconds, the unit Chrome traces use natively; clients shift them
@@ -83,6 +94,10 @@ type pending = {
 
 type ticket = {
   t_total : int;
+  t_klass : Protocol.klass;
+  t_trace : Protocol.trace_context option;
+  t_keys : string array; (* the submitted fingerprints *)
+  t_need : bool array; (* awaiting a supplied body *)
   t_outcomes : Outcome.t option array;
   t_sources : Protocol.source array;
   t_seconds : float array;
@@ -93,6 +108,7 @@ type conn = {
   c_fd : Unix.file_descr;
   c_buf : Buffer.t;
   mutable c_hello : bool;
+  mutable c_last_read : float; (* wall clock of the last bytes received *)
 }
 
 (* The daemon's own instruments, registered against cfg.metrics (which
@@ -100,6 +116,7 @@ type conn = {
    counters are registered lazily per op label. *)
 type instruments = {
   i_submitted : Metrics.counter;
+  i_supplied : Metrics.counter;
   i_store_hits : Metrics.counter;
   i_executed : Metrics.counter;
   i_batched : Metrics.counter;
@@ -123,6 +140,8 @@ let instruments_of registry =
   let wait_help = "Seconds jobs spent queued before dispatch" in
   {
     i_submitted = counter ~help:"Jobs submitted over the wire" "serve_submitted_total";
+    i_supplied =
+      counter ~help:"Job bodies received in accepted supplies" "serve_supplied_total";
     i_store_hits =
       counter ~help:"Submitted jobs answered directly from the shared store"
         "store_hits_total";
@@ -172,6 +191,7 @@ type t = {
   mutable last_dump : float; (* last --metrics-out write *)
   (* counters *)
   mutable n_submitted : int;
+  mutable n_supplied : int;
   mutable n_hits : int;
   mutable n_executed : int;
   mutable n_batched : int;
@@ -349,6 +369,7 @@ let stats_json t =
       ("draining", Json.Bool t.draining);
       ("requests", Json.Int t.n_requests);
       ("submitted", Json.Int t.n_submitted);
+      ("supplied", Json.Int t.n_supplied);
       ("hits", Json.Int t.n_hits);
       ("misses", Json.Int (t.n_submitted - t.n_hits - t.n_batched));
       ("executed", Json.Int t.n_executed);
@@ -370,78 +391,143 @@ let stats_json t =
       ("store", Cache.stat_json t.cfg.store);
     ]
 
-let handle_submit t ~klass ~trace ~(wire_jobs : string list) =
+(* Answer index [index] of ticket [id] from the store, or coalesce it
+   onto the queued or running execution of the same fingerprint. False
+   when neither can: the job has to run. *)
+let resolve t ~id ~index fp =
+  match Cache.find t.cfg.store fp with
+  | Some outcome ->
+      t.n_hits <- t.n_hits + 1;
+      Metrics.inc t.ins.i_store_hits;
+      deliver_to_ticket t ~ticket:id ~index ~source:Protocol.Hit ~seconds:0. outcome;
+      true
+  | None -> (
+      match Hashtbl.find_opt t.pending fp with
+      | Some p ->
+          (* Same fingerprint already queued or running (possibly for
+             another client): coalesce. *)
+          t.n_batched <- t.n_batched + 1;
+          Metrics.inc t.ins.i_batched;
+          p.p_waiters <-
+            { wt_ticket = id; wt_index = index; wt_source = Protocol.Batched }
+            :: p.p_waiters;
+          true
+      | None -> false)
+
+let enqueue t ~id ~index tk fp job =
+  let p =
+    {
+      p_job = job;
+      p_klass = tk.t_klass;
+      p_enqueued = Unix.gettimeofday ();
+      p_trace = tk.t_trace;
+      p_waiters = [ { wt_ticket = id; wt_index = index; wt_source = Protocol.Executed } ];
+    }
+  in
+  Hashtbl.replace t.pending fp p;
+  Queue.push fp
+    (match tk.t_klass with
+    | Protocol.Interactive -> t.q_interactive
+    | Protocol.Batch -> t.q_batch);
+  (* An idle worker starts on this job now, while the rest of the supply
+     is still being queued. *)
+  fill_workers t;
+  if queue_depth t > t.n_max_queue then t.n_max_queue <- queue_depth t
+
+let handle_submit t ~klass ~trace ~keys =
   if t.draining then Protocol.error "draining: daemon is shutting down"
   else begin
-    match List.map Protocol.job_of_wire wire_jobs with
-    | exception _ -> Protocol.error "undecodable job payload"
-    | jobs ->
-        let total = List.length jobs in
-        let id = t.next_ticket in
-        t.next_ticket <- id + 1;
-        let tk =
-          {
-            t_total = total;
-            t_outcomes = Array.make total None;
-            t_sources = Array.make total Protocol.Hit;
-            t_seconds = Array.make total 0.;
-            t_done = 0;
-          }
-        in
-        Hashtbl.replace t.tickets id tk;
-        List.iteri
-          (fun index job ->
-            t.n_submitted <- t.n_submitted + 1;
-            Metrics.inc t.ins.i_submitted;
-            let fp = Job.fingerprint job in
-            match Cache.find t.cfg.store fp with
-            | Some outcome ->
-                t.n_hits <- t.n_hits + 1;
-                Metrics.inc t.ins.i_store_hits;
-                deliver_to_ticket t ~ticket:id ~index ~source:Protocol.Hit
-                  ~seconds:0. outcome
-            | None -> (
-                match Hashtbl.find_opt t.pending fp with
-                | Some p ->
-                    (* Same fingerprint already queued or running (possibly
-                       for another client): coalesce. *)
-                    t.n_batched <- t.n_batched + 1;
-                    Metrics.inc t.ins.i_batched;
-                    p.p_waiters <-
-                      { wt_ticket = id; wt_index = index; wt_source = Protocol.Batched }
-                      :: p.p_waiters
-                | None ->
-                    let p =
-                      {
-                        p_job = job;
-                        p_klass = klass;
-                        p_enqueued = Unix.gettimeofday ();
-                        p_trace = trace;
-                        p_waiters =
-                          [ { wt_ticket = id; wt_index = index; wt_source = Protocol.Executed } ];
-                      }
-                    in
-                    Hashtbl.replace t.pending fp p;
-                    Queue.push fp
-                      (match klass with
-                      | Protocol.Interactive -> t.q_interactive
-                      | Protocol.Batch -> t.q_batch);
-                    (* An idle worker starts on this job now, while the
-                       rest of the submit is still being fingerprinted. *)
-                    fill_workers t;
-                    if queue_depth t > t.n_max_queue then t.n_max_queue <- queue_depth t))
-          jobs;
-        Protocol.ok
-          [
-            ("ticket", Json.Int id);
-            ("jobs", Json.Int total);
-            ("done", Json.Int tk.t_done);
-          ]
+    let keys = Array.of_list keys in
+    let total = Array.length keys in
+    let id = t.next_ticket in
+    t.next_ticket <- id + 1;
+    let tk =
+      {
+        t_total = total;
+        t_klass = klass;
+        t_trace = trace;
+        t_keys = keys;
+        t_need = Array.make total false;
+        t_outcomes = Array.make total None;
+        t_sources = Array.make total Protocol.Hit;
+        t_seconds = Array.make total 0.;
+        t_done = 0;
+      }
+    in
+    Hashtbl.replace t.tickets id tk;
+    Array.iteri
+      (fun index fp ->
+        t.n_submitted <- t.n_submitted + 1;
+        Metrics.inc t.ins.i_submitted;
+        if not (resolve t ~id ~index fp) then tk.t_need.(index) <- true)
+      keys;
+    let need = List.filter (fun i -> tk.t_need.(i)) (List.init total Fun.id) in
+    Protocol.ok
+      [
+        ("ticket", Json.Int id);
+        ("jobs", Json.Int total);
+        ("done", Json.Int tk.t_done);
+        ("need", Json.List (List.map (fun i -> Json.Int i) need));
+      ]
   end
+
+(* Nothing of a supply is used until all of it checks out: each index is
+   one the ticket still needs, listed once, with one body each, and each
+   body fingerprints to the key submitted at its index. *)
+let handle_supply t ~ticket ~indices ~jobs =
+  match Hashtbl.find_opt t.tickets ticket with
+  | None -> Protocol.error "unknown ticket"
+  | Some _ when t.draining -> Protocol.error "draining: daemon is shutting down"
+  | Some tk -> (
+      let indices = Array.of_list indices in
+      let n = Array.length indices in
+      let listed = Hashtbl.create n in
+      let unwanted =
+        Array.find_opt
+          (fun i ->
+            let bad =
+              i < 0 || i >= tk.t_total || (not tk.t_need.(i)) || Hashtbl.mem listed i
+            in
+            Hashtbl.replace listed i ();
+            bad)
+          indices
+      in
+      match unwanted with
+      | Some i -> Protocol.error (Printf.sprintf "index %d is not awaiting a body" i)
+      | None -> (
+          match Protocol.jobs_of_wire jobs with
+          | exception _ -> Protocol.error "undecodable job payload"
+          | bodies when Array.length bodies <> n ->
+              Protocol.error
+                (Printf.sprintf "%d job bodies for %d indices" (Array.length bodies) n)
+          | bodies -> (
+              let fps = Job.fingerprints bodies in
+              let forged k = fps.(k) <> tk.t_keys.(indices.(k)) in
+              match List.find_opt forged (List.init n Fun.id) with
+              | Some k ->
+                  Protocol.error
+                    (Printf.sprintf "job body for index %d does not match its submitted key"
+                       indices.(k))
+              | None ->
+                  Array.iteri
+                    (fun k index ->
+                      tk.t_need.(index) <- false;
+                      t.n_supplied <- t.n_supplied + 1;
+                      Metrics.inc t.ins.i_supplied;
+                      if not (resolve t ~id:ticket ~index fps.(k)) then
+                        enqueue t ~id:ticket ~index tk fps.(k) bodies.(k))
+                    indices;
+                  Protocol.ok
+                    [
+                      ("ticket", Json.Int ticket);
+                      ("supplied", Json.Int n);
+                      ("done", Json.Int tk.t_done);
+                    ])))
 
 let op_name = function
   | Protocol.Hello _ -> "hello"
   | Protocol.Submit _ -> "submit"
+  | Protocol.Supply _ -> "supply"
   | Protocol.Result _ -> "result"
   | Protocol.Stats -> "stats"
   | Protocol.Metrics -> "metrics"
@@ -477,8 +563,8 @@ let handle_request t conn (req : Protocol.request) =
           ]
       end
   | _ when not conn.c_hello -> Protocol.error "hello required before any other op"
-  | Protocol.Submit { klass; jobs; trace } ->
-      handle_submit t ~klass ~trace ~wire_jobs:jobs
+  | Protocol.Submit { klass; keys; trace } -> handle_submit t ~klass ~trace ~keys
+  | Protocol.Supply { ticket; indices; jobs } -> handle_supply t ~ticket ~indices ~jobs
   | Protocol.Result { ticket } -> (
       match Hashtbl.find_opt t.tickets ticket with
       | None -> Protocol.error "unknown ticket"
@@ -587,8 +673,24 @@ let conn_readable t conn =
   | exception _ -> close_conn t conn
   | 0 -> close_conn t conn
   | n ->
+      conn.c_last_read <- Unix.gettimeofday ();
       Buffer.add_subbytes conn.c_buf chunk 0 n;
       service_conn_buffer t conn
+
+(* Complete frames never linger in a buffer, so a non-empty one holds a
+   half-sent frame. *)
+let close_stalled t =
+  let now = Unix.gettimeofday () in
+  List.iter
+    (fun conn ->
+      if Buffer.length conn.c_buf > 0 && now -. conn.c_last_read > frame_stall_seconds
+      then begin
+        Log.warn ~scope:"serve"
+          ~kv:[ ("buffered", Log.int (Buffer.length conn.c_buf)) ]
+          "closing a connection stalled mid-frame";
+        close_conn t conn
+      end)
+    t.conns
 
 (* ------------------------------------------------------------------ *)
 (* Main loop                                                           *)
@@ -667,6 +769,7 @@ let serve cfg =
       started = Unix.gettimeofday ();
       last_dump = Unix.gettimeofday ();
       n_submitted = 0;
+      n_supplied = 0;
       n_hits = 0;
       n_executed = 0;
       n_batched = 0;
@@ -743,10 +846,18 @@ let serve cfg =
           List.iter
             (fun conn -> if List.memq conn.c_fd readable then conn_readable t conn)
             (List.filter (fun c -> List.memq c.c_fd readable) t.conns);
+          close_stalled t;
           if !listener_open && List.memq t.listen_fd readable then begin
             match Unix.accept t.listen_fd with
             | fd, _ ->
-                t.conns <- { c_fd = fd; c_buf = Buffer.create 4096; c_hello = false } :: t.conns
+                t.conns <-
+                  {
+                    c_fd = fd;
+                    c_buf = Buffer.create 4096;
+                    c_hello = false;
+                    c_last_read = Unix.gettimeofday ();
+                  }
+                  :: t.conns
             | exception _ -> ()
           end
         end

@@ -3,20 +3,23 @@
     resident forked simulation workers ({!Riq_exp.Workers}), over a
     shared {!Riq_exp.Cache}.
 
-    Scheduling: jobs are keyed by fingerprint and each fingerprint
-    resolves exactly once — store read-through, then coalescing onto an
-    in-flight execution (request batching), then the two-class queue
-    (interactive ahead of batch with a weighted round-robin that
-    guarantees batch one dispatch in four when both wait). A worker that
-    dies mid-job gets the job retried once; one that exceeds the per-job
-    timeout is killed and the job answered [Job_timeout].
+    Scheduling: a submit names jobs by fingerprint only, and each
+    fingerprint resolves exactly once — store read-through, then
+    coalescing onto an in-flight execution (request batching), then, once
+    the client has supplied the body and it fingerprints to the submitted
+    key, the two-class queue (interactive ahead of batch with a weighted
+    round-robin that guarantees batch one dispatch in four when both
+    wait). A connection that stalls mid-frame for 5 s is closed. A
+    worker that dies mid-job gets the job retried once; one that exceeds
+    the per-job timeout is killed and the job answered [Job_timeout].
 
     SIGTERM/SIGINT drains gracefully: stop accepting, run queued and
     in-flight jobs to completion (clients can still poll and fetch),
     shut down and reap every worker, unlink the socket.
 
     Observability: the daemon instruments itself against [metrics]
-    ([serve_*], [store_hits_total]; share the registry with the
+    ([serve_*], among them [serve_supplied_total], the job bodies it
+    accepted; [store_hits_total]; share the registry with the
     {!Riq_exp.Cache.open_} call so [store_*] series land in the same
     scrape) and keeps a bounded ring of wall-clock-microsecond spans
     (queue-wait per class, simulate per worker pid). Both are served over

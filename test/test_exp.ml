@@ -66,6 +66,17 @@ let test_fingerprint_deterministic () =
   Alcotest.(check string) "same job, same fingerprint" fp1 fp2;
   Alcotest.(check int) "hex md5 length" 32 (String.length fp1)
 
+(* A program with every part the fingerprint image covers: two code
+   words, two data segments, a non-default text base and entry. *)
+let image_program ?(text_base = 0x2000) ?(entry = 0x2004)
+    ?(code = [| Riq_isa.Insn.Nop; Riq_isa.Insn.Halt |])
+    ?(data =
+      [
+        Program.Words { base = 0x8000; values = [| 1; 2; 3; 4 |] };
+        Program.Floats { base = 0x9000; values = [| 1.5 |] };
+      ]) ?(symbols = []) () =
+  Program.make ~text_base ~entry ~data ~symbols code
+
 let test_fingerprint_sensitivity () =
   let fp = Job.fingerprint (tiny_job ()) in
   let with_check = Job.fingerprint (tiny_job ~check:true ()) in
@@ -74,9 +85,134 @@ let test_fingerprint_sensitivity () =
     Job.fingerprint (Job.make (Config.with_iq_size Config.baseline 128) tiny_program)
   in
   let reuse_cfg = Job.fingerprint (Job.make Config.reuse tiny_program) in
-  let fps = [ fp; with_check; with_limit; bigger_iq; reuse_cfg ] in
+  let with_verdicts = Job.fingerprint (Job.make ~verdicts:true Config.baseline tiny_program) in
+  let fps = [ fp; with_check; with_limit; bigger_iq; reuse_cfg; with_verdicts ] in
   Alcotest.(check int) "all distinct" (List.length fps)
-    (List.length (List.sort_uniq compare fps))
+    (List.length (List.sort_uniq compare fps));
+  (* Every part of the program image moves the key. *)
+  let key p = Job.fingerprint (Job.make Config.baseline p) in
+  let base = key (image_program ()) in
+  let one_bit = Int64.to_int (Int64.bits_of_float 1.5) in
+  List.iter
+    (fun (what, p) ->
+      if key p = base then Alcotest.failf "%s does not change the fingerprint" what)
+    [
+      ("one code word", image_program ~code:[| Riq_isa.Insn.Halt; Riq_isa.Insn.Halt |] ());
+      ( "one data value",
+        image_program
+          ~data:
+            [
+              Program.Words { base = 0x8000; values = [| 1; 2; 3; 5 |] };
+              Program.Floats { base = 0x9000; values = [| 1.5 |] };
+            ]
+          () );
+      ( "Words vs Floats with the same bits",
+        image_program
+          ~data:
+            [
+              Program.Words { base = 0x8000; values = [| 1; 2; 3; 4 |] };
+              Program.Words { base = 0x9000; values = [| one_bit |] };
+            ]
+          () );
+      ( "a different segment boundary",
+        image_program
+          ~data:
+            [
+              Program.Words { base = 0x8000; values = [| 1; 2; 3 |] };
+              Program.Words { base = 0x8000; values = [| 4 |] };
+              Program.Floats { base = 0x9000; values = [| 1.5 |] };
+            ]
+          () );
+      ( "a data base",
+        image_program
+          ~data:
+            [
+              Program.Words { base = 0x8004; values = [| 1; 2; 3; 4 |] };
+              Program.Floats { base = 0x9000; values = [| 1.5 |] };
+            ]
+          () );
+      ("the entry point", image_program ~entry:0x2000 ());
+      ("the text base", image_program ~text_base:0x3000 ~entry:0x3004 ());
+    ];
+  Alcotest.(check string) "symbols are not part of the key" base
+    (key (image_program ~symbols:[ ("start", 0x2004) ] ()))
+
+(* The batch form hashes exactly what the single form does, whether the
+   jobs share a program by pointer or hold equal copies. The last two
+   programs differ only past what [Hashtbl.hash] looks at, so they share
+   a bucket and only identity tells their images apart. *)
+let test_fingerprints_batch () =
+  let btrix = Workloads.program (Workloads.find "btrix") in
+  let tsf = Workloads.program (Workloads.find "tsf") in
+  let late_change =
+    image_program
+      ~data:
+        [
+          Program.Words
+            { base = 0x8000; values = Array.init 64 (fun i -> if i = 63 then 7 else i) };
+          Program.Floats { base = 0x9000; values = [| 1.5 |] };
+        ]
+      ()
+  in
+  let unchanged =
+    image_program
+      ~data:
+        [
+          Program.Words { base = 0x8000; values = Array.init 64 Fun.id };
+          Program.Floats { base = 0x9000; values = [| 1.5 |] };
+        ]
+      ()
+  in
+  Alcotest.(check int) "the two share a structural hash" (Hashtbl.hash late_change)
+    (Hashtbl.hash unchanged);
+  let jobs =
+    Array.of_list
+      (List.concat_map
+         (fun p ->
+           [
+             Job.make Config.baseline p;
+             Job.make ~check:true (Config.with_iq_size Config.reuse 32) p;
+             Job.make ~verdicts:true ~cycle_limit:99 Config.reuse p;
+           ])
+         [
+           btrix;
+           tsf;
+           btrix;
+           tiny_program;
+           { tsf with Program.symbols = [] };
+           late_change;
+           unchanged;
+         ])
+  in
+  Alcotest.(check (array string))
+    "fingerprints = map fingerprint" (Array.map Job.fingerprint jobs) (Job.fingerprints jobs);
+  Alcotest.(check (array string)) "empty batch" [||] (Job.fingerprints [||])
+
+(* Two keys pinned as literals, under the format version and revision
+   stamp they were taken at. A stamp bump adds a row. A change to the
+   fingerprint's image moves these under an unchanged row and fails here:
+   such a change must bump [Revision.format_version] (the cache keys it
+   writes under are new) and add a row, never edit one. *)
+let pinned_fingerprints =
+  [
+    ( (7, "riq-sim-2026-10-17.1"),
+      ("9bfe7248db97eb724b79bfcc0ee6bdda", "8df5bdf248831a723ca2cb2c02a61eff") );
+  ]
+
+let test_fingerprint_pinned () =
+  let tiny = Job.fingerprint (tiny_job ()) in
+  let btrix =
+    Job.fingerprint
+      (Job.make (Config.with_iq_size Config.reuse 32)
+         (Workloads.program (Workloads.find "btrix")))
+  in
+  match List.assoc_opt (Revision.format_version, Revision.stamp) pinned_fingerprints with
+  | None ->
+      Alcotest.failf "no pinned fingerprints for format %d, stamp %s (now %s, %s)"
+        Revision.format_version Revision.stamp tiny btrix
+  | Some (tiny_pin, btrix_pin) ->
+      Alcotest.(check string) "tiny job" tiny_pin tiny;
+      Alcotest.(check string) "btrix reuse IQ 32" btrix_pin btrix
 
 (* The property the on-disk cache depends on: the fingerprint of the same
    job computed in a different process is byte-identical. *)
@@ -449,6 +585,8 @@ let suites =
       [
         Alcotest.test_case "fingerprint deterministic" `Quick test_fingerprint_deterministic;
         Alcotest.test_case "fingerprint sensitivity" `Quick test_fingerprint_sensitivity;
+        Alcotest.test_case "fingerprints batch" `Quick test_fingerprints_batch;
+        Alcotest.test_case "fingerprint pinned" `Quick test_fingerprint_pinned;
         Alcotest.test_case "fingerprint cross-process" `Quick test_fingerprint_cross_process;
         Alcotest.test_case "cache round trip" `Quick test_cache_round_trip;
         Alcotest.test_case "cache corruption" `Quick test_cache_corruption_is_miss;

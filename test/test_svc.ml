@@ -105,13 +105,18 @@ let test_request_round_trip () =
           t_client = Some 1723000000.25;
         };
       Protocol.Submit
-        { klass = Protocol.Interactive; jobs = [ "00ab"; "ff01" ]; trace = None };
+        {
+          klass = Protocol.Interactive;
+          keys = [ String.make 32 'a'; Job.fingerprint (tiny_job ()) ];
+          trace = None;
+        };
       Protocol.Submit
         {
           klass = Protocol.Batch;
-          jobs = [];
+          keys = [];
           trace = Some { Protocol.trace_id = "42-00abcd"; parent_span = 3 };
         };
+      Protocol.Supply { ticket = 7; indices = [ 0; 2 ]; jobs = "00ab" };
       Protocol.Result { ticket = 0 };
       Protocol.Stats;
       Protocol.Metrics;
@@ -127,15 +132,47 @@ let test_request_round_trip () =
   (match Protocol.request_of_json (Json.Obj [ ("op", Json.String "nonsense") ]) with
   | Ok _ -> Alcotest.fail "unknown op accepted"
   | Error _ -> ());
+  (* A key names a store entry: anything but 32 lowercase hex digits is
+     refused before the daemon sees it. *)
+  List.iter
+    (fun key ->
+      let submit =
+        Json.Obj
+          [
+            ("op", Json.String "submit");
+            ("class", Json.String "batch");
+            ("keys", Json.List [ key ]);
+          ]
+      in
+      match Protocol.request_of_json submit with
+      | Ok _ -> Alcotest.failf "key %s accepted" (Json.to_string key)
+      | Error _ -> ())
+    [
+      Json.Int 1;
+      Json.String "";
+      Json.String (String.make 31 'a');
+      Json.String (String.make 32 'A');
+      Json.String ("../../" ^ String.make 26 'a');
+    ];
   Alcotest.(check bool) "ok is ok" true (Protocol.is_ok (Protocol.ok []));
   Alcotest.(check bool) "error is not ok" false (Protocol.is_ok (Protocol.error "boom"));
   Alcotest.(check string) "error text" "boom" (Protocol.error_of (Protocol.error "boom"))
 
 let test_job_outcome_wire () =
   let job = tiny_job ~check:true () in
-  let job' = Protocol.job_of_wire (Protocol.job_to_wire job) in
-  Alcotest.(check string) "job survives the wire" (Job.fingerprint job)
-    (Job.fingerprint job');
+  let jobs = [| job; Job.make Config.reuse tiny_program |] in
+  Alcotest.(check (array string))
+    "jobs survive the wire" (Job.fingerprints jobs)
+    (Job.fingerprints (Protocol.jobs_of_wire (Protocol.jobs_to_wire jobs)));
+  (* One array keeps Marshal's sharing: btrix's image travels once for
+     two jobs. *)
+  let btrix = Riq_workloads.Workloads.(program (find "btrix")) in
+  let one = String.length (Protocol.jobs_to_wire [| Job.make Config.baseline btrix |]) in
+  let two =
+    String.length
+      (Protocol.jobs_to_wire [| Job.make Config.baseline btrix; Job.make Config.reuse btrix |])
+  in
+  Alcotest.(check bool) "a shared program is encoded once" true (two < one + (one / 10));
   let outcome = Runner.execute job in
   Alcotest.(check bool) "tiny job succeeds" true (Result.is_ok outcome);
   Alcotest.(check bool) "outcome survives the wire" true
@@ -361,19 +398,24 @@ let test_store_concurrent_writers_one_fingerprint () =
 (* End-to-end daemon                                                   *)
 (* ------------------------------------------------------------------ *)
 
-let with_daemon ?(workers = 1) ?(timeout = 60.) f =
+(* [prepare] gets the store root before the daemon opens it. *)
+let with_daemon ?(workers = 1) ?(timeout = 60.) ?(prepare = ignore) f =
   if not Sys.unix then ()
   else
     with_temp_dir (fun dir ->
         let sock = Filename.concat dir "d.sock" in
+        prepare (Filename.concat dir "cache");
         flush stdout;
         flush stderr;
         match Unix.fork () with
         | 0 ->
             (try
-               let store = Cache.open_ ~root:(Filename.concat dir "cache") () in
+               (* One registry for the store and the daemon, as riq-sim
+                  serve has it, so store_* series are scraped too. *)
+               let metrics = Riq_obs.Metrics.create () in
+               let store = Cache.open_ ~root:(Filename.concat dir "cache") ~metrics () in
                Server.serve
-                 (Server.config ~workers ~timeout:(Some timeout)
+                 (Server.config ~workers ~timeout:(Some timeout) ~metrics
                     ~address:(Protocol.Unix_socket sock) store)
              with _ -> Unix._exit 1);
             Unix._exit 0
@@ -406,6 +448,9 @@ let with_daemon ?(workers = 1) ?(timeout = 60.) f =
                 | _ -> Alcotest.fail "daemon killed by signal");
                 Alcotest.(check bool) "socket unlinked on drain" true
                   (not (Sys.file_exists sock))))
+
+(* The store the daemon of [with_daemon] serves from, opened alongside. *)
+let daemon_store sock = Cache.open_ ~root:(Filename.concat (Filename.dirname sock) "cache") ()
 
 let e2e_jobs () =
   Array.of_list
@@ -461,7 +506,9 @@ let test_daemon_end_to_end () =
           Alcotest.(check int) "daemon hit counter" (Array.length jobs)
             (member_int [ "hits" ] stats);
           Alcotest.(check int) "daemon executed counter" (Array.length jobs)
-            (member_int [ "executed" ] stats));
+            (member_int [ "executed" ] stats);
+          Alcotest.(check int) "warm run supplied no job body" (Array.length jobs)
+            (member_int [ "supplied" ] stats));
       (* The metrics op: the daemon snapshot carries the store-hit counter
          CI asserts on, and the duration histograms saw every executed
          job (cold run) and every dispatch. *)
@@ -582,12 +629,13 @@ let test_daemon_timeout () =
       Client.close client)
 
 (* Queue wait is time spent waiting for a worker, not time the daemon
-   spends hashing the rest of the submit. One worker, one submit: a tiny
-   job first, then halt-only jobs whose 100k-word data images make each
-   fingerprint slow. The tiny job is queued while the worker is idle, so
-   its wait must be well under what fingerprinting the others costs
-   (half of it, measured here in the test process, so host noise cannot
-   blur the two). *)
+   spends hashing the supplied bodies. One worker, one batch: a tiny job
+   first, then halt-only jobs whose 100k-word data images make each
+   fingerprint slow (about 3 ms each). The daemon checks every body's
+   fingerprint before it queues any, and the tiny job then goes to the
+   idle worker at once, so its wait must be well under what
+   fingerprinting the others costs (half of it, measured here in the
+   test process, so host noise cannot blur the two). *)
 let test_daemon_queue_wait_excludes_hashing () =
   with_daemon (fun ~sock ~pid:_ ->
       let tiny = tiny_job ~cycle_limit:30_000 () in
@@ -627,6 +675,214 @@ let test_daemon_queue_wait_excludes_hashing () =
                   wait hashing));
       Client.close client)
 
+(* ------------------------------------------------------------------ *)
+(* Daemon faults, driven over raw connections                          *)
+(* ------------------------------------------------------------------ *)
+
+let hello =
+  Protocol.Hello
+    { revision = Revision.stamp; format = Revision.format_version; t_client = None }
+
+let raw_connect sock =
+  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.connect fd (Unix.ADDR_UNIX sock);
+  Unix.setsockopt_float fd Unix.SO_RCVTIMEO 15.;
+  fd
+
+let rpc fd req =
+  Wire.send fd (Protocol.request_to_json req);
+  Wire.recv fd
+
+let greeted sock =
+  let fd = raw_connect sock in
+  if not (Protocol.is_ok (rpc fd hello)) then Alcotest.fail "hello refused";
+  fd
+
+let close_quietly fd = try Unix.close fd with _ -> ()
+
+(* Raw bytes: a 4-byte big-endian length, then [payload]. *)
+let raw_frame len payload =
+  let b = Bytes.create 4 in
+  Bytes.set_int32_be b 0 (Int32.of_int len);
+  Bytes.cat b (Bytes.of_string payload)
+
+(* The daemon's answer to a fault: an error reply, or closing the
+   connection. A reply that is ok, or no answer within SO_RCVTIMEO,
+   fails the test. *)
+let expect_refusal what fd =
+  match Wire.recv fd with
+  | reply when Protocol.is_ok reply -> Alcotest.failf "%s: accepted" what
+  | _ -> ()
+  | exception (Wire.Closed | Unix.Unix_error (Unix.ECONNRESET, _, _)) -> ()
+  | exception Unix.Unix_error (Unix.EAGAIN, _, _) ->
+      Alcotest.failf "%s: neither a reply nor a close" what
+
+let expect_closed what fd =
+  match Wire.recv fd with
+  | _ -> Alcotest.failf "%s: connection still open" what
+  | exception (Wire.Closed | Unix.Unix_error (Unix.ECONNRESET, _, _)) -> ()
+  | exception Unix.Unix_error (Unix.EAGAIN, _, _) ->
+      Alcotest.failf "%s: connection not closed" what
+
+(* Frame faults, each on its own connection, while a second client's
+   sweep runs to the right answers. A stalled half frame is closed once
+   it has gone [frame_stall_seconds] (5 s) without a byte. *)
+let test_daemon_frame_faults () =
+  with_daemon (fun ~sock ~pid:_ ->
+      let stalled = greeted sock in
+      Wire.write_all stalled (raw_frame 100 "{\"op\":");
+      let json_fd = greeted sock in
+      Wire.write_all json_fd (raw_frame 9 "{not json");
+      expect_refusal "unparsable JSON" json_fd;
+      Alcotest.(check bool) "connection survives bad JSON" true
+        (Json.member "submitted" (rpc json_fd Protocol.Stats) <> None);
+      let typed_fd = greeted sock in
+      let batch = ("class", Json.String "batch") in
+      List.iter
+        (fun (what, fields) ->
+          let payload = Json.to_string (Json.Obj (("op", Json.String "submit") :: fields)) in
+          Wire.write_all typed_fd (raw_frame (String.length payload) payload);
+          expect_refusal what typed_fd)
+        [
+          ("keys not a list", [ batch; ("keys", Json.String "ab") ]);
+          ("class not a string", [ ("class", Json.Int 1); ("keys", Json.List []) ]);
+          ("unknown class", [ ("class", Json.String "urgent"); ("keys", Json.List []) ]);
+          ("key not a string", [ batch; ("keys", Json.List [ Json.Int 3 ]) ]);
+          ("key not a fingerprint", [ batch; ("keys", Json.List [ Json.String "../../x" ]) ]);
+        ];
+      List.iter
+        (fun (what, len) ->
+          let fd = raw_connect sock in
+          Wire.write_all fd (raw_frame len "");
+          expect_refusal what fd;
+          expect_closed what fd;
+          close_quietly fd)
+        [ ("length above max_frame", Wire.max_frame + 1); ("negative length", -1) ];
+      let eof_fd = greeted sock in
+      Wire.write_all eof_fd (raw_frame 50 "{\"op\"");
+      Unix.shutdown eof_fd Unix.SHUTDOWN_SEND;
+      expect_closed "half frame then EOF" eof_fd;
+      (* Meanwhile, a well-behaved client gets every answer right. *)
+      let jobs = e2e_jobs () in
+      let client = Client.connect ~request_timeout:30. (Protocol.Unix_socket sock) in
+      let engine = Riq_exp.Engine.create ~backend:(Client.backend client) () in
+      let got = Riq_exp.Engine.run engine jobs in
+      Alcotest.(check bool) "second client's sweep is correct" true
+        (Array.map Outcome.zero_timing got
+        = Array.map (fun j -> Outcome.zero_timing (Runner.execute j)) jobs);
+      expect_closed "stalled half frame" stalled;
+      Alcotest.(check bool) "daemon still answers" true (Client.server_stats client <> None);
+      Client.close client;
+      List.iter close_quietly [ stalled; json_fd; typed_fd; eof_fd ])
+
+(* Misused supplies are refused whole, and the daemon keeps serving: the
+   ticket they aimed at still completes once its body arrives. A body
+   that fingerprints to another key is never run or stored. *)
+let test_daemon_supply_misuse () =
+  with_daemon (fun ~sock ~pid:_ ->
+      let fd = greeted sock in
+      let job_a = tiny_job ~cycle_limit:40_001 () in
+      let job_b = tiny_job ~cycle_limit:40_002 () in
+      let key_a = Job.fingerprint job_a and key_b = Job.fingerprint job_b in
+      let submit keys =
+        let reply =
+          rpc fd (Protocol.Submit { klass = Protocol.Interactive; keys; trace = None })
+        in
+        if not (Protocol.is_ok reply) then Alcotest.fail "submit refused";
+        ( Option.get (Option.bind (Json.member "ticket" reply) Json.to_int),
+          List.filter_map Json.to_int
+            (Option.get (Option.bind (Json.member "need" reply) Json.to_list)) )
+      in
+      let supply ticket indices bodies =
+        rpc fd (Protocol.Supply { ticket; indices; jobs = Protocol.jobs_to_wire bodies })
+      in
+      let refused what reply =
+        if Protocol.is_ok reply then Alcotest.failf "%s: accepted" what
+      in
+      let ticket, need = submit [ key_a; key_b ] in
+      Alcotest.(check (list int)) "both jobs needed" [ 0; 1 ] need;
+      refused "unknown ticket" (supply (ticket + 100) [ 0 ] [| job_a |]);
+      refused "index out of range" (supply ticket [ 2 ] [| job_a |]);
+      refused "negative index" (supply ticket [ -1 ] [| job_a |]);
+      refused "index listed twice" (supply ticket [ 0; 0 ] [| job_a; job_a |]);
+      refused "fewer bodies than indices" (supply ticket [ 0; 1 ] [| job_a |]);
+      refused "more bodies than indices" (supply ticket [ 0 ] [| job_a; job_b |]);
+      refused "body of another job" (supply ticket [ 0 ] [| job_b |]);
+      refused "bodies swapped" (supply ticket [ 0; 1 ] [| job_b; job_a |]);
+      Alcotest.(check bool) "supply of index 1" true
+        (Protocol.is_ok (supply ticket [ 1 ] [| job_b |]));
+      refused "index supplied twice" (supply ticket [ 1 ] [| job_b |]);
+      (* A job stored or running is answered at submit, so its index is
+         not needed. *)
+      let rec fetch ticket =
+        let reply = rpc fd (Protocol.Result { ticket }) in
+        if Protocol.is_ok reply then reply
+        else if Protocol.error_of reply = "pending" then begin
+          ignore (Unix.select [] [] [] 0.02);
+          fetch ticket
+        end
+        else Alcotest.failf "result refused: %s" (Protocol.error_of reply)
+      in
+      let ticket2, need2 = submit [ key_a; key_b ] in
+      Alcotest.(check (list int)) "only the unexecuted job is needed" [ 0 ] need2;
+      refused "index not needed" (supply ticket2 [ 1 ] [| job_b |]);
+      let store = daemon_store sock in
+      Alcotest.(check bool) "no entry under the key of the refused body" true
+        (Cache.find store key_a = None);
+      let stats = rpc fd Protocol.Stats in
+      Alcotest.(check int) "one body accepted" 1 (member_int [ "supplied" ] stats);
+      (* The ticket still completes once its real body arrives. *)
+      Alcotest.(check bool) "right body accepted" true
+        (Protocol.is_ok (supply ticket [ 0 ] [| job_a |]));
+      let outcomes =
+        List.filter_map Json.to_str
+          (Option.get (Option.bind (Json.member "outcomes" (fetch ticket)) Json.to_list))
+      in
+      Alcotest.(check bool) "ticket answered correctly" true
+        (List.map (fun o -> Outcome.zero_timing (Protocol.outcome_of_wire o)) outcomes
+        = List.map (fun j -> Outcome.zero_timing (Runner.execute j)) [ job_a; job_b ]);
+      Alcotest.(check bool) "entry stored under its own key" true
+        (Cache.find store key_a <> None);
+      close_quietly fd)
+
+(* A store whose 256 shard directories are regular files cannot take a
+   single entry (permission bits would not stop root). The daemon still
+   answers every job, reports no write, and runs a repeat again rather
+   than claiming a hit. *)
+let test_daemon_unwritable_store () =
+  let block_shards root =
+    let store = Cache.open_ ~root () in
+    let dir = Filename.dirname (Filename.dirname (Cache.path store (String.make 32 '0'))) in
+    for i = 0 to 255 do
+      Out_channel.with_open_bin (Filename.concat dir (Printf.sprintf "%02x" i)) ignore
+    done
+  in
+  with_daemon ~prepare:block_shards (fun ~sock ~pid:_ ->
+      let jobs = e2e_jobs () in
+      let expected = Array.map (fun j -> Outcome.zero_timing (Runner.execute j)) jobs in
+      let client = Client.connect ~request_timeout:30. (Protocol.Unix_socket sock) in
+      for pass = 1 to 2 do
+        let engine = Riq_exp.Engine.create ~backend:(Client.backend client) () in
+        Alcotest.(check bool)
+          (Printf.sprintf "pass %d answered correctly" pass)
+          true
+          (Array.map Outcome.zero_timing (Riq_exp.Engine.run engine jobs) = expected)
+      done;
+      let svc = Client.service_json client in
+      Alcotest.(check int) "both passes executed" (2 * Array.length jobs)
+        (member_int [ "client"; "remote_executed" ] svc);
+      Alcotest.(check int) "no hits" 0 (member_int [ "client"; "remote_hits" ] svc);
+      (match Client.server_metrics client with
+      | Error msg -> Alcotest.fail ("metrics op failed: " ^ msg)
+      | Ok snap -> (
+          match
+            List.find_opt (fun s -> s.Riq_obs.Metrics.s_name = "store_writes_total") snap
+          with
+          | Some { Riq_obs.Metrics.s_value = Riq_obs.Metrics.Counter_sample v; _ } ->
+              Alcotest.(check int) "store_writes_total" 0 v
+          | _ -> Alcotest.fail "store_writes_total missing"));
+      Client.close client)
+
 (* Frames do not line up with reads: two requests in one write, then one
    request dribbled over several writes. Every request gets its answer. *)
 let test_daemon_split_frames () =
@@ -638,10 +894,6 @@ let test_daemon_split_frames () =
           Unix.connect fd (Unix.ADDR_UNIX sock);
           Unix.setsockopt_float fd Unix.SO_RCVTIMEO 10.;
           let frame req = Wire.frame (Protocol.request_to_json req) in
-          let hello =
-            Protocol.Hello
-              { revision = Revision.stamp; format = Revision.format_version; t_client = None }
-          in
           Wire.write_all fd (Bytes.cat (frame hello) (frame Protocol.Stats));
           let stats = frame Protocol.Stats in
           let n = Bytes.length stats in
@@ -714,6 +966,10 @@ let suites =
         Alcotest.test_case "queue wait excludes submit hashing" `Slow
           test_daemon_queue_wait_excludes_hashing;
         Alcotest.test_case "frames split across reads" `Slow test_daemon_split_frames;
+        Alcotest.test_case "malformed and stalled frames" `Slow test_daemon_frame_faults;
+        Alcotest.test_case "misused supplies refused" `Slow test_daemon_supply_misuse;
+        Alcotest.test_case "unwritable store writes nothing" `Slow
+          test_daemon_unwritable_store;
         Alcotest.test_case "sweep json parses" `Slow test_sweep_json_parses;
       ] );
   ]
