@@ -26,20 +26,20 @@ let create ~sets ~ways =
     n_update = 0;
   }
 
-(* Table index of the matching way, or -1: the hot path stays free of
-   option and tuple allocations. *)
+(* Table index of the matching way (the last, should two match), or -1:
+   a plain loop, so the lookup allocates neither an option nor a
+   closure. *)
 let find_idx t ~pc =
   let idx = pc lsr 2 in
   let set = idx land (t.sets - 1) in
   let tag = idx / t.sets in
   let base = set * t.ways in
-  let rec go w last =
-    if w = t.ways then last
-    else
-      let e = t.table.(base + w) in
-      go (w + 1) (if e.valid && e.tag = tag then base + w else last)
-  in
-  go 0 (-1)
+  let found = ref (-1) in
+  for w = 0 to t.ways - 1 do
+    let e = t.table.(base + w) in
+    if e.valid && e.tag = tag then found := base + w
+  done;
+  !found
 
 let lookup_target t ~pc =
   t.n_lookup <- t.n_lookup + 1;
@@ -52,10 +52,6 @@ let lookup_target t ~pc =
     e.target
   end
   else -1
-
-let lookup t ~pc =
-  let tgt = lookup_target t ~pc in
-  if tgt >= 0 then Some tgt else None
 
 let update t ~pc ~target =
   t.n_update <- t.n_update + 1;

@@ -5,11 +5,9 @@ type t
 
 val create : sets:int -> ways:int -> t
 
-val lookup : t -> pc:int -> int option
-(** Predicted target for the control instruction at [pc], updating LRU. *)
-
 val lookup_target : t -> pc:int -> int
-(** Allocation-free {!lookup}: the predicted target, or -1 on a miss. *)
+(** Predicted target for the control instruction at [pc], or -1 on a
+    miss; a hit refreshes the way's LRU stamp. *)
 
 val update : t -> pc:int -> target:int -> unit
 (** Record (or refresh) the taken target. *)

@@ -41,10 +41,6 @@ let create config =
 
 let cfg t = t.config
 
-type decision = { taken : bool; target : int option; used_ras : bool; btb_hit : bool }
-
-let fall_through = { taken = false; target = None; used_ras = false; btb_hit = false }
-
 let predict_dir t ~pc =
   t.n_dir_lookup <- t.n_dir_lookup + 1;
   match t.dir with
@@ -57,41 +53,9 @@ let update_dir t ~pc ~taken =
   | Dir_bimod b -> Bimod.update b ~pc ~taken
   | Dir_gshare g -> Gshare.update g ~pc ~taken
 
-let lookup t ~pc ~insn =
-  match Insn.kind insn with
-  | Insn.K_branch ->
-      let taken = predict_dir t ~pc in
-      let btb = Btb.lookup t.btb ~pc in
-      let target = if taken then Insn.ctrl_target insn ~pc else None in
-      { taken; target; used_ras = false; btb_hit = btb <> None }
-  | K_jump ->
-      let btb = Btb.lookup t.btb ~pc in
-      { taken = true; target = Insn.ctrl_target insn ~pc; used_ras = false; btb_hit = btb <> None }
-  | K_call ->
-      Ras.push t.ras (pc + 4);
-      let btb = Btb.lookup t.btb ~pc in
-      let target =
-        match Insn.ctrl_target insn ~pc with Some tgt -> Some tgt | None -> btb
-      in
-      { taken = true; target; used_ras = false; btb_hit = btb <> None }
-  | K_return -> (
-      let popped = Ras.pop t.ras in
-      match popped with
-      | Some target -> { taken = true; target = Some target; used_ras = true; btb_hit = false }
-      | None ->
-          let btb = Btb.lookup t.btb ~pc in
-          { taken = true; target = btb; used_ras = false; btb_hit = btb <> None })
-  | K_ijump ->
-      let btb = Btb.lookup t.btb ~pc in
-      { taken = true; target = btb; used_ras = false; btb_hit = btb <> None }
-  | K_int | K_fp | K_load | K_store | K_nop | K_halt -> fall_through
-
-(* Decoded variants: same table mutations in the same order as
-   [lookup]/[resolve], but driven by a pre-extracted kind and static
-   target (-1 = statically unknown) and returning the predicted next pc
-   directly (-1 = unknown, fetch must stall) — no option or record
-   allocation on the fetch path. *)
-
+(* Driven by pre-decoded kinds and static targets (-1 = statically
+   unknown), returning the predicted next pc directly (-1 = unknown, fetch
+   must stall): no option or record allocation on the fetch path. *)
 let lookup_decoded t ~pc ~kind ~static_target =
   match kind with
   | Insn.K_branch ->
@@ -105,24 +69,14 @@ let lookup_decoded t ~pc ~kind ~static_target =
       Ras.push t.ras (pc + 4);
       let btb = Btb.lookup_target t.btb ~pc in
       if static_target >= 0 then static_target else btb
-  | K_return -> (
-      match Ras.pop t.ras with
-      | Some target -> target
-      | None -> Btb.lookup_target t.btb ~pc)
+  | K_return ->
+      let target = Ras.pop t.ras in
+      if target >= 0 then target else Btb.lookup_target t.btb ~pc
   | K_ijump -> Btb.lookup_target t.btb ~pc
   | K_int | K_fp | K_load | K_store | K_nop | K_halt -> pc + 4
 
 let resolve_decoded t ~pc ~kind ~taken ~target =
   match kind with
-  | Insn.K_branch ->
-      update_dir t ~pc ~taken;
-      if taken then Btb.update t.btb ~pc ~target
-  | K_jump | K_call | K_ijump -> Btb.update t.btb ~pc ~target
-  | K_return -> ()
-  | K_int | K_fp | K_load | K_store | K_nop | K_halt -> ()
-
-let resolve t ~pc ~insn ~taken ~target =
-  match Insn.kind insn with
   | Insn.K_branch ->
       update_dir t ~pc ~taken;
       if taken then Btb.update t.btb ~pc ~target

@@ -19,11 +19,11 @@ let push t v =
 
 let pop t =
   t.n_pop <- t.n_pop + 1;
-  if t.live = 0 then None
+  if t.live = 0 then -1
   else begin
     t.tos <- (t.tos + t.size - 1) mod t.size;
     t.live <- t.live - 1;
-    Some t.stack.(t.tos)
+    t.stack.(t.tos)
   end
 
 (* Pack tos and live into one int so a checkpoint is a plain immediate. *)

@@ -2,7 +2,7 @@
     checkpointing for branch-misprediction repair.
 
     The stack is circular: pushing beyond capacity silently overwrites the
-    oldest entry, and popping an empty stack returns [None]. Checkpoints
+    oldest entry, and popping an empty stack returns [-1]. Checkpoints
     capture only the top-of-stack index (the standard low-cost repair);
     contents clobbered by wrong-path calls are not restored, which models
     real RAS corruption behaviour. *)
@@ -13,7 +13,9 @@ val create : int -> t
 (** [create size]; size must be positive. *)
 
 val push : t -> int -> unit
-val pop : t -> int option
+val pop : t -> int
+(** The top return address, or [-1] when the stack is empty (return
+    addresses are never negative); no option is allocated per return. *)
 
 val checkpoint : t -> int
 (** Opaque TOS snapshot to be taken before a speculative control

@@ -24,9 +24,9 @@ let in_loop t pc = pc >= t.head && pc <= t.tail
 
 let serving t ~pc = t.st = Active && in_loop t pc
 
-(* A short backward branch: conditional branch or direct jump whose taken
-   target is behind it by at most the cache capacity. *)
-(* Decoded form: [-1] = not a short backward branch. *)
+(* The taken target of a short backward branch — a conditional branch or
+   direct jump whose taken target is behind it by at most the cache
+   capacity — or -1 for any other instruction. *)
 let sbb_target_decoded t ~pc ~kind ~static_target =
   match kind with
   | Insn.K_branch | K_jump ->
@@ -37,14 +37,6 @@ let sbb_target_decoded t ~pc ~kind ~static_target =
       then static_target
       else -1
   | K_call | K_return | K_ijump | K_int | K_fp | K_load | K_store | K_nop | K_halt -> -1
-
-let sbb_target t ~pc insn =
-  let static_target =
-    match Insn.ctrl_target insn ~pc with Some tgt -> tgt | None -> -1
-  in
-  match sbb_target_decoded t ~pc ~kind:(Insn.kind insn) ~static_target with
-  | -1 -> None
-  | tgt -> Some tgt
 
 let to_idle t =
   t.st <- Idle;
@@ -60,35 +52,6 @@ let on_fetch_decoded t ~pc ~kind ~static_target ~pred_npc =
         t.tail <- pc;
         t.filled <- 0
       end
-  | Fill ->
-      if in_loop t pc then begin
-        t.filled <- t.filled + 1;
-        t.n_fill <- t.n_fill + 1;
-        if pc = t.tail then
-          if pred_npc = t.head && t.filled >= ((t.tail - t.head) / 4) + 1 then begin
-            t.st <- Active;
-            t.n_activate <- t.n_activate + 1
-          end
-          else to_idle t
-      end
-      else to_idle t
-  | Active ->
-      if in_loop t pc then begin
-        t.n_supply <- t.n_supply + 1;
-        if pc = t.tail && pred_npc <> t.head then to_idle t
-      end
-      else to_idle t
-
-let on_fetch t ~pc ~insn ~pred_npc =
-  match t.st with
-  | Idle -> (
-      match sbb_target t ~pc insn with
-      | Some target when pred_npc = target ->
-          t.st <- Fill;
-          t.head <- target;
-          t.tail <- pc;
-          t.filled <- 0
-      | Some _ | None -> ())
   | Fill ->
       if in_loop t pc then begin
         t.filled <- t.filled + 1;

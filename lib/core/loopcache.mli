@@ -30,15 +30,11 @@ val serving : t -> pc:int -> bool
 (** Whether the instruction at [pc] is supplied by the loop cache this
     cycle (Active and within the captured loop). *)
 
-val on_fetch : t -> pc:int -> insn:Insn.t -> pred_npc:int -> unit
-(** Advance the controller with one fetched instruction and the next-PC
-    prediction made for it. *)
-
 val on_fetch_decoded :
   t -> pc:int -> kind:Insn.kind -> static_target:int -> pred_npc:int -> unit
-(** {!on_fetch} for the core's hot path: kind and statically-known taken
-    target ([-1] = none) are pre-decoded side-table loads. Identical
-    state-machine behavior and counters. *)
+(** Advance the controller with one fetched instruction, given by its
+    pre-decoded kind and statically-known taken target ([-1] = none), and
+    the next-PC prediction made for it. *)
 
 val reset : t -> unit
 (** Pipeline redirect (misprediction recovery): back to Idle. *)

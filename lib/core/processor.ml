@@ -153,8 +153,9 @@ type t = {
   mutable rp2_seq : int array;
   mutable rp2_rob : int array;
   mutable rp2_addr : int array;
-  (* Issue-select scratch, [issue_width] wide, reset every cycle. *)
-  issue_cand : Iq.slot array;
+  (* Issue-select scratch, [issue_width] wide, reset every cycle: the
+     ids of the oldest ready slots and their sequence numbers. *)
+  issue_cand : int array;
   issue_cand_seq : int array;
   (* Reuse-attribution memo: wi -> smallest logged window containing it
      (None = outside every window); invalidated when a window is logged. *)
@@ -209,7 +210,6 @@ let create ?tracer ?sampler cfg program =
   Program.load program ~write_word:(Store.write_word memory);
   let arch_i = Array.make 32 0 in
   arch_i.(Reg.sp) <- Machine.default_sp;
-  let iq = Iq.create cfg.Config.iq_entries in
   {
     cfg;
     program;
@@ -218,7 +218,7 @@ let create ?tracer ?sampler cfg program =
     hier = Hierarchy.create cfg.Config.mem;
     pred = Predictor.create cfg.Config.bpred;
     rob = Rob.create cfg.Config.rob_entries;
-    iq;
+    iq = Iq.create cfg.Config.iq_entries;
     lsq = Lsq.create cfg.Config.lsq_entries;
     fu =
       Fu.create ~n_ialu:cfg.Config.n_ialu ~n_imult:cfg.Config.n_imult
@@ -256,7 +256,7 @@ let create ?tracer ?sampler cfg program =
     rp2_seq = Array.make 16 0;
     rp2_rob = Array.make 16 0;
     rp2_addr = Array.make 16 0;
-    issue_cand = Array.make cfg.Config.issue_width (Iq.slots iq).(0);
+    issue_cand = Array.make cfg.Config.issue_width 0;
     issue_cand_seq = Array.make cfg.Config.issue_width max_int;
     attr_memo = Array.make (max 1 (Array.length program.Program.code)) None;
     halted = false;
@@ -309,38 +309,42 @@ let loop_record t ~head ~tail =
 let charge t c n = Account.add t.acct c n
 let charge1 t c = Account.add t.acct c 1.
 
-let schedule t ~cycle ~seq ~rob ~kind ~addr ~di ~df ~dtag =
+let grow_ints a n =
+  let b = Array.make (2 * n) 0 in
+  Array.blit a 0 b 0 n;
+  b
+
+let grow_wheel_slot t sl n =
+  t.ev_seq.(sl) <- grow_ints t.ev_seq.(sl) n;
+  t.ev_rob.(sl) <- grow_ints t.ev_rob.(sl) n;
+  t.ev_kind.(sl) <- grow_ints t.ev_kind.(sl) n;
+  t.ev_addr.(sl) <- grow_ints t.ev_addr.(sl) n;
+  t.ev_di.(sl) <- grow_ints t.ev_di.(sl) n;
+  t.ev_dtag.(sl) <- grow_ints t.ev_dtag.(sl) n;
+  let bf = Array.make (2 * n) 0. in
+  Array.blit t.ev_df.(sl) 0 bf 0 n;
+  t.ev_df.(sl) <- bf
+
+(* Append an event to [cycle]'s wheel slot and return its index there.
+   Only address-generation events carry FP store data; their caller
+   writes it into [ev_df] at that index, so no float crosses a call. *)
+let schedule t ~cycle ~seq ~rob ~kind ~addr ~di ~dtag =
   if cycle <= t.now || cycle - t.now >= wheel_size then
     failwith "Processor.schedule: event outside the wheel horizon";
   let sl = cycle land wheel_mask in
   let n = t.ev_n.(sl) in
-  if n = Array.length t.ev_seq.(sl) then begin
-    let grow a =
-      let b = Array.make (2 * n) 0 in
-      Array.blit a 0 b 0 n;
-      b
-    in
-    t.ev_seq.(sl) <- grow t.ev_seq.(sl);
-    t.ev_rob.(sl) <- grow t.ev_rob.(sl);
-    t.ev_kind.(sl) <- grow t.ev_kind.(sl);
-    t.ev_addr.(sl) <- grow t.ev_addr.(sl);
-    t.ev_di.(sl) <- grow t.ev_di.(sl);
-    t.ev_dtag.(sl) <- grow t.ev_dtag.(sl);
-    let bf = Array.make (2 * n) 0. in
-    Array.blit t.ev_df.(sl) 0 bf 0 n;
-    t.ev_df.(sl) <- bf
-  end;
+  if n = Array.length t.ev_seq.(sl) then grow_wheel_slot t sl n;
   t.ev_seq.(sl).(n) <- seq;
   t.ev_rob.(sl).(n) <- rob;
   t.ev_kind.(sl).(n) <- kind;
   t.ev_addr.(sl).(n) <- addr;
   t.ev_di.(sl).(n) <- di;
   t.ev_dtag.(sl).(n) <- dtag;
-  t.ev_df.(sl).(n) <- df;
-  t.ev_n.(sl) <- n + 1
+  t.ev_n.(sl) <- n + 1;
+  n
 
 let schedule_complete t ~cycle ~seq ~rob =
-  schedule t ~cycle ~seq ~rob ~kind:ev_complete ~addr:0 ~di:0 ~df:0. ~dtag:(-1)
+  ignore (schedule t ~cycle ~seq ~rob ~kind:ev_complete ~addr:0 ~di:0 ~dtag:(-1))
 
 let next_seq t =
   t.seq_ctr <- t.seq_ctr + 1;
@@ -390,76 +394,23 @@ let data_latency t ~addr ~write =
   if dl2 > 0 then charge t Component.L2 (float_of_int dl2);
   lat
 
-(* Resolve one source operand through the map table directly into the
-   slot's src fields; registers are plain ints ([0..31] integer file,
-   [32..63] FP file) so no tuple or option is allocated. *)
-let read_src1 t (s : Iq.slot) r =
-  if r < 0 then begin
-    s.Iq.src1_tag <- -1;
-    s.Iq.src1_i <- 0;
-    s.Iq.src1_f <- 0.
-  end
+(* Resolve source operand [port] (0 or 1) of slot [s] through the map
+   table; registers are plain ints ([0..31] integer file, [32..63] FP
+   file) so no tuple or option is allocated. *)
+let read_src t (s : Iq.slot) ~port r =
+  if r < 0 then Iq.set_src t.iq s ~port ~tag:(-1) ~value_i:0 ~value_f:0.
   else begin
     charge1 t Component.Regfile;
     let idx = t.map.(r) in
     if idx = -1 then
-      if r >= 32 then begin
-        s.Iq.src1_tag <- -1;
-        s.Iq.src1_i <- 0;
-        s.Iq.src1_f <- t.arch_f.(r - 32)
-      end
-      else begin
-        s.Iq.src1_tag <- -1;
-        s.Iq.src1_i <- t.arch_i.(r);
-        s.Iq.src1_f <- 0.
-      end
+      if r >= 32 then Iq.set_src t.iq s ~port ~tag:(-1) ~value_i:0 ~value_f:t.arch_f.(r - 32)
+      else Iq.set_src t.iq s ~port ~tag:(-1) ~value_i:t.arch_i.(r) ~value_f:0.
     else begin
       let e = Rob.entry t.rob idx in
-      if e.Rob.completed then begin
-        s.Iq.src1_tag <- -1;
-        s.Iq.src1_i <- e.Rob.value_i;
-        s.Iq.src1_f <- e.Rob.value_f
-      end
-      else begin
-        s.Iq.src1_tag <- idx;
-        s.Iq.src1_i <- 0;
-        s.Iq.src1_f <- 0.
-      end
-    end
-  end
-
-let read_src2 t (s : Iq.slot) r =
-  if r < 0 then begin
-    s.Iq.src2_tag <- -1;
-    s.Iq.src2_i <- 0;
-    s.Iq.src2_f <- 0.
-  end
-  else begin
-    charge1 t Component.Regfile;
-    let idx = t.map.(r) in
-    if idx = -1 then
-      if r >= 32 then begin
-        s.Iq.src2_tag <- -1;
-        s.Iq.src2_i <- 0;
-        s.Iq.src2_f <- t.arch_f.(r - 32)
-      end
-      else begin
-        s.Iq.src2_tag <- -1;
-        s.Iq.src2_i <- t.arch_i.(r);
-        s.Iq.src2_f <- 0.
-      end
-    else begin
-      let e = Rob.entry t.rob idx in
-      if e.Rob.completed then begin
-        s.Iq.src2_tag <- -1;
-        s.Iq.src2_i <- e.Rob.value_i;
-        s.Iq.src2_f <- e.Rob.value_f
-      end
-      else begin
-        s.Iq.src2_tag <- idx;
-        s.Iq.src2_i <- 0;
-        s.Iq.src2_f <- 0.
-      end
+      if e.Rob.completed then
+        Iq.set_src t.iq s ~port ~tag:(-1) ~value_i:e.Rob.value_i
+          ~value_f:(Rob.value_f t.rob idx)
+      else Iq.set_src t.iq s ~port ~tag:idx ~value_i:0 ~value_f:0.
     end
   end
 
@@ -471,16 +422,20 @@ let fpu_ops = [| Insn.Fadd; Fsub; Fmul; Fdiv; Fsqrt; Fneg; Fabs; Fmov |] (* 23..
 let fcmp_ops = [| Insn.Feq; Flt; Fle |] (* 31..33 *)
 let br_conds = [| Insn.Beq; Bne; Blez; Bgtz; Bltz; Bgez |] (* 46..51 *)
 
-(* Execute a non-memory instruction straight into its ROB entry: one
-   dispatch on the dense opcode, immediates and branch/jump targets read
-   pre-transformed from the side tables. Memory operations never reach
-   this (they go through address generation); 57/58 (nop/halt) keep the
-   defaults. *)
-let execute_into t (e : Rob.entry) ~wi ~pc ~s1i ~s1f ~s2i ~s2f =
+(* Execute the non-memory instruction in slot [s] straight into its ROB
+   entry: one dispatch on the dense opcode, immediates and branch/jump
+   targets read pre-transformed from the side tables. Memory operations
+   never reach this (they go through address generation); 57/58
+   (nop/halt) keep the defaults. *)
+let execute_into t (s : Iq.slot) =
   let d = t.dec in
+  let e = Rob.entry t.rob s.Iq.rob_idx in
+  let wi = s.Iq.wi and pc = s.Iq.pc in
+  let s1i = s.Iq.src1_i and s2i = s.Iq.src2_i in
+  let s1f = Iq.src1_f t.iq s and s2f = Iq.src2_f t.iq s in
   let next = pc + 4 in
   e.Rob.value_i <- 0;
-  e.Rob.value_f <- 0.;
+  Rob.set_value_f t.rob s.Iq.rob_idx 0.;
   e.Rob.taken <- false;
   e.Rob.actual_npc <- next;
   let c = d.Decoded.exe.(wi) in
@@ -494,9 +449,9 @@ let execute_into t (e : Rob.entry) ~wi ~pc ~s1i ~s1f ~s2i ~s2f =
   else if c = 20 then e.Rob.value_i <- d.Decoded.imm.(wi) (* lui, pre-shifted *)
   else if c = 21 then e.Rob.value_i <- Semantics.mul s1i s2i
   else if c = 22 then e.Rob.value_i <- Semantics.div s1i s2i
-  else if c < 31 then e.Rob.value_f <- Semantics.fpu fpu_ops.(c - 23) s1f s2f
+  else if c < 31 then Rob.set_value_f t.rob s.Iq.rob_idx (Semantics.fpu fpu_ops.(c - 23) s1f s2f)
   else if c < 34 then e.Rob.value_i <- Semantics.fcmp fcmp_ops.(c - 31) s1f s2f
-  else if c = 34 then e.Rob.value_f <- Semantics.cvt_s_w s1i
+  else if c = 34 then Rob.set_value_f t.rob s.Iq.rob_idx (Semantics.cvt_s_w s1i)
   else if c = 35 then e.Rob.value_i <- Semantics.cvt_w_s s1f
   else if c >= 46 then
     if c <= 51 then begin
@@ -634,9 +589,9 @@ let commit_one t (e : Rob.entry) =
   | -1 -> ()
   | d ->
       charge1 t Component.Regfile;
-      if d >= 32 then t.arch_f.(d - 32) <- e.Rob.value_f
-      else t.arch_i.(d) <- e.Rob.value_i;
       let head_idx = Rob.head t.rob in
+      if d >= 32 then t.arch_f.(d - 32) <- Rob.value_f t.rob head_idx
+      else t.arch_i.(d) <- e.Rob.value_i;
       if t.map.(d) = head_idx then t.map.(d) <- -1);
   if e.Rob.lsq_idx >= 0 then begin
     let le = Lsq.entry t.lsq e.Rob.lsq_idx in
@@ -645,7 +600,8 @@ let commit_one t (e : Rob.entry) =
       t.n_stores <- t.n_stores + 1;
       charge1 t Component.Lsq;
       ignore (data_latency t ~addr:le.Lsq.addr ~write:true);
-      if le.Lsq.is_fp then Store.write_float t.memory le.Lsq.addr le.Lsq.data_f
+      if le.Lsq.is_fp then
+        Store.write_float t.memory le.Lsq.addr (Lsq.data_f t.lsq e.Rob.lsq_idx)
       else if le.Lsq.width = 1 then Store.write_byte t.memory le.Lsq.addr le.Lsq.data_i
       else if le.Lsq.width = 2 then Store.write_half t.memory le.Lsq.addr le.Lsq.data_i
       else Store.write_word t.memory le.Lsq.addr (Bits.to_u32 le.Lsq.data_i)
@@ -732,14 +688,13 @@ let complete t (e : Rob.entry) rob_idx =
   charge1 t Component.Rob;
   charge1 t Component.Resultbus;
   charge1 t Component.Iq_wakeup;
-  Iq.wakeup t.iq ~tag:rob_idx ~value_i:e.Rob.value_i ~value_f:e.Rob.value_f;
-  (match Lsq.capture_data t.lsq ~tag:rob_idx ~value_i:e.Rob.value_i ~value_f:e.Rob.value_f with
-  | [] -> ()
-  | captured ->
-      List.iter
-        (fun (store_rob, store_seq) ->
-          schedule_complete t ~cycle:(t.now + 1) ~seq:store_seq ~rob:store_rob)
-        captured);
+  let value_f = Rob.value_f t.rob rob_idx in
+  Iq.wakeup t.iq ~tag:rob_idx ~value_i:e.Rob.value_i ~value_f;
+  let n = Lsq.capture_data t.lsq ~tag:rob_idx ~value_i:e.Rob.value_i ~value_f in
+  for k = 0 to n - 1 do
+    let le = Lsq.entry t.lsq (Lsq.captured t.lsq k) in
+    schedule_complete t ~cycle:(t.now + 1) ~seq:le.Lsq.seq ~rob:le.Lsq.rob_idx
+  done;
   if e.Rob.is_ctrl then begin
     t.n_branches <- t.n_branches + 1;
     (* Predictor tables are trained at resolution in every issue-queue
@@ -765,30 +720,37 @@ let complete t (e : Rob.entry) rob_idx =
 let start_load ?(charge_search = true) t ~rob_idx ~(e : Rob.entry) ~addr =
   let le = Lsq.entry t.lsq e.Rob.lsq_idx in
   if charge_search then charge1 t Component.Lsq;
-  match Lsq.check_load t.lsq ~idx:e.Rob.lsq_idx ~addr ~width:le.Lsq.width with
-  | Lsq.Wait -> false
-  | Lsq.Forward se ->
-      if le.Lsq.is_fp then e.Rob.value_f <- se.Lsq.data_f
-      else e.Rob.value_i <- load_from_reg t.dec.Decoded.ext.(e.Rob.wi) se.Lsq.data_i;
-      schedule_complete t ~cycle:(t.now + 1) ~seq:e.Rob.seq ~rob:rob_idx;
-      true
-  | Lsq.Access ->
-      let wi = e.Rob.wi in
-      let lat =
-        (* Wrong-path accesses may compute garbage addresses; an address
-           is usable when non-negative and aligned to the access width. *)
-        if addr >= 0 && addr land t.dec.Decoded.amask.(wi) = 0 then begin
-          let lat = data_latency t ~addr ~write:false in
-          if le.Lsq.is_fp then e.Rob.value_f <- Store.read_float t.memory addr
-          else e.Rob.value_i <- load_from_memory t t.dec.Decoded.ext.(wi) addr;
-          lat
-        end
-        else 1 (* wrong-path garbage address: complete without touching memory *)
-      in
-      schedule_complete t ~cycle:(t.now + lat) ~seq:e.Rob.seq ~rob:rob_idx;
-      true
+  let src = Lsq.check_load t.lsq ~idx:e.Rob.lsq_idx ~addr ~width:le.Lsq.width in
+  if src = Lsq.load_wait then false
+  else if src >= 0 then begin
+    (* Forward from the store in LSQ slot [src]. *)
+    if le.Lsq.is_fp then Rob.set_value_f t.rob rob_idx (Lsq.data_f t.lsq src)
+    else
+      e.Rob.value_i <-
+        load_from_reg t.dec.Decoded.ext.(e.Rob.wi) (Lsq.entry t.lsq src).Lsq.data_i;
+    schedule_complete t ~cycle:(t.now + 1) ~seq:e.Rob.seq ~rob:rob_idx;
+    true
+  end
+  else begin
+    let wi = e.Rob.wi in
+    let lat =
+      (* Wrong-path accesses may compute garbage addresses; an address is
+         usable when non-negative and aligned to the access width. *)
+      if addr >= 0 && addr land t.dec.Decoded.amask.(wi) = 0 then begin
+        let lat = data_latency t ~addr ~write:false in
+        if le.Lsq.is_fp then Rob.set_value_f t.rob rob_idx (Store.read_float t.memory addr)
+        else e.Rob.value_i <- load_from_memory t t.dec.Decoded.ext.(wi) addr;
+        lat
+      end
+      else 1 (* wrong-path garbage address: complete without touching memory *)
+    in
+    schedule_complete t ~cycle:(t.now + lat) ~seq:e.Rob.seq ~rob:rob_idx;
+    true
+  end
 
-let process_agen t ~seq ~rob ~addr ~di ~df ~dtag =
+(* The address-generation event at index [i] of wheel slot [sl]. *)
+let process_agen t ~sl ~i =
+  let seq = t.ev_seq.(sl).(i) and rob = t.ev_rob.(sl).(i) and addr = t.ev_addr.(sl).(i) in
   let e = Rob.entry t.rob rob in
   if e.Rob.seq = seq then begin
     let le = Lsq.entry t.lsq e.Rob.lsq_idx in
@@ -796,9 +758,10 @@ let process_agen t ~seq ~rob ~addr ~di ~df ~dtag =
     le.Lsq.addr_ready <- true;
     charge1 t Component.Lsq;
     if e.Rob.is_store then begin
+      let dtag = t.ev_dtag.(sl).(i) in
       if dtag = -1 then begin
-        le.Lsq.data_i <- di;
-        le.Lsq.data_f <- df;
+        le.Lsq.data_i <- t.ev_di.(sl).(i);
+        Lsq.set_data_f t.lsq e.Rob.lsq_idx t.ev_df.(sl).(i);
         le.Lsq.data_ready <- true;
         (* The store has done all its execute-stage work. *)
         schedule_complete t ~cycle:(t.now + 1) ~seq ~rob
@@ -809,7 +772,7 @@ let process_agen t ~seq ~rob ~addr ~di ~df ~dtag =
         let producer = Rob.entry t.rob dtag in
         if producer.Rob.completed then begin
           le.Lsq.data_i <- producer.Rob.value_i;
-          le.Lsq.data_f <- producer.Rob.value_f;
+          Lsq.set_data_f t.lsq e.Rob.lsq_idx (Rob.value_f t.rob dtag);
           le.Lsq.data_ready <- true;
           schedule_complete t ~cycle:(t.now + 1) ~seq ~rob
         end
@@ -830,10 +793,6 @@ let writeback_stage t =
     let seqs = t.ev_seq.(sl) in
     let robs = t.ev_rob.(sl) in
     let kinds = t.ev_kind.(sl) in
-    let addrs = t.ev_addr.(sl) in
-    let dis = t.ev_di.(sl) in
-    let dtags = t.ev_dtag.(sl) in
-    let dfs = t.ev_df.(sl) in
     if Array.length t.ev_ord < n then t.ev_ord <- Array.make (2 * n) 0;
     let ord = t.ev_ord in
     for i = 0 to n - 1 do
@@ -861,10 +820,7 @@ let writeback_stage t =
       let seq = seqs.(i) in
       let e = Rob.entry t.rob rob in
       if e.Rob.seq = seq && not e.Rob.completed then
-        if kinds.(i) = ev_complete then complete t e rob
-        else
-          process_agen t ~seq ~rob ~addr:addrs.(i) ~di:dis.(i) ~df:dfs.(i)
-            ~dtag:dtags.(i)
+        if kinds.(i) = ev_complete then complete t e rob else process_agen t ~sl ~i
     done
   end
 
@@ -905,50 +861,50 @@ let issue_slot t (s : Iq.slot) =
   | FU_fpmult -> charge1 t Component.Fpmult
   | FU_mem -> charge1 t Component.Ialu (* address generation adder *)
   | FU_none -> ());
-  let e = Rob.entry t.rob s.Iq.rob_idx in
   if s.Iq.is_mem then begin
     let addr = Bits.add32 s.Iq.src1_i t.dec.Decoded.imm.(s.Iq.wi) in
-    schedule t ~cycle:(t.now + 1) ~seq:s.Iq.seq ~rob:s.Iq.rob_idx ~kind:ev_agen
-      ~addr ~di:s.Iq.src2_i ~df:s.Iq.src2_f ~dtag:s.Iq.src2_tag
+    let cycle = t.now + 1 in
+    let n =
+      schedule t ~cycle ~seq:s.Iq.seq ~rob:s.Iq.rob_idx ~kind:ev_agen ~addr ~di:s.Iq.src2_i
+        ~dtag:s.Iq.src2_tag
+    in
+    t.ev_df.(cycle land wheel_mask).(n) <- Iq.src2_f t.iq s
   end
   else begin
-    execute_into t e ~wi:s.Iq.wi ~pc:s.Iq.pc ~s1i:s.Iq.src1_i ~s1f:s.Iq.src1_f
-      ~s2i:s.Iq.src2_i ~s2f:s.Iq.src2_f;
+    execute_into t s;
     schedule_complete t ~cycle:(t.now + s.Iq.lat) ~seq:s.Iq.seq ~rob:s.Iq.rob_idx
   end;
   if not s.Iq.reusable then Iq.kill t.iq s
 
-(* Top-level (closure-free) ready-ring walk: insertion into the running
-   top-[width] youngest-seq candidate table. *)
-let rec select_scan (rdy : Iq.slot) (cand : Iq.slot array) cand_seq width (s : Iq.slot) =
-  if s != rdy then begin
+let issue_stage t =
+  let width = t.cfg.Config.issue_width in
+  if Iq.count t.iq > 0 then charge1 t Component.Iq_select;
+  (* Collect the [width] oldest ready instructions from the ready list by
+     insertion into a running top-[width] table (the list is not in age
+     order, so order by sequence number — unique, so list order cannot
+     matter). *)
+  let cand = t.issue_cand in
+  let cand_seq = t.issue_cand_seq in
+  Array.fill cand_seq 0 width max_int;
+  let pool = Iq.slots t.iq in
+  let id = ref (Iq.ready_first t.iq) in
+  while !id >= 0 do
+    let seq = pool.(!id).Iq.seq in
     let j = ref (width - 1) in
-    if s.Iq.seq < cand_seq.(!j) then begin
-      while !j > 0 && s.Iq.seq < cand_seq.(!j - 1) do
+    if seq < cand_seq.(!j) then begin
+      while !j > 0 && seq < cand_seq.(!j - 1) do
         cand_seq.(!j) <- cand_seq.(!j - 1);
         cand.(!j) <- cand.(!j - 1);
         decr j
       done;
-      cand_seq.(!j) <- s.Iq.seq;
-      cand.(!j) <- s
+      cand_seq.(!j) <- seq;
+      cand.(!j) <- !id
     end;
-    select_scan rdy cand cand_seq width s.Iq.r_next
-  end
-
-let issue_stage t =
-  let width = t.cfg.Config.issue_width in
-  if Iq.count t.iq > 0 then charge1 t Component.Iq_select;
-  (* Collect the [width] oldest ready instructions from the ready ring
-     (the ring is not in age order during Code Reuse, so order by
-     sequence number — unique, so ring order cannot matter). *)
-  let cand = t.issue_cand in
-  let cand_seq = t.issue_cand_seq in
-  Array.fill cand_seq 0 width max_int;
-  let rdy = Iq.ready t.iq in
-  select_scan rdy cand cand_seq width rdy.Iq.r_next;
+    id := Iq.ready_next t.iq !id
+  done;
   for k = 0 to width - 1 do
     if cand_seq.(k) < max_int then begin
-      let s = cand.(k) in
+      let s = pool.(cand.(k)) in
       if Fu.acquire t.fu s.Iq.fu ~now:t.now ~latency:s.Iq.lat ~pipelined:s.Iq.pipe
       then issue_slot t s
     end
@@ -970,7 +926,7 @@ let claim_entries t ~seq ~wi ~pc ~pred_npc ~ras_ck ~from_reuse =
   e.Rob.wi <- wi;
   e.Rob.completed <- false;
   e.Rob.value_i <- 0;
-  e.Rob.value_f <- 0.;
+  Rob.set_value_f t.rob rob_idx 0.;
   e.Rob.dest <- d.Decoded.dst.(wi);
   e.Rob.is_store <- d.Decoded.is_store.(wi);
   e.Rob.lsq_idx <- -1;
@@ -999,8 +955,8 @@ let claim_entries t ~seq ~wi ~pc ~pred_npc ~ras_ck ~from_reuse =
 let rename_operands t (s : Iq.slot) ~wi ~seq ~rob_idx =
   let d = t.dec in
   charge1 t Component.Rename;
-  read_src1 t s d.Decoded.r1.(wi);
-  read_src2 t s d.Decoded.r2.(wi);
+  read_src t s ~port:0 d.Decoded.r1.(wi);
+  read_src t s ~port:1 d.Decoded.r2.(wi);
   s.Iq.seq <- seq;
   s.Iq.rob_idx <- rob_idx;
   let dst = d.Decoded.dst.(wi) in
@@ -1102,11 +1058,11 @@ let reuse_dispatch_one t ~allow_wrap =
   if first < 0 then false
   else begin
     let p = Iq.reuse_ptr t.iq in
-    let needs_wrap = p >= Iq.count t.iq || not (Iq.slots t.iq).(p).Iq.reusable in
+    let needs_wrap = p >= Iq.count t.iq || not (Iq.at t.iq p).Iq.reusable in
     if needs_wrap && not allow_wrap then false
     else begin
       let rptr = if needs_wrap then first else p in
-      let s = (Iq.slots t.iq).(rptr) in
+      let s = Iq.at t.iq rptr in
       if not s.Iq.issued then false (* previous instance still in flight *)
       else if Rob.is_full t.rob then false
       else if s.Iq.is_mem && Lsq.is_full t.lsq then false

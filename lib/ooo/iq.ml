@@ -1,6 +1,7 @@
 open Riq_isa
 
 type slot = {
+  id : int;
   mutable seq : int;
   mutable rob_idx : int;
   mutable pc : int;
@@ -12,90 +13,85 @@ type slot = {
   mutable is_store : bool;
   mutable src1_tag : int;
   mutable src1_i : int;
-  mutable src1_f : float;
   mutable src2_tag : int;
   mutable src2_i : int;
-  mutable src2_f : float;
   mutable issued : bool;
   mutable reusable : bool;
   mutable dead : bool;
   mutable pred_npc : int;
-  (* Intrusive links, all self-linked when the slot is not on the
-     corresponding list. [w1_*]/[w2_*] thread the slot onto the per-tag
-     waiter list of its outstanding first/second source operand, so a
-     result broadcast touches only the slots actually waiting on that
-     tag. [r_*] thread the ready ring: unissued live slots whose
-     operands are select-ready, the set the issue stage walks. A store
-     with its address operand ready but its data still in flight sits on
-     both a waiter list and the ready ring. Membership is maintained by
-     {!enqueue}/{!mark_issued}/{!mark_renamed}/{!kill}/{!wakeup}; slot
-     records keep their links when {!compact} permutes the array. *)
-  mutable w1_next : slot;
-  mutable w1_prev : slot;
-  mutable w2_next : slot;
-  mutable w2_prev : slot;
-  mutable r_next : slot;
-  mutable r_prev : slot;
 }
 
+(* Every field of [slot] and every link is an immediate, so the cycle
+   loop's stores into the queue pay no write barrier. A slot's two source
+   operands are the waiter-list nodes [2 * id] (first) and [2 * id + 1]
+   (second). Link values: a node or id, [nil] for the end of a list, and
+   [off] in a [next] cell for "not on the list". *)
+let nil = -1
+let off = -2
+
 type t = {
-  arr : slot array;
+  pool : slot array; (* indexed by id, never permuted *)
+  order : int array; (* ids: [0, count) live oldest-first, the rest free *)
   size : int;
   mutable count : int;
   mutable rptr : int;
-  rq : slot; (* sentinel of the ready ring *)
-  mutable wait1 : slot array; (* per-tag waiter-list sentinels, src1 *)
-  mutable wait2 : slot array; (* per-tag waiter-list sentinels, src2 *)
-  mutable n_wait : int array;
-  (* waiters per tag, both lists combined: a broadcast for a tag nobody
-     waits on (the common case) checks one int in a compact array instead
-     of dereferencing two sentinel records *)
+  src_f : float array; (* FP operand values, by node *)
+  (* Per-tag waiter lists of operand nodes: the set {!wakeup} walks for a
+     tag. A node is on the list of the tag its slot field names. *)
+  w_next : int array;
+  w_prev : int array;
+  mutable w_head : int array; (* by tag *)
+  mutable w_tail : int array;
+  (* The ready list, by id: unissued live slots whose operands are
+     select-ready, the set the issue stage walks. A store with its address
+     operand ready but its data still in flight is on both a waiter list
+     and the ready list. *)
+  r_next : int array;
+  r_prev : int array;
+  mutable r_head : int;
+  mutable r_tail : int;
   mutable n_dead : int; (* dead slots within [0, count): compact's work *)
 }
 
-let fresh_slot () =
-  let rec s =
-    {
-      seq = -1;
-      rob_idx = -1;
-      pc = 0;
-      wi = -1;
-      fu = Insn.FU_none;
-      lat = 1;
-      pipe = true;
-      is_mem = false;
-      is_store = false;
-      src1_tag = -1;
-      src1_i = 0;
-      src1_f = 0.;
-      src2_tag = -1;
-      src2_i = 0;
-      src2_f = 0.;
-      issued = false;
-      reusable = false;
-      dead = false;
-      pred_npc = 0;
-      w1_next = s;
-      w1_prev = s;
-      w2_next = s;
-      w2_prev = s;
-      r_next = s;
-      r_prev = s;
-    }
-  in
-  s
+let fresh_slot id =
+  {
+    id;
+    seq = -1;
+    rob_idx = -1;
+    pc = 0;
+    wi = -1;
+    fu = Insn.FU_none;
+    lat = 1;
+    pipe = true;
+    is_mem = false;
+    is_store = false;
+    src1_tag = -1;
+    src1_i = 0;
+    src2_tag = -1;
+    src2_i = 0;
+    issued = false;
+    reusable = false;
+    dead = false;
+    pred_npc = 0;
+  }
 
 let create size =
   if size < 1 then invalid_arg "Iq.create";
   {
-    arr = Array.init size (fun _ -> fresh_slot ());
+    pool = Array.init size fresh_slot;
+    order = Array.init size Fun.id;
     size;
     count = 0;
     rptr = 0;
-    rq = fresh_slot ();
-    wait1 = Array.init 64 (fun _ -> fresh_slot ());
-    wait2 = Array.init 64 (fun _ -> fresh_slot ());
-    n_wait = Array.make 64 0;
+    src_f = Array.make (2 * size) 0.;
+    w_next = Array.make (2 * size) off;
+    w_prev = Array.make (2 * size) nil;
+    w_head = Array.make 64 nil;
+    w_tail = Array.make 64 nil;
+    r_next = Array.make size off;
+    r_prev = Array.make size nil;
+    r_head = nil;
+    r_tail = nil;
     n_dead = 0;
   }
 
@@ -103,100 +99,92 @@ let size t = t.size
 let count t = t.count
 let free t = t.size - t.count
 let is_full t = t.count = t.size
-let slots t = t.arr
-let ready t = t.rq
+let slots t = t.pool
+let at t i = t.pool.(t.order.(i))
+let src1_f t s = t.src_f.(2 * s.id)
+let src2_f t s = t.src_f.((2 * s.id) + 1)
 
-(* Tags are ROB indices; the sentinel tables grow to cover whatever tag
-   range the client uses. *)
-let ensure_tag t tag =
-  let n = Array.length t.wait1 in
-  if tag >= n then begin
-    let n' =
-      let m = ref n in
-      while tag >= !m do
-        m := !m * 2
-      done;
-      !m
-    in
-    let grow old = Array.init n' (fun i -> if i < n then old.(i) else fresh_slot ()) in
-    t.wait1 <- grow t.wait1;
-    t.wait2 <- grow t.wait2;
-    let counts = Array.make n' 0 in
-    Array.blit t.n_wait 0 counts 0 n;
-    t.n_wait <- counts
+let set_src t s ~port ~tag ~value_i ~value_f =
+  if port = 0 then begin
+    s.src1_tag <- tag;
+    s.src1_i <- value_i
   end
+  else begin
+    s.src2_tag <- tag;
+    s.src2_i <- value_i
+  end;
+  t.src_f.((2 * s.id) + port) <- value_f
 
-let w1_link t s =
-  ensure_tag t s.src1_tag;
-  let h = t.wait1.(s.src1_tag) in
-  let p = h.w1_prev in
-  s.w1_prev <- p;
-  s.w1_next <- h;
-  p.w1_next <- s;
-  h.w1_prev <- s;
-  t.n_wait.(s.src1_tag) <- t.n_wait.(s.src1_tag) + 1
+let ready_first t = t.r_head
+let ready_next t id = t.r_next.(id)
 
-(* Only ever called while [s] is linked, so [src1_tag] is still the tag
-   whose list [s] is on (tags change only while a slot is off the lists). *)
-let w1_remove t s =
-  t.n_wait.(s.src1_tag) <- t.n_wait.(s.src1_tag) - 1;
-  s.w1_prev.w1_next <- s.w1_next;
-  s.w1_next.w1_prev <- s.w1_prev;
-  s.w1_next <- s;
-  s.w1_prev <- s
+(* Tags are ROB indices; the list ends grow to cover whatever tag range
+   the client uses. *)
+let grow_tags t tag =
+  let n = Array.length t.w_head in
+  let m = ref n in
+  while tag >= !m do
+    m := !m * 2
+  done;
+  let head = Array.make !m nil and tail = Array.make !m nil in
+  Array.blit t.w_head 0 head 0 n;
+  Array.blit t.w_tail 0 tail 0 n;
+  t.w_head <- head;
+  t.w_tail <- tail
 
-let w2_link t s =
-  ensure_tag t s.src2_tag;
-  let h = t.wait2.(s.src2_tag) in
-  let p = h.w2_prev in
-  s.w2_prev <- p;
-  s.w2_next <- h;
-  p.w2_next <- s;
-  h.w2_prev <- s;
-  t.n_wait.(s.src2_tag) <- t.n_wait.(s.src2_tag) + 1
+let wait_link t node tag =
+  if tag >= Array.length t.w_head then grow_tags t tag;
+  let last = t.w_tail.(tag) in
+  t.w_prev.(node) <- last;
+  t.w_next.(node) <- nil;
+  if last = nil then t.w_head.(tag) <- node else t.w_next.(last) <- node;
+  t.w_tail.(tag) <- node
 
-let w2_remove t s =
-  t.n_wait.(s.src2_tag) <- t.n_wait.(s.src2_tag) - 1;
-  s.w2_prev.w2_next <- s.w2_next;
-  s.w2_next.w2_prev <- s.w2_prev;
-  s.w2_next <- s;
-  s.w2_prev <- s
+(* Only ever called while [node] is linked, so [tag] (read from the slot)
+   is still the tag whose list it is on: tags change only while a slot
+   is off the lists. *)
+let wait_unlink t node tag =
+  let p = t.w_prev.(node) and n = t.w_next.(node) in
+  if p = nil then t.w_head.(tag) <- n else t.w_next.(p) <- n;
+  if n = nil then t.w_tail.(tag) <- p else t.w_prev.(n) <- p;
+  t.w_next.(node) <- off
 
-let rq_append t s =
-  let p = t.rq.r_prev in
-  s.r_prev <- p;
-  s.r_next <- t.rq;
-  p.r_next <- s;
-  t.rq.r_prev <- s
+let ready_append t id =
+  let last = t.r_tail in
+  t.r_prev.(id) <- last;
+  t.r_next.(id) <- nil;
+  if last = nil then t.r_head <- id else t.r_next.(last) <- id;
+  t.r_tail <- id
 
-let rq_remove s =
-  s.r_prev.r_next <- s.r_next;
-  s.r_next.r_prev <- s.r_prev;
-  s.r_next <- s;
-  s.r_prev <- s
+let ready_unlink t id =
+  let p = t.r_prev.(id) and n = t.r_next.(id) in
+  if p = nil then t.r_head <- n else t.r_next.(p) <- n;
+  if n = nil then t.r_tail <- p else t.r_prev.(n) <- p;
+  t.r_next.(id) <- off
 
 let unlink t s =
-  if s.w1_next != s then w1_remove t s;
-  if s.w2_next != s then w2_remove t s;
-  if s.r_next != s then rq_remove s
+  let node = 2 * s.id in
+  if t.w_next.(node) <> off then wait_unlink t node s.src1_tag;
+  if t.w_next.(node + 1) <> off then wait_unlink t (node + 1) s.src2_tag;
+  if t.r_next.(s.id) <> off then ready_unlink t s.id
 
 let dispatch t =
   if is_full t then failwith "Iq.dispatch: full";
-  let s = t.arr.(t.count) in
+  let s = t.pool.(t.order.(t.count)) in
   t.count <- t.count + 1;
   s.dead <- false;
   s.issued <- false;
   s.reusable <- false;
   s
 
-(* Classify a slot onto the waiter lists and/or ready ring once its
+(* Classify a slot onto the waiter lists and/or ready list once its
    source tags are known. A store is select-ready as soon as its address
    operand resolves: the data operand rides along as a tag on the
    address-generation event. *)
 let enqueue t s =
-  if s.src1_tag >= 0 then w1_link t s;
-  if s.src2_tag >= 0 then w2_link t s;
-  if s.src1_tag < 0 && (s.src2_tag < 0 || s.is_store) then rq_append t s
+  if s.src1_tag >= 0 then wait_link t (2 * s.id) s.src1_tag;
+  if s.src2_tag >= 0 then wait_link t ((2 * s.id) + 1) s.src2_tag;
+  if s.src1_tag < 0 && (s.src2_tag < 0 || s.is_store) then ready_append t s.id
 
 let mark_issued t s =
   s.issued <- true;
@@ -216,80 +204,75 @@ let kill t s =
   end;
   unlink t s
 
-(* Top-level (closure-free) waiter-list walks for {!wakeup}. *)
-let rec wake1 t h value_i value_f (s : slot) =
-  if s != h then begin
-    let next = s.w1_next in
-    w1_remove t s;
-    s.src1_tag <- -1;
-    s.src1_i <- value_i;
-    s.src1_f <- value_f;
-    if (s.src2_tag < 0 || s.is_store) && s.r_next == s then rq_append t s;
-    wake1 t h value_i value_f next
-  end
-
-let rec wake2 t h value_i value_f (s : slot) =
-  if s != h then begin
-    let next = s.w2_next in
-    w2_remove t s;
-    s.src2_tag <- -1;
-    s.src2_i <- value_i;
-    s.src2_f <- value_f;
-    if s.src1_tag < 0 && s.r_next == s then rq_append t s;
-    wake2 t h value_i value_f next
-  end
-
 let wakeup t ~tag ~value_i ~value_f =
-  (* Tags only change while a slot is off the lists, so membership in
-     [wait1.(tag)] implies [src1_tag = tag] (resp. src2). Issued slots'
-     sources are re-read at their next rename and are never linked. *)
-  if tag < Array.length t.wait1 && t.n_wait.(tag) > 0 then begin
-    let h1 = t.wait1.(tag) in
-    wake1 t h1 value_i value_f h1.w1_next;
-    let h2 = t.wait2.(tag) in
-    wake2 t h2 value_i value_f h2.w2_next
+  (* Issued slots' sources are re-read at their next rename and are never
+     linked, so every node on the list belongs to a slot waiting on [tag]. *)
+  if tag < Array.length t.w_head then begin
+    let node = ref t.w_head.(tag) in
+    while !node <> nil do
+      let k = !node in
+      node := t.w_next.(k);
+      t.w_next.(k) <- off;
+      t.src_f.(k) <- value_f;
+      let s = t.pool.(k lsr 1) in
+      if k land 1 = 0 then begin
+        s.src1_tag <- -1;
+        s.src1_i <- value_i;
+        if (s.src2_tag < 0 || s.is_store) && t.r_next.(s.id) = off then ready_append t s.id
+      end
+      else begin
+        s.src2_tag <- -1;
+        s.src2_i <- value_i;
+        if s.src1_tag < 0 && t.r_next.(s.id) = off then ready_append t s.id
+      end
+    done;
+    t.w_head.(tag) <- nil;
+    t.w_tail.(tag) <- nil
   end
 
 let compact t =
   if t.n_dead = 0 then 0
   else begin
+    let order = t.order in
     let orig_rptr = t.rptr in
     let dead_before = ref 0 in
     let w = ref 0 in
-    let removed = ref 0 in
     for r = 0 to t.count - 1 do
-      let s = t.arr.(r) in
-      if s.dead then begin
-        incr removed;
+      let id = order.(r) in
+      if t.pool.(id).dead then begin
         if r < orig_rptr then incr dead_before
       end
       else begin
         if !w <> r then begin
-          (* Swap the record references to keep slot objects unique. *)
-          let tmp = t.arr.(!w) in
-          t.arr.(!w) <- s;
-          t.arr.(r) <- tmp
+          (* Positions [w, r) hold dead ids; swap so every id stays in
+             [order] exactly once. *)
+          order.(r) <- order.(!w);
+          order.(!w) <- id
         end;
         incr w
       end
     done;
+    let removed = t.count - !w in
     t.count <- !w;
     t.n_dead <- 0;
     t.rptr <- orig_rptr - !dead_before;
     if t.rptr > t.count || t.rptr < 0 then t.rptr <- 0;
-    !removed
+    removed
   end
 
 let reuse_ptr t = t.rptr
 let set_reuse_ptr t i = t.rptr <- i
 
 let first_reusable t =
-  let rec go i = if i >= t.count then -1 else if t.arr.(i).reusable then i else go (i + 1) in
-  go 0
+  let i = ref 0 in
+  while !i < t.count && not (at t !i).reusable do
+    incr i
+  done;
+  if !i < t.count then !i else -1
 
 let clear_classification t =
   for i = 0 to t.count - 1 do
-    let s = t.arr.(i) in
+    let s = at t i in
     if s.reusable then begin
       s.reusable <- false;
       if s.issued then kill t s
@@ -299,7 +282,7 @@ let clear_classification t =
 let clear t =
   (* Unlink everything before dropping the slots. *)
   for i = 0 to t.count - 1 do
-    unlink t t.arr.(i)
+    unlink t (at t i)
   done;
   t.count <- 0;
   t.rptr <- 0;
@@ -307,7 +290,7 @@ let clear t =
 
 let squash_after t ~seq =
   for i = 0 to t.count - 1 do
-    let s = t.arr.(i) in
+    let s = at t i in
     if (not s.dead) && s.seq > seq then begin
       if s.reusable then begin
         (* The in-flight instance dies but the buffered instruction
@@ -317,3 +300,10 @@ let squash_after t ~seq =
       else kill t s
     end
   done
+
+let waiters t ~tag =
+  let rec walk node acc =
+    if node = nil then List.rev acc
+    else walk t.w_next.(node) ((t.pool.(node lsr 1), node land 1) :: acc)
+  in
+  if tag < 0 || tag >= Array.length t.w_head then [] else walk t.w_head.(tag) []

@@ -9,12 +9,13 @@ type entry = {
   mutable data_ready : bool;
   mutable data_tag : int;
   mutable data_i : int;
-  mutable data_f : float;
   mutable live : bool;
 }
 
 type t = {
   arr : entry array;
+  data_f : float array; (* FP store data, by index *)
+  captured : int array; (* indices the last {!capture_data} filled *)
   size : int;
   mutable head : int;
   mutable tail : int;
@@ -34,13 +35,21 @@ let fresh () =
     data_ready = false;
     data_tag = -1;
     data_i = 0;
-    data_f = 0.;
     live = false;
   }
 
 let create size =
   if size < 1 then invalid_arg "Lsq.create";
-  { arr = Array.init size (fun _ -> fresh ()); size; head = 0; tail = 0; count = 0; n_tagged = 0 }
+  {
+    arr = Array.init size (fun _ -> fresh ());
+    data_f = Array.make size 0.;
+    captured = Array.make size 0;
+    size;
+    head = 0;
+    tail = 0;
+    count = 0;
+    n_tagged = 0;
+  }
 
 let size t = t.size
 let count t = t.count
@@ -60,6 +69,8 @@ let alloc t =
   idx
 
 let entry t idx = t.arr.(idx)
+let data_f t idx = t.data_f.(idx)
+let set_data_f t idx v = t.data_f.(idx) <- v
 
 (* Tag writes go through here so {!capture_data} can skip its walk when
    no store is waiting on a broadcast at all (the common case). *)
@@ -73,30 +84,30 @@ let untag t e =
     t.n_tagged <- t.n_tagged - 1
   end
 
-type load_check = Forward of entry | Wait | Access
-
+let load_wait = -1
+let load_access = -2
 let overlaps a aw b bw = a < b + bw && b < a + aw
 
 let check_load t ~idx ~addr ~width =
   (* Walk from the slot just older than [idx] back to the head. *)
-  let result = ref Access in
+  let result = ref load_access in
   let pos = ref ((idx + t.size - 1) mod t.size) in
   let continue_ = ref (t.count > 0 && idx <> t.head) in
   while !continue_ do
     let e = t.arr.(!pos) in
     if e.live && e.is_store then begin
       if not e.addr_ready then begin
-        result := Wait;
+        result := load_wait;
         continue_ := false
       end
       else if e.addr = addr && e.width = width then begin
-        result := (if e.data_ready then Forward e else Wait);
+        result := (if e.data_ready then !pos else load_wait);
         continue_ := false
       end
       else if overlaps e.addr e.width addr width then begin
         (* Partial overlap: no forwarding path; wait until the store
            commits and leaves the queue. *)
-        result := Wait;
+        result := load_wait;
         continue_ := false
       end
     end;
@@ -110,9 +121,9 @@ let check_load t ~idx ~addr ~width =
 let capture_data t ~tag ~value_i ~value_f =
   (* Only live entries can wait on a tag, so walk the occupied window;
      capture order is irrelevant downstream (distinct sequence numbers). *)
-  if t.n_tagged = 0 then []
+  if t.n_tagged = 0 then 0
   else begin
-    let captured = ref [] in
+    let n = ref 0 in
     let pos = ref t.head in
     for _ = 1 to t.count do
       let e = t.arr.(!pos) in
@@ -121,14 +132,17 @@ let capture_data t ~tag ~value_i ~value_f =
         t.n_tagged <- t.n_tagged - 1;
         e.data_ready <- true;
         e.data_i <- value_i;
-        e.data_f <- value_f;
-        captured := (e.rob_idx, e.seq) :: !captured
+        t.data_f.(!pos) <- value_f;
+        t.captured.(!n) <- !pos;
+        incr n
       end;
       pos := !pos + 1;
       if !pos = t.size then pos := 0
     done;
-    !captured
+    !n
   end
+
+let captured t k = t.captured.(k)
 
 let head_is t idx = t.count > 0 && idx = t.head
 

@@ -20,8 +20,7 @@ type entry = {
   mutable width : int; (** access footprint in bytes: 1, 2 or 4 *)
   mutable data_ready : bool; (** store data captured *)
   mutable data_tag : int; (** ROB index the store data waits on, or -1 *)
-  mutable data_i : int;
-  mutable data_f : float;
+  mutable data_i : int; (** integer store data; the FP data is {!data_f} *)
   mutable live : bool;
 }
 
@@ -37,22 +36,35 @@ val alloc : t -> int
 
 val entry : t -> int -> entry
 
+val data_f : t -> int -> float
+(** FP store data of the slot at an index, kept in a float array beside
+    the entries so every entry field is an immediate. *)
+
+val set_data_f : t -> int -> float -> unit
+
 val wait_data : t -> entry -> tag:int -> unit
 (** Record that [entry]'s store data waits on ROB index [tag]. Tag writes
     go through here (not the field) so {!capture_data} can skip its walk
     when no store in the queue is waiting on any broadcast. *)
 
-type load_check =
-  | Forward of entry (** youngest older matching store, data ready *)
-  | Wait (** an older store's address or matching data is unresolved *)
-  | Access (** no conflict: go to the data cache *)
+val load_wait : int
+(** [-1]: an older store's address or matching data is unresolved. *)
 
-val check_load : t -> idx:int -> addr:int -> width:int -> load_check
+val load_access : int
+(** [-2]: no conflict, go to the data cache. *)
 
-val capture_data : t -> tag:int -> value_i:int -> value_f:float -> (int * int) list
+val check_load : t -> idx:int -> addr:int -> width:int -> int
+(** Memory-order check for the load in slot [idx]: the index of the
+    youngest older store with the same address and width and its data
+    ready (forward from it), or {!load_wait} or {!load_access}. *)
+
+val capture_data : t -> tag:int -> value_i:int -> value_f:float -> int
 (** Result broadcast to stores whose data operand was pending: every live
-    store waiting on [tag] captures the value; returns their
-    [(rob_idx, seq)] pairs so the pipeline can schedule their completion. *)
+    store waiting on [tag] captures the value. Returns how many did, so
+    the pipeline can schedule their completion: {!captured} [k] for [k]
+    below that count is the index of the [k]-th. *)
+
+val captured : t -> int -> int
 
 val head_is : t -> int -> bool
 (** Whether [idx] is the oldest live slot (commit-order check). *)

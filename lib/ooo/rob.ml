@@ -5,7 +5,6 @@ type entry = {
   mutable wi : int;
   mutable completed : bool;
   mutable value_i : int;
-  mutable value_f : float;
   mutable dest : int;
   mutable is_store : bool;
   mutable lsq_idx : int;
@@ -19,6 +18,7 @@ type entry = {
 
 type t = {
   entries : entry array;
+  value_f : float array; (* FP results, by index: unboxed, no write barrier *)
   size : int;
   mutable head : int;
   mutable tail : int; (* next free slot *)
@@ -32,7 +32,6 @@ let fresh_entry () =
     wi = -1;
     completed = false;
     value_i = 0;
-    value_f = 0.;
     dest = -1;
     is_store = false;
     lsq_idx = -1;
@@ -46,7 +45,14 @@ let fresh_entry () =
 
 let create size =
   if size < 1 then invalid_arg "Rob.create";
-  { entries = Array.init size (fun _ -> fresh_entry ()); size; head = 0; tail = 0; count = 0 }
+  {
+    entries = Array.init size (fun _ -> fresh_entry ());
+    value_f = Array.make size 0.;
+    size;
+    head = 0;
+    tail = 0;
+    count = 0;
+  }
 
 let size t = t.size
 let count t = t.count
@@ -61,6 +67,8 @@ let alloc t =
   idx
 
 let entry t idx = t.entries.(idx)
+let value_f t idx = t.value_f.(idx)
+let set_value_f t idx v = t.value_f.(idx) <- v
 let head t = t.head
 let head_entry t = if is_empty t then None else Some t.entries.(t.head)
 

@@ -19,8 +19,7 @@ type entry = {
   mutable pc : int;
   mutable wi : int; (** word index into the decoded side tables *)
   mutable completed : bool;
-  mutable value_i : int; (** integer result *)
-  mutable value_f : float; (** FP result *)
+  mutable value_i : int; (** integer result; the FP result is {!value_f} *)
   mutable dest : int; (** logical destination register, or -1 *)
   mutable is_store : bool;
   mutable lsq_idx : int; (** LSQ slot for memory operations, or -1 *)
@@ -45,6 +44,13 @@ val alloc : t -> int
     caller. Raises [Failure] when full. *)
 
 val entry : t -> int -> entry
+
+val value_f : t -> int -> float
+(** FP result of the entry at an index. Kept in a float array beside the
+    entries, so every entry field is an immediate and writing a result
+    allocates nothing. *)
+
+val set_value_f : t -> int -> float -> unit
 
 val head : t -> int
 (** Index of the oldest entry. Meaningless when empty. *)

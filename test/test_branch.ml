@@ -30,53 +30,57 @@ let test_bimod_aliasing () =
 
 (* ---- Btb ---- *)
 
+let btb_lookup b ~pc = match Btb.lookup_target b ~pc with -1 -> None | target -> Some target
+
 let test_btb_basic () =
   let b = Btb.create ~sets:4 ~ways:2 in
-  Alcotest.(check (option int)) "cold" None (Btb.lookup b ~pc:0x100);
+  Alcotest.(check (option int)) "cold" None (btb_lookup b ~pc:0x100);
   Btb.update b ~pc:0x100 ~target:0x500;
-  Alcotest.(check (option int)) "hit" (Some 0x500) (Btb.lookup b ~pc:0x100);
+  Alcotest.(check (option int)) "hit" (Some 0x500) (btb_lookup b ~pc:0x100);
   Btb.update b ~pc:0x100 ~target:0x600;
-  Alcotest.(check (option int)) "retarget" (Some 0x600) (Btb.lookup b ~pc:0x100)
+  Alcotest.(check (option int)) "retarget" (Some 0x600) (btb_lookup b ~pc:0x100)
 
 let test_btb_eviction () =
   let b = Btb.create ~sets:1 ~ways:2 in
   Btb.update b ~pc:0x0 ~target:1;
   Btb.update b ~pc:0x4 ~target:2;
-  ignore (Btb.lookup b ~pc:0x0); (* refresh *)
+  ignore (btb_lookup b ~pc:0x0); (* refresh *)
   Btb.update b ~pc:0x8 ~target:3; (* evicts 0x4 *)
-  Alcotest.(check (option int)) "kept" (Some 1) (Btb.lookup b ~pc:0x0);
-  Alcotest.(check (option int)) "evicted" None (Btb.lookup b ~pc:0x4);
-  Alcotest.(check (option int)) "new" (Some 3) (Btb.lookup b ~pc:0x8)
+  Alcotest.(check (option int)) "kept" (Some 1) (btb_lookup b ~pc:0x0);
+  Alcotest.(check (option int)) "evicted" None (btb_lookup b ~pc:0x4);
+  Alcotest.(check (option int)) "new" (Some 3) (btb_lookup b ~pc:0x8)
 
 (* ---- Ras ---- *)
 
+let ras_pop r = match Ras.pop r with -1 -> None | v -> Some v
+
 let test_ras_stack () =
   let r = Ras.create 4 in
-  Alcotest.(check (option int)) "empty pop" None (Ras.pop r);
+  Alcotest.(check (option int)) "empty pop" None (ras_pop r);
   Ras.push r 10;
   Ras.push r 20;
   Alcotest.(check int) "depth" 2 (Ras.depth r);
-  Alcotest.(check (option int)) "lifo" (Some 20) (Ras.pop r);
-  Alcotest.(check (option int)) "lifo 2" (Some 10) (Ras.pop r)
+  Alcotest.(check (option int)) "lifo" (Some 20) (ras_pop r);
+  Alcotest.(check (option int)) "lifo 2" (Some 10) (ras_pop r)
 
 let test_ras_overflow () =
   let r = Ras.create 2 in
   Ras.push r 1;
   Ras.push r 2;
   Ras.push r 3; (* overwrites oldest *)
-  Alcotest.(check (option int)) "top" (Some 3) (Ras.pop r);
-  Alcotest.(check (option int)) "second" (Some 2) (Ras.pop r);
-  Alcotest.(check (option int)) "oldest gone" None (Ras.pop r)
+  Alcotest.(check (option int)) "top" (Some 3) (ras_pop r);
+  Alcotest.(check (option int)) "second" (Some 2) (ras_pop r);
+  Alcotest.(check (option int)) "oldest gone" None (ras_pop r)
 
 let test_ras_checkpoint () =
   let r = Ras.create 4 in
   Ras.push r 10;
   let ck = Ras.checkpoint r in
   Ras.push r 20;
-  ignore (Ras.pop r);
-  ignore (Ras.pop r);
+  ignore (ras_pop r);
+  ignore (ras_pop r);
   Ras.restore r ck;
-  Alcotest.(check (option int)) "restored top" (Some 10) (Ras.pop r)
+  Alcotest.(check (option int)) "restored top" (Some 10) (ras_pop r)
 
 (* ---- Gshare ---- *)
 
@@ -95,49 +99,58 @@ let test_gshare_learns_pattern () =
 
 (* ---- Predictor ---- *)
 
+(* The decoded entry points, fed from an instruction the way the fetch
+   and writeback stages feed them from the side tables; [lookup] returns
+   the predicted next pc, [-1] when there is no target. *)
+let lookup p ~pc ~insn =
+  let static_target = match Insn.ctrl_target insn ~pc with Some t -> t | None -> -1 in
+  Predictor.lookup_decoded p ~pc ~kind:(Insn.kind insn) ~static_target
+
+let resolve p ~pc ~insn ~taken ~target =
+  Predictor.resolve_decoded p ~pc ~kind:(Insn.kind insn) ~taken ~target
+
 let test_predictor_branch_flow () =
   let p = Predictor.create Predictor.baseline in
   let pc = 0x1000 in
   let insn = Insn.Br (Beq, Reg.r 1, Reg.r 2, -4) in
-  let d = Predictor.lookup p ~pc ~insn in
-  Alcotest.(check bool) "cold not taken" false d.Predictor.taken;
-  Predictor.resolve p ~pc ~insn ~taken:true ~target:0x0FF4;
-  let d = Predictor.lookup p ~pc ~insn in
-  Alcotest.(check bool) "trained taken" true d.Predictor.taken;
-  Alcotest.(check (option int)) "static target" (Some 0x0FF4) d.Predictor.target
+  let npc = lookup p ~pc ~insn in
+  Alcotest.(check bool) "cold not taken" true (npc = pc + 4);
+  resolve p ~pc ~insn ~taken:true ~target:0x0FF4;
+  let npc = lookup p ~pc ~insn in
+  Alcotest.(check bool) "trained taken" true (npc <> pc + 4);
+  Alcotest.(check int) "static target" 0x0FF4 npc
 
 let test_predictor_call_return () =
   let p = Predictor.create Predictor.baseline in
-  let d = Predictor.lookup p ~pc:0x2000 ~insn:(Insn.Jal 0x1000) in
-  Alcotest.(check (option int)) "call target" (Some 0x4000) d.Predictor.target;
-  let d = Predictor.lookup p ~pc:0x4010 ~insn:(Insn.Jr Reg.ra) in
-  Alcotest.(check bool) "return uses RAS" true d.Predictor.used_ras;
-  Alcotest.(check (option int)) "return target" (Some 0x2004) d.Predictor.target
+  let npc = lookup p ~pc:0x2000 ~insn:(Insn.Jal 0x1000) in
+  Alcotest.(check int) "call target" 0x4000 npc;
+  let btb_before = Predictor.btb_lookups p and ras_before = Predictor.ras_ops p in
+  let npc = lookup p ~pc:0x4010 ~insn:(Insn.Jr Reg.ra) in
+  Alcotest.(check bool) "return uses RAS" true
+    (Predictor.ras_ops p = ras_before + 1 && Predictor.btb_lookups p = btb_before);
+  Alcotest.(check int) "return target" 0x2004 npc
 
 let test_predictor_indirect () =
   let p = Predictor.create Predictor.baseline in
   let insn = Insn.Jr (Reg.r 5) in
-  let d = Predictor.lookup p ~pc:0x3000 ~insn in
-  Alcotest.(check (option int)) "unknown target" None d.Predictor.target;
-  Predictor.resolve p ~pc:0x3000 ~insn ~taken:true ~target:0x8000;
-  let d = Predictor.lookup p ~pc:0x3000 ~insn in
-  Alcotest.(check (option int)) "btb learned" (Some 0x8000) d.Predictor.target
+  Alcotest.(check int) "unknown target" (-1) (lookup p ~pc:0x3000 ~insn);
+  resolve p ~pc:0x3000 ~insn ~taken:true ~target:0x8000;
+  Alcotest.(check int) "btb learned" 0x8000 (lookup p ~pc:0x3000 ~insn)
 
 let test_predictor_checkpoint () =
   let p = Predictor.create Predictor.baseline in
-  ignore (Predictor.lookup p ~pc:0x100 ~insn:(Insn.Jal 0x400));
+  ignore (lookup p ~pc:0x100 ~insn:(Insn.Jal 0x400));
   let ck = Predictor.checkpoint p in
-  ignore (Predictor.lookup p ~pc:0x1010 ~insn:(Insn.Jr Reg.ra)); (* pops *)
+  ignore (lookup p ~pc:0x1010 ~insn:(Insn.Jr Reg.ra)); (* pops *)
   Predictor.restore p ck;
-  let d = Predictor.lookup p ~pc:0x1010 ~insn:(Insn.Jr Reg.ra) in
-  Alcotest.(check (option int)) "restored return" (Some 0x104) d.Predictor.target
+  Alcotest.(check int) "restored return" 0x104 (lookup p ~pc:0x1010 ~insn:(Insn.Jr Reg.ra))
 
 let test_predictor_counts () =
   let p = Predictor.create Predictor.baseline in
-  ignore (Predictor.lookup p ~pc:0 ~insn:(Insn.Br (Beq, 1, 2, 1)));
-  ignore (Predictor.lookup p ~pc:4 ~insn:(Insn.Alu (Add, 1, 2, 3)));
+  ignore (lookup p ~pc:0 ~insn:(Insn.Br (Beq, 1, 2, 1)));
+  ignore (lookup p ~pc:4 ~insn:(Insn.Alu (Add, 1, 2, 3)));
   Alcotest.(check int) "non-ctrl free" 1 (Predictor.dir_lookups p);
-  Predictor.resolve p ~pc:0 ~insn:(Insn.Br (Beq, 1, 2, 1)) ~taken:true ~target:8;
+  resolve p ~pc:0 ~insn:(Insn.Br (Beq, 1, 2, 1)) ~taken:true ~target:8;
   Alcotest.(check int) "updates" 1 (Predictor.dir_updates p)
 
 (* qcheck: bimod counter never leaves [0,3] *)
@@ -168,7 +181,7 @@ let prop_ras_vs_model =
               model := v :: List.filteri (fun i _ -> i < 3) !model;
               true
           | None -> (
-              let got = Ras.pop r in
+              let got = ras_pop r in
               match !model with
               | [] -> got = None
               | v :: rest ->

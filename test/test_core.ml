@@ -365,26 +365,32 @@ skip:
 
 (* ---- Loopcache (related-work baseline) ---- *)
 
+(* The decoded entry point, fed from an instruction the way the fetch
+   stage feeds it from the side tables. *)
+let on_fetch lc ~pc ~insn ~pred_npc =
+  let static_target = match Insn.ctrl_target insn ~pc with Some t -> t | None -> -1 in
+  Loopcache.on_fetch_decoded lc ~pc ~kind:(Insn.kind insn) ~static_target ~pred_npc
+
 let test_loopcache_controller () =
   let lc = Loopcache.create 16 in
   Alcotest.(check bool) "idle" true (Loopcache.state lc = Loopcache.Idle);
   let branch = Insn.Br (Bne, Reg.r 1, Reg.zero, -5) in
   (* taken short backward branch at 0x101C, loop head 0x100C *)
-  Loopcache.on_fetch lc ~pc:0x101C ~insn:branch ~pred_npc:0x100C;
+  on_fetch lc ~pc:0x101C ~insn:branch ~pred_npc:0x100C;
   Alcotest.(check bool) "fill" true (Loopcache.state lc = Loopcache.Fill);
   (* second iteration streams through the cache *)
   List.iter
-    (fun pc -> Loopcache.on_fetch lc ~pc ~insn:Insn.Nop ~pred_npc:(pc + 4))
+    (fun pc -> on_fetch lc ~pc ~insn:Insn.Nop ~pred_npc:(pc + 4))
     [ 0x100C; 0x1010; 0x1014; 0x1018 ];
-  Loopcache.on_fetch lc ~pc:0x101C ~insn:branch ~pred_npc:0x100C;
+  on_fetch lc ~pc:0x101C ~insn:branch ~pred_npc:0x100C;
   Alcotest.(check bool) "active" true (Loopcache.state lc = Loopcache.Active);
   Alcotest.(check bool) "serving head" true (Loopcache.serving lc ~pc:0x100C);
   Alcotest.(check bool) "not serving outside" false (Loopcache.serving lc ~pc:0x1020);
   (* loop exit: branch predicted not taken *)
   List.iter
-    (fun pc -> Loopcache.on_fetch lc ~pc ~insn:Insn.Nop ~pred_npc:(pc + 4))
+    (fun pc -> on_fetch lc ~pc ~insn:Insn.Nop ~pred_npc:(pc + 4))
     [ 0x100C; 0x1010; 0x1014; 0x1018 ];
-  Loopcache.on_fetch lc ~pc:0x101C ~insn:branch ~pred_npc:0x1020;
+  on_fetch lc ~pc:0x101C ~insn:branch ~pred_npc:0x1020;
   Alcotest.(check bool) "exit to idle" true (Loopcache.state lc = Loopcache.Idle);
   Alcotest.(check int) "one activation" 1 (Loopcache.activations lc);
   Alcotest.(check bool) "supplied instructions" true (Loopcache.supplies lc >= 5)
@@ -392,17 +398,17 @@ let test_loopcache_controller () =
 let test_loopcache_too_large () =
   let lc = Loopcache.create 8 in
   (* span 12 > capacity 8: not a short backward branch *)
-  Loopcache.on_fetch lc ~pc:0x102C ~insn:(Insn.Br (Bne, Reg.r 1, Reg.zero, -12))
+  on_fetch lc ~pc:0x102C ~insn:(Insn.Br (Bne, Reg.r 1, Reg.zero, -12))
     ~pred_npc:0x1000;
   Alcotest.(check bool) "stays idle" true (Loopcache.state lc = Loopcache.Idle)
 
 let test_loopcache_fill_abort () =
   let lc = Loopcache.create 16 in
   let branch = Insn.Br (Bne, Reg.r 1, Reg.zero, -3) in
-  Loopcache.on_fetch lc ~pc:0x1008 ~insn:branch ~pred_npc:0x1000;
+  on_fetch lc ~pc:0x1008 ~insn:branch ~pred_npc:0x1000;
   Alcotest.(check bool) "filling" true (Loopcache.state lc = Loopcache.Fill);
   (* control leaves the loop during fill *)
-  Loopcache.on_fetch lc ~pc:0x2000 ~insn:Insn.Nop ~pred_npc:0x2004;
+  on_fetch lc ~pc:0x2000 ~insn:Insn.Nop ~pred_npc:0x2004;
   Alcotest.(check bool) "aborted" true (Loopcache.state lc = Loopcache.Idle)
 
 let test_processor_loopcache_saves_icache () =
@@ -774,5 +780,90 @@ let misc_suites =
         Alcotest.test_case "reuse-state legal cycle" `Quick test_reuse_state_legal_cycle;
         Alcotest.test_case "reuse-state illegal transitions" `Quick
           test_reuse_state_illegal_transitions;
+      ] );
+  ]
+
+(* ---- Allocation budget ---- *)
+
+(* Minor-heap words Processor.run allocates per committed instruction.
+   The cycle loop allocates nothing per instruction: its queues are
+   preallocated, FP values live in float arrays, and no closure, option
+   or boxed float is built on the hot path. What remains is per-event
+   (mispredict recovery, loop decisions, the odd table growth), well
+   under a word per instruction. A regression such as a closure in a
+   per-lookup helper or a float boxed across a call shows up here as
+   several words per instruction. The budget assumes the workspace's
+   release profile, which inlines across modules; under dune's dev
+   profile (-opaque) the FP accessors box their results. *)
+let minor_words_per_insn bench cfg =
+  let program = Riq_workloads.Workloads.(program (find bench)) in
+  let p = Processor.create (Config.with_iq_size cfg 64) program in
+  let w0 = Gc.minor_words () in
+  (match Processor.run p with
+  | Processor.Halted -> ()
+  | Processor.Cycle_limit -> Alcotest.fail "cycle limit");
+  (Gc.minor_words () -. w0) /. float_of_int (Processor.committed p)
+
+let test_alloc_budget bench cfg () =
+  let w = minor_words_per_insn bench cfg in
+  Alcotest.(check bool)
+    (Printf.sprintf "%s: %.4f minor words per committed instruction, budget 1.0" bench w)
+    true (w <= 1.0)
+
+(* The per-lookup and per-cycle helpers allocate nothing at all. One of
+   them regaining a closure or an option costs a few words per call, which
+   only some kernels call often enough to cross the budget above, so each
+   is also checked on its own. *)
+let test_hot_helpers_allocate_nothing () =
+  let words f =
+    let w0 = Gc.minor_words () in
+    for _ = 1 to 1000 do
+      f ()
+    done;
+    Gc.minor_words () -. w0
+  in
+  let base = words (fun () -> ()) in
+  let check name f = Alcotest.(check (float 0.)) name 0. (words f -. base) in
+  let btb = Riq_branch.Btb.create ~sets:512 ~ways:4 in
+  Riq_branch.Btb.update btb ~pc:0x100 ~target:0x80;
+  check "Btb.lookup_target" (fun () -> ignore (Riq_branch.Btb.lookup_target btb ~pc:0x100));
+  check "Btb.update" (fun () -> Riq_branch.Btb.update btb ~pc:0x100 ~target:0x80);
+  let pred = Riq_branch.Predictor.(create baseline) in
+  let lookup ~pc ~kind ~static_target =
+    ignore (Riq_branch.Predictor.lookup_decoded pred ~pc ~kind ~static_target)
+  in
+  check "Predictor call and return" (fun () ->
+      lookup ~pc:0x200 ~kind:Insn.K_call ~static_target:0x400;
+      lookup ~pc:0x40c ~kind:Insn.K_return ~static_target:(-1));
+  let iq = Iq.create 8 in
+  for seq = 1 to 6 do
+    let s = Iq.dispatch iq in
+    s.Iq.seq <- seq;
+    Iq.enqueue iq s;
+    s.Iq.reusable <- seq > 4
+  done;
+  check "Iq.first_reusable" (fun () -> ignore (Iq.first_reusable iq));
+  let lsq = Lsq.create 8 in
+  let st = Lsq.entry lsq (Lsq.alloc lsq) in
+  st.Lsq.is_store <- true;
+  st.Lsq.addr_ready <- true;
+  st.Lsq.addr <- 0x40;
+  st.Lsq.data_ready <- true;
+  let ld = Lsq.alloc lsq in
+  check "Lsq.check_load forwarding" (fun () ->
+      ignore (Lsq.check_load lsq ~idx:ld ~addr:0x40 ~width:4));
+  check "Lsq.capture_data" (fun () ->
+      Lsq.wait_data lsq st ~tag:3;
+      ignore (Lsq.capture_data lsq ~tag:3 ~value_i:1 ~value_f:0.))
+
+let alloc_suites =
+  [
+    ( "core-alloc",
+      [
+        Alcotest.test_case "tsf reuse, IQ 64" `Quick (test_alloc_budget "tsf" Config.reuse);
+        Alcotest.test_case "btrix baseline, IQ 64" `Quick
+          (test_alloc_budget "btrix" Config.baseline);
+        Alcotest.test_case "hot helpers allocate nothing" `Quick
+          test_hot_helpers_allocate_nothing;
       ] );
   ]

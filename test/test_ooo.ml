@@ -107,7 +107,7 @@ let test_iq_dispatch_compact () =
   let removed = Iq.compact iq in
   Alcotest.(check int) "removed" 1 removed;
   Alcotest.(check int) "count after" 1 (Iq.count iq);
-  Alcotest.(check int) "survivor shifted" 2 (Iq.slots iq).(0).Iq.seq
+  Alcotest.(check int) "survivor shifted" 2 (Iq.at iq 0).Iq.seq
 
 let test_iq_wakeup () =
   let iq = Iq.create 4 in
@@ -156,7 +156,7 @@ let test_iq_reuse_ptr_compact () =
   ignore (Iq.compact iq);
   (* the pointer must still reference the same slot (now index 1) *)
   Alcotest.(check int) "pointer adjusted" 1 (Iq.reuse_ptr iq);
-  Alcotest.(check int) "points at seq 3" 3 (Iq.slots iq).(Iq.reuse_ptr iq).Iq.seq
+  Alcotest.(check int) "points at seq 3" 3 (Iq.at iq (Iq.reuse_ptr iq)).Iq.seq
 
 let test_iq_first_reusable () =
   let iq = Iq.create 8 in
@@ -181,22 +181,35 @@ let alloc_mem lsq ~seq ~store =
   e.Lsq.is_store <- store;
   (idx, e)
 
+(* [check_load]'s forwarding source as the forwarded integer data. *)
+let forwarded lsq ~idx ~addr ~width =
+  let src = Lsq.check_load lsq ~idx ~addr ~width in
+  if src >= 0 then (Lsq.entry lsq src).Lsq.data_i else Alcotest.fail "expected forward"
+
+(* What one broadcast captured, as (rob_idx, seq) pairs. *)
+let capture lsq ~tag ~value_i =
+  let n = Lsq.capture_data lsq ~tag ~value_i ~value_f:0. in
+  List.init n (fun k ->
+      let e = Lsq.entry lsq (Lsq.captured lsq k) in
+      (e.Lsq.rob_idx, e.Lsq.seq))
+
 let test_lsq_forwarding () =
   let lsq = Lsq.create 8 in
   let _, st = alloc_mem lsq ~seq:1 ~store:true in
   let li, _ = alloc_mem lsq ~seq:2 ~store:false in
   (* store address unknown: load must wait *)
-  Alcotest.(check bool) "wait on unknown" true (Lsq.check_load lsq ~idx:li ~addr:0x100 ~width:4 = Lsq.Wait);
+  Alcotest.(check bool) "wait on unknown" true
+    (Lsq.check_load lsq ~idx:li ~addr:0x100 ~width:4 = Lsq.load_wait);
   st.Lsq.addr_ready <- true;
   st.Lsq.addr <- 0x200;
-  Alcotest.(check bool) "no conflict" true (Lsq.check_load lsq ~idx:li ~addr:0x100 ~width:4 = Lsq.Access);
+  Alcotest.(check bool) "no conflict" true
+    (Lsq.check_load lsq ~idx:li ~addr:0x100 ~width:4 = Lsq.load_access);
   st.Lsq.addr <- 0x100;
-  Alcotest.(check bool) "match no data" true (Lsq.check_load lsq ~idx:li ~addr:0x100 ~width:4 = Lsq.Wait);
+  Alcotest.(check bool) "match no data" true
+    (Lsq.check_load lsq ~idx:li ~addr:0x100 ~width:4 = Lsq.load_wait);
   st.Lsq.data_ready <- true;
   st.Lsq.data_i <- 77;
-  (match Lsq.check_load lsq ~idx:li ~addr:0x100 ~width:4 with
-  | Lsq.Forward e -> Alcotest.(check int) "forwarded value" 77 e.Lsq.data_i
-  | Lsq.Wait | Lsq.Access -> Alcotest.fail "expected forward")
+  Alcotest.(check int) "forwarded value" 77 (forwarded lsq ~idx:li ~addr:0x100 ~width:4)
 
 let test_lsq_youngest_older_store_wins () =
   let lsq = Lsq.create 8 in
@@ -211,9 +224,7 @@ let test_lsq_youngest_older_store_wins () =
   st2.Lsq.addr <- 0x40;
   st2.Lsq.data_ready <- true;
   st2.Lsq.data_i <- 2;
-  match Lsq.check_load lsq ~idx:li ~addr:0x40 ~width:4 with
-  | Lsq.Forward e -> Alcotest.(check int) "youngest older" 2 e.Lsq.data_i
-  | Lsq.Wait | Lsq.Access -> Alcotest.fail "expected forward"
+  Alcotest.(check int) "youngest older" 2 (forwarded lsq ~idx:li ~addr:0x40 ~width:4)
 
 let test_lsq_squash_and_pop () =
   let lsq = Lsq.create 4 in
@@ -230,12 +241,12 @@ let test_lsq_capture_data () =
   let _, st = alloc_mem lsq ~seq:1 ~store:true in
   st.Lsq.rob_idx <- 9;
   Lsq.wait_data lsq st ~tag:5;
-  let captured = Lsq.capture_data lsq ~tag:5 ~value_i:33 ~value_f:0. in
+  let captured = capture lsq ~tag:5 ~value_i:33 in
   Alcotest.(check (list (pair int int))) "captured" [ (9, 1) ] captured;
   Alcotest.(check bool) "ready" true st.Lsq.data_ready;
   Alcotest.(check int) "value" 33 st.Lsq.data_i;
   Alcotest.(check (list (pair int int))) "no double capture" []
-    (Lsq.capture_data lsq ~tag:5 ~value_i:0 ~value_f:0.)
+    (capture lsq ~tag:5 ~value_i:0)
 
 let test_lsq_partial_overlap () =
   let lsq = Lsq.create 8 in
@@ -248,19 +259,18 @@ let test_lsq_partial_overlap () =
   st.Lsq.data_i <- 0xAB;
   (* word load overlapping a byte store: no forwarding, must wait *)
   Alcotest.(check bool) "overlap waits" true
-    (Lsq.check_load lsq ~idx:li ~addr:0x100 ~width:4 = Lsq.Wait);
+    (Lsq.check_load lsq ~idx:li ~addr:0x100 ~width:4 = Lsq.load_wait);
   (* byte load of the exact byte: forwards *)
-  (match Lsq.check_load lsq ~idx:li ~addr:0x100 ~width:1 with
-  | Lsq.Forward e -> Alcotest.(check int) "byte forward" 0xAB e.Lsq.data_i
-  | Lsq.Wait | Lsq.Access -> Alcotest.fail "expected forward");
+  Alcotest.(check int) "byte forward" 0xAB (forwarded lsq ~idx:li ~addr:0x100 ~width:1);
   (* disjoint byte: clear *)
   Alcotest.(check bool) "disjoint byte" true
-    (Lsq.check_load lsq ~idx:li ~addr:0x104 ~width:1 = Lsq.Access)
+    (Lsq.check_load lsq ~idx:li ~addr:0x104 ~width:1 = Lsq.load_access)
 
 let test_lsq_load_at_head () =
   let lsq = Lsq.create 4 in
   let li, _ = alloc_mem lsq ~seq:1 ~store:false in
-  Alcotest.(check bool) "no older stores" true (Lsq.check_load lsq ~idx:li ~addr:0 ~width:4 = Lsq.Access)
+  Alcotest.(check bool) "no older stores" true
+    (Lsq.check_load lsq ~idx:li ~addr:0 ~width:4 = Lsq.load_access)
 
 (* ---- Fu ---- *)
 
@@ -302,9 +312,331 @@ let prop_iq_compact_order =
           if kill then Iq.kill iq s)
         kills;
       ignore (Iq.compact iq);
-      let seqs = List.init (Iq.count iq) (fun i -> (Iq.slots iq).(i).Iq.seq) in
+      let seqs = List.init (Iq.count iq) (fun i -> (Iq.at iq i).Iq.seq) in
       List.sort compare seqs = seqs
       && List.length seqs = List.length (List.filter not kills))
+
+(* qcheck: the queue against a naive list model. Random operation
+   sequences drive both; after every step the age order, the per-tag
+   waiter sets, the ready set, the captured operands, the reuse pointer
+   and [first_reusable] must agree, and so must [compact]'s count.
+   Operations name their target by an index into the slots it is legal
+   for, resolved when it runs, so every sequence respects the queue's
+   preconditions (enqueue once per dispatch, rename only issued buffered
+   slots). *)
+
+type mslot = {
+  real : Iq.slot;
+  mutable m_seq : int;
+  mutable tag1 : int;
+  mutable tag2 : int;
+  mutable val1 : int;
+  mutable val2 : int;
+  mutable fval1 : float;
+  mutable fval2 : float;
+  m_store : bool;
+  mutable m_issued : bool;
+  mutable m_reusable : bool;
+  mutable m_dead : bool;
+  mutable on1 : bool; (* first operand on its tag's waiter list *)
+  mutable on2 : bool;
+  mutable rdy : bool; (* on the ready list *)
+}
+
+type model = {
+  mutable q : mslot list; (* age order *)
+  mutable pending : mslot list; (* dispatched, not yet enqueued *)
+  mutable rptr : int;
+  mutable next_seq : int;
+}
+
+type iq_op =
+  | Dispatch of int * int * bool * bool (* tag1, tag2 (-1 = ready), store, reusable *)
+  | Enqueue of int
+  | Wakeup of int
+  | Mark_issued of int
+  | Mark_renamed of int * int * int
+  | Kill of int
+  | Squash_after of int
+  | Clear_classification
+  | Compact
+  | Set_reuse_ptr of int
+
+let iq_op_to_string = function
+  | Dispatch (a, b, st, r) -> Printf.sprintf "dispatch(%d,%d,%b,%b)" a b st r
+  | Enqueue k -> Printf.sprintf "enqueue %d" k
+  | Wakeup tag -> Printf.sprintf "wakeup %d" tag
+  | Mark_issued k -> Printf.sprintf "mark_issued %d" k
+  | Mark_renamed (k, a, b) -> Printf.sprintf "mark_renamed(%d,%d,%d)" k a b
+  | Kill k -> Printf.sprintf "kill %d" k
+  | Squash_after k -> Printf.sprintf "squash_after %d" k
+  | Clear_classification -> "clear_classification"
+  | Compact -> "compact"
+  | Set_reuse_ptr k -> Printf.sprintf "set_reuse_ptr %d" k
+
+let model_tags = 6
+let model_size = 8
+
+let gen_iq_op =
+  let open QCheck.Gen in
+  let tag = int_range (-1) (model_tags - 1) in
+  let k = int_bound 15 in
+  frequency
+    [
+      (5, map (fun (a, b, st, r) -> Dispatch (a, b, st, r)) (quad tag tag bool bool));
+      (* A store whose address is ready and whose data is not. *)
+      (2, map (fun (b, r) -> Dispatch (-1, b, true, r)) (pair (int_range 0 (model_tags - 1)) bool));
+      (5, map (fun k -> Enqueue k) k);
+      (4, map (fun t -> Wakeup t) (int_bound (model_tags - 1)));
+      (3, map (fun k -> Mark_issued k) k);
+      (2, map (fun (k, a, b) -> Mark_renamed (k, a, b)) (triple k tag tag));
+      (2, map (fun k -> Kill k) k);
+      (1, map (fun k -> Squash_after k) (int_bound 40));
+      (1, return Clear_classification);
+      (3, return Compact);
+      (1, map (fun k -> Set_reuse_ptr k) (int_bound model_size));
+    ]
+
+let pick l k = match l with [] -> None | _ -> Some (List.nth l (k mod List.length l))
+
+let m_enqueue m =
+  m.on1 <- m.tag1 >= 0;
+  m.on2 <- m.tag2 >= 0;
+  m.rdy <- m.tag1 < 0 && (m.tag2 < 0 || m.m_store)
+
+let m_unlink m =
+  m.on1 <- false;
+  m.on2 <- false;
+  m.rdy <- false
+
+let m_kill m =
+  m.m_dead <- true;
+  m_unlink m
+
+let m_issue m =
+  m.m_issued <- true;
+  m_unlink m
+
+(* Apply one operation to the queue and to the model. [Error] reports a
+   [compact] count that differs from the model's. *)
+let step_iq iq md op =
+  let fresh_seq () =
+    md.next_seq <- md.next_seq + 1;
+    md.next_seq
+  in
+  let is_pending m = List.memq m md.pending in
+  let live = List.filter (fun m -> not m.m_dead) md.q in
+  match op with
+  | Dispatch (a, b, st, r) ->
+      if not (Iq.is_full iq) then begin
+        let s = Iq.dispatch iq in
+        let seq = fresh_seq () in
+        s.Iq.seq <- seq;
+        s.Iq.is_store <- st;
+        s.Iq.reusable <- r;
+        Iq.set_src iq s ~port:0 ~tag:a ~value_i:(if a < 0 then seq else 0) ~value_f:0.;
+        Iq.set_src iq s ~port:1 ~tag:b ~value_i:0 ~value_f:(if b < 0 then 0.5 else 0.);
+        let m =
+          {
+            real = s;
+            m_seq = seq;
+            tag1 = a;
+            tag2 = b;
+            val1 = (if a < 0 then seq else 0);
+            val2 = 0;
+            fval1 = 0.;
+            fval2 = (if b < 0 then 0.5 else 0.);
+            m_store = st;
+            m_issued = false;
+            m_reusable = r;
+            m_dead = false;
+            on1 = false;
+            on2 = false;
+            rdy = false;
+          }
+        in
+        md.q <- md.q @ [ m ];
+        md.pending <- md.pending @ [ m ]
+      end;
+      Ok ()
+  | Enqueue k ->
+      (match pick md.pending k with
+      | Some m ->
+          Iq.enqueue iq m.real;
+          m_enqueue m;
+          md.pending <- List.filter (fun x -> x != m) md.pending
+      | None -> ());
+      Ok ()
+  | Wakeup tag ->
+      let v = 1000 + tag and vf = float_of_int tag +. 0.25 in
+      Iq.wakeup iq ~tag ~value_i:v ~value_f:vf;
+      List.iter
+        (fun m ->
+          let woke1 = m.on1 && m.tag1 = tag and woke2 = m.on2 && m.tag2 = tag in
+          if woke1 then begin
+            m.on1 <- false;
+            m.tag1 <- -1;
+            m.val1 <- v;
+            m.fval1 <- vf
+          end;
+          if woke2 then begin
+            m.on2 <- false;
+            m.tag2 <- -1;
+            m.val2 <- v;
+            m.fval2 <- vf
+          end;
+          if (woke1 || woke2) && m.tag1 < 0 && (m.tag2 < 0 || m.m_store) then m.rdy <- true)
+        md.q;
+      Ok ()
+  | Mark_issued k ->
+      (match
+         pick (List.filter (fun m -> (not m.m_issued) && not (is_pending m)) live) k
+       with
+      | Some m ->
+          Iq.mark_issued iq m.real;
+          m_issue m
+      | None -> ());
+      Ok ()
+  | Mark_renamed (k, a, b) ->
+      (match pick (List.filter (fun m -> m.m_issued && m.m_reusable) live) k with
+      | Some m ->
+          let seq = fresh_seq () in
+          m.real.Iq.seq <- seq;
+          Iq.set_src iq m.real ~port:0 ~tag:a ~value_i:0 ~value_f:0.;
+          Iq.set_src iq m.real ~port:1 ~tag:b ~value_i:0 ~value_f:0.;
+          Iq.mark_renamed iq m.real;
+          m.m_seq <- seq;
+          m.tag1 <- a;
+          m.tag2 <- b;
+          m.val1 <- 0;
+          m.val2 <- 0;
+          m.fval1 <- 0.;
+          m.fval2 <- 0.;
+          m.m_issued <- false;
+          m_enqueue m
+      | None -> ());
+      Ok ()
+  | Kill k ->
+      (match pick (List.filter (fun m -> not (is_pending m)) live) k with
+      | Some m ->
+          Iq.kill iq m.real;
+          m_kill m
+      | None -> ());
+      Ok ()
+  | Squash_after seq ->
+      Iq.squash_after iq ~seq;
+      List.iter
+        (fun m ->
+          if (not m.m_dead) && m.m_seq > seq then
+            if m.m_reusable then (if not m.m_issued then m_issue m) else m_kill m)
+        md.q;
+      md.pending <- List.filter (fun m -> not (m.m_dead || m.m_issued)) md.pending;
+      Ok ()
+  | Clear_classification ->
+      Iq.clear_classification iq;
+      List.iter
+        (fun m ->
+          if m.m_reusable then begin
+            m.m_reusable <- false;
+            if m.m_issued then m_kill m
+          end)
+        md.q;
+      md.pending <- List.filter (fun m -> not m.m_dead) md.pending;
+      Ok ()
+  | Compact ->
+      let removed = Iq.compact iq in
+      let rec dead_before i = function
+        | [] -> 0
+        | m :: rest -> if i >= md.rptr then 0 else Bool.to_int m.m_dead + dead_before (i + 1) rest
+      in
+      let expected = List.length md.q - List.length live in
+      if expected > 0 then begin
+        md.rptr <- md.rptr - dead_before 0 md.q;
+        md.q <- live;
+        if md.rptr > List.length md.q || md.rptr < 0 then md.rptr <- 0
+      end;
+      if removed = expected then Ok ()
+      else Error (Printf.sprintf "compact removed %d, model %d" removed expected)
+  | Set_reuse_ptr k ->
+      let p = k mod (Iq.count iq + 1) in
+      Iq.set_reuse_ptr iq p;
+      md.rptr <- p;
+      Ok ()
+
+let sorted l = List.sort compare l
+
+(* Everything observable through the interface, the queue's side and the
+   model's side, as comparable values. *)
+let observe_iq iq =
+  let order = List.init (Iq.count iq) (fun i -> Iq.at iq i) in
+  let ready =
+    let rec walk id acc =
+      if id < 0 then acc else walk (Iq.ready_next iq id) ((Iq.slots iq).(id).Iq.seq :: acc)
+    in
+    sorted (walk (Iq.ready_first iq) [])
+  in
+  let waiters =
+    List.init model_tags (fun tag ->
+        sorted (List.map (fun (s, port) -> (s.Iq.seq, port)) (Iq.waiters iq ~tag)))
+  in
+  let operands =
+    List.map
+      (fun s ->
+        ( (s.Iq.seq, s.Iq.src1_tag, s.Iq.src2_tag, s.Iq.src1_i, s.Iq.src2_i),
+          (Iq.src1_f iq s, Iq.src2_f iq s, s.Iq.issued, s.Iq.reusable, s.Iq.dead) ))
+      order
+  in
+  ( List.map (fun s -> s.Iq.id) order,
+    ready,
+    waiters,
+    operands,
+    Iq.reuse_ptr iq,
+    Iq.first_reusable iq )
+
+let observe_model md =
+  let ready = sorted (List.filter_map (fun m -> if m.rdy then Some m.m_seq else None) md.q) in
+  let waiters =
+    List.init model_tags (fun tag ->
+        sorted
+          (List.concat_map
+             (fun m ->
+               (if m.on1 && m.tag1 = tag then [ (m.m_seq, 0) ] else [])
+               @ if m.on2 && m.tag2 = tag then [ (m.m_seq, 1) ] else [])
+             md.q))
+  in
+  let operands =
+    List.map
+      (fun m ->
+        ( (m.m_seq, m.tag1, m.tag2, m.val1, m.val2),
+          (m.fval1, m.fval2, m.m_issued, m.m_reusable, m.m_dead) ))
+      md.q
+  in
+  let first_reusable =
+    let rec find i = function
+      | [] -> -1
+      | m :: rest -> if m.m_reusable then i else find (i + 1) rest
+    in
+    find 0 md.q
+  in
+  (List.map (fun m -> m.real.Iq.id) md.q, ready, waiters, operands, md.rptr, first_reusable)
+
+let prop_iq_model =
+  QCheck.Test.make ~name:"iq agrees with a list model" ~count:500
+    (QCheck.make
+       ~print:(fun ops -> String.concat "; " (List.map iq_op_to_string ops))
+       ~shrink:QCheck.Shrink.list
+       QCheck.Gen.(list_size (int_range 1 80) gen_iq_op))
+    (fun ops ->
+      let iq = Iq.create model_size in
+      let md = { q = []; pending = []; rptr = 0; next_seq = 0 } in
+      List.for_all
+        (fun op ->
+          match step_iq iq md op with
+          | Error msg -> QCheck.Test.fail_reportf "after %s: %s" (iq_op_to_string op) msg
+          | Ok () ->
+              observe_iq iq = observe_model md
+              || QCheck.Test.fail_reportf "state differs after %s" (iq_op_to_string op))
+        ops)
 
 let suites =
   [
@@ -334,5 +666,6 @@ let suites =
         Alcotest.test_case "fu unpipelined" `Quick test_fu_unpipelined;
         Alcotest.test_case "fu none" `Quick test_fu_none_always;
         QCheck_alcotest.to_alcotest prop_iq_compact_order;
+        QCheck_alcotest.to_alcotest prop_iq_model;
       ] );
   ]
