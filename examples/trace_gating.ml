@@ -96,7 +96,10 @@ let () =
   Printf.printf
     "buffering: %d attempts, %d revokes (NBLT filtered %d re-detections), %d promotions\n"
     st.Processor.buffer_attempts st.Processor.revokes
-    (Processor.reuse_state p).Reuse_state.n_nblt_filtered st.Processor.promotions;
+    (List.fold_left
+       (fun n d -> n + d.Processor.ld_nblt_filtered)
+       0 (Processor.loop_decisions p))
+    st.Processor.promotions;
   Printf.printf "tracer: %d events recorded (%s)\n" (Tracer.recorded tracer)
     (String.concat ", "
        (List.map (fun (n, c) -> Printf.sprintf "%s x%d" n c) (Tracer.counts tracer)))

@@ -69,11 +69,6 @@ let reason_to_string = function
   | Side_entry -> "side-entry"
   | Irreducible -> "irreducible"
 
-let risk_to_string = function
-  | Aliasing_store { store; load } ->
-      Printf.sprintf "aliasing-store (store %08x may hit load %08x)" store load
-  | Data_dependent_trip -> "data-dependent-trip"
-
 let cause_to_string = function
   | Rv_inner_loop -> "inner-loop"
   | Rv_left_loop -> "left-loop"

@@ -121,7 +121,6 @@ val analyze_config : Riq_ooo.Config.t -> Program.t -> report
     configuration. *)
 
 val reason_to_string : reason -> string
-val risk_to_string : risk -> string
 val cause_to_string : revoke_cause -> string
 
 val hard_reject : reason -> bool

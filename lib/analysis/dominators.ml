@@ -60,5 +60,3 @@ let dominates t a b =
   else
     let rec walk x = x = a || (t.idom.(x) <> x && walk t.idom.(x)) in
     walk b
-
-let dom_depth t b = t.depth.(b)

@@ -17,7 +17,3 @@ val idom : t -> int -> int option
 
 val dominates : t -> int -> int -> bool
 (** [dominates t a b] — does block [a] dominate block [b]? Reflexive. *)
-
-val dom_depth : t -> int -> int
-(** Length of the dominator chain from the entry (entry = 0); [-1] for
-    unreachable blocks. *)

@@ -6,16 +6,9 @@ let bit r = Int64.shift_left 1L r
 let mem set r = Int64.logand set (bit r) <> 0L
 let add set r = Int64.logor set (bit r)
 
-let to_list set =
-  let rec go r acc = if r < 0 then acc else go (r - 1) (if mem set r then r :: acc else acc) in
-  go (Reg.count - 1) []
-
 let cardinal set =
   let rec go x n = if x = 0L then n else go (Int64.logand x (Int64.sub x 1L)) (n + 1) in
   go set 0
-
-let pp_set ppf set =
-  Format.fprintf ppf "{%s}" (String.concat "," (List.map Reg.to_string (to_list set)))
 
 (* Conservative live-out at a return: scalar pools, sp, ra. The codegen
    conventions (see Codegen's docs) keep long-lived values in r16-r28 and

@@ -34,6 +34,4 @@ val return_live_out : Int64.t
     link register. *)
 
 val mem : Int64.t -> Reg.t -> bool
-val to_list : Int64.t -> Reg.t list
 val cardinal : Int64.t -> int
-val pp_set : Format.formatter -> Int64.t -> unit

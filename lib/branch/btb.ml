@@ -9,7 +9,6 @@ type t = {
   mutable clock : int;
   mutable n_lookup : int;
   mutable n_hit : int;
-  mutable n_update : int;
 }
 
 let create ~sets ~ways =
@@ -23,7 +22,6 @@ let create ~sets ~ways =
     clock = 0;
     n_lookup = 0;
     n_hit = 0;
-    n_update = 0;
   }
 
 (* Table index of the matching way (the last, should two match), or -1:
@@ -54,7 +52,6 @@ let lookup_target t ~pc =
   else -1
 
 let update t ~pc ~target =
-  t.n_update <- t.n_update + 1;
   t.clock <- t.clock + 1;
   let i = find_idx t ~pc in
   if i >= 0 then begin
@@ -83,4 +80,3 @@ let update t ~pc ~target =
 
 let lookups t = t.n_lookup
 let hits t = t.n_hit
-let updates t = t.n_update

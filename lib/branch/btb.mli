@@ -14,4 +14,3 @@ val update : t -> pc:int -> target:int -> unit
 
 val lookups : t -> int
 val hits : t -> int
-val updates : t -> int

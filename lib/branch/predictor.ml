@@ -92,5 +92,4 @@ let restore t ck = Ras.restore t.ras ck
 let dir_lookups t = t.n_dir_lookup
 let dir_updates t = t.n_dir_update
 let btb_lookups t = Btb.lookups t.btb
-let btb_updates t = Btb.updates t.btb
 let ras_ops t = Ras.pushes t.ras + Ras.pops t.ras

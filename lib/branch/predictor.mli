@@ -53,5 +53,4 @@ val restore : t -> checkpoint -> unit
 val dir_lookups : t -> int
 val dir_updates : t -> int
 val btb_lookups : t -> int
-val btb_updates : t -> int
 val ras_ops : t -> int

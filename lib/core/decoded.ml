@@ -4,10 +4,13 @@ open Riq_asm
 open Riq_interp
 
 (* Struct-of-arrays side tables for one program, built once at
-   [Processor.create]: every per-instruction property the cycle loop
-   needs, pre-derived from the program's instructions so the hot path
-   is pure [int array]/flag-array indexing — no constructor matches, no
-   option or tuple allocation, no per-cycle re-derivation.
+   [Processor.create]: the per-instruction properties the pipeline's
+   bookkeeping reads (kind, unit, latency, operand registers, widths),
+   pre-derived from the program's instructions so dispatch, issue and
+   commit index flat arrays — no option or tuple allocation, no
+   per-cycle re-derivation. Execute and load extension match the
+   instruction itself, [code.(wi)], exactly as [Machine.step] does; the
+   tables carry no execution or extension codes.
 
    Indexing is by word index [wi = (pc - text_base) / 4]; [valid] tells
    whether a pc maps into the text segment at all (the flat-array
@@ -18,17 +21,10 @@ open Riq_interp
    per opcode), [Lui]'s shift is pre-applied, branch and direct-jump
    targets are absolute byte addresses in [target]. *)
 
-(* Load extension codes for [ext]. *)
-let ext_word = 0
-let ext_s8 = 1
-let ext_u8 = 2
-let ext_s16 = 3
-let ext_u16 = 4
-
 type t = {
   n : int;
   text_base : int;
-  exe : int array;  (** [Insn.code] per word *)
+  code : Insn.t array;  (** the program's own instruction array *)
   kind : Insn.kind array;
   fu : Insn.fu_class array;
   lat : int array;
@@ -39,7 +35,6 @@ type t = {
   is_fp_mem : bool array;
   width : int array;  (** access bytes, 0 for non-memory *)
   amask : int array;  (** width - 1, for alignment checks *)
-  ext : int array;  (** load extension code *)
   r1 : int array;  (** first operand register, -1 = none (r0 filtered) *)
   r2 : int array;  (** second operand register (store data), -1 = none *)
   dst : int array;  (** destination register, -1 = none *)
@@ -100,14 +95,6 @@ let exec_imm insn =
       off
   | _ -> 0
 
-let ext_of insn =
-  match insn with
-  | Insn.Lb _ -> ext_s8
-  | Lbu _ -> ext_u8
-  | Lh _ -> ext_s16
-  | Lhu _ -> ext_u16
-  | _ -> ext_word
-
 let of_program (p : Program.t) =
   let code = p.Program.code in
   let n = Array.length code in
@@ -116,7 +103,7 @@ let of_program (p : Program.t) =
     {
       n;
       text_base;
-      exe = Array.make n 0;
+      code;
       kind = Array.make n Insn.K_nop;
       fu = Array.make n Insn.FU_none;
       lat = Array.make n 1;
@@ -127,7 +114,6 @@ let of_program (p : Program.t) =
       is_fp_mem = Array.make n false;
       width = Array.make n 0;
       amask = Array.make n 0;
-      ext = Array.make n 0;
       r1 = Array.make n (-1);
       r2 = Array.make n (-1);
       dst = Array.make n (-1);
@@ -138,12 +124,10 @@ let of_program (p : Program.t) =
   for wi = 0 to n - 1 do
     let insn = code.(wi) in
     let pc = pc_of_wi t wi in
-    let c = Insn.code insn in
-    t.exe.(wi) <- c;
-    t.kind.(wi) <- Insn.kind_table.(c);
-    t.fu.(wi) <- Insn.fu_table.(c);
-    t.lat.(wi) <- Insn.latency_table.(c);
-    t.pipe.(wi) <- Insn.pipelined_table.(c);
+    t.kind.(wi) <- Insn.kind insn;
+    t.fu.(wi) <- Insn.fu insn;
+    t.lat.(wi) <- Insn.latency insn;
+    t.pipe.(wi) <- Insn.pipelined insn;
     (match t.kind.(wi) with
     | Insn.K_branch | K_jump | K_call | K_return | K_ijump -> t.is_ctrl.(wi) <- true
     | K_int | K_fp | K_load | K_store | K_nop | K_halt -> ());
@@ -152,9 +136,8 @@ let of_program (p : Program.t) =
         t.is_mem.(wi) <- true;
         t.is_store.(wi) <- t.kind.(wi) = Insn.K_store;
         t.is_fp_mem.(wi) <- (match insn with Insn.Lwf _ | Swf _ -> true | _ -> false);
-        t.width.(wi) <- Insn.access_bytes_table.(c);
-        t.amask.(wi) <- t.width.(wi) - 1;
-        t.ext.(wi) <- ext_of insn
+        t.width.(wi) <- Insn.access_bytes insn;
+        t.amask.(wi) <- t.width.(wi) - 1
     | _ -> ());
     let r1, r2 = operand_regs insn in
     t.r1.(wi) <- r1;

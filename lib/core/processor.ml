@@ -9,17 +9,18 @@ open Riq_interp
 open Riq_obs
 
 (* The execution core. The pipeline structure is the seed core's, but
-   every per-instruction property is pre-decoded once at [create] into
-   the flat side tables of [Decoded], and the cycle loop's dynamic
-   structures are preallocated flat arrays:
+   the per-instruction properties its bookkeeping reads are pre-decoded
+   once at [create] into the flat side tables of [Decoded], and the
+   cycle loop's dynamic structures are preallocated flat arrays:
 
    - fetch queue and decode latch are rings of mutable records instead
      of [Queue.t]s (no cell allocation per instruction);
    - the writeback event set is a ring-indexed event wheel instead of a
      per-cycle [Hashtbl] of lists (no bucket/cons allocation, no hash);
    - load replays live in a swap-buffered FIFO of int arrays;
-   - execute is a single dispatch on the dense opcode, reading
-     pre-transformed immediates and absolute targets from the tables.
+   - execute and load extension match the instruction itself, as the
+     interpreter's [Machine.step] does, reading pre-transformed
+     immediates and absolute targets from the tables.
 
    Everything observable — architectural state, statistics counters, and
    the exact per-component order of power charges (floats accumulate, so
@@ -414,85 +415,54 @@ let read_src t (s : Iq.slot) ~port r =
     end
   end
 
-(* Operation groups of the dense opcode space, for the execute dispatch. *)
-let alu_ops = [| Insn.Add; Sub; And; Or; Xor; Nor; Slt; Sltu |] (* 0..7 *)
-let alui_ops = [| Insn.Add; And; Or; Xor; Slt; Sltu |] (* 8..13 *)
-let shift_ops = [| Insn.Sll; Srl; Sra |] (* 14..16 imm, 17..19 variable *)
-let fpu_ops = [| Insn.Fadd; Fsub; Fmul; Fdiv; Fsqrt; Fneg; Fabs; Fmov |] (* 23..30 *)
-let fcmp_ops = [| Insn.Feq; Flt; Fle |] (* 31..33 *)
-let br_conds = [| Insn.Beq; Bne; Blez; Bgtz; Bltz; Bgez |] (* 46..51 *)
-
 (* Execute the non-memory instruction in slot [s] straight into its ROB
-   entry: one dispatch on the dense opcode, immediates and branch/jump
-   targets read pre-transformed from the side tables. Memory operations
-   never reach this (they go through address generation); 57/58
-   (nop/halt) keep the defaults. *)
+   entry: one match on the instruction, as [Machine.step] does, with
+   immediates and branch/jump targets read pre-transformed from the side
+   tables. Memory operations never reach this (they go through address
+   generation); nop and halt keep the defaults. *)
 let execute_into t (s : Iq.slot) =
   let d = t.dec in
-  let e = Rob.entry t.rob s.Iq.rob_idx in
+  let idx = s.Iq.rob_idx in
+  let e = Rob.entry t.rob idx in
   let wi = s.Iq.wi and pc = s.Iq.pc in
   let s1i = s.Iq.src1_i and s2i = s.Iq.src2_i in
   let s1f = Iq.src1_f t.iq s and s2f = Iq.src2_f t.iq s in
   let next = pc + 4 in
   e.Rob.value_i <- 0;
-  Rob.set_value_f t.rob s.Iq.rob_idx 0.;
+  Rob.set_value_f t.rob idx 0.;
   e.Rob.taken <- false;
   e.Rob.actual_npc <- next;
-  let c = d.Decoded.exe.(wi) in
-  if c < 8 then e.Rob.value_i <- Semantics.alu alu_ops.(c) s1i s2i
-  else if c < 14 then
-    e.Rob.value_i <- Semantics.alu alui_ops.(c - 8) s1i d.Decoded.imm.(wi)
-  else if c < 17 then
-    e.Rob.value_i <- Semantics.shift shift_ops.(c - 14) s1i d.Decoded.imm.(wi)
-  else if c < 20 then
-    e.Rob.value_i <- Semantics.shift shift_ops.(c - 17) s1i s2i
-  else if c = 20 then e.Rob.value_i <- d.Decoded.imm.(wi) (* lui, pre-shifted *)
-  else if c = 21 then e.Rob.value_i <- Semantics.mul s1i s2i
-  else if c = 22 then e.Rob.value_i <- Semantics.div s1i s2i
-  else if c < 31 then Rob.set_value_f t.rob s.Iq.rob_idx (Semantics.fpu fpu_ops.(c - 23) s1f s2f)
-  else if c < 34 then e.Rob.value_i <- Semantics.fcmp fcmp_ops.(c - 31) s1f s2f
-  else if c = 34 then Rob.set_value_f t.rob s.Iq.rob_idx (Semantics.cvt_s_w s1i)
-  else if c = 35 then e.Rob.value_i <- Semantics.cvt_w_s s1f
-  else if c >= 46 then
-    if c <= 51 then begin
-      let taken = Semantics.branch_taken br_conds.(c - 46) s1i s2i in
+  match d.Decoded.code.(wi) with
+  | Insn.Alu (op, _, _, _) -> e.Rob.value_i <- Semantics.alu op s1i s2i
+  | Alui (op, _, _, _) -> e.Rob.value_i <- Semantics.alu op s1i d.Decoded.imm.(wi)
+  | Shift (op, _, _, _) -> e.Rob.value_i <- Semantics.shift op s1i d.Decoded.imm.(wi)
+  | Shiftv (op, _, _, _) -> e.Rob.value_i <- Semantics.shift op s1i s2i
+  | Lui _ -> e.Rob.value_i <- d.Decoded.imm.(wi) (* pre-shifted *)
+  | Mul _ -> e.Rob.value_i <- Semantics.mul s1i s2i
+  | Div _ -> e.Rob.value_i <- Semantics.div s1i s2i
+  | Fpu (op, _, _, _) -> Rob.set_value_f t.rob idx (Semantics.fpu op s1f s2f)
+  | Fcmp (op, _, _, _) -> e.Rob.value_i <- Semantics.fcmp op s1f s2f
+  | Cvtsw _ -> Rob.set_value_f t.rob idx (Semantics.cvt_s_w s1i)
+  | Cvtws _ -> e.Rob.value_i <- Semantics.cvt_w_s s1f
+  | Br (cond, _, _, _) ->
+      let taken = Semantics.branch_taken cond s1i s2i in
       e.Rob.taken <- taken;
       if taken then e.Rob.actual_npc <- d.Decoded.target.(wi)
-    end
-    else if c = 52 then begin
+  | J _ ->
       e.Rob.taken <- true;
       e.Rob.actual_npc <- d.Decoded.target.(wi)
-    end
-    else if c = 53 then begin
+  | Jal _ ->
       e.Rob.value_i <- next;
       e.Rob.taken <- true;
       e.Rob.actual_npc <- d.Decoded.target.(wi)
-    end
-    else if c <= 55 then begin
+  | Jr _ ->
       e.Rob.taken <- true;
       e.Rob.actual_npc <- s1i
-    end
-    else if c = 56 then begin
+  | Jalr _ ->
       e.Rob.value_i <- next;
       e.Rob.taken <- true;
       e.Rob.actual_npc <- s1i
-    end
-
-(* The integer value a load produces, per the side tables' extension
-   code: extract and extend the low bits per width and signedness. *)
-let load_from_reg ext raw =
-  if ext = Decoded.ext_word then Bits.of_i32 raw
-  else if ext = Decoded.ext_s8 then Bits.sign_extend raw ~width:8
-  else if ext = Decoded.ext_u8 then raw land 0xFF
-  else if ext = Decoded.ext_s16 then Bits.sign_extend raw ~width:16
-  else raw land 0xFFFF
-
-let load_from_memory t ext addr =
-  if ext = Decoded.ext_word then Bits.of_i32 (Store.read_word t.memory addr)
-  else if ext = Decoded.ext_s8 then Bits.sign_extend (Store.read_byte t.memory addr) ~width:8
-  else if ext = Decoded.ext_u8 then Store.read_byte t.memory addr
-  else if ext = Decoded.ext_s16 then Bits.sign_extend (Store.read_half t.memory addr) ~width:16
-  else Store.read_half t.memory addr
+  | Lw _ | Lb _ | Lbu _ | Lh _ | Lhu _ | Sw _ | Sb _ | Sh _ | Lwf _ | Swf _ | Nop | Halt -> ()
 
 (* ------------------------------------------------------------------ *)
 (* Misprediction recovery and reuse-engine state transitions.          *)
@@ -723,11 +693,19 @@ let start_load ?(charge_search = true) t ~rob_idx ~(e : Rob.entry) ~addr =
   let src = Lsq.check_load t.lsq ~idx:e.Rob.lsq_idx ~addr ~width:le.Lsq.width in
   if src = Lsq.load_wait then false
   else if src >= 0 then begin
-    (* Forward from the store in LSQ slot [src]. *)
-    if le.Lsq.is_fp then Rob.set_value_f t.rob rob_idx (Lsq.data_f t.lsq src)
-    else
-      e.Rob.value_i <-
-        load_from_reg t.dec.Decoded.ext.(e.Rob.wi) (Lsq.entry t.lsq src).Lsq.data_i;
+    (* Forward from the store in LSQ slot [src]: extend the low bits of
+       its register value per the load's width and signedness. *)
+    let raw = (Lsq.entry t.lsq src).Lsq.data_i in
+    (match t.dec.Decoded.code.(e.Rob.wi) with
+    | Insn.Lw _ -> e.Rob.value_i <- Bits.of_i32 raw
+    | Lb _ -> e.Rob.value_i <- Bits.sign_extend raw ~width:8
+    | Lbu _ -> e.Rob.value_i <- raw land 0xFF
+    | Lh _ -> e.Rob.value_i <- Bits.sign_extend raw ~width:16
+    | Lhu _ -> e.Rob.value_i <- raw land 0xFFFF
+    | Lwf _ -> Rob.set_value_f t.rob rob_idx (Lsq.data_f t.lsq src)
+    | Alu _ | Alui _ | Shift _ | Shiftv _ | Lui _ | Mul _ | Div _ | Fpu _ | Fcmp _ | Cvtsw _
+    | Cvtws _ | Sw _ | Sb _ | Sh _ | Swf _ | Br _ | J _ | Jal _ | Jr _ | Jalr _ | Nop | Halt ->
+        ());
     schedule_complete t ~cycle:(t.now + 1) ~seq:e.Rob.seq ~rob:rob_idx;
     true
   end
@@ -738,8 +716,18 @@ let start_load ?(charge_search = true) t ~rob_idx ~(e : Rob.entry) ~addr =
          usable when non-negative and aligned to the access width. *)
       if addr >= 0 && addr land t.dec.Decoded.amask.(wi) = 0 then begin
         let lat = data_latency t ~addr ~write:false in
-        if le.Lsq.is_fp then Rob.set_value_f t.rob rob_idx (Store.read_float t.memory addr)
-        else e.Rob.value_i <- load_from_memory t t.dec.Decoded.ext.(wi) addr;
+        let m = t.memory in
+        (match t.dec.Decoded.code.(wi) with
+        | Insn.Lw _ -> e.Rob.value_i <- Bits.of_i32 (Store.read_word m addr)
+        | Lb _ -> e.Rob.value_i <- Bits.sign_extend (Store.read_byte m addr) ~width:8
+        | Lbu _ -> e.Rob.value_i <- Store.read_byte m addr
+        | Lh _ -> e.Rob.value_i <- Bits.sign_extend (Store.read_half m addr) ~width:16
+        | Lhu _ -> e.Rob.value_i <- Store.read_half m addr
+        | Lwf _ -> Rob.set_value_f t.rob rob_idx (Store.read_float m addr)
+        | Alu _ | Alui _ | Shift _ | Shiftv _ | Lui _ | Mul _ | Div _ | Fpu _ | Fcmp _
+        | Cvtsw _ | Cvtws _ | Sw _ | Sb _ | Sh _ | Swf _ | Br _ | J _ | Jal _ | Jr _ | Jalr _
+        | Nop | Halt ->
+            ());
         lat
       end
       else 1 (* wrong-path garbage address: complete without touching memory *)
@@ -1001,8 +989,6 @@ let dispatch_one t (f : fetched) =
       s.Iq.reusable <- true;
       charge1 t Component.Lrl;
       t.reuse.Reuse_state.iter_count <- t.reuse.Reuse_state.iter_count + 1;
-      if t.reuse.Reuse_state.first_buffered_seq = -1 then
-        t.reuse.Reuse_state.first_buffered_seq <- seq;
       (* Iteration boundary: the loop-ending instruction was dispatched. *)
       if f.f_pc = t.reuse.Reuse_state.tail then begin
         let iter_size = t.reuse.Reuse_state.iter_count in
@@ -1106,13 +1092,10 @@ let dispatch_reuse t =
 (* A detector hit in Normal state: filter through the NBLT, then start
    buffering when the loop branch is predicted to loop back. *)
 let handle_capture t (f : fetched) ~head ~tail =
-  let r = t.reuse in
-  r.Reuse_state.n_detections <- r.Reuse_state.n_detections + 1;
   let ld = loop_record t ~head ~tail in
   ld.ld_detections <- ld.ld_detections + 1;
   charge1 t Component.Nblt;
   if Nblt.mem t.nblt tail then begin
-    r.Reuse_state.n_nblt_filtered <- r.Reuse_state.n_nblt_filtered + 1;
     ld.ld_nblt_filtered <- ld.ld_nblt_filtered + 1;
     if Tracer.enabled t.tracer then
       Tracer.instant t.tracer ~now:t.now

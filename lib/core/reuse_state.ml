@@ -9,10 +9,7 @@ type t = {
   mutable tail : int;
   mutable iter_count : int;
   mutable call_depth : int;
-  mutable first_buffered_seq : int;
   mutable iters_buffered : int;
-  mutable n_detections : int;
-  mutable n_nblt_filtered : int;
   mutable n_buffer_attempts : int;
   mutable n_revokes : int;
   mutable n_promotions : int;
@@ -27,10 +24,7 @@ let create ?tracer () =
     tail = 0;
     iter_count = 0;
     call_depth = 0;
-    first_buffered_seq = -1;
     iters_buffered = 0;
-    n_detections = 0;
-    n_nblt_filtered = 0;
     n_buffer_attempts = 0;
     n_revokes = 0;
     n_promotions = 0;
@@ -50,7 +44,6 @@ let start_buffering ?(now = 0) t ~head ~tail =
   t.tail <- tail;
   t.iter_count <- 0;
   t.call_depth <- 0;
-  t.first_buffered_seq <- -1;
   t.iters_buffered <- 0;
   t.n_buffer_attempts <- t.n_buffer_attempts + 1;
   if Tracer.enabled t.tracer then

@@ -20,10 +20,7 @@ type t = {
   mutable tail : int; (** R_looptail: address of the loop-ending instruction *)
   mutable iter_count : int; (** instructions dispatched in the current buffering iteration *)
   mutable call_depth : int; (** procedure nesting while buffering *)
-  mutable first_buffered_seq : int; (** -1 until the first buffered dispatch *)
   mutable iters_buffered : int;
-  mutable n_detections : int;
-  mutable n_nblt_filtered : int;
   mutable n_buffer_attempts : int;
   mutable n_revokes : int;
   mutable n_promotions : int;

@@ -44,14 +44,6 @@ let freg t r =
   if not (Reg.is_fp r) then invalid_arg "Machine.freg: integer register";
   t.fp_regs.(Reg.index r)
 
-let set_reg t r v =
-  if Reg.is_fp r then invalid_arg "Machine.set_reg: FP register";
-  if r <> Reg.zero then t.int_regs.(Reg.index r) <- Bits.of_i32 v
-
-let set_freg t r v =
-  if not (Reg.is_fp r) then invalid_arg "Machine.set_freg: integer register";
-  t.fp_regs.(Reg.index r) <- Semantics.to_single v
-
 (* Operand access as top-level functions, so [step] builds no closures.
    A [Reg.t] indexes its file directly: integer registers are their own
    index, FP register numbers are offset by 32 (see {!Reg}). *)

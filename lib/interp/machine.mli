@@ -35,9 +35,6 @@ val reg : t -> Reg.t -> int
 val freg : t -> Reg.t -> float
 val mem : t -> Store.t
 
-val set_reg : t -> Reg.t -> int -> unit
-val set_freg : t -> Reg.t -> float -> unit
-
 type arch_state = {
   final_pc : int;
   instructions : int;

@@ -53,124 +53,7 @@ let fpu_unary = function
   | Fsqrt | Fneg | Fabs | Fmov -> true
   | Fadd | Fsub | Fmul | Fdiv -> false
 
-(* Dense execution code: one small integer per (constructor, operation)
-   pair, so per-instruction properties become single array loads instead
-   of nested pattern matches. [Jr] gets two codes because its kind depends
-   on the source register (return vs indirect jump); both decode back to
-   [Jr]. The numbering is internal — only [code_count] and the accessors
-   below are meant for clients (see [Riq_core.Decoded]). *)
-
-let code_count = 59
-
-let code = function
-  | Alu (op, _, _, _) -> (
-      match op with
-      | Add -> 0 | Sub -> 1 | And -> 2 | Or -> 3
-      | Xor -> 4 | Nor -> 5 | Slt -> 6 | Sltu -> 7)
-  | Alui (op, _, _, _) -> (
-      match op with
-      | Add -> 8 | And -> 9 | Or -> 10 | Xor -> 11 | Slt -> 12 | Sltu -> 13
-      | Sub | Nor -> invalid_arg "Insn.code: sub/nor have no immediate form")
-  | Shift (op, _, _, _) -> ( match op with Sll -> 14 | Srl -> 15 | Sra -> 16)
-  | Shiftv (op, _, _, _) -> ( match op with Sll -> 17 | Srl -> 18 | Sra -> 19)
-  | Lui _ -> 20
-  | Mul _ -> 21
-  | Div _ -> 22
-  | Fpu (op, _, _, _) -> (
-      match op with
-      | Fadd -> 23 | Fsub -> 24 | Fmul -> 25 | Fdiv -> 26
-      | Fsqrt -> 27 | Fneg -> 28 | Fabs -> 29 | Fmov -> 30)
-  | Fcmp (op, _, _, _) -> ( match op with Feq -> 31 | Flt -> 32 | Fle -> 33)
-  | Cvtsw _ -> 34
-  | Cvtws _ -> 35
-  | Lw _ -> 36
-  | Lb _ -> 37
-  | Lbu _ -> 38
-  | Lh _ -> 39
-  | Lhu _ -> 40
-  | Lwf _ -> 41
-  | Sw _ -> 42
-  | Sb _ -> 43
-  | Sh _ -> 44
-  | Swf _ -> 45
-  | Br (cond, _, _, _) -> (
-      match cond with
-      | Beq -> 46 | Bne -> 47 | Blez -> 48 | Bgtz -> 49 | Bltz -> 50 | Bgez -> 51)
-  | J _ -> 52
-  | Jal _ -> 53
-  | Jr rs -> if rs = Reg.ra then 54 else 55
-  | Jalr _ -> 56
-  | Nop -> 57
-  | Halt -> 58
-
-(* Representative instruction per code, used to derive the property
-   tables from the match-based definitions below (so the tables cannot
-   drift from the single source of truth). *)
-let of_code c =
-  let r0 = Reg.zero and r1 = Reg.r 1 in
-  match c with
-  | 0 -> Alu (Add, r0, r0, r0)
-  | 1 -> Alu (Sub, r0, r0, r0)
-  | 2 -> Alu (And, r0, r0, r0)
-  | 3 -> Alu (Or, r0, r0, r0)
-  | 4 -> Alu (Xor, r0, r0, r0)
-  | 5 -> Alu (Nor, r0, r0, r0)
-  | 6 -> Alu (Slt, r0, r0, r0)
-  | 7 -> Alu (Sltu, r0, r0, r0)
-  | 8 -> Alui (Add, r0, r0, 0)
-  | 9 -> Alui (And, r0, r0, 0)
-  | 10 -> Alui (Or, r0, r0, 0)
-  | 11 -> Alui (Xor, r0, r0, 0)
-  | 12 -> Alui (Slt, r0, r0, 0)
-  | 13 -> Alui (Sltu, r0, r0, 0)
-  | 14 -> Shift (Sll, r0, r0, 0)
-  | 15 -> Shift (Srl, r0, r0, 0)
-  | 16 -> Shift (Sra, r0, r0, 0)
-  | 17 -> Shiftv (Sll, r0, r0, r0)
-  | 18 -> Shiftv (Srl, r0, r0, r0)
-  | 19 -> Shiftv (Sra, r0, r0, r0)
-  | 20 -> Lui (r0, 0)
-  | 21 -> Mul (r0, r0, r0)
-  | 22 -> Div (r0, r0, r0)
-  | 23 -> Fpu (Fadd, Reg.f 0, Reg.f 0, Reg.f 0)
-  | 24 -> Fpu (Fsub, Reg.f 0, Reg.f 0, Reg.f 0)
-  | 25 -> Fpu (Fmul, Reg.f 0, Reg.f 0, Reg.f 0)
-  | 26 -> Fpu (Fdiv, Reg.f 0, Reg.f 0, Reg.f 0)
-  | 27 -> Fpu (Fsqrt, Reg.f 0, Reg.f 0, Reg.f 0)
-  | 28 -> Fpu (Fneg, Reg.f 0, Reg.f 0, Reg.f 0)
-  | 29 -> Fpu (Fabs, Reg.f 0, Reg.f 0, Reg.f 0)
-  | 30 -> Fpu (Fmov, Reg.f 0, Reg.f 0, Reg.f 0)
-  | 31 -> Fcmp (Feq, r0, Reg.f 0, Reg.f 0)
-  | 32 -> Fcmp (Flt, r0, Reg.f 0, Reg.f 0)
-  | 33 -> Fcmp (Fle, r0, Reg.f 0, Reg.f 0)
-  | 34 -> Cvtsw (Reg.f 0, r0)
-  | 35 -> Cvtws (r0, Reg.f 0)
-  | 36 -> Lw (r0, r0, 0)
-  | 37 -> Lb (r0, r0, 0)
-  | 38 -> Lbu (r0, r0, 0)
-  | 39 -> Lh (r0, r0, 0)
-  | 40 -> Lhu (r0, r0, 0)
-  | 41 -> Lwf (Reg.f 0, r0, 0)
-  | 42 -> Sw (r0, r0, 0)
-  | 43 -> Sb (r0, r0, 0)
-  | 44 -> Sh (r0, r0, 0)
-  | 45 -> Swf (Reg.f 0, r0, 0)
-  | 46 -> Br (Beq, r0, r0, 0)
-  | 47 -> Br (Bne, r0, r0, 0)
-  | 48 -> Br (Blez, r0, r0, 0)
-  | 49 -> Br (Bgtz, r0, r0, 0)
-  | 50 -> Br (Bltz, r0, r0, 0)
-  | 51 -> Br (Bgez, r0, r0, 0)
-  | 52 -> J 0
-  | 53 -> Jal 0
-  | 54 -> Jr Reg.ra
-  | 55 -> Jr r1
-  | 56 -> Jalr (r0, r0)
-  | 57 -> Nop
-  | 58 -> Halt
-  | _ -> invalid_arg "Insn.of_code"
-
-let kind_match = function
+let kind = function
   | Alu _ | Alui _ | Shift _ | Shiftv _ | Lui _ | Mul _ | Div _ | Fcmp _ | Cvtws _ -> K_int
   | Fpu _ | Cvtsw _ -> K_fp
   | Lw _ | Lb _ | Lbu _ | Lh _ | Lhu _ | Lwf _ -> K_load
@@ -182,7 +65,7 @@ let kind_match = function
   | Nop -> K_nop
   | Halt -> K_halt
 
-let fu_match = function
+let fu = function
   | Alu _ | Alui _ | Shift _ | Shiftv _ | Lui _ | Br _ | J _ | Jal _ | Jr _ | Jalr _
   | Fcmp _ | Cvtws _ | Cvtsw _ ->
       FU_ialu
@@ -194,7 +77,7 @@ let fu_match = function
   | Lw _ | Lb _ | Lbu _ | Lh _ | Lhu _ | Sw _ | Sb _ | Sh _ | Lwf _ | Swf _ -> FU_mem
   | Nop | Halt -> FU_none
 
-let latency_match = function
+let latency = function
   | Mul _ -> 3
   | Div _ -> 20
   | Fpu (op, _, _, _) -> (
@@ -209,7 +92,7 @@ let latency_match = function
   | Lw _ | Lb _ | Lbu _ | Lh _ | Lhu _ | Sw _ | Sb _ | Sh _ | Lwf _ | Swf _ | Nop | Halt ->
       1
 
-let pipelined_match = function
+let pipelined = function
   | Div _ -> false
   | Fpu (Fdiv, _, _, _) | Fpu (Fsqrt, _, _, _) -> false
   | Alu _ | Alui _ | Shift _ | Shiftv _ | Lui _ | Mul _ | Fpu _ | Fcmp _ | Cvtsw _
@@ -261,7 +144,7 @@ let dest insn =
   | Jal _ -> Some Reg.ra
   | Sw _ | Sb _ | Sh _ | Swf _ | Br _ | J _ | Jr _ | Nop | Halt -> None
 
-let access_bytes_match = function
+let access_bytes = function
   | Lw _ | Sw _ | Lwf _ | Swf _ -> 4
   | Lh _ | Lhu _ | Sh _ -> 2
   | Lb _ | Lbu _ | Sb _ -> 1
@@ -269,40 +152,10 @@ let access_bytes_match = function
   | Cvtsw _ | Cvtws _ | Br _ | J _ | Jal _ | Jr _ | Jalr _ | Nop | Halt ->
       invalid_arg "Insn.access_bytes: not a memory operation"
 
-(* Properties as code-indexed tables: one shallow match ([code]) plus an
-   array load per query, instead of re-walking the constructor tree. *)
-
-let kind_table = Array.init code_count (fun c -> kind_match (of_code c))
-let fu_table = Array.init code_count (fun c -> fu_match (of_code c))
-let latency_table = Array.init code_count (fun c -> latency_match (of_code c))
-let pipelined_table = Array.init code_count (fun c -> pipelined_match (of_code c))
-
-let access_bytes_table =
-  Array.init code_count (fun c ->
-      match kind_table.(c) with
-      | K_load | K_store -> access_bytes_match (of_code c)
-      | K_int | K_fp | K_branch | K_jump | K_call | K_return | K_ijump | K_nop
-      | K_halt ->
-          0)
-
-let kind insn = kind_table.(code insn)
-let fu insn = fu_table.(code insn)
-let latency insn = latency_table.(code insn)
-let pipelined insn = pipelined_table.(code insn)
-
-let access_bytes insn =
-  let b = access_bytes_table.(code insn) in
-  if b = 0 then invalid_arg "Insn.access_bytes: not a memory operation" else b
-
 let is_ctrl insn =
   match kind insn with
   | K_branch | K_jump | K_call | K_return | K_ijump -> true
   | K_int | K_fp | K_load | K_store | K_nop | K_halt -> false
-
-let is_cond_branch insn = match insn with Br _ -> true | _ -> false
-
-let is_direct_jump insn =
-  match insn with J _ | Jal _ -> true | _ -> false
 
 let ctrl_target insn ~pc =
   match insn with

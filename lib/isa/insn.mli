@@ -97,41 +97,6 @@ type kind =
   | K_nop
   | K_halt
 
-val code_count : int
-(** Number of dense execution codes. *)
-
-val code : t -> int
-(** Dense execution code in [0, code_count): one value per
-    (constructor, operation) pair, with [Jr r31] (return) and other [Jr]
-    (indirect jump) split so every per-code property is exact. This is
-    what makes the property tables below, and the core's decoded side
-    tables built from them, single array loads. *)
-
-val of_code : int -> t
-(** Representative instruction for a code (registers/immediates zeroed);
-    [code (of_code c) = c]. Raises [Invalid_argument] out of range. *)
-
-val kind_table : kind array
-val fu_table : fu_class array
-val latency_table : int array
-val pipelined_table : bool array
-
-val access_bytes_table : int array
-(** Indexed by {!code}; [access_bytes_table.(c)] is 0 for non-memory
-    codes (where {!access_bytes} raises). *)
-
-val kind_match : t -> kind
-val fu_match : t -> fu_class
-val latency_match : t -> int
-val pipelined_match : t -> bool
-
-val access_bytes_match : t -> int
-(** The constructor matches the tables are built from, applied to one
-    representative per code ([access_bytes_match] raises like
-    {!access_bytes}). Tests check the tables against them on arbitrary
-    instructions; everything else uses the table-backed accessors
-    below. *)
-
 val kind : t -> kind
 val fu : t -> fu_class
 
@@ -156,9 +121,6 @@ val access_bytes : t -> int
 
 val is_ctrl : t -> bool
 (** True for every instruction that can redirect the PC. *)
-
-val is_cond_branch : t -> bool
-val is_direct_jump : t -> bool
 
 val ctrl_target : t -> pc:int -> int option
 (** Statically-known taken target (byte address) for branches and direct

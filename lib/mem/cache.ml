@@ -34,7 +34,7 @@ type t = {
   mutable n_dirty_evict : int;
 }
 
-type result = Hit | Miss of { dirty_evict : bool }
+type result = Hit | Miss | Miss_dirty
 
 let create config =
   let n = config.sets * config.ways in
@@ -105,7 +105,7 @@ let access t ~addr ~write =
     v.valid <- true;
     v.dirty <- write;
     v.lru <- t.clock;
-    Miss { dirty_evict }
+    if dirty_evict then Miss_dirty else Miss
   end
 
 let probe t ~addr =
@@ -129,7 +129,6 @@ let accesses t = t.n_access
 let hits t = t.n_hit
 let misses t = t.n_access - t.n_hit
 let dirty_evictions t = t.n_dirty_evict
-let miss_rate t = Stats.ratio (float_of_int (misses t)) (float_of_int t.n_access)
 
 let reset_stats t =
   t.n_access <- 0;

@@ -22,7 +22,10 @@ val size_bytes : config -> int
 
 type t
 
-type result = Hit | Miss of { dirty_evict : bool }
+type result =
+  | Hit
+  | Miss
+  | Miss_dirty (** a miss whose victim was dirty and must be written back *)
 
 val create : config -> t
 val cfg : t -> config
@@ -50,5 +53,4 @@ val accesses : t -> int
 val hits : t -> int
 val misses : t -> int
 val dirty_evictions : t -> int
-val miss_rate : t -> float
 val reset_stats : t -> unit

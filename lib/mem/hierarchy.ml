@@ -72,56 +72,54 @@ let dram_latency t ~line_bytes =
 (* A miss in [l1] goes to the L2; an L2 miss goes to DRAM. The L2 access is
    charged even for the write-back of a dirty L1 victim (one extra L2
    access, no added latency: write-back buffers hide it). *)
+let l1_fill t ~addr ~l1 =
+  let l2_part =
+    match Cache.access t.l2 ~addr ~write:false with
+    | Cache.Hit -> (Cache.cfg t.l2).hit_latency
+    | Miss | Miss_dirty ->
+        t.n_mem <- t.n_mem + 1;
+        (Cache.cfg t.l2).hit_latency + dram_latency t ~line_bytes:(Cache.cfg t.l2).line_bytes
+  in
+  (Cache.cfg l1).hit_latency + l2_part
+
 let through_l2 t ~addr ~write ~l1 =
   match Cache.access l1 ~addr ~write with
   | Cache.Hit -> (Cache.cfg l1).hit_latency
-  | Cache.Miss { dirty_evict } ->
-      if dirty_evict then ignore (Cache.access t.l2 ~addr ~write:true);
-      let l2_part =
-        match Cache.access t.l2 ~addr ~write:false with
-        | Cache.Hit -> (Cache.cfg t.l2).hit_latency
-        | Cache.Miss { dirty_evict = _ } ->
-            t.n_mem <- t.n_mem + 1;
-            (Cache.cfg t.l2).hit_latency
-            + dram_latency t ~line_bytes:(Cache.cfg t.l2).line_bytes
-      in
-      (Cache.cfg l1).hit_latency + l2_part
+  | Miss -> l1_fill t ~addr ~l1
+  | Miss_dirty ->
+      ignore (Cache.access t.l2 ~addr ~write:true);
+      l1_fill t ~addr ~l1
 
 let tlb_latency t ~addr ~tlb =
   match Cache.access tlb ~addr ~write:false with
   | Cache.Hit -> 0
-  | Cache.Miss _ -> t.config.tlb_miss_penalty
+  | Miss | Miss_dirty -> t.config.tlb_miss_penalty
 
 (* MSHR-style pending-fill adjustment: a miss registers the fill
    completion time; a subsequent access to the same line before completion
-   waits for the remaining time rather than hitting instantly. [now] is a
-   plain int, -1 meaning "no timing context" (no adjustment), so the
-   per-access hot path allocates no option. *)
+   waits for the remaining time rather than hitting instantly. *)
 let with_pending_at ~pending ~pmax ~l1 ~now ~addr raw_latency =
-  if now < 0 then raw_latency
+  let hit_lat = (Cache.cfg l1).Cache.hit_latency in
+  if raw_latency > hit_lat then begin
+    let line = Cache.line_index l1 ~addr in
+    Hashtbl.replace pending line (now + raw_latency);
+    if now + raw_latency > !pmax then pmax := now + raw_latency;
+    raw_latency
+  end
+  else if now >= !pmax then begin
+    (* Every registered fill has completed: all entries are stale, so
+       skip the lookup. Empty the table once so it stays small. *)
+    if Hashtbl.length pending > 0 then Hashtbl.reset pending;
+    raw_latency
+  end
   else begin
-    let hit_lat = (Cache.cfg l1).Cache.hit_latency in
-    if raw_latency > hit_lat then begin
-      let line = Cache.line_index l1 ~addr in
-      Hashtbl.replace pending line (now + raw_latency);
-      if now + raw_latency > !pmax then pmax := now + raw_latency;
-      raw_latency
-    end
-    else if now >= !pmax then begin
-      (* Every registered fill has completed: all entries are stale, so
-         skip the lookup. Empty the table once so it stays small. *)
-      if Hashtbl.length pending > 0 then Hashtbl.reset pending;
-      raw_latency
-    end
-    else begin
-      let line = Cache.line_index l1 ~addr in
-      match Hashtbl.find_opt pending line with
-      | Some ready when ready > now -> ready - now
-      | Some _ ->
-          Hashtbl.remove pending line;
-          raw_latency
-      | None -> raw_latency
-    end
+    let line = Cache.line_index l1 ~addr in
+    match Hashtbl.find_opt pending line with
+    | Some ready when ready > now -> ready - now
+    | Some _ ->
+        Hashtbl.remove pending line;
+        raw_latency
+    | None -> raw_latency
   end
 
 let l1i_path t ~now ~addr =
@@ -137,19 +135,13 @@ let fetch_at t ~now ~addr =
   | Some l0 -> (
       match Cache.access l0 ~addr ~write:false with
       | Cache.Hit -> tlb + (Cache.cfg l0).Cache.hit_latency
-      | Cache.Miss _ -> tlb + (Cache.cfg l0).Cache.hit_latency + l1i_path t ~now ~addr)
+      | Miss | Miss_dirty -> tlb + (Cache.cfg l0).Cache.hit_latency + l1i_path t ~now ~addr)
 
 let data_at t ~now ~addr ~write =
   let tlb = tlb_latency t ~addr ~tlb:t.dtlb in
   let raw = through_l2 t ~addr ~write ~l1:t.l1d in
   let access = with_pending_at ~pending:t.pending_d ~pmax:t.pmax_d ~l1:t.l1d ~now ~addr raw in
   if write then 1 + tlb else tlb + access
-
-let fetch t ?now ~addr () =
-  fetch_at t ~now:(match now with None -> -1 | Some n -> n) ~addr
-
-let data t ?now ~addr ~write () =
-  data_at t ~now:(match now with None -> -1 | Some n -> n) ~addr ~write
 
 let l0i t = t.l0i
 let l1i t = t.l1i

@@ -35,22 +35,16 @@ val create : config -> t
 val cfg : t -> config
 
 val fetch_at : t -> now:int -> addr:int -> int
-(** Allocation-free {!fetch}: [now] is a plain cycle number, -1 meaning
-    "no timing context" (pending-fill adjustment disabled). *)
-
-val data_at : t -> now:int -> addr:int -> write:bool -> int
-(** Allocation-free {!data}; [now] as in {!fetch_at}. *)
-
-val fetch : t -> ?now:int -> addr:int -> unit -> int
-(** Latency in cycles of an instruction fetch at [addr] (ITLB + L1I + L2 +
-    DRAM as needed). When [now] is supplied, in-flight line fills are
+(** Latency in cycles of an instruction fetch at [addr] issued in cycle
+    [now] (ITLB + L1I + L2 + DRAM as needed). In-flight line fills are
     modelled (MSHR-style): an access to a line whose fill is still pending
     waits for the remaining fill time instead of hitting instantly. *)
 
-val data : t -> ?now:int -> addr:int -> write:bool -> unit -> int
-(** Latency in cycles of a data access. Writes that miss allocate; their
-    reported latency is 1 (write buffer), but the line fill still occurs
-    and is charged to the counters. [now] as in {!fetch}. *)
+val data_at : t -> now:int -> addr:int -> write:bool -> int
+(** Latency in cycles of a data access issued in cycle [now]. Writes that
+    miss allocate; their reported latency is 1 (write buffer), but the
+    line fill still occurs and is charged to the counters. Pending fills
+    as in {!fetch_at}. *)
 
 val l0i : t -> Cache.t option
 val l1i : t -> Cache.t

@@ -154,7 +154,6 @@ let observe h v =
   h.n <- h.n + 1
 
 let histogram_count h = h.n
-let histogram_sum h = h.sum
 
 (* ------------------------------------------------------------------ *)
 (* Snapshots                                                           *)

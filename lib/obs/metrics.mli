@@ -64,7 +64,6 @@ val observe : histogram -> float -> unit
     bucket — or in the overflow bucket beyond the last bound. *)
 
 val histogram_count : histogram -> int
-val histogram_sum : histogram -> float
 
 (** {1 Snapshots} *)
 

@@ -70,7 +70,6 @@ let entry t idx = t.entries.(idx)
 let value_f t idx = t.value_f.(idx)
 let set_value_f t idx v = t.value_f.(idx) <- v
 let head t = t.head
-let head_entry t = if is_empty t then None else Some t.entries.(t.head)
 
 let pop_head t =
   if is_empty t then failwith "Rob.pop_head: empty";

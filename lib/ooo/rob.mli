@@ -55,8 +55,6 @@ val set_value_f : t -> int -> float -> unit
 val head : t -> int
 (** Index of the oldest entry. Meaningless when empty. *)
 
-val head_entry : t -> entry option
-
 val pop_head : t -> unit
 (** Retire the oldest entry. *)
 

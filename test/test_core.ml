@@ -309,6 +309,126 @@ let test_processor_reuse_iq_sizes () =
     (fun size -> ignore (run_both ~cfg:(Config.with_iq_size Config.reuse size) loop_src))
     [ 8; 16; 32; 256 ]
 
+(* ---- One program per execute arm and load extension ---- *)
+
+(* Every arm of the core's execute stage and load path, each in a short
+   loop run on the interpreter and on the core under both configurations.
+   Operands carry the high bit ([r2], [r3], [r14], the negative floats and
+   data bytes), so a swapped signed/unsigned or logical/arithmetic arm
+   changes a result. The kernels and the fuzz generator never emit [nor],
+   [srlv], [srav] or [sltiu]; this is the only test that runs them on the
+   core. *)
+let arm_prologue = {|
+.word wsrc 0x80FF7F81 0x7F80FF01
+.float fsrc -2.5 0.75 -0.0 1e30
+.space buf 32
+    li r2, 0x80000005
+    li r3, 0xFFFFFFF3
+    li r10, 0x7FFFFFF0
+    li r14, 0x80000000
+    li r15, -1
+    la r8, wsrc
+    la r11, buf
+    la r12, fsrc
+    l.s f2, 0(r12)
+    l.s f3, 4(r12)
+    l.s f4, 8(r12)
+    l.s f5, 12(r12)
+    li r9, 40
+loop:
+|}
+
+let arm_epilogue = {|
+    addi r9, r9, -1
+    bgtz r9, loop
+    halt
+fn:
+    addi r5, r5, 3
+    jr r31
+fn2:
+    addi r6, r6, 7
+    jr r13
+|}
+
+let lines l = String.concat "\n" l
+
+(* [op] applied to each operand list, into r4, r5, ... (or f6, f7, ...). *)
+let apply ?(dst = "r") op operands =
+  let first = if dst = "r" then 4 else 6 in
+  lines
+    (List.mapi (fun i args -> Printf.sprintf "    %s %s%d, %s" op dst (first + i) args) operands)
+
+(* One branch per operand list, each skipping an increment of its own
+   counter, so taken and not-taken both leave a mark. *)
+let branches cond operands =
+  lines
+    (List.mapi
+       (fun i args ->
+         Printf.sprintf "    %s %s, skip%d\n    addi r%d, r%d, 1\nskip%d:" cond args i (4 + i)
+           (4 + i) i)
+       operands)
+
+(* A load and store pair at [off] in [buf]: the first load reads what the
+   previous iteration stored, the second is forwarded from the store just
+   before it; then the load reads the initial data at each of [data]. *)
+let load_store load store off data =
+  ( load ^ "/" ^ store,
+    lines
+      ([
+         Printf.sprintf "    %s r4, %d(r11)" load off;
+         Printf.sprintf "    %s r3, %d(r11)" store off;
+         Printf.sprintf "    %s r5, %d(r11)" load off;
+       ]
+      @ List.mapi (fun i d -> Printf.sprintf "    %s r%d, %d(r8)" load (16 + i) d) data) )
+
+let execute_arms =
+  let each ?dst ops operands = List.map (fun op -> (op, apply ?dst op operands)) ops in
+  each [ "add"; "sub"; "and"; "or"; "xor"; "nor"; "slt"; "sltu" ]
+    [ "r2, r3"; "r2, r10"; "r10, r2"; "r3, r3" ]
+  @ each [ "addi"; "slti"; "sltiu" ] [ "r2, -7"; "r3, -1"; "r10, -16"; "r2, 32767" ]
+  @ each [ "andi"; "ori"; "xori" ] [ "r2, 0xFFFF"; "r3, 0x8001"; "r10, 0x7F" ]
+  @ each [ "sll"; "srl"; "sra" ] [ "r2, 7"; "r3, 31"; "r10, 1"; "r14, 0" ]
+  @ each [ "sllv"; "srlv"; "srav" ] [ "r2, r3"; "r3, r2"; "r14, r2"; "r10, r15" ]
+  @ each [ "lui" ] [ "0x8001"; "0xFFFF"; "0x7FFF" ]
+  @ each [ "mul" ] [ "r2, r3"; "r2, r10"; "r14, r15" ]
+  @ each [ "div" ] [ "r2, r3"; "r10, r3"; "r2, r0"; "r14, r15" ]
+  @ each ~dst:"f" [ "fadd"; "fsub"; "fmul"; "fdiv" ] [ "f2, f3"; "f3, f2"; "f2, f4"; "f5, f5" ]
+  @ each ~dst:"f" [ "fsqrt"; "fneg"; "fabs"; "fmov" ] [ "f2"; "f3"; "f4"; "f5" ]
+  @ each [ "feq"; "flt"; "fle" ] [ "f2, f3"; "f3, f2"; "f2, f2"; "f4, f10" ]
+  @ each ~dst:"f" [ "cvtsw" ] [ "r2"; "r3"; "r10" ]
+  @ each [ "cvtws" ] [ "f2"; "f3"; "f4"; "f5" ]
+  @ List.map (fun c -> (c, branches c [ "r2, r2"; "r2, r3"; "r0, r0" ])) [ "beq"; "bne" ]
+  @ List.map (fun c -> (c, branches c [ "r2"; "r10"; "r0" ])) [ "blez"; "bgtz"; "bltz"; "bgez" ]
+  @ [
+      ("j", "    j over\n    addi r4, r4, 1\nover:");
+      ("jal", "    jal fn");
+      ("jr", "    la r7, over\n    jr r7\n    addi r4, r4, 1\nover:");
+      ("jalr", "    la r7, fn\n    jalr r31, r7\n    la r7, fn2\n    jalr r13, r7");
+      load_store "lw" "sw" 0 [ 0; 4 ];
+      load_store "lb" "sb" 1 [ 0; 1; 6 ];
+      load_store "lbu" "sb" 1 [ 0; 1; 6 ];
+      load_store "lh" "sh" 2 [ 0; 2; 4 ];
+      load_store "lhu" "sh" 2 [ 0; 2; 4 ];
+      ( "l.s/s.s",
+        "    l.s f7, 8(r11)\n    s.s f2, 8(r11)\n    l.s f6, 8(r11)\n    l.s f8, 12(r12)" );
+    ]
+
+(* Under reuse every loop reaches Code Reuse, so each arm also executes
+   from the reused queue. *)
+let test_execute_arms () =
+  List.iter
+    (fun (name, body) ->
+      let src = arm_prologue ^ body ^ arm_epilogue in
+      List.iter
+        (fun (cfg_name, cfg) ->
+          match run_both ~cfg src with
+          | _, p ->
+              if cfg.Config.reuse_enabled && (Processor.stats p).Processor.promotions = 0 then
+                Alcotest.failf "%s: the loop never reached Code Reuse" name
+          | exception e -> Alcotest.failf "%s (%s): %s" name cfg_name (Printexc.to_string e))
+        [ ("baseline", Config.baseline); ("reuse", Config.reuse) ])
+    execute_arms
+
 let suites =
   [
     ( "core",
@@ -335,6 +455,7 @@ let suites =
         Alcotest.test_case "fp kernel" `Quick test_processor_fp_kernel;
         Alcotest.test_case "stats consistency" `Quick test_processor_stats_consistency;
         Alcotest.test_case "reuse across queue sizes" `Quick test_processor_reuse_iq_sizes;
+        Alcotest.test_case "execute arms match the interpreter" `Quick test_execute_arms;
         QCheck_alcotest.to_alcotest prop_nblt_vs_model;
       ] );
   ]

@@ -168,29 +168,6 @@ let test_latency_classes () =
   Alcotest.(check bool) "fadd unit" true
     (Insn.fu (Insn.Fpu (Fadd, Reg.f 1, Reg.f 2, Reg.f 3)) = Insn.FU_fpalu)
 
-(* The accessors and Decoded.of_program read these tables, which hold
-   each code's representative; every instruction must share them. *)
-let prop_property_tables =
-  QCheck.Test.make ~name:"property tables match accessors" ~count:2000 arbitrary_insn
-    (fun insn ->
-      let c = Insn.code insn in
-      Insn.kind_table.(c) = Insn.kind_match insn
-      && Insn.fu_table.(c) = Insn.fu_match insn
-      && Insn.latency_table.(c) = Insn.latency_match insn
-      && Insn.pipelined_table.(c) = Insn.pipelined_match insn
-      &&
-      match Insn.kind_match insn with
-      | Insn.K_load | K_store -> Insn.access_bytes_table.(c) = Insn.access_bytes_match insn
-      | _ -> Insn.access_bytes_table.(c) = 0)
-
-let test_code_round_trip () =
-  for c = 0 to Insn.code_count - 1 do
-    Alcotest.(check int)
-      (Printf.sprintf "code %d" c)
-      c
-      (Insn.code (Insn.of_code c))
-  done
-
 let suites =
   [
     ( "isa",
@@ -207,7 +184,5 @@ let suites =
         QCheck_alcotest.to_alcotest prop_encode_decode;
         QCheck_alcotest.to_alcotest prop_encode_32bit;
         QCheck_alcotest.to_alcotest prop_dest_not_source_of_store;
-        Alcotest.test_case "code/of_code round-trip" `Quick test_code_round_trip;
-        QCheck_alcotest.to_alcotest prop_property_tables;
       ] );
   ]

@@ -79,11 +79,11 @@ let mk ?(sets = 4) ?(ways = 2) ?(line = 16) ?(lat = 1) () =
 let test_cache_hit_miss () =
   let c = mk () in
   (match Cache.access c ~addr:0x100 ~write:false with
-  | Cache.Miss _ -> ()
-  | Cache.Hit -> Alcotest.fail "cold access must miss");
+  | Cache.Miss -> ()
+  | Hit | Miss_dirty -> Alcotest.fail "cold access must miss cleanly");
   (match Cache.access c ~addr:0x104 ~write:false with
   | Cache.Hit -> ()
-  | Cache.Miss _ -> Alcotest.fail "same line must hit");
+  | Miss | Miss_dirty -> Alcotest.fail "same line must hit");
   Alcotest.(check int) "accesses" 2 (Cache.accesses c);
   Alcotest.(check int) "hits" 1 (Cache.hits c);
   Alcotest.(check int) "misses" 1 (Cache.misses c)
@@ -103,9 +103,9 @@ let test_cache_dirty_eviction () =
   let c = mk ~sets:1 ~ways:1 () in
   ignore (Cache.access c ~addr:0 ~write:true);
   (match Cache.access c ~addr:16 ~write:false with
-  | Cache.Miss { dirty_evict = true } -> ()
-  | Cache.Miss { dirty_evict = false } -> Alcotest.fail "expected dirty eviction"
-  | Cache.Hit -> Alcotest.fail "expected miss");
+  | Cache.Miss_dirty -> ()
+  | Miss -> Alcotest.fail "expected dirty eviction"
+  | Hit -> Alcotest.fail "expected miss");
   Alcotest.(check int) "dirty evictions" 1 (Cache.dirty_evictions c)
 
 let test_cache_flush () =
@@ -137,21 +137,21 @@ let test_cache_negative_addr_fallback () =
   Alcotest.(check int) "-16 is line -1" (-1) (Cache.line_index c ~addr:(-16));
   Alcotest.(check int) "-32 is line -2" (-2) (Cache.line_index c ~addr:(-32));
   (match Cache.access c ~addr:(-64) ~write:false with
-  | Cache.Miss _ -> ()
-  | Cache.Hit -> Alcotest.fail "cold negative access must miss");
+  | Cache.Miss | Miss_dirty -> ()
+  | Hit -> Alcotest.fail "cold negative access must miss");
   (match Cache.access c ~addr:(-64) ~write:false with
   | Cache.Hit -> ()
-  | Cache.Miss _ -> Alcotest.fail "negative line must be cacheable");
+  | Miss | Miss_dirty -> Alcotest.fail "negative line must be cacheable");
   (match Cache.access c ~addr:(-52) ~write:false with
-  | Cache.Miss _ -> ()
-  | Cache.Hit -> Alcotest.fail "-52 (line -3) must not alias -64 (line -4)");
+  | Cache.Miss | Miss_dirty -> ()
+  | Hit -> Alcotest.fail "-52 (line -3) must not alias -64 (line -4)");
   Alcotest.(check bool) "negative line probes back" true
     (Cache.probe c ~addr:(-64));
   (* The shared line 0: a negative access warms it for positive peers. *)
   ignore (Cache.access c ~addr:(-3) ~write:false);
   (match Cache.access c ~addr:8 ~write:false with
   | Cache.Hit -> ()
-  | Cache.Miss _ -> Alcotest.fail "-3 and 8 both live on line 0")
+  | Miss | Miss_dirty -> Alcotest.fail "-3 and 8 both live on line 0")
 
 (* qcheck: the cache hit/miss sequence matches a naive model with the same
    geometry (per-set LRU lists). *)
@@ -177,7 +177,11 @@ let prop_cache_vs_model =
       List.for_all
         (fun a ->
           let addr = a * 4 in
-          let hw = match Cache.access c ~addr ~write:false with Cache.Hit -> true | Cache.Miss _ -> false in
+          let hw =
+            match Cache.access c ~addr ~write:false with
+            | Cache.Hit -> true
+            | Miss | Miss_dirty -> false
+          in
           hw = m addr)
         addrs)
 
@@ -186,39 +190,39 @@ let prop_cache_vs_model =
 let test_hierarchy_latencies () =
   let h = Hierarchy.create Hierarchy.baseline in
   (* Cold access: ITLB miss + L1 miss + L2 miss + DRAM. *)
-  let cold = Hierarchy.fetch h ~addr:0x1000 () in
+  let cold = Hierarchy.fetch_at h ~now:0 ~addr:0x1000 in
   Alcotest.(check bool) "cold is slow" true (cold > 80);
-  let warm = Hierarchy.fetch h ~addr:0x1000 () in
+  (* Once the fill has completed, the same line is a plain L1 hit. *)
+  let warm = Hierarchy.fetch_at h ~now:(cold + 1) ~addr:0x1000 in
   Alcotest.(check int) "warm is L1 hit" 1 warm;
-  (* L1-evicted but L2-resident data returns in L2 time. *)
-  let d1 = Hierarchy.data h ~addr:0x10000 ~write:false () in
+  let d1 = Hierarchy.data_at h ~now:0 ~addr:0x10000 ~write:false in
   Alcotest.(check bool) "cold data" true (d1 > 80);
-  let d2 = Hierarchy.data h ~addr:0x10000 ~write:false () in
+  let d2 = Hierarchy.data_at h ~now:(d1 + 1) ~addr:0x10000 ~write:false in
   Alcotest.(check int) "warm data" 1 d2
 
 let test_hierarchy_write_buffer () =
   let h = Hierarchy.create Hierarchy.baseline in
-  ignore (Hierarchy.data h ~addr:0x2000 ~write:false ());
-  let w = Hierarchy.data h ~addr:0x2000 ~write:true () in
+  ignore (Hierarchy.data_at h ~now:0 ~addr:0x2000 ~write:false);
+  let w = Hierarchy.data_at h ~now:1 ~addr:0x2000 ~write:true in
   Alcotest.(check int) "write hits buffer" 1 w
 
 let test_hierarchy_pending_fill () =
   let h = Hierarchy.create Hierarchy.baseline in
-  let lat1 = Hierarchy.data h ~now:100 ~addr:0x5000 ~write:false () in
+  let lat1 = Hierarchy.data_at h ~now:100 ~addr:0x5000 ~write:false in
   Alcotest.(check bool) "miss" true (lat1 > 1);
   (* A second access to the same line 10 cycles later waits for the rest
      of the fill, not 1 cycle. The first access also paid a TLB-miss
      penalty, which is not part of the line fill. *)
   let tlb = Hierarchy.baseline.Hierarchy.tlb_miss_penalty in
-  let lat2 = Hierarchy.data h ~now:110 ~addr:0x5004 ~write:false () in
+  let lat2 = Hierarchy.data_at h ~now:110 ~addr:0x5004 ~write:false in
   Alcotest.(check int) "remaining fill time" (lat1 - tlb - 10) lat2;
   (* After the fill completes it is a plain hit. *)
-  let lat3 = Hierarchy.data h ~now:(100 + lat1 + 1) ~addr:0x5008 ~write:false () in
+  let lat3 = Hierarchy.data_at h ~now:(100 + lat1 + 1) ~addr:0x5008 ~write:false in
   Alcotest.(check int) "after fill" 1 lat3
 
 let test_hierarchy_counters () =
   let h = Hierarchy.create Hierarchy.baseline in
-  ignore (Hierarchy.data h ~addr:0x400000 ~write:false ());
+  ignore (Hierarchy.data_at h ~now:0 ~addr:0x400000 ~write:false);
   Alcotest.(check int) "dram fills" 1 (Hierarchy.mem_accesses h);
   Alcotest.(check int) "l1d accesses" 1 (Cache.accesses (Hierarchy.l1d h));
   Hierarchy.reset_stats h;
@@ -253,11 +257,11 @@ let test_hierarchy_dirty_writeback_reaches_l2 () =
   let h = Hierarchy.create Hierarchy.baseline in
   (* dirty a line, then evict it with 4 conflicting lines (4-way L1D):
      the write-back must appear as an extra L2 access *)
-  ignore (Hierarchy.data h ~addr:0x0 ~write:true ());
+  ignore (Hierarchy.data_at h ~now:0 ~addr:0x0 ~write:true);
   let l2_before = Cache.accesses (Hierarchy.l2 h) in
   let stride = 256 * 32 in
   for k = 1 to 4 do
-    ignore (Hierarchy.data h ~addr:(k * stride) ~write:false ())
+    ignore (Hierarchy.data_at h ~now:k ~addr:(k * stride) ~write:false)
   done;
   let l2_delta = Cache.accesses (Hierarchy.l2 h) - l2_before in
   (* 4 fills + 1 write-back *)
@@ -270,12 +274,13 @@ let test_l0_miss_penalty () =
         Some (Cache.config ~name:"il0" ~sets:16 ~ways:1 ~line_bytes:32 ~hit_latency:1) }
   in
   let h = Hierarchy.create cfg in
-  ignore (Hierarchy.fetch h ~addr:0x1000 ()); (* cold: fills L0 and L1 *)
-  let hit = Hierarchy.fetch h ~addr:0x1000 () in
+  (* Accesses 1000 cycles apart: every fill has completed by the next. *)
+  ignore (Hierarchy.fetch_at h ~now:0 ~addr:0x1000); (* cold: fills L0 and L1 *)
+  let hit = Hierarchy.fetch_at h ~now:1000 ~addr:0x1000 in
   Alcotest.(check int) "L0 hit is 1 cycle" 1 hit;
   (* evict the L0 line (direct-mapped, 16 sets): same set, different tag *)
-  ignore (Hierarchy.fetch h ~addr:(0x1000 + (16 * 32)) ());
-  let after_evict = Hierarchy.fetch h ~addr:0x1000 () in
+  ignore (Hierarchy.fetch_at h ~now:2000 ~addr:(0x1000 + (16 * 32)));
+  let after_evict = Hierarchy.fetch_at h ~now:3000 ~addr:0x1000 in
   (* L0 miss + L1 hit: 1 + 1 *)
   Alcotest.(check int) "L0 miss adds a cycle" 2 after_evict
 
