@@ -2,26 +2,27 @@
 
    The engine hands over its cache-missing job indices and their
    fingerprints; the client submits the fingerprints as one ticket,
-   supplies the bodies of the jobs the daemon says it needs, polls until
-   the outcomes are ready and replays them through [on_result]. A warm
-   daemon therefore costs one small submit, with no job on the wire. All
-   the serving leverage lives daemon-side (shared store, cross-client
+   supplies the bodies of the jobs the daemon says it needs, and replays
+   the outcomes that answer the last of the two through [on_result]. A
+   warm daemon therefore costs one small submit, with no job on the wire.
+   All the serving leverage lives daemon-side (shared store, cross-client
    batching, fair queue), so the client stays deliberately dumb: a
    blocking request/response socket with one reconnect-and-retry per
    request.
 
-   Per-request timeouts come from SO_RCVTIMEO on the socket. A submit is
-   safe to retry: a resubmitted batch just opens a fresh ticket whose
-   jobs are served from the store or coalesced onto the still-running
-   execution of the lost one. A supply is not: once applied, its indices
-   are no longer needed, so a retry after a lost reply is refused and the
-   batch's jobs come back to the engine unreported.
+   SO_RCVTIMEO bounds each reply by [request_timeout], except that of a
+   submit or supply, which may wait for simulations (the daemon's per-job
+   budget bounds it). A submit is safe to retry: a resubmitted batch just
+   opens a fresh ticket whose jobs are served from the store or coalesced
+   onto the still-running execution of the lost one. A supply is not: its
+   ticket died with the lost connection, so the batch's jobs come back to
+   the engine unreported.
 
-   Observability: the hello handshake carries the client's wall clock
-   and returns the daemon's, bracketed by the round trip, which gives a
-   clock-offset estimate good to about half the RTT — microseconds on a
-   Unix socket, plenty for aligning trace spans. With a [trace] sink the
-   client emits submit/await spans (wall-clock us, its own pid) and
+   Observability: the hello reply carries the daemon's wall clock,
+   bracketed by the round trip, which gives a clock-offset estimate good
+   to about half the RTT — microseconds on a Unix socket, plenty for
+   aligning trace spans. With a [trace] sink the client emits
+   submit/await spans (wall-clock us, its own pid) and
    {!server_trace} pulls the daemon's span ring already shifted onto the
    client's clock, so one merged file loads in Perfetto with every
    process on a common timeline. *)
@@ -50,9 +51,6 @@ let instruments_of registry =
       Metrics.histogram registry ~help:"Round-trip seconds per wire request"
         "client_request_seconds";
   }
-
-(* Pause between [result] polls while a ticket is pending. *)
-let poll_interval = 0.02
 
 type t = {
   address : Protocol.address;
@@ -101,12 +99,7 @@ let do_connect t =
   let t0 = Unix.gettimeofday () in
   Wire.send fd
     (Protocol.request_to_json
-       (Protocol.Hello
-          {
-            revision = Revision.stamp;
-            format = Revision.format_version;
-            t_client = Some t0;
-          }));
+       (Protocol.Hello { revision = Revision.stamp; format = Revision.format_version }));
   let resp = Wire.recv fd in
   let t1 = Unix.gettimeofday () in
   if not (Protocol.is_ok resp) then begin
@@ -142,7 +135,11 @@ let rec request ?(retried = false) t req =
   ensure_connected t;
   let fd = Option.get t.fd in
   let t0 = Unix.gettimeofday () in
+  let timeout =
+    match req with Protocol.Submit _ | Protocol.Supply _ -> 0. | _ -> t.request_timeout
+  in
   match
+    Unix.setsockopt_float fd Unix.SO_RCVTIMEO timeout;
     Wire.send fd (Protocol.request_to_json req);
     Wire.recv fd
   with
@@ -155,7 +152,7 @@ let rec request ?(retried = false) t req =
       resp
   | exception e ->
       disconnect t;
-      if retried then raise e
+      if retried || match req with Protocol.Supply _ -> true | _ -> false then raise e
       else begin
         t.c_reconnects <- t.c_reconnects + 1;
         (match t.ins with
@@ -210,14 +207,6 @@ let require name conv resp =
       raise
         (Wire.Protocol_error (Printf.sprintf "response missing field %S" name))
 
-let strings_of resp name =
-  List.map
-    (fun j ->
-      match Json.to_str j with
-      | Some s -> s
-      | None -> raise (Wire.Protocol_error ("non-string in " ^ name)))
-    (require name Json.to_list resp)
-
 (* ------------------------------------------------------------------ *)
 (* Metrics / trace ops                                                 *)
 (* ------------------------------------------------------------------ *)
@@ -231,14 +220,7 @@ let server_metrics t =
       | None -> Error "response missing field \"metrics\""
       | Some j -> Metrics.snapshot_of_json j)
 
-let server_exposition t =
-  match request t Protocol.Metrics with
-  | exception e -> Error (Printexc.to_string e)
-  | resp when not (Protocol.is_ok resp) -> Error (Protocol.error_of resp)
-  | resp -> (
-      match Option.bind (Json.member "exposition" resp) Json.to_str with
-      | None -> Error "response missing field \"exposition\""
-      | Some s -> Ok s)
+let server_exposition t = Result.map Metrics.to_prometheus (server_metrics t)
 
 (* Shift a daemon trace event's timestamp onto the client's clock. The
    events are plain Chrome-trace objects; only "ts" needs adjusting
@@ -284,10 +266,13 @@ let span t ~started name args k =
       r
 
 (* Submit the batch's fingerprints, then supply the jobs the daemon
-   lacks; returns the ticket. *)
+   lacks; returns the reply that carries the outcomes. *)
 let submit t (jobs : Job.t array) keys indices =
   let submitted = Array.of_list indices in
-  let checked what resp =
+  let sent = ref 0. in
+  let checked what req =
+    sent := Unix.gettimeofday ();
+    let resp = request t req in
     if not (Protocol.is_ok resp) then
       failwith (Printf.sprintf "riq-serve %s refused: %s" what (Protocol.error_of resp));
     resp
@@ -301,65 +286,48 @@ let submit t (jobs : Job.t array) keys indices =
           span_id
       in
       let keys = List.map (fun i -> keys.(i)) indices in
+      let resp = checked "submit" (Protocol.Submit { klass = t.klass; keys; trace }) in
       let resp =
-        checked "submit" (request t (Protocol.Submit { klass = t.klass; keys; trace }))
+        if Json.member "outcomes" resp <> None then resp
+        else
+          let ticket = require "ticket" Json.to_int resp in
+          let need =
+            List.map
+              (fun j ->
+                match Json.to_int j with
+                | Some k when k >= 0 && k < Array.length submitted -> k
+                | _ -> raise (Wire.Protocol_error "bad index in need"))
+              (require "need" Json.to_list resp)
+          in
+          let bodies = Array.of_list (List.map (fun k -> jobs.(submitted.(k))) need) in
+          checked "supply"
+            (Protocol.Supply
+               { ticket; indices = need; jobs = Protocol.jobs_to_wire bodies })
       in
-      let ticket = require "ticket" Json.to_int resp in
-      let need =
-        List.map
-          (fun j ->
-            match Json.to_int j with
-            | Some k when k >= 0 && k < Array.length submitted -> k
-            | _ -> raise (Wire.Protocol_error "bad index in need"))
-          (require "need" Json.to_list resp)
-      in
-      if need <> [] then begin
-        let bodies = Array.of_list (List.map (fun k -> jobs.(submitted.(k))) need) in
-        ignore
-          (checked "supply"
-             (request t
-                (Protocol.Supply
-                   { ticket; indices = need; jobs = Protocol.jobs_to_wire bodies })))
-      end;
-      ticket)
+      (* The held reply's wait: from its request to the outcomes. *)
+      span t ~started:!sent "await-results" [ ("trace_id", Tracer.Str t.trace_id) ]
+        ignore;
+      resp)
 
-(* One engine batch: submit and supply, poll to completion, fetch, replay. *)
+(* One engine batch: one exchange, then replay. Returns the worker
+   seconds of the jobs executed for it. *)
 let run_batch t (jobs : Job.t array) keys indices on_result =
-  let ticket = submit t jobs keys indices in
+  let resp = submit t jobs keys indices in
   t.c_submitted <- t.c_submitted + List.length indices;
-  let await_started = Unix.gettimeofday () in
-  let resp =
-    span t ~started:await_started "await-results"
-      [ ("ticket", Tracer.Int ticket); ("trace_id", Tracer.Str t.trace_id) ]
-      (fun _ ->
-        let rec wait () =
-          let resp = request t (Protocol.Result { ticket }) in
-          if Protocol.is_ok resp then resp
-          else if Protocol.error_of resp = "pending" then begin
-            (try ignore (Unix.select [] [] [] poll_interval) with _ -> ());
-            wait ()
-          end
-          else failwith ("riq-serve result refused: " ^ Protocol.error_of resp)
-        in
-        wait ())
-  in
-  let outcomes = List.map Protocol.outcome_of_wire (strings_of resp "outcomes") in
-  let sources =
-    List.map
-      (fun s ->
-        match Protocol.source_of_string s with
-        | Ok src -> src
-        | Error e -> raise (Wire.Protocol_error e))
-      (strings_of resp "sources")
-  in
-  let seconds =
+  let entries name conv =
     List.map
       (fun j ->
-        match Json.to_float_opt j with
-        | Some f -> f
-        | None -> raise (Wire.Protocol_error "non-number in seconds"))
-      (require "seconds" Json.to_list resp)
+        match conv j with
+        | Some v -> v
+        | None -> raise (Wire.Protocol_error ("bad entry in " ^ name)))
+      (require name Json.to_list resp)
   in
+  let outcomes =
+    entries "outcomes" (fun j -> Option.map Protocol.outcome_of_wire (Json.to_str j))
+  in
+  let parse_source s = Result.to_option (Protocol.source_of_string s) in
+  let sources = entries "sources" (fun j -> Option.bind (Json.to_str j) parse_source) in
+  let seconds = entries "seconds" Json.to_float_opt in
   if List.length outcomes <> List.length indices then
     raise (Wire.Protocol_error "result count mismatch");
   List.iter2
@@ -370,7 +338,10 @@ let run_batch t (jobs : Job.t array) keys indices on_result =
       | Protocol.Batched -> t.c_batched <- t.c_batched + 1);
       on_result i ~seconds:secs outcome)
     indices
-    (List.combine outcomes (List.combine sources seconds))
+    (List.combine outcomes (List.combine sources seconds));
+  List.fold_left2
+    (fun busy source secs -> if source = Protocol.Executed then busy +. secs else busy)
+    0. sources seconds
 
 let service_json t =
   let client =
@@ -397,9 +368,21 @@ let backend t =
     execute =
       (fun ~timeout:_ ~jobs ~keys ~indices ~on_result ->
         (* The daemon enforces its own per-job budget; a connection-level
-           failure surfaces as unreported indices, which the engine
-           records as [Worker_crashed]. *)
-        (try run_batch t jobs keys indices on_result
-         with _ -> disconnect t);
-        { Backend.busy_seconds = 0.; retries = 0 });
+           failure or a refusal is logged and surfaces as unreported
+           indices, which the engine records as [Worker_crashed]. *)
+        let busy_seconds =
+          try run_batch t jobs keys indices on_result
+          with e ->
+            Log.warn ~scope:"client"
+              ~kv:
+                [
+                  ("address", Protocol.address_to_string t.address);
+                  ("jobs", Log.int (List.length indices));
+                  ("error", Printexc.to_string e);
+                ]
+              "batch failed";
+            disconnect t;
+            0.
+        in
+        { Backend.busy_seconds; retries = 0 });
   }

@@ -1,10 +1,9 @@
 (** Client side of the serve protocol, packaged as an engine
     {!Riq_exp.Backend.t}: submit the fingerprints of the engine's
     cache-missing jobs as one ticket, supply the bodies the daemon lacks,
-    poll, fetch, replay through [on_result]. Connection loss is retried
-    once per request (a reopened ticket is served from the daemon's store
-    or coalesced onto the still-running execution; a supply whose reply
-    was lost is refused on retry, and its batch comes back unreported). *)
+    replay the outcomes that answer the last of the two through
+    [on_result]. A lost connection is retried once per submit; a supply's
+    ticket dies with its connection, so that batch comes back unreported. *)
 
 type t
 
@@ -17,8 +16,8 @@ val connect :
   t
 (** Connect and handshake ([hello] with this build's revision stamp).
     [klass] (default [Interactive]) is the daemon queue class for every
-    submit; a pending ticket is polled every 20 ms. [request_timeout]
-    (default 120 s) is SO_RCVTIMEO per request. With
+    submit. [request_timeout] (default 120 s) is SO_RCVTIMEO for every
+    reply but a submit's or supply's, which waits for its outcomes. With
     [metrics], the client registers [client_requests_total],
     [client_reconnects_total] and the [client_request_seconds] histogram.
     With [trace] (a caller-owned sink), submit/await spans are emitted in
@@ -31,7 +30,8 @@ val connect :
 val close : t -> unit
 
 val backend : t -> Riq_exp.Backend.t
-(** The engine backend. Its telemetry hook contributes a ["service"]
+(** The engine backend. Its busy time is the worker seconds of the jobs
+    executed for it, and its telemetry hook contributes a ["service"]
     block: client-side provenance counters (remote hits / executed /
     batched, reconnects, clock offset) plus a live snapshot of the
     daemon's stats (queue depths, batching fan-out, store size and
@@ -47,7 +47,7 @@ val server_metrics : t -> (Riq_obs.Metrics.snapshot, string) result
 (** One [metrics] round-trip: the daemon's metrics snapshot. *)
 
 val server_exposition : t -> (string, string) result
-(** Same scrape, rendered daemon-side as Prometheus text exposition. *)
+(** Same scrape, rendered as Prometheus text exposition. *)
 
 val server_trace : ?since:int -> t -> (Riq_util.Json.t list * int, string) result
 (** One [trace] round-trip: daemon/worker span events with global index

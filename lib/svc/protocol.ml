@@ -13,13 +13,13 @@
    Marshalled OCaml values (jobs, outcomes) are opaque to the protocol:
    they ride as hex strings and are only meaningful between binaries built
    from the same source revision, which is why every session opens with a
-   [hello] carrying the revision stamp and cache format version — a
-   mismatched peer is rejected before any payload is decoded. *)
+   [hello] carrying the protocol, revision stamp and cache format version
+   — a mismatched peer is rejected before any payload is decoded. *)
 
 open Riq_util
 open Riq_exp
 
-let version = "riq-serve/2"
+let version = "riq-serve/3"
 
 type klass = Interactive | Batch
 
@@ -64,27 +64,22 @@ let trace_context_to_json { trace_id; parent_span } =
     [ ("trace_id", Json.String trace_id); ("parent_span", Json.Int parent_span) ]
 
 type request =
-  | Hello of { revision : string; format : int; t_client : float option }
+  | Hello of { revision : string; format : int }
   | Submit of { klass : klass; keys : string list; trace : trace_context option }
   | Supply of { ticket : int; indices : int list; jobs : string (* wire-encoded *) }
-  | Result of { ticket : int }
   | Stats
   | Metrics
   | Trace of { since : int }
 
 let request_to_json = function
-  | Hello { revision; format; t_client } ->
+  | Hello { revision; format } ->
       Json.Obj
-        ([
-           ("op", Json.String "hello");
-           ("protocol", Json.String version);
-           ("revision", Json.String revision);
-           ("format", Json.Int format);
-         ]
-        @
-        match t_client with
-        | None -> []
-        | Some t -> [ ("t_client", Json.Float t) ])
+        [
+          ("op", Json.String "hello");
+          ("protocol", Json.String version);
+          ("revision", Json.String revision);
+          ("format", Json.Int format);
+        ]
   | Submit { klass; keys; trace } ->
       Json.Obj
         ([
@@ -104,8 +99,6 @@ let request_to_json = function
           ("indices", Json.List (List.map (fun i -> Json.Int i) indices));
           ("jobs", Json.String jobs);
         ]
-  | Result { ticket } ->
-      Json.Obj [ ("op", Json.String "result"); ("ticket", Json.Int ticket) ]
   | Stats -> Json.Obj [ ("op", Json.String "stats") ]
   | Metrics -> Json.Obj [ ("op", Json.String "metrics") ]
   | Trace { since } ->
@@ -117,14 +110,6 @@ let field name conv j =
   | None -> Error (Printf.sprintf "missing or ill-typed field %S" name)
 
 let ( let* ) = Result.bind
-
-(* Optional numeric fields tolerate Int (Json parses whole floats back as
-   ints) and absence — older peers simply don't send them. *)
-let opt_float name j =
-  match Json.member name j with
-  | Some (Json.Float f) -> Some f
-  | Some (Json.Int i) -> Some (float_of_int i)
-  | _ -> None
 
 (* Every element of the list field [name], converted by [conv]. *)
 let list_field name conv what j =
@@ -159,9 +144,13 @@ let request_of_json j : (request, string) result =
   let* op = field "op" Json.to_str j in
   match op with
   | "hello" ->
-      let* revision = field "revision" Json.to_str j in
-      let* format = field "format" Json.to_int j in
-      Ok (Hello { revision; format; t_client = opt_float "t_client" j })
+      let* protocol = field "protocol" Json.to_str j in
+      if protocol <> version then
+        Error (Printf.sprintf "protocol mismatch: daemon %s, client %s" version protocol)
+      else
+        let* revision = field "revision" Json.to_str j in
+        let* format = field "format" Json.to_int j in
+        Ok (Hello { revision; format })
   | "submit" ->
       let* klass_s = field "class" Json.to_str j in
       let* klass = klass_of_string klass_s in
@@ -173,9 +162,6 @@ let request_of_json j : (request, string) result =
       let* indices = list_field "indices" Json.to_int "non-integer entry" j in
       let* jobs = field "jobs" Json.to_str j in
       Ok (Supply { ticket; indices; jobs })
-  | "result" ->
-      let* ticket = field "ticket" Json.to_int j in
-      Ok (Result { ticket })
   | "stats" -> Ok Stats
   | "metrics" -> Ok Metrics
   | "trace" ->

@@ -1,19 +1,22 @@
 (** Message shapes of the serve daemon's wire protocol (framing lives in
-    {!Wire}). A session opens with [hello] carrying the simulator
-    revision stamp and cache format version; the daemon rejects a
-    mismatched peer before decoding any marshalled payload, so the opaque
-    hex-encoded jobs/outcomes only ever travel between binaries that
-    agree on their layout.
+    {!Wire}). A session opens with [hello] carrying the protocol
+    {!version}, simulator revision stamp and cache format version; the
+    daemon rejects a mismatched peer before decoding any marshalled
+    payload, so the opaque hex-encoded jobs/outcomes only ever travel
+    between binaries that agree on their layout.
 
     Submission is content-addressed: [submit] carries fingerprints only,
     the reply names the indices the daemon still [need]s (neither stored
     nor running), and [supply] carries just those jobs. The daemon
     re-fingerprints each supplied job and refuses a body whose key
-    differs from the one submitted at its index. *)
+    differs from the one submitted at its index. The request that leaves
+    a ticket needing no more bodies is answered once the ticket
+    completes, with [{ticket, outcomes, sources, seconds}]. *)
 
 open Riq_exp
 
 val version : string
+(** ["riq-serve/3"]. {!request_of_json} refuses a [hello] of any other. *)
 
 type klass = Interactive | Batch
 (** The two queue classes: interactive sweeps ahead of nightly fuzz
@@ -47,23 +50,17 @@ type trace_context = { trace_id : string; parent_span : int }
     worker-side spans can be merged into the client's Perfetto trace. *)
 
 type request =
-  | Hello of { revision : string; format : int; t_client : float option }
-      (** [t_client] is the client's wall clock ([Unix.gettimeofday]) at
-          send time; the daemon echoes its own in the reply so the client
-          can estimate the clock offset and align merged trace
-          timestamps. Absent from older clients. *)
+  | Hello of { revision : string; format : int }
   | Submit of { klass : klass; keys : string list; trace : trace_context option }
       (** [keys] are {!Job.fingerprint}s; the parser accepts only 32
           lowercase hex digits. The reply carries the [ticket] and the
           [need] list: indices into [keys] whose bodies must be supplied. *)
   | Supply of { ticket : int; indices : int list; jobs : string }
       (** The bodies of needed indices of [ticket], in [indices] order,
-          as {!jobs_to_wire} of one array. *)
-  | Result of { ticket : int }
+          as {!jobs_to_wire} of one array; only the submitting connection
+          may supply [ticket]. *)
   | Stats
-  | Metrics
-      (** The daemon's metrics snapshot, as riq-metrics/1 JSON plus
-          rendered Prometheus exposition. *)
+  | Metrics  (** The daemon's metrics snapshot, as riq-metrics/1 JSON. *)
   | Trace of { since : int }
       (** Daemon/worker trace events with global index [>= since];
           clients poll incrementally with the returned cursor. *)

@@ -6,7 +6,7 @@
    pipes of the resident forked workers ({!Riq_exp.Workers}, the pool the
    local fork backend runs on too). Nothing in the loop blocks on
    simulation: jobs travel to workers over pipes and come back as
-   (seconds, outcome) records, so result/stats requests stay responsive
+   (seconds, outcome) records, so other connections stay responsive
    while a sweep grinds.
 
    Scheduling. A submit names jobs by {!Riq_exp.Job.fingerprint} only.
@@ -26,14 +26,21 @@
    classes are waiting, so a nightly fuzz campaign can never starve an
    interactive sweep nor be starved by one.
 
+   Held replies. A ticket belongs to the connection that submitted it.
+   The request that leaves it needing no more bodies is answered when it
+   completes, with its outcomes; until then that connection is not read,
+   so its replies stay in request order. Sending the outcomes, or the
+   connection closing, frees the ticket; its queued and running jobs
+   still finish and fill the store.
+
    Failure containment is the worker pool's: a worker that dies mid-job
    gets the job retried once on a fresh worker; a worker that exceeds the
    per-job timeout is SIGKILLed and the job is answered [Job_timeout];
    replacements are forked on demand.
 
    SIGTERM/SIGINT starts a graceful drain: the listening socket closes,
-   new submits are refused, queued and in-flight jobs run to completion
-   (connected clients can still poll for and fetch results), then the
+   new submits and supplies are refused, queued and in-flight jobs run to
+   completion and held replies go out as their tickets complete, then the
    workers are shut down over their pipes, reaped, and the socket file is
    unlinked. No orphaned processes, no stale lockfiles: the store lock is
    only ever held across a bounded maintenance walk. *)
@@ -92,7 +99,16 @@ type pending = {
   mutable p_waiters : waiter list; (* reverse submission order *)
 }
 
+type conn = {
+  c_fd : Unix.file_descr;
+  c_buf : Buffer.t;
+  mutable c_hello : bool;
+  mutable c_last_read : float; (* wall clock of the last bytes received *)
+  mutable c_held : int option; (* the ticket whose outcomes are its held reply *)
+}
+
 type ticket = {
+  t_conn : conn; (* the submitting connection, its only owner *)
   t_total : int;
   t_klass : Protocol.klass;
   t_trace : Protocol.trace_context option;
@@ -102,13 +118,6 @@ type ticket = {
   t_sources : Protocol.source array;
   t_seconds : float array;
   mutable t_done : int;
-}
-
-type conn = {
-  c_fd : Unix.file_descr;
-  c_buf : Buffer.t;
-  mutable c_hello : bool;
-  mutable c_last_read : float; (* wall clock of the last bytes received *)
 }
 
 (* The daemon's own instruments, registered against cfg.metrics (which
@@ -160,7 +169,7 @@ let instruments_of registry =
     i_inflight = gauge ~help:"Jobs currently on a worker" "serve_inflight";
     i_workers = gauge ~help:"Resident worker processes" "serve_workers";
     i_connections = gauge ~help:"Open client connections" "serve_connections";
-    i_tickets = gauge ~help:"Tickets awaiting fetch" "serve_tickets_open";
+    i_tickets = gauge ~help:"Tickets not yet answered" "serve_tickets_open";
     i_uptime = gauge ~help:"Daemon uptime in seconds" "serve_uptime_seconds";
     i_wait_interactive =
       Metrics.histogram registry ~help:wait_help
@@ -184,17 +193,13 @@ type t = {
   q_interactive : string Queue.t;
   q_batch : string Queue.t;
   tickets : (int, ticket) Hashtbl.t;
+  complete : int Queue.t; (* tickets whose held reply can go out *)
   mutable next_ticket : int;
   mutable since_batch : int; (* interactive dispatches since a batch one *)
   mutable draining : bool;
   started : float;
   mutable last_dump : float; (* last --metrics-out write *)
-  (* counters *)
-  mutable n_submitted : int;
-  mutable n_supplied : int;
-  mutable n_hits : int;
-  mutable n_executed : int;
-  mutable n_batched : int;
+  (* counters the registry does not keep *)
   mutable n_batch_jobs : int; (* waiters fanned out per execution, summed *)
   mutable n_max_batch : int;
   mutable n_max_queue : int;
@@ -263,13 +268,15 @@ let close_listener t =
 
 let deliver_to_ticket t ~ticket ~index ~source ~seconds outcome =
   match Hashtbl.find_opt t.tickets ticket with
-  | None -> () (* ticket already dropped (drain) *)
+  | None -> () (* freed with its connection *)
   | Some tk ->
       if tk.t_outcomes.(index) = None then begin
         tk.t_outcomes.(index) <- Some outcome;
         tk.t_sources.(index) <- source;
         tk.t_seconds.(index) <- seconds;
-        tk.t_done <- tk.t_done + 1
+        tk.t_done <- tk.t_done + 1;
+        if tk.t_done = tk.t_total && tk.t_conn.c_held = Some ticket then
+          Queue.push ticket t.complete
       end
 
 let resolve_pending t fp ~seconds (outcome : Outcome.t) =
@@ -344,7 +351,6 @@ let rec fill_workers t =
    to its waiters. *)
 let finish t (f : string Workers.finished) =
   Cache.store t.cfg.store f.key f.outcome;
-  t.n_executed <- t.n_executed + 1;
   Metrics.inc t.ins.i_executed;
   Metrics.observe t.ins.i_simulate f.seconds;
   (match Hashtbl.find_opt t.pending f.key with
@@ -359,6 +365,8 @@ let finish t (f : string Workers.finished) =
 (* ------------------------------------------------------------------ *)
 
 let stats_json t =
+  let n counter = Metrics.counter_value counter in
+  let ins = t.ins in
   Json.Obj
     [
       ("server", Json.String Protocol.version);
@@ -368,12 +376,12 @@ let stats_json t =
       ("workers", Json.Int t.cfg.workers);
       ("draining", Json.Bool t.draining);
       ("requests", Json.Int t.n_requests);
-      ("submitted", Json.Int t.n_submitted);
-      ("supplied", Json.Int t.n_supplied);
-      ("hits", Json.Int t.n_hits);
-      ("misses", Json.Int (t.n_submitted - t.n_hits - t.n_batched));
-      ("executed", Json.Int t.n_executed);
-      ("batched", Json.Int t.n_batched);
+      ("submitted", Json.Int (n ins.i_submitted));
+      ("supplied", Json.Int (n ins.i_supplied));
+      ("hits", Json.Int (n ins.i_store_hits));
+      ("misses", Json.Int (n ins.i_submitted - n ins.i_store_hits - n ins.i_batched));
+      ("executed", Json.Int (n ins.i_executed));
+      ("batched", Json.Int (n ins.i_batched));
       ("retries", Json.Int (Workers.retries t.workers));
       ("timeouts", Json.Int (Workers.timeouts t.workers));
       ("queue_interactive", Json.Int (Queue.length t.q_interactive));
@@ -384,7 +392,7 @@ let stats_json t =
       ( "batch",
         Json.Obj
           [
-            ("executions", Json.Int t.n_executed);
+            ("executions", Json.Int (n ins.i_executed));
             ("jobs_fanned_out", Json.Int t.n_batch_jobs);
             ("max_fanout", Json.Int t.n_max_batch);
           ] );
@@ -397,7 +405,6 @@ let stats_json t =
 let resolve t ~id ~index fp =
   match Cache.find t.cfg.store fp with
   | Some outcome ->
-      t.n_hits <- t.n_hits + 1;
       Metrics.inc t.ins.i_store_hits;
       deliver_to_ticket t ~ticket:id ~index ~source:Protocol.Hit ~seconds:0. outcome;
       true
@@ -406,7 +413,6 @@ let resolve t ~id ~index fp =
       | Some p ->
           (* Same fingerprint already queued or running (possibly for
              another client): coalesce. *)
-          t.n_batched <- t.n_batched + 1;
           Metrics.inc t.ins.i_batched;
           p.p_waiters <-
             { wt_ticket = id; wt_index = index; wt_source = Protocol.Batched }
@@ -434,8 +440,27 @@ let enqueue t ~id ~index tk fp job =
   fill_workers t;
   if queue_depth t > t.n_max_queue then t.n_max_queue <- queue_depth t
 
-let handle_submit t ~klass ~trace ~keys =
-  if t.draining then Protocol.error "draining: daemon is shutting down"
+(* A complete ticket's answer: each job's outcome, source and seconds. *)
+let outcomes_reply id tk =
+  let list f a = Json.List (Array.to_list (Array.map f a)) in
+  let wire o = Json.String (Protocol.outcome_to_wire (Option.get o)) in
+  Protocol.ok
+    [
+      ("ticket", Json.Int id);
+      ("outcomes", list wire tk.t_outcomes);
+      ("sources", list (fun s -> Json.String (Protocol.source_to_string s)) tk.t_sources);
+      ("seconds", list (fun s -> Json.Float s) tk.t_seconds);
+    ]
+
+(* The request that leaves ticket [id] needing no more bodies is answered
+   with its outcomes once it completes; until then [conn] is not read. *)
+let hold t conn id tk =
+  conn.c_held <- Some id;
+  if tk.t_done = tk.t_total then Queue.push id t.complete;
+  None
+
+let handle_submit t conn ~klass ~trace ~keys =
+  if t.draining then Some (Protocol.error "draining: daemon is shutting down")
   else begin
     let keys = Array.of_list keys in
     let total = Array.length keys in
@@ -443,6 +468,7 @@ let handle_submit t ~klass ~trace ~keys =
     t.next_ticket <- id + 1;
     let tk =
       {
+        t_conn = conn;
         t_total = total;
         t_klass = klass;
         t_trace = trace;
@@ -457,27 +483,31 @@ let handle_submit t ~klass ~trace ~keys =
     Hashtbl.replace t.tickets id tk;
     Array.iteri
       (fun index fp ->
-        t.n_submitted <- t.n_submitted + 1;
         Metrics.inc t.ins.i_submitted;
         if not (resolve t ~id ~index fp) then tk.t_need.(index) <- true)
       keys;
-    let need = List.filter (fun i -> tk.t_need.(i)) (List.init total Fun.id) in
-    Protocol.ok
-      [
-        ("ticket", Json.Int id);
-        ("jobs", Json.Int total);
-        ("done", Json.Int tk.t_done);
-        ("need", Json.List (List.map (fun i -> Json.Int i) need));
-      ]
+    match List.filter (fun i -> tk.t_need.(i)) (List.init total Fun.id) with
+    | [] -> hold t conn id tk
+    | need ->
+        Some
+          (Protocol.ok
+             [
+               ("ticket", Json.Int id);
+               ("jobs", Json.Int total);
+               ("done", Json.Int tk.t_done);
+               ("need", Json.List (List.map (fun i -> Json.Int i) need));
+             ])
   end
 
-(* Nothing of a supply is used until all of it checks out: each index is
-   one the ticket still needs, listed once, with one body each, and each
-   body fingerprints to the key submitted at its index. *)
-let handle_supply t ~ticket ~indices ~jobs =
+(* Nothing of a supply is used until all of it checks out: the ticket is
+   this connection's, each index one it still needs, listed once, with one
+   body each, and each body fingerprints to the key submitted at its index. *)
+let handle_supply t conn ~ticket ~indices ~jobs =
+  let error msg = Some (Protocol.error msg) in
   match Hashtbl.find_opt t.tickets ticket with
-  | None -> Protocol.error "unknown ticket"
-  | Some _ when t.draining -> Protocol.error "draining: daemon is shutting down"
+  | None -> error "unknown ticket"
+  | Some tk when tk.t_conn != conn -> error "unknown ticket"
+  | Some _ when t.draining -> error "draining: daemon is shutting down"
   | Some tk -> (
       let indices = Array.of_list indices in
       let n = Array.length indices in
@@ -493,46 +523,48 @@ let handle_supply t ~ticket ~indices ~jobs =
           indices
       in
       match unwanted with
-      | Some i -> Protocol.error (Printf.sprintf "index %d is not awaiting a body" i)
+      | Some i -> error (Printf.sprintf "index %d is not awaiting a body" i)
       | None -> (
           match Protocol.jobs_of_wire jobs with
-          | exception _ -> Protocol.error "undecodable job payload"
+          | exception _ -> error "undecodable job payload"
           | bodies when Array.length bodies <> n ->
-              Protocol.error
+              error
                 (Printf.sprintf "%d job bodies for %d indices" (Array.length bodies) n)
           | bodies -> (
               let fps = Job.fingerprints bodies in
               let forged k = fps.(k) <> tk.t_keys.(indices.(k)) in
               match List.find_opt forged (List.init n Fun.id) with
               | Some k ->
-                  Protocol.error
+                  error
                     (Printf.sprintf "job body for index %d does not match its submitted key"
                        indices.(k))
               | None ->
                   Array.iteri
                     (fun k index ->
                       tk.t_need.(index) <- false;
-                      t.n_supplied <- t.n_supplied + 1;
                       Metrics.inc t.ins.i_supplied;
                       if not (resolve t ~id:ticket ~index fps.(k)) then
                         enqueue t ~id:ticket ~index tk fps.(k) bodies.(k))
                     indices;
-                  Protocol.ok
-                    [
-                      ("ticket", Json.Int ticket);
-                      ("supplied", Json.Int n);
-                      ("done", Json.Int tk.t_done);
-                    ])))
+                  if Array.mem true tk.t_need then
+                    Some
+                      (Protocol.ok
+                         [
+                           ("ticket", Json.Int ticket);
+                           ("supplied", Json.Int n);
+                           ("done", Json.Int tk.t_done);
+                         ])
+                  else hold t conn ticket tk)))
 
 let op_name = function
   | Protocol.Hello _ -> "hello"
   | Protocol.Submit _ -> "submit"
   | Protocol.Supply _ -> "supply"
-  | Protocol.Result _ -> "result"
   | Protocol.Stats -> "stats"
   | Protocol.Metrics -> "metrics"
   | Protocol.Trace _ -> "trace"
 
+(* The reply to [req], or [None] while it is held (see {!hold}). *)
 let handle_request t conn (req : Protocol.request) =
   t.n_requests <- t.n_requests + 1;
   Metrics.inc
@@ -540,73 +572,35 @@ let handle_request t conn (req : Protocol.request) =
        ~labels:[ ("op", op_name req) ]
        "serve_requests_total");
   match req with
-  | Protocol.Hello { revision; format; t_client = _ } ->
-      if revision <> Revision.stamp then
-        Protocol.error
-          (Printf.sprintf "revision mismatch: daemon %s, client %s" Revision.stamp
-             revision)
-      else if format <> Revision.format_version then
-        Protocol.error
-          (Printf.sprintf "format mismatch: daemon %d, client %d"
-             Revision.format_version format)
-      else begin
-        conn.c_hello <- true;
-        (* server_time lets the client estimate the clock offset (its
-           send/receive times bracket this read) and shift daemon trace
-           timestamps onto its own clock before merging. *)
-        Protocol.ok
-          [
-            ("server", Json.String Protocol.version);
-            ("workers", Json.Int t.cfg.workers);
-            ("server_time", Json.Float (Unix.gettimeofday ()));
-            ("pid", Json.Int (Unix.getpid ()));
-          ]
-      end
-  | _ when not conn.c_hello -> Protocol.error "hello required before any other op"
-  | Protocol.Submit { klass; keys; trace } -> handle_submit t ~klass ~trace ~keys
-  | Protocol.Supply { ticket; indices; jobs } -> handle_supply t ~ticket ~indices ~jobs
-  | Protocol.Result { ticket } -> (
-      match Hashtbl.find_opt t.tickets ticket with
-      | None -> Protocol.error "unknown ticket"
-      | Some tk ->
-          if tk.t_done < tk.t_total then
-            Json.Obj
-              [
-                ("ok", Json.Bool false);
-                ("error", Json.String "pending");
-                ("done", Json.Int tk.t_done);
-                ("total", Json.Int tk.t_total);
-              ]
-          else begin
-            Hashtbl.remove t.tickets ticket;
-            let outcome i =
-              match tk.t_outcomes.(i) with
-              | Some o -> o
-              | None -> Error (Outcome.Worker_crashed "lost during drain")
-            in
-            Protocol.ok
-              [
-                ( "outcomes",
-                  Json.List
-                    (List.init tk.t_total (fun i ->
-                         Json.String (Protocol.outcome_to_wire (outcome i)))) );
-                ( "sources",
-                  Json.List
-                    (List.init tk.t_total (fun i ->
-                         Json.String (Protocol.source_to_string tk.t_sources.(i)))) );
-                ( "seconds",
-                  Json.List
-                    (List.init tk.t_total (fun i -> Json.Float tk.t_seconds.(i))) );
-              ]
-          end)
-  | Protocol.Stats -> stats_json t
-  | Protocol.Metrics ->
-      let snap = snapshot t in
-      Protocol.ok
-        [
-          ("metrics", Metrics.to_json snap);
-          ("exposition", Json.String (Metrics.to_prometheus snap));
-        ]
+  | Protocol.Hello { revision; format } ->
+      Some
+        (if revision <> Revision.stamp then
+           Protocol.error
+             (Printf.sprintf "revision mismatch: daemon %s, client %s" Revision.stamp
+                revision)
+         else if format <> Revision.format_version then
+           Protocol.error
+             (Printf.sprintf "format mismatch: daemon %d, client %d"
+                Revision.format_version format)
+         else begin
+           conn.c_hello <- true;
+           (* server_time lets the client estimate the clock offset (its
+              send/receive times bracket this read) and shift daemon trace
+              timestamps onto its own clock before merging. *)
+           Protocol.ok
+             [
+               ("server", Json.String Protocol.version);
+               ("workers", Json.Int t.cfg.workers);
+               ("server_time", Json.Float (Unix.gettimeofday ()));
+               ("pid", Json.Int (Unix.getpid ()));
+             ]
+         end)
+  | _ when not conn.c_hello -> Some (Protocol.error "hello required before any other op")
+  | Protocol.Submit { klass; keys; trace } -> handle_submit t conn ~klass ~trace ~keys
+  | Protocol.Supply { ticket; indices; jobs } ->
+      handle_supply t conn ~ticket ~indices ~jobs
+  | Protocol.Stats -> Some (stats_json t)
+  | Protocol.Metrics -> Some (Protocol.ok [ ("metrics", Metrics.to_json (snapshot t)) ])
   | Protocol.Trace { since } ->
       (* Incremental read of the span ring: events carry a global index
          (recorded order); [since] is the client's cursor. Overwritten
@@ -617,21 +611,27 @@ let handle_request t conn (req : Protocol.request) =
       let fresh =
         List.filteri (fun i _ -> first + i >= since) events
       in
-      Protocol.ok
-        [
-          ("events", Json.List (List.map Tracer.event_json fresh));
-          ("next", Json.Int recorded);
-          ("dropped", Json.Int (max 0 (first - since)));
-          ("pid", Json.Int (Unix.getpid ()));
-        ]
+      Some
+        (Protocol.ok
+           [
+             ("events", Json.List (List.map Tracer.event_json fresh));
+             ("next", Json.Int recorded);
+             ("dropped", Json.Int (max 0 (first - since)));
+             ("pid", Json.Int (Unix.getpid ()));
+           ])
 
 (* ------------------------------------------------------------------ *)
 (* Client connections                                                  *)
 (* ------------------------------------------------------------------ *)
 
+(* Closing a connection frees its tickets. Their queued and running jobs
+   still finish and fill the store. *)
 let close_conn t conn =
   (try Unix.close conn.c_fd with _ -> ());
-  t.conns <- List.filter (fun c -> c.c_fd <> conn.c_fd) t.conns
+  t.conns <- List.filter (fun c -> c != conn) t.conns;
+  Hashtbl.filter_map_inplace
+    (fun _ tk -> if tk.t_conn == conn then None else Some tk)
+    t.tickets
 
 (* Peel complete frames off the connection's accumulation buffer and
    answer each; responses are written synchronously (they are small, and
@@ -641,7 +641,7 @@ let close_conn t conn =
 let rec service_conn_buffer t conn =
   let buf = conn.c_buf in
   let len = Buffer.length buf in
-  if len >= 4 then begin
+  if conn.c_held = None && len >= 4 then begin
     let frame_len = Int32.to_int (String.get_int32_be (Buffer.sub buf 0 4) 0) in
     if frame_len < 0 || frame_len > Wire.max_frame then begin
       (try Wire.send conn.c_fd (Protocol.error "bad frame length") with _ -> ());
@@ -654,17 +654,35 @@ let rec service_conn_buffer t conn =
       Buffer.add_string buf rest;
       let response =
         match Json.of_string frame with
-        | Error msg -> Protocol.error msg
+        | Error msg -> Some (Protocol.error msg)
         | Ok j -> (
             match Protocol.request_of_json j with
-            | Error msg -> Protocol.error msg
+            | Error msg -> Some (Protocol.error msg)
             | Ok req -> handle_request t conn req)
       in
-      match Wire.send conn.c_fd response with
-      | () -> service_conn_buffer t conn
-      | exception _ -> close_conn t conn
+      Option.iter (reply t conn) response
     end
   end
+
+and reply t conn response =
+  match Wire.send conn.c_fd response with
+  | () -> service_conn_buffer t conn
+  | exception _ -> close_conn t conn
+
+(* Send the held reply of every completed ticket. That frees the ticket
+   and lets its connection be read again, from the frames it buffered. *)
+let rec send_completed t =
+  match Queue.take_opt t.complete with
+  | None -> ()
+  | Some id ->
+      (match Hashtbl.find_opt t.tickets id with
+      | None -> () (* freed with its connection *)
+      | Some tk ->
+          Hashtbl.remove t.tickets id;
+          tk.t_conn.c_held <- None;
+          tk.t_conn.c_last_read <- Unix.gettimeofday ();
+          reply t tk.t_conn (outcomes_reply id tk));
+      send_completed t
 
 let conn_readable t conn =
   let chunk = Bytes.create 65536 in
@@ -677,8 +695,11 @@ let conn_readable t conn =
       Buffer.add_subbytes conn.c_buf chunk 0 n;
       service_conn_buffer t conn
 
-(* Complete frames never linger in a buffer, so a non-empty one holds a
-   half-sent frame. *)
+(* The connections being read: those with no reply held. *)
+let reading t = List.filter (fun c -> c.c_held = None) t.conns
+
+(* Complete frames linger in a buffer only behind a held reply, so a
+   connection being read with a non-empty buffer holds a half-sent frame. *)
 let close_stalled t =
   let now = Unix.gettimeofday () in
   List.iter
@@ -690,7 +711,7 @@ let close_stalled t =
           "closing a connection stalled mid-frame";
         close_conn t conn
       end)
-    t.conns
+    (reading t)
 
 (* ------------------------------------------------------------------ *)
 (* Main loop                                                           *)
@@ -763,16 +784,12 @@ let serve cfg =
       q_interactive = Queue.create ();
       q_batch = Queue.create ();
       tickets = Hashtbl.create 64;
+      complete = Queue.create ();
       next_ticket = 1;
       since_batch = 0;
       draining = false;
       started = Unix.gettimeofday ();
       last_dump = Unix.gettimeofday ();
-      n_submitted = 0;
-      n_supplied = 0;
-      n_hits = 0;
-      n_executed = 0;
-      n_batched = 0;
       n_batch_jobs = 0;
       n_max_batch = 0;
       n_max_queue = 0;
@@ -819,7 +836,7 @@ let serve cfg =
                 ("inflight", Log.int (Workers.busy t.workers));
               ]
             "drain requested";
-          (* Stop accepting new clients; existing ones keep polling. *)
+          (* Stop accepting new clients; held replies still go out. *)
           close_listener t;
           listener_open := false
         end;
@@ -829,7 +846,7 @@ let serve cfg =
           maybe_dump_metrics t;
           let read_fds =
             (if !listener_open then [ t.listen_fd ] else [])
-            @ List.map (fun c -> c.c_fd) t.conns
+            @ List.map (fun c -> c.c_fd) (reading t)
             @ Workers.fds t.workers
           in
           let select_timeout =
@@ -845,7 +862,8 @@ let serve cfg =
           List.iter (finish t) (Workers.collect t.workers readable);
           List.iter
             (fun conn -> if List.memq conn.c_fd readable then conn_readable t conn)
-            (List.filter (fun c -> List.memq c.c_fd readable) t.conns);
+            t.conns;
+          send_completed t;
           close_stalled t;
           if !listener_open && List.memq t.listen_fd readable then begin
             match Unix.accept t.listen_fd with
@@ -856,6 +874,7 @@ let serve cfg =
                     c_buf = Buffer.create 4096;
                     c_hello = false;
                     c_last_read = Unix.gettimeofday ();
+                    c_held = None;
                   }
                   :: t.conns
             | exception _ -> ()

@@ -9,13 +9,17 @@
     the client has supplied the body and it fingerprints to the submitted
     key, the two-class queue (interactive ahead of batch with a weighted
     round-robin that guarantees batch one dispatch in four when both
-    wait). A connection that stalls mid-frame for 5 s is closed. A
-    worker that dies mid-job gets the job retried once; one that exceeds
-    the per-job timeout is killed and the job answered [Job_timeout].
+    wait). A worker that dies mid-job gets the job retried once; one
+    that exceeds the per-job timeout is killed and the job answered
+    [Job_timeout].
 
-    SIGTERM/SIGINT drains gracefully: stop accepting, run queued and
-    in-flight jobs to completion (clients can still poll and fetch),
-    shut down and reap every worker, unlink the socket.
+    A ticket belongs to the connection that submitted it, and closing
+    that connection frees it. The request that leaves a ticket needing no
+    more bodies is answered with its outcomes once it completes; the
+    connection is not read meanwhile. Any other connection that stalls
+    mid-frame for 5 s is closed. SIGTERM/SIGINT drains gracefully: stop
+    accepting, run queued and in-flight jobs to completion (held replies
+    still go out), shut down and reap every worker, unlink the socket.
 
     Observability: the daemon instruments itself against [metrics]
     ([serve_*], among them [serve_supplied_total], the job bodies it

@@ -96,14 +96,7 @@ let test_frame_eof_is_closed () =
 let test_request_round_trip () =
   let reqs =
     [
-      Protocol.Hello
-        { revision = Revision.stamp; format = Revision.format_version; t_client = None };
-      Protocol.Hello
-        {
-          revision = Revision.stamp;
-          format = Revision.format_version;
-          t_client = Some 1723000000.25;
-        };
+      Protocol.Hello { revision = Revision.stamp; format = Revision.format_version };
       Protocol.Submit
         {
           klass = Protocol.Interactive;
@@ -117,7 +110,6 @@ let test_request_round_trip () =
           trace = Some { Protocol.trace_id = "42-00abcd"; parent_span = 3 };
         };
       Protocol.Supply { ticket = 7; indices = [ 0; 2 ]; jobs = "00ab" };
-      Protocol.Result { ticket = 0 };
       Protocol.Stats;
       Protocol.Metrics;
       Protocol.Trace { since = 12 };
@@ -131,6 +123,19 @@ let test_request_round_trip () =
     reqs;
   (match Protocol.request_of_json (Json.Obj [ ("op", Json.String "nonsense") ]) with
   | Ok _ -> Alcotest.fail "unknown op accepted"
+  | Error _ -> ());
+  (* A client of another protocol is refused at its hello. *)
+  (match
+     Protocol.request_of_json
+       (Json.Obj
+          [
+            ("op", Json.String "hello");
+            ("protocol", Json.String "riq-serve/2");
+            ("revision", Json.String Revision.stamp);
+            ("format", Json.Int Revision.format_version);
+          ])
+   with
+  | Ok _ -> Alcotest.fail "riq-serve/2 hello accepted"
   | Error _ -> ());
   (* A key names a store entry: anything but 32 lowercase hex digits is
      refused before the daemon sees it. *)
@@ -679,9 +684,7 @@ let test_daemon_queue_wait_excludes_hashing () =
 (* Daemon faults, driven over raw connections                          *)
 (* ------------------------------------------------------------------ *)
 
-let hello =
-  Protocol.Hello
-    { revision = Revision.stamp; format = Revision.format_version; t_client = None }
+let hello = Protocol.Hello { revision = Revision.stamp; format = Revision.format_version }
 
 let raw_connect sock =
   let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
@@ -814,35 +817,131 @@ let test_daemon_supply_misuse () =
       refused "index supplied twice" (supply ticket [ 1 ] [| job_b |]);
       (* A job stored or running is answered at submit, so its index is
          not needed. *)
-      let rec fetch ticket =
-        let reply = rpc fd (Protocol.Result { ticket }) in
-        if Protocol.is_ok reply then reply
-        else if Protocol.error_of reply = "pending" then begin
-          ignore (Unix.select [] [] [] 0.02);
-          fetch ticket
-        end
-        else Alcotest.failf "result refused: %s" (Protocol.error_of reply)
-      in
       let ticket2, need2 = submit [ key_a; key_b ] in
       Alcotest.(check (list int)) "only the unexecuted job is needed" [ 0 ] need2;
       refused "index not needed" (supply ticket2 [ 1 ] [| job_b |]);
+      (* A ticket belongs to the connection that submitted it. *)
+      let other = greeted sock in
+      let reply =
+        rpc other
+          (Protocol.Supply
+             { ticket = ticket2; indices = [ 0 ]; jobs = Protocol.jobs_to_wire [| job_a |] })
+      in
+      refused "another connection's ticket" reply;
+      Alcotest.(check string) "refused as unknown" "unknown ticket" (Protocol.error_of reply);
+      close_quietly other;
       let store = daemon_store sock in
       Alcotest.(check bool) "no entry under the key of the refused body" true
         (Cache.find store key_a = None);
       let stats = rpc fd Protocol.Stats in
       Alcotest.(check int) "one body accepted" 1 (member_int [ "supplied" ] stats);
-      (* The ticket still completes once its real body arrives. *)
-      Alcotest.(check bool) "right body accepted" true
-        (Protocol.is_ok (supply ticket [ 0 ] [| job_a |]));
+      (* The ticket still completes once its real body arrives, and the
+         supply that completes it is answered with the outcomes. *)
+      let reply = supply ticket [ 0 ] [| job_a |] in
+      Alcotest.(check bool) "right body accepted" true (Protocol.is_ok reply);
       let outcomes =
         List.filter_map Json.to_str
-          (Option.get (Option.bind (Json.member "outcomes" (fetch ticket)) Json.to_list))
+          (Option.get (Option.bind (Json.member "outcomes" reply) Json.to_list))
       in
       Alcotest.(check bool) "ticket answered correctly" true
         (List.map (fun o -> Outcome.zero_timing (Protocol.outcome_of_wire o)) outcomes
         = List.map (fun j -> Outcome.zero_timing (Runner.execute j)) [ job_a; job_b ]);
       Alcotest.(check bool) "entry stored under its own key" true
         (Cache.find store key_a <> None);
+      close_quietly fd)
+
+(* A job that never halts, so the daemon's per-job budget answers it. Its
+   cycle limit still ends a worker that a failed test leaves behind. *)
+let spin_job () =
+  Job.make ~cycle_limit:100_000_000 Config.baseline
+    (Parse.program_exn "loop:\n    j loop\n    halt\n")
+
+(* A ticket belongs to its connection: closing the connection frees it,
+   whether or not its bodies ever arrived. *)
+let test_daemon_abandoned_tickets () =
+  with_daemon (fun ~sock ~pid:_ ->
+      for i = 1 to 5 do
+        let fd = greeted sock in
+        let reply =
+          rpc fd
+            (Protocol.Submit
+               { klass = Protocol.Interactive; keys = [ Printf.sprintf "%032x" i ]; trace = None })
+        in
+        if not (Protocol.is_ok reply) then Alcotest.fail "submit refused";
+        close_quietly fd
+      done;
+      let fd = greeted sock in
+      Alcotest.(check int) "no ticket left open" 0
+        (member_int [ "tickets_open" ] (rpc fd Protocol.Stats));
+      close_quietly fd)
+
+(* A batch is one exchange: a cold one a submit and a supply, a warm one
+   a submit. The reply that carries the outcomes may wait on simulations
+   past [request_timeout]; the daemon's per-job budget bounds it. *)
+let test_daemon_requests_per_batch () =
+  with_daemon ~timeout:1.5 (fun ~sock ~pid:_ ->
+      let metrics = Riq_obs.Metrics.create () in
+      let requests () =
+        Riq_obs.Metrics.counter_value
+          (Riq_obs.Metrics.counter metrics "client_requests_total")
+      in
+      let client =
+        Client.connect ~request_timeout:0.5 ~metrics (Protocol.Unix_socket sock)
+      in
+      let run jobs =
+        Riq_exp.Engine.run (Riq_exp.Engine.create ~backend:(Client.backend client) ()) jobs
+      in
+      let jobs = e2e_jobs () in
+      let expected = Array.map (fun j -> Outcome.zero_timing (Runner.execute j)) jobs in
+      Alcotest.(check bool) "cold batch answered" true
+        (Array.map Outcome.zero_timing (run jobs) = expected);
+      Alcotest.(check int) "cold batch: submit and supply" 2 (requests ());
+      Alcotest.(check bool) "warm batch answered" true
+        (Array.map Outcome.zero_timing (run jobs) = expected);
+      Alcotest.(check int) "warm batch: submit" 3 (requests ());
+      Alcotest.(check bool) "held past request_timeout, answered Job_timeout" true
+        ((run [| spin_job () |]).(0) = Error (Outcome.Job_timeout 1.5));
+      Client.close client)
+
+(* Replies stay in request order: a stats pipelined behind a held supply
+   is answered after the outcomes. A drain that starts while the reply
+   is held still sends it. *)
+let test_daemon_held_reply_order () =
+  with_daemon ~timeout:1. (fun ~sock ~pid ->
+      let fd = greeted sock in
+      let spin = spin_job () in
+      let submitted =
+        rpc fd
+          (Protocol.Submit
+             { klass = Protocol.Interactive; keys = [ Job.fingerprint spin ]; trace = None })
+      in
+      let ticket = member_int [ "ticket" ] submitted in
+      let frame req = Wire.frame (Protocol.request_to_json req) in
+      let jobs = Protocol.jobs_to_wire [| spin |] in
+      Wire.write_all fd
+        (Bytes.cat
+           (frame (Protocol.Supply { ticket; indices = [ 0 ]; jobs }))
+           (frame Protocol.Stats));
+      let probe = greeted sock in
+      let rec await_running () =
+        let stats = rpc probe Protocol.Stats in
+        if member_int [ "inflight" ] stats = 0 then begin
+          if member_int [ "executed" ] stats > 0 then Alcotest.fail "job ended before the drain";
+          ignore (Unix.select [] [] [] 0.01);
+          await_running ()
+        end
+      in
+      await_running ();
+      close_quietly probe;
+      Unix.kill pid Sys.sigterm;
+      let outcomes =
+        List.filter_map Json.to_str
+          (Option.get (Option.bind (Json.member "outcomes" (Wire.recv fd)) Json.to_list))
+      in
+      Alcotest.(check bool) "held reply sent during the drain" true
+        (List.map Protocol.outcome_of_wire outcomes = [ Error (Outcome.Job_timeout 1.) ]);
+      Alcotest.(check bool) "then the pipelined stats" true
+        (Json.member "submitted" (Wire.recv fd) <> None);
       close_quietly fd)
 
 (* A store whose 256 shard directories are regular files cannot take a
@@ -968,6 +1067,10 @@ let suites =
         Alcotest.test_case "frames split across reads" `Slow test_daemon_split_frames;
         Alcotest.test_case "malformed and stalled frames" `Slow test_daemon_frame_faults;
         Alcotest.test_case "misused supplies refused" `Slow test_daemon_supply_misuse;
+        Alcotest.test_case "abandoned tickets freed" `Slow test_daemon_abandoned_tickets;
+        Alcotest.test_case "requests per batch" `Slow test_daemon_requests_per_batch;
+        Alcotest.test_case "held reply keeps order, drain sends it" `Slow
+          test_daemon_held_reply_order;
         Alcotest.test_case "unwritable store writes nothing" `Slow
           test_daemon_unwritable_store;
         Alcotest.test_case "sweep json parses" `Slow test_sweep_json_parses;
