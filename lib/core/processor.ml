@@ -161,6 +161,7 @@ type t = {
   (* Reuse-attribution memo: wi -> smallest logged window containing it
      (None = outside every window); invalidated when a window is logged. *)
   attr_memo : loop_decision option option array;
+  loop_at : loop_decision option array; (* [loop_log] by the tail's wi *)
   mutable halted : bool;
   mutable halt_pc : int;
   mutable committed : int;
@@ -171,8 +172,10 @@ type t = {
   mutable n_stores : int;
   mutable n_reuse_dispatch : int;
   mutable n_reuse_commit : int;
-  loop_log : (int, loop_decision) Hashtbl.t; (* keyed by tail pc *)
-  mutable cur_reuse_tail : int; (* tail of the last promoted loop, -1 = none *)
+  (* Keyed by tail pc. Lookups go through [loop_at]; the table is kept for
+     its iteration order, which breaks ties in the attribution search. *)
+  loop_log : (int, loop_decision) Hashtbl.t;
+  mutable cur_reuse : loop_decision option; (* the last promoted loop *)
   (* Observability. The tracer defaults to the null sink (one dead branch
      per emission site); the sampler is absent unless attached. *)
   tracer : Tracer.t;
@@ -260,6 +263,7 @@ let create ?tracer ?sampler cfg program =
     issue_cand = Array.make cfg.Config.issue_width 0;
     issue_cand_seq = Array.make cfg.Config.issue_width max_int;
     attr_memo = Array.make (max 1 (Array.length program.Program.code)) None;
+    loop_at = Array.make (max 1 (Array.length program.Program.code)) None;
     halted = false;
     halt_pc = 0;
     committed = 0;
@@ -271,7 +275,7 @@ let create ?tracer ?sampler cfg program =
     n_reuse_dispatch = 0;
     n_reuse_commit = 0;
     loop_log = Hashtbl.create 16;
-    cur_reuse_tail = -1;
+    cur_reuse = None;
     tracer;
     sampler;
     counter_stride =
@@ -282,7 +286,8 @@ let create ?tracer ?sampler cfg program =
   }
 
 let loop_record t ~head ~tail =
-  match Hashtbl.find_opt t.loop_log tail with
+  let wi = Decoded.wi_of_pc t.dec tail in
+  match t.loop_at.(wi) with
   | Some r -> r
   | None ->
       let r =
@@ -304,6 +309,7 @@ let loop_record t ~head ~tail =
         }
       in
       Hashtbl.replace t.loop_log tail r;
+      t.loop_at.(wi) <- Some r;
       Array.fill t.attr_memo 0 (Array.length t.attr_memo) None;
       r
 
@@ -627,7 +633,7 @@ let commit_one t (e : Rob.entry) =
     match best with
     | Some r -> r.ld_reuse_committed <- r.ld_reuse_committed + 1
     | None -> (
-        match Hashtbl.find_opt t.loop_log t.cur_reuse_tail with
+        match t.cur_reuse with
         | Some r -> r.ld_reuse_committed <- r.ld_reuse_committed + 1
         | None -> ())
   end;
@@ -873,7 +879,10 @@ let issue_stage t =
      matter). *)
   let cand = t.issue_cand in
   let cand_seq = t.issue_cand_seq in
-  Array.fill cand_seq 0 width max_int;
+  (* A loop, not [Array.fill]: that is a C call, every cycle. *)
+  for k = 0 to width - 1 do
+    cand_seq.(k) <- max_int
+  done;
   let pool = Iq.slots t.iq in
   let id = ref (Iq.ready_first t.iq) in
   while !id >= 0 do
@@ -1003,7 +1012,7 @@ let dispatch_one t (f : fetched) =
               ~tail:t.reuse.Reuse_state.tail
           in
           r.ld_promotions <- r.ld_promotions + 1;
-          t.cur_reuse_tail <- t.reuse.Reuse_state.tail;
+          t.cur_reuse <- Some r;
           Reuse_state.promote ~now:t.now t.reuse;
           Iq.set_reuse_ptr t.iq (Iq.first_reusable t.iq);
           flush_front_end t

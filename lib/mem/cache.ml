@@ -29,6 +29,7 @@ type t = {
   set_mask : int;
   set_shift : int;
   mutable clock : int; (* monotonic, for LRU ordering *)
+  mutable frame : int; (* the last access's frame, [set * ways + way] *)
   mutable n_access : int;
   mutable n_hit : int;
   mutable n_dirty_evict : int;
@@ -45,6 +46,7 @@ let create config =
     set_mask = config.sets - 1;
     set_shift = Bits.log2 config.sets;
     clock = 0;
+    frame = 0;
     n_access = 0;
     n_hit = 0;
     n_dirty_evict = 0;
@@ -84,29 +86,33 @@ let access t ~addr ~write =
   if !hit >= 0 then begin
     let line = t.lines.(!hit) in
     t.n_hit <- t.n_hit + 1;
+    t.frame <- !hit;
     line.lru <- t.clock;
     if write then line.dirty <- true;
     Hit
   end
   else begin
     (* Choose the eviction victim: an invalid way if any, else true LRU. *)
-    let v = ref t.lines.(base) in
+    let vi = ref base in
     for w = 1 to ways - 1 do
       let line = Array.unsafe_get t.lines (base + w) in
-      let cur = !v in
-      if (not line.valid) && cur.valid then v := line
+      let cur = t.lines.(!vi) in
+      if (not line.valid) && cur.valid then vi := base + w
       else if (not cur.valid) || not line.valid then ()
-      else if line.lru < cur.lru then v := line
+      else if line.lru < cur.lru then vi := base + w
     done;
-    let v = !v in
+    let v = t.lines.(!vi) in
     let dirty_evict = v.valid && v.dirty in
     if dirty_evict then t.n_dirty_evict <- t.n_dirty_evict + 1;
+    t.frame <- !vi;
     v.tag <- tag;
     v.valid <- true;
     v.dirty <- write;
     v.lru <- t.clock;
     if dirty_evict then Miss_dirty else Miss
   end
+
+let last_frame t = t.frame
 
 let probe t ~addr =
   let set, tag = set_and_tag t addr in

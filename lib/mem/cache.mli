@@ -39,6 +39,12 @@ val access : t -> addr:int -> write:bool -> result
     (allocated) and the LRU way of the set is evicted. [write] marks the
     line dirty. *)
 
+val last_frame : t -> int
+(** The frame the last {!access} hit or filled, [set * ways + way], in
+    [\[0, sets * ways)]: a line stays in the frame its fill wrote until
+    it is evicted, so a client can keep per-line state in an array
+    indexed by frame. *)
+
 val probe : t -> addr:int -> bool
 (** Non-allocating lookup: true when the line is present. Does not perturb
     LRU state; used by tests. *)

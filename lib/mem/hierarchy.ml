@@ -37,17 +37,15 @@ type t = {
   itlb : Cache.t;
   dtlb : Cache.t;
   mutable n_mem : int;
-  (* In-flight line fills, per L1: line index -> cycle the fill completes.
-     Entries are pruned lazily on lookup. [pmax_*] holds the latest fill
-     completion cycle ever registered: once [now] passes it every entry is
-     stale, so the per-hit table lookup can be skipped entirely. *)
-  pending_i : (int, int) Hashtbl.t;
-  pending_d : (int, int) Hashtbl.t;
-  pmax_i : int ref;
-  pmax_d : int ref;
+  (* In-flight line fills, per L1, indexed by cache frame: the cycle the
+     latest fill into that frame completes. A line that hits sits in the
+     frame its latest fill wrote, so the frame's cycle is the line's. *)
+  fill_i : int array;
+  fill_d : int array;
 }
 
-let create config =
+let create (config : config) =
+  let frames (c : Cache.config) = Array.make (c.sets * c.ways) 0 in
   {
     config;
     l0i = Option.map Cache.create config.l0i;
@@ -57,10 +55,8 @@ let create config =
     itlb = Cache.create config.itlb;
     dtlb = Cache.create config.dtlb;
     n_mem = 0;
-    pending_i = Hashtbl.create 64;
-    pending_d = Hashtbl.create 64;
-    pmax_i = ref 0;
-    pmax_d = ref 0;
+    fill_i = frames config.l1i;
+    fill_d = frames config.l1d;
   }
 
 let cfg t = t.config
@@ -96,35 +92,22 @@ let tlb_latency t ~addr ~tlb =
   | Miss | Miss_dirty -> t.config.tlb_miss_penalty
 
 (* MSHR-style pending-fill adjustment: a miss registers the fill
-   completion time; a subsequent access to the same line before completion
-   waits for the remaining time rather than hitting instantly. *)
-let with_pending_at ~pending ~pmax ~l1 ~now ~addr raw_latency =
-  let hit_lat = (Cache.cfg l1).Cache.hit_latency in
-  if raw_latency > hit_lat then begin
-    let line = Cache.line_index l1 ~addr in
-    Hashtbl.replace pending line (now + raw_latency);
-    if now + raw_latency > !pmax then pmax := now + raw_latency;
+   completion time in the frame it filled; a subsequent access to the
+   same line before completion waits for the remaining time rather than
+   hitting instantly. [raw_latency] is the access [l1] just made. *)
+let with_pending_at ~fills ~l1 ~now raw_latency =
+  let frame = Cache.last_frame l1 in
+  if raw_latency > (Cache.cfg l1).Cache.hit_latency then begin
+    fills.(frame) <- now + raw_latency;
     raw_latency
   end
-  else if now >= !pmax then begin
-    (* Every registered fill has completed: all entries are stale, so
-       skip the lookup. Empty the table once so it stays small. *)
-    if Hashtbl.length pending > 0 then Hashtbl.reset pending;
-    raw_latency
-  end
-  else begin
-    let line = Cache.line_index l1 ~addr in
-    match Hashtbl.find_opt pending line with
-    | Some ready when ready > now -> ready - now
-    | Some _ ->
-        Hashtbl.remove pending line;
-        raw_latency
-    | None -> raw_latency
-  end
+  else
+    let ready = fills.(frame) in
+    if ready > now then ready - now else raw_latency
 
 let l1i_path t ~now ~addr =
   let raw = through_l2 t ~addr ~write:false ~l1:t.l1i in
-  with_pending_at ~pending:t.pending_i ~pmax:t.pmax_i ~l1:t.l1i ~now ~addr raw
+  with_pending_at ~fills:t.fill_i ~l1:t.l1i ~now raw
 
 let fetch_at t ~now ~addr =
   (* With a filter cache, an L0 hit never touches the L1I; an L0 miss
@@ -140,7 +123,7 @@ let fetch_at t ~now ~addr =
 let data_at t ~now ~addr ~write =
   let tlb = tlb_latency t ~addr ~tlb:t.dtlb in
   let raw = through_l2 t ~addr ~write ~l1:t.l1d in
-  let access = with_pending_at ~pending:t.pending_d ~pmax:t.pmax_d ~l1:t.l1d ~now ~addr raw in
+  let access = with_pending_at ~fills:t.fill_d ~l1:t.l1d ~now raw in
   if write then 1 + tlb else tlb + access
 
 let l0i t = t.l0i

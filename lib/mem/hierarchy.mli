@@ -38,7 +38,8 @@ val fetch_at : t -> now:int -> addr:int -> int
 (** Latency in cycles of an instruction fetch at [addr] issued in cycle
     [now] (ITLB + L1I + L2 + DRAM as needed). In-flight line fills are
     modelled (MSHR-style): an access to a line whose fill is still pending
-    waits for the remaining fill time instead of hitting instantly. *)
+    waits for the remaining fill time instead of hitting instantly. The
+    model assumes [now] never decreases from one access to the next. *)
 
 val data_at : t -> now:int -> addr:int -> write:bool -> int
 (** Latency in cycles of a data access issued in cycle [now]. Writes that

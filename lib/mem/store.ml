@@ -1,25 +1,37 @@
 let page_words = 1024 (* 4 KiB pages *)
+let cached_pages = 16
 
 type t = {
   pages : (int, int array) Hashtbl.t;
-  (* One-entry page cache: accesses are strongly page-local, so the
-     common case skips the hashtable entirely. *)
-  mutable lp_idx : int;
-  mutable lp_page : int array;
+  (* A direct-mapped page cache in front of the table, indexed by
+     [page_idx land (cached_pages - 1)]: a kernel streams a few arrays at
+     once, so lookups skip the table (and its [Some]) after first touch. *)
+  pc_idx : int array; (* page index held by each slot, -1 = none *)
+  pc_page : int array array;
 }
 
 let no_page : int array = [||]
 
-let create () = { pages = Hashtbl.create 256; lp_idx = -1; lp_page = no_page }
+let create () =
+  {
+    pages = Hashtbl.create 256;
+    pc_idx = Array.make cached_pages (-1);
+    pc_page = Array.make cached_pages no_page;
+  }
+
+let cache_page t page_idx page =
+  let slot = page_idx land (cached_pages - 1) in
+  t.pc_idx.(slot) <- page_idx;
+  t.pc_page.(slot) <- page
 
 let find_page t page_idx =
-  if t.lp_idx = page_idx then t.lp_page
+  let slot = page_idx land (cached_pages - 1) in
+  if t.pc_idx.(slot) = page_idx then t.pc_page.(slot)
   else
     match Hashtbl.find_opt t.pages page_idx with
     | None -> no_page
     | Some page ->
-        t.lp_idx <- page_idx;
-        t.lp_page <- page;
+        cache_page t page_idx page;
         page
 
 let check_addr addr =
@@ -42,8 +54,7 @@ let write_word t addr v =
     else begin
       let page = Array.make page_words 0 in
       Hashtbl.replace t.pages page_idx page;
-      t.lp_idx <- page_idx;
-      t.lp_page <- page;
+      cache_page t page_idx page;
       page
     end
   in

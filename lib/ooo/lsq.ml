@@ -20,7 +20,9 @@ type t = {
   mutable head : int;
   mutable tail : int;
   mutable count : int;
-  mutable n_tagged : int; (* live stores with an outstanding data tag *)
+  (* By tag: how many live stores wait on it for their data, so a
+     broadcast visits only its own waiters. Grows to the largest tag. *)
+  mutable waiting : int array;
 }
 
 let fresh () =
@@ -48,7 +50,7 @@ let create size =
     head = 0;
     tail = 0;
     count = 0;
-    n_tagged = 0;
+    waiting = Array.make 64 0;
   }
 
 let size t = t.size
@@ -64,7 +66,7 @@ let alloc t =
   e.width <- 4;
   e.data_ready <- false;
   e.data_tag <- -1;
-  t.tail <- (t.tail + 1) mod t.size;
+  t.tail <- (if idx + 1 = t.size then 0 else idx + 1);
   t.count <- t.count + 1;
   idx
 
@@ -72,26 +74,44 @@ let entry t idx = t.arr.(idx)
 let data_f t idx = t.data_f.(idx)
 let set_data_f t idx v = t.data_f.(idx) <- v
 
-(* Tag writes go through here so {!capture_data} can skip its walk when
-   no store is waiting on a broadcast at all (the common case). *)
-let wait_data t e ~tag =
-  e.data_tag <- tag;
-  t.n_tagged <- t.n_tagged + 1
-
 let untag t e =
-  if e.data_tag >= 0 then begin
+  let tag = e.data_tag in
+  if tag >= 0 then begin
     e.data_tag <- -1;
-    t.n_tagged <- t.n_tagged - 1
+    t.waiting.(tag) <- t.waiting.(tag) - 1
   end
+
+(* Tags are ROB indices; the counts grow to cover whatever tag range the
+   client uses, as the issue queue's waiter lists do. *)
+let grow_tags t tag =
+  let n = Array.length t.waiting in
+  let m = ref n in
+  while tag >= !m do
+    m := !m * 2
+  done;
+  let waiting = Array.make !m 0 in
+  Array.blit t.waiting 0 waiting 0 n;
+  t.waiting <- waiting
+
+(* Tag writes go through here so each tag's count stays exact. *)
+let wait_data t e ~tag =
+  untag t e;
+  if tag >= Array.length t.waiting then grow_tags t tag;
+  e.data_tag <- tag;
+  t.waiting.(tag) <- t.waiting.(tag) + 1
 
 let load_wait = -1
 let load_access = -2
 let overlaps a aw b bw = a < b + bw && b < a + aw
 
+(* Ring steps wrap by comparison: a [mod] by the runtime size is an
+   integer division. *)
+let older t pos = if pos = 0 then t.size - 1 else pos - 1
+
 let check_load t ~idx ~addr ~width =
   (* Walk from the slot just older than [idx] back to the head. *)
   let result = ref load_access in
-  let pos = ref ((idx + t.size - 1) mod t.size) in
+  let pos = ref (older t idx) in
   let continue_ = ref (t.count > 0 && idx <> t.head) in
   while !continue_ do
     let e = t.arr.(!pos) in
@@ -113,29 +133,34 @@ let check_load t ~idx ~addr ~width =
     end;
     if !continue_ then begin
       if !pos = t.head then continue_ := false
-      else pos := (!pos + t.size - 1) mod t.size
+      else pos := older t !pos
     end
   done;
   !result
 
 let capture_data t ~tag ~value_i ~value_f =
-  (* Only live entries can wait on a tag, so walk the occupied window;
-     capture order is irrelevant downstream (distinct sequence numbers). *)
-  if t.n_tagged = 0 then 0
+  (* Walk from the head until the tag's last waiter: only live stores
+     wait on a tag, so the walk stays inside the occupied window, and it
+     captures in queue order. *)
+  if tag < 0 || tag >= Array.length t.waiting || t.waiting.(tag) = 0 then 0
   else begin
+    let left = ref t.waiting.(tag) in
+    t.waiting.(tag) <- 0;
     let n = ref 0 in
     let pos = ref t.head in
-    for _ = 1 to t.count do
+    let seen = ref 0 in
+    while !left > 0 && !seen < t.count do
       let e = t.arr.(!pos) in
-      if e.is_store && e.data_tag = tag then begin
+      if e.data_tag = tag then begin
         e.data_tag <- -1;
-        t.n_tagged <- t.n_tagged - 1;
         e.data_ready <- true;
         e.data_i <- value_i;
         t.data_f.(!pos) <- value_f;
         t.captured.(!n) <- !pos;
-        incr n
+        incr n;
+        decr left
       end;
+      incr seen;
       pos := !pos + 1;
       if !pos = t.size then pos := 0
     done;
@@ -151,13 +176,13 @@ let pop_head t =
   untag t t.arr.(t.head);
   t.arr.(t.head).live <- false;
   t.arr.(t.head).seq <- -1;
-  t.head <- (t.head + 1) mod t.size;
+  t.head <- (if t.head + 1 = t.size then 0 else t.head + 1);
   t.count <- t.count - 1
 
 let squash_after t ~seq =
   let continue_ = ref true in
   while !continue_ && t.count > 0 do
-    let last = (t.tail + t.size - 1) mod t.size in
+    let last = older t t.tail in
     let e = t.arr.(last) in
     if e.live && e.seq > seq then begin
       untag t e;
@@ -168,3 +193,34 @@ let squash_after t ~seq =
     end
     else continue_ := false
   done
+
+let invariant t =
+  let fail fmt = Printf.ksprintf (fun m -> Error m) fmt in
+  let live_at k = (k - t.head + t.size) mod t.size < t.count in
+  let counted = Array.make (Array.length t.waiting) 0 in
+  let rec scan k =
+    if k = t.size then Ok ()
+    else begin
+      let e = t.arr.(k) in
+      let live = live_at k in
+      if e.live <> live then fail "slot %d: live %b inside the window %b" k e.live live
+      else if e.data_tag >= 0 && not (live && e.is_store) then
+        fail "slot %d: tag %d on a slot that is not a live store" k e.data_tag
+      else if e.data_tag >= Array.length t.waiting then
+        fail "slot %d: tag %d beyond the counts" k e.data_tag
+      else begin
+        if e.data_tag >= 0 then counted.(e.data_tag) <- counted.(e.data_tag) + 1;
+        scan (k + 1)
+      end
+    end
+  in
+  let rec compare_counts tag =
+    if tag = Array.length t.waiting then Ok ()
+    else if counted.(tag) <> t.waiting.(tag) then
+      fail "tag %d: count %d, waiting stores %d" tag t.waiting.(tag) counted.(tag)
+    else compare_counts (tag + 1)
+  in
+  if t.count < 0 || t.count > t.size then fail "count %d outside [0, %d]" t.count t.size
+  else if (t.head + t.count) mod t.size <> t.tail then
+    fail "head %d + count %d does not reach tail %d" t.head t.count t.tail
+  else Result.bind (scan 0) (fun () -> compare_counts 0)

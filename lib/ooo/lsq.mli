@@ -43,9 +43,10 @@ val data_f : t -> int -> float
 val set_data_f : t -> int -> float -> unit
 
 val wait_data : t -> entry -> tag:int -> unit
-(** Record that [entry]'s store data waits on ROB index [tag]. Tag writes
-    go through here (not the field) so {!capture_data} can skip its walk
-    when no store in the queue is waiting on any broadcast. *)
+(** Record that [entry], a live store, waits on ROB index [tag] for its
+    data. Tag writes go through here (not the field): the queue counts
+    each tag's waiters, so {!capture_data} visits no store when the
+    broadcast tag has none and stops after its last one. *)
 
 val load_wait : int
 (** [-1]: an older store's address or matching data is unresolved. *)
@@ -72,3 +73,9 @@ val head_is : t -> int -> bool
 val pop_head : t -> unit
 val squash_after : t -> seq:int -> unit
 (** Free every slot younger than [seq]. *)
+
+val invariant : t -> (unit, string) result
+(** [Ok ()] when the slots inside the occupied window are exactly the
+    live ones, only live stores carry a data tag, and each tag's waiter
+    count equals the stores waiting on it; otherwise the first violation
+    found. Walks the whole queue: a check for tests, not the cycle loop. *)

@@ -59,10 +59,15 @@ let count t = t.count
 let is_full t = t.count = t.size
 let is_empty t = t.count = 0
 
+(* Ring steps wrap by comparison: a [mod] by the runtime size is an
+   integer division. *)
+let younger t idx = if idx + 1 = t.size then 0 else idx + 1
+let older t idx = if idx = 0 then t.size - 1 else idx - 1
+
 let alloc t =
   if is_full t then failwith "Rob.alloc: full";
   let idx = t.tail in
-  t.tail <- (t.tail + 1) mod t.size;
+  t.tail <- younger t idx;
   t.count <- t.count + 1;
   idx
 
@@ -74,13 +79,13 @@ let head t = t.head
 let pop_head t =
   if is_empty t then failwith "Rob.pop_head: empty";
   t.entries.(t.head).seq <- -1;
-  t.head <- (t.head + 1) mod t.size;
+  t.head <- younger t t.head;
   t.count <- t.count - 1
 
 let squash_after t ~seq ~f =
   let continue_ = ref true in
   while !continue_ && t.count > 0 do
-    let last = (t.tail + t.size - 1) mod t.size in
+    let last = older t t.tail in
     let e = t.entries.(last) in
     if e.seq > seq then begin
       f last e;
@@ -92,13 +97,15 @@ let squash_after t ~seq ~f =
   done
 
 let iter_youngest_first t f =
-  for i = 0 to t.count - 1 do
-    let idx = (t.tail + (t.size * 2) - 1 - i) mod t.size in
-    f idx t.entries.(idx)
+  let idx = ref t.tail in
+  for _ = 1 to t.count do
+    idx := older t !idx;
+    f !idx t.entries.(!idx)
   done
 
 let iter_oldest_first t f =
-  for i = 0 to t.count - 1 do
-    let idx = (t.head + i) mod t.size in
-    f idx t.entries.(idx)
+  let idx = ref t.head in
+  for _ = 1 to t.count do
+    f !idx t.entries.(!idx);
+    idx := younger t !idx
   done

@@ -245,9 +245,22 @@ let listen_socket address =
          if alive then failwith (Printf.sprintf "a daemon is already serving on %s" path)
          else try Sys.remove path with _ -> ()
        end);
+      (* Bind and listen under a temporary name in the same directory, then
+         rename onto [path]: clients take the file's appearance as
+         readiness, so it appears only once connects succeed. A dot and
+         the pid keep the name short (at most eight bytes), since the
+         whole path must fit [sun_path]. *)
+      let tmp = Filename.concat (Filename.dirname path) (Printf.sprintf ".%d" (Unix.getpid ())) in
       let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-      Unix.bind fd (Unix.ADDR_UNIX path);
-      Unix.listen fd 64;
+      (try
+         (try Sys.remove tmp with Sys_error _ -> ());
+         Unix.bind fd (Unix.ADDR_UNIX tmp);
+         Unix.listen fd 64;
+         Unix.rename tmp path
+       with e ->
+         (try Unix.close fd with _ -> ());
+         (try Sys.remove tmp with Sys_error _ -> ());
+         raise e);
       fd
   | Protocol.Tcp _ ->
       let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in

@@ -228,6 +228,133 @@ let test_hierarchy_counters () =
   Hierarchy.reset_stats h;
   Alcotest.(check int) "reset" 0 (Cache.accesses (Hierarchy.l1d h))
 
+(* qcheck: pending fills against the reference they replaced. The
+   reference model is a line -> fill-cycle table over its own copies of
+   the caches, as the hierarchy kept before it indexed fills by cache
+   frame. A 2-set, 2-way L1 and a small L2 make in-flight lines get
+   evicted and missed again; [now] advances 0-40 cycles per access, so
+   hits land both inside and after fills. *)
+let small_hier =
+  let l1 name = Cache.config ~name ~sets:2 ~ways:2 ~line_bytes:32 ~hit_latency:1 in
+  {
+    Hierarchy.baseline with
+    Hierarchy.l1i = l1 "il1";
+    l1d = l1 "dl1";
+    l2 = Cache.config ~name:"ul2" ~sets:4 ~ways:2 ~line_bytes:64 ~hit_latency:8;
+  }
+
+type ref_hier = {
+  r_l1i : Cache.t;
+  r_l1d : Cache.t;
+  r_l2 : Cache.t;
+  r_itlb : Cache.t;
+  r_dtlb : Cache.t;
+  r_fill_i : (int, int) Hashtbl.t; (* line -> cycle its latest fill completes *)
+  r_fill_d : (int, int) Hashtbl.t;
+}
+
+let ref_create (c : Hierarchy.config) =
+  {
+    r_l1i = Cache.create c.l1i;
+    r_l1d = Cache.create c.l1d;
+    r_l2 = Cache.create c.l2;
+    r_itlb = Cache.create c.itlb;
+    r_dtlb = Cache.create c.dtlb;
+    r_fill_i = Hashtbl.create 16;
+    r_fill_d = Hashtbl.create 16;
+  }
+
+let ref_tlb (c : Hierarchy.config) tlb ~addr =
+  match Cache.access tlb ~addr ~write:false with
+  | Cache.Hit -> 0
+  | Miss | Miss_dirty -> c.tlb_miss_penalty
+
+let ref_l1 (c : Hierarchy.config) r ~l1 ~fills ~now ~addr ~write =
+  let hit = (Cache.cfg l1).hit_latency in
+  let raw =
+    match Cache.access l1 ~addr ~write with
+    | Cache.Hit -> hit
+    | (Miss | Miss_dirty) as res ->
+        if res = Cache.Miss_dirty then ignore (Cache.access r.r_l2 ~addr ~write:true);
+        let dram =
+          match Cache.access r.r_l2 ~addr ~write:false with
+          | Cache.Hit -> 0
+          | Miss | Miss_dirty ->
+              let chunks = max 1 (c.l2.line_bytes / c.chunk_bytes) in
+              c.mem_first_chunk + (c.mem_next_chunk * (chunks - 1))
+        in
+        hit + c.l2.hit_latency + dram
+  in
+  let line = Cache.line_index l1 ~addr in
+  if raw > hit then begin
+    Hashtbl.replace fills line (now + raw);
+    raw
+  end
+  else
+    match Hashtbl.find_opt fills line with
+    | Some ready when ready > now -> ready - now
+    | Some _ | None -> raw
+
+let ref_fetch c r ~now ~addr =
+  let tlb = ref_tlb c r.r_itlb ~addr in
+  tlb + ref_l1 c r ~l1:r.r_l1i ~fills:r.r_fill_i ~now ~addr ~write:false
+
+let ref_data c r ~now ~addr ~write =
+  let tlb = ref_tlb c r.r_dtlb ~addr in
+  let access = ref_l1 c r ~l1:r.r_l1d ~fills:r.r_fill_d ~now ~addr ~write in
+  if write then 1 + tlb else tlb + access
+
+let prop_pending_fills_vs_reference =
+  QCheck.Test.make ~name:"pending fills match the line-table reference" ~count:300
+    QCheck.(
+      list_of_size Gen.(int_range 20 200)
+        (triple (int_bound 2) (int_bound 63) (int_bound 40)))
+    (fun ops ->
+      let h = Hierarchy.create small_hier and r = ref_create small_hier in
+      let now = ref 0 in
+      List.for_all
+        (fun (kind, line, dt) ->
+          now := !now + dt;
+          let addr = (line * 32) + (4 * (dt land 7)) in
+          let got, want =
+            match kind with
+            | 0 -> (Hierarchy.fetch_at h ~now:!now ~addr, ref_fetch small_hier r ~now:!now ~addr)
+            | k ->
+                let write = k = 2 in
+                ( Hierarchy.data_at h ~now:!now ~addr ~write,
+                  ref_data small_hier r ~now:!now ~addr ~write )
+          in
+          got = want
+          || QCheck.Test.fail_reportf "cycle %d, %s 0x%x: latency %d, reference %d" !now
+               (match kind with 0 -> "fetch" | 1 -> "read" | _ -> "write")
+               addr got want)
+        ops)
+
+(* qcheck: random word reads and writes over 40 pages against a table
+   model. Page indices are spread so that several share each slot of the
+   store's direct-mapped page cache, and each page uses its first eight
+   words, so a read served from the wrong page shows. *)
+let prop_store_vs_model =
+  QCheck.Test.make ~name:"store matches a table model over 40 pages" ~count:300
+    QCheck.(
+      list_of_size Gen.(int_range 20 300)
+        (triple bool (int_bound 39) (pair (int_bound 7) (int_bound 0xFFFF))))
+    (fun ops ->
+      let s = Store.create () and m = Hashtbl.create 64 in
+      List.for_all
+        (fun (write, page, (word, v)) ->
+          let addr = (((page * 37) + 3) * 4096) + (4 * word) in
+          if write then begin
+            Store.write_word s addr (v * 0x10001);
+            Hashtbl.replace m addr ((v * 0x10001) land 0xFFFFFFFF);
+            true
+          end
+          else
+            let want = Option.value (Hashtbl.find_opt m addr) ~default:0 in
+            Store.read_word s addr = want
+            || QCheck.Test.fail_reportf "read 0x%x: %d, model %d" addr (Store.read_word s addr) want)
+        ops)
+
 let suites =
   [
     ( "mem",
@@ -250,6 +377,8 @@ let suites =
         Alcotest.test_case "hierarchy pending fill" `Quick test_hierarchy_pending_fill;
         Alcotest.test_case "hierarchy counters" `Quick test_hierarchy_counters;
         QCheck_alcotest.to_alcotest prop_cache_vs_model;
+        QCheck_alcotest.to_alcotest prop_pending_fills_vs_reference;
+        QCheck_alcotest.to_alcotest prop_store_vs_model;
       ] );
   ]
 

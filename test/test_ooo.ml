@@ -638,6 +638,211 @@ let prop_iq_model =
               || QCheck.Test.fail_reportf "state differs after %s" (iq_op_to_string op))
         ops)
 
+(* qcheck: the load/store queue against a list model. Random operation
+   sequences allocate loads and stores, resolve addresses, tag stores'
+   data on tags 0-7, broadcast, check loads, commit and squash. A
+   broadcast must capture exactly the live stores waiting on its tag, in
+   queue order; a load check must return what a walk over the model
+   returns; and after every step each slot's data state must match and
+   [Lsq.invariant] (each tag's waiter count against the waiting stores)
+   must hold. Operations pick their target among the slots legal for
+   them, so every sequence respects the queue's preconditions. *)
+
+type lslot = {
+  l_idx : int;
+  l_seq : int;
+  l_store : bool;
+  l_width : int;
+  mutable l_addr : int option; (* resolved address *)
+  mutable l_tag : int; (* data tag, -1 = none *)
+  mutable l_data : int option; (* captured store data *)
+}
+
+type lsq_op =
+  | L_alloc of bool * int (* store, width choice *)
+  | L_resolve of int * int (* slot, address choice *)
+  | L_wait of int * int (* store, tag *)
+  | L_capture of int
+  | L_check of int
+  | L_pop
+  | L_squash of int
+
+let lsq_op_to_string = function
+  | L_alloc (st, w) -> Printf.sprintf "alloc(%b,%d)" st w
+  | L_resolve (k, a) -> Printf.sprintf "resolve(%d,%d)" k a
+  | L_wait (k, tag) -> Printf.sprintf "wait(%d,%d)" k tag
+  | L_capture tag -> Printf.sprintf "capture %d" tag
+  | L_check k -> Printf.sprintf "check %d" k
+  | L_pop -> "pop"
+  | L_squash k -> Printf.sprintf "squash_after %d" k
+
+let lsq_tags = 8
+
+let gen_lsq_op =
+  let open QCheck.Gen in
+  let k = int_bound 15 in
+  frequency
+    [
+      (6, map2 (fun st w -> L_alloc (st, w)) bool (int_bound 2));
+      (4, map2 (fun k a -> L_resolve (k, a)) k (int_bound 5));
+      (4, map2 (fun k tag -> L_wait (k, tag)) k (int_bound (lsq_tags - 1)));
+      (4, map (fun tag -> L_capture tag) (int_bound (lsq_tags - 1)));
+      (3, map (fun k -> L_check k) k);
+      (2, return L_pop);
+      (1, map (fun k -> L_squash k) (int_bound 40));
+    ]
+
+(* Six word addresses, two of them sharing a word at different widths. *)
+let lsq_addr = [| 0x100; 0x104; 0x108; 0x100; 0x102; 0x200 |]
+let lsq_width = [| 4; 2; 1 |]
+
+let m_overlaps a aw b bw = a < b + bw && b < a + aw
+
+(* What [check_load] should return for the load [ld]: walk the older
+   slots youngest first. *)
+let m_check_load q ld addr width =
+  let rec older = function
+    | [] -> []
+    | m :: rest -> if m == ld then [] else m :: older rest
+  in
+  let rec walk = function
+    | [] -> Lsq.load_access
+    | m :: rest when not m.l_store -> walk rest
+    | m :: rest -> (
+        match m.l_addr with
+        | None -> Lsq.load_wait
+        | Some a when a = addr && m.l_width = width ->
+            if m.l_data <> None then m.l_idx else Lsq.load_wait
+        | Some a when m_overlaps a m.l_width addr width -> Lsq.load_wait
+        | Some _ -> walk rest)
+  in
+  walk (List.rev (older q))
+
+let step_lsq lsq q next_seq op =
+  let pick_from l k = match l with [] -> None | _ -> Some (List.nth l (k mod List.length l)) in
+  match op with
+  | L_alloc (st, w) ->
+      if Lsq.is_full lsq then Ok q
+      else begin
+        incr next_seq;
+        let idx = Lsq.alloc lsq in
+        let e = Lsq.entry lsq idx in
+        e.Lsq.seq <- !next_seq;
+        e.Lsq.rob_idx <- 100 + !next_seq;
+        e.Lsq.is_store <- st;
+        e.Lsq.width <- lsq_width.(w);
+        Ok
+          (q
+          @ [
+              {
+                l_idx = idx;
+                l_seq = !next_seq;
+                l_store = st;
+                l_width = lsq_width.(w);
+                l_addr = None;
+                l_tag = -1;
+                l_data = None;
+              };
+            ])
+      end
+  | L_resolve (k, a) ->
+      (match pick_from (List.filter (fun m -> m.l_addr = None) q) k with
+      | Some m ->
+          (* Aligned to the slot's width, as address generation leaves it. *)
+          let addr = lsq_addr.(a) land lnot (m.l_width - 1) in
+          let e = Lsq.entry lsq m.l_idx in
+          e.Lsq.addr <- addr;
+          e.Lsq.addr_ready <- true;
+          m.l_addr <- Some addr
+      | None -> ());
+      Ok q
+  | L_wait (k, tag) ->
+      (match pick_from (List.filter (fun m -> m.l_store && m.l_tag < 0 && m.l_data = None) q) k with
+      | Some m ->
+          Lsq.wait_data lsq (Lsq.entry lsq m.l_idx) ~tag;
+          m.l_tag <- tag
+      | None -> ());
+      Ok q
+  | L_capture tag ->
+      let v = 1000 + tag in
+      let n = Lsq.capture_data lsq ~tag ~value_i:v ~value_f:0. in
+      let got = List.init n (Lsq.captured lsq) in
+      let expected = List.filter (fun m -> m.l_tag = tag) q in
+      List.iter
+        (fun m ->
+          m.l_tag <- -1;
+          m.l_data <- Some v)
+        expected;
+      let expected = List.map (fun m -> m.l_idx) expected in
+      if got = expected then Ok q
+      else
+        Error
+          (Printf.sprintf "capture %d took [%s], waiting stores [%s]" tag
+             (String.concat ";" (List.map string_of_int got))
+             (String.concat ";" (List.map string_of_int expected)))
+  | L_check k -> (
+      match pick_from (List.filter (fun m -> (not m.l_store) && m.l_addr <> None) q) k with
+      | Some ({ l_addr = Some addr; _ } as m) ->
+          let got = Lsq.check_load lsq ~idx:m.l_idx ~addr ~width:m.l_width in
+          let expected = m_check_load q m addr m.l_width in
+          if got = expected then Ok q
+          else Error (Printf.sprintf "check_load slot %d: %d, model %d" m.l_idx got expected)
+      | Some _ | None -> Ok q)
+  | L_pop -> (
+      match q with
+      | [] -> Ok q
+      | m :: rest ->
+          if Lsq.head_is lsq m.l_idx then begin
+            Lsq.pop_head lsq;
+            Ok rest
+          end
+          else Error (Printf.sprintf "head is not slot %d" m.l_idx))
+  | L_squash seq ->
+      Lsq.squash_after lsq ~seq;
+      Ok (List.filter (fun m -> m.l_seq <= seq) q)
+
+(* Each modelled slot's data state on the queue's side and the model's. *)
+let observe_lsq lsq q =
+  ( Lsq.count lsq,
+    List.map
+      (fun m ->
+        let e = Lsq.entry lsq m.l_idx in
+        let data = if e.Lsq.data_ready then e.Lsq.data_i else 0 in
+        (e.Lsq.live, e.Lsq.seq, e.Lsq.data_tag, e.Lsq.data_ready, data))
+      q )
+
+let observe_lsq_model q =
+  ( List.length q,
+    List.map
+      (fun m ->
+        let data = Option.value m.l_data ~default:0 in
+        (true, m.l_seq, m.l_tag, m.l_data <> None, data))
+      q )
+
+let prop_lsq_model =
+  QCheck.Test.make ~name:"lsq agrees with a list model" ~count:500
+    (QCheck.make
+       ~print:(fun ops -> String.concat "; " (List.map lsq_op_to_string ops))
+       ~shrink:QCheck.Shrink.list
+       QCheck.Gen.(list_size (int_range 1 80) gen_lsq_op))
+    (fun ops ->
+      let lsq = Lsq.create 6 in
+      let next_seq = ref 0 in
+      let rec run q = function
+        | [] -> true
+        | op :: rest -> (
+            let fail fmt = QCheck.Test.fail_reportf ("after %s: " ^^ fmt) (lsq_op_to_string op) in
+            match step_lsq lsq q next_seq op with
+            | Error msg -> fail "%s" msg
+            | Ok q -> (
+                match Lsq.invariant lsq with
+                | Error msg -> fail "invariant: %s" msg
+                | Ok () ->
+                    if observe_lsq lsq q <> observe_lsq_model q then fail "state differs"
+                    else run q rest))
+      in
+      run [] ops)
+
 let suites =
   [
     ( "ooo",
@@ -667,5 +872,6 @@ let suites =
         Alcotest.test_case "fu none" `Quick test_fu_none_always;
         QCheck_alcotest.to_alcotest prop_iq_compact_order;
         QCheck_alcotest.to_alcotest prop_iq_model;
+        QCheck_alcotest.to_alcotest prop_lsq_model;
       ] );
   ]

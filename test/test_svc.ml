@@ -414,6 +414,9 @@ let with_daemon ?(workers = 1) ?(timeout = 60.) ?(prepare = ignore) f =
         flush stderr;
         match Unix.fork () with
         | 0 ->
+            (* A process group of its own, workers included, so a failed
+               test can kill them all. *)
+            ignore (Unix.setsid ());
             (try
                (* One registry for the store and the daemon, as riq-sim
                   serve has it, so store_* series are scraped too. *)
@@ -428,7 +431,12 @@ let with_daemon ?(workers = 1) ?(timeout = 60.) ?(prepare = ignore) f =
             let termed = ref false in
             Fun.protect
               ~finally:(fun () ->
-                if not !termed then (try Unix.kill pid Sys.sigkill with _ -> ());
+                (* Without the graceful drain, a worker may be mid-job:
+                   kill the daemon's whole group, not just the daemon. *)
+                if not !termed then begin
+                  (try Unix.kill (-pid) Sys.sigkill with _ -> ());
+                  try Unix.kill pid Sys.sigkill with _ -> ()
+                end;
                 ignore (try Unix.waitpid [] pid with _ -> (0, Unix.WEXITED 0)))
               (fun () ->
                 let deadline = Unix.gettimeofday () +. 10. in
@@ -442,6 +450,16 @@ let with_daemon ?(workers = 1) ?(timeout = 60.) ?(prepare = ignore) f =
                   end
                 in
                 wait_sock ();
+                (* The socket file appears only once the daemon listens, so
+                   the first connect must succeed. *)
+                (let probe = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+                 Fun.protect
+                   ~finally:(fun () -> Unix.close probe)
+                   (fun () ->
+                     try Unix.connect probe (Unix.ADDR_UNIX sock)
+                     with Unix.Unix_error (e, _, _) ->
+                       Alcotest.failf "socket file present but connect failed: %s"
+                         (Unix.error_message e)));
                 f ~sock ~pid;
                 (* Graceful drain: SIGTERM, clean exit, socket unlinked. *)
                 Unix.kill pid Sys.sigterm;
