@@ -676,12 +676,11 @@ let top_cmd =
       (member_int "queue_interactive" stats)
       (member_int "queue_batch" stats) (member_int "inflight" stats)
       (member_int "tickets_open" stats);
-    (match Json.member "store" stats with
-    | Some store ->
-        Printf.printf "store     %d entries, %d bytes, %d evictions\n"
-          (member_int "entries" store) (member_int "bytes" store)
-          (member_int "evictions" store)
-    | None -> ());
+    Printf.printf "store     %d hits, %d misses, %d writes, %d evictions\n"
+      (counter_of snap "store_reads_total" [ ("result", "hit") ])
+      (counter_of snap "store_reads_total" [ ("result", "miss") ])
+      (counter_of snap "store_writes_total" [])
+      (counter_of snap "store_evictions_total" []);
     Printf.printf "workers   %d jobs executed by residents\n"
       (counter_of snap "serve_executed_total" []);
     Printf.printf "wait(i)   %s\n"

@@ -92,6 +92,7 @@ let open_ ?root ?budget_bytes ?metrics () =
 
 let count t f = match t.ins with None -> () | Some ins -> Metrics.inc (f ins)
 let root t = t.root
+let budget_bytes t = t.budget_bytes
 let evictions t = t.evictions
 
 let path t key =

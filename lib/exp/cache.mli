@@ -34,6 +34,9 @@ val open_ :
 
 val root : t -> string
 
+val budget_bytes : t -> int option
+(** The byte budget {!open_} was given. *)
+
 val path : t -> string -> string
 (** Absolute entry path for a fingerprint — exposed for tests and for the
     CLI's cache description. *)

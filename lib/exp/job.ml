@@ -16,34 +16,45 @@ let make ?(check = false) ?(verdicts = false) ?(cycle_limit = default_cycle_limi
     cfg program =
   { cfg; program; check; verdicts; cycle_limit }
 
-(* The fingerprint is one MD5 over a binary image of exactly what
-   determines the simulation's output. Integers are 8-byte little-endian,
-   code words 4-byte:
+(* The fingerprint is two MD5s over binary images of exactly what
+   determines the simulation's output. The program's digest covers what
+   [Program.load] writes; integers are 8-byte little-endian, code words
+   and data values the 4-byte words that load:
 
      text_base entry n_code word*n_code n_segments
-     { tag base n_values value*n_values }*        tag 'W' ints, 'F' float bits
+     { tag base n_values word*n_values }*   tag 'W': v land 0xFFFFFFFF
+                                                'F': single-precision bits
+
+   The job's key is the MD5 of that 16-byte digest followed by the job's
+   own fields:
+
      stamp_len stamp cfg_len cfg check verdicts cycle_limit
 
-   The program is hashed through [Encode.encode] rather than the AST, so
-   two programs that load identically fingerprint identically; labels and
-   symbols are left out. [Config.t] is a closed tree of scalars and
-   immutable records, so its marshalled bytes are a canonical encoding.
-   Every variable-length field carries its length, so no two jobs write
-   the same image. The program comes first: a batch writes each program's
-   part once and appends each job's fields after it. *)
+   So what [Program.load] drops does not move the key: labels, symbols
+   and the bits of a value above its loaded word. The segments' layout
+   does, and the tag keeps [Words] and [Floats] with the same bits
+   apart. [Config.t] is a closed tree of scalars and immutable
+   records, so its marshalled bytes are a canonical encoding. Every
+   variable-length field carries its length, so no two jobs write the
+   same image.
+
+   A batch hashes each program once and each job's 16 + fields bytes on
+   top. No digest outlives the call: [Program.t]'s arrays are mutable,
+   so a digest kept across batches could go stale and file an outcome
+   under the wrong key. *)
 
 let program_length (p : Program.t) =
   List.fold_left
     (fun acc -> function
-      | Program.Words { values; _ } -> acc + 17 + (8 * Array.length values)
-      | Program.Floats { values; _ } -> acc + 17 + (8 * Array.length values))
+      | Program.Words { values; _ } -> acc + 17 + (4 * Array.length values)
+      | Program.Floats { values; _ } -> acc + 17 + (4 * Array.length values))
     (32 + (4 * Array.length p.code))
     p.data
 
 let set_int b off v = Bytes.set_int64_le b off (Int64.of_int v)
 
-(* Writes [p]'s part of the image at the start of [b]. *)
-let write_program b (p : Program.t) =
+let program_digest (p : Program.t) =
+  let b = Bytes.create (program_length p) in
   let n_code = Array.length p.code in
   set_int b 0 p.text_base;
   set_int b 8 p.entry;
@@ -68,20 +79,22 @@ let write_program b (p : Program.t) =
       (match init with
       | Program.Words { values; _ } ->
           for i = 0 to n - 1 do
-            set_int b (values_at + (8 * i)) values.(i)
+            Bytes.set_int32_le b (values_at + (4 * i)) (Int32.of_int values.(i))
           done
       | Program.Floats { values; _ } ->
           for i = 0 to n - 1 do
-            Bytes.set_int64_le b (values_at + (8 * i)) (Int64.bits_of_float values.(i))
+            Bytes.set_int32_le b (values_at + (4 * i)) (Int32.bits_of_float values.(i))
           done);
-      off := values_at + (8 * n))
-    p.data
+      off := values_at + (4 * n))
+    p.data;
+  Digest.bytes b
 
-(* The job's own fields, the tail of its image. *)
-let fields t =
+(* The key of job [t], whose program's digest is [digest]. *)
+let key digest t =
   let cfg = Marshal.to_string t.cfg [] in
-  let b = Buffer.create (String.length cfg + 64) in
+  let b = Buffer.create (String.length cfg + 80) in
   let int v = Buffer.add_int64_le b (Int64.of_int v) in
+  Buffer.add_string b digest;
   int (String.length Revision.stamp);
   Buffer.add_string b Revision.stamp;
   int (String.length cfg);
@@ -89,7 +102,7 @@ let fields t =
   Buffer.add_char b (if t.check then '\001' else '\000');
   Buffer.add_char b (if t.verdicts then '\001' else '\000');
   int t.cycle_limit;
-  Buffer.contents b
+  Digest.to_hex (Digest.string (Buffer.contents b))
 
 (* Programs keyed by identity: a batch shares a program between jobs by
    pointer, and structural equality would compare whole images.
@@ -103,24 +116,18 @@ module Programs = Hashtbl.Make (struct
 end)
 
 let fingerprints jobs =
-  let tails = Array.map fields jobs in
-  let room = Array.fold_left (fun acc s -> max acc (String.length s)) 0 tails in
-  let images = Programs.create 16 in
-  Array.mapi
-    (fun i t ->
-      let image, len =
-        match Programs.find_opt images t.program with
-        | Some image -> image
+  let digests = Programs.create 16 in
+  Array.map
+    (fun t ->
+      let digest =
+        match Programs.find_opt digests t.program with
+        | Some d -> d
         | None ->
-            let len = program_length t.program in
-            let b = Bytes.create (len + room) in
-            write_program b t.program;
-            Programs.add images t.program (b, len);
-            (b, len)
+            let d = program_digest t.program in
+            Programs.add digests t.program d;
+            d
       in
-      let tail = tails.(i) in
-      Bytes.blit_string tail 0 image len (String.length tail);
-      Digest.to_hex (Digest.subbytes image 0 (len + String.length tail)))
+      key digest t)
     jobs
 
 let fingerprint t = (fingerprints [| t |]).(0)

@@ -24,17 +24,22 @@ val make :
 (** [check] and [verdicts] default to false. *)
 
 val fingerprint : t -> string
-(** Deterministic content address (hex MD5) of the job: one digest of a
-    binary image holding the encoded program (text base, entry, code
-    words, and every data segment as a tag, base, length and 8-byte
-    values), the simulator-revision stamp, the marshalled configuration,
-    the check and verdicts flags and the cycle limit. Symbols are not
-    part of it. Stable across processes and binaries; two jobs with equal
-    fingerprints produce bit-identical outcomes. The image layout is part
-    of the cache format: changing it means bumping
-    {!Revision.format_version}. *)
+(** Deterministic content address (hex MD5) of the job, in two levels:
+    the MD5 of the program's digest followed by the simulator-revision
+    stamp, the marshalled configuration, the check and verdicts flags and
+    the cycle limit. The program's digest is one MD5 of a binary image of
+    what {!Riq_asm.Program.load} writes: text base, entry, code words,
+    and every data segment as a tag, base, length and its values as the
+    32-bit words that load. Symbols, and the bits of a value that loading
+    drops, are not part of it. Stable across processes and binaries; two
+    jobs with equal fingerprints produce bit-identical outcomes. The
+    image layout is part of the cache format: changing it means bumping
+    {!Revision.format_version}. Equal to [(fingerprints [| t |]).(0)]. *)
 
 val fingerprints : t array -> string array
-(** [Array.map fingerprint], writing the image of each physically
-    distinct {!Riq_asm.Program.t} once per batch: the jobs of a sweep
-    share a few programs, and a program's image is most of every job's. *)
+(** [Array.map fingerprint], digesting each physically distinct
+    {!Riq_asm.Program.t} once per call: the jobs of a sweep share a few
+    programs, and a program's image is most of every job's, so the cost
+    follows the batch's distinct program bytes, not jobs times program
+    bytes. No digest is kept beyond the call (a program's arrays are
+    mutable). *)

@@ -13,5 +13,7 @@ let stamp = "riq-sim-2026-10-17.1"
    changes, or when the job fingerprint's image changes (it names every
    entry). 5: a checksummed text header precedes the payload. 6:
    [Outcome.error] gains [Accounting_mismatch]. 7: fingerprints hash a
-   binary image instead of hex text. *)
-let format_version = 7
+   binary image instead of hex text. 8: a key is the MD5 of the program
+   image's MD5 and the job's fields; data values enter as loaded 32-bit
+   words. *)
+let format_version = 8

@@ -34,8 +34,8 @@ val backend : t -> Riq_exp.Backend.t
     executed for it, and its telemetry hook contributes a ["service"]
     block: client-side provenance counters (remote hits / executed /
     batched, reconnects, clock offset) plus a live snapshot of the
-    daemon's stats (queue depths, batching fan-out, store size and
-    evictions). *)
+    daemon's stats (queue depths, batching fan-out, the store's root,
+    budget and evictions). *)
 
 val server_stats : t -> Riq_util.Json.t option
 (** One [stats] round-trip; [None] if the daemon went away. *)

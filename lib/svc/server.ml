@@ -409,7 +409,19 @@ let stats_json t =
             ("jobs_fanned_out", Json.Int t.n_batch_jobs);
             ("max_fanout", Json.Int t.n_max_batch);
           ] );
-      ("store", Cache.stat_json t.cfg.store);
+      (* What the daemon knows without reading the tree: a walk for the
+         entry count and bytes would stall every connection for as long
+         as it takes (riq-cache stat reports those). *)
+      ( "store",
+        Json.Obj
+          [
+            ("root", Json.String (Cache.root t.cfg.store));
+            ( "budget_bytes",
+              match Cache.budget_bytes t.cfg.store with
+              | None -> Json.Null
+              | Some b -> Json.Int b );
+            ("evictions", Json.Int (Cache.evictions t.cfg.store));
+          ] );
     ]
 
 (* Answer index [index] of ticket [id] from the store, or coalesce it

@@ -34,14 +34,15 @@ loop:
     halt
 |})
 
-(* A few tenths of a second of simulation: long enough to kill mid-job. *)
+(* A few tenths of a second of simulation (0.3-0.4 s on a 2.1 GHz
+   core): long enough to kill mid-job, 50 ms in. *)
 let long_job =
   Job.make Config.baseline
     (Parse.program_exn
        {|
     li r2, 0
     li r3, 0
-    li r5, 100000
+    li r5, 500000
 loop:
     add r2, r2, r3
     addi r3, r3, 1
@@ -92,7 +93,7 @@ let test_fingerprint_sensitivity () =
   (* Every part of the program image moves the key. *)
   let key p = Job.fingerprint (Job.make Config.baseline p) in
   let base = key (image_program ()) in
-  let one_bit = Int64.to_int (Int64.bits_of_float 1.5) in
+  let one_bit = Int32.to_int (Int32.bits_of_float 1.5) land 0xFFFFFFFF in
   List.iter
     (fun (what, p) ->
       if key p = base then Alcotest.failf "%s does not change the fingerprint" what)
@@ -135,7 +136,26 @@ let test_fingerprint_sensitivity () =
       ("the text base", image_program ~text_base:0x3000 ~entry:0x3004 ());
     ];
   Alcotest.(check string) "symbols are not part of the key" base
-    (key (image_program ~symbols:[ ("start", 0x2004) ] ()))
+    (key (image_program ~symbols:[ ("start", 0x2004) ] ()));
+  (* What loading drops is not part of it either. *)
+  Alcotest.(check string) "bits above the loaded word" base
+    (key
+       (image_program
+          ~data:
+            [
+              Program.Words { base = 0x8000; values = [| 1; 2; 3 + (5 lsl 32); 4 - (1 lsl 32) |] };
+              Program.Floats { base = 0x9000; values = [| 1.5 |] };
+            ]
+          ()));
+  Alcotest.(check string) "a double that rounds to the same single" base
+    (key
+       (image_program
+          ~data:
+            [
+              Program.Words { base = 0x8000; values = [| 1; 2; 3; 4 |] };
+              Program.Floats { base = 0x9000; values = [| 1.5 +. 1e-12 |] };
+            ]
+          ()))
 
 (* The batch form hashes exactly what the single form does, whether the
    jobs share a program by pointer or hold equal copies. The last two
@@ -197,6 +217,8 @@ let pinned_fingerprints =
   [
     ( (7, "riq-sim-2026-10-17.1"),
       ("9bfe7248db97eb724b79bfcc0ee6bdda", "8df5bdf248831a723ca2cb2c02a61eff") );
+    ( (8, "riq-sim-2026-10-17.1"),
+      ("9df75a1ef3f04b04c26955b7daa2149a", "6e4d11b23c94f0ac6c62c51b3d4d642f") );
   ]
 
 let test_fingerprint_pinned () =
@@ -252,6 +274,289 @@ let test_fingerprint_cross_process () =
         Alcotest.(check string) "child fingerprint matches parent" parent_fp
           (Buffer.contents buf)
   end
+
+(* ---- The key is a function of the loaded image ---- *)
+
+(* Random programs built as records, without [Program.make]'s checks
+   (only the key reads them): up to 8 code words, up to 3 data segments
+   of either kind, and ints and doubles of every width, including bits
+   [Program.load] drops. *)
+let gen_program =
+  let open QCheck.Gen in
+  let word = oneof [ int; int_range (-5) 5; map (fun v -> v land 0xFFFFFFFF) int ] in
+  let double =
+    oneof
+      [
+        map Int64.float_of_bits ui64;
+        map Int32.float_of_bits ui32;
+        float;
+      ]
+  in
+  let segment =
+    let* base = map (fun b -> 4 * b) (int_bound 0xFFFFF) in
+    let* n = int_bound 12 in
+    oneof
+      [
+        map (fun values -> Program.Words { base; values }) (array_repeat n word);
+        map (fun values -> Program.Floats { base; values }) (array_repeat n double);
+      ]
+  in
+  let* code = array_size (int_range 1 8) Test_isa.gen_insn in
+  let* text_base = map (fun b -> 4 * b) (int_bound 0xFFFFF) in
+  let* entry = oneof [ return text_base; map (fun b -> 4 * b) (int_bound 0xFFFFF) ] in
+  let* data = list_size (int_bound 3) segment in
+  return { Program.text_base; code; data; entry; symbols = [] }
+
+let gen_config =
+  let open QCheck.Gen in
+  let* cfg = oneofl [ Config.baseline; Config.reuse; Config.loop_cache 16 ] in
+  let* iq = oneofl [ 16; 32; 64; 128; 256 ] in
+  let* nblt = int_bound 16 in
+  let* multiple = bool in
+  return
+    {
+      (Config.with_iq_size cfg iq) with
+      Config.nblt_entries = nblt;
+      buffer_multiple_iterations = multiple;
+    }
+
+let gen_job =
+  let open QCheck.Gen in
+  let* cfg = gen_config in
+  let* program = gen_program in
+  let* check = bool in
+  let* verdicts = bool in
+  let* cycle_limit = oneof [ return Job.default_cycle_limit; nat ] in
+  return (Job.make ~check ~verdicts ~cycle_limit cfg program)
+
+let print_job (j : Job.t) =
+  Format.asprintf "%a@.data %s" Program.pp_listing j.program
+    (String.concat "; "
+       (List.map
+          (function
+            | Program.Words { base; values } ->
+                Printf.sprintf "W %#x [%s]" base
+                  (String.concat "," (Array.to_list (Array.map string_of_int values)))
+            | Program.Floats { base; values } ->
+                Printf.sprintf "F %#x [%s]" base
+                  (String.concat "," (Array.to_list (Array.map (Printf.sprintf "%h") values))))
+          j.program.data))
+
+let single f = Int32.bits_of_float f
+
+(* A double with the same single-precision bits as [f], most often a
+   different one: the single itself with random bits below half of its
+   last place, falling back to [f] where that would not round back
+   (infinities and NaNs). *)
+let same_single r f =
+  let g =
+    Int64.float_of_bits
+      (Int64.logor
+         (Int64.bits_of_float (Int32.float_of_bits (single f)))
+         (Int64.of_int (Random.State.bits r land 0xFFFFFFF)))
+  in
+  if single g = single f then g else f
+
+let map_data f (p : Program.t) = { p with Program.data = List.map f p.data }
+
+let prop_key_ignores_dropped_bits =
+  QCheck.Test.make ~name:"key ignores what loading drops" ~count:300
+    (QCheck.make ~print:(fun (j, _) -> print_job j) QCheck.Gen.(pair gen_job int))
+    (fun ((j : Job.t), seed) ->
+      let r = Random.State.make [| seed |] in
+      let loaded_alike =
+        map_data
+          (function
+            | Program.Words { base; values } ->
+                Program.Words
+                  {
+                    base;
+                    values = Array.map (fun v -> v + ((Random.State.int r 7 - 3) lsl 32)) values;
+                  }
+            | Program.Floats { base; values } ->
+                Program.Floats { base; values = Array.map (same_single r) values })
+          j.program
+      in
+      Job.fingerprint j = Job.fingerprint { j with program = loaded_alike })
+
+(* Every single-bit change to a field of the key, one per kind, with the
+   field and the bit chosen at random. [None] where the program has no
+   such field (no data segment, no value) or no flip of the chosen code
+   word decodes back to the flipped word. *)
+let bit_flips r (j : Job.t) =
+  let p = j.program in
+  let flip v b = v lxor (1 lsl b) in
+  let pick a = a.(Random.State.int r (Array.length a)) in
+  let segs = Array.of_list p.data in
+  let with_seg f =
+    if segs = [||] then None
+    else
+      let k = Random.State.int r (Array.length segs) in
+      Option.map
+        (fun s -> { j with program = { p with data = List.mapi (fun i x -> if i = k then s else x) p.data } })
+        (f segs.(k))
+  in
+  let int_field = Random.State.int r 63 in
+  let set_cfg cfg = Some { j with cfg } in
+  let c = j.cfg in
+  let cfg_flips =
+    [|
+      (fun b -> { c with Config.iq_entries = flip c.Config.iq_entries b });
+      (fun b -> { c with Config.rob_entries = flip c.Config.rob_entries b });
+      (fun b -> { c with Config.lsq_entries = flip c.Config.lsq_entries b });
+      (fun b -> { c with Config.fetch_width = flip c.Config.fetch_width b });
+      (fun b -> { c with Config.nblt_entries = flip c.Config.nblt_entries b });
+      (fun b -> { c with Config.loop_cache_entries = flip c.Config.loop_cache_entries b });
+      (fun _ -> { c with Config.reuse_enabled = not c.Config.reuse_enabled });
+      (fun _ ->
+        { c with Config.buffer_multiple_iterations = not c.Config.buffer_multiple_iterations });
+      (fun b ->
+        { c with Config.mem = { c.Config.mem with tlb_miss_penalty = flip c.Config.mem.tlb_miss_penalty b } });
+      (fun b ->
+        { c with Config.bpred = { c.Config.bpred with entries = flip c.Config.bpred.entries b } });
+    |]
+  in
+  [
+    ( "a loaded word",
+      with_seg (function
+        | Program.Words { base; values } when values <> [||] ->
+            let i = Random.State.int r (Array.length values) in
+            let values = Array.copy values in
+            values.(i) <- flip values.(i) (Random.State.int r 32);
+            Some (Program.Words { base; values })
+        | Program.Floats { base; values } when values <> [||] ->
+            let i = Random.State.int r (Array.length values) in
+            let b = Random.State.int r 32 in
+            let g = Int32.float_of_bits (Int32.logxor (single values.(i)) (Int32.shift_left 1l b)) in
+            (* A signalling NaN's flip can come back quiet: no flip then. *)
+            if single g = single values.(i) then None
+            else begin
+              let values = Array.copy values in
+              values.(i) <- g;
+              Some (Program.Floats { base; values })
+            end
+        | _ -> None) );
+    ( "a code word",
+      let i = Random.State.int r (Array.length p.code) in
+      let w = Riq_isa.Encode.encode p.code.(i) in
+      let canonical b =
+        match Riq_isa.Encode.decode (flip w b) with
+        | Ok insn when Riq_isa.Encode.encode insn = flip w b -> Some insn
+        | _ -> None
+      in
+      Option.map
+        (fun insn ->
+          let code = Array.copy p.code in
+          code.(i) <- insn;
+          { j with program = { p with code } })
+        (let start = Random.State.int r 32 in
+         List.find_map canonical (List.init 32 (fun k -> (k + start) mod 32))) );
+    ( "a segment tag",
+      with_seg (function
+        | Program.Words { base; values } ->
+            Some
+              (Program.Floats
+                 { base; values = Array.map (fun v -> Int32.float_of_bits (Int32.of_int v)) values })
+        | Program.Floats { base; values } ->
+            Some
+              (Program.Words
+                 { base; values = Array.map (fun f -> Int32.to_int (single f) land 0xFFFFFFFF) values })) );
+    ( "a segment base",
+      with_seg (function
+        | Program.Words { base; values } -> Some (Program.Words { base = flip base int_field; values })
+        | Program.Floats { base; values } ->
+            Some (Program.Floats { base = flip base int_field; values })) );
+    ( "a segment length",
+      let resize a n zero = Array.init n (fun i -> if i < Array.length a then a.(i) else zero) in
+      let b = Random.State.int r 5 in
+      with_seg (function
+        | Program.Words { base; values } ->
+            Some (Program.Words { base; values = resize values (flip (Array.length values) b) 0 })
+        | Program.Floats { base; values } ->
+            Some (Program.Floats { base; values = resize values (flip (Array.length values) b) 0. }))
+    );
+    ("the entry", Some { j with program = { p with entry = flip p.entry int_field } });
+    ("the text base", Some { j with program = { p with text_base = flip p.text_base int_field } });
+    ("the check flag", Some { j with check = not j.check });
+    ("the verdicts flag", Some { j with verdicts = not j.verdicts });
+    ("the cycle limit", Some { j with cycle_limit = flip j.cycle_limit int_field });
+    ("the configuration", set_cfg ((pick cfg_flips) (Random.State.int r 62)));
+  ]
+
+let prop_key_sees_every_bit =
+  QCheck.Test.make ~name:"key moves with every loaded bit and job field" ~count:300
+    (QCheck.make ~print:(fun (j, _) -> print_job j) QCheck.Gen.(pair gen_job int))
+    (fun ((j : Job.t), seed) ->
+      let key = Job.fingerprint j in
+      List.iter
+        (fun (what, flipped) ->
+          match flipped with
+          | Some f when Job.fingerprint f = key ->
+              QCheck.Test.fail_reportf "flipping %s leaves the key at %s" what key
+          | _ -> ())
+        (bit_flips (Random.State.make [| seed |]) j);
+      true)
+
+(* Random batches over a few programs, each job holding one of them by
+   pointer, as a fresh record of the same fields, as a deep copy, or as
+   a copy whose [Words] segments each gain a trailing value: a different
+   program that [Hashtbl.hash] mostly cannot tell apart. *)
+let prop_batch_is_map =
+  let gen =
+    let open QCheck.Gen in
+    let* programs = array_size (int_range 1 4) gen_program in
+    let* picks = list_size (int_range 1 24) (triple (int_bound 3) (int_bound 3) gen_job) in
+    return
+      (Array.of_list
+         (List.map
+            (fun (k, how, (j : Job.t)) ->
+              let p = programs.(k mod Array.length programs) in
+              let program =
+                match how with
+                | 0 -> p
+                | 1 -> { p with Program.symbols = [] }
+                | 2 ->
+                    map_data
+                      (function
+                        | Program.Words { base; values } ->
+                            Program.Words { base; values = Array.copy values }
+                        | Program.Floats { base; values } ->
+                            Program.Floats { base; values = Array.copy values })
+                      { p with Program.code = Array.copy p.code }
+                | _ ->
+                    map_data
+                      (function
+                        | Program.Words { base; values } ->
+                            Program.Words { base; values = Array.append values [| 7 |] }
+                        | d -> d)
+                      p
+              in
+              { j with program })
+            picks))
+  in
+  QCheck.Test.make ~name:"fingerprints = map fingerprint on shared programs" ~count:200
+    (QCheck.make ~print:(fun js -> String.concat "\n---\n" (Array.to_list (Array.map print_job js))) gen)
+    (fun jobs -> Job.fingerprints jobs = Array.map Job.fingerprint jobs)
+
+(* Hashing follows the distinct program bytes, not jobs times bytes: 64
+   jobs over one [btrix] program (104,001 data values) cost about what
+   one such job does. It was 53x when every job hashed its own image. *)
+let test_fingerprints_per_program () =
+  let btrix = Workloads.program (Workloads.find "btrix") in
+  let job = Job.make (Config.with_iq_size Config.reuse 32) btrix in
+  let batch = Array.init 64 (fun i -> { job with Job.cycle_limit = job.Job.cycle_limit + i }) in
+  let best f =
+    List.fold_left min infinity
+      (List.init 5 (fun _ ->
+           let t0 = Unix.gettimeofday () in
+           ignore (Sys.opaque_identity (f ()));
+           Unix.gettimeofday () -. t0))
+  in
+  let one = best (fun () -> Job.fingerprints [| job |]) in
+  let many = best (fun () -> Job.fingerprints batch) in
+  if not (many < 4. *. one) then
+    Alcotest.failf "64 jobs sharing btrix took %.2f ms, one job %.2f ms (%.1fx)" (many *. 1e3)
+      (one *. 1e3) (many /. one)
 
 (* ------------------------------------------------------------------ *)
 (* Cache                                                               *)
@@ -588,6 +893,11 @@ let suites =
         Alcotest.test_case "fingerprints batch" `Quick test_fingerprints_batch;
         Alcotest.test_case "fingerprint pinned" `Quick test_fingerprint_pinned;
         Alcotest.test_case "fingerprint cross-process" `Quick test_fingerprint_cross_process;
+        QCheck_alcotest.to_alcotest prop_key_ignores_dropped_bits;
+        QCheck_alcotest.to_alcotest prop_key_sees_every_bit;
+        QCheck_alcotest.to_alcotest prop_batch_is_map;
+        Alcotest.test_case "fingerprints hash per program" `Quick
+          test_fingerprints_per_program;
         Alcotest.test_case "cache round trip" `Quick test_cache_round_trip;
         Alcotest.test_case "cache corruption" `Quick test_cache_corruption_is_miss;
         Alcotest.test_case "cache bit flips are misses" `Quick

@@ -653,7 +653,7 @@ let test_daemon_timeout () =
 
 (* Queue wait is time spent waiting for a worker, not time the daemon
    spends hashing the supplied bodies. One worker, one batch: a tiny job
-   first, then halt-only jobs whose 100k-word data images make each
+   first, then halt-only jobs whose 200k-word data images make each
    fingerprint slow (about 3 ms each). The daemon checks every body's
    fingerprint before it queues any, and the tiny job then goes to the
    idle worker at once, so its wait must be well under what
@@ -667,7 +667,7 @@ let test_daemon_queue_wait_excludes_hashing () =
             Job.make Config.baseline
               (Program.make
                  ~data:
-                   [ Program.Words { base = 0x100000; values = Array.init 100_000 (( + ) i) } ]
+                   [ Program.Words { base = 0x100000; values = Array.init 200_000 (( + ) i) } ]
                  [| Riq_isa.Insn.Halt |]))
       in
       let t0 = Unix.gettimeofday () in
@@ -1000,6 +1000,36 @@ let test_daemon_unwritable_store () =
           | _ -> Alcotest.fail "store_writes_total missing"));
       Client.close client)
 
+(* A stats request reads nothing of the store's tree: over a store
+   pre-filled with entries, of this format and of an older one that a
+   format bump left behind, the reply's store object holds only what the
+   daemon knows without a walk. The walk stays [Cache.stat]'s (riq-cache
+   stat), which sees every entry. *)
+let test_daemon_stats_does_not_walk () =
+  let fill root =
+    ignore (store_n (Cache.open_ ~root ()) 8);
+    let shard = List.fold_left Filename.concat root [ "v7"; Revision.stamp; "ab" ] in
+    List.iter
+      (fun d -> try Sys.mkdir d 0o755 with Sys_error _ -> ())
+      [ Filename.dirname (Filename.dirname shard); Filename.dirname shard; shard ];
+    Out_channel.with_open_bin (Filename.concat shard ("ab" ^ String.make 30 '0')) (fun oc ->
+        output_string oc "an entry of an older format")
+  in
+  with_daemon ~prepare:fill (fun ~sock ~pid:_ ->
+      let root = Filename.concat (Filename.dirname sock) "cache" in
+      Alcotest.(check int) "the whole-tree view sees every entry" 9
+        (Cache.stat (Cache.open_ ~root ())).Cache.entry_count;
+      let fd = greeted sock in
+      let stats = rpc fd Protocol.Stats in
+      close_quietly fd;
+      match Json.member "store" stats with
+      | Some (Json.Obj fields as store) ->
+          Alcotest.(check (list string)) "store fields" [ "root"; "budget_bytes"; "evictions" ]
+            (List.map fst fields);
+          Alcotest.(check bool) "store root" true
+            (Json.member "root" store = Some (Json.String root))
+      | _ -> Alcotest.fail "stats has no store object")
+
 (* Frames do not line up with reads: two requests in one write, then one
    request dribbled over several writes. Every request gets its answer. *)
 let test_daemon_split_frames () =
@@ -1091,6 +1121,7 @@ let suites =
           test_daemon_held_reply_order;
         Alcotest.test_case "unwritable store writes nothing" `Slow
           test_daemon_unwritable_store;
+        Alcotest.test_case "stats reads no store entry" `Slow test_daemon_stats_does_not_walk;
         Alcotest.test_case "sweep json parses" `Slow test_sweep_json_parses;
       ] );
   ]
