@@ -628,6 +628,11 @@ let top_cmd =
     | Some { M.s_value = M.Counter_sample v; _ } -> v
     | _ -> 0
   in
+  let gauge_of snap name labels =
+    match find snap name labels with
+    | Some { M.s_value = M.Gauge_sample v; _ } -> v
+    | _ -> 0.
+  in
   let hist_line snap name labels =
     match find snap name labels with
     | Some { M.s_value = M.Histogram_sample { bounds; counts; sum }; _ } ->
@@ -640,49 +645,33 @@ let top_cmd =
             (M.histogram_quantile 0.95 ~bounds ~counts)
     | _ -> "      (absent)"
   in
-  let member_int name j =
-    match Option.bind (Json.member name j) Json.to_int with Some v -> v | None -> 0
-  in
-  let render client =
-    let stats =
-      match Riq_svc.Client.server_stats client with
-      | Some s -> s
-      | None -> failwith "daemon went away"
-    in
+  (* One frame, one scrape: every line reads the daemon's registry. *)
+  let render addr client =
     let snap =
       match Riq_svc.Client.server_metrics client with
       | Ok s -> s
       | Error e -> failwith ("metrics scrape failed: " ^ e)
     in
-    let str name =
-      match Option.bind (Json.member name stats) Json.to_str with
-      | Some s -> s
-      | None -> "?"
-    in
-    let uptime =
-      match Option.bind (Json.member "uptime_seconds" stats) Json.to_float_opt with
-      | Some f -> f
-      | None -> 0.
-    in
-    Printf.printf "riq-serve %s | up %.0fs | %d workers | draining: %b\n" (str "address")
-      uptime (member_int "workers" stats)
-      (Json.member "draining" stats = Some (Json.Bool true));
+    let count ?(labels = []) name = counter_of snap name labels in
+    let level ?(labels = []) name = int_of_float (gauge_of snap name labels) in
+    Printf.printf "riq-serve %s | up %.0fs | %d workers | draining: %b\n" addr
+      (gauge_of snap "serve_uptime_seconds" [])
+      (Riq_svc.Client.backend client).Riq_exp.Backend.parallelism
+      (level "serve_draining" = 1);
     Printf.printf
       "jobs      %d submitted = %d store hits + %d batched + %d executed (%d retries, %d timeouts)\n"
-      (member_int "submitted" stats) (member_int "hits" stats)
-      (member_int "batched" stats) (member_int "executed" stats)
-      (member_int "retries" stats) (member_int "timeouts" stats);
+      (count "serve_submitted_total") (count "store_hits_total")
+      (count "serve_batched_total") (count "serve_executed_total")
+      (count "serve_retries_total") (count "serve_timeouts_total");
     Printf.printf "queues    interactive %d | batch %d | inflight %d | open tickets %d\n"
-      (member_int "queue_interactive" stats)
-      (member_int "queue_batch" stats) (member_int "inflight" stats)
-      (member_int "tickets_open" stats);
+      (level ~labels:[ ("class", "interactive") ] "serve_queue_depth")
+      (level ~labels:[ ("class", "batch") ] "serve_queue_depth")
+      (level "serve_inflight") (level "serve_tickets_open");
     Printf.printf "store     %d hits, %d misses, %d writes, %d evictions\n"
-      (counter_of snap "store_reads_total" [ ("result", "hit") ])
-      (counter_of snap "store_reads_total" [ ("result", "miss") ])
-      (counter_of snap "store_writes_total" [])
-      (counter_of snap "store_evictions_total" []);
-    Printf.printf "workers   %d jobs executed by residents\n"
-      (counter_of snap "serve_executed_total" []);
+      (count ~labels:[ ("result", "hit") ] "store_reads_total")
+      (count ~labels:[ ("result", "miss") ] "store_reads_total")
+      (count "store_writes_total") (count "store_evictions_total");
+    Printf.printf "workers   %d jobs executed by residents\n" (count "serve_executed_total");
     Printf.printf "wait(i)   %s\n"
       (hist_line snap "serve_queue_wait_seconds" [ ("class", "interactive") ]);
     Printf.printf "wait(b)   %s\n"
@@ -704,13 +693,13 @@ let top_cmd =
       | Ok snap -> print_endline (Json.to_string (M.to_json snap))
       | Error e -> failwith ("metrics scrape failed: " ^ e)
     end
-    else if once then render client
+    else if once then render addr client
     else begin
       let continue_ = ref true in
       while !continue_ do
         (* Home + clear-to-end keeps the refresh flicker-free. *)
         print_string "\027[H\027[J";
-        (try render client
+        (try render addr client
          with Failure msg ->
            continue_ := false;
            Printf.printf "%s\n" msg);
@@ -725,7 +714,7 @@ let top_cmd =
        ~doc:
          "Live terminal view of a running serve daemon: job and store counters, \
           per-class queue depth and wait quantiles, simulate-time quantiles — \
-          refreshed from the $(b,stats) and $(b,metrics) ops. With $(b,--prom) or \
+          each frame drawn from one $(b,metrics) scrape. With $(b,--prom) or \
           $(b,--json), print one machine-readable scrape instead.")
     Term.(const action $ addr $ interval $ once $ prom $ json)
 

@@ -1,6 +1,18 @@
 open Riq_isa
 
-type t = { cfg : Cfg.t; l_in : Int64.t array; l_out : Int64.t array }
+module L = struct
+  type fact = Int64.t
+
+  let name = "liveness"
+  let bottom = 0L
+  let equal = Int64.equal
+  let join = Int64.logor
+  let widen = join
+end
+
+module Solver = Dataflow.Make (L)
+
+type t = { cfg : Cfg.t; sol : Solver.result }
 
 let bit r = Int64.shift_left 1L r
 let mem set r = Int64.logand set (bit r) <> 0L
@@ -30,51 +42,33 @@ let return_live_out =
 let gen insn = List.fold_left add 0L (Insn.sources insn)
 
 let kill insn = match Insn.dest insn with Some d -> bit d | None -> 0L
+let step live insn = Int64.logor (gen insn) (Int64.logand live (Int64.lognot (kill insn)))
 
 let transfer_block cfg b out =
   (* Backward over the block's instructions. *)
-  let is_ = Cfg.insns cfg b in
-  List.fold_left
-    (fun live (_, insn) -> Int64.logor (gen insn) (Int64.logand live (Int64.lognot (kill insn))))
-    out (List.rev is_)
+  List.fold_left (fun live (_, insn) -> step live insn) out (List.rev (Cfg.insns cfg b))
+
+(* The fact at a block's exit. A block without successors gets the
+   solver's boundary, the empty set, unless it ends in an indirect
+   transfer: a return, after which {!return_live_out} stays live. *)
+let exit_fact (blk : Cfg.block) fact =
+  if blk.Cfg.b_succs = [] && blk.Cfg.b_indirect then return_live_out else fact
 
 let compute (cfg : Cfg.t) =
-  let n = Cfg.n_blocks cfg in
-  let l_in = Array.make n 0L and l_out = Array.make n 0L in
-  let rpo = Cfg.reverse_postorder cfg in
-  let changed = ref true in
-  while !changed do
-    changed := false;
-    (* Postorder (reverse of RPO) converges fastest for backward flow. *)
-    for i = Array.length rpo - 1 downto 0 do
-      let b = rpo.(i) in
-      let blk = Cfg.block cfg b in
-      let out =
-        match blk.Cfg.b_succs with
-        | [] -> if blk.Cfg.b_indirect then return_live_out else 0L
-        | succs -> List.fold_left (fun acc s -> Int64.logor acc l_in.(s)) 0L succs
-      in
-      let inn = transfer_block cfg blk out in
-      if out <> l_out.(b) || inn <> l_in.(b) then begin
-        l_out.(b) <- out;
-        l_in.(b) <- inn;
-        changed := true
-      end
-    done
-  done;
-  { cfg; l_in; l_out }
+  let transfer b out =
+    let blk = Cfg.block cfg b in
+    transfer_block cfg blk (exit_fact blk out)
+  in
+  { cfg; sol = Solver.solve_cfg ~direction:Dataflow.Backward ~transfer cfg }
 
-let live_in t b = t.l_in.(b)
-let live_out t b = t.l_out.(b)
+let live_in t b = t.sol.Solver.output.(b)
+let live_out t b = exit_fact (Cfg.block t.cfg b) t.sol.Solver.input.(b)
 
 let live_before t ~pc =
   match Cfg.block_at t.cfg pc with
   | None -> invalid_arg "Liveness.live_before: pc outside the text segment"
   | Some b ->
-      let is_ = Cfg.insns t.cfg b in
       List.fold_left
-        (fun live (ipc, insn) ->
-          if ipc >= pc then
-            Int64.logor (gen insn) (Int64.logand live (Int64.lognot (kill insn)))
-          else live)
-        t.l_out.(b.Cfg.b_id) (List.rev is_)
+        (fun live (ipc, insn) -> if ipc >= pc then step live insn else live)
+        (live_out t b.Cfg.b_id)
+        (List.rev (Cfg.insns t.cfg b))

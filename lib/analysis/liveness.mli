@@ -13,7 +13,11 @@ open Riq_isa
     callee's live-in flows into the call site alongside the return path),
     so no interprocedural summary is needed. Blocks ending in indirect
     transfers ([jr]/[jalr]) have no static successors; [jr r31] is a
-    return, whose conservative live-out is {!return_live_out}. *)
+    return, whose conservative live-out is {!return_live_out}.
+
+    The sets are the least fixpoint of a backward {!Dataflow.Make} solve
+    over [Int64] bitsets (join is [logor]), so liveness gets the
+    solver's monotonicity and stability checks. *)
 
 type t
 

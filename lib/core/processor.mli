@@ -89,8 +89,6 @@ type revoke_cause =
   | Rv_mispredict
       (** recovery from a mispredicted branch older than the loop *)
 
-val revoke_cause_to_string : revoke_cause -> string
-
 (** Per-loop decision record of the dynamic reuse machinery, keyed by the
     loop-ending instruction's pc (the detector's and the NBLT's key).
     Queryable after a run to compare against the static bufferability

@@ -48,5 +48,3 @@ val default : workers:int -> t
 (** {!fork_pool} when [workers > 1], else {!in_process} — the engine's
     historical behaviour. *)
 
-val no_telemetry : unit -> (string * Riq_util.Json.t) list
-(** The empty telemetry hook, for custom backends. *)

@@ -16,8 +16,8 @@
    Sharing the tree between many processes adds:
    - hits touch the entry's mtime, giving the tree a cross-process
      recency order without any index file;
-   - a cooperative lockfile for the maintenance operations (eviction and
-     gc walk-and-delete; plain entry writes don't need it);
+   - a kernel lock on <root>/.riq-lock for the maintenance operations
+     (eviction and gc walk-and-delete; plain entry writes don't need it);
    - LRU eviction to a byte budget, and an age-based gc, both of which
      only ever delete whole entries — a reader that raced an eviction
      sees a miss, never a torn file. *)
@@ -54,7 +54,7 @@ let instruments_of registry =
       counter ~help:"Entries evicted by budget enforcement" "store_evictions_total";
     i_lock_wait =
       Metrics.histogram registry
-        ~help:"Seconds spent waiting for the maintenance lockfile"
+        ~help:"Seconds spent waiting for the maintenance lock"
         "store_lock_wait_seconds";
   }
 
@@ -92,7 +92,6 @@ let open_ ?root ?budget_bytes ?metrics () =
 
 let count t f = match t.ins with None -> () | Some ins -> Metrics.inc (f ins)
 let root t = t.root
-let budget_bytes t = t.budget_bytes
 let evictions t = t.evictions
 
 let path t key =
@@ -129,52 +128,33 @@ let find t key =
       None
 
 (* ------------------------------------------------------------------ *)
-(* Lockfile                                                            *)
+(* Maintenance lock                                                    *)
 (* ------------------------------------------------------------------ *)
 
-let lock_stale_seconds = 60.
 let lock_path t = Filename.concat t.root ".riq-lock"
 
-(* O_CREAT|O_EXCL is atomic on every filesystem we care about. The lock
-   is cooperative and only guards maintenance; a holder that died leaves
-   a stale file, which the next taker breaks once it is older than
-   [lock_stale_seconds] (maintenance passes take milliseconds). *)
-let try_lock t =
-  let path = lock_path t in
-  try
-    let fd = Unix.openfile path [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_EXCL ] 0o644 in
-    let pid = Bytes.of_string (string_of_int (Unix.getpid ()) ^ "\n") in
-    ignore (Unix.write fd pid 0 (Bytes.length pid));
-    Unix.close fd;
-    true
-  with Unix.Unix_error (Unix.EEXIST, _, _) ->
-    (match Unix.stat path with
-    | { Unix.st_mtime; _ } when Unix.gettimeofday () -. st_mtime > lock_stale_seconds ->
-        (try Sys.remove path with _ -> ())
-    | _ -> ()
-    | exception _ -> ());
-    false
+(* A [lockf] record lock on the lock file, opened read-write, held until
+   the returned descriptor closes. The kernel drops it when its holder
+   exits, however it dies, so no lock outlives its process. It excludes
+   other processes only: a second lock in the same process is granted,
+   and closing either descriptor drops both. [F_LOCK] waits for a holder,
+   [F_TLOCK] raises at once. *)
+let acquire t cmd =
+  let fd = Unix.openfile (lock_path t) [ Unix.O_RDWR; Unix.O_CREAT; Unix.O_CLOEXEC ] 0o644 in
+  match Unix.lockf fd cmd 0 with
+  | () -> fd
+  | exception e ->
+      Unix.close fd;
+      raise e
 
-let unlock t = try Sys.remove (lock_path t) with _ -> ()
-
-let with_lock ?(timeout = 30.) t f =
+let with_lock t f =
   let started = Unix.gettimeofday () in
-  let deadline = started +. timeout in
-  let rec acquire () =
-    if try_lock t then ()
-    else if Unix.gettimeofday () > deadline then
-      failwith ("Cache.with_lock: timed out waiting for " ^ lock_path t)
-    else begin
-      (try ignore (Unix.select [] [] [] 0.01) with _ -> ());
-      acquire ()
-    end
-  in
-  acquire ();
+  let fd = acquire t Unix.F_LOCK in
   (match t.ins with
   | None -> ()
   | Some ins ->
       Metrics.observe ins.i_lock_wait (Unix.gettimeofday () -. started));
-  Fun.protect ~finally:(fun () -> unlock t) f
+  Fun.protect ~finally:(fun () -> Unix.close fd) f
 
 (* ------------------------------------------------------------------ *)
 (* Entry walk                                                          *)
@@ -333,11 +313,14 @@ let store t key (outcome : Outcome.t) =
         t.stores <- t.stores + 1;
         if t.stores >= budget_check_interval then begin
           t.stores <- 0;
-          (* Non-blocking: if another process holds the lock, it is
-             already doing the maintenance we wanted to do. *)
-          if try_lock t then
-            Fun.protect
-              ~finally:(fun () -> unlock t)
-              (fun () -> ignore (evict_to_budget_locked t budget))
+          (* Non-blocking: a process that holds the lock is already doing
+             the maintenance we wanted to do, and a lock that cannot be
+             taken at all skips the round rather than fail the store. *)
+          match acquire t Unix.F_TLOCK with
+          | exception _ -> ()
+          | fd ->
+              Fun.protect
+                ~finally:(fun () -> Unix.close fd)
+                (fun () -> ignore (evict_to_budget_locked t budget))
         end
   end

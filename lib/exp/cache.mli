@@ -10,9 +10,9 @@
     parallel workers and concurrent sweeps can share one tree.
 
     What many processes sharing the tree need is here too: hits refresh
-    the entry's mtime (the cross-process LRU order), a cooperative
-    maintenance lockfile, LRU eviction to a byte budget, and age-based
-    gc. Maintenance only ever deletes whole entries; a reader racing an
+    the entry's mtime (the cross-process LRU order), a kernel lock for
+    maintenance, LRU eviction to a byte budget, and age-based gc.
+    Maintenance only ever deletes whole entries; a reader racing an
     eviction sees a miss, never a torn file. *)
 
 type t
@@ -26,16 +26,13 @@ val open_ :
 (** Open (and create if needed) the cache under [root] (default
     {!default_root}). With [budget_bytes], every 32nd {!store}
     opportunistically evicts to the budget (skipped without blocking if
-    another process holds the maintenance lock). With [metrics], the
+    the maintenance lock cannot be taken at once). With [metrics], the
     cache registers [store_reads_total{result=hit|miss}],
     [store_writes_total] (entries actually renamed into place),
     [store_evictions_total] and the [store_lock_wait_seconds] histogram
     against the given registry. *)
 
 val root : t -> string
-
-val budget_bytes : t -> int option
-(** The byte budget {!open_} was given. *)
 
 val path : t -> string -> string
 (** Absolute entry path for a fingerprint — exposed for tests and for the
@@ -53,18 +50,14 @@ val store : t -> string -> Outcome.t -> unit
 
 (** {1 Maintenance} *)
 
-val with_lock : ?timeout:float -> t -> (unit -> 'a) -> 'a
-(** Run [f] holding the maintenance lockfile ([<root>/.riq-lock], atomic
-    [O_CREAT|O_EXCL]); polls up to [timeout] (default 30 s) then raises
-    [Failure]. A lockfile older than 60 s is considered stale (a dead
-    holder) and broken. Entry writes do not need the lock — they are
-    atomic on their own; this serializes maintenance walks. *)
-
-val try_lock : t -> bool
-(** One non-blocking acquisition attempt (breaks a stale lock as a side
-    effect). Pair with {!unlock}. *)
-
-val unlock : t -> unit
+val with_lock : t -> (unit -> 'a) -> 'a
+(** Run [f] holding the maintenance lock: a [lockf] lock on
+    [<root>/.riq-lock], waited for without a deadline and recorded in
+    [store_lock_wait_seconds]. The kernel releases it when its holder
+    exits, so a killed holder never wedges the next. It excludes other
+    processes, not a second holder in this one. Entry writes do not need
+    the lock — they are atomic on their own; this serializes maintenance
+    walks. *)
 
 type entry = { e_path : string; e_bytes : int; e_mtime : float }
 

@@ -17,7 +17,7 @@ let level_of_string s =
   | other -> Error (Printf.sprintf "unknown log level %S" other)
 
 (* Environment is read once, lazily, so tests can set RIQ_LOG before the
-   first message; set_level / set_output override it afterwards. *)
+   first message; set_level overrides the level afterwards. *)
 let env_level () =
   match Sys.getenv_opt "RIQ_LOG" with
   | None -> Info
@@ -30,7 +30,7 @@ let env_output () =
       try open_out_gen [ Open_append; Open_creat ] 0o644 path with _ -> stderr)
 
 let current_level = ref None (* None = not yet initialized from env *)
-let current_output = ref None
+let output = lazy (env_output ())
 
 let level () =
   match !current_level with
@@ -40,16 +40,7 @@ let level () =
       current_level := Some l;
       l
 
-let output () =
-  match !current_output with
-  | Some oc -> oc
-  | None ->
-      let oc = env_output () in
-      current_output := Some oc;
-      oc
-
 let set_level l = current_level := Some l
-let set_output oc = current_output := Some oc
 
 let enabled l = severity l >= severity (level ())
 
@@ -96,7 +87,7 @@ let log l ~scope ?(kv = []) msg =
       (fun (k, v) -> Buffer.add_string b (Printf.sprintf " %s=%s" k (render_value v)))
       kv;
     Buffer.add_char b '\n';
-    let oc = output () in
+    let oc = Lazy.force output in
     try
       output_string oc (Buffer.contents b);
       flush oc

@@ -23,10 +23,6 @@ val level : unit -> level
 val enabled : level -> bool
 (** [true] when a message at this level would be emitted. *)
 
-val set_output : out_channel -> unit
-(** Redirect away from the [RIQ_LOG_FILE]/stderr default. The caller owns
-    the channel. *)
-
 val log : level -> scope:string -> ?kv:(string * string) list -> string -> unit
 
 val debug : scope:string -> ?kv:(string * string) list -> string -> unit

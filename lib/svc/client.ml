@@ -61,7 +61,6 @@ type t = {
   trace_id : string;
   mutable fd : Unix.file_descr option;
   mutable server_workers : int;
-  mutable server_pid : int;
   mutable clock_offset : float; (* daemon clock minus ours, seconds *)
   mutable next_span : int;
   (* client-visible provenance counters, summed over every run *)
@@ -108,9 +107,6 @@ let do_connect t =
   end;
   (match Option.bind (Json.member "workers" resp) Json.to_int with
   | Some w -> t.server_workers <- w
-  | None -> ());
-  (match Option.bind (Json.member "pid" resp) Json.to_int with
-  | Some p -> t.server_pid <- p
   | None -> ());
   (* The daemon read its clock between our send (t0) and receive (t1);
      assuming a symmetric path, it did so at the midpoint. *)
@@ -180,7 +176,6 @@ let connect ?(klass = Protocol.Interactive) ?(request_timeout = 120.) ?metrics ?
       trace_id;
       fd = None;
       server_workers = 1;
-      server_pid = 0;
       clock_offset = 0.;
       next_span = 0;
       c_hits = 0;
@@ -193,13 +188,6 @@ let connect ?(klass = Protocol.Interactive) ?(request_timeout = 120.) ?metrics ?
   do_connect t;
   t
 
-let server_stats t =
-  try Some (request t Protocol.Stats) with _ -> None
-
-let clock_offset t = t.clock_offset
-let server_pid t = t.server_pid
-let trace_id t = t.trace_id
-
 let require name conv resp =
   match Option.bind (Json.member name resp) conv with
   | Some v -> v
@@ -211,14 +199,18 @@ let require name conv resp =
 (* Metrics / trace ops                                                 *)
 (* ------------------------------------------------------------------ *)
 
-let server_metrics t =
+(* One [metrics] round trip: the reply's riq-metrics/1 document. *)
+let scrape t =
   match request t Protocol.Metrics with
   | exception e -> Error (Printexc.to_string e)
   | resp when not (Protocol.is_ok resp) -> Error (Protocol.error_of resp)
   | resp -> (
       match Json.member "metrics" resp with
       | None -> Error "response missing field \"metrics\""
-      | Some j -> Metrics.snapshot_of_json j)
+      | Some j -> Ok j)
+
+let server_stats t = Result.to_option (scrape t)
+let server_metrics t = Result.bind (scrape t) Metrics.snapshot_of_json
 
 let server_exposition t = Result.map Metrics.to_prometheus (server_metrics t)
 
@@ -357,7 +349,7 @@ let service_json t =
         ("clock_offset_seconds", Json.Float t.clock_offset);
       ]
   in
-  let server = match server_stats t with Some s -> s | None -> Json.Null in
+  let server = Option.value (server_stats t) ~default:Json.Null in
   Json.Obj [ ("client", client); ("server", server) ]
 
 let backend t =

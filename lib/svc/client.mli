@@ -33,12 +33,13 @@ val backend : t -> Riq_exp.Backend.t
 (** The engine backend. Its busy time is the worker seconds of the jobs
     executed for it, and its telemetry hook contributes a ["service"]
     block: client-side provenance counters (remote hits / executed /
-    batched, reconnects, clock offset) plus a live snapshot of the
-    daemon's stats (queue depths, batching fan-out, the store's root,
-    budget and evictions). *)
+    batched, reconnects, clock offset) plus, as [server], one scrape of
+    the daemon's metrics registry in riq-metrics/1 JSON. *)
 
 val server_stats : t -> Riq_util.Json.t option
-(** One [stats] round-trip; [None] if the daemon went away. *)
+(** One [metrics] round trip, returning the daemon's riq-metrics/1
+    document; [None] if the daemon went away. The same scrape as
+    {!server_metrics}, unparsed; the ledger's [client.rtt_us] times it. *)
 
 val service_json : t -> Riq_util.Json.t
 (** The telemetry block described under {!backend}. *)
@@ -55,11 +56,3 @@ val server_trace : ?since:int -> t -> (Riq_util.Json.t list * int, string) resul
     onto this client's clock by the handshake's offset estimate. Returns
     the events and the next cursor. *)
 
-val clock_offset : t -> float
-(** Estimated daemon clock minus client clock, in seconds. *)
-
-val server_pid : t -> int
-(** The daemon's pid (0 before an old daemon that doesn't send it). *)
-
-val trace_id : t -> string
-(** This connection's trace identity, stamped on submits and spans. *)

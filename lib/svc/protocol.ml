@@ -19,7 +19,7 @@
 open Riq_util
 open Riq_exp
 
-let version = "riq-serve/3"
+let version = "riq-serve/4"
 
 type klass = Interactive | Batch
 
@@ -67,7 +67,6 @@ type request =
   | Hello of { revision : string; format : int }
   | Submit of { klass : klass; keys : string list; trace : trace_context option }
   | Supply of { ticket : int; indices : int list; jobs : string (* wire-encoded *) }
-  | Stats
   | Metrics
   | Trace of { since : int }
 
@@ -99,7 +98,6 @@ let request_to_json = function
           ("indices", Json.List (List.map (fun i -> Json.Int i) indices));
           ("jobs", Json.String jobs);
         ]
-  | Stats -> Json.Obj [ ("op", Json.String "stats") ]
   | Metrics -> Json.Obj [ ("op", Json.String "metrics") ]
   | Trace { since } ->
       Json.Obj [ ("op", Json.String "trace"); ("since", Json.Int since) ]
@@ -162,7 +160,6 @@ let request_of_json j : (request, string) result =
       let* indices = list_field "indices" Json.to_int "non-integer entry" j in
       let* jobs = field "jobs" Json.to_str j in
       Ok (Supply { ticket; indices; jobs })
-  | "stats" -> Ok Stats
   | "metrics" -> Ok Metrics
   | "trace" ->
       let* since = field "since" Json.to_int j in

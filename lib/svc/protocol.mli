@@ -16,7 +16,7 @@
 open Riq_exp
 
 val version : string
-(** ["riq-serve/3"]. {!request_of_json} refuses a [hello] of any other. *)
+(** ["riq-serve/4"]. {!request_of_json} refuses a [hello] of any other. *)
 
 type klass = Interactive | Batch
 (** The two queue classes: interactive sweeps ahead of nightly fuzz
@@ -59,8 +59,9 @@ type request =
       (** The bodies of needed indices of [ticket], in [indices] order,
           as {!jobs_to_wire} of one array; only the submitting connection
           may supply [ticket]. *)
-  | Stats
-  | Metrics  (** The daemon's metrics snapshot, as riq-metrics/1 JSON. *)
+  | Metrics
+      (** The daemon's metrics snapshot, as riq-metrics/1 JSON: the one
+          view of its counters and gauges. *)
   | Trace of { since : int }
       (** Daemon/worker trace events with global index [>= since];
           clients poll incrementally with the returned cursor. *)

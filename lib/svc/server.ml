@@ -42,8 +42,8 @@
    new submits and supplies are refused, queued and in-flight jobs run to
    completion and held replies go out as their tickets complete, then the
    workers are shut down over their pipes, reaped, and the socket file is
-   unlinked. No orphaned processes, no stale lockfiles: the store lock is
-   only ever held across a bounded maintenance walk. *)
+   unlinked. No orphaned processes, and no stale store lock: the kernel
+   frees it with its holder. *)
 
 open Riq_util
 open Riq_exp
@@ -138,6 +138,7 @@ type instruments = {
   i_connections : Metrics.gauge;
   i_tickets : Metrics.gauge;
   i_uptime : Metrics.gauge;
+  i_draining : Metrics.gauge;
   i_wait_interactive : Metrics.histogram;
   i_wait_batch : Metrics.histogram;
   i_simulate : Metrics.histogram;
@@ -171,6 +172,7 @@ let instruments_of registry =
     i_connections = gauge ~help:"Open client connections" "serve_connections";
     i_tickets = gauge ~help:"Tickets not yet answered" "serve_tickets_open";
     i_uptime = gauge ~help:"Daemon uptime in seconds" "serve_uptime_seconds";
+    i_draining = gauge ~help:"1 while the daemon drains for shutdown, else 0" "serve_draining";
     i_wait_interactive =
       Metrics.histogram registry ~help:wait_help
         ~labels:[ ("class", "interactive") ] "serve_queue_wait_seconds";
@@ -199,11 +201,6 @@ type t = {
   mutable draining : bool;
   started : float;
   mutable last_dump : float; (* last --metrics-out write *)
-  (* counters the registry does not keep *)
-  mutable n_batch_jobs : int; (* waiters fanned out per execution, summed *)
-  mutable n_max_batch : int;
-  mutable n_max_queue : int;
-  mutable n_requests : int;
 }
 
 let queue_depth t = Queue.length t.q_interactive + Queue.length t.q_batch
@@ -222,6 +219,7 @@ let snapshot t =
   Metrics.set t.ins.i_connections (float_of_int (List.length t.conns));
   Metrics.set t.ins.i_tickets (float_of_int (Hashtbl.length t.tickets));
   Metrics.set t.ins.i_uptime (Unix.gettimeofday () -. t.started);
+  Metrics.set t.ins.i_draining (if t.draining then 1. else 0.);
   Metrics.snapshot t.cfg.metrics
 
 (* ------------------------------------------------------------------ *)
@@ -296,15 +294,11 @@ let resolve_pending t fp ~seconds (outcome : Outcome.t) =
   match Hashtbl.find_opt t.pending fp with
   | None -> ()
   | Some p ->
-      let waiters = List.rev p.p_waiters in
-      let fanout = List.length waiters in
-      t.n_batch_jobs <- t.n_batch_jobs + fanout;
-      if fanout > t.n_max_batch then t.n_max_batch <- fanout;
       List.iter
         (fun w ->
           deliver_to_ticket t ~ticket:w.wt_ticket ~index:w.wt_index
             ~source:w.wt_source ~seconds outcome)
-        waiters;
+        (List.rev p.p_waiters);
       Hashtbl.remove t.pending fp
 
 (* ------------------------------------------------------------------ *)
@@ -377,53 +371,6 @@ let finish t (f : string Workers.finished) =
 (* Requests                                                            *)
 (* ------------------------------------------------------------------ *)
 
-let stats_json t =
-  let n counter = Metrics.counter_value counter in
-  let ins = t.ins in
-  Json.Obj
-    [
-      ("server", Json.String Protocol.version);
-      ("revision", Json.String Revision.stamp);
-      ("address", Json.String (Protocol.address_to_string t.cfg.address));
-      ("uptime_seconds", Json.Float (Unix.gettimeofday () -. t.started));
-      ("workers", Json.Int t.cfg.workers);
-      ("draining", Json.Bool t.draining);
-      ("requests", Json.Int t.n_requests);
-      ("submitted", Json.Int (n ins.i_submitted));
-      ("supplied", Json.Int (n ins.i_supplied));
-      ("hits", Json.Int (n ins.i_store_hits));
-      ("misses", Json.Int (n ins.i_submitted - n ins.i_store_hits - n ins.i_batched));
-      ("executed", Json.Int (n ins.i_executed));
-      ("batched", Json.Int (n ins.i_batched));
-      ("retries", Json.Int (Workers.retries t.workers));
-      ("timeouts", Json.Int (Workers.timeouts t.workers));
-      ("queue_interactive", Json.Int (Queue.length t.q_interactive));
-      ("queue_batch", Json.Int (Queue.length t.q_batch));
-      ("queue_depth_max", Json.Int t.n_max_queue);
-      ("inflight", Json.Int (Workers.busy t.workers));
-      ("tickets_open", Json.Int (Hashtbl.length t.tickets));
-      ( "batch",
-        Json.Obj
-          [
-            ("executions", Json.Int (n ins.i_executed));
-            ("jobs_fanned_out", Json.Int t.n_batch_jobs);
-            ("max_fanout", Json.Int t.n_max_batch);
-          ] );
-      (* What the daemon knows without reading the tree: a walk for the
-         entry count and bytes would stall every connection for as long
-         as it takes (riq-cache stat reports those). *)
-      ( "store",
-        Json.Obj
-          [
-            ("root", Json.String (Cache.root t.cfg.store));
-            ( "budget_bytes",
-              match Cache.budget_bytes t.cfg.store with
-              | None -> Json.Null
-              | Some b -> Json.Int b );
-            ("evictions", Json.Int (Cache.evictions t.cfg.store));
-          ] );
-    ]
-
 (* Answer index [index] of ticket [id] from the store, or coalesce it
    onto the queued or running execution of the same fingerprint. False
    when neither can: the job has to run. *)
@@ -462,8 +409,7 @@ let enqueue t ~id ~index tk fp job =
     | Protocol.Batch -> t.q_batch);
   (* An idle worker starts on this job now, while the rest of the supply
      is still being queued. *)
-  fill_workers t;
-  if queue_depth t > t.n_max_queue then t.n_max_queue <- queue_depth t
+  fill_workers t
 
 (* A complete ticket's answer: each job's outcome, source and seconds. *)
 let outcomes_reply id tk =
@@ -585,13 +531,11 @@ let op_name = function
   | Protocol.Hello _ -> "hello"
   | Protocol.Submit _ -> "submit"
   | Protocol.Supply _ -> "supply"
-  | Protocol.Stats -> "stats"
   | Protocol.Metrics -> "metrics"
   | Protocol.Trace _ -> "trace"
 
 (* The reply to [req], or [None] while it is held (see {!hold}). *)
 let handle_request t conn (req : Protocol.request) =
-  t.n_requests <- t.n_requests + 1;
   Metrics.inc
     (Metrics.counter t.cfg.metrics ~help:"Wire requests handled, by op"
        ~labels:[ ("op", op_name req) ]
@@ -617,14 +561,12 @@ let handle_request t conn (req : Protocol.request) =
                ("server", Json.String Protocol.version);
                ("workers", Json.Int t.cfg.workers);
                ("server_time", Json.Float (Unix.gettimeofday ()));
-               ("pid", Json.Int (Unix.getpid ()));
              ]
          end)
   | _ when not conn.c_hello -> Some (Protocol.error "hello required before any other op")
   | Protocol.Submit { klass; keys; trace } -> handle_submit t conn ~klass ~trace ~keys
   | Protocol.Supply { ticket; indices; jobs } ->
       handle_supply t conn ~ticket ~indices ~jobs
-  | Protocol.Stats -> Some (stats_json t)
   | Protocol.Metrics -> Some (Protocol.ok [ ("metrics", Metrics.to_json (snapshot t)) ])
   | Protocol.Trace { since } ->
       (* Incremental read of the span ring: events carry a global index
@@ -815,10 +757,6 @@ let serve cfg =
       draining = false;
       started = Unix.gettimeofday ();
       last_dump = Unix.gettimeofday ();
-      n_batch_jobs = 0;
-      n_max_batch = 0;
-      n_max_queue = 0;
-      n_requests = 0;
     }
   in
   (close_sockets :=

@@ -23,9 +23,9 @@
 
     Observability: the daemon instruments itself against [metrics]
     ([serve_*], among them [serve_supplied_total], the job bodies it
-    accepted; [store_hits_total]; share the registry with the
-    {!Riq_exp.Cache.open_} call so [store_*] series land in the same
-    scrape) and keeps a bounded ring of wall-clock-microsecond spans
+    accepted, and [serve_draining], 1 during a drain; [store_hits_total];
+    share the registry with the {!Riq_exp.Cache.open_} call so [store_*]
+    series land in the same scrape) and keeps a bounded ring of wall-clock-microsecond spans
     (queue-wait per class, simulate per worker pid). Both are served over
     the wire ([metrics] and [trace] ops). Every job's time is the one its
     worker measured, recorded once, by the daemon. Logging goes through

@@ -1,5 +1,5 @@
 (* The serving subsystem: wire framing, protocol message round-trips, the
-   shared store's concurrency machinery ({!Cache}: lockfile, LRU
+   shared store's concurrency machinery ({!Cache}: maintenance lock, LRU
    eviction, gc), and an end-to-end forked daemon exercised through the
    engine's remote backend — including the 100%-hit repeat, the SIGTERM
    drain, a job past its budget and frames split across socket reads. *)
@@ -110,7 +110,6 @@ let test_request_round_trip () =
           trace = Some { Protocol.trace_id = "42-00abcd"; parent_span = 3 };
         };
       Protocol.Supply { ticket = 7; indices = [ 0; 2 ]; jobs = "00ab" };
-      Protocol.Stats;
       Protocol.Metrics;
       Protocol.Trace { since = 12 };
     ]
@@ -124,19 +123,23 @@ let test_request_round_trip () =
   (match Protocol.request_of_json (Json.Obj [ ("op", Json.String "nonsense") ]) with
   | Ok _ -> Alcotest.fail "unknown op accepted"
   | Error _ -> ());
-  (* A client of another protocol is refused at its hello. *)
-  (match
-     Protocol.request_of_json
-       (Json.Obj
-          [
-            ("op", Json.String "hello");
-            ("protocol", Json.String "riq-serve/2");
-            ("revision", Json.String Revision.stamp);
-            ("format", Json.Int Revision.format_version);
-          ])
-   with
-  | Ok _ -> Alcotest.fail "riq-serve/2 hello accepted"
-  | Error _ -> ());
+  (* A client of another protocol is refused at its hello: riq-serve/3
+     still had the stats op. *)
+  List.iter
+    (fun protocol ->
+      match
+        Protocol.request_of_json
+          (Json.Obj
+             [
+               ("op", Json.String "hello");
+               ("protocol", Json.String protocol);
+               ("revision", Json.String Revision.stamp);
+               ("format", Json.Int Revision.format_version);
+             ])
+      with
+      | Ok _ -> Alcotest.failf "%s hello accepted" protocol
+      | Error _ -> ())
+    [ "riq-serve/2"; "riq-serve/3" ];
   (* A key names a store entry: anything but 32 lowercase hex digits is
      refused before the daemon sees it. *)
   List.iter
@@ -239,7 +242,13 @@ let test_store_round_trip () =
       Alcotest.(check bool) "hit after store" true (Cache.find store key = Some outcome);
       let s = Cache.stat store in
       Alcotest.(check int) "one entry" 1 s.Cache.entry_count;
-      Alcotest.(check bool) "bytes counted" true (s.Cache.total_bytes > 0))
+      Alcotest.(check bool) "bytes counted" true (s.Cache.total_bytes > 0);
+      (* The whole-tree view also sees an entry a format bump left behind. *)
+      let shard = List.fold_left Filename.concat (Cache.root store) [ "v7"; Revision.stamp; "ab" ] in
+      ignore (Sys.command ("mkdir -p " ^ Filename.quote shard));
+      Out_channel.with_open_bin (Filename.concat shard ("ab" ^ String.make 30 '0')) (fun oc ->
+          output_string oc "an entry of an older format");
+      Alcotest.(check int) "entries of every format" 2 (Cache.stat store).Cache.entry_count)
 
 let test_store_find_touches () =
   with_temp_store (fun store ->
@@ -311,15 +320,60 @@ let test_store_budget_enforced_on_store () =
         (s.Cache.entry_count < 40);
       Alcotest.(check bool) "evictions counted" true (Cache.evictions store > 0))
 
-let test_store_lock_stale_break () =
-  with_temp_store (fun store ->
-      let lock_path = Filename.concat (Cache.root store) ".riq-lock" in
-      let fd = Unix.openfile lock_path [ Unix.O_CREAT; Unix.O_WRONLY ] 0o644 in
-      Unix.close fd;
-      Unix.utimes lock_path 1000. 1000.;
-      (* A lockfile from a dead holder must not wedge maintenance. *)
-      Cache.with_lock ~timeout:5. store (fun () -> ());
-      Alcotest.(check bool) "fresh lock released" true (not (Sys.file_exists lock_path)))
+(* The kernel frees the lock with its holder: a holder SIGKILLed inside
+   [with_lock] does not wedge the next one, which takes the lock within
+   1 s. The next taker runs in a child, so a lock that is never freed
+   fails the test instead of hanging it. *)
+let test_store_lock_holder_killed () =
+  if not Sys.unix then ()
+  else
+    with_temp_store (fun store ->
+        let fork_child f =
+          flush stdout;
+          flush stderr;
+          match Unix.fork () with
+          | 0 -> (try f () with _ -> Unix._exit 1); Unix._exit 0
+          | pid -> pid
+        in
+        let r, w = Unix.pipe () in
+        let holder =
+          fork_child (fun () ->
+              Cache.with_lock store (fun () ->
+                  ignore (Unix.write_substring w "!" 0 1);
+                  ignore (Unix.select [] [] [] 60.)))
+        in
+        Unix.close w;
+        let inside = Unix.read r (Bytes.create 1) 0 1 = 1 in
+        Unix.close r;
+        Unix.kill holder Sys.sigkill;
+        ignore (Unix.waitpid [] holder);
+        if not inside then Alcotest.fail "the holder never took the lock";
+        let next = fork_child (fun () -> Cache.with_lock store ignore) in
+        let deadline = Unix.gettimeofday () +. 1. in
+        let rec await () =
+          match Unix.waitpid [ Unix.WNOHANG ] next with
+          | 0, _ when Unix.gettimeofday () < deadline ->
+              ignore (Unix.select [] [] [] 0.01);
+              await ()
+          | 0, _ ->
+              Unix.kill next Sys.sigkill;
+              ignore (Unix.waitpid [] next);
+              Alcotest.fail "the next holder still waits after 1 s"
+          | _, Unix.WEXITED 0 -> ()
+          | _ -> Alcotest.fail "the next holder failed"
+        in
+        await ())
+
+(* A lock that cannot be taken at all (here a directory where the lock
+   file goes) skips the amortized eviction; the stores themselves land. *)
+let test_store_lock_unusable_skips_eviction () =
+  with_temp_dir (fun dir ->
+      let root = Filename.concat dir "cache" in
+      let store = Cache.open_ ~root ~budget_bytes:1 () in
+      Unix.mkdir (Filename.concat root ".riq-lock") 0o755;
+      ignore (store_n store 40);
+      Alcotest.(check int) "every entry kept" 40 (Cache.stat store).Cache.entry_count;
+      Alcotest.(check int) "no eviction" 0 (Cache.evictions store))
 
 (* Cross-process mutual exclusion: two forked writers increment a shared
    counter file under the store lock; lost updates would leave the final
@@ -335,7 +389,7 @@ let test_store_lock_contention () =
         let rounds = 25 in
         let child () =
           for _ = 1 to rounds do
-            Cache.with_lock ~timeout:30. store (fun () ->
+            Cache.with_lock store (fun () ->
                 let ic = open_in counter in
                 let v = int_of_string (input_line ic) in
                 close_in ic;
@@ -488,6 +542,19 @@ let member_int path json =
   | Some v -> v
   | None -> Alcotest.fail ("missing counter " ^ String.concat "." path)
 
+(* An unlabelled counter or gauge of a metrics snapshot. *)
+let metric snap name =
+  let open Riq_obs.Metrics in
+  match List.find_opt (fun s -> s.s_name = name && s.s_labels = []) snap with
+  | Some { s_value = Counter_sample v; _ } -> v
+  | Some { s_value = Gauge_sample v; _ } -> int_of_float v
+  | _ -> Alcotest.failf "no counter or gauge %s" name
+
+let server_metric client name =
+  match Client.server_metrics client with
+  | Ok snap -> metric snap name
+  | Error msg -> Alcotest.fail ("metrics op failed: " ^ msg)
+
 let test_daemon_end_to_end () =
   with_daemon (fun ~sock ~pid:_ ->
       let jobs = e2e_jobs () in
@@ -522,43 +589,26 @@ let test_daemon_end_to_end () =
         (member_int [ "client"; "remote_hits" ] svc2);
       Alcotest.(check int) "warm run executed nothing" 0
         (member_int [ "client"; "remote_executed" ] svc2);
-      (* Daemon-side counters agree. *)
-      (match Client.server_stats c2 with
-      | None -> Alcotest.fail "daemon stats unavailable"
-      | Some stats ->
-          Alcotest.(check int) "daemon hit counter" (Array.length jobs)
-            (member_int [ "hits" ] stats);
-          Alcotest.(check int) "daemon executed counter" (Array.length jobs)
-            (member_int [ "executed" ] stats);
-          Alcotest.(check int) "warm run supplied no job body" (Array.length jobs)
-            (member_int [ "supplied" ] stats));
-      (* The metrics op: the daemon snapshot carries the store-hit counter
-         CI asserts on, and the duration histograms saw every executed
-         job (cold run) and every dispatch. *)
+      (* The metrics op: the daemon-side counters agree, and the
+         duration histograms saw every executed job (cold run) and every
+         dispatch. *)
       (match Client.server_metrics c2 with
       | Error msg -> Alcotest.fail ("metrics op failed: " ^ msg)
-      | Ok snap ->
-          let sample name =
-            match List.find_opt (fun s -> s.Riq_obs.Metrics.s_name = name) snap with
-            | Some s -> s.Riq_obs.Metrics.s_value
-            | None -> Alcotest.fail ("metric missing: " ^ name)
-          in
-          (match sample "store_hits_total" with
-          | Riq_obs.Metrics.Counter_sample v ->
-              Alcotest.(check int) "store_hits_total = warm submits"
-                (Array.length jobs) v
-          | _ -> Alcotest.fail "store_hits_total not a counter");
-          (match sample "serve_executed_total" with
-          | Riq_obs.Metrics.Counter_sample v ->
-              Alcotest.(check int) "serve_executed_total = cold submits"
-                (Array.length jobs) v
-          | _ -> Alcotest.fail "serve_executed_total not a counter");
-          match sample "serve_simulate_seconds" with
-          | Riq_obs.Metrics.Histogram_sample { counts; _ } ->
+      | Ok snap -> (
+          Alcotest.(check int) "store_hits_total = warm submits" (Array.length jobs)
+            (metric snap "store_hits_total");
+          Alcotest.(check int) "serve_executed_total = cold submits" (Array.length jobs)
+            (metric snap "serve_executed_total");
+          Alcotest.(check int) "warm run supplied no job body" (Array.length jobs)
+            (metric snap "serve_supplied_total");
+          match
+            List.find_opt (fun s -> s.Riq_obs.Metrics.s_name = "serve_simulate_seconds") snap
+          with
+          | Some { Riq_obs.Metrics.s_value = Histogram_sample { counts; _ }; _ } ->
               Alcotest.(check int) "simulate histogram counts executions"
                 (Array.length jobs)
                 (Array.fold_left ( + ) 0 counts)
-          | _ -> Alcotest.fail "serve_simulate_seconds not a histogram");
+          | _ -> Alcotest.fail "serve_simulate_seconds not a histogram"));
       (match Client.server_exposition c2 with
       | Error msg -> Alcotest.fail ("exposition op failed: " ^ msg)
       | Ok text ->
@@ -636,15 +686,8 @@ let test_daemon_timeout () =
       let engine = Riq_exp.Engine.create ~backend:(Client.backend client) () in
       Alcotest.(check bool) "ticket answered Job_timeout" true
         ((Riq_exp.Engine.run engine [| spin |]).(0) = Error (Outcome.Job_timeout 0.5));
-      (match Client.server_metrics client with
-      | Error msg -> Alcotest.fail ("metrics op failed: " ^ msg)
-      | Ok snap -> (
-          match
-            List.find_opt (fun s -> s.Riq_obs.Metrics.s_name = "serve_timeouts_total") snap
-          with
-          | Some { Riq_obs.Metrics.s_value = Riq_obs.Metrics.Counter_sample v; _ } ->
-              Alcotest.(check int) "serve_timeouts_total" 1 v
-          | _ -> Alcotest.fail "serve_timeouts_total missing"));
+      Alcotest.(check int) "serve_timeouts_total" 1
+        (server_metric client "serve_timeouts_total");
       let job = tiny_job () in
       Alcotest.(check bool) "next submit succeeds" true
         (Outcome.zero_timing (Riq_exp.Engine.run engine [| job |]).(0)
@@ -721,6 +764,13 @@ let greeted sock =
 
 let close_quietly fd = try Unix.close fd with _ -> ()
 
+(* An unlabelled counter or gauge of a [metrics] reply on a raw
+   connection. *)
+let scraped name reply =
+  match Option.map Riq_obs.Metrics.snapshot_of_json (Json.member "metrics" reply) with
+  | Some (Ok snap) -> metric snap name
+  | _ -> Alcotest.failf "not a metrics reply: %s" (Json.to_string reply)
+
 (* Raw bytes: a 4-byte big-endian length, then [payload]. *)
 let raw_frame len payload =
   let b = Bytes.create 4 in
@@ -756,7 +806,7 @@ let test_daemon_frame_faults () =
       Wire.write_all json_fd (raw_frame 9 "{not json");
       expect_refusal "unparsable JSON" json_fd;
       Alcotest.(check bool) "connection survives bad JSON" true
-        (Json.member "submitted" (rpc json_fd Protocol.Stats) <> None);
+        (Protocol.is_ok (rpc json_fd Protocol.Metrics));
       let typed_fd = greeted sock in
       let batch = ("class", Json.String "batch") in
       List.iter
@@ -792,7 +842,8 @@ let test_daemon_frame_faults () =
         (Array.map Outcome.zero_timing got
         = Array.map (fun j -> Outcome.zero_timing (Runner.execute j)) jobs);
       expect_closed "stalled half frame" stalled;
-      Alcotest.(check bool) "daemon still answers" true (Client.server_stats client <> None);
+      Alcotest.(check bool) "daemon still answers" true
+        (Result.is_ok (Client.server_metrics client));
       Client.close client;
       List.iter close_quietly [ stalled; json_fd; typed_fd; eof_fd ])
 
@@ -851,8 +902,8 @@ let test_daemon_supply_misuse () =
       let store = daemon_store sock in
       Alcotest.(check bool) "no entry under the key of the refused body" true
         (Cache.find store key_a = None);
-      let stats = rpc fd Protocol.Stats in
-      Alcotest.(check int) "one body accepted" 1 (member_int [ "supplied" ] stats);
+      Alcotest.(check int) "one body accepted" 1
+        (scraped "serve_supplied_total" (rpc fd Protocol.Metrics));
       (* The ticket still completes once its real body arrives, and the
          supply that completes it is answered with the outcomes. *)
       let reply = supply ticket [ 0 ] [| job_a |] in
@@ -890,7 +941,7 @@ let test_daemon_abandoned_tickets () =
       done;
       let fd = greeted sock in
       Alcotest.(check int) "no ticket left open" 0
-        (member_int [ "tickets_open" ] (rpc fd Protocol.Stats));
+        (scraped "serve_tickets_open" (rpc fd Protocol.Metrics));
       close_quietly fd)
 
 (* A batch is one exchange: a cold one a submit and a supply, a warm one
@@ -921,8 +972,8 @@ let test_daemon_requests_per_batch () =
         ((run [| spin_job () |]).(0) = Error (Outcome.Job_timeout 1.5));
       Client.close client)
 
-(* Replies stay in request order: a stats pipelined behind a held supply
-   is answered after the outcomes. A drain that starts while the reply
+(* Replies stay in request order: a metrics request pipelined behind a
+   held supply is answered after the outcomes. A drain that starts while the reply
    is held still sends it. *)
 let test_daemon_held_reply_order () =
   with_daemon ~timeout:1. (fun ~sock ~pid ->
@@ -939,12 +990,13 @@ let test_daemon_held_reply_order () =
       Wire.write_all fd
         (Bytes.cat
            (frame (Protocol.Supply { ticket; indices = [ 0 ]; jobs }))
-           (frame Protocol.Stats));
+           (frame Protocol.Metrics));
       let probe = greeted sock in
       let rec await_running () =
-        let stats = rpc probe Protocol.Stats in
-        if member_int [ "inflight" ] stats = 0 then begin
-          if member_int [ "executed" ] stats > 0 then Alcotest.fail "job ended before the drain";
+        let scrape = rpc probe Protocol.Metrics in
+        if scraped "serve_inflight" scrape = 0 then begin
+          if scraped "serve_executed_total" scrape > 0 then
+            Alcotest.fail "job ended before the drain";
           ignore (Unix.select [] [] [] 0.01);
           await_running ()
         end
@@ -958,8 +1010,8 @@ let test_daemon_held_reply_order () =
       in
       Alcotest.(check bool) "held reply sent during the drain" true
         (List.map Protocol.outcome_of_wire outcomes = [ Error (Outcome.Job_timeout 1.) ]);
-      Alcotest.(check bool) "then the pipelined stats" true
-        (Json.member "submitted" (Wire.recv fd) <> None);
+      Alcotest.(check bool) "then the pipelined metrics" true
+        (Json.member "metrics" (Wire.recv fd) <> None);
       close_quietly fd)
 
 (* A store whose 256 shard directories are regular files cannot take a
@@ -989,46 +1041,23 @@ let test_daemon_unwritable_store () =
       Alcotest.(check int) "both passes executed" (2 * Array.length jobs)
         (member_int [ "client"; "remote_executed" ] svc);
       Alcotest.(check int) "no hits" 0 (member_int [ "client"; "remote_hits" ] svc);
-      (match Client.server_metrics client with
-      | Error msg -> Alcotest.fail ("metrics op failed: " ^ msg)
-      | Ok snap -> (
-          match
-            List.find_opt (fun s -> s.Riq_obs.Metrics.s_name = "store_writes_total") snap
-          with
-          | Some { Riq_obs.Metrics.s_value = Riq_obs.Metrics.Counter_sample v; _ } ->
-              Alcotest.(check int) "store_writes_total" 0 v
-          | _ -> Alcotest.fail "store_writes_total missing"));
+      Alcotest.(check int) "store_writes_total" 0 (server_metric client "store_writes_total");
       Client.close client)
 
-(* A stats request reads nothing of the store's tree: over a store
-   pre-filled with entries, of this format and of an older one that a
-   format bump left behind, the reply's store object holds only what the
-   daemon knows without a walk. The walk stays [Cache.stat]'s (riq-cache
-   stat), which sees every entry. *)
-let test_daemon_stats_does_not_walk () =
-  let fill root =
-    ignore (store_n (Cache.open_ ~root ()) 8);
-    let shard = List.fold_left Filename.concat root [ "v7"; Revision.stamp; "ab" ] in
-    List.iter
-      (fun d -> try Sys.mkdir d 0o755 with Sys_error _ -> ())
-      [ Filename.dirname (Filename.dirname shard); Filename.dirname shard; shard ];
-    Out_channel.with_open_bin (Filename.concat shard ("ab" ^ String.make 30 '0')) (fun oc ->
-        output_string oc "an entry of an older format")
-  in
-  with_daemon ~prepare:fill (fun ~sock ~pid:_ ->
-      let root = Filename.concat (Filename.dirname sock) "cache" in
-      Alcotest.(check int) "the whole-tree view sees every entry" 9
-        (Cache.stat (Cache.open_ ~root ())).Cache.entry_count;
+(* riq-serve/4 has no stats op: a stats frame is refused as an unknown
+   op, and the same connection goes on to answer metrics. *)
+let test_daemon_stats_op_gone () =
+  with_daemon (fun ~sock ~pid:_ ->
       let fd = greeted sock in
-      let stats = rpc fd Protocol.Stats in
-      close_quietly fd;
-      match Json.member "store" stats with
-      | Some (Json.Obj fields as store) ->
-          Alcotest.(check (list string)) "store fields" [ "root"; "budget_bytes"; "evictions" ]
-            (List.map fst fields);
-          Alcotest.(check bool) "store root" true
-            (Json.member "root" store = Some (Json.String root))
-      | _ -> Alcotest.fail "stats has no store object")
+      let payload = Json.to_string (Json.Obj [ ("op", Json.String "stats") ]) in
+      Wire.write_all fd (raw_frame (String.length payload) payload);
+      let reply = Wire.recv fd in
+      Alcotest.(check bool) "stats refused" false (Protocol.is_ok reply);
+      Alcotest.(check string) "as an unknown op" {|unknown op "stats"|}
+        (Protocol.error_of reply);
+      Alcotest.(check bool) "metrics answered on the same connection" true
+        (Json.member "metrics" (rpc fd Protocol.Metrics) <> None);
+      close_quietly fd)
 
 (* Frames do not line up with reads: two requests in one write, then one
    request dribbled over several writes. Every request gets its answer. *)
@@ -1041,20 +1070,20 @@ let test_daemon_split_frames () =
           Unix.connect fd (Unix.ADDR_UNIX sock);
           Unix.setsockopt_float fd Unix.SO_RCVTIMEO 10.;
           let frame req = Wire.frame (Protocol.request_to_json req) in
-          Wire.write_all fd (Bytes.cat (frame hello) (frame Protocol.Stats));
-          let stats = frame Protocol.Stats in
-          let n = Bytes.length stats in
+          Wire.write_all fd (Bytes.cat (frame hello) (frame Protocol.Metrics));
+          let metrics = frame Protocol.Metrics in
+          let n = Bytes.length metrics in
           List.iter
             (fun (off, len) ->
-              Wire.write_all fd (Bytes.sub stats off len);
+              Wire.write_all fd (Bytes.sub metrics off len);
               ignore (Unix.select [] [] [] 0.05))
             [ (0, 2); (2, 3); (5, n - 5) ];
           Alcotest.(check bool) "hello answered" true (Protocol.is_ok (Wire.recv fd));
           for i = 1 to 2 do
             Alcotest.(check bool)
-              (Printf.sprintf "stats %d answered" i)
+              (Printf.sprintf "metrics %d answered" i)
               true
-              (Json.member "submitted" (Wire.recv fd) <> None)
+              (Json.member "metrics" (Wire.recv fd) <> None)
           done))
 
 (* ------------------------------------------------------------------ *)
@@ -1098,7 +1127,10 @@ let suites =
         Alcotest.test_case "gc respects cutoff" `Quick test_store_gc_respects_cutoff;
         Alcotest.test_case "budget enforced on store" `Quick
           test_store_budget_enforced_on_store;
-        Alcotest.test_case "stale lock broken" `Quick test_store_lock_stale_break;
+        Alcotest.test_case "SIGKILLed holder does not wedge the next" `Quick
+          test_store_lock_holder_killed;
+        Alcotest.test_case "unusable lock skips eviction" `Quick
+          test_store_lock_unusable_skips_eviction;
         Alcotest.test_case "cross-process lock contention" `Quick
           test_store_lock_contention;
         Alcotest.test_case "concurrent writers, one fingerprint" `Quick
@@ -1121,7 +1153,7 @@ let suites =
           test_daemon_held_reply_order;
         Alcotest.test_case "unwritable store writes nothing" `Slow
           test_daemon_unwritable_store;
-        Alcotest.test_case "stats reads no store entry" `Slow test_daemon_stats_does_not_walk;
+        Alcotest.test_case "stats op refused" `Slow test_daemon_stats_op_gone;
         Alcotest.test_case "sweep json parses" `Slow test_sweep_json_parses;
       ] );
   ]
