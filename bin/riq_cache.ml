@@ -1,11 +1,12 @@
-(* riq-cache: maintenance entry points for the shared result store.
+(* riq-cache: the shared result store's one maintainer.
 
    The store is the engine's content-addressed result cache
-   ({!Riq_exp.Cache}), with the concurrency machinery many processes
-   sharing it need (recency-tracked reads, a cooperative maintenance
-   lock, LRU eviction, age-based gc). This tool runs the maintenance
-   operations standalone, against the same tree local sweeps and daemons
-   share:
+   ({!Riq_exp.Cache}). Local sweeps, fuzz campaigns and serve daemons
+   share its tree but only read and write entries (a hit refreshes the
+   entry's mtime, the LRU order). Walking the tree and deleting from it
+   happen here alone, under the store's maintenance lock, so concurrent
+   runs of this tool serialize. A bounded store runs [evict] on a timer,
+   as it runs [gc]:
 
      stat  — entry count, total bytes, age span
      gc    — drop entries older than a cutoff
@@ -27,9 +28,8 @@ let human_bytes b =
   else if b >= 1024 then Printf.sprintf "%.1f KiB" (float_of_int b /. 1024.)
   else Printf.sprintf "%d B" b
 
-(* The machine-readable stat: the legacy stat block plus the same
-   contents rendered as a riq-metrics/1 document, so CI asserts on store
-   state with the same parser it uses for daemon scrapes. *)
+(* The machine-readable stat is a riq-metrics/1 document, so CI asserts
+   on store state with the same parser it uses for daemon scrapes. *)
 let stat_metrics_json store =
   let module M = Riq_obs.Metrics in
   let s = Riq_exp.Cache.stat store in
@@ -44,11 +44,7 @@ let stat_metrics_json store =
   (match s.Riq_exp.Cache.newest_mtime with
   | Some t -> gauge "store_newest_age_seconds" "Age of the most recently used entry" (now -. t)
   | None -> ());
-  Riq_util.Json.Obj
-    [
-      ("stat", Riq_exp.Cache.stat_json store);
-      ("metrics", M.to_json (M.snapshot registry));
-    ]
+  M.to_json (M.snapshot registry)
 
 let stat_cmd =
   let action cache_dir json =
@@ -117,7 +113,7 @@ let () =
   let info = Cmd.info "riq-cache" ~version:"1.0.0" ~doc in
   exit
     (try Cmd.eval ~catch:false (Cmd.group info [ stat_cmd; gc_cmd; evict_cmd ]) with
-    | Failure msg ->
+    | Failure msg | Invalid_argument msg ->
         Printf.eprintf "riq-cache: %s\n" msg;
         2
     | e ->

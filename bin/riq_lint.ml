@@ -195,7 +195,7 @@ let pass_loops ctx =
       in
       let cause =
         match l.predicted_cause with
-        | Some c -> ", predicted revoke: " ^ Bufferability.cause_to_string c
+        | Some c -> ", predicted revoke: " ^ Riq_core.Reuse_state.cause_to_string c
         | None -> ""
       in
       match l.verdict with

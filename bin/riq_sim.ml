@@ -546,11 +546,6 @@ let serve_cmd =
     Arg.(value & opt int 1 & info [ "jobs"; "j" ] ~docv:"N"
            ~doc:"Resident simulation worker processes.")
   in
-  let budget =
-    Arg.(value & opt (some int) None & info [ "budget-mb" ] ~docv:"MB"
-           ~doc:"Store size budget in megabytes; least-recently-used entries are \
-                 evicted when a store pushes past it.")
-  in
   let timeout =
     Arg.(value & opt float 600. & info [ "timeout" ] ~docv:"SECONDS"
            ~doc:"Per-job wall-clock budget (<= 0 disables).")
@@ -569,16 +564,12 @@ let serve_cmd =
     Arg.(value & opt float 5. & info [ "metrics-interval" ] ~docv:"SECONDS"
            ~doc:"Seconds between $(b,--metrics-out) rewrites.")
   in
-  let action addr workers cache_dir budget timeout quiet metrics_out metrics_interval =
+  let action addr workers cache_dir timeout quiet metrics_out metrics_interval =
     if quiet then Riq_obs.Log.set_level Riq_obs.Log.Error;
     (* One registry for the store and the daemon: store_* and serve_*
        series come back in a single scrape. *)
     let metrics = Riq_obs.Metrics.create () in
-    let store =
-      Riq_exp.Cache.open_ ?root:cache_dir
-        ?budget_bytes:(Option.map (fun mb -> mb * 1024 * 1024) budget)
-        ~metrics ()
-    in
+    let store = Riq_exp.Cache.open_ ?root:cache_dir ~metrics () in
     let timeout = if timeout <= 0. then None else Some timeout in
     let config =
       Riq_svc.Server.config ~workers ~timeout ~metrics ?metrics_out ~metrics_interval
@@ -594,8 +585,8 @@ let serve_cmd =
           socket, batch identical requests, schedule them on resident workers with a \
           fair two-class queue, and answer repeats from the shared result store. \
           SIGTERM drains gracefully.")
-    Term.(const action $ addr $ workers $ cache_dir_arg $ budget $ timeout $ quiet
-          $ metrics_out $ metrics_interval)
+    Term.(const action $ addr $ workers $ cache_dir_arg $ timeout $ quiet $ metrics_out
+          $ metrics_interval)
 
 let top_cmd =
   let addr =
@@ -658,20 +649,19 @@ let top_cmd =
       (gauge_of snap "serve_uptime_seconds" [])
       (Riq_svc.Client.backend client).Riq_exp.Backend.parallelism
       (level "serve_draining" = 1);
+    let hits = count ~labels:[ ("result", "hit") ] "store_reads_total" in
     Printf.printf
       "jobs      %d submitted = %d store hits + %d batched + %d executed (%d retries, %d timeouts)\n"
-      (count "serve_submitted_total") (count "store_hits_total")
-      (count "serve_batched_total") (count "serve_executed_total")
-      (count "serve_retries_total") (count "serve_timeouts_total");
+      (count "serve_submitted_total") hits (count "serve_batched_total")
+      (count "serve_executed_total") (count "serve_retries_total")
+      (count "serve_timeouts_total");
     Printf.printf "queues    interactive %d | batch %d | inflight %d | open tickets %d\n"
       (level ~labels:[ ("class", "interactive") ] "serve_queue_depth")
       (level ~labels:[ ("class", "batch") ] "serve_queue_depth")
       (level "serve_inflight") (level "serve_tickets_open");
-    Printf.printf "store     %d hits, %d misses, %d writes, %d evictions\n"
-      (count ~labels:[ ("result", "hit") ] "store_reads_total")
+    Printf.printf "store     %d hits, %d misses, %d writes\n" hits
       (count ~labels:[ ("result", "miss") ] "store_reads_total")
-      (count "store_writes_total") (count "store_evictions_total");
-    Printf.printf "workers   %d jobs executed by residents\n" (count "serve_executed_total");
+      (count "store_writes_total");
     Printf.printf "wait(i)   %s\n"
       (hist_line snap "serve_queue_wait_seconds" [ ("class", "interactive") ]);
     Printf.printf "wait(b)   %s\n"

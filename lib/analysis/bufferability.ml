@@ -1,5 +1,6 @@
 open Riq_isa
 open Riq_asm
+open Riq_core
 
 type reason =
   | Too_large of int
@@ -16,15 +17,6 @@ type prediction = Promotes | Never_promotes | Marginal
 type risk =
   | Aliasing_store of { store : int; load : int }
   | Data_dependent_trip
-
-type revoke_cause = Rv_inner_loop | Rv_left_loop | Rv_overflow | Rv_mispredict
-
-type cause_counts = {
-  rc_inner : int;
-  rc_left : int;
-  rc_overflow : int;
-  rc_mispredict : int;
-}
 
 type loop_report = {
   head : int;
@@ -45,7 +37,7 @@ type loop_report = {
   reused_insns : float option;
   risks : risk list;
   no_alias : Alias.pair list;
-  predicted_cause : revoke_cause option;
+  predicted_cause : Reuse_state.revoke_cause option;
 }
 
 type report = {
@@ -68,12 +60,6 @@ let reason_to_string = function
   | Contains_halt pc -> Printf.sprintf "contains-halt (at %08x)" pc
   | Side_entry -> "side-entry"
   | Irreducible -> "irreducible"
-
-let cause_to_string = function
-  | Rv_inner_loop -> "inner-loop"
-  | Rv_left_loop -> "left-loop"
-  | Rv_overflow -> "overflow"
-  | Rv_mispredict -> "mispredict"
 
 (* Default amplification for loops whose trip count resists static
    derivation; flow estimates using it are flagged inexact. *)
@@ -600,9 +586,9 @@ let analyze ?(multi_iter = true) ~iq_size program =
     in
     let predicted_cause =
       match verdict with
-      | Error (Inner_transfer _) | Error (Callee_loops _) -> Some Rv_inner_loop
-      | Error (Call_overflow _) -> Some Rv_overflow
-      | Ok () when prediction = Never_promotes -> Some Rv_left_loop
+      | Error (Inner_transfer _) | Error (Callee_loops _) -> Some Reuse_state.Rv_inner_loop
+      | Error (Call_overflow _) -> Some Reuse_state.Rv_overflow
+      | Ok () when prediction = Never_promotes -> Some Reuse_state.Rv_left_loop
       | _ -> None
     in
     {
@@ -778,10 +764,10 @@ let inner_revoke_impossible l =
   | Error (Inner_transfer _ | Callee_loops _ | Indirect _ | Contains_halt _) ->
       false
 
-let consistency ?(causes = []) report ~promotions =
+let consistency report (decisions : Processor.loop_decision list) =
   let promos_at tail =
-    match List.find_opt (fun (t, _) -> t = tail) promotions with
-    | Some (_, n) -> n
+    match List.find_opt (fun d -> d.Processor.ld_tail = tail) decisions with
+    | Some d -> d.Processor.ld_promotions
     | None -> 0
   in
   let bad =
@@ -799,28 +785,28 @@ let consistency ?(causes = []) report ~promotions =
      missed an executable backward transfer. *)
   let unknown =
     List.filter_map
-      (fun (tail, n) ->
+      (fun { Processor.ld_tail = tail; ld_promotions = n; _ } ->
         if n > 0 && not (List.exists (fun l -> l.tail = tail) report.loops) then
           Some (Printf.sprintf "loop tail %08x promoted %d times but is unknown to the analysis" tail n)
         else None)
-      promotions
+      decisions
   in
   (* A dynamic inner-loop revoke where the scan proved the window clean is
      a soundness bug in either the analysis or the core. *)
   let impossible_causes =
     List.filter_map
-      (fun (tail, cc) ->
+      (fun { Processor.ld_tail = tail; ld_rv_inner = inner; _ } ->
         match List.find_opt (fun l -> l.tail = tail) report.loops with
-        | Some l when cc.rc_inner > 0 && inner_revoke_impossible l ->
+        | Some l when inner > 0 && inner_revoke_impossible l ->
             Some
               (Printf.sprintf
                  "loop %08x..%08x took %d inner-loop revokes despite a clean window scan (static verdict %s)"
-                 l.head l.tail cc.rc_inner
+                 l.head l.tail inner
                  (match l.verdict with
                  | Ok () -> "ok"
                  | Error r -> reason_to_string r))
         | _ -> None)
-      causes
+      decisions
   in
   match bad @ unknown @ impossible_causes with
   | [] -> Ok ()

@@ -52,24 +52,6 @@ type risk =
       (** the trip count is not statically derivable, so the promotion
           prediction degrades to {!constructor-Marginal} *)
 
-(** Why a buffering attempt is revoked, statically predicted here and
-    dynamically counted per loop by {!Riq_core.Processor}. *)
-type revoke_cause =
-  | Rv_inner_loop (** decode saw a second capturable backward transfer *)
-  | Rv_left_loop (** decode left the window before promotion *)
-  | Rv_overflow (** the issue queue filled while buffering *)
-  | Rv_mispredict (** a mispredicted branch inside the window recovered *)
-
-(** Dynamic revoke-cause counts for one loop tail, as reported by the
-    core (plain integers so {!Riq_core} need not depend on this
-    library). *)
-type cause_counts = {
-  rc_inner : int;
-  rc_left : int;
-  rc_overflow : int;
-  rc_mispredict : int;
-}
-
 type loop_report = {
   head : int; (** byte address of the loop's first instruction *)
   tail : int; (** byte address of the backward transfer *)
@@ -92,7 +74,7 @@ type loop_report = {
       (** globally-valid no-alias claims for store/load pairs in the
           window — checkable against every address the program touches,
           which is exactly what the fuzz oracle does *)
-  predicted_cause : revoke_cause option;
+  predicted_cause : Riq_core.Reuse_state.revoke_cause option;
       (** the revoke cause the static verdict implies, when it implies
           one: inner-loop for {!constructor-Inner_transfer} /
           {!constructor-Callee_loops}, overflow for
@@ -121,7 +103,6 @@ val analyze_config : Riq_ooo.Config.t -> Program.t -> report
     configuration. *)
 
 val reason_to_string : reason -> string
-val cause_to_string : revoke_cause -> string
 
 val hard_reject : reason -> bool
 (** Rejection reasons whose dynamic counterpart can never promote, because
@@ -136,18 +117,13 @@ val hard_reject : reason -> bool
     a promotion of a hard-rejected loop is a simulator bug. *)
 
 val consistency :
-  ?causes:(int * cause_counts) list ->
-  report ->
-  promotions:(int * int) list ->
-  (unit, string) result
-(** [consistency report ~promotions] checks the dynamic per-loop promotion
-    counts (pairs of loop-tail pc and promotion count, from
-    {!Riq_core.Processor.loop_decisions}) against the static verdicts:
+  report -> Riq_core.Processor.loop_decision list -> (unit, string) result
+(** [consistency report decisions] checks a run's per-loop decisions
+    ({!Riq_core.Processor.loop_decisions}) against the static verdicts:
     a promotion of a {!hard_reject}-ed loop, or of a tail the analysis
-    never saw, is an inconsistency. [causes] adds the per-tail dynamic
-    revoke-cause counts; an inner-loop revoke at a tail whose window scan
-    completed (verdict [Ok], [Call_overflow], [Side_entry],
-    [Irreducible] — or [Too_large], which never buffers) is one too,
+    never saw, is an inconsistency. So is an inner-loop revoke at a tail
+    whose window scan completed (verdict [Ok], [Call_overflow],
+    [Side_entry], [Irreducible] — or [Too_large], which never buffers),
     because a completed scan proves no second backward transfer is
     decodable while buffering. *)
 

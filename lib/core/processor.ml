@@ -76,22 +76,6 @@ let wheel_mask = wheel_size - 1
 let ev_complete = 0
 let ev_agen = 1
 
-(* Why a buffering attempt was revoked, one constructor per revoke site.
-   The static side (Riq_analysis.Bufferability) predicts these; keeping
-   per-cause counters is what lets the oracle cross-check prediction
-   against execution. *)
-type revoke_cause =
-  | Rv_inner_loop (* decode saw a second capturable backward transfer *)
-  | Rv_left_loop (* decode left the window before promotion *)
-  | Rv_overflow (* the issue queue filled while buffering *)
-  | Rv_mispredict (* recovery from a mispredict older than the loop *)
-
-let revoke_cause_to_string = function
-  | Rv_inner_loop -> "inner-loop"
-  | Rv_left_loop -> "left-loop"
-  | Rv_overflow -> "overflow"
-  | Rv_mispredict -> "mispredict"
-
 (* Per-loop decision record, keyed by the loop-ending instruction's pc —
    the same key the detector and NBLT use. Queryable after a run to
    compare the dynamic decisions with the static bufferability pass. *)
@@ -488,7 +472,7 @@ let revoke_buffering t ~register_nblt ~cause =
     loop_record t ~head:t.reuse.Reuse_state.head ~tail:t.reuse.Reuse_state.tail
   in
   r.ld_revokes <- r.ld_revokes + 1;
-  (match cause with
+  (match (cause : Reuse_state.revoke_cause) with
   | Rv_inner_loop -> r.ld_rv_inner <- r.ld_rv_inner + 1
   | Rv_left_loop -> r.ld_rv_left <- r.ld_rv_left + 1
   | Rv_overflow -> r.ld_rv_overflow <- r.ld_rv_overflow + 1
@@ -499,7 +483,7 @@ let revoke_buffering t ~register_nblt ~cause =
         [
           ("head", Tracer.Int t.reuse.Reuse_state.head);
           ("tail", Tracer.Int t.reuse.Reuse_state.tail);
-          ("cause", Tracer.Str (revoke_cause_to_string cause));
+          ("cause", Tracer.Str (Reuse_state.cause_to_string cause));
           ("registered_nblt", Tracer.Int (if register_nblt then 1 else 0));
         ]
       ~cat:"reuse" "revoke";
@@ -552,7 +536,7 @@ let recover t (e : Rob.entry) =
          revoke. *)
       let in_loop = Reuse_state.in_loop t.reuse ~pc:e.Rob.pc in
       revoke_buffering t ~register_nblt:in_loop
-        ~cause:(if in_loop then Rv_left_loop else Rv_mispredict)
+        ~cause:(if in_loop then Reuse_state.Rv_left_loop else Reuse_state.Rv_mispredict)
   | Reuse_state.Reusing -> exit_reuse t
 
 (* ------------------------------------------------------------------ *)
@@ -972,7 +956,7 @@ let dispatch_one t (f : fetched) =
   else if Iq.is_full t.iq then begin
     (* Queue exhausted while buffering a loop (e.g. a too-large procedure
        inside it): the loop is non-bufferable (Section 2.2.2). *)
-    if buffered then revoke_buffering t ~register_nblt:true ~cause:Rv_overflow;
+    if buffered then revoke_buffering t ~register_nblt:true ~cause:Reuse_state.Rv_overflow;
     false
   end
   else if d.Decoded.is_mem.(wi) && Lsq.is_full t.lsq then false
@@ -1168,12 +1152,12 @@ let decode_reuse_hooks t (f : fetched) =
             ());
         if (not in_loop) && not in_callee then
           (* The execution left the loop while buffering (Section 2.2.3). *)
-          revoke_buffering t ~register_nblt:true ~cause:Rv_left_loop
+          revoke_buffering t ~register_nblt:true ~cause:Reuse_state.Rv_left_loop
         else begin
           (* An inner loop makes the current loop non-bufferable. *)
           let span = Decoded.loop_span dec wi in
           if span > 0 && span <= iq_size && f.f_pc <> r.Reuse_state.tail then
-            revoke_buffering t ~register_nblt:true ~cause:Rv_inner_loop
+            revoke_buffering t ~register_nblt:true ~cause:Reuse_state.Rv_inner_loop
         end
     | Reuse_state.Reusing -> ()
   end
@@ -1401,6 +1385,13 @@ let arch_state t =
 let loop_decisions t =
   Hashtbl.fold (fun _ r acc -> r :: acc) t.loop_log []
   |> List.sort (fun a b -> compare a.ld_tail b.ld_tail)
+
+let revokes d (cause : Reuse_state.revoke_cause) =
+  match cause with
+  | Rv_inner_loop -> d.ld_rv_inner
+  | Rv_left_loop -> d.ld_rv_left
+  | Rv_overflow -> d.ld_rv_overflow
+  | Rv_mispredict -> d.ld_rv_mispredict
 
 let account t = t.acct
 let tracer t = t.tracer

@@ -75,20 +75,6 @@ val arch_state : t -> Machine.arch_state
 (** Architectural snapshot in the reference simulator's format, for
     differential testing against {!Riq_interp.Machine}. *)
 
-(** Why a buffering attempt was revoked — one constructor per revoke
-    site in the pipeline. The static analysis predicts these
-    ([Riq_analysis.Bufferability.revoke_cause]); the per-loop counters
-    below let the oracle cross-check prediction against execution. *)
-type revoke_cause =
-  | Rv_inner_loop
-      (** decode saw a second capturable backward transfer (Section 2.2.2) *)
-  | Rv_left_loop
-      (** decode left the loop window before promotion, or the loop's own
-          branch mispredicted (Section 2.2.3) *)
-  | Rv_overflow (** the issue queue filled while buffering (Section 2.2.2) *)
-  | Rv_mispredict
-      (** recovery from a mispredicted branch older than the loop *)
-
 (** Per-loop decision record of the dynamic reuse machinery, keyed by the
     loop-ending instruction's pc (the detector's and the NBLT's key).
     Queryable after a run to compare against the static bufferability
@@ -101,7 +87,7 @@ type loop_decision = {
   mutable ld_nblt_filtered : int; (** detections suppressed by the NBLT *)
   mutable ld_attempts : int; (** buffering attempts started *)
   mutable ld_revokes : int;
-  mutable ld_rv_inner : int; (** [ld_revokes] split by {!revoke_cause} *)
+  mutable ld_rv_inner : int; (** [ld_revokes] split by {!Reuse_state.revoke_cause} *)
   mutable ld_rv_left : int;
   mutable ld_rv_overflow : int;
   mutable ld_rv_mispredict : int;
@@ -113,6 +99,9 @@ type loop_decision = {
 
 val loop_decisions : t -> loop_decision list
 (** All loops the detector ever flagged, sorted by tail address. *)
+
+val revokes : loop_decision -> Reuse_state.revoke_cause -> int
+(** The loop's revokes of one cause (its [ld_rv_*] counter). *)
 
 val account : t -> Riq_power.Account.t
 val hierarchy : t -> Hierarchy.t

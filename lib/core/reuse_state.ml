@@ -2,6 +2,16 @@ open Riq_obs
 
 type state = Normal | Buffering | Reusing
 
+type revoke_cause = Rv_inner_loop | Rv_left_loop | Rv_overflow | Rv_mispredict
+
+let revoke_causes = [ Rv_inner_loop; Rv_left_loop; Rv_overflow; Rv_mispredict ]
+
+let cause_to_string = function
+  | Rv_inner_loop -> "inner-loop"
+  | Rv_left_loop -> "left-loop"
+  | Rv_overflow -> "overflow"
+  | Rv_mispredict -> "mispredict"
+
 type t = {
   tracer : Tracer.t;
   mutable state : state;

@@ -12,6 +12,27 @@ type state =
   | Buffering (** Loop Buffering: renamed loop instructions are retained *)
   | Reusing (** Code Reuse: the front-end is gated *)
 
+(** Why a buffering attempt is revoked ({!revoke}): one constructor per
+    revoke site in the pipeline. The static analysis
+    ([Riq_analysis.Bufferability]) predicts these, and the core counts
+    them per loop ([Processor.revokes]), so the oracle cross-checks
+    prediction against execution. *)
+type revoke_cause =
+  | Rv_inner_loop
+      (** decode saw a second capturable backward transfer (Section 2.2.2) *)
+  | Rv_left_loop
+      (** decode left the loop window before promotion, or the loop's own
+          branch mispredicted (Section 2.2.3) *)
+  | Rv_overflow (** the issue queue filled while buffering (Section 2.2.2) *)
+  | Rv_mispredict
+      (** recovery from a mispredicted branch older than the loop *)
+
+val revoke_causes : revoke_cause list
+(** Every cause, in declaration order (the tie-break order of a loop's
+    dominant cause). *)
+
+val cause_to_string : revoke_cause -> string
+
 type t = {
   tracer : Riq_obs.Tracer.t;
       (** sink for the state-machine spans; the null tracer by default *)

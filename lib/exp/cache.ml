@@ -20,7 +20,8 @@
      (eviction and gc walk-and-delete; plain entry writes don't need it);
    - LRU eviction to a byte budget, and an age-based gc, both of which
      only ever delete whole entries — a reader that raced an eviction
-     sees a miss, never a torn file. *)
+     sees a miss, never a torn file. Only riq-cache runs them: the daemon
+     and the engine read and write entries, and never walk the tree. *)
 
 module Metrics = Riq_obs.Metrics
 
@@ -36,8 +37,6 @@ type instruments = {
   i_hits : Metrics.counter;
   i_misses : Metrics.counter;
   i_writes : Metrics.counter;
-  i_evictions : Metrics.counter;
-  i_lock_wait : Metrics.histogram;
 }
 
 let instruments_of registry =
@@ -50,22 +49,9 @@ let instruments_of registry =
       counter ~help:"Store reads served from the shared tree"
         ~labels:[ ("result", "miss") ] "store_reads_total";
     i_writes = counter ~help:"Outcomes written to the store" "store_writes_total";
-    i_evictions =
-      counter ~help:"Entries evicted by budget enforcement" "store_evictions_total";
-    i_lock_wait =
-      Metrics.histogram registry
-        ~help:"Seconds spent waiting for the maintenance lock"
-        "store_lock_wait_seconds";
   }
 
-type t = {
-  root : string;
-  dir : string;
-  budget_bytes : int option;
-  ins : instruments option;
-  mutable evictions : int; (* entries evicted by this process *)
-  mutable stores : int; (* stores since the last budget check *)
-}
+type t = { root : string; dir : string; ins : instruments option }
 
 let rec mkdir_p dir =
   if not (Sys.file_exists dir) then begin
@@ -73,7 +59,7 @@ let rec mkdir_p dir =
     try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
   end
 
-let open_ ?root ?budget_bytes ?metrics () =
+let open_ ?root ?metrics () =
   let root = match root with Some r -> r | None -> default_root () in
   let dir =
     Filename.concat
@@ -81,18 +67,10 @@ let open_ ?root ?budget_bytes ?metrics () =
       Revision.stamp
   in
   mkdir_p dir;
-  {
-    root;
-    dir;
-    budget_bytes;
-    ins = Option.map instruments_of metrics;
-    evictions = 0;
-    stores = 0;
-  }
+  { root; dir; ins = Option.map instruments_of metrics }
 
 let count t f = match t.ins with None -> () | Some ins -> Metrics.inc (f ins)
 let root t = t.root
-let evictions t = t.evictions
 
 let path t key =
   if String.length key < 2 then invalid_arg "Cache.path: key too short";
@@ -134,27 +112,17 @@ let find t key =
 let lock_path t = Filename.concat t.root ".riq-lock"
 
 (* A [lockf] record lock on the lock file, opened read-write, held until
-   the returned descriptor closes. The kernel drops it when its holder
-   exits, however it dies, so no lock outlives its process. It excludes
-   other processes only: a second lock in the same process is granted,
-   and closing either descriptor drops both. [F_LOCK] waits for a holder,
-   [F_TLOCK] raises at once. *)
-let acquire t cmd =
-  let fd = Unix.openfile (lock_path t) [ Unix.O_RDWR; Unix.O_CREAT; Unix.O_CLOEXEC ] 0o644 in
-  match Unix.lockf fd cmd 0 with
-  | () -> fd
-  | exception e ->
-      Unix.close fd;
-      raise e
-
+   the descriptor closes. [F_LOCK] waits for a holder. The kernel drops
+   the lock when its holder exits, however it dies, so no lock outlives
+   its process. It excludes other processes only: a second lock in the
+   same process is granted, and closing either descriptor drops both. *)
 let with_lock t f =
-  let started = Unix.gettimeofday () in
-  let fd = acquire t Unix.F_LOCK in
-  (match t.ins with
-  | None -> ()
-  | Some ins ->
-      Metrics.observe ins.i_lock_wait (Unix.gettimeofday () -. started));
-  Fun.protect ~finally:(fun () -> Unix.close fd) f
+  let fd = Unix.openfile (lock_path t) [ Unix.O_RDWR; Unix.O_CREAT; Unix.O_CLOEXEC ] 0o644 in
+  Fun.protect
+    ~finally:(fun () -> Unix.close fd)
+    (fun () ->
+      Unix.lockf fd Unix.F_LOCK 0;
+      f ())
 
 (* ------------------------------------------------------------------ *)
 (* Entry walk                                                          *)
@@ -220,31 +188,30 @@ let remove_entry e = try Sys.remove e.e_path with _ -> ()
 (* Evict least-recently-used entries until the tree fits the budget.
    Under the lock so two maintainers don't double-delete; entry removal
    itself is safe against concurrent readers (they just miss). *)
-let evict_to_budget_locked t budget =
-  let es = List.sort (fun a b -> compare a.e_mtime b.e_mtime) (entries t) in
-  let total = List.fold_left (fun a e -> a + e.e_bytes) 0 es in
-  let over = ref (total - budget) in
-  let removed = ref 0 in
-  List.iter
-    (fun e ->
-      if !over > 0 then begin
-        remove_entry e;
-        over := !over - e.e_bytes;
-        incr removed
-      end)
-    es;
-  t.evictions <- t.evictions + !removed;
-  (match t.ins with
-  | None -> ()
-  | Some ins -> Metrics.add ins.i_evictions !removed);
-  !removed
-
-let evict_to_budget t budget = with_lock t (fun () -> evict_to_budget_locked t budget)
+let evict_to_budget t budget =
+  if budget < 0 then invalid_arg (Printf.sprintf "evict: negative byte budget %d" budget);
+  with_lock t (fun () ->
+      let es = List.sort (fun a b -> compare a.e_mtime b.e_mtime) (entries t) in
+      let total = List.fold_left (fun a e -> a + e.e_bytes) 0 es in
+      let over = ref (total - budget) in
+      let removed = ref 0 in
+      List.iter
+        (fun e ->
+          if !over > 0 then begin
+            remove_entry e;
+            over := !over - e.e_bytes;
+            incr removed
+          end)
+        es;
+      !removed)
 
 (* Deletes entries whose mtime is strictly older than [now - max_age];
-   anything newer than the cutoff survives by construction. Returns
+   anything newer than the cutoff survives by construction. A negative
+   age would put the cutoff in the future and delete everything. Returns
    (entries removed, bytes freed). *)
 let gc ?(now = Unix.gettimeofday ()) t ~max_age_seconds =
+  if max_age_seconds < 0. then
+    invalid_arg (Printf.sprintf "gc: negative age %g s" max_age_seconds);
   with_lock t (fun () ->
       let cutoff = now -. max_age_seconds in
       List.fold_left
@@ -256,21 +223,6 @@ let gc ?(now = Unix.gettimeofday ()) t ~max_age_seconds =
           else (n, bytes))
         (0, 0) (entries t))
 
-let stat_json t =
-  let s = stat t in
-  let open Riq_util.Json in
-  let age = function None -> Null | Some m -> Float (Unix.gettimeofday () -. m) in
-  Obj
-    [
-      ("root", String t.root);
-      ("entries", Int s.entry_count);
-      ("bytes", Int s.total_bytes);
-      ("oldest_age_seconds", age s.oldest_mtime);
-      ("newest_age_seconds", age s.newest_mtime);
-      ("budget_bytes", match t.budget_bytes with None -> Null | Some b -> Int b);
-      ("evictions", Int t.evictions);
-    ]
-
 (* ------------------------------------------------------------------ *)
 (* Write                                                               *)
 (* ------------------------------------------------------------------ *)
@@ -278,10 +230,6 @@ let stat_json t =
 (* Distinguishes two temp files written by the same process for the same
    key (e.g. an engine and a serve daemon sharing one root). *)
 let tmp_counter = ref 0
-
-(* Budget enforcement piggybacks on stores, amortized: checking the whole
-   tree per store would turn every simulation into a directory walk. *)
-let budget_check_interval = 32
 
 let store t key (outcome : Outcome.t) =
   if Outcome.cacheable outcome then begin
@@ -306,21 +254,5 @@ let store t key (outcome : Outcome.t) =
          close_out_noerr oc;
          (try Sys.remove tmp with _ -> ());
          raise exn
-     with _ -> ());
-    match t.budget_bytes with
-    | None -> ()
-    | Some budget ->
-        t.stores <- t.stores + 1;
-        if t.stores >= budget_check_interval then begin
-          t.stores <- 0;
-          (* Non-blocking: a process that holds the lock is already doing
-             the maintenance we wanted to do, and a lock that cannot be
-             taken at all skips the round rather than fail the store. *)
-          match acquire t Unix.F_TLOCK with
-          | exception _ -> ()
-          | fd ->
-              Fun.protect
-                ~finally:(fun () -> Unix.close fd)
-                (fun () -> ignore (evict_to_budget_locked t budget))
-        end
+     with _ -> ())
   end

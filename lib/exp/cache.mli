@@ -13,7 +13,9 @@
     the entry's mtime (the cross-process LRU order), a kernel lock for
     maintenance, LRU eviction to a byte budget, and age-based gc.
     Maintenance only ever deletes whole entries; a reader racing an
-    eviction sees a miss, never a torn file. *)
+    eviction sees a miss, never a torn file. [riq-cache] is the one
+    process that runs it: the daemon and the engine only {!find} and
+    {!store}. *)
 
 type t
 
@@ -21,16 +23,11 @@ val default_root : unit -> string
 (** [$RIQ_CACHE_DIR] when set and non-empty, else [".riq-cache"] in the
     working directory. *)
 
-val open_ :
-  ?root:string -> ?budget_bytes:int -> ?metrics:Riq_obs.Metrics.t -> unit -> t
+val open_ : ?root:string -> ?metrics:Riq_obs.Metrics.t -> unit -> t
 (** Open (and create if needed) the cache under [root] (default
-    {!default_root}). With [budget_bytes], every 32nd {!store}
-    opportunistically evicts to the budget (skipped without blocking if
-    the maintenance lock cannot be taken at once). With [metrics], the
-    cache registers [store_reads_total{result=hit|miss}],
-    [store_writes_total] (entries actually renamed into place),
-    [store_evictions_total] and the [store_lock_wait_seconds] histogram
-    against the given registry. *)
+    {!default_root}). With [metrics], the cache registers
+    [store_reads_total{result=hit|miss}] and [store_writes_total]
+    (entries actually renamed into place) against the given registry. *)
 
 val root : t -> string
 
@@ -46,18 +43,18 @@ val store : t -> string -> Outcome.t -> unit
     timeouts). Writes are atomic (unique temp file + rename) and
     best-effort: an unwritable cache (read-only tree, full disk) is
     silently skipped rather than failing the experiment, and counts as no
-    write. Also runs the amortized budget enforcement. *)
+    write. *)
 
 (** {1 Maintenance} *)
 
 val with_lock : t -> (unit -> 'a) -> 'a
 (** Run [f] holding the maintenance lock: a [lockf] lock on
-    [<root>/.riq-lock], waited for without a deadline and recorded in
-    [store_lock_wait_seconds]. The kernel releases it when its holder
-    exits, so a killed holder never wedges the next. It excludes other
-    processes, not a second holder in this one. Entry writes do not need
-    the lock — they are atomic on their own; this serializes maintenance
-    walks. *)
+    [<root>/.riq-lock], waited for without a deadline. The kernel
+    releases it when its holder exits, so a killed holder never wedges
+    the next. It excludes other processes, not a second holder in this
+    one. Entry writes do not need the lock — they are atomic on their
+    own; this serializes the maintenance walks of concurrent {!gc} and
+    {!evict_to_budget} runs. *)
 
 type entry = { e_path : string; e_bytes : int; e_mtime : float }
 
@@ -73,17 +70,15 @@ type stat = {
 }
 
 val stat : t -> stat
-val stat_json : t -> Riq_util.Json.t
 
 val evict_to_budget : t -> int -> int
 (** Evict least-recently-used entries until total bytes fit the given
-    budget (under the lock); returns entries removed. *)
+    budget (under the lock); returns entries removed. Raises
+    [Invalid_argument] on a negative budget, before it takes the lock. *)
 
 val gc : ?now:float -> t -> max_age_seconds:float -> int * int
 (** Remove entries strictly older than [now - max_age_seconds] (under
     the lock); never touches anything newer than the cutoff. Returns
-    (entries removed, bytes freed). *)
-
-val evictions : t -> int
-(** Entries evicted by this process (budget enforcement + explicit
-    {!evict_to_budget}). *)
+    (entries removed, bytes freed). Raises [Invalid_argument] on a
+    negative [max_age_seconds], whose cutoff in the future would remove
+    every entry, before it takes the lock. *)

@@ -59,24 +59,9 @@ let accounting ~reuse r =
 
 let cross_check (job : Job.t) r =
   let report = Bufferability.analyze_config job.Job.cfg job.Job.program in
-  let promotions =
-    List.map (fun d -> (d.Processor.ld_tail, d.Processor.ld_promotions)) r.decisions
-  in
-  let causes =
-    List.map
-      (fun d ->
-        ( d.Processor.ld_tail,
-          {
-            Bufferability.rc_inner = d.Processor.ld_rv_inner;
-            rc_left = d.Processor.ld_rv_left;
-            rc_overflow = d.Processor.ld_rv_overflow;
-            rc_mispredict = d.Processor.ld_rv_mispredict;
-          } ))
-      r.decisions
-  in
   Result.map_error
     (fun msg -> Outcome.Verdict_mismatch msg)
-    (let* () = Bufferability.consistency ~causes report ~promotions in
+    (let* () = Bufferability.consistency report r.decisions in
      (* No-alias claims must survive the addresses the program actually
         produces. *)
      let* no_alias_claims =

@@ -461,21 +461,14 @@ let revoke_causes ?(iq_size = 32) () =
                  report.Riq_analysis.Bufferability.loops)
               (fun l -> l.Riq_analysis.Bufferability.predicted_cause)
           in
-          let counts =
-            [
-              (Riq_analysis.Bufferability.Rv_inner_loop, d.Processor.ld_rv_inner);
-              (Riq_analysis.Bufferability.Rv_left_loop, d.Processor.ld_rv_left);
-              (Riq_analysis.Bufferability.Rv_overflow, d.Processor.ld_rv_overflow);
-              (Riq_analysis.Bufferability.Rv_mispredict, d.Processor.ld_rv_mispredict);
-            ]
-          in
           let dominant =
             List.fold_left
-              (fun acc (c, n) ->
+              (fun acc c ->
+                let n = Processor.revokes d c in
                 match acc with
                 | Some (_, m) when m >= n -> acc
                 | _ -> if n > 0 then Some (c, n) else acc)
-              None counts
+              None Reuse_state.revoke_causes
           in
           let matches =
             match (predicted, dominant) with
@@ -483,19 +476,18 @@ let revoke_causes ?(iq_size = 32) () =
             | Some _, None -> "no revokes"
             | Some c, Some (dc, _) -> if c = dc then "yes" else "NO"
           in
+          let counts =
+            List.map (fun c -> string_of_int (Processor.revokes d c)) Reuse_state.revoke_causes
+          in
           Table.add_row t
-            [
-              w.Workloads.name;
-              Printf.sprintf "%08x..%08x" d.Processor.ld_head d.Processor.ld_tail;
-              (match predicted with
-              | Some c -> Riq_analysis.Bufferability.cause_to_string c
-              | None -> "-");
-              string_of_int d.Processor.ld_rv_inner;
-              string_of_int d.Processor.ld_rv_left;
-              string_of_int d.Processor.ld_rv_overflow;
-              string_of_int d.Processor.ld_rv_mispredict;
-              matches;
-            ])
+            ([
+               w.Workloads.name;
+               Printf.sprintf "%08x..%08x" d.Processor.ld_head d.Processor.ld_tail;
+               (match predicted with
+               | Some c -> Reuse_state.cause_to_string c
+               | None -> "-");
+             ]
+            @ counts @ [ matches ]))
         (Processor.loop_decisions p))
     Workloads.all;
   t

@@ -42,8 +42,8 @@
    new submits and supplies are refused, queued and in-flight jobs run to
    completion and held replies go out as their tickets complete, then the
    workers are shut down over their pipes, reaped, and the socket file is
-   unlinked. No orphaned processes, and no stale store lock: the kernel
-   frees it with its holder. *)
+   unlinked. No orphaned processes, and no store lock: the daemon never
+   walks, locks or deletes from the store (riq-cache maintains it). *)
 
 open Riq_util
 open Riq_exp
@@ -120,13 +120,12 @@ type ticket = {
   mutable t_done : int;
 }
 
-(* The daemon's own instruments, registered against cfg.metrics (which
-   the caller usually shares with the {!Riq_exp.Cache} it opened). Request
-   counters are registered lazily per op label. *)
+(* The daemon's own instruments, registered against cfg.metrics, which
+   the store counts its reads and writes on too. Request counters are
+   registered lazily per op label. *)
 type instruments = {
   i_submitted : Metrics.counter;
   i_supplied : Metrics.counter;
-  i_store_hits : Metrics.counter;
   i_executed : Metrics.counter;
   i_batched : Metrics.counter;
   i_retries : Metrics.counter;
@@ -152,9 +151,6 @@ let instruments_of registry =
     i_submitted = counter ~help:"Jobs submitted over the wire" "serve_submitted_total";
     i_supplied =
       counter ~help:"Job bodies received in accepted supplies" "serve_supplied_total";
-    i_store_hits =
-      counter ~help:"Submitted jobs answered directly from the shared store"
-        "store_hits_total";
     i_executed = counter ~help:"Jobs executed by resident workers" "serve_executed_total";
     i_batched =
       counter ~help:"Jobs coalesced onto an in-flight identical fingerprint"
@@ -377,7 +373,6 @@ let finish t (f : string Workers.finished) =
 let resolve t ~id ~index fp =
   match Cache.find t.cfg.store fp with
   | Some outcome ->
-      Metrics.inc t.ins.i_store_hits;
       deliver_to_ticket t ~ticket:id ~index ~source:Protocol.Hit ~seconds:0. outcome;
       true
   | None -> (

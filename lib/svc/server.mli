@@ -20,16 +20,17 @@
     mid-frame for 5 s is closed. SIGTERM/SIGINT drains gracefully: stop
     accepting, run queued and in-flight jobs to completion (held replies
     still go out), shut down and reap every worker, unlink the socket.
+    The daemon never walks, locks or deletes from the store: [riq-cache]
+    maintains it.
 
     Observability: the daemon instruments itself against [metrics]
     ([serve_*], among them [serve_supplied_total], the job bodies it
-    accepted, and [serve_draining], 1 during a drain; [store_hits_total];
-    share the registry with the {!Riq_exp.Cache.open_} call so [store_*]
-    series land in the same scrape) and keeps a bounded ring of wall-clock-microsecond spans
-    (queue-wait per class, simulate per worker pid). Both are served over
-    the wire ([metrics] and [trace] ops). Every job's time is the one its
-    worker measured, recorded once, by the daemon. Logging goes through
-    {!Riq_obs.Log} under scope ["serve"]. *)
+    accepted, and [serve_draining], 1 during a drain) and keeps a bounded
+    ring of wall-clock-microsecond spans (queue-wait per class, simulate
+    per worker pid). Both are served over the wire ([metrics] and [trace]
+    ops). Every job's time is the one its worker measured, recorded once,
+    by the daemon. Logging goes through {!Riq_obs.Log} under scope
+    ["serve"]. *)
 
 type config = {
   address : Protocol.address;
@@ -51,8 +52,9 @@ val config :
   Riq_exp.Cache.t ->
   config
 (** [workers] defaults to 1, [timeout] to 600 s per job ([None]
-    disables). [metrics] defaults to a fresh registry; pass the one the
-    store was opened with to get a combined exposition. With
+    disables). [metrics] defaults to a fresh registry; the store must be
+    opened on it, so [store_reads_total{result="hit"}] counts the jobs the
+    daemon answers from the store. With
     [metrics_out], the daemon atomically rewrites that file with the
     Prometheus exposition every [metrics_interval] (default 5 s) seconds
     and once more at shutdown. *)

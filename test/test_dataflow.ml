@@ -294,15 +294,10 @@ out:
 
 let dominant_cause (d : Processor.loop_decision) =
   List.fold_left
-    (fun acc (c, n) ->
+    (fun acc c ->
+      let n = Processor.revokes d c in
       match acc with Some (_, m) when m >= n -> acc | _ -> if n > 0 then Some (c, n) else acc)
-    None
-    [
-      (Bufferability.Rv_inner_loop, d.Processor.ld_rv_inner);
-      (Bufferability.Rv_left_loop, d.Processor.ld_rv_left);
-      (Bufferability.Rv_overflow, d.Processor.ld_rv_overflow);
-      (Bufferability.Rv_mispredict, d.Processor.ld_rv_mispredict);
-    ]
+    None Reuse_state.revoke_causes
 
 let test_kernel_revoke_causes () =
   List.iter
@@ -332,8 +327,8 @@ let test_kernel_revoke_causes () =
                   Alcotest.(check string)
                     (Printf.sprintf "%s loop %08x: predicted cause" w.Workloads.name
                        d.Processor.ld_tail)
-                    (Bufferability.cause_to_string c)
-                    (Bufferability.cause_to_string dc)
+                    (Reuse_state.cause_to_string c)
+                    (Reuse_state.cause_to_string dc)
               | _ -> ()))
         (Processor.loop_decisions p))
     Workloads.all

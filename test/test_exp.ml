@@ -854,6 +854,63 @@ let test_check_flipped_register () =
     (Job.make ~check:true Config.reuse tiny_program)
     { r with Runner.arch = { r.Runner.arch with Riq_interp.Machine.int_regs } }
 
+(* ---- Runner.check on forged loop decisions: the verdict cross-check ---- *)
+
+(* A genuine verdict-checked reuse run of tsf at the default IQ (64): its
+   outer loop 00001020..000010e8 is hard-rejected (an inner back edge at
+   00001094), and its inner loop 00001030..00001094 is a clean window. *)
+let tsf_run =
+  lazy
+    (let job =
+       Job.make ~verdicts:true Config.reuse (Workloads.program (Workloads.find "tsf"))
+     in
+     match Runner.simulate job with
+     | Ok (p, _) -> (job, Runner.observe p)
+     | Error e -> Alcotest.failf "tsf: %s" (Outcome.error_to_string e))
+
+(* [r] with its decision at [tail] (a copy of another loop's when the run
+   has none there) replaced by [forge] of it, and stats.promotions
+   resummed, so the accounting step still passes. *)
+let forged r ~tail forge =
+  let open Riq_core.Processor in
+  let base =
+    match List.find_opt (fun d -> d.ld_tail = tail) r.Runner.decisions with
+    | Some d -> d
+    | None ->
+        { (List.hd r.Runner.decisions) with ld_head = tail; ld_tail = tail; ld_promotions = 0 }
+  in
+  let decisions =
+    forge base :: List.filter (fun d -> d.ld_tail <> tail) r.Runner.decisions
+  in
+  let promotions = List.fold_left (fun n d -> n + d.ld_promotions) 0 decisions in
+  { r with Runner.decisions; stats = { r.Runner.stats with promotions } }
+
+let test_check_verdict_cross_check () =
+  let job, r = Lazy.force tsf_run in
+  (match Runner.check job r with
+  | Ok (Some _) -> ()
+  | Ok None -> Alcotest.fail "verdict job returned no verdicts"
+  | Error e -> Alcotest.failf "genuine tsf run failed: %s" (Outcome.error_to_string e));
+  let expect name message r =
+    match Runner.check job r with
+    | Error (Outcome.Verdict_mismatch got) -> Alcotest.(check string) name message got
+    | Error e -> Alcotest.failf "%s: wrong error: %s" name (Outcome.error_to_string e)
+    | Ok _ -> Alcotest.failf "%s: check passed" name
+  in
+  let open Riq_core.Processor in
+  expect "promoted hard-rejected loop"
+    "loop 00001020..000010e8 promoted 2 times despite static inner-loop (backward \
+     transfer at 00001094)"
+    (forged r ~tail:0x10e8 (fun d -> { d with ld_promotions = d.ld_promotions + 2 }));
+  expect "promotion at an unknown tail"
+    "loop tail 00001004 promoted 1 times but is unknown to the analysis"
+    (forged r ~tail:0x1004 (fun d -> { d with ld_promotions = 1 }));
+  expect "inner-loop revokes on a clean window"
+    "loop 00001030..00001094 took 3 inner-loop revokes despite a clean window scan \
+     (static verdict ok)"
+    (forged r ~tail:0x1094 (fun d ->
+         { d with ld_revokes = d.ld_revokes + 3; ld_rv_inner = d.ld_rv_inner + 3 }))
+
 let test_json_export () =
   let sizes = [ 32 ] in
   let benchmarks = [ Workloads.find "tsf" ] in
@@ -920,6 +977,8 @@ let suites =
         Alcotest.test_case "check: per-loop promotions sum" `Quick
           test_check_per_loop_promotions;
         Alcotest.test_case "check: flipped register" `Quick test_check_flipped_register;
+        Alcotest.test_case "check: forged decisions vs verdicts" `Quick
+          test_check_verdict_cross_check;
         Alcotest.test_case "sweep json export" `Slow test_json_export;
         Alcotest.test_case "json printer" `Quick test_json_printer;
       ] );

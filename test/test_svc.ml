@@ -32,8 +32,8 @@ let with_temp_dir f =
   let dir = Filename.temp_dir "riq-svc-test" "" in
   Fun.protect ~finally:(fun () -> rm_rf dir) (fun () -> f dir)
 
-let with_temp_store ?budget_bytes f =
-  with_temp_dir (fun dir -> f (Cache.open_ ~root:(Filename.concat dir "cache") ?budget_bytes ()))
+let with_temp_store f =
+  with_temp_dir (fun dir -> f (Cache.open_ ~root:(Filename.concat dir "cache") ()))
 
 (* ------------------------------------------------------------------ *)
 (* Wire framing                                                        *)
@@ -281,8 +281,7 @@ let test_store_eviction_respects_budget () =
           Alcotest.(check bool)
             (Printf.sprintf "entry %d %s" i (if i >= 3 then "kept" else "evicted"))
             (i >= 3) (List.mem key survivors))
-        keys;
-      Alcotest.(check int) "eviction counter" 3 (Cache.evictions store))
+        keys)
 
 let test_store_gc_respects_cutoff () =
   with_temp_store (fun store ->
@@ -303,22 +302,20 @@ let test_store_gc_respects_cutoff () =
       let removed', _ = Cache.gc ~now store ~max_age_seconds:985. in
       Alcotest.(check int) "gc is idempotent" 0 removed')
 
-let test_store_budget_enforced_on_store () =
-  with_temp_dir (fun dir ->
-      let root = Filename.concat dir "cache" in
-      let probe = Cache.open_ ~root () in
-      let keys = store_n probe 1 in
-      let per_entry = (List.hd (Cache.entries probe)).Cache.e_bytes in
-      ignore keys;
-      rm_rf root;
-      (* Budget for ~3 entries; write 64 so several of the amortized
-         every-32nd-store sweeps trigger. *)
-      let store = Cache.open_ ~root ~budget_bytes:(3 * per_entry) () in
-      ignore (store_n store 64);
-      let s = Cache.stat store in
-      Alcotest.(check bool) "amortized eviction kept the store bounded" true
-        (s.Cache.entry_count < 40);
-      Alcotest.(check bool) "evictions counted" true (Cache.evictions store > 0))
+(* A negative bound would empty the store: gc's cutoff would lie in the
+   future, and every entry is over a budget below zero. Both are refused
+   before anything is deleted. *)
+let test_store_negative_bounds_refused () =
+  with_temp_store (fun store ->
+      ignore (store_n store 3);
+      let refused what f =
+        match f () with
+        | _ -> Alcotest.failf "%s was accepted" what
+        | exception Invalid_argument _ -> ()
+      in
+      refused "gc at a negative age" (fun () -> Cache.gc store ~max_age_seconds:(-5.));
+      refused "eviction to a negative budget" (fun () -> Cache.evict_to_budget store (-1));
+      Alcotest.(check int) "every entry survives" 3 (Cache.stat store).Cache.entry_count)
 
 (* The kernel frees the lock with its holder: a holder SIGKILLed inside
    [with_lock] does not wedge the next one, which takes the lock within
@@ -363,17 +360,6 @@ let test_store_lock_holder_killed () =
           | _ -> Alcotest.fail "the next holder failed"
         in
         await ())
-
-(* A lock that cannot be taken at all (here a directory where the lock
-   file goes) skips the amortized eviction; the stores themselves land. *)
-let test_store_lock_unusable_skips_eviction () =
-  with_temp_dir (fun dir ->
-      let root = Filename.concat dir "cache" in
-      let store = Cache.open_ ~root ~budget_bytes:1 () in
-      Unix.mkdir (Filename.concat root ".riq-lock") 0o755;
-      ignore (store_n store 40);
-      Alcotest.(check int) "every entry kept" 40 (Cache.stat store).Cache.entry_count;
-      Alcotest.(check int) "no eviction" 0 (Cache.evictions store))
 
 (* Cross-process mutual exclusion: two forked writers increment a shared
    counter file under the store lock; lost updates would leave the final
@@ -542,10 +528,10 @@ let member_int path json =
   | Some v -> v
   | None -> Alcotest.fail ("missing counter " ^ String.concat "." path)
 
-(* An unlabelled counter or gauge of a metrics snapshot. *)
-let metric snap name =
+(* A counter or gauge of a metrics snapshot. *)
+let metric ?(labels = []) snap name =
   let open Riq_obs.Metrics in
-  match List.find_opt (fun s -> s.s_name = name && s.s_labels = []) snap with
+  match List.find_opt (fun s -> s.s_name = name && s.s_labels = labels) snap with
   | Some { s_value = Counter_sample v; _ } -> v
   | Some { s_value = Gauge_sample v; _ } -> int_of_float v
   | _ -> Alcotest.failf "no counter or gauge %s" name
@@ -595,8 +581,8 @@ let test_daemon_end_to_end () =
       (match Client.server_metrics c2 with
       | Error msg -> Alcotest.fail ("metrics op failed: " ^ msg)
       | Ok snap -> (
-          Alcotest.(check int) "store_hits_total = warm submits" (Array.length jobs)
-            (metric snap "store_hits_total");
+          Alcotest.(check int) "store hits = warm submits" (Array.length jobs)
+            (metric ~labels:[ ("result", "hit") ] snap "store_reads_total");
           Alcotest.(check int) "serve_executed_total = cold submits" (Array.length jobs)
             (metric snap "serve_executed_total");
           Alcotest.(check int) "warm run supplied no job body" (Array.length jobs)
@@ -619,8 +605,14 @@ let test_daemon_end_to_end () =
             in
             go 0
           in
-          Alcotest.(check bool) "exposition has store_hits_total" true
-            (contains "store_hits_total 6");
+          Alcotest.(check bool) "exposition has the store hits" true
+            (contains "store_reads_total{result=\"hit\"} 6");
+          (* Only riq-cache evicts or takes the store's lock, and a daemon
+             store hit is counted once, in store_reads_total. *)
+          List.iter
+            (fun name ->
+              Alcotest.(check bool) ("exposition has no " ^ name) false (contains name))
+            [ "store_hits_total"; "store_evictions_total"; "store_lock_wait_seconds" ];
           Alcotest.(check bool) "exposition has histogram buckets" true
             (contains "serve_simulate_seconds_bucket"));
       (* The trace op: daemon + worker spans, already shifted onto this
@@ -1125,12 +1117,10 @@ let suites =
         Alcotest.test_case "lru eviction respects budget" `Quick
           test_store_eviction_respects_budget;
         Alcotest.test_case "gc respects cutoff" `Quick test_store_gc_respects_cutoff;
-        Alcotest.test_case "budget enforced on store" `Quick
-          test_store_budget_enforced_on_store;
+        Alcotest.test_case "negative bounds refused" `Quick
+          test_store_negative_bounds_refused;
         Alcotest.test_case "SIGKILLed holder does not wedge the next" `Quick
           test_store_lock_holder_killed;
-        Alcotest.test_case "unusable lock skips eviction" `Quick
-          test_store_lock_unusable_skips_eviction;
         Alcotest.test_case "cross-process lock contention" `Quick
           test_store_lock_contention;
         Alcotest.test_case "concurrent writers, one fingerprint" `Quick
