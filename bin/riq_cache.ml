@@ -96,8 +96,12 @@ let evict_cmd =
            ~doc:"Evict least-recently-used entries until the store fits this budget.")
   in
   let action cache_dir json budget =
+    (* Refused before the store is touched: a larger budget's byte count
+       would wrap past max_int, to a budget of nothing. *)
+    if budget > max_int / 1048576 then
+      failwith (Printf.sprintf "--budget-mb %d is above %d" budget (max_int / 1048576));
     let store = open_store cache_dir in
-    let removed = Riq_exp.Cache.evict_to_budget store (budget * 1024 * 1024) in
+    let removed = Riq_exp.Cache.evict_to_budget store (budget * 1048576) in
     if json then
       print_endline
         (Riq_util.Json.to_string

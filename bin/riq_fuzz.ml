@@ -50,9 +50,9 @@ let run_cmd =
   in
   let serve =
     Arg.(value & opt (some string) None & info [ "serve" ] ~docv:"ADDR"
-           ~doc:"Run simulations through a $(b,riq-sim serve) daemon at ADDR (Unix \
-                 socket path or host:port) in the batch queue class, instead of \
-                 local workers.")
+           ~doc:"Run simulations through a $(b,riq-sim serve) daemon listening on \
+                 the Unix socket ADDR, in the batch queue class, instead of local \
+                 workers.")
   in
   let action count seed jobs config out no_cache cache_dir serve =
     ignore (get_config config);

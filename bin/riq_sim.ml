@@ -169,9 +169,9 @@ let timeout_arg =
 
 let serve_addr_arg =
   Arg.(value & opt (some string) None & info [ "serve" ] ~docv:"ADDR"
-         ~doc:"Run simulations through a $(b,riq-sim serve) daemon at ADDR (a Unix \
-               socket path or host:port) instead of local workers; the daemon's \
-               shared cache then serves repeats across clients and hosts.")
+         ~doc:"Run simulations through a $(b,riq-sim serve) daemon listening on the \
+               Unix socket ADDR instead of local workers; the daemon's shared store \
+               then serves repeats across clients.")
 
 let progress_reporter () =
   let last = ref "" in
@@ -540,7 +540,7 @@ let pipeview_cmd =
 let serve_cmd =
   let addr =
     Arg.(required & pos 0 (some string) None & info [] ~docv:"ADDR"
-           ~doc:"Address to listen on: a Unix socket path or host:port.")
+           ~doc:"Unix socket path to listen on.")
   in
   let workers =
     Arg.(value & opt int 1 & info [ "jobs"; "j" ] ~docv:"N"
@@ -554,17 +554,7 @@ let serve_cmd =
     Arg.(value & flag & info [ "quiet"; "q" ]
            ~doc:"Only log errors (equivalent to RIQ_LOG=error).")
   in
-  let metrics_out =
-    Arg.(value & opt (some string) None & info [ "metrics-out" ] ~docv:"FILE"
-           ~doc:"Atomically rewrite FILE with the Prometheus text exposition of the \
-                 daemon's metrics every few seconds and at shutdown — a scrape \
-                 target for file-based collectors.")
-  in
-  let metrics_interval =
-    Arg.(value & opt float 5. & info [ "metrics-interval" ] ~docv:"SECONDS"
-           ~doc:"Seconds between $(b,--metrics-out) rewrites.")
-  in
-  let action addr workers cache_dir timeout quiet metrics_out metrics_interval =
+  let action addr workers cache_dir timeout quiet =
     if quiet then Riq_obs.Log.set_level Riq_obs.Log.Error;
     (* One registry for the store and the daemon: store_* and serve_*
        series come back in a single scrape. *)
@@ -572,7 +562,7 @@ let serve_cmd =
     let store = Riq_exp.Cache.open_ ?root:cache_dir ~metrics () in
     let timeout = if timeout <= 0. then None else Some timeout in
     let config =
-      Riq_svc.Server.config ~workers ~timeout ~metrics ?metrics_out ~metrics_interval
+      Riq_svc.Server.config ~workers ~timeout ~metrics
         ~address:(Riq_svc.Protocol.address_of_string addr)
         store
     in
@@ -581,17 +571,16 @@ let serve_cmd =
   Cmd.v
     (Cmd.info "serve"
        ~doc:
-         "Run the sweep service daemon: accept simulation jobs over a Unix or TCP \
-          socket, batch identical requests, schedule them on resident workers with a \
-          fair two-class queue, and answer repeats from the shared result store. \
-          SIGTERM drains gracefully.")
-    Term.(const action $ addr $ workers $ cache_dir_arg $ timeout $ quiet $ metrics_out
-          $ metrics_interval)
+         "Run the sweep service daemon: accept simulation jobs over a Unix socket, \
+          batch identical requests, schedule them on resident workers with a fair \
+          two-class queue, and answer repeats from the shared result store. Its \
+          metrics are scraped with $(b,riq-sim top). SIGTERM drains gracefully.")
+    Term.(const action $ addr $ workers $ cache_dir_arg $ timeout $ quiet)
 
 let top_cmd =
   let addr =
     Arg.(required & pos 0 (some string) None & info [] ~docv:"ADDR"
-           ~doc:"Daemon address: a Unix socket path or host:port.")
+           ~doc:"The daemon's Unix socket path.")
   in
   let interval =
     Arg.(value & opt float 2. & info [ "interval"; "n" ] ~docv:"SECONDS"
@@ -705,7 +694,8 @@ let top_cmd =
          "Live terminal view of a running serve daemon: job and store counters, \
           per-class queue depth and wait quantiles, simulate-time quantiles — \
           each frame drawn from one $(b,metrics) scrape. With $(b,--prom) or \
-          $(b,--json), print one machine-readable scrape instead.")
+          $(b,--json), print one machine-readable scrape instead; a file-based \
+          collector runs $(b,--once --prom) on a timer.")
     Term.(const action $ addr $ interval $ once $ prom $ json)
 
 let disasm_cmd =

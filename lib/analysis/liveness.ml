@@ -50,7 +50,7 @@ let transfer_block cfg b out =
 
 (* The fact at a block's exit. A block without successors gets the
    solver's boundary, the empty set, unless it ends in an indirect
-   transfer: a return, after which {!return_live_out} stays live. *)
+   transfer: a return, after which [return_live_out] stays live. *)
 let exit_fact (blk : Cfg.block) fact =
   if blk.Cfg.b_succs = [] && blk.Cfg.b_indirect then return_live_out else fact
 

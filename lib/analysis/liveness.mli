@@ -13,7 +13,9 @@ open Riq_isa
     callee's live-in flows into the call site alongside the return path),
     so no interprocedural summary is needed. Blocks ending in indirect
     transfers ([jr]/[jalr]) have no static successors; [jr r31] is a
-    return, whose conservative live-out is {!return_live_out}.
+    return, after which the caller-visible scalar pools ([r16]-[r28],
+    [f16]-[f31]), the stack pointer and the link register are
+    conservatively live.
 
     The sets are the least fixpoint of a backward {!Dataflow.Make} solve
     over [Int64] bitsets (join is [logor]), so liveness gets the
@@ -31,11 +33,6 @@ val live_out : t -> int -> Int64.t
 val live_before : t -> pc:int -> Int64.t
 (** Live set immediately before the instruction at [pc]. Raises
     [Invalid_argument] outside the text segment. *)
-
-val return_live_out : Int64.t
-(** Registers conservatively assumed live at a return: the caller-visible
-    scalar pools ([r16]-[r28], [f16]-[f31]), the stack pointer and the
-    link register. *)
 
 val mem : Int64.t -> Reg.t -> bool
 val cardinal : Int64.t -> int

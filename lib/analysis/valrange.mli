@@ -46,5 +46,4 @@ val const : value -> int option
 val bounds : value -> (int * int) option
 (** [Const c] is [(c, c)]; [Bot]/[Top] are [None]. *)
 
-val join_value : value -> value -> value
 val to_string : value -> string

@@ -36,6 +36,7 @@ let run_in_process (jobs : Job.t array) indices on_result =
       on_result i ~seconds:(Unix.gettimeofday () -. t0) outcome)
     indices
 
+(* Sequential execution in the calling process. *)
 let in_process =
   {
     name = "in-process";

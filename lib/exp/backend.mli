@@ -34,17 +34,11 @@ type t = {
           [Worker_crashed]. *)
 }
 
-val in_process : t
-(** Sequential execution in the calling process. *)
-
-val fork_pool : workers:int -> t
-(** Jobs in index order over a pool of resident forked {!Workers}, with
-    its per-job [timeout] and retry-once on worker death. Runs
-    in-process when [workers = 1], for a single job, or when forking is
-    unavailable, and finishes in-process whatever is left if the pool
-    fails (e.g. fork exhaustion). *)
-
 val default : workers:int -> t
-(** {!fork_pool} when [workers > 1], else {!in_process} — the engine's
-    historical behaviour. *)
+(** With [workers > 1], jobs in index order over a pool of resident
+    forked {!Workers}, with its per-job [timeout] and retry-once on
+    worker death; the pool runs in-process for a single job or when
+    forking is unavailable, and finishes in-process whatever is left if
+    it fails (e.g. fork exhaustion). Otherwise sequential execution in
+    the calling process. *)
 

@@ -19,13 +19,10 @@
 
 type t
 
-val default_root : unit -> string
-(** [$RIQ_CACHE_DIR] when set and non-empty, else [".riq-cache"] in the
-    working directory. *)
-
 val open_ : ?root:string -> ?metrics:Riq_obs.Metrics.t -> unit -> t
 (** Open (and create if needed) the cache under [root] (default
-    {!default_root}). With [metrics], the cache registers
+    [$RIQ_CACHE_DIR] when set and non-empty, else [".riq-cache"] in the
+    working directory). With [metrics], the cache registers
     [store_reads_total{result=hit|miss}] and [store_writes_total]
     (entries actually renamed into place) against the given registry. *)
 

@@ -40,11 +40,9 @@ type error =
 
 type t = (sim_result, error) result
 
-val error_is_deterministic : error -> bool
-(** Whether the error is a property of the job (cacheable) rather than of
-    the host it ran on (retry next time). *)
-
 val cacheable : t -> bool
+(** A success, or an error that is a property of the job rather than of
+    the host it ran on (a crash or a timeout is retried next time). *)
 
 val zero_timing : t -> t
 (** Erase the host-timing telemetry ([sim_seconds] := 0). The

@@ -1,6 +1,6 @@
 (** A pool of resident forked simulation workers, driven from the
     caller's select loop. Both job paths run on it: the engine's local
-    fork backend ({!Backend.fork_pool}) and the [riq-sim serve] daemon.
+    fork backend ({!Backend.default}) and the [riq-sim serve] daemon.
 
     Each worker is a forked process holding one request pipe and one
     result pipe. Every message is one frame: a 4-byte big-endian length,

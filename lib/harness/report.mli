@@ -15,8 +15,6 @@ val schema : string
 val stats_json : Processor.stats -> Riq_util.Json.t
 (** Every field of {!Processor.stats}, by name. *)
 
-val loop_decision_json : Processor.loop_decision -> Riq_util.Json.t
-
 val make : ?benchmark:string -> Processor.t -> Riq_util.Json.t
 (** Build the report from a finished (or running) processor. Top-level
     keys: [schema], [revision], optional [benchmark], [config], [stats],

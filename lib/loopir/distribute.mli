@@ -23,10 +23,6 @@ val distribute_program : Ir.program -> Ir.program
 (** Distribute every loop, innermost-first, throughout main and all
     procedures. *)
 
-val distribute_stmt : Ir.program -> Ir.stmt -> Ir.stmt list
-(** Distribute one statement (recursively); the program supplies the
-    procedure table and the loop-variable universe. *)
-
 (** {2 Exposed for tests} *)
 
 type edge_kind = No_dep | Forward | Backward | Both

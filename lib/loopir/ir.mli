@@ -80,5 +80,4 @@ val reads_of_stmt : stmt -> string list * access list
 
 val writes_of_stmt : stmt -> string list * access list
 
-val pp_stmt : Format.formatter -> stmt -> unit
 val pp_program : Format.formatter -> program -> unit

@@ -12,9 +12,6 @@
 
 type level = Debug | Info | Warn | Error
 
-val level_of_string : string -> (level, string) result
-val level_to_string : level -> string
-
 val set_level : level -> unit
 (** Override the environment-derived threshold (e.g. [--quiet]). *)
 

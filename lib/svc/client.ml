@@ -78,12 +78,8 @@ let disconnect t =
 let close = disconnect
 
 let do_connect t =
-  let fd =
-    match t.address with
-    | Protocol.Unix_socket _ -> Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0
-    | Protocol.Tcp _ -> Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0
-  in
-  (try Unix.connect fd (Protocol.sockaddr_of_address t.address)
+  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  (try Unix.connect fd (Unix.ADDR_UNIX (Protocol.address_to_string t.address))
    with
   | Unix.Unix_error (err, _, _) ->
       (try Unix.close fd with _ -> ());
@@ -97,9 +93,10 @@ let do_connect t =
   (try Unix.setsockopt_float fd Unix.SO_RCVTIMEO t.request_timeout with _ -> ());
   let t0 = Unix.gettimeofday () in
   Wire.send fd
-    (Protocol.request_to_json
-       (Protocol.Hello { revision = Revision.stamp; format = Revision.format_version }));
-  let resp = Wire.recv fd in
+    (fst
+       (Protocol.request_to_wire
+          (Protocol.Hello { revision = Revision.stamp; format = Revision.format_version })));
+  let resp, _ = Wire.recv fd in
   let t1 = Unix.gettimeofday () in
   if not (Protocol.is_ok resp) then begin
     (try Unix.close fd with _ -> ());
@@ -136,7 +133,8 @@ let rec request ?(retried = false) t req =
   in
   match
     Unix.setsockopt_float fd Unix.SO_RCVTIMEO timeout;
-    Wire.send fd (Protocol.request_to_json req);
+    let json, payload = Protocol.request_to_wire req in
+    Wire.send ?payload fd json;
     Wire.recv fd
   with
   | resp ->
@@ -203,8 +201,8 @@ let require name conv resp =
 let scrape t =
   match request t Protocol.Metrics with
   | exception e -> Error (Printexc.to_string e)
-  | resp when not (Protocol.is_ok resp) -> Error (Protocol.error_of resp)
-  | resp -> (
+  | resp, _ when not (Protocol.is_ok resp) -> Error (Protocol.error_of resp)
+  | resp, _ -> (
       match Json.member "metrics" resp with
       | None -> Error "response missing field \"metrics\""
       | Some j -> Ok j)
@@ -232,8 +230,8 @@ let shift_event offset_us j =
 let server_trace ?(since = 0) t =
   match request t (Protocol.Trace { since }) with
   | exception e -> Error (Printexc.to_string e)
-  | resp when not (Protocol.is_ok resp) -> Error (Protocol.error_of resp)
-  | resp ->
+  | resp, _ when not (Protocol.is_ok resp) -> Error (Protocol.error_of resp)
+  | resp, _ ->
       let events = require "events" Json.to_list resp in
       let next = require "next" Json.to_int resp in
       let offset_us = int_of_float (t.clock_offset *. 1e6) in
@@ -258,16 +256,16 @@ let span t ~started name args k =
       r
 
 (* Submit the batch's fingerprints, then supply the jobs the daemon
-   lacks; returns the reply that carries the outcomes. *)
+   lacks; returns the reply that carries the outcomes, and its payload. *)
 let submit t (jobs : Job.t array) keys indices =
   let submitted = Array.of_list indices in
   let sent = ref 0. in
   let checked what req =
     sent := Unix.gettimeofday ();
-    let resp = request t req in
+    let ((resp, _) as reply) = request t req in
     if not (Protocol.is_ok resp) then
       failwith (Printf.sprintf "riq-serve %s refused: %s" what (Protocol.error_of resp));
-    resp
+    reply
   in
   span t ~started:(Unix.gettimeofday ()) "submit-batch"
     [ ("jobs", Tracer.Int (Array.length submitted)); ("trace_id", Tracer.Str t.trace_id) ]
@@ -278,10 +276,10 @@ let submit t (jobs : Job.t array) keys indices =
           span_id
       in
       let keys = List.map (fun i -> keys.(i)) indices in
-      let resp = checked "submit" (Protocol.Submit { klass = t.klass; keys; trace }) in
-      let resp =
-        if Json.member "outcomes" resp <> None then resp
-        else
+      let reply =
+        match checked "submit" (Protocol.Submit { klass = t.klass; keys; trace }) with
+        | (_, Some _) as held -> held
+        | resp, None ->
           let ticket = require "ticket" Json.to_int resp in
           let need =
             List.map
@@ -299,12 +297,12 @@ let submit t (jobs : Job.t array) keys indices =
       (* The held reply's wait: from its request to the outcomes. *)
       span t ~started:!sent "await-results" [ ("trace_id", Tracer.Str t.trace_id) ]
         ignore;
-      resp)
+      reply)
 
 (* One engine batch: one exchange, then replay. Returns the worker
    seconds of the jobs executed for it. *)
 let run_batch t (jobs : Job.t array) keys indices on_result =
-  let resp = submit t jobs keys indices in
+  let resp, payload = submit t jobs keys indices in
   t.c_submitted <- t.c_submitted + List.length indices;
   let entries name conv =
     List.map
@@ -315,7 +313,9 @@ let run_batch t (jobs : Job.t array) keys indices on_result =
       (require name Json.to_list resp)
   in
   let outcomes =
-    entries "outcomes" (fun j -> Option.map Protocol.outcome_of_wire (Json.to_str j))
+    match payload with
+    | Some p -> Array.to_list (Protocol.outcomes_of_wire p)
+    | None -> raise (Wire.Protocol_error "reply carries no outcomes")
   in
   let parse_source s = Result.to_option (Protocol.source_of_string s) in
   let sources = entries "sources" (fun j -> Option.bind (Json.to_str j) parse_source) in

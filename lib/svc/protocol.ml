@@ -1,6 +1,6 @@
-(* The serve daemon's wire protocol: message shapes, hex payload codecs
-   and the client/daemon address syntax. Framing is Wire's job; this
-   module only builds and destructures the JSON inside each frame.
+(* The serve daemon's wire protocol: message shapes, payload codecs and
+   the client/daemon address. Framing is Wire's job; this module only
+   builds and destructures the JSON and the payload of each frame.
 
    Submission is content-addressed. A [submit] carries only the jobs'
    fingerprints; the daemon answers what its store holds or already runs
@@ -11,15 +11,16 @@
    its index.
 
    Marshalled OCaml values (jobs, outcomes) are opaque to the protocol:
-   they ride as hex strings and are only meaningful between binaries built
-   from the same source revision, which is why every session opens with a
-   [hello] carrying the protocol, revision stamp and cache format version
-   — a mismatched peer is rejected before any payload is decoded. *)
+   they ride as a frame's raw payload and are only meaningful between
+   binaries built from the same source revision, which is why every
+   session opens with a [hello] carrying the protocol, revision stamp and
+   cache format version — a mismatched peer is rejected before any payload
+   is decoded. *)
 
 open Riq_util
 open Riq_exp
 
-let version = "riq-serve/4"
+let version = "riq-serve/5"
 
 type klass = Interactive | Batch
 
@@ -43,13 +44,10 @@ let source_of_string = function
   | "batched" -> Ok Batched
   | s -> Error (Printf.sprintf "unknown source %S" s)
 
-let jobs_to_wire (jobs : Job.t array) = Wire.to_hex (Marshal.to_string jobs [])
-
-let jobs_of_wire s : Job.t array = Marshal.from_string (Wire.of_hex s) 0
-
-let outcome_to_wire (o : Outcome.t) = Wire.to_hex (Marshal.to_string o [])
-
-let outcome_of_wire s : Outcome.t = Marshal.from_string (Wire.of_hex s) 0
+let jobs_to_wire (jobs : Job.t array) = Marshal.to_string jobs []
+let jobs_of_wire s : Job.t array = Marshal.from_string s 0
+let outcomes_to_wire (outcomes : Outcome.t array) = Marshal.to_string outcomes []
+let outcomes_of_wire s : Outcome.t array = Marshal.from_string s 0
 
 (* ------------------------------------------------------------------ *)
 (* Requests                                                            *)
@@ -66,41 +64,41 @@ let trace_context_to_json { trace_id; parent_span } =
 type request =
   | Hello of { revision : string; format : int }
   | Submit of { klass : klass; keys : string list; trace : trace_context option }
-  | Supply of { ticket : int; indices : int list; jobs : string (* wire-encoded *) }
+  | Supply of { ticket : int; indices : int list; jobs : string (* the payload *) }
   | Metrics
   | Trace of { since : int }
 
-let request_to_json = function
-  | Hello { revision; format } ->
-      Json.Obj
-        [
-          ("op", Json.String "hello");
-          ("protocol", Json.String version);
-          ("revision", Json.String revision);
-          ("format", Json.Int format);
-        ]
-  | Submit { klass; keys; trace } ->
-      Json.Obj
-        ([
-           ("op", Json.String "submit");
-           ("class", Json.String (klass_to_string klass));
-           ("keys", Json.List (List.map (fun k -> Json.String k) keys));
-         ]
-        @
-        match trace with
-        | None -> []
-        | Some tc -> [ ("trace", trace_context_to_json tc) ])
-  | Supply { ticket; indices; jobs } ->
-      Json.Obj
-        [
-          ("op", Json.String "supply");
-          ("ticket", Json.Int ticket);
-          ("indices", Json.List (List.map (fun i -> Json.Int i) indices));
-          ("jobs", Json.String jobs);
-        ]
-  | Metrics -> Json.Obj [ ("op", Json.String "metrics") ]
-  | Trace { since } ->
-      Json.Obj [ ("op", Json.String "trace"); ("since", Json.Int since) ]
+let request_to_wire req =
+  let op, fields, payload =
+    match req with
+    | Hello { revision; format } ->
+        ( "hello",
+          [
+            ("protocol", Json.String version);
+            ("revision", Json.String revision);
+            ("format", Json.Int format);
+          ],
+          None )
+    | Submit { klass; keys; trace } ->
+        ( "submit",
+          ("class", Json.String (klass_to_string klass))
+          :: ("keys", Json.List (List.map (fun k -> Json.String k) keys))
+          ::
+          (match trace with
+          | None -> []
+          | Some tc -> [ ("trace", trace_context_to_json tc) ]),
+          None )
+    | Supply { ticket; indices; jobs } ->
+        ( "supply",
+          [
+            ("ticket", Json.Int ticket);
+            ("indices", Json.List (List.map (fun i -> Json.Int i) indices));
+          ],
+          Some jobs )
+    | Metrics -> ("metrics", [], None)
+    | Trace { since } -> ("trace", [ ("since", Json.Int since) ], None)
+  in
+  (Json.Obj (("op", Json.String op) :: fields), payload)
 
 let field name conv j =
   match Option.bind (Json.member name j) conv with
@@ -138,10 +136,11 @@ let trace_context_of_json j =
   | Some trace_id, Some parent_span -> Some { trace_id; parent_span }
   | _ -> None
 
-let request_of_json j : (request, string) result =
+(* Only a supply carries a payload, and a supply always does. *)
+let request_of_wire (j, payload) : (request, string) result =
   let* op = field "op" Json.to_str j in
-  match op with
-  | "hello" ->
+  match (op, payload) with
+  | "hello", None ->
       let* protocol = field "protocol" Json.to_str j in
       if protocol <> version then
         Error (Printf.sprintf "protocol mismatch: daemon %s, client %s" version protocol)
@@ -149,22 +148,24 @@ let request_of_json j : (request, string) result =
         let* revision = field "revision" Json.to_str j in
         let* format = field "format" Json.to_int j in
         Ok (Hello { revision; format })
-  | "submit" ->
+  | "submit", None ->
       let* klass_s = field "class" Json.to_str j in
       let* klass = klass_of_string klass_s in
       let* keys = list_field "keys" key_of_json "malformed fingerprint" j in
       let trace = Option.bind (Json.member "trace" j) trace_context_of_json in
       Ok (Submit { klass; keys; trace })
-  | "supply" ->
+  | "supply", Some jobs ->
       let* ticket = field "ticket" Json.to_int j in
       let* indices = list_field "indices" Json.to_int "non-integer entry" j in
-      let* jobs = field "jobs" Json.to_str j in
       Ok (Supply { ticket; indices; jobs })
-  | "metrics" -> Ok Metrics
-  | "trace" ->
+  | "supply", None -> Error "supply without a job payload"
+  | "metrics", None -> Ok Metrics
+  | "trace", None ->
       let* since = field "since" Json.to_int j in
       Ok (Trace { since })
-  | other -> Error (Printf.sprintf "unknown op %S" other)
+  | ("hello" | "submit" | "metrics" | "trace"), Some _ ->
+      Error (Printf.sprintf "unexpected payload on %S" op)
+  | other, _ -> Error (Printf.sprintf "unknown op %S" other)
 
 (* ------------------------------------------------------------------ *)
 (* Responses                                                           *)
@@ -184,30 +185,9 @@ let error_of j =
 (* Addresses                                                           *)
 (* ------------------------------------------------------------------ *)
 
-type address = Unix_socket of string | Tcp of string * int
+(* The daemon listens on a Unix socket only, so any address string is a
+   socket path. *)
+type address = Unix_socket of string
 
-(* "host:port" with an all-digit port is TCP; anything else is a Unix
-   socket path (paths with colons are not worth supporting here). *)
-let address_of_string s =
-  match String.rindex_opt s ':' with
-  | Some i when i > 0 && i < String.length s - 1 -> (
-      let host = String.sub s 0 i in
-      let port = String.sub s (i + 1) (String.length s - i - 1) in
-      match int_of_string_opt port with
-      | Some p when p > 0 && p < 65536 && not (String.contains host '/') ->
-          Tcp (host, p)
-      | _ -> Unix_socket s)
-  | _ -> Unix_socket s
-
-let address_to_string = function
-  | Unix_socket path -> path
-  | Tcp (host, port) -> Printf.sprintf "%s:%d" host port
-
-let sockaddr_of_address = function
-  | Unix_socket path -> Unix.ADDR_UNIX path
-  | Tcp (host, port) ->
-      let addr =
-        try (Unix.gethostbyname host).Unix.h_addr_list.(0)
-        with Not_found | Invalid_argument _ -> Unix.inet_addr_loopback
-      in
-      Unix.ADDR_INET (addr, port)
+let address_of_string s = Unix_socket s
+let address_to_string (Unix_socket path) = path

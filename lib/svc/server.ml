@@ -1,10 +1,10 @@
 (* The riq-sim serve daemon.
 
    One single-threaded select loop multiplexes three kinds of file
-   descriptor: the listening socket, client connections speaking the
-   length-prefixed JSON protocol ({!Wire}/{!Protocol}), and the result
-   pipes of the resident forked workers ({!Riq_exp.Workers}, the pool the
-   local fork backend runs on too). Nothing in the loop blocks on
+   descriptor: the listening Unix socket, client connections speaking the
+   length-prefixed protocol ({!Wire}/{!Protocol}), and the result pipes of
+   the resident forked workers ({!Riq_exp.Workers}, the pool the local
+   fork backend runs on too). Nothing in the loop blocks on
    simulation: jobs travel to workers over pipes and come back as
    (seconds, outcome) records, so other connections stay responsive
    while a sweep grinds.
@@ -71,15 +71,12 @@ type config = {
   store : Cache.t;
   timeout : float option; (* per-job wall-clock budget *)
   metrics : Metrics.t;
-  metrics_out : string option; (* periodic atomic exposition dump *)
-  metrics_interval : float;
 }
 
-let config ?(workers = 1) ?(timeout = Some 600.) ?metrics ?metrics_out
-    ?(metrics_interval = 5.) ~address store =
+let config ?(workers = 1) ?(timeout = Some 600.) ?metrics ~address store =
   if workers < 1 then invalid_arg "Server.config: workers must be >= 1";
   let metrics = match metrics with Some m -> m | None -> Metrics.create () in
-  { address; workers; store; timeout; metrics; metrics_out; metrics_interval }
+  { address; workers; store; timeout; metrics }
 
 (* ------------------------------------------------------------------ *)
 (* Server state                                                        *)
@@ -196,14 +193,13 @@ type t = {
   mutable since_batch : int; (* interactive dispatches since a batch one *)
   mutable draining : bool;
   started : float;
-  mutable last_dump : float; (* last --metrics-out write *)
 }
 
 let queue_depth t = Queue.length t.q_interactive + Queue.length t.q_batch
 
 (* Point-in-time gauges, and the retry/timeout counters the worker pool
-   keeps, are brought up to date right before any snapshot leaves the
-   daemon (metrics op, periodic dump) rather than on every change. *)
+   keeps, are brought up to date right before a snapshot leaves the
+   daemon (the metrics op) rather than on every change. *)
 let snapshot t =
   let catch_up counter n = Metrics.add counter (n - Metrics.counter_value counter) in
   catch_up t.ins.i_retries (Workers.retries t.workers);
@@ -222,52 +218,42 @@ let snapshot t =
 (* Socket setup / teardown                                             *)
 (* ------------------------------------------------------------------ *)
 
-let listen_socket address =
-  match address with
-  | Protocol.Unix_socket path ->
-      (if Sys.file_exists path then begin
-         (* A live daemon refuses the bind; a stale socket from a dead one
-            is unlinked after a probe connect fails. *)
-         let probe = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-         let alive =
-           try
-             Unix.connect probe (Unix.ADDR_UNIX path);
-             true
-           with _ -> false
-         in
-         (try Unix.close probe with _ -> ());
-         if alive then failwith (Printf.sprintf "a daemon is already serving on %s" path)
-         else try Sys.remove path with _ -> ()
-       end);
-      (* Bind and listen under a temporary name in the same directory, then
-         rename onto [path]: clients take the file's appearance as
-         readiness, so it appears only once connects succeed. A dot and
-         the pid keep the name short (at most eight bytes), since the
-         whole path must fit [sun_path]. *)
-      let tmp = Filename.concat (Filename.dirname path) (Printf.sprintf ".%d" (Unix.getpid ())) in
-      let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-      (try
-         (try Sys.remove tmp with Sys_error _ -> ());
-         Unix.bind fd (Unix.ADDR_UNIX tmp);
-         Unix.listen fd 64;
-         Unix.rename tmp path
-       with e ->
-         (try Unix.close fd with _ -> ());
-         (try Sys.remove tmp with Sys_error _ -> ());
-         raise e);
-      fd
-  | Protocol.Tcp _ ->
-      let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-      Unix.setsockopt fd Unix.SO_REUSEADDR true;
-      Unix.bind fd (Protocol.sockaddr_of_address address);
-      Unix.listen fd 64;
-      fd
+let listen_socket (Protocol.Unix_socket path) =
+  (if Sys.file_exists path then begin
+     (* A live daemon refuses the bind; a stale socket from a dead one is
+        unlinked after a probe connect fails. *)
+     let probe = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+     let alive =
+       try
+         Unix.connect probe (Unix.ADDR_UNIX path);
+         true
+       with _ -> false
+     in
+     (try Unix.close probe with _ -> ());
+     if alive then failwith (Printf.sprintf "a daemon is already serving on %s" path)
+     else try Sys.remove path with _ -> ()
+   end);
+  (* Bind and listen under a temporary name in the same directory, then
+     rename onto [path]: clients take the file's appearance as readiness,
+     so it appears only once connects succeed. A dot and the pid keep the
+     name short (at most eight bytes), since the whole path must fit
+     [sun_path]. *)
+  let tmp = Filename.concat (Filename.dirname path) (Printf.sprintf ".%d" (Unix.getpid ())) in
+  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  (try
+     (try Sys.remove tmp with Sys_error _ -> ());
+     Unix.bind fd (Unix.ADDR_UNIX tmp);
+     Unix.listen fd 64;
+     Unix.rename tmp path
+   with e ->
+     (try Unix.close fd with _ -> ());
+     (try Sys.remove tmp with Sys_error _ -> ());
+     raise e);
+  fd
 
 let close_listener t =
   (try Unix.close t.listen_fd with _ -> ());
-  match t.cfg.address with
-  | Protocol.Unix_socket path -> ( try Sys.remove path with _ -> ())
-  | Protocol.Tcp _ -> ()
+  try Sys.remove (Protocol.address_to_string t.cfg.address) with _ -> ()
 
 (* ------------------------------------------------------------------ *)
 (* Delivery                                                            *)
@@ -406,17 +392,17 @@ let enqueue t ~id ~index tk fp job =
      is still being queued. *)
   fill_workers t
 
-(* A complete ticket's answer: each job's outcome, source and seconds. *)
+(* A complete ticket's answer: each job's source and seconds, and its
+   outcomes as the payload. *)
 let outcomes_reply id tk =
   let list f a = Json.List (Array.to_list (Array.map f a)) in
-  let wire o = Json.String (Protocol.outcome_to_wire (Option.get o)) in
-  Protocol.ok
-    [
-      ("ticket", Json.Int id);
-      ("outcomes", list wire tk.t_outcomes);
-      ("sources", list (fun s -> Json.String (Protocol.source_to_string s)) tk.t_sources);
-      ("seconds", list (fun s -> Json.Float s) tk.t_seconds);
-    ]
+  ( Protocol.ok
+      [
+        ("ticket", Json.Int id);
+        ("sources", list (fun s -> Json.String (Protocol.source_to_string s)) tk.t_sources);
+        ("seconds", list (fun s -> Json.Float s) tk.t_seconds);
+      ],
+    Protocol.outcomes_to_wire (Array.map Option.get tk.t_outcomes) )
 
 (* The request that leaves ticket [id] needing no more bodies is answered
    with its outcomes once it completes; until then [conn] is not read. *)
@@ -595,39 +581,23 @@ let close_conn t conn =
     (fun _ tk -> if tk.t_conn == conn then None else Some tk)
     t.tickets
 
-(* Peel complete frames off the connection's accumulation buffer and
-   answer each; responses are written synchronously (they are small, and
-   a client that cannot drain its own responses deserves the stall). A
-   frame is copied out only once it is complete, so a large submit
-   arriving in many reads costs one copy, not one per read. *)
+(* Take whole frames off the connection's accumulation buffer and answer
+   each; responses are written synchronously (they are small, and a
+   client that cannot drain its own responses deserves the stall). *)
 let rec service_conn_buffer t conn =
-  let buf = conn.c_buf in
-  let len = Buffer.length buf in
-  if conn.c_held = None && len >= 4 then begin
-    let frame_len = Int32.to_int (String.get_int32_be (Buffer.sub buf 0 4) 0) in
-    if frame_len < 0 || frame_len > Wire.max_frame then begin
-      (try Wire.send conn.c_fd (Protocol.error "bad frame length") with _ -> ());
-      close_conn t conn
-    end
-    else if len >= 4 + frame_len then begin
-      let frame = Buffer.sub buf 4 frame_len in
-      let rest = Buffer.sub buf (4 + frame_len) (len - 4 - frame_len) in
-      Buffer.clear buf;
-      Buffer.add_string buf rest;
-      let response =
-        match Json.of_string frame with
-        | Error msg -> Some (Protocol.error msg)
-        | Ok j -> (
-            match Protocol.request_of_json j with
-            | Error msg -> Some (Protocol.error msg)
-            | Ok req -> handle_request t conn req)
-      in
-      Option.iter (reply t conn) response
-    end
-  end
+  if conn.c_held = None then
+    match Wire.take conn.c_buf with
+    | None -> ()
+    | exception Wire.Protocol_error msg ->
+        (try Wire.send conn.c_fd (Protocol.error msg) with _ -> ());
+        close_conn t conn
+    | Some frame -> (
+        match Result.bind frame Protocol.request_of_wire with
+        | Error msg -> reply t conn (Protocol.error msg)
+        | Ok req -> Option.iter (reply t conn) (handle_request t conn req))
 
-and reply t conn response =
-  match Wire.send conn.c_fd response with
+and reply ?payload t conn response =
+  match Wire.send ?payload conn.c_fd response with
   | () -> service_conn_buffer t conn
   | exception _ -> close_conn t conn
 
@@ -643,7 +613,8 @@ let rec send_completed t =
           Hashtbl.remove t.tickets id;
           tk.t_conn.c_held <- None;
           tk.t_conn.c_last_read <- Unix.gettimeofday ();
-          reply t tk.t_conn (outcomes_reply id tk));
+          let response, payload = outcomes_reply id tk in
+          reply ~payload t tk.t_conn response);
       send_completed t
 
 let conn_readable t conn =
@@ -689,29 +660,6 @@ let install_signal_handlers () =
 
 let work_left t = queue_depth t > 0 || Workers.busy t.workers > 0
 
-(* Atomic exposition dump: scrapers never see a torn file. *)
-let dump_metrics t path =
-  try
-    let tmp = path ^ ".tmp" in
-    let oc = open_out tmp in
-    output_string oc (Metrics.to_prometheus (snapshot t));
-    close_out oc;
-    Sys.rename tmp path
-  with e ->
-    Log.warn ~scope:"serve"
-      ~kv:[ ("path", path); ("error", Printexc.to_string e) ]
-      "metrics dump failed"
-
-let maybe_dump_metrics t =
-  match t.cfg.metrics_out with
-  | None -> ()
-  | Some path ->
-      let now = Unix.gettimeofday () in
-      if now -. t.last_dump >= t.cfg.metrics_interval then begin
-        t.last_dump <- now;
-        dump_metrics t path
-      end
-
 let serve cfg =
   let tracer = Tracer.ring ~capacity:16384 () in
   Tracer.set_pid tracer (Unix.getpid ());
@@ -751,7 +699,6 @@ let serve cfg =
       since_batch = 0;
       draining = false;
       started = Unix.gettimeofday ();
-      last_dump = Unix.gettimeofday ();
     }
   in
   (close_sockets :=
@@ -777,8 +724,6 @@ let serve cfg =
       t.conns <- [];
       Workers.shutdown t.workers;
       if !listener_open then close_listener t;
-      (* Last write wins: the post-mortem exposition has every job. *)
-      (match cfg.metrics_out with Some path -> dump_metrics t path | None -> ());
       match old_sigpipe with
       | Some b -> ( try Sys.set_signal Sys.sigpipe b with _ -> ())
       | None -> ())
@@ -801,7 +746,6 @@ let serve cfg =
         if t.draining && not (work_left t) then running := false
         else begin
           fill_workers t;
-          maybe_dump_metrics t;
           let read_fds =
             (if !listener_open then [ t.listen_fd ] else [])
             @ List.map (fun c -> c.c_fd) (reading t)

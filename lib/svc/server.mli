@@ -1,5 +1,5 @@
 (** The [riq-sim serve] daemon: a single-threaded select loop multiplexing
-    the listening socket, wire-protocol clients and the result pipes of
+    the listening Unix socket, wire-protocol clients and the result pipes of
     resident forked simulation workers ({!Riq_exp.Workers}), over a
     shared {!Riq_exp.Cache}.
 
@@ -38,26 +38,19 @@ type config = {
   store : Riq_exp.Cache.t;
   timeout : float option;
   metrics : Riq_obs.Metrics.t;
-  metrics_out : string option;
-  metrics_interval : float;
 }
 
 val config :
   ?workers:int ->
   ?timeout:float option ->
   ?metrics:Riq_obs.Metrics.t ->
-  ?metrics_out:string ->
-  ?metrics_interval:float ->
   address:Protocol.address ->
   Riq_exp.Cache.t ->
   config
 (** [workers] defaults to 1, [timeout] to 600 s per job ([None]
     disables). [metrics] defaults to a fresh registry; the store must be
     opened on it, so [store_reads_total{result="hit"}] counts the jobs the
-    daemon answers from the store. With
-    [metrics_out], the daemon atomically rewrites that file with the
-    Prometheus exposition every [metrics_interval] (default 5 s) seconds
-    and once more at shutdown. *)
+    daemon answers from the store. *)
 
 val serve : config -> unit
 (** Run the daemon until a graceful drain completes. Raises [Failure] if

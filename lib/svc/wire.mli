@@ -1,28 +1,33 @@
-(** Length-prefixed JSON framing: every message between a client and the
-    serve daemon is a 4-byte big-endian length followed by that many
-    bytes of JSON. See DESIGN.md section 7 for the message catalogue. *)
+(** Length-prefixed framing: every message between a client and the serve
+    daemon is a 4-byte big-endian body length followed by that many bytes
+    of body, [JSON [| 0x00 | payload]]. The JSON printer escapes 0x00 and
+    the parser rejects it, so the first 0x00 ends the JSON; a frame without
+    a payload is plain length-prefixed JSON. See DESIGN.md section 7.1 for
+    the message catalogue. *)
 
 exception Closed
 (** Raised on EOF mid-frame — the peer went away. *)
 
 exception Protocol_error of string
-(** Malformed frame: oversized length, invalid JSON, bad hex. *)
+(** Malformed frame: bad length or invalid JSON. *)
 
 val max_frame : int
-(** Upper bound on a frame payload (64 MiB). *)
+(** Upper bound on a frame body (64 MiB), JSON and payload together. *)
 
-val send : Unix.file_descr -> Riq_util.Json.t -> unit
+val frame : ?payload:string -> Riq_util.Json.t -> bytes
+(** The encoded frame bytes, for callers that buffer writes themselves.
+    Raises [Protocol_error] past {!max_frame}. *)
+
+val send : ?payload:string -> Unix.file_descr -> Riq_util.Json.t -> unit
 (** Write one whole frame (blocking). *)
 
-val recv : Unix.file_descr -> Riq_util.Json.t
-(** Read one whole frame (blocking). *)
+val recv : Unix.file_descr -> Riq_util.Json.t * string option
+(** Read one whole frame (blocking): its JSON and its payload, if any. *)
 
-val frame : Riq_util.Json.t -> bytes
-(** The encoded frame bytes, for callers that buffer writes themselves. *)
+val take : Buffer.t -> (Riq_util.Json.t * string option, string) result option
+(** Remove the first whole frame from an accumulation buffer, split as
+    {!recv} splits it: [None] while the buffer holds less than one frame,
+    [Error] for a whole frame whose JSON does not parse. Raises
+    [Protocol_error] when the header announces a bad length. *)
 
 val write_all : Unix.file_descr -> bytes -> unit
-
-val to_hex : string -> string
-val of_hex : string -> string
-(** Transport encoding for opaque binary payloads (marshalled jobs and
-    outcomes) carried inside JSON strings. *)

@@ -95,10 +95,16 @@ exception Parse_error of int * string
 
 let fail pos msg = raise (Parse_error (pos, msg))
 
+(* The tree's own documents nest a handful of levels deep. The cap keeps
+   a hostile input of brackets from recursing without bound: refused at
+   the cap, it costs a scan of [max_depth] bytes. *)
+let max_depth = 512
+
 (* Recursive-descent parser over the whole input string. Accepts exactly
    the JSON grammar (RFC 8259): no trailing commas, no comments, no bare
    NaN/Infinity — everything the emitter above produces and nothing the
-   other tools in a pipeline would reject. Numbers without a fraction or
+   other tools in a pipeline would reject — nested at most [max_depth]
+   arrays and objects deep. Numbers without a fraction or
    exponent that fit in an OCaml [int] parse as [Int], everything else as
    [Float], mirroring the emitter's split. *)
 let of_string s : (t, string) result =
@@ -255,10 +261,12 @@ let of_string s : (t, string) result =
       | None -> Float (float_of_string text) (* out of int range *)
     else Float (float_of_string text)
   in
-  let rec parse_value () =
+  let rec parse_value depth =
     skip_ws ();
     match peek () with
     | None -> fail !pos "unexpected end of input"
+    | Some ('[' | '{') when depth = max_depth ->
+        fail !pos (Printf.sprintf "nesting deeper than %d" max_depth)
     | Some 'n' -> literal "null" Null
     | Some 't' -> literal "true" (Bool true)
     | Some 'f' -> literal "false" (Bool false)
@@ -272,13 +280,13 @@ let of_string s : (t, string) result =
           List []
         end
         else begin
-          let items = ref [ parse_value () ] in
+          let items = ref [ parse_value (depth + 1) ] in
           let rec more () =
             skip_ws ();
             match peek () with
             | Some ',' ->
                 advance ();
-                items := parse_value () :: !items;
+                items := parse_value (depth + 1) :: !items;
                 more ()
             | Some ']' -> advance ()
             | _ -> fail !pos "expected , or ] in array"
@@ -299,7 +307,7 @@ let of_string s : (t, string) result =
             let k = parse_string () in
             skip_ws ();
             expect ':';
-            let v = parse_value () in
+            let v = parse_value (depth + 1) in
             (k, v)
           in
           let items = ref [ member () ] in
@@ -319,7 +327,7 @@ let of_string s : (t, string) result =
     | Some c -> fail !pos (Printf.sprintf "unexpected character %c" c)
   in
   try
-    let v = parse_value () in
+    let v = parse_value 0 in
     skip_ws ();
     if !pos <> n then fail !pos "trailing characters after JSON value"
     else Ok v

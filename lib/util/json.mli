@@ -18,11 +18,16 @@ val to_string : ?indent:bool -> t -> string
 val to_file : string -> t -> unit
 (** Pretty-printed [to_string] written to [path]. *)
 
+val max_depth : int
+(** The deepest nesting of arrays and objects {!of_string} accepts (512). *)
+
 val of_string : string -> (t, string) result
-(** Parse one RFC 8259 JSON document (no trailing garbage). Numbers with
-    no fraction or exponent that fit an OCaml [int] parse as [Int]; all
-    others as [Float]. String escapes, including [\uXXXX] and surrogate
-    pairs, decode to UTF-8 bytes. Errors carry the byte offset. *)
+(** Parse one RFC 8259 JSON document (no trailing garbage) nested at most
+    {!max_depth} deep; deeper input is an [Error] found at that depth, so
+    its cost does not grow with its length. Numbers with no fraction or
+    exponent that fit an OCaml [int] parse as [Int]; all others as
+    [Float]. String escapes, including [\uXXXX] and surrogate pairs,
+    decode to UTF-8 bytes. Errors carry the byte offset. *)
 
 val of_string_exn : string -> t
 (** [of_string], raising [Failure] on a parse error. *)

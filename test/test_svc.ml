@@ -39,18 +39,19 @@ let with_temp_store f =
 (* Wire framing                                                        *)
 (* ------------------------------------------------------------------ *)
 
-let test_hex_round_trip () =
-  let cases = [ ""; "\x00"; "abc"; String.init 256 Char.chr ] in
-  List.iter
-    (fun s -> Alcotest.(check string) "hex round trip" s (Wire.of_hex (Wire.to_hex s)))
-    cases;
-  Alcotest.(check string) "lowercase hex" "00ff10" (Wire.to_hex "\x00\xff\x10")
+(* One request's frame bytes. *)
+let request_frame req =
+  let json, payload = Protocol.request_to_wire req in
+  Wire.frame ?payload json
 
-let test_frame_round_trip () =
+let with_pipe f =
   let r, w = Unix.pipe () in
   Fun.protect
     ~finally:(fun () -> List.iter (fun fd -> try Unix.close fd with _ -> ()) [ r; w ])
-    (fun () ->
+    (fun () -> f r w)
+
+let test_frame_round_trip () =
+  with_pipe (fun r w ->
       let docs =
         [
           Json.Null;
@@ -61,15 +62,54 @@ let test_frame_round_trip () =
       List.iter (Wire.send w) docs;
       List.iter
         (fun doc ->
+          let json, payload = Wire.recv r in
           Alcotest.(check string) "framed document round trip" (Json.to_string doc)
-            (Json.to_string (Wire.recv r)))
-        docs)
+            (Json.to_string json);
+          Alcotest.(check bool) "no payload" true (payload = None))
+        docs;
+      (* Without a payload a frame is length-prefixed JSON, as it was
+         before payloads existed. *)
+      let text = Json.to_string (List.nth docs 1) in
+      let b = Bytes.create 4 in
+      Bytes.set_int32_be b 0 (Int32.of_int (String.length text));
+      Alcotest.(check string) "payload-free frame layout"
+        (Bytes.to_string b ^ text)
+        (Bytes.to_string (Wire.frame (List.nth docs 1))))
+
+(* A payload is raw bytes after a 0x00: an empty one, one of 0x00 bytes
+   and one after a string that escapes 0x00 all come back whole, and
+   [take] splits a frame fed one byte at a time the way [recv] does. *)
+let test_payload_frame_round_trip () =
+  let doc = Json.Obj [ ("op", Json.String "x\000y"); ("n", Json.Int 1) ] in
+  let payloads = [ ""; String.make 4096 '\000'; "\000{\"op\":1}\000" ] in
+  with_pipe (fun r w ->
+      List.iter
+        (fun payload ->
+          Wire.send ~payload w doc;
+          let json, got = Wire.recv r in
+          Alcotest.(check string) "json beside a payload" (Json.to_string doc)
+            (Json.to_string json);
+          Alcotest.(check (option string)) "payload round trip" (Some payload) got)
+        payloads);
+  List.iter
+    (fun payload ->
+      let frame = Wire.frame ~payload doc in
+      let buf = Buffer.create 16 in
+      Bytes.iteri
+        (fun i c ->
+          Buffer.add_char buf c;
+          match Wire.take buf with
+          | None when i < Bytes.length frame - 1 -> ()
+          | Some (Ok (json, got)) when i = Bytes.length frame - 1 ->
+              Alcotest.(check string) "taken json" (Json.to_string doc) (Json.to_string json);
+              Alcotest.(check (option string)) "taken payload" (Some payload) got
+          | _ -> Alcotest.failf "take at byte %d of %d" i (Bytes.length frame))
+        frame;
+      Alcotest.(check int) "buffer drained" 0 (Buffer.length buf))
+    payloads
 
 let test_frame_rejects_oversized () =
-  let r, w = Unix.pipe () in
-  Fun.protect
-    ~finally:(fun () -> List.iter (fun fd -> try Unix.close fd with _ -> ()) [ r; w ])
-    (fun () ->
+  with_pipe (fun r w ->
       (* A length prefix claiming far more than max_frame must be refused
          before any allocation or read of the payload. *)
       let b = Bytes.create 4 in
@@ -109,37 +149,46 @@ let test_request_round_trip () =
           keys = [];
           trace = Some { Protocol.trace_id = "42-00abcd"; parent_span = 3 };
         };
-      Protocol.Supply { ticket = 7; indices = [ 0; 2 ]; jobs = "00ab" };
+      Protocol.Supply { ticket = 7; indices = [ 0; 2 ]; jobs = "\000ab\255" };
+      Protocol.Supply { ticket = 8; indices = []; jobs = "" };
       Protocol.Metrics;
       Protocol.Trace { since = 12 };
     ]
   in
   List.iter
     (fun r ->
-      match Protocol.request_of_json (Protocol.request_to_json r) with
+      match Protocol.request_of_wire (Protocol.request_to_wire r) with
       | Ok r' -> Alcotest.(check bool) "request round trip" true (r = r')
       | Error msg -> Alcotest.fail ("request did not round trip: " ^ msg))
     reqs;
-  (match Protocol.request_of_json (Json.Obj [ ("op", Json.String "nonsense") ]) with
-  | Ok _ -> Alcotest.fail "unknown op accepted"
-  | Error _ -> ());
+  let refused what frame =
+    match Protocol.request_of_wire frame with
+    | Ok _ -> Alcotest.failf "%s accepted" what
+    | Error msg -> msg
+  in
+  ignore (refused "unknown op" (Json.Obj [ ("op", Json.String "nonsense") ], None));
+  (* Only a supply carries a payload, and a supply always does. *)
+  let supply, jobs = Protocol.request_to_wire (List.nth reqs 3) in
+  ignore (refused "supply without a payload" (supply, None));
+  let metrics, _ = Protocol.request_to_wire Protocol.Metrics in
+  ignore (refused "metrics with a payload" (metrics, jobs));
   (* A client of another protocol is refused at its hello: riq-serve/3
-     still had the stats op. *)
+     still had the stats op, riq-serve/4 carried payloads as hex. *)
   List.iter
     (fun protocol ->
-      match
-        Protocol.request_of_json
-          (Json.Obj
-             [
-               ("op", Json.String "hello");
-               ("protocol", Json.String protocol);
-               ("revision", Json.String Revision.stamp);
-               ("format", Json.Int Revision.format_version);
-             ])
-      with
-      | Ok _ -> Alcotest.failf "%s hello accepted" protocol
-      | Error _ -> ())
-    [ "riq-serve/2"; "riq-serve/3" ];
+      let hello =
+        Json.Obj
+          [
+            ("op", Json.String "hello");
+            ("protocol", Json.String protocol);
+            ("revision", Json.String Revision.stamp);
+            ("format", Json.Int Revision.format_version);
+          ]
+      in
+      Alcotest.(check string) (protocol ^ " hello refused")
+        (Printf.sprintf "protocol mismatch: daemon riq-serve/5, client %s" protocol)
+        (refused (protocol ^ " hello") (hello, None)))
+    [ "riq-serve/2"; "riq-serve/3"; "riq-serve/4" ];
   (* A key names a store entry: anything but 32 lowercase hex digits is
      refused before the daemon sees it. *)
   List.iter
@@ -152,7 +201,7 @@ let test_request_round_trip () =
             ("keys", Json.List [ key ]);
           ]
       in
-      match Protocol.request_of_json submit with
+      match Protocol.request_of_wire (submit, None) with
       | Ok _ -> Alcotest.failf "key %s accepted" (Json.to_string key)
       | Error _ -> ())
     [
@@ -183,22 +232,35 @@ let test_job_outcome_wire () =
   Alcotest.(check bool) "a shared program is encoded once" true (two < one + (one / 10));
   let outcome = Runner.execute job in
   Alcotest.(check bool) "tiny job succeeds" true (Result.is_ok outcome);
-  Alcotest.(check bool) "outcome survives the wire" true
-    (Protocol.outcome_of_wire (Protocol.outcome_to_wire outcome) = outcome);
-  let err : Outcome.t = Error (Outcome.Job_timeout 1.5) in
-  Alcotest.(check bool) "error outcome survives the wire" true
-    (Protocol.outcome_of_wire (Protocol.outcome_to_wire err) = err)
+  let outcomes = [| outcome; Error (Outcome.Job_timeout 1.5) |] in
+  Alcotest.(check bool) "outcomes survive the wire, in order" true
+    (Protocol.outcomes_of_wire (Protocol.outcomes_to_wire outcomes) = outcomes)
+
+(* The paper sweep's cold supply ships its marshalled jobs as they are:
+   the frame is the payload plus a little JSON. *)
+let test_supply_frame_size () =
+  let jobs = Riq_harness.Sweep.jobs ~check:true () in
+  Alcotest.(check int) "the paper sweep is 64 jobs" 64 (Array.length jobs);
+  let marshalled = String.length (Marshal.to_string jobs []) in
+  let frame =
+    request_frame
+      (Protocol.Supply
+         {
+           ticket = 1;
+           indices = List.init (Array.length jobs) Fun.id;
+           jobs = Protocol.jobs_to_wire jobs;
+         })
+  in
+  let size = Bytes.length frame in
+  if size > marshalled + 1024 then
+    Alcotest.failf "supply frame %d B for %d B of marshalled jobs" size marshalled
 
 let test_address_parsing () =
-  (match Protocol.address_of_string "localhost:8080" with
-  | Protocol.Tcp ("localhost", 8080) -> ()
-  | _ -> Alcotest.fail "host:port should parse as TCP");
-  (match Protocol.address_of_string "/tmp/riq.sock" with
-  | Protocol.Unix_socket "/tmp/riq.sock" -> ()
-  | _ -> Alcotest.fail "path should parse as a Unix socket");
-  match Protocol.address_of_string "./relative:name" with
-  | Protocol.Unix_socket _ -> ()
-  | _ -> Alcotest.fail "non-numeric port means Unix socket"
+  List.iter
+    (fun s ->
+      Alcotest.(check string) (s ^ " is a socket path") s
+        (match Protocol.address_of_string s with Protocol.Unix_socket path -> path))
+    [ "localhost:8080"; "/tmp/riq.sock"; "./relative:name" ]
 
 (* ------------------------------------------------------------------ *)
 (* Shared store (Cache)                                                *)
@@ -745,9 +807,12 @@ let raw_connect sock =
   Unix.setsockopt_float fd Unix.SO_RCVTIMEO 15.;
   fd
 
-let rpc fd req =
-  Wire.send fd (Protocol.request_to_json req);
+(* One request's reply: its JSON and its payload. *)
+let exchange fd req =
+  Wire.write_all fd (request_frame req);
   Wire.recv fd
+
+let rpc fd req = fst (exchange fd req)
 
 let greeted sock =
   let fd = raw_connect sock in
@@ -774,7 +839,7 @@ let raw_frame len payload =
    fails the test. *)
 let expect_refusal what fd =
   match Wire.recv fd with
-  | reply when Protocol.is_ok reply -> Alcotest.failf "%s: accepted" what
+  | reply, _ when Protocol.is_ok reply -> Alcotest.failf "%s: accepted" what
   | _ -> ()
   | exception (Wire.Closed | Unix.Unix_error (Unix.ECONNRESET, _, _)) -> ()
   | exception Unix.Unix_error (Unix.EAGAIN, _, _) ->
@@ -857,9 +922,10 @@ let test_daemon_supply_misuse () =
           List.filter_map Json.to_int
             (Option.get (Option.bind (Json.member "need" reply) Json.to_list)) )
       in
-      let supply ticket indices bodies =
-        rpc fd (Protocol.Supply { ticket; indices; jobs = Protocol.jobs_to_wire bodies })
+      let supply_reply ticket indices bodies =
+        exchange fd (Protocol.Supply { ticket; indices; jobs = Protocol.jobs_to_wire bodies })
       in
+      let supply ticket indices bodies = fst (supply_reply ticket indices bodies) in
       let refused what reply =
         if Protocol.is_ok reply then Alcotest.failf "%s: accepted" what
       in
@@ -898,15 +964,11 @@ let test_daemon_supply_misuse () =
         (scraped "serve_supplied_total" (rpc fd Protocol.Metrics));
       (* The ticket still completes once its real body arrives, and the
          supply that completes it is answered with the outcomes. *)
-      let reply = supply ticket [ 0 ] [| job_a |] in
+      let reply, outcomes = supply_reply ticket [ 0 ] [| job_a |] in
       Alcotest.(check bool) "right body accepted" true (Protocol.is_ok reply);
-      let outcomes =
-        List.filter_map Json.to_str
-          (Option.get (Option.bind (Json.member "outcomes" reply) Json.to_list))
-      in
       Alcotest.(check bool) "ticket answered correctly" true
-        (List.map (fun o -> Outcome.zero_timing (Protocol.outcome_of_wire o)) outcomes
-        = List.map (fun j -> Outcome.zero_timing (Runner.execute j)) [ job_a; job_b ]);
+        (Array.map Outcome.zero_timing (Protocol.outcomes_of_wire (Option.get outcomes))
+        = Array.map (fun j -> Outcome.zero_timing (Runner.execute j)) [| job_a; job_b |]);
       Alcotest.(check bool) "entry stored under its own key" true
         (Cache.find store key_a <> None);
       close_quietly fd)
@@ -977,12 +1039,11 @@ let test_daemon_held_reply_order () =
              { klass = Protocol.Interactive; keys = [ Job.fingerprint spin ]; trace = None })
       in
       let ticket = member_int [ "ticket" ] submitted in
-      let frame req = Wire.frame (Protocol.request_to_json req) in
       let jobs = Protocol.jobs_to_wire [| spin |] in
       Wire.write_all fd
         (Bytes.cat
-           (frame (Protocol.Supply { ticket; indices = [ 0 ]; jobs }))
-           (frame Protocol.Metrics));
+           (request_frame (Protocol.Supply { ticket; indices = [ 0 ]; jobs }))
+           (request_frame Protocol.Metrics));
       let probe = greeted sock in
       let rec await_running () =
         let scrape = rpc probe Protocol.Metrics in
@@ -996,14 +1057,12 @@ let test_daemon_held_reply_order () =
       await_running ();
       close_quietly probe;
       Unix.kill pid Sys.sigterm;
-      let outcomes =
-        List.filter_map Json.to_str
-          (Option.get (Option.bind (Json.member "outcomes" (Wire.recv fd)) Json.to_list))
-      in
+      let _, outcomes = Wire.recv fd in
       Alcotest.(check bool) "held reply sent during the drain" true
-        (List.map Protocol.outcome_of_wire outcomes = [ Error (Outcome.Job_timeout 1.) ]);
+        (Option.map Protocol.outcomes_of_wire outcomes
+        = Some [| Error (Outcome.Job_timeout 1.) |]);
       Alcotest.(check bool) "then the pipelined metrics" true
-        (Json.member "metrics" (Wire.recv fd) <> None);
+        (Json.member "metrics" (fst (Wire.recv fd)) <> None);
       close_quietly fd)
 
 (* A store whose 256 shard directories are regular files cannot take a
@@ -1036,19 +1095,89 @@ let test_daemon_unwritable_store () =
       Alcotest.(check int) "store_writes_total" 0 (server_metric client "store_writes_total");
       Client.close client)
 
-(* riq-serve/4 has no stats op: a stats frame is refused as an unknown
+(* The protocol has no stats op: a stats frame is refused as an unknown
    op, and the same connection goes on to answer metrics. *)
 let test_daemon_stats_op_gone () =
   with_daemon (fun ~sock ~pid:_ ->
       let fd = greeted sock in
       let payload = Json.to_string (Json.Obj [ ("op", Json.String "stats") ]) in
       Wire.write_all fd (raw_frame (String.length payload) payload);
-      let reply = Wire.recv fd in
+      let reply = fst (Wire.recv fd) in
       Alcotest.(check bool) "stats refused" false (Protocol.is_ok reply);
       Alcotest.(check string) "as an unknown op" {|unknown op "stats"|}
         (Protocol.error_of reply);
       Alcotest.(check bool) "metrics answered on the same connection" true
         (Json.member "metrics" (rpc fd Protocol.Metrics) <> None);
+      close_quietly fd)
+
+(* A riq-serve/4 client still gets a frame it can parse, refusing it by
+   name at its hello. *)
+let test_daemon_old_hello () =
+  with_daemon (fun ~sock ~pid:_ ->
+      let fd = raw_connect sock in
+      Wire.send fd
+        (Json.Obj
+           [
+             ("op", Json.String "hello");
+             ("protocol", Json.String "riq-serve/4");
+             ("revision", Json.String Revision.stamp);
+             ("format", Json.Int Revision.format_version);
+           ]);
+      Alcotest.(check string) "protocol mismatch"
+        "protocol mismatch: daemon riq-serve/5, client riq-serve/4"
+        (Protocol.error_of (fst (Wire.recv fd)));
+      close_quietly fd)
+
+(* One frame of 8 MB of '[' is refused at the JSON parser's depth cap,
+   without stalling the loop: another connection's metrics request is
+   answered within a second, the sender gets an error reply, and its
+   connection goes on answering. *)
+let test_daemon_deep_frame () =
+  with_daemon (fun ~sock ~pid:_ ->
+      let deep = greeted sock in
+      let probe = greeted sock in
+      let n = 8 * 1024 * 1024 in
+      Wire.write_all deep (raw_frame n (String.make n '['));
+      ignore (Unix.select [] [] [] 0.1);
+      let t0 = Unix.gettimeofday () in
+      Alcotest.(check bool) "metrics answered" true
+        (Json.member "metrics" (rpc probe Protocol.Metrics) <> None);
+      let waited = Unix.gettimeofday () -. t0 in
+      if waited > 1. then Alcotest.failf "metrics answered after %.1f s" waited;
+      Alcotest.(check bool) "deep frame refused" false (Protocol.is_ok (fst (Wire.recv deep)));
+      Alcotest.(check bool) "its connection still answers" true
+        (Protocol.is_ok (rpc deep Protocol.Metrics));
+      List.iter close_quietly [ deep; probe ])
+
+(* A supply dribbled one byte per write arrives in reads that split its
+   header, its JSON, the 0x00 and its payload; it is answered as if it
+   came whole. *)
+let test_daemon_byte_reads () =
+  with_daemon (fun ~sock ~pid:_ ->
+      let fd = greeted sock in
+      let job = tiny_job ~cycle_limit:40_003 () in
+      let submitted =
+        rpc fd
+          (Protocol.Submit
+             { klass = Protocol.Interactive; keys = [ Job.fingerprint job ]; trace = None })
+      in
+      let ticket = member_int [ "ticket" ] submitted in
+      let frame =
+        request_frame
+          (Protocol.Supply { ticket; indices = [ 0 ]; jobs = Protocol.jobs_to_wire [| job |] })
+      in
+      Bytes.iter
+        (fun c ->
+          Wire.write_all fd (Bytes.make 1 c);
+          ignore (Unix.select [] [] [] 0.0002))
+        frame;
+      let reply, outcomes = Wire.recv fd in
+      Alcotest.(check bool) "supply accepted" true (Protocol.is_ok reply);
+      Alcotest.(check bool) "answered correctly" true
+        (Option.map
+           (fun p -> Array.map Outcome.zero_timing (Protocol.outcomes_of_wire p))
+           outcomes
+        = Some [| Outcome.zero_timing (Runner.execute job) |]);
       close_quietly fd)
 
 (* Frames do not line up with reads: two requests in one write, then one
@@ -1061,21 +1190,20 @@ let test_daemon_split_frames () =
         (fun () ->
           Unix.connect fd (Unix.ADDR_UNIX sock);
           Unix.setsockopt_float fd Unix.SO_RCVTIMEO 10.;
-          let frame req = Wire.frame (Protocol.request_to_json req) in
-          Wire.write_all fd (Bytes.cat (frame hello) (frame Protocol.Metrics));
-          let metrics = frame Protocol.Metrics in
+          Wire.write_all fd (Bytes.cat (request_frame hello) (request_frame Protocol.Metrics));
+          let metrics = request_frame Protocol.Metrics in
           let n = Bytes.length metrics in
           List.iter
             (fun (off, len) ->
               Wire.write_all fd (Bytes.sub metrics off len);
               ignore (Unix.select [] [] [] 0.05))
             [ (0, 2); (2, 3); (5, n - 5) ];
-          Alcotest.(check bool) "hello answered" true (Protocol.is_ok (Wire.recv fd));
+          Alcotest.(check bool) "hello answered" true (Protocol.is_ok (fst (Wire.recv fd)));
           for i = 1 to 2 do
             Alcotest.(check bool)
               (Printf.sprintf "metrics %d answered" i)
               true
-              (Json.member "metrics" (Wire.recv fd) <> None)
+              (Json.member "metrics" (fst (Wire.recv fd)) <> None)
           done))
 
 (* ------------------------------------------------------------------ *)
@@ -1102,13 +1230,14 @@ let suites =
   [
     ( "svc-wire",
       [
-        Alcotest.test_case "hex round trip" `Quick test_hex_round_trip;
         Alcotest.test_case "frame round trip" `Quick test_frame_round_trip;
+        Alcotest.test_case "payload frame round trip" `Quick test_payload_frame_round_trip;
         Alcotest.test_case "oversized frame rejected" `Quick test_frame_rejects_oversized;
         Alcotest.test_case "eof raises Closed" `Quick test_frame_eof_is_closed;
         Alcotest.test_case "request round trip" `Quick test_request_round_trip;
         Alcotest.test_case "job/outcome round trip" `Quick test_job_outcome_wire;
         Alcotest.test_case "address parsing" `Quick test_address_parsing;
+        Alcotest.test_case "paper sweep supply frame size" `Quick test_supply_frame_size;
       ] );
     ( "svc-store",
       [
@@ -1135,6 +1264,9 @@ let suites =
         Alcotest.test_case "queue wait excludes submit hashing" `Slow
           test_daemon_queue_wait_excludes_hashing;
         Alcotest.test_case "frames split across reads" `Slow test_daemon_split_frames;
+        Alcotest.test_case "supply in 1-byte reads" `Slow test_daemon_byte_reads;
+        Alcotest.test_case "8 MB of [ refused, loop not stalled" `Slow test_daemon_deep_frame;
+        Alcotest.test_case "riq-serve/4 hello refused" `Slow test_daemon_old_hello;
         Alcotest.test_case "malformed and stalled frames" `Slow test_daemon_frame_faults;
         Alcotest.test_case "misused supplies refused" `Slow test_daemon_supply_misuse;
         Alcotest.test_case "abandoned tickets freed" `Slow test_daemon_abandoned_tickets;

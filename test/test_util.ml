@@ -157,6 +157,24 @@ let test_json_parse_errors () =
       "null null" (* trailing garbage *); "[1] x";
     ]
 
+(* Nesting is capped: max_depth levels parse, one more is refused, and
+   8 MB of '[' is refused at the cap, not after recursing through it. *)
+let test_json_depth_cap () =
+  let nested k = String.make k '[' ^ String.make k ']' in
+  Alcotest.(check bool) "max_depth levels parse" true
+    (Result.is_ok (Json.of_string (nested Json.max_depth)));
+  Alcotest.(check bool) "one more is refused" true
+    (Result.is_error (Json.of_string (nested (Json.max_depth + 1))));
+  Alcotest.(check bool) "objects count too" true
+    (Result.is_error
+       (Json.of_string
+          (String.concat "" (List.init (Json.max_depth + 1) (fun _ -> "{\"a\":")))));
+  let brackets = String.make (8 * 1024 * 1024) '[' in
+  let t0 = Unix.gettimeofday () in
+  Alcotest.(check bool) "8 MB of [ refused" true (Result.is_error (Json.of_string brackets));
+  let took = Unix.gettimeofday () -. t0 in
+  if took > 1. then Alcotest.failf "8 MB of [ took %.1f s to refuse" took
+
 (* Parse-side round trip: any document the emitter can produce comes back
    equal, up to the documented Int/Float split (an integral float prints
    without a fraction and re-reads as Int). *)
@@ -306,6 +324,7 @@ let suites =
         Alcotest.test_case "json parse basics" `Quick test_json_parse_basics;
         Alcotest.test_case "json parse escapes" `Quick test_json_parse_escapes;
         Alcotest.test_case "json parse errors" `Quick test_json_parse_errors;
+        Alcotest.test_case "json depth cap" `Quick test_json_depth_cap;
         QCheck_alcotest.to_alcotest prop_json_roundtrip;
         QCheck_alcotest.to_alcotest prop_json_string_escaping_roundtrip;
         Alcotest.test_case "bits mask" `Quick test_bits_mask;
