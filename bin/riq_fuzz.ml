@@ -51,8 +51,7 @@ let run_cmd =
   let serve =
     Arg.(value & opt (some string) None & info [ "serve" ] ~docv:"ADDR"
            ~doc:"Run simulations through a $(b,riq-sim serve) daemon listening on \
-                 the Unix socket ADDR, in the batch queue class, instead of local \
-                 workers.")
+                 the Unix socket ADDR instead of local workers.")
   in
   let action count seed jobs config out no_cache cache_dir serve =
     ignore (get_config config);
@@ -72,12 +71,7 @@ let run_cmd =
     let engine =
       match serve with
       | Some addr ->
-          (* Fuzz campaigns are background load: submit in the batch
-             class so interactive sweeps sharing the daemon stay ahead. *)
-          let client =
-            Riq_svc.Client.connect ~klass:Riq_svc.Protocol.Batch
-              (Riq_svc.Protocol.address_of_string addr)
-          in
+          let client = Riq_svc.Client.connect (Riq_svc.Protocol.address_of_string addr) in
           Riq_exp.Engine.create ~backend:(Riq_svc.Client.backend client)
             ~on_progress:progress ()
       | None ->

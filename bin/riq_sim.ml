@@ -197,8 +197,7 @@ let make_engine ?serve ?trace ~jobs ~no_cache ~cache_dir ~timeout ~progress () =
       (* Remote backend: no local cache — the daemon's shared store is the
          cache, and keeping a local one would hide its hit counters. *)
       let client =
-        Riq_svc.Client.connect ~klass:Riq_svc.Protocol.Interactive ?trace
-          (Riq_svc.Protocol.address_of_string addr)
+        Riq_svc.Client.connect ?trace (Riq_svc.Protocol.address_of_string addr)
       in
       let engine =
         Riq_exp.Engine.create ~backend:(Riq_svc.Client.backend client) ~timeout
@@ -212,10 +211,9 @@ let make_engine ?serve ?trace ~jobs ~no_cache ~cache_dir ~timeout ~progress () =
       (Riq_exp.Engine.create ~workers:jobs ?cache ~timeout ?on_progress (), None)
 
 (* One merged Chrome trace: the client's own spans plus the daemon's span
-   ring (already shifted onto the client clock by the handshake offset).
-   Metadata records lead, payload events follow sorted by timestamp, so
-   the file is monotone and loads in Perfetto as one multi-process
-   timeline. *)
+   ring, both stamped from the host's one wall clock. Metadata records
+   lead, payload events follow sorted by timestamp, so the file is
+   monotone and loads in Perfetto as one multi-process timeline. *)
 let write_merged_trace ~path ~tracer ~client =
   let client_events = List.map Riq_obs.Tracer.event_json (Riq_obs.Tracer.events tracer) in
   let daemon_events =
@@ -285,7 +283,7 @@ let sweep_cmd =
     Arg.(value & opt (some string) None & info [ "trace" ] ~docv:"FILE"
            ~doc:"Serve mode only: write one merged Chrome trace covering the client's \
                  submit/await spans and the daemon's queue-wait and per-worker \
-                 simulate spans, clock-aligned (load it in ui.perfetto.dev).")
+                 simulate spans, on the host's one clock (load it in ui.perfetto.dev).")
   in
   let action jobs no_cache cache_dir timeout serve sizes benches no_check json_file csv
       trace_file =
@@ -572,9 +570,9 @@ let serve_cmd =
     (Cmd.info "serve"
        ~doc:
          "Run the sweep service daemon: accept simulation jobs over a Unix socket, \
-          batch identical requests, schedule them on resident workers with a fair \
-          two-class queue, and answer repeats from the shared result store. Its \
-          metrics are scraped with $(b,riq-sim top). SIGTERM drains gracefully.")
+          batch identical requests, run them on resident workers in arrival order, \
+          and answer repeats from the shared result store. Its metrics are scraped \
+          with $(b,riq-sim top). SIGTERM drains gracefully.")
     Term.(const action $ addr $ workers $ cache_dir_arg $ timeout $ quiet)
 
 let top_cmd =
@@ -644,17 +642,12 @@ let top_cmd =
       (count "serve_submitted_total") hits (count "serve_batched_total")
       (count "serve_executed_total") (count "serve_retries_total")
       (count "serve_timeouts_total");
-    Printf.printf "queues    interactive %d | batch %d | inflight %d | open tickets %d\n"
-      (level ~labels:[ ("class", "interactive") ] "serve_queue_depth")
-      (level ~labels:[ ("class", "batch") ] "serve_queue_depth")
-      (level "serve_inflight") (level "serve_tickets_open");
+    Printf.printf "queues    queued %d | inflight %d | open tickets %d\n"
+      (level "serve_queue_depth") (level "serve_inflight") (level "serve_tickets_open");
     Printf.printf "store     %d hits, %d misses, %d writes\n" hits
       (count ~labels:[ ("result", "miss") ] "store_reads_total")
       (count "store_writes_total");
-    Printf.printf "wait(i)   %s\n"
-      (hist_line snap "serve_queue_wait_seconds" [ ("class", "interactive") ]);
-    Printf.printf "wait(b)   %s\n"
-      (hist_line snap "serve_queue_wait_seconds" [ ("class", "batch") ]);
+    Printf.printf "wait      %s\n" (hist_line snap "serve_queue_wait_seconds" []);
     Printf.printf "simulate  %s\n" (hist_line snap "serve_simulate_seconds" []);
     flush stdout
   in
@@ -692,7 +685,7 @@ let top_cmd =
     (Cmd.info "top"
        ~doc:
          "Live terminal view of a running serve daemon: job and store counters, \
-          per-class queue depth and wait quantiles, simulate-time quantiles — \
+          queue depth and wait quantiles, simulate-time quantiles — \
           each frame drawn from one $(b,metrics) scrape. With $(b,--prom) or \
           $(b,--json), print one machine-readable scrape instead; a file-based \
           collector runs $(b,--once --prom) on a timer.")

@@ -6,9 +6,8 @@
    the outcomes that answer the last of the two through [on_result]. A
    warm daemon therefore costs one small submit, with no job on the wire.
    All the serving leverage lives daemon-side (shared store, cross-client
-   batching, fair queue), so the client stays deliberately dumb: a
-   blocking request/response socket with one reconnect-and-retry per
-   request.
+   batching), so the client stays deliberately dumb: a blocking
+   request/response socket with one reconnect-and-retry per request.
 
    SO_RCVTIMEO bounds each reply by [request_timeout], except that of a
    submit or supply, which may wait for simulations (the daemon's per-job
@@ -18,14 +17,11 @@
    ticket died with the lost connection, so the batch's jobs come back to
    the engine unreported.
 
-   Observability: the hello reply carries the daemon's wall clock,
-   bracketed by the round trip, which gives a clock-offset estimate good
-   to about half the RTT — microseconds on a Unix socket, plenty for
-   aligning trace spans. With a [trace] sink the client emits
-   submit/await spans (wall-clock us, its own pid) and
-   {!server_trace} pulls the daemon's span ring already shifted onto the
-   client's clock, so one merged file loads in Perfetto with every
-   process on a common timeline. *)
+   Observability: with a [trace] sink the client sends its trace id in
+   the hello, once per connection, and emits submit/await spans
+   (wall-clock us, its own pid). The daemon shares the host and so the
+   clock, and {!server_trace} pulls its span ring as recorded, so one
+   merged file loads in Perfetto with every process on one timeline. *)
 
 open Riq_util
 open Riq_exp
@@ -54,15 +50,12 @@ let instruments_of registry =
 
 type t = {
   address : Protocol.address;
-  klass : Protocol.klass;
   request_timeout : float;
   ins : instruments option;
   tracer : Tracer.t option; (* caller-owned sink for client-side spans *)
   trace_id : string;
   mutable fd : Unix.file_descr option;
   mutable server_workers : int;
-  mutable clock_offset : float; (* daemon clock minus ours, seconds *)
-  mutable next_span : int;
   (* client-visible provenance counters, summed over every run *)
   mutable c_hits : int;
   mutable c_executed : int;
@@ -91,13 +84,13 @@ let do_connect t =
       (try Unix.close fd with _ -> ());
       raise e);
   (try Unix.setsockopt_float fd Unix.SO_RCVTIMEO t.request_timeout with _ -> ());
-  let t0 = Unix.gettimeofday () in
+  let trace_id = Option.map (fun _ -> t.trace_id) t.tracer in
   Wire.send fd
     (fst
        (Protocol.request_to_wire
-          (Protocol.Hello { revision = Revision.stamp; format = Revision.format_version })));
+          (Protocol.Hello
+             { revision = Revision.stamp; format = Revision.format_version; trace_id })));
   let resp, _ = Wire.recv fd in
-  let t1 = Unix.gettimeofday () in
   if not (Protocol.is_ok resp) then begin
     (try Unix.close fd with _ -> ());
     failwith ("riq-serve rejected the connection: " ^ Protocol.error_of resp)
@@ -105,17 +98,8 @@ let do_connect t =
   (match Option.bind (Json.member "workers" resp) Json.to_int with
   | Some w -> t.server_workers <- w
   | None -> ());
-  (* The daemon read its clock between our send (t0) and receive (t1);
-     assuming a symmetric path, it did so at the midpoint. *)
-  (match Option.bind (Json.member "server_time" resp) Json.to_float_opt with
-  | Some server_time -> t.clock_offset <- server_time -. ((t0 +. t1) /. 2.)
-  | None -> ());
   Log.debug ~scope:"client"
-    ~kv:
-      [
-        ("address", Protocol.address_to_string t.address);
-        ("offset_us", Log.float (t.clock_offset *. 1e6));
-      ]
+    ~kv:[ ("address", Protocol.address_to_string t.address) ]
     "connected";
   t.fd <- Some fd
 
@@ -158,8 +142,7 @@ let rec request ?(retried = false) t req =
         request ~retried:true t req
       end
 
-let connect ?(klass = Protocol.Interactive) ?(request_timeout = 120.) ?metrics ?trace
-    address =
+let connect ?(request_timeout = 120.) ?metrics ?trace address =
   let trace_id =
     Printf.sprintf "%d-%06x" (Unix.getpid ())
       (int_of_float (Unix.gettimeofday () *. 1e6) land 0xffffff)
@@ -167,15 +150,12 @@ let connect ?(klass = Protocol.Interactive) ?(request_timeout = 120.) ?metrics ?
   let t =
     {
       address;
-      klass;
       request_timeout;
       ins = Option.map instruments_of metrics;
       tracer = trace;
       trace_id;
       fd = None;
       server_workers = 1;
-      clock_offset = 0.;
-      next_span = 0;
       c_hits = 0;
       c_executed = 0;
       c_batched = 0;
@@ -212,48 +192,28 @@ let server_metrics t = Result.bind (scrape t) Metrics.snapshot_of_json
 
 let server_exposition t = Result.map Metrics.to_prometheus (server_metrics t)
 
-(* Shift a daemon trace event's timestamp onto the client's clock. The
-   events are plain Chrome-trace objects; only "ts" needs adjusting
-   (durations are offset-free), and metadata records stay pinned at 0. *)
-let shift_event offset_us j =
-  match j with
-  | Json.Obj fields ->
-      Json.Obj
-        (List.map
-           (fun (k, v) ->
-             match (k, v) with
-             | "ts", Json.Int ts when ts > 0 -> ("ts", Json.Int (ts - offset_us))
-             | _ -> (k, v))
-           fields)
-  | other -> other
-
 let server_trace ?(since = 0) t =
   match request t (Protocol.Trace { since }) with
   | exception e -> Error (Printexc.to_string e)
   | resp, _ when not (Protocol.is_ok resp) -> Error (Protocol.error_of resp)
   | resp, _ ->
-      let events = require "events" Json.to_list resp in
-      let next = require "next" Json.to_int resp in
-      let offset_us = int_of_float (t.clock_offset *. 1e6) in
-      Ok (List.map (shift_event offset_us) events, next)
+      Ok (require "events" Json.to_list resp, require "next" Json.to_int resp)
 
 (* ------------------------------------------------------------------ *)
 (* Batch execution                                                     *)
 (* ------------------------------------------------------------------ *)
 
+(* Run [k], then record it as a span from [started] when tracing. *)
 let span t ~started name args k =
-  match t.tracer with
-  | None -> k None
-  | Some tr ->
-      t.next_span <- t.next_span + 1;
-      let id = t.next_span in
-      let r = k (Some id) in
-      let now = Unix.gettimeofday () in
+  let r = k () in
+  Option.iter
+    (fun tr ->
       Tracer.complete tr
         ~now:(int_of_float (started *. 1e6))
-        ~dur:(int_of_float ((now -. started) *. 1e6))
-        ~args ~cat:"client" name;
-      r
+        ~dur:(int_of_float ((Unix.gettimeofday () -. started) *. 1e6))
+        ~args ~cat:"client" name)
+    t.tracer;
+  r
 
 (* Submit the batch's fingerprints, then supply the jobs the daemon
    lacks; returns the reply that carries the outcomes, and its payload. *)
@@ -269,30 +229,20 @@ let submit t (jobs : Job.t array) keys indices =
   in
   span t ~started:(Unix.gettimeofday ()) "submit-batch"
     [ ("jobs", Tracer.Int (Array.length submitted)); ("trace_id", Tracer.Str t.trace_id) ]
-    (fun span_id ->
-      let trace =
-        Option.map
-          (fun parent_span -> { Protocol.trace_id = t.trace_id; parent_span })
-          span_id
-      in
+    (fun () ->
       let keys = List.map (fun i -> keys.(i)) indices in
       let reply =
-        match checked "submit" (Protocol.Submit { klass = t.klass; keys; trace }) with
+        match checked "submit" (Protocol.Submit { keys }) with
         | (_, Some _) as held -> held
         | resp, None ->
           let ticket = require "ticket" Json.to_int resp in
-          let need =
-            List.map
-              (fun j ->
-                match Json.to_int j with
-                | Some k when k >= 0 && k < Array.length submitted -> k
-                | _ -> raise (Wire.Protocol_error "bad index in need"))
-              (require "need" Json.to_list resp)
+          let body j =
+            match Json.to_int j with
+            | Some k when k >= 0 && k < Array.length submitted -> jobs.(submitted.(k))
+            | _ -> raise (Wire.Protocol_error "bad index in need")
           in
-          let bodies = Array.of_list (List.map (fun k -> jobs.(submitted.(k))) need) in
-          checked "supply"
-            (Protocol.Supply
-               { ticket; indices = need; jobs = Protocol.jobs_to_wire bodies })
+          let bodies = Array.of_list (List.map body (require "need" Json.to_list resp)) in
+          checked "supply" (Protocol.Supply { ticket; jobs = Protocol.jobs_to_wire bodies })
       in
       (* The held reply's wait: from its request to the outcomes. *)
       span t ~started:!sent "await-results" [ ("trace_id", Tracer.Str t.trace_id) ]
@@ -340,13 +290,11 @@ let service_json t =
     Json.Obj
       [
         ("address", Json.String (Protocol.address_to_string t.address));
-        ("class", Json.String (Protocol.klass_to_string t.klass));
         ("submitted", Json.Int t.c_submitted);
         ("remote_hits", Json.Int t.c_hits);
         ("remote_executed", Json.Int t.c_executed);
         ("remote_batched", Json.Int t.c_batched);
         ("reconnects", Json.Int t.c_reconnects);
-        ("clock_offset_seconds", Json.Float t.clock_offset);
       ]
   in
   let server = Option.value (server_stats t) ~default:Json.Null in

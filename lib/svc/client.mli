@@ -8,24 +8,21 @@
 type t
 
 val connect :
-  ?klass:Protocol.klass ->
   ?request_timeout:float ->
   ?metrics:Riq_obs.Metrics.t ->
   ?trace:Riq_obs.Tracer.t ->
   Protocol.address ->
   t
 (** Connect and handshake ([hello] with this build's revision stamp).
-    [klass] (default [Interactive]) is the daemon queue class for every
-    submit. [request_timeout] (default 120 s) is SO_RCVTIMEO for every
-    reply but a submit's or supply's, which waits for its outcomes. With
-    [metrics], the client registers [client_requests_total],
+    [request_timeout] (default 120 s) is SO_RCVTIMEO for every reply but a
+    submit's or supply's, which waits for its outcomes. With [metrics],
+    the client registers [client_requests_total],
     [client_reconnects_total] and the [client_request_seconds] histogram.
     With [trace] (a caller-owned sink), submit/await spans are emitted in
-    wall-clock microseconds under this process's default pid, and every
-    submit carries a {!Protocol.trace_context} so daemon spans can be
-    joined back. The handshake also estimates the daemon clock offset
-    from the round trip. Raises [Failure] when the daemon is unreachable
-    or rejects the revision. *)
+    wall-clock microseconds under this process's default pid, and the
+    hello carries the client's trace id, which the daemon stamps on the
+    spans of the jobs this connection queues. Raises [Failure] when the
+    daemon is unreachable or rejects the revision. *)
 
 val close : t -> unit
 
@@ -33,7 +30,7 @@ val backend : t -> Riq_exp.Backend.t
 (** The engine backend. Its busy time is the worker seconds of the jobs
     executed for it, and its telemetry hook contributes a ["service"]
     block: client-side provenance counters (remote hits / executed /
-    batched, reconnects, clock offset) plus, as [server], one scrape of
+    batched, reconnects) plus, as [server], one scrape of
     the daemon's metrics registry in riq-metrics/1 JSON. *)
 
 val server_stats : t -> Riq_util.Json.t option
@@ -52,7 +49,7 @@ val server_exposition : t -> (string, string) result
 
 val server_trace : ?since:int -> t -> (Riq_util.Json.t list * int, string) result
 (** One [trace] round-trip: daemon/worker span events with global index
-    [>= since] as Chrome trace-event objects, timestamps already shifted
-    onto this client's clock by the handshake's offset estimate. Returns
-    the events and the next cursor. *)
+    [>= since] as Chrome trace-event objects, exactly as the daemon
+    recorded them (client and daemon share the host's clock). Returns the
+    events and the next cursor. *)
 

@@ -4,11 +4,12 @@
 
    Submission is content-addressed. A [submit] carries only the jobs'
    fingerprints; the daemon answers what its store holds or already runs
-   and names the indices it still needs, and a [supply] carries exactly
-   those jobs as one marshalled [Job.t array], so a program shared by
-   several jobs travels once. The daemon re-fingerprints every supplied
-   job and refuses a body whose key differs from the one submitted at
-   its index.
+   and replies with the ticket and the indices it still needs, and the
+   ticket's one [supply] carries exactly those jobs, in that order, as one
+   marshalled [Job.t array], so a program shared by several jobs travels
+   once. The daemon refuses a supply whose body count differs from the
+   need, or one of whose bodies fingerprints to another key than the one
+   submitted at its index.
 
    Marshalled OCaml values (jobs, outcomes) are opaque to the protocol:
    they ride as a frame's raw payload and are only meaningful between
@@ -20,16 +21,7 @@
 open Riq_util
 open Riq_exp
 
-let version = "riq-serve/5"
-
-type klass = Interactive | Batch
-
-let klass_to_string = function Interactive -> "interactive" | Batch -> "batch"
-
-let klass_of_string = function
-  | "interactive" -> Ok Interactive
-  | "batch" -> Ok Batch
-  | s -> Error (Printf.sprintf "unknown class %S" s)
+let version = "riq-serve/6"
 
 (* Result provenance, per job: served from the shared store, executed by a
    worker on behalf of this request, or batched onto another request's
@@ -53,48 +45,26 @@ let outcomes_of_wire s : Outcome.t array = Marshal.from_string s 0
 (* Requests                                                            *)
 (* ------------------------------------------------------------------ *)
 
-(* A submit may carry the client's trace identity so daemon- and
-   worker-side spans land in the same Perfetto trace as the client's. *)
-type trace_context = { trace_id : string; parent_span : int }
-
-let trace_context_to_json { trace_id; parent_span } =
-  Json.Obj
-    [ ("trace_id", Json.String trace_id); ("parent_span", Json.Int parent_span) ]
-
 type request =
-  | Hello of { revision : string; format : int }
-  | Submit of { klass : klass; keys : string list; trace : trace_context option }
-  | Supply of { ticket : int; indices : int list; jobs : string (* the payload *) }
+  | Hello of { revision : string; format : int; trace_id : string option }
+  | Submit of { keys : string list }
+  | Supply of { ticket : int; jobs : string (* the payload *) }
   | Metrics
   | Trace of { since : int }
 
 let request_to_wire req =
   let op, fields, payload =
     match req with
-    | Hello { revision; format } ->
+    | Hello { revision; format; trace_id } ->
         ( "hello",
-          [
-            ("protocol", Json.String version);
-            ("revision", Json.String revision);
-            ("format", Json.Int format);
-          ],
+          ("protocol", Json.String version)
+          :: ("revision", Json.String revision)
+          :: ("format", Json.Int format)
+          :: Option.to_list (Option.map (fun id -> ("trace_id", Json.String id)) trace_id),
           None )
-    | Submit { klass; keys; trace } ->
-        ( "submit",
-          ("class", Json.String (klass_to_string klass))
-          :: ("keys", Json.List (List.map (fun k -> Json.String k) keys))
-          ::
-          (match trace with
-          | None -> []
-          | Some tc -> [ ("trace", trace_context_to_json tc) ]),
-          None )
-    | Supply { ticket; indices; jobs } ->
-        ( "supply",
-          [
-            ("ticket", Json.Int ticket);
-            ("indices", Json.List (List.map (fun i -> Json.Int i) indices));
-          ],
-          Some jobs )
+    | Submit { keys } ->
+        ("submit", [ ("keys", Json.List (List.map (fun k -> Json.String k) keys)) ], None)
+    | Supply { ticket; jobs } -> ("supply", [ ("ticket", Json.Int ticket) ], Some jobs)
     | Metrics -> ("metrics", [], None)
     | Trace { since } -> ("trace", [ ("since", Json.Int since) ], None)
   in
@@ -107,17 +77,6 @@ let field name conv j =
 
 let ( let* ) = Result.bind
 
-(* Every element of the list field [name], converted by [conv]. *)
-let list_field name conv what j =
-  let* items = field name Json.to_list j in
-  List.fold_right
-    (fun item acc ->
-      let* acc = acc in
-      match conv item with
-      | Some v -> Ok (v :: acc)
-      | None -> Error (Printf.sprintf "%s in %S" what name))
-    items (Ok [])
-
 (* A key names a store entry, so only a fingerprint's shape is accepted:
    32 lowercase hex digits, never a path. *)
 let key_of_json item =
@@ -126,14 +85,6 @@ let key_of_json item =
     when String.length k = 32
          && String.for_all (function '0' .. '9' | 'a' .. 'f' -> true | _ -> false) k ->
       Some k
-  | _ -> None
-
-let trace_context_of_json j =
-  match
-    ( Option.bind (Json.member "trace_id" j) Json.to_str,
-      Option.bind (Json.member "parent_span" j) Json.to_int )
-  with
-  | Some trace_id, Some parent_span -> Some { trace_id; parent_span }
   | _ -> None
 
 (* Only a supply carries a payload, and a supply always does. *)
@@ -147,17 +98,27 @@ let request_of_wire (j, payload) : (request, string) result =
       else
         let* revision = field "revision" Json.to_str j in
         let* format = field "format" Json.to_int j in
-        Ok (Hello { revision; format })
+        let* trace_id =
+          match Json.member "trace_id" j with
+          | None -> Ok None
+          | Some _ -> Result.map Option.some (field "trace_id" Json.to_str j)
+        in
+        Ok (Hello { revision; format; trace_id })
   | "submit", None ->
-      let* klass_s = field "class" Json.to_str j in
-      let* klass = klass_of_string klass_s in
-      let* keys = list_field "keys" key_of_json "malformed fingerprint" j in
-      let trace = Option.bind (Json.member "trace" j) trace_context_of_json in
-      Ok (Submit { klass; keys; trace })
+      let* items = field "keys" Json.to_list j in
+      let* keys =
+        List.fold_right
+          (fun item acc ->
+            let* acc = acc in
+            match key_of_json item with
+            | Some k -> Ok (k :: acc)
+            | None -> Error "malformed fingerprint in \"keys\"")
+          items (Ok [])
+      in
+      Ok (Submit { keys })
   | "supply", Some jobs ->
       let* ticket = field "ticket" Json.to_int j in
-      let* indices = list_field "indices" Json.to_int "non-integer entry" j in
-      Ok (Supply { ticket; indices; jobs })
+      Ok (Supply { ticket; jobs })
   | "supply", None -> Error "supply without a job payload"
   | "metrics", None -> Ok Metrics
   | "trace", None ->

@@ -1,30 +1,25 @@
 (** Message shapes of the serve daemon's wire protocol (framing lives in
     {!Wire}). A session opens with [hello] carrying the protocol
-    {!version}, simulator revision stamp and cache format version; the
-    daemon rejects a mismatched peer before decoding any marshalled
-    payload, so the opaque marshalled jobs/outcomes only ever travel
-    between binaries that agree on their layout.
+    {!version}, simulator revision stamp and cache format version, and the
+    client's trace id when it traces; the daemon rejects a mismatched peer
+    before decoding any marshalled payload, so the opaque marshalled
+    jobs/outcomes only ever travel between binaries that agree on their
+    layout.
 
     Submission is content-addressed: [submit] carries fingerprints only,
     the reply names the indices the daemon still [need]s (neither stored
-    nor running), and [supply] carries just those jobs. The daemon
-    re-fingerprints each supplied job and refuses a body whose key
-    differs from the one submitted at its index. The request that leaves
-    a ticket needing no more bodies is answered once the ticket
-    completes, with [{ticket, sources, seconds}] and the outcomes as the
-    frame's payload ({!outcomes_to_wire}). *)
+    nor running), and the ticket's one [supply] carries exactly those
+    bodies, in [need] order. The daemon refuses a supply whose body count
+    differs from the need, or one of whose bodies fingerprints to another
+    key than the one submitted at its index. The request that leaves a
+    ticket needing no more bodies is answered once the ticket completes,
+    with [{ticket, sources, seconds}] and the outcomes as the frame's
+    payload ({!outcomes_to_wire}). *)
 
 open Riq_exp
 
 val version : string
-(** ["riq-serve/5"]. {!request_of_wire} refuses a [hello] of any other. *)
-
-type klass = Interactive | Batch
-(** The two queue classes: interactive sweeps ahead of nightly fuzz
-    campaigns, with weighted fairness so neither starves (see
-    {!Server}). *)
-
-val klass_to_string : klass -> string
+(** ["riq-serve/6"]. {!request_of_wire} refuses a [hello] of any other. *)
 
 type source = Hit | Executed | Batched
 (** Per-job result provenance: shared-store hit, executed for this
@@ -48,20 +43,20 @@ val outcomes_to_wire : Outcome.t array -> string
 
 val outcomes_of_wire : string -> Outcome.t array
 
-type trace_context = { trace_id : string; parent_span : int }
-(** The client's trace identity, attached to submits so daemon- and
-    worker-side spans can be merged into the client's Perfetto trace. *)
-
 type request =
-  | Hello of { revision : string; format : int }
-  | Submit of { klass : klass; keys : string list; trace : trace_context option }
+  | Hello of { revision : string; format : int; trace_id : string option }
+      (** [trace_id] is the client's trace identity, sent once per
+          connection when the client traces; the daemon stamps it on the
+          spans of the jobs that connection queues. The reply is
+          [ok {workers}]. *)
+  | Submit of { keys : string list }
       (** [keys] are {!Job.fingerprint}s; the parser accepts only 32
           lowercase hex digits. The reply carries the [ticket] and the
           [need] list: indices into [keys] whose bodies must be supplied. *)
-  | Supply of { ticket : int; indices : int list; jobs : string }
-      (** The bodies of needed indices of [ticket], in [indices] order:
-          [jobs] is the frame's payload, {!jobs_to_wire} of one array.
-          Only the submitting connection may supply [ticket]. *)
+  | Supply of { ticket : int; jobs : string }
+      (** The bodies of every index [ticket]'s submit reply listed, in
+          [need] order: [jobs] is the frame's payload, {!jobs_to_wire} of
+          one array. Only the submitting connection may supply [ticket]. *)
   | Metrics
       (** The daemon's metrics snapshot, as riq-metrics/1 JSON: the one
           view of its counters and gauges. *)

@@ -15,16 +15,15 @@
    second request for a fingerprint that is queued or running is batched
    onto it — one execution fans out to every waiter). What neither
    answers, the reply lists as needed, and the client supplies those
-   bodies. A supply is checked whole before any of it is used: every
-   body must fingerprint to the key submitted at its index, so no client
-   can file an outcome under another job's key. Its jobs are then
+   bodies, all of them in one supply, in that order. A supply is checked
+   whole before any of it is used: it must hold one body per needed index,
+   and every body must fingerprint to the key submitted at its index, so
+   no client can file an outcome under another job's key. Its jobs are then
    resolved again (the store or another client may have caught up since
    the submit) and only then queued for a worker. Jobs answered from the
-   store or coalesced are never unmarshalled. The queue is two-class —
-   interactive ahead of batch, with a weighted round-robin (BATCH_SHARE)
-   that guarantees the batch class one dispatch in every four when both
-   classes are waiting, so a nightly fuzz campaign can never starve an
-   interactive sweep nor be starved by one.
+   store or coalesced are never unmarshalled. There is one queue, first
+   in first out: a job waits behind every job queued before it, whichever
+   connection queued it.
 
    Held replies. A ticket belongs to the connection that submitted it.
    The request that leaves it needing no more bodies is answered when it
@@ -43,7 +42,11 @@
    completion and held replies go out as their tickets complete, then the
    workers are shut down over their pipes, reaped, and the socket file is
    unlinked. No orphaned processes, and no store lock: the daemon never
-   walks, locks or deletes from the store (riq-cache maintains it). *)
+   walks, locks or deletes from the store (riq-cache maintains it).
+
+   Client and daemon share the host, so they share a clock: daemon trace
+   events are stamped in wall-clock microseconds and merge into a
+   client's trace as they are. *)
 
 open Riq_util
 open Riq_exp
@@ -51,18 +54,15 @@ module Metrics = Riq_obs.Metrics
 module Tracer = Riq_obs.Tracer
 module Log = Riq_obs.Log
 
-(* When both classes are waiting, of every [batch_share] dispatches one
-   goes to the batch queue. *)
-let batch_share = 4
-
 (* A connection whose half-sent frame gets no byte for this long is
    closed: a peer that stopped mid-frame is gone or broken, and its
-   buffer would otherwise be held forever. *)
+   buffer would otherwise be held forever. So is one that takes none of a
+   reply for this long (its socket's send timeout): the loop would
+   otherwise wait in [write] for as long as the peer does not read. *)
 let frame_stall_seconds = 5.
 
-(* Daemon-side trace events are stamped in wall-clock
-   microseconds, the unit Chrome traces use natively; clients shift them
-   by the estimated clock offset before merging. *)
+(* Trace events are stamped in wall-clock microseconds, the unit Chrome
+   traces use natively. *)
 let us seconds = int_of_float (seconds *. 1e6)
 
 type config = {
@@ -90,16 +90,16 @@ type waiter = {
 
 type pending = {
   p_job : Job.t;
-  p_klass : Protocol.klass;
   p_enqueued : float; (* wall clock when queued, for queue-wait spans *)
-  p_trace : Protocol.trace_context option;
+  p_trace_id : string option; (* that of the connection that queued it *)
   mutable p_waiters : waiter list; (* reverse submission order *)
 }
 
 type conn = {
   c_fd : Unix.file_descr;
-  c_buf : Buffer.t;
+  c_reader : Wire.reader;
   mutable c_hello : bool;
+  mutable c_trace_id : string option; (* from its hello *)
   mutable c_last_read : float; (* wall clock of the last bytes received *)
   mutable c_held : int option; (* the ticket whose outcomes are its held reply *)
 }
@@ -107,10 +107,8 @@ type conn = {
 type ticket = {
   t_conn : conn; (* the submitting connection, its only owner *)
   t_total : int;
-  t_klass : Protocol.klass;
-  t_trace : Protocol.trace_context option;
   t_keys : string array; (* the submitted fingerprints *)
-  t_need : bool array; (* awaiting a supplied body *)
+  mutable t_need : int array; (* the indices its supply must carry, in order *)
   t_outcomes : Outcome.t option array;
   t_sources : Protocol.source array;
   t_seconds : float array;
@@ -127,23 +125,20 @@ type instruments = {
   i_batched : Metrics.counter;
   i_retries : Metrics.counter;
   i_timeouts : Metrics.counter;
-  i_queue_interactive : Metrics.gauge;
-  i_queue_batch : Metrics.gauge;
+  i_queue : Metrics.gauge;
   i_inflight : Metrics.gauge;
   i_workers : Metrics.gauge;
   i_connections : Metrics.gauge;
   i_tickets : Metrics.gauge;
   i_uptime : Metrics.gauge;
   i_draining : Metrics.gauge;
-  i_wait_interactive : Metrics.histogram;
-  i_wait_batch : Metrics.histogram;
+  i_wait : Metrics.histogram;
   i_simulate : Metrics.histogram;
 }
 
 let instruments_of registry =
   let counter = Metrics.counter registry in
   let gauge = Metrics.gauge registry in
-  let wait_help = "Seconds jobs spent queued before dispatch" in
   {
     i_submitted = counter ~help:"Jobs submitted over the wire" "serve_submitted_total";
     i_supplied =
@@ -154,23 +149,15 @@ let instruments_of registry =
         "serve_batched_total";
     i_retries = counter ~help:"Jobs retried after a worker crash" "serve_retries_total";
     i_timeouts = counter ~help:"Jobs killed at the wall-clock budget" "serve_timeouts_total";
-    i_queue_interactive =
-      gauge ~help:"Queued jobs per class" ~labels:[ ("class", "interactive") ]
-        "serve_queue_depth";
-    i_queue_batch =
-      gauge ~help:"Queued jobs per class" ~labels:[ ("class", "batch") ]
-        "serve_queue_depth";
+    i_queue = gauge ~help:"Queued jobs" "serve_queue_depth";
     i_inflight = gauge ~help:"Jobs currently on a worker" "serve_inflight";
     i_workers = gauge ~help:"Resident worker processes" "serve_workers";
     i_connections = gauge ~help:"Open client connections" "serve_connections";
     i_tickets = gauge ~help:"Tickets not yet answered" "serve_tickets_open";
     i_uptime = gauge ~help:"Daemon uptime in seconds" "serve_uptime_seconds";
     i_draining = gauge ~help:"1 while the daemon drains for shutdown, else 0" "serve_draining";
-    i_wait_interactive =
-      Metrics.histogram registry ~help:wait_help
-        ~labels:[ ("class", "interactive") ] "serve_queue_wait_seconds";
-    i_wait_batch =
-      Metrics.histogram registry ~help:wait_help ~labels:[ ("class", "batch") ]
+    i_wait =
+      Metrics.histogram registry ~help:"Seconds jobs spent queued before dispatch"
         "serve_queue_wait_seconds";
     i_simulate =
       Metrics.histogram registry ~help:"Wall-clock seconds per worker execution"
@@ -185,17 +172,13 @@ type t = {
   mutable conns : conn list;
   workers : string Workers.t; (* jobs keyed by fingerprint *)
   pending : (string, pending) Hashtbl.t; (* fingerprint -> queued/running *)
-  q_interactive : string Queue.t;
-  q_batch : string Queue.t;
+  queue : string Queue.t; (* fingerprints, first in first out *)
   tickets : (int, ticket) Hashtbl.t;
   complete : int Queue.t; (* tickets whose held reply can go out *)
   mutable next_ticket : int;
-  mutable since_batch : int; (* interactive dispatches since a batch one *)
   mutable draining : bool;
   started : float;
 }
-
-let queue_depth t = Queue.length t.q_interactive + Queue.length t.q_batch
 
 (* Point-in-time gauges, and the retry/timeout counters the worker pool
    keeps, are brought up to date right before a snapshot leaves the
@@ -204,8 +187,7 @@ let snapshot t =
   let catch_up counter n = Metrics.add counter (n - Metrics.counter_value counter) in
   catch_up t.ins.i_retries (Workers.retries t.workers);
   catch_up t.ins.i_timeouts (Workers.timeouts t.workers);
-  Metrics.set t.ins.i_queue_interactive (float_of_int (Queue.length t.q_interactive));
-  Metrics.set t.ins.i_queue_batch (float_of_int (Queue.length t.q_batch));
+  Metrics.set t.ins.i_queue (float_of_int (Queue.length t.queue));
   Metrics.set t.ins.i_inflight (float_of_int (Workers.busy t.workers));
   Metrics.set t.ins.i_workers (float_of_int (List.length (Workers.pids t.workers)));
   Metrics.set t.ins.i_connections (float_of_int (List.length t.conns));
@@ -287,49 +269,26 @@ let resolve_pending t fp ~seconds (outcome : Outcome.t) =
 (* Dispatch                                                            *)
 (* ------------------------------------------------------------------ *)
 
-(* Weighted round-robin across the two class queues; see the header. *)
-let next_fingerprint t =
-  let qi, qb = (t.q_interactive, t.q_batch) in
-  if Queue.is_empty qi && Queue.is_empty qb then None
-  else if Queue.is_empty qb then Some (Queue.pop qi)
-  else if Queue.is_empty qi then Some (Queue.pop qb)
-  else if t.since_batch >= batch_share - 1 then begin
-    t.since_batch <- 0;
-    Some (Queue.pop qb)
-  end
-  else begin
-    t.since_batch <- t.since_batch + 1;
-    Some (Queue.pop qi)
-  end
-
-(* Span args carry the fingerprint prefix (and the submitting client's
-   trace id when it sent one) so merged traces can be joined back to
+(* Span args carry the fingerprint prefix (and the queuing client's trace
+   id when its hello sent one) so merged traces can be joined back to
    jobs. [fp] is the job's pending key, its {!Job.fingerprint}. *)
 let span_args fp p =
   ("fp", Tracer.Str (String.sub fp 0 12))
-  ::
-  (match p.p_trace with
-  | None -> []
-  | Some tc -> [ ("trace_id", Tracer.Str tc.Protocol.trace_id) ])
+  :: Option.fold ~none:[] ~some:(fun id -> [ ("trace_id", Tracer.Str id) ]) p.p_trace_id
 
 let dispatch_one t fp =
   match Hashtbl.find_opt t.pending fp with
   | None -> () (* evaporated (shouldn't happen) *)
   | Some p ->
       let wait = Float.max 0. (Unix.gettimeofday () -. p.p_enqueued) in
-      let wait_hist, tid =
-        match p.p_klass with
-        | Protocol.Interactive -> (t.ins.i_wait_interactive, 1)
-        | Protocol.Batch -> (t.ins.i_wait_batch, 2)
-      in
-      Metrics.observe wait_hist wait;
-      Tracer.complete t.tracer ~now:(us p.p_enqueued) ~dur:(us wait) ~tid
+      Metrics.observe t.ins.i_wait wait;
+      Tracer.complete t.tracer ~now:(us p.p_enqueued) ~dur:(us wait) ~tid:1
         ~args:(span_args fp p) ~cat:"serve" "queue-wait";
       Workers.submit t.workers fp p.p_job
 
 let rec fill_workers t =
   if Workers.idle t.workers > 0 then
-    match next_fingerprint t with
+    match Queue.take_opt t.queue with
     | Some fp ->
         dispatch_one t fp;
         fill_workers t
@@ -377,17 +336,13 @@ let enqueue t ~id ~index tk fp job =
   let p =
     {
       p_job = job;
-      p_klass = tk.t_klass;
       p_enqueued = Unix.gettimeofday ();
-      p_trace = tk.t_trace;
+      p_trace_id = tk.t_conn.c_trace_id;
       p_waiters = [ { wt_ticket = id; wt_index = index; wt_source = Protocol.Executed } ];
     }
   in
   Hashtbl.replace t.pending fp p;
-  Queue.push fp
-    (match tk.t_klass with
-    | Protocol.Interactive -> t.q_interactive
-    | Protocol.Batch -> t.q_batch);
+  Queue.push fp t.queue;
   (* An idle worker starts on this job now, while the rest of the supply
      is still being queued. *)
   fill_workers t
@@ -411,7 +366,7 @@ let hold t conn id tk =
   if tk.t_done = tk.t_total then Queue.push id t.complete;
   None
 
-let handle_submit t conn ~klass ~trace ~keys =
+let handle_submit t conn ~keys =
   if t.draining then Some (Protocol.error "draining: daemon is shutting down")
   else begin
     let keys = Array.of_list keys in
@@ -422,10 +377,8 @@ let handle_submit t conn ~klass ~trace ~keys =
       {
         t_conn = conn;
         t_total = total;
-        t_klass = klass;
-        t_trace = trace;
         t_keys = keys;
-        t_need = Array.make total false;
+        t_need = [||];
         t_outcomes = Array.make total None;
         t_sources = Array.make total Protocol.Hit;
         t_seconds = Array.make total 0.;
@@ -433,80 +386,54 @@ let handle_submit t conn ~klass ~trace ~keys =
       }
     in
     Hashtbl.replace t.tickets id tk;
-    Array.iteri
-      (fun index fp ->
-        Metrics.inc t.ins.i_submitted;
-        if not (resolve t ~id ~index fp) then tk.t_need.(index) <- true)
-      keys;
-    match List.filter (fun i -> tk.t_need.(i)) (List.init total Fun.id) with
-    | [] -> hold t conn id tk
-    | need ->
-        Some
-          (Protocol.ok
-             [
-               ("ticket", Json.Int id);
-               ("jobs", Json.Int total);
-               ("done", Json.Int tk.t_done);
-               ("need", Json.List (List.map (fun i -> Json.Int i) need));
-             ])
+    tk.t_need <-
+      Array.of_list
+        (List.filter
+           (fun index ->
+             Metrics.inc t.ins.i_submitted;
+             not (resolve t ~id ~index keys.(index)))
+           (List.init total Fun.id));
+    if tk.t_need = [||] then hold t conn id tk
+    else
+      Some
+        (Protocol.ok
+           [
+             ("ticket", Json.Int id);
+             ("need", Json.List (List.map (fun i -> Json.Int i) (Array.to_list tk.t_need)));
+           ])
   end
 
 (* Nothing of a supply is used until all of it checks out: the ticket is
-   this connection's, each index one it still needs, listed once, with one
-   body each, and each body fingerprints to the key submitted at its index. *)
-let handle_supply t conn ~ticket ~indices ~jobs =
+   this connection's, the supply holds one body per needed index, and each
+   body fingerprints to the key submitted at its index. *)
+let handle_supply t conn ~ticket ~jobs =
   let error msg = Some (Protocol.error msg) in
   match Hashtbl.find_opt t.tickets ticket with
   | None -> error "unknown ticket"
   | Some tk when tk.t_conn != conn -> error "unknown ticket"
   | Some _ when t.draining -> error "draining: daemon is shutting down"
   | Some tk -> (
-      let indices = Array.of_list indices in
-      let n = Array.length indices in
-      let listed = Hashtbl.create n in
-      let unwanted =
-        Array.find_opt
-          (fun i ->
-            let bad =
-              i < 0 || i >= tk.t_total || (not tk.t_need.(i)) || Hashtbl.mem listed i
-            in
-            Hashtbl.replace listed i ();
-            bad)
-          indices
-      in
-      match unwanted with
-      | Some i -> error (Printf.sprintf "index %d is not awaiting a body" i)
-      | None -> (
-          match Protocol.jobs_of_wire jobs with
-          | exception _ -> error "undecodable job payload"
-          | bodies when Array.length bodies <> n ->
+      let n = Array.length tk.t_need in
+      match Protocol.jobs_of_wire jobs with
+      | exception _ -> error "undecodable job payload"
+      | bodies when Array.length bodies <> n ->
+          error (Printf.sprintf "%d job bodies for %d needed" (Array.length bodies) n)
+      | bodies -> (
+          let fps = Job.fingerprints bodies in
+          let forged k = fps.(k) <> tk.t_keys.(tk.t_need.(k)) in
+          match List.find_opt forged (List.init n Fun.id) with
+          | Some k ->
               error
-                (Printf.sprintf "%d job bodies for %d indices" (Array.length bodies) n)
-          | bodies -> (
-              let fps = Job.fingerprints bodies in
-              let forged k = fps.(k) <> tk.t_keys.(indices.(k)) in
-              match List.find_opt forged (List.init n Fun.id) with
-              | Some k ->
-                  error
-                    (Printf.sprintf "job body for index %d does not match its submitted key"
-                       indices.(k))
-              | None ->
-                  Array.iteri
-                    (fun k index ->
-                      tk.t_need.(index) <- false;
-                      Metrics.inc t.ins.i_supplied;
-                      if not (resolve t ~id:ticket ~index fps.(k)) then
-                        enqueue t ~id:ticket ~index tk fps.(k) bodies.(k))
-                    indices;
-                  if Array.mem true tk.t_need then
-                    Some
-                      (Protocol.ok
-                         [
-                           ("ticket", Json.Int ticket);
-                           ("supplied", Json.Int n);
-                           ("done", Json.Int tk.t_done);
-                         ])
-                  else hold t conn ticket tk)))
+                (Printf.sprintf "job body for index %d does not match its submitted key"
+                   tk.t_need.(k))
+          | None ->
+              Array.iteri
+                (fun k index ->
+                  Metrics.inc t.ins.i_supplied;
+                  if not (resolve t ~id:ticket ~index fps.(k)) then
+                    enqueue t ~id:ticket ~index tk fps.(k) bodies.(k))
+                tk.t_need;
+              hold t conn ticket tk))
 
 let op_name = function
   | Protocol.Hello _ -> "hello"
@@ -522,7 +449,7 @@ let handle_request t conn (req : Protocol.request) =
        ~labels:[ ("op", op_name req) ]
        "serve_requests_total");
   match req with
-  | Protocol.Hello { revision; format } ->
+  | Protocol.Hello { revision; format; trace_id } ->
       Some
         (if revision <> Revision.stamp then
            Protocol.error
@@ -534,20 +461,12 @@ let handle_request t conn (req : Protocol.request) =
                 Revision.format_version format)
          else begin
            conn.c_hello <- true;
-           (* server_time lets the client estimate the clock offset (its
-              send/receive times bracket this read) and shift daemon trace
-              timestamps onto its own clock before merging. *)
-           Protocol.ok
-             [
-               ("server", Json.String Protocol.version);
-               ("workers", Json.Int t.cfg.workers);
-               ("server_time", Json.Float (Unix.gettimeofday ()));
-             ]
+           conn.c_trace_id <- trace_id;
+           Protocol.ok [ ("workers", Json.Int t.cfg.workers) ]
          end)
   | _ when not conn.c_hello -> Some (Protocol.error "hello required before any other op")
-  | Protocol.Submit { klass; keys; trace } -> handle_submit t conn ~klass ~trace ~keys
-  | Protocol.Supply { ticket; indices; jobs } ->
-      handle_supply t conn ~ticket ~indices ~jobs
+  | Protocol.Submit { keys } -> handle_submit t conn ~keys
+  | Protocol.Supply { ticket; jobs } -> handle_supply t conn ~ticket ~jobs
   | Protocol.Metrics -> Some (Protocol.ok [ ("metrics", Metrics.to_json (snapshot t)) ])
   | Protocol.Trace { since } ->
       (* Incremental read of the span ring: events carry a global index
@@ -581,12 +500,13 @@ let close_conn t conn =
     (fun _ tk -> if tk.t_conn == conn then None else Some tk)
     t.tickets
 
-(* Take whole frames off the connection's accumulation buffer and answer
-   each; responses are written synchronously (they are small, and a
-   client that cannot drain its own responses deserves the stall). *)
+(* Take whole frames off the connection's reader and answer each.
+   Responses are written synchronously: a peer that takes none of one
+   within its socket's send timeout ([frame_stall_seconds]) is closed, so
+   the loop waits on it once, for one timeout. *)
 let rec service_conn_buffer t conn =
   if conn.c_held = None then
-    match Wire.take conn.c_buf with
+    match Wire.take conn.c_reader with
     | None -> ()
     | exception Wire.Protocol_error msg ->
         (try Wire.send conn.c_fd (Protocol.error msg) with _ -> ());
@@ -618,14 +538,12 @@ let rec send_completed t =
       send_completed t
 
 let conn_readable t conn =
-  let chunk = Bytes.create 65536 in
-  match Unix.read conn.c_fd chunk 0 (Bytes.length chunk) with
+  match Wire.read conn.c_reader conn.c_fd with
   | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
   | exception _ -> close_conn t conn
   | 0 -> close_conn t conn
-  | n ->
+  | _ ->
       conn.c_last_read <- Unix.gettimeofday ();
-      Buffer.add_subbytes conn.c_buf chunk 0 n;
       service_conn_buffer t conn
 
 (* The connections being read: those with no reply held. *)
@@ -637,10 +555,10 @@ let close_stalled t =
   let now = Unix.gettimeofday () in
   List.iter
     (fun conn ->
-      if Buffer.length conn.c_buf > 0 && now -. conn.c_last_read > frame_stall_seconds
-      then begin
+      let buffered = Wire.buffered conn.c_reader in
+      if buffered > 0 && now -. conn.c_last_read > frame_stall_seconds then begin
         Log.warn ~scope:"serve"
-          ~kv:[ ("buffered", Log.int (Buffer.length conn.c_buf)) ]
+          ~kv:[ ("buffered", Log.int buffered) ]
           "closing a connection stalled mid-frame";
         close_conn t conn
       end)
@@ -658,15 +576,14 @@ let install_signal_handlers () =
     (fun s -> try Sys.set_signal s handle with _ -> ())
     [ Sys.sigterm; Sys.sigint ]
 
-let work_left t = queue_depth t > 0 || Workers.busy t.workers > 0
+let work_left t = not (Queue.is_empty t.queue) || Workers.busy t.workers > 0
 
 let serve cfg =
   let tracer = Tracer.ring ~capacity:16384 () in
   Tracer.set_pid tracer (Unix.getpid ());
   Tracer.set_process_name tracer "riq-serve";
   Tracer.set_thread_name tracer ~tid:0 "daemon";
-  Tracer.set_thread_name tracer ~tid:1 "queue interactive";
-  Tracer.set_thread_name tracer ~tid:2 "queue batch";
+  Tracer.set_thread_name tracer ~tid:1 "queue";
   let listen_fd = listen_socket cfg.address in
   (* A client that disappears mid-write must not kill the daemon. *)
   let old_sigpipe =
@@ -691,12 +608,10 @@ let serve cfg =
           ~in_child:(fun () -> !close_sockets ())
           ~on_spawn ~workers:cfg.workers ~timeout:cfg.timeout ();
       pending = Hashtbl.create 256;
-      q_interactive = Queue.create ();
-      q_batch = Queue.create ();
+      queue = Queue.create ();
       tickets = Hashtbl.create 64;
       complete = Queue.create ();
       next_ticket = 1;
-      since_batch = 0;
       draining = false;
       started = Unix.gettimeofday ();
     }
@@ -735,7 +650,7 @@ let serve cfg =
           Log.info ~scope:"serve"
             ~kv:
               [
-                ("queued", Log.int (queue_depth t));
+                ("queued", Log.int (Queue.length t.queue));
                 ("inflight", Log.int (Workers.busy t.workers));
               ]
             "drain requested";
@@ -770,11 +685,14 @@ let serve cfg =
           if !listener_open && List.memq t.listen_fd readable then begin
             match Unix.accept t.listen_fd with
             | fd, _ ->
+                (try Unix.setsockopt_float fd Unix.SO_SNDTIMEO frame_stall_seconds
+                 with Unix.Unix_error _ -> ());
                 t.conns <-
                   {
                     c_fd = fd;
-                    c_buf = Buffer.create 4096;
+                    c_reader = Wire.reader ();
                     c_hello = false;
+                    c_trace_id = None;
                     c_last_read = Unix.gettimeofday ();
                     c_held = None;
                   }

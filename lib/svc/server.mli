@@ -7,17 +7,16 @@
     fingerprint resolves exactly once — store read-through, then
     coalescing onto an in-flight execution (request batching), then, once
     the client has supplied the body and it fingerprints to the submitted
-    key, the two-class queue (interactive ahead of batch with a weighted
-    round-robin that guarantees batch one dispatch in four when both
-    wait). A worker that dies mid-job gets the job retried once; one
-    that exceeds the per-job timeout is killed and the job answered
-    [Job_timeout].
+    key, one first-in first-out queue. A worker that dies mid-job gets the
+    job retried once; one that exceeds the per-job timeout is killed and
+    the job answered [Job_timeout].
 
     A ticket belongs to the connection that submitted it, and closing
     that connection frees it. The request that leaves a ticket needing no
     more bodies is answered with its outcomes once it completes; the
     connection is not read meanwhile. Any other connection that stalls
-    mid-frame for 5 s is closed. SIGTERM/SIGINT drains gracefully: stop
+    mid-frame for 5 s is closed, and so is one that takes none of a reply
+    for 5 s. SIGTERM/SIGINT drains gracefully: stop
     accepting, run queued and in-flight jobs to completion (held replies
     still go out), shut down and reap every worker, unlink the socket.
     The daemon never walks, locks or deletes from the store: [riq-cache]
@@ -26,11 +25,12 @@
     Observability: the daemon instruments itself against [metrics]
     ([serve_*], among them [serve_supplied_total], the job bodies it
     accepted, and [serve_draining], 1 during a drain) and keeps a bounded
-    ring of wall-clock-microsecond spans (queue-wait per class, simulate
-    per worker pid). Both are served over the wire ([metrics] and [trace]
-    ops). Every job's time is the one its worker measured, recorded once,
-    by the daemon. Logging goes through {!Riq_obs.Log} under scope
-    ["serve"]. *)
+    ring of wall-clock-microsecond spans (queue-wait, simulate per worker
+    pid), stamped with the trace id of the connection that queued the job
+    when its hello carried one. Both are served over the wire ([metrics]
+    and [trace] ops). Every job's time is the one its worker measured,
+    recorded once, by the daemon. Logging goes through {!Riq_obs.Log}
+    under scope ["serve"]. *)
 
 type config = {
   address : Protocol.address;

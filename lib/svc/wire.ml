@@ -7,10 +7,11 @@
    and the parser rejects it, so the first 0x00 of a body ends its JSON
    and finding it scans the JSON only. The fixed prefix makes the stream
    self-delimiting, keeps partial reads trivially resumable (the daemon's
-   event loop accumulates bytes per connection and takes whole frames off
-   the front) and puts a hard bound on per-message memory before a single
-   body byte is read. The daemon talks to its workers in marshalled
-   frames instead; those belong to {!Riq_exp.Workers}. *)
+   event loop accumulates bytes per connection in a {!reader} and takes
+   whole frames off the front) and puts a hard bound on per-message
+   memory before a single body byte is read. The daemon talks to its
+   workers in marshalled frames instead; those belong to
+   {!Riq_exp.Workers}. *)
 
 let max_frame = 64 * 1024 * 1024
 (* A submit carries 32-character fingerprints; the only job bodies on the
@@ -43,43 +44,75 @@ let frame ?payload json =
     payload;
   b
 
-let send ?payload fd json = write_all fd (frame ?payload json)
+(* One [Unix.write], which stops short only when the socket's send
+   timeout expires (a blocking write of a frame is otherwise whole). A
+   short write loses the frame: waiting out another timeout for the rest
+   would hold a single-threaded writer once per chunk. *)
+let send ?payload fd json =
+  let b = frame ?payload json in
+  if Unix.write fd b 0 (Bytes.length b) < Bytes.length b then raise Closed
 
-(* The body length a 4-byte header announces. *)
-let body_length header =
-  let len = Int32.to_int (String.get_int32_be header 0) in
+(* The body length of the header at [off]. *)
+let body_length b off =
+  let len = Int32.to_int (Bytes.get_int32_be b off) in
   if len < 0 || len > max_frame then
     raise (Protocol_error (Printf.sprintf "bad frame length %d" len));
   len
 
-(* A body is its JSON up to the first 0x00, and the payload after it. *)
-let split body =
-  let json, payload =
-    match String.index_opt body '\000' with
-    | None -> (body, None)
-    | Some i ->
-        (String.sub body 0 i, Some (String.sub body (i + 1) (String.length body - i - 1)))
+(* A body, the [len] bytes at [off], is its JSON up to the first 0x00 and
+   the payload after it. *)
+let split b off len =
+  let stop = off + len in
+  let rec nul i = if i = stop || Bytes.get b i = '\000' then i else nul (i + 1) in
+  let i = nul off in
+  let payload =
+    if i = stop then None else Some (Bytes.sub_string b (i + 1) (stop - i - 1))
   in
-  Result.map (fun j -> (j, payload)) (Riq_util.Json.of_string json)
+  Result.map
+    (fun j -> (j, payload))
+    (Riq_util.Json.of_string (Bytes.sub_string b off (i - off)))
 
 let recv fd =
-  let len = body_length (Bytes.unsafe_to_string (read_exact fd 4)) in
-  match split (Bytes.unsafe_to_string (read_exact fd len)) with
+  let len = body_length (read_exact fd 4) 0 in
+  match split (read_exact fd len) 0 len with
   | Ok message -> message
   | Error msg -> raise (Protocol_error msg)
 
-(* A frame is copied out of the buffer only once it is whole, so a large
-   supply arriving in many reads costs one copy, not one per read. *)
-let take buf =
-  let have = Buffer.length buf in
-  if have < 4 then None
+(* Bytes [start, stop) of [buf] are read and not yet taken. *)
+type reader = { mutable buf : Bytes.t; mutable start : int; mutable stop : int }
+
+let chunk = 65536
+let reader () = { buf = Bytes.create chunk; start = 0; stop = 0 }
+let buffered r = r.stop - r.start
+
+(* The bytes not yet taken move to the front once per read, not once per
+   frame taken, so draining a read of many small frames is linear in its
+   size; the buffer grows only to hold a frame that is larger than it. *)
+let read r fd =
+  let have = buffered r in
+  if r.start > 0 then begin
+    Bytes.blit r.buf r.start r.buf 0 have;
+    r.start <- 0;
+    r.stop <- have
+  end;
+  if Bytes.length r.buf - have < chunk then begin
+    let b = Bytes.create (max (2 * Bytes.length r.buf) (have + chunk)) in
+    Bytes.blit r.buf 0 b 0 have;
+    r.buf <- b
+  end;
+  let n = Unix.read fd r.buf have chunk in
+  r.stop <- have + n;
+  n
+
+(* A frame is copied out only once it is whole, so a large supply
+   arriving in many reads costs one copy, not one per read. *)
+let take r =
+  if buffered r < 4 then None
   else
-    let len = body_length (Buffer.sub buf 0 4) in
-    if have < 4 + len then None
+    let len = body_length r.buf r.start in
+    if buffered r < 4 + len then None
     else begin
-      let body = Buffer.sub buf 4 len in
-      let rest = Buffer.sub buf (4 + len) (have - 4 - len) in
-      Buffer.clear buf;
-      Buffer.add_string buf rest;
-      Some (split body)
+      let off = r.start + 4 in
+      r.start <- off + len;
+      Some (split r.buf off len)
     end

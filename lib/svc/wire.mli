@@ -6,7 +6,8 @@
     the message catalogue. *)
 
 exception Closed
-(** Raised on EOF mid-frame — the peer went away. *)
+(** Raised on EOF mid-frame — the peer went away — and by {!send} when a
+    send timeout cuts a frame short. *)
 
 exception Protocol_error of string
 (** Malformed frame: bad length or invalid JSON. *)
@@ -19,15 +20,32 @@ val frame : ?payload:string -> Riq_util.Json.t -> bytes
     Raises [Protocol_error] past {!max_frame}. *)
 
 val send : ?payload:string -> Unix.file_descr -> Riq_util.Json.t -> unit
-(** Write one whole frame (blocking). *)
+(** Write one whole frame in one blocking [Unix.write]. On a socket with
+    [SO_SNDTIMEO], a peer that takes none of it for that long makes the
+    write fail with [EAGAIN], or stop short, which raises [Closed]: either
+    way the wait is one timeout. *)
 
 val recv : Unix.file_descr -> Riq_util.Json.t * string option
 (** Read one whole frame (blocking): its JSON and its payload, if any. *)
 
-val take : Buffer.t -> (Riq_util.Json.t * string option, string) result option
-(** Remove the first whole frame from an accumulation buffer, split as
-    {!recv} splits it: [None] while the buffer holds less than one frame,
-    [Error] for a whole frame whose JSON does not parse. Raises
-    [Protocol_error] when the header announces a bad length. *)
+type reader
+(** A connection's accumulation buffer, for a reader that must not block:
+    bytes arrive by {!read} and leave as whole frames by {!take}. *)
+
+val reader : unit -> reader
+
+val read : reader -> Unix.file_descr -> int
+(** One [Unix.read] of up to 64 KiB into the reader; 0 at end of file.
+    Exceptions are [Unix.read]'s. *)
+
+val take : reader -> (Riq_util.Json.t * string option, string) result option
+(** Remove the first whole frame, split as {!recv} splits it: [None] while
+    the reader holds less than one frame, [Error] for a whole frame whose
+    JSON does not parse. Raises [Protocol_error] when the header announces
+    a bad length. Taking every frame of one read costs time linear in the
+    read's size. *)
+
+val buffered : reader -> int
+(** Bytes read and not yet taken. *)
 
 val write_all : Unix.file_descr -> bytes -> unit

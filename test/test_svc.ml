@@ -2,7 +2,8 @@
    shared store's concurrency machinery ({!Cache}: maintenance lock, LRU
    eviction, gc), and an end-to-end forked daemon exercised through the
    engine's remote backend — including the 100%-hit repeat, the SIGTERM
-   drain, a job past its budget and frames split across socket reads. *)
+   drain, a job past its budget, frames split across socket reads and a
+   peer that never reads its replies. *)
 
 open Riq_asm
 open Riq_ooo
@@ -77,8 +78,9 @@ let test_frame_round_trip () =
         (Bytes.to_string (Wire.frame (List.nth docs 1))))
 
 (* A payload is raw bytes after a 0x00: an empty one, one of 0x00 bytes
-   and one after a string that escapes 0x00 all come back whole, and
-   [take] splits a frame fed one byte at a time the way [recv] does. *)
+   and one after a string that escapes 0x00 all come back whole, and a
+   reader splits a frame that arrives one byte per read the way [recv]
+   does. *)
 let test_payload_frame_round_trip () =
   let doc = Json.Obj [ ("op", Json.String "x\000y"); ("n", Json.Int 1) ] in
   let payloads = [ ""; String.make 4096 '\000'; "\000{\"op\":1}\000" ] in
@@ -91,22 +93,58 @@ let test_payload_frame_round_trip () =
             (Json.to_string json);
           Alcotest.(check (option string)) "payload round trip" (Some payload) got)
         payloads);
-  List.iter
-    (fun payload ->
-      let frame = Wire.frame ~payload doc in
-      let buf = Buffer.create 16 in
-      Bytes.iteri
-        (fun i c ->
-          Buffer.add_char buf c;
-          match Wire.take buf with
-          | None when i < Bytes.length frame - 1 -> ()
-          | Some (Ok (json, got)) when i = Bytes.length frame - 1 ->
-              Alcotest.(check string) "taken json" (Json.to_string doc) (Json.to_string json);
-              Alcotest.(check (option string)) "taken payload" (Some payload) got
-          | _ -> Alcotest.failf "take at byte %d of %d" i (Bytes.length frame))
-        frame;
-      Alcotest.(check int) "buffer drained" 0 (Buffer.length buf))
-    payloads
+  with_pipe (fun r w ->
+      List.iter
+        (fun payload ->
+          let frame = Wire.frame ~payload doc in
+          let reader = Wire.reader () in
+          Bytes.iteri
+            (fun i c ->
+              Wire.write_all w (Bytes.make 1 c);
+              ignore (Wire.read reader r);
+              match Wire.take reader with
+              | None when i < Bytes.length frame - 1 -> ()
+              | Some (Ok (json, got)) when i = Bytes.length frame - 1 ->
+                  Alcotest.(check string) "taken json" (Json.to_string doc)
+                    (Json.to_string json);
+                  Alcotest.(check (option string)) "taken payload" (Some payload) got
+              | _ -> Alcotest.failf "take at byte %d of %d" i (Bytes.length frame))
+            frame;
+          Alcotest.(check int) "reader drained" 0 (Wire.buffered reader))
+        payloads)
+
+(* Taking the frames of one read costs time linear in the read's size: a
+   64 KiB read of 4,681 pipelined 14-byte frames drains at no more than
+   twice the per-frame time of a read of 512 (best of seven each, so a
+   stray collection or preemption does not decide it). *)
+let test_drain_is_linear () =
+  let frame = Wire.frame (Json.Obj [ ("op", Json.String "x") ]) in
+  Alcotest.(check int) "a 14-byte frame" 14 (Bytes.length frame);
+  let per_frame n =
+    with_pipe (fun r w ->
+        let best = ref infinity in
+        for _ = 1 to 7 do
+          let reader = Wire.reader () in
+          Wire.write_all w (Bytes.concat Bytes.empty (List.init n (fun _ -> frame)));
+          Alcotest.(check int) "one read holds every frame" (14 * n) (Wire.read reader r);
+          let t0 = Unix.gettimeofday () in
+          let rec drain k =
+            match Wire.take reader with
+            | Some (Ok _) -> drain (k + 1)
+            | Some (Error msg) -> Alcotest.fail msg
+            | None -> k
+          in
+          let taken = drain 0 in
+          let dt = Unix.gettimeofday () -. t0 in
+          Alcotest.(check int) "every frame taken" n taken;
+          best := Float.min !best (dt /. float_of_int n)
+        done;
+        !best)
+  in
+  let small = per_frame 512 and large = per_frame 4681 in
+  if large > 2. *. small then
+    Alcotest.failf "%.2f us a frame at 4,681 frames, %.2f us at 512" (large *. 1e6)
+      (small *. 1e6)
 
 let test_frame_rejects_oversized () =
   with_pipe (fun r w ->
@@ -134,23 +172,17 @@ let test_frame_eof_is_closed () =
 (* ------------------------------------------------------------------ *)
 
 let test_request_round_trip () =
+  let hello trace_id =
+    Protocol.Hello { revision = Revision.stamp; format = Revision.format_version; trace_id }
+  in
   let reqs =
     [
-      Protocol.Hello { revision = Revision.stamp; format = Revision.format_version };
-      Protocol.Submit
-        {
-          klass = Protocol.Interactive;
-          keys = [ String.make 32 'a'; Job.fingerprint (tiny_job ()) ];
-          trace = None;
-        };
-      Protocol.Submit
-        {
-          klass = Protocol.Batch;
-          keys = [];
-          trace = Some { Protocol.trace_id = "42-00abcd"; parent_span = 3 };
-        };
-      Protocol.Supply { ticket = 7; indices = [ 0; 2 ]; jobs = "\000ab\255" };
-      Protocol.Supply { ticket = 8; indices = []; jobs = "" };
+      hello None;
+      hello (Some "42-00abcd");
+      Protocol.Submit { keys = [ String.make 32 'a'; Job.fingerprint (tiny_job ()) ] };
+      Protocol.Submit { keys = [] };
+      Protocol.Supply { ticket = 7; jobs = "\000ab\255" };
+      Protocol.Supply { ticket = 8; jobs = "" };
       Protocol.Metrics;
       Protocol.Trace { since = 12 };
     ]
@@ -168,39 +200,39 @@ let test_request_round_trip () =
   in
   ignore (refused "unknown op" (Json.Obj [ ("op", Json.String "nonsense") ], None));
   (* Only a supply carries a payload, and a supply always does. *)
-  let supply, jobs = Protocol.request_to_wire (List.nth reqs 3) in
+  let supply, jobs = Protocol.request_to_wire (List.nth reqs 4) in
+  Alcotest.(check string) "a supply names its ticket only" {|{"op":"supply","ticket":7}|}
+    (Json.to_string supply);
   ignore (refused "supply without a payload" (supply, None));
   let metrics, _ = Protocol.request_to_wire Protocol.Metrics in
   ignore (refused "metrics with a payload" (metrics, jobs));
+  let hello_json protocol extra =
+    Json.Obj
+      ([
+         ("op", Json.String "hello");
+         ("protocol", Json.String protocol);
+         ("revision", Json.String Revision.stamp);
+         ("format", Json.Int Revision.format_version);
+       ]
+      @ extra)
+  in
+  ignore
+    (refused "a trace id that is not a string"
+       (hello_json Protocol.version [ ("trace_id", Json.Int 3) ], None));
   (* A client of another protocol is refused at its hello: riq-serve/3
-     still had the stats op, riq-serve/4 carried payloads as hex. *)
+     still had the stats op, riq-serve/4 carried payloads as hex, and
+     riq-serve/5 had job classes and partial supplies. *)
   List.iter
     (fun protocol ->
-      let hello =
-        Json.Obj
-          [
-            ("op", Json.String "hello");
-            ("protocol", Json.String protocol);
-            ("revision", Json.String Revision.stamp);
-            ("format", Json.Int Revision.format_version);
-          ]
-      in
       Alcotest.(check string) (protocol ^ " hello refused")
-        (Printf.sprintf "protocol mismatch: daemon riq-serve/5, client %s" protocol)
-        (refused (protocol ^ " hello") (hello, None)))
-    [ "riq-serve/2"; "riq-serve/3"; "riq-serve/4" ];
+        (Printf.sprintf "protocol mismatch: daemon riq-serve/6, client %s" protocol)
+        (refused (protocol ^ " hello") (hello_json protocol [], None)))
+    [ "riq-serve/2"; "riq-serve/3"; "riq-serve/4"; "riq-serve/5" ];
   (* A key names a store entry: anything but 32 lowercase hex digits is
      refused before the daemon sees it. *)
   List.iter
     (fun key ->
-      let submit =
-        Json.Obj
-          [
-            ("op", Json.String "submit");
-            ("class", Json.String "batch");
-            ("keys", Json.List [ key ]);
-          ]
-      in
+      let submit = Json.Obj [ ("op", Json.String "submit"); ("keys", Json.List [ key ]) ] in
       match Protocol.request_of_wire (submit, None) with
       | Ok _ -> Alcotest.failf "key %s accepted" (Json.to_string key)
       | Error _ -> ())
@@ -243,13 +275,7 @@ let test_supply_frame_size () =
   Alcotest.(check int) "the paper sweep is 64 jobs" 64 (Array.length jobs);
   let marshalled = String.length (Marshal.to_string jobs []) in
   let frame =
-    request_frame
-      (Protocol.Supply
-         {
-           ticket = 1;
-           indices = List.init (Array.length jobs) Fun.id;
-           jobs = Protocol.jobs_to_wire jobs;
-         })
+    request_frame (Protocol.Supply { ticket = 1; jobs = Protocol.jobs_to_wire jobs })
   in
   let size = Bytes.length frame in
   if size > marshalled + 1024 then
@@ -677,8 +703,7 @@ let test_daemon_end_to_end () =
             [ "store_hits_total"; "store_evictions_total"; "store_lock_wait_seconds" ];
           Alcotest.(check bool) "exposition has histogram buckets" true
             (contains "serve_simulate_seconds_bucket"));
-      (* The trace op: daemon + worker spans, already shifted onto this
-         client's clock, behind a stable cursor. *)
+      (* The trace op: daemon + worker spans behind a stable cursor. *)
       (match Client.server_trace ~since:0 c2 with
       | Error msg -> Alcotest.fail ("trace op failed: " ^ msg)
       | Ok (events, next) ->
@@ -712,21 +737,6 @@ let test_daemon_end_to_end () =
           Alcotest.(check bool) "two or more processes traced" true
             (List.length pids >= 2));
       Client.close c2)
-
-let test_daemon_batch_class () =
-  with_daemon ~workers:2 (fun ~sock ~pid:_ ->
-      let jobs = e2e_jobs () in
-      let client =
-        Client.connect ~klass:Protocol.Batch ~request_timeout:30.
-          (Protocol.Unix_socket sock)
-      in
-      let engine = Riq_exp.Engine.create ~backend:(Client.backend client) () in
-      let got = Riq_exp.Engine.run engine jobs in
-      let expected = Array.map Runner.execute jobs in
-      let norm = Array.map Riq_exp.Outcome.zero_timing in
-      Alcotest.(check bool) "batch-class results identical" true
-        (norm got = norm expected);
-      Client.close client)
 
 (* A job past the daemon's budget is answered [Job_timeout], counted, and
    the daemon keeps serving on a fresh worker. *)
@@ -799,7 +809,9 @@ let test_daemon_queue_wait_excludes_hashing () =
 (* Daemon faults, driven over raw connections                          *)
 (* ------------------------------------------------------------------ *)
 
-let hello = Protocol.Hello { revision = Revision.stamp; format = Revision.format_version }
+let hello =
+  Protocol.Hello
+    { revision = Revision.stamp; format = Revision.format_version; trace_id = None }
 
 let raw_connect sock =
   let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
@@ -865,18 +877,15 @@ let test_daemon_frame_faults () =
       Alcotest.(check bool) "connection survives bad JSON" true
         (Protocol.is_ok (rpc json_fd Protocol.Metrics));
       let typed_fd = greeted sock in
-      let batch = ("class", Json.String "batch") in
       List.iter
         (fun (what, fields) ->
           let payload = Json.to_string (Json.Obj (("op", Json.String "submit") :: fields)) in
           Wire.write_all typed_fd (raw_frame (String.length payload) payload);
           expect_refusal what typed_fd)
         [
-          ("keys not a list", [ batch; ("keys", Json.String "ab") ]);
-          ("class not a string", [ ("class", Json.Int 1); ("keys", Json.List []) ]);
-          ("unknown class", [ ("class", Json.String "urgent"); ("keys", Json.List []) ]);
-          ("key not a string", [ batch; ("keys", Json.List [ Json.Int 3 ]) ]);
-          ("key not a fingerprint", [ batch; ("keys", Json.List [ Json.String "../../x" ]) ]);
+          ("keys not a list", [ ("keys", Json.String "ab") ]);
+          ("key not a string", [ ("keys", Json.List [ Json.Int 3 ]) ]);
+          ("key not a fingerprint", [ ("keys", Json.List [ Json.String "../../x" ]) ]);
         ];
       List.iter
         (fun (what, len) ->
@@ -904,73 +913,75 @@ let test_daemon_frame_faults () =
       Client.close client;
       List.iter close_quietly [ stalled; json_fd; typed_fd; eof_fd ])
 
+(* Raw submit on a greeted connection: the ticket and its need list. *)
+let submit_raw fd keys =
+  let reply = rpc fd (Protocol.Submit { keys }) in
+  if not (Protocol.is_ok reply) then Alcotest.fail "submit refused";
+  ( member_int [ "ticket" ] reply,
+    List.filter_map Json.to_int
+      (Option.get (Option.bind (Json.member "need" reply) Json.to_list))
+  )
+
+let supply_frame ticket bodies =
+  request_frame (Protocol.Supply { ticket; jobs = Protocol.jobs_to_wire bodies })
+
 (* Misused supplies are refused whole, and the daemon keeps serving: the
-   ticket they aimed at still completes once its body arrives. A body
-   that fingerprints to another key is never run or stored. *)
+   ticket they aimed at still completes on a supply of exactly the bodies
+   its need listed, in that order. A body that fingerprints to another
+   key is never run or stored. *)
 let test_daemon_supply_misuse () =
   with_daemon (fun ~sock ~pid:_ ->
       let fd = greeted sock in
       let job_a = tiny_job ~cycle_limit:40_001 () in
       let job_b = tiny_job ~cycle_limit:40_002 () in
+      let job_c = tiny_job ~cycle_limit:40_004 () in
       let key_a = Job.fingerprint job_a and key_b = Job.fingerprint job_b in
-      let submit keys =
-        let reply =
-          rpc fd (Protocol.Submit { klass = Protocol.Interactive; keys; trace = None })
-        in
-        if not (Protocol.is_ok reply) then Alcotest.fail "submit refused";
-        ( Option.get (Option.bind (Json.member "ticket" reply) Json.to_int),
-          List.filter_map Json.to_int
-            (Option.get (Option.bind (Json.member "need" reply) Json.to_list)) )
+      let supply_reply ticket bodies =
+        Wire.write_all fd (supply_frame ticket bodies);
+        Wire.recv fd
       in
-      let supply_reply ticket indices bodies =
-        exchange fd (Protocol.Supply { ticket; indices; jobs = Protocol.jobs_to_wire bodies })
-      in
-      let supply ticket indices bodies = fst (supply_reply ticket indices bodies) in
+      let supply ticket bodies = fst (supply_reply ticket bodies) in
       let refused what reply =
         if Protocol.is_ok reply then Alcotest.failf "%s: accepted" what
       in
-      let ticket, need = submit [ key_a; key_b ] in
+      let ticket, need = submit_raw fd [ key_a; key_b ] in
       Alcotest.(check (list int)) "both jobs needed" [ 0; 1 ] need;
-      refused "unknown ticket" (supply (ticket + 100) [ 0 ] [| job_a |]);
-      refused "index out of range" (supply ticket [ 2 ] [| job_a |]);
-      refused "negative index" (supply ticket [ -1 ] [| job_a |]);
-      refused "index listed twice" (supply ticket [ 0; 0 ] [| job_a; job_a |]);
-      refused "fewer bodies than indices" (supply ticket [ 0; 1 ] [| job_a |]);
-      refused "more bodies than indices" (supply ticket [ 0 ] [| job_a; job_b |]);
-      refused "body of another job" (supply ticket [ 0 ] [| job_b |]);
-      refused "bodies swapped" (supply ticket [ 0; 1 ] [| job_b; job_a |]);
-      Alcotest.(check bool) "supply of index 1" true
-        (Protocol.is_ok (supply ticket [ 1 ] [| job_b |]));
-      refused "index supplied twice" (supply ticket [ 1 ] [| job_b |]);
-      (* A job stored or running is answered at submit, so its index is
-         not needed. *)
-      let ticket2, need2 = submit [ key_a; key_b ] in
-      Alcotest.(check (list int)) "only the unexecuted job is needed" [ 0 ] need2;
-      refused "index not needed" (supply ticket2 [ 1 ] [| job_b |]);
+      refused "unknown ticket" (supply (ticket + 100) [| job_a; job_b |]);
+      refused "fewer bodies than needed" (supply ticket [| job_a |]);
+      refused "more bodies than needed" (supply ticket [| job_a; job_b; job_c |]);
+      refused "body of another job" (supply ticket [| job_a; job_c |]);
+      refused "bodies swapped" (supply ticket [| job_b; job_a |]);
+      refused "undecodable bodies"
+        (fst (exchange fd (Protocol.Supply { ticket; jobs = "not marshalled" })));
       (* A ticket belongs to the connection that submitted it. *)
       let other = greeted sock in
       let reply =
         rpc other
-          (Protocol.Supply
-             { ticket = ticket2; indices = [ 0 ]; jobs = Protocol.jobs_to_wire [| job_a |] })
+          (Protocol.Supply { ticket; jobs = Protocol.jobs_to_wire [| job_a; job_b |] })
       in
       refused "another connection's ticket" reply;
       Alcotest.(check string) "refused as unknown" "unknown ticket" (Protocol.error_of reply);
       close_quietly other;
       let store = daemon_store sock in
-      Alcotest.(check bool) "no entry under the key of the refused body" true
-        (Cache.find store key_a = None);
-      Alcotest.(check int) "one body accepted" 1
+      Alcotest.(check bool) "nothing stored" true
+        (Cache.find store key_a = None && Cache.find store key_b = None);
+      Alcotest.(check int) "no body accepted" 0
         (scraped "serve_supplied_total" (rpc fd Protocol.Metrics));
-      (* The ticket still completes once its real body arrives, and the
+      (* The ticket still completes once its real bodies arrive, and the
          supply that completes it is answered with the outcomes. *)
-      let reply, outcomes = supply_reply ticket [ 0 ] [| job_a |] in
-      Alcotest.(check bool) "right body accepted" true (Protocol.is_ok reply);
+      let reply, outcomes = supply_reply ticket [| job_a; job_b |] in
+      Alcotest.(check bool) "right bodies accepted" true (Protocol.is_ok reply);
       Alcotest.(check bool) "ticket answered correctly" true
         (Array.map Outcome.zero_timing (Protocol.outcomes_of_wire (Option.get outcomes))
         = Array.map (fun j -> Outcome.zero_timing (Runner.execute j)) [| job_a; job_b |]);
-      Alcotest.(check bool) "entry stored under its own key" true
-        (Cache.find store key_a <> None);
+      Alcotest.(check bool) "entries stored under their own keys" true
+        (Cache.find store key_a <> None && Cache.find store key_b <> None);
+      (* A stored job is answered at submit, so the need lists only the
+         others, by their indices into the submit. *)
+      let ticket2, need2 = submit_raw fd [ key_a; Job.fingerprint job_c ] in
+      Alcotest.(check (list int)) "only the unexecuted job is needed" [ 1 ] need2;
+      Alcotest.(check bool) "its supply carries that body alone" true
+        (Protocol.is_ok (supply ticket2 [| job_c |]));
       close_quietly fd)
 
 (* A job that never halts, so the daemon's per-job budget answers it. Its
@@ -985,12 +996,7 @@ let test_daemon_abandoned_tickets () =
   with_daemon (fun ~sock ~pid:_ ->
       for i = 1 to 5 do
         let fd = greeted sock in
-        let reply =
-          rpc fd
-            (Protocol.Submit
-               { klass = Protocol.Interactive; keys = [ Printf.sprintf "%032x" i ]; trace = None })
-        in
-        if not (Protocol.is_ok reply) then Alcotest.fail "submit refused";
+        ignore (submit_raw fd [ Printf.sprintf "%032x" i ]);
         close_quietly fd
       done;
       let fd = greeted sock in
@@ -1033,17 +1039,9 @@ let test_daemon_held_reply_order () =
   with_daemon ~timeout:1. (fun ~sock ~pid ->
       let fd = greeted sock in
       let spin = spin_job () in
-      let submitted =
-        rpc fd
-          (Protocol.Submit
-             { klass = Protocol.Interactive; keys = [ Job.fingerprint spin ]; trace = None })
-      in
-      let ticket = member_int [ "ticket" ] submitted in
-      let jobs = Protocol.jobs_to_wire [| spin |] in
+      let ticket, _ = submit_raw fd [ Job.fingerprint spin ] in
       Wire.write_all fd
-        (Bytes.cat
-           (request_frame (Protocol.Supply { ticket; indices = [ 0 ]; jobs }))
-           (request_frame Protocol.Metrics));
+        (Bytes.cat (supply_frame ticket [| spin |]) (request_frame Protocol.Metrics));
       let probe = greeted sock in
       let rec await_running () =
         let scrape = rpc probe Protocol.Metrics in
@@ -1110,7 +1108,7 @@ let test_daemon_stats_op_gone () =
         (Json.member "metrics" (rpc fd Protocol.Metrics) <> None);
       close_quietly fd)
 
-(* A riq-serve/4 client still gets a frame it can parse, refusing it by
+(* A riq-serve/5 client still gets a frame it can parse, refusing it by
    name at its hello. *)
 let test_daemon_old_hello () =
   with_daemon (fun ~sock ~pid:_ ->
@@ -1119,12 +1117,12 @@ let test_daemon_old_hello () =
         (Json.Obj
            [
              ("op", Json.String "hello");
-             ("protocol", Json.String "riq-serve/4");
+             ("protocol", Json.String "riq-serve/5");
              ("revision", Json.String Revision.stamp);
              ("format", Json.Int Revision.format_version);
            ]);
       Alcotest.(check string) "protocol mismatch"
-        "protocol mismatch: daemon riq-serve/5, client riq-serve/4"
+        "protocol mismatch: daemon riq-serve/6, client riq-serve/5"
         (Protocol.error_of (fst (Wire.recv fd)));
       close_quietly fd)
 
@@ -1156,16 +1154,8 @@ let test_daemon_byte_reads () =
   with_daemon (fun ~sock ~pid:_ ->
       let fd = greeted sock in
       let job = tiny_job ~cycle_limit:40_003 () in
-      let submitted =
-        rpc fd
-          (Protocol.Submit
-             { klass = Protocol.Interactive; keys = [ Job.fingerprint job ]; trace = None })
-      in
-      let ticket = member_int [ "ticket" ] submitted in
-      let frame =
-        request_frame
-          (Protocol.Supply { ticket; indices = [ 0 ]; jobs = Protocol.jobs_to_wire [| job |] })
-      in
+      let ticket, _ = submit_raw fd [ Job.fingerprint job ] in
+      let frame = supply_frame ticket [| job |] in
       Bytes.iter
         (fun c ->
           Wire.write_all fd (Bytes.make 1 c);
@@ -1206,6 +1196,104 @@ let test_daemon_split_frames () =
               (Json.member "metrics" (fst (Wire.recv fd)) <> None)
           done))
 
+(* The [fp] args of the daemon's [simulate] spans, in recorded order. *)
+let simulated_fps events =
+  List.filter_map
+    (fun e ->
+      if Json.member "name" e <> Some (Json.String "simulate") then None
+      else
+        Option.bind (Json.member "args" e) (fun a ->
+            Option.bind (Json.member "fp" a) Json.to_str))
+    events
+
+let fp_prefix job = String.sub (Job.fingerprint job) 0 12
+
+(* One queue, first in first out: on a 1-worker daemon whose worker is
+   busy, the jobs of three connections run in the order they were queued,
+   each connection's in its need order. *)
+let test_daemon_arrival_order () =
+  with_daemon ~timeout:1. (fun ~sock ~pid:_ ->
+      let spin = spin_job () in
+      let job i = tiny_job ~cycle_limit:(50_000 + i) () in
+      let batches = [ [| spin; job 1 |]; [| job 2; job 3 |]; [| job 4 |] ] in
+      let fds =
+        List.map
+          (fun bodies ->
+            let fd = greeted sock in
+            let ticket, _ = submit_raw fd (Array.to_list (Array.map Job.fingerprint bodies)) in
+            Wire.write_all fd (supply_frame ticket bodies);
+            fd)
+          batches
+      in
+      List.iter
+        (fun fd ->
+          let reply, _ = Wire.recv fd in
+          if not (Protocol.is_ok reply) then Alcotest.fail "supply refused";
+          close_quietly fd)
+        fds;
+      let fd = greeted sock in
+      let trace = rpc fd (Protocol.Trace { since = 0 }) in
+      let events = Option.get (Option.bind (Json.member "events" trace) Json.to_list) in
+      Alcotest.(check (list string)) "simulated in arrival order"
+        (List.map fp_prefix (List.concat_map Array.to_list batches))
+        (simulated_fps events);
+      close_quietly fd)
+
+(* Client and daemon share the host's clock, so the client returns the
+   daemon's trace events exactly as a raw [trace] request does. *)
+let test_daemon_trace_unshifted () =
+  with_daemon (fun ~sock ~pid:_ ->
+      let client = Client.connect ~request_timeout:30. (Protocol.Unix_socket sock) in
+      let engine = Riq_exp.Engine.create ~backend:(Client.backend client) () in
+      ignore (Riq_exp.Engine.run engine (e2e_jobs ()));
+      let fd = greeted sock in
+      let raw = rpc fd (Protocol.Trace { since = 0 }) in
+      (match Client.server_trace ~since:0 client with
+      | Error msg -> Alcotest.fail ("trace op failed: " ^ msg)
+      | Ok (events, next) ->
+          Alcotest.(check string) "the daemon's events, as recorded"
+            (Json.to_string (Option.get (Json.member "events" raw)))
+            (Json.to_string (Json.List events));
+          Alcotest.(check int) "the same cursor" (member_int [ "next" ] raw) next);
+      close_quietly fd;
+      Client.close client)
+
+(* A peer that pipelines requests and never reads its replies fills its
+   socket and stops taking them. The daemon gives it one send timeout
+   (5 s), then closes it, and meanwhile another connection's request is
+   answered within 7 s. *)
+let test_daemon_silent_peer () =
+  with_daemon (fun ~sock ~pid:_ ->
+      let probe = greeted sock in
+      let silent = greeted sock in
+      let metrics = request_frame Protocol.Metrics in
+      let frames = Bytes.concat Bytes.empty (List.init 20_000 (fun _ -> metrics)) in
+      (* Send what the socket takes; the rest would block. *)
+      Unix.set_nonblock silent;
+      let rec push off =
+        if off < Bytes.length frames then
+          match Unix.write silent frames off (Bytes.length frames - off) with
+          | n -> push (off + n)
+          | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ()
+      in
+      push 0;
+      Unix.clear_nonblock silent;
+      let t0 = Unix.gettimeofday () in
+      Alcotest.(check bool) "probe answered" true
+        (Json.member "metrics" (rpc probe Protocol.Metrics) <> None);
+      let waited = Unix.gettimeofday () -. t0 in
+      if waited > 7. then Alcotest.failf "metrics answered after %.1f s" waited;
+      (* The silent connection's buffered replies, then its close. *)
+      let rec drain () =
+        match Wire.recv silent with
+        | _ -> drain ()
+        | exception (Wire.Closed | Unix.Unix_error (Unix.ECONNRESET, _, _)) -> ()
+        | exception Unix.Unix_error (Unix.EAGAIN, _, _) ->
+            Alcotest.fail "silent connection not closed"
+      in
+      drain ();
+      List.iter close_quietly [ probe; silent ])
+
 (* ------------------------------------------------------------------ *)
 (* The sweep export survives its own parser                            *)
 (* ------------------------------------------------------------------ *)
@@ -1238,6 +1326,7 @@ let suites =
         Alcotest.test_case "job/outcome round trip" `Quick test_job_outcome_wire;
         Alcotest.test_case "address parsing" `Quick test_address_parsing;
         Alcotest.test_case "paper sweep supply frame size" `Quick test_supply_frame_size;
+        Alcotest.test_case "pipelined frames drain in linear time" `Quick test_drain_is_linear;
       ] );
     ( "svc-store",
       [
@@ -1259,14 +1348,15 @@ let suites =
       [
         Alcotest.test_case "end to end, warm repeat 100% hits" `Slow
           test_daemon_end_to_end;
-        Alcotest.test_case "batch class end to end" `Slow test_daemon_batch_class;
+        Alcotest.test_case "two connections run in arrival order" `Slow
+          test_daemon_arrival_order;
         Alcotest.test_case "job past budget times out" `Slow test_daemon_timeout;
         Alcotest.test_case "queue wait excludes submit hashing" `Slow
           test_daemon_queue_wait_excludes_hashing;
         Alcotest.test_case "frames split across reads" `Slow test_daemon_split_frames;
         Alcotest.test_case "supply in 1-byte reads" `Slow test_daemon_byte_reads;
         Alcotest.test_case "8 MB of [ refused, loop not stalled" `Slow test_daemon_deep_frame;
-        Alcotest.test_case "riq-serve/4 hello refused" `Slow test_daemon_old_hello;
+        Alcotest.test_case "riq-serve/5 hello refused" `Slow test_daemon_old_hello;
         Alcotest.test_case "malformed and stalled frames" `Slow test_daemon_frame_faults;
         Alcotest.test_case "misused supplies refused" `Slow test_daemon_supply_misuse;
         Alcotest.test_case "abandoned tickets freed" `Slow test_daemon_abandoned_tickets;
@@ -1277,5 +1367,9 @@ let suites =
           test_daemon_unwritable_store;
         Alcotest.test_case "stats op refused" `Slow test_daemon_stats_op_gone;
         Alcotest.test_case "sweep json parses" `Slow test_sweep_json_parses;
+        Alcotest.test_case "client trace is the daemon's, unshifted" `Slow
+          test_daemon_trace_unshifted;
+        Alcotest.test_case "silent peer closed, loop not blocked" `Slow
+          test_daemon_silent_peer;
       ] );
   ]
