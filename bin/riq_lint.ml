@@ -1,7 +1,7 @@
 (* riq-lint: static bufferability diagnostics for RIQ32 assembly.
 
    Runs the Riq_analysis pipeline (CFG -> dominators -> natural loops ->
-   liveness -> dataflow -> bufferability) over one or more .s files or
+   dataflow -> bufferability) over one or more .s files or
    built-in benchmarks and emits per-finding diagnostics with a severity
    (error / warning / info) and, for assembly files, a file:line: prefix
    derived from the assembler's address-to-line map. Passes:

@@ -12,11 +12,6 @@ type pair = {
 
 type window = { w_stores : int list; w_loads : int list; w_pairs : pair list }
 
-let verdict_to_string = function
-  | No_alias -> "no-alias"
-  | No_alias_iter -> "no-alias-per-iteration"
-  | May_alias -> "may-alias"
-
 (* Internal address classes; see the .mli for their guarantees. *)
 type addr =
   | Abs of int * int (* concrete inclusive interval of start addresses *)

@@ -60,4 +60,3 @@ val mem_operand : Riq_isa.Insn.t -> (Riq_isa.Reg.t * int) option
     claims talk about. *)
 
 val may_alias : window -> pair list
-val verdict_to_string : verdict -> string

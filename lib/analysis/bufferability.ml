@@ -27,13 +27,9 @@ type loop_report = {
   verdict : (unit, reason) result;
   trip : int option;
   entries : float option;
-  iter_insns : float;
   unroll : int;
   prediction : prediction;
-  intra_branches : int;
-  early_exits : int;
   nblt_risk : bool;
-  lrl : Int64.t;
   reused_insns : float option;
   risks : risk list;
   no_alias : Alias.pair list;
@@ -42,9 +38,8 @@ type loop_report = {
 
 type report = {
   iq_size : int;
-  multi_iter : bool;
   loops : loop_report list;
-  total_insns : float option;
+  total_insns : float;
   coverage : float option;
   exact_trips : bool;
   irreducible_edges : (int * int) list;
@@ -328,7 +323,6 @@ let callee_size cfg (ls : Loops.t) =
 let analyze ?(multi_iter = true) ~iq_size program =
   let cfg = Cfg.build program in
   let ls = Loops.detect cfg in
-  let live = Liveness.compute cfg in
   let reaching = Reaching.analyze cfg in
   let values = Valrange.analyze cfg in
   let n = Cfg.n_blocks cfg in
@@ -437,9 +431,8 @@ let analyze ?(multi_iter = true) ~iq_size program =
     let span = ((tail - head) / 4) + 1 in
     let verdict, footprint = classify bl head tail in
     let footprint = max span footprint in
-    let hb = Cfg.block_at cfg head in
     let natural =
-      match hb with
+      match Cfg.block_at cfg head with
       | Some h when h.Cfg.b_first = head -> Loops.loop_of_header ls h.Cfg.b_id
       | _ -> None
     in
@@ -464,12 +457,6 @@ let analyze ?(multi_iter = true) ~iq_size program =
       | None -> None
     in
     let win = window_insns program ~head ~tail in
-    let intra_branches =
-      List.length
-        (List.filter
-           (fun (pc, i) -> pc <> tail && Insn.kind i = Insn.K_branch)
-           win)
-    in
     let early_exits =
       List.length
         (List.filter
@@ -516,9 +503,6 @@ let analyze ?(multi_iter = true) ~iq_size program =
     let unroll =
       if multi_iter then max 1 (int_of_float (float_of_int iq_size /. max 1. iter_insns))
       else 1
-    in
-    let lrl =
-      match hb with Some h -> Liveness.live_in live h.Cfg.b_id | None -> 0L
     in
     let reused_per_program =
       match (verdict, trip, entries) with
@@ -600,13 +584,9 @@ let analyze ?(multi_iter = true) ~iq_size program =
       verdict;
       trip;
       entries;
-      iter_insns;
       unroll;
       prediction;
-      intra_branches;
-      early_exits;
       nblt_risk;
-      lrl;
       reused_insns = reused_per_program;
       risks;
       no_alias;
@@ -629,9 +609,8 @@ let analyze ?(multi_iter = true) ~iq_size program =
   in
   {
     iq_size;
-    multi_iter;
     loops;
-    total_insns = Some total_insns;
+    total_insns;
     coverage;
     exact_trips = flow.exact;
     irreducible_edges = ls.Loops.irreducible;
@@ -643,9 +622,9 @@ let analyze_config (cfg : Riq_ooo.Config.t) program =
     ~iq_size:cfg.Riq_ooo.Config.iq_entries program
 
 let coverage_of report ~tail =
-  match (report.total_insns, List.find_opt (fun r -> r.tail = tail) report.loops) with
-  | Some total, Some r when total > 0. ->
-      Option.map (fun reused -> 100. *. reused /. total) r.reused_insns
+  match List.find_opt (fun r -> r.tail = tail) report.loops with
+  | Some r when report.total_insns > 0. ->
+      Option.map (fun reused -> 100. *. reused /. report.total_insns) r.reused_insns
   | _ -> None
 
 (* A hard rejection is one whose offending condition the dynamic core is

@@ -61,13 +61,9 @@ type loop_report = {
   verdict : (unit, reason) result;
   trip : int option; (** statically derived per-entry iteration count *)
   entries : float option; (** estimated number of times the loop is entered *)
-  iter_insns : float; (** expected dynamic instructions per iteration, callees included *)
   unroll : int; (** predicted automatic unroll factor (iterations buffered) *)
   prediction : prediction;
-  intra_branches : int; (** conditional branches in the window besides the tail *)
-  early_exits : int; (** forward branches leaving the window *)
   nblt_risk : bool; (** expected to register in the non-bufferable loop table *)
-  lrl : Int64.t; (** live registers at the loop head (the logical register list) *)
   reused_insns : float option; (** predicted committed instructions supplied by reuse *)
   risks : risk list; (** data-fact risks; empty for control-flow-rejected loops *)
   no_alias : Alias.pair list;
@@ -84,9 +80,8 @@ type loop_report = {
 
 type report = {
   iq_size : int;
-  multi_iter : bool;
   loops : loop_report list; (** every executable backward transfer, by tail address *)
-  total_insns : float option; (** estimated dynamic committed instructions *)
+  total_insns : float; (** estimated dynamic committed instructions *)
   coverage : float option; (** predicted reuse coverage, percent of committed *)
   exact_trips : bool; (** every trip count involved was statically derived *)
   irreducible_edges : (int * int) list; (** retreating non-back edges (block ids) *)

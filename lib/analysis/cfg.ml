@@ -197,12 +197,3 @@ let reverse_postorder t =
   (* Unreachable blocks after the reachable ones, in address order. *)
   let rest = List.filter (fun i -> not seen.(i)) (List.init n Fun.id) in
   Array.of_list (order @ rest)
-
-let pp ppf t =
-  Array.iter
-    (fun b ->
-      Format.fprintf ppf "B%d [%08x..%08x] -> %s%s@."
-        b.b_id b.b_first b.b_last
-        (String.concat "," (List.map (fun s -> "B" ^ string_of_int s) b.b_succs))
-        (if b.b_indirect then " (indirect)" else ""))
-    t.blocks

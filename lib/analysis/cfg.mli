@@ -10,8 +10,8 @@ open Riq_asm
     - conditional branches get a taken edge and a fallthrough edge;
     - direct jumps get their target edge;
     - direct calls ([jal]) get an edge to the callee entry {e and} to the
-      fallthrough (the return point), so reachability and liveness flow
-      through call sites without an interprocedural summary;
+      fallthrough (the return point), so reachability flows through
+      call sites without an interprocedural summary;
     - indirect jumps ([jr]/[jalr]) have no statically-known successors —
       the block is marked {!field-b_indirect} instead — except for the
       assembler's constant-address idiom [la rX, L; jr rX] with the
@@ -65,5 +65,3 @@ val reverse_postorder : t -> int array
 
 val reachable : t -> bool array
 (** Per-block flag: reachable from the entry by CFG edges. *)
-
-val pp : Format.formatter -> t -> unit

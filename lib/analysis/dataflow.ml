@@ -1,5 +1,3 @@
-type direction = Forward | Backward
-
 type graph = {
   g_nodes : int;
   g_entry : int;
@@ -18,22 +16,6 @@ let of_cfg (cfg : Cfg.t) =
     g_order = Cfg.reverse_postorder cfg;
   }
 
-let reverse g =
-  let order = Array.copy g.g_order in
-  let n = Array.length order in
-  for i = 0 to (n / 2) - 1 do
-    let t = order.(i) in
-    order.(i) <- order.(n - 1 - i);
-    order.(n - 1 - i) <- t
-  done;
-  {
-    g_nodes = g.g_nodes;
-    g_entry = -1;
-    g_succs = Array.map (fun l -> l) g.g_preds;
-    g_preds = Array.map (fun l -> l) g.g_succs;
-    g_order = order;
-  }
-
 module type LATTICE = sig
   type fact
 
@@ -48,22 +30,29 @@ exception Non_monotone of { lattice : string; node : int }
 exception Unstable of { lattice : string; node : int }
 
 module Make (L : LATTICE) = struct
-  type result = { input : L.fact array; output : L.fact array; passes : int }
+  type result = { input : L.fact array; output : L.fact array }
 
   let leq a b = L.equal (L.join a b) b
 
-  (* Boundary nodes receive the boundary fact: the designated entry plus
-     every node with no incoming edge (in the solving direction), so
-     unreachable islands still get a defined, conservative input. *)
-  let is_boundary g node = node = g.g_entry || g.g_preds.(node) = []
+  (* A node's input is joined with [widen] instead of [join] once it has
+     been recomputed this many times. *)
+  let widen_after = 16
 
-  let solve_graph ?(boundary = L.bottom) ?(widen_after = 16) ~transfer g =
+  let solve ?(boundary = L.bottom) ~transfer g =
     let n = g.g_nodes in
     let input = Array.make n L.bottom in
     let output = Array.make n L.bottom in
-    let visits = Array.make n 0 in
-    let passes = ref 0 in
+    (* Boundary nodes receive the boundary fact: the designated entry plus
+       every node with no incoming edge, so unreachable islands still get
+       a defined, conservative input. *)
+    let from_preds node =
+      let f =
+        List.fold_left (fun acc p -> L.join acc output.(p)) L.bottom g.g_preds.(node)
+      in
+      if node = g.g_entry || g.g_preds.(node) = [] then L.join boundary f else f
+    in
     if n > 0 then begin
+      let visits = Array.make n 0 in
       let in_list = Array.make n false in
       let queue = Queue.create () in
       let enqueue node =
@@ -80,19 +69,11 @@ module Make (L : LATTICE) = struct
       while not (Queue.is_empty queue) do
         let node = Queue.pop queue in
         in_list.(node) <- false;
-        incr passes;
         visits.(node) <- visits.(node) + 1;
-        let from_preds =
-          List.fold_left
-            (fun acc p -> L.join acc output.(p))
-            L.bottom g.g_preds.(node)
-        in
-        let from_preds =
-          if is_boundary g node then L.join boundary from_preds else from_preds
-        in
+        let f = from_preds node in
         let inp =
-          if visits.(node) > widen_after then L.widen input.(node) from_preds
-          else L.join input.(node) from_preds
+          if visits.(node) > widen_after then L.widen input.(node) f
+          else L.join input.(node) f
         in
         let out = transfer node inp in
         if not (leq output.(node) out) then
@@ -106,45 +87,12 @@ module Make (L : LATTICE) = struct
       done;
       (* Fixpoint self-check: one more full sweep must change nothing. *)
       for node = 0 to n - 1 do
-        let from_preds =
-          List.fold_left
-            (fun acc p -> L.join acc output.(p))
-            L.bottom g.g_preds.(node)
-        in
-        let from_preds =
-          if is_boundary g node then L.join boundary from_preds else from_preds
-        in
-        if not (leq from_preds input.(node)) then
-          raise (Unstable { lattice = L.name; node });
-        if not (L.equal (transfer node input.(node)) output.(node)) then
-          raise (Unstable { lattice = L.name; node })
+        if not (leq (from_preds node) input.(node))
+           || not (L.equal (transfer node input.(node)) output.(node))
+        then raise (Unstable { lattice = L.name; node })
       done
     end;
-    { input; output; passes = !passes }
+    { input; output }
 
-  let solve ?(direction = Forward) ?boundary ?widen_after ~transfer g =
-    let g = match direction with Forward -> g | Backward -> reverse g in
-    solve_graph ?boundary ?widen_after ~transfer g
-
-  let solve_cfg ?direction ?boundary ?widen_after ~transfer cfg =
-    solve ?direction ?boundary ?widen_after ~transfer (of_cfg cfg)
-
-  let stable ?(direction = Forward) ?(boundary = L.bottom) ~transfer g r =
-    let g = match direction with Forward -> g | Backward -> reverse g in
-    let ok = ref (Array.length r.input = g.g_nodes) in
-    if !ok then
-      for node = 0 to g.g_nodes - 1 do
-        let from_preds =
-          List.fold_left
-            (fun acc p -> L.join acc r.output.(p))
-            L.bottom g.g_preds.(node)
-        in
-        let from_preds =
-          if is_boundary g node then L.join boundary from_preds else from_preds
-        in
-        if not (leq from_preds r.input.(node)) then ok := false;
-        if not (L.equal (transfer node r.input.(node)) r.output.(node)) then
-          ok := false
-      done;
-    !ok
+  let solve_cfg ?boundary ~transfer cfg = solve ?boundary ~transfer (of_cfg cfg)
 end

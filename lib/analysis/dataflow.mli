@@ -2,11 +2,8 @@
 
     A client supplies a join-semilattice of facts ({!LATTICE}) and a
     per-block transfer function; {!Make.solve} iterates to the least
-    fixpoint with a worklist seeded in reverse postorder. Both directions
-    are supported: a {!Forward} problem propagates facts along CFG edges
-    from the entry block, a {!Backward} problem against them from the
-    exit blocks (implemented as a forward solve of the {!reverse}d
-    graph, which is what the direction-symmetry property test pins down).
+    fixpoint with a worklist seeded in reverse postorder, propagating
+    facts along CFG edges from the entry block.
 
     The solver checks its own answer: after the worklist drains it makes
     one more full pass and raises {!Unstable} if any fact still moves (a
@@ -17,29 +14,21 @@
     an artifact of visit order.
 
     Lattices of unbounded height (e.g. integer intervals) terminate via
-    {!LATTICE.widen}: once a node's input has been recomputed
-    [widen_after] times, subsequent joins at that node go through [widen]
-    instead, which must force ascent to a finite ceiling. *)
-
-type direction = Forward | Backward
+    {!LATTICE.widen}: once a node's input has been recomputed 16 times,
+    subsequent joins at that node go through [widen] instead, which must
+    force ascent to a finite ceiling. *)
 
 (** The CFG stripped to what the solver needs. Tests build these by hand
-    (or {!reverse} one) to pin solver properties down independently of
-    {!Cfg.build}. *)
+    to pin solver properties down independently of {!Cfg.build}. *)
 type graph = {
   g_nodes : int;
-  g_entry : int;  (** boundary node for {!Forward}; [-1] for none *)
+  g_entry : int;  (** boundary node; [-1] for none *)
   g_succs : int list array;
   g_preds : int list array;
   g_order : int array;  (** iteration-order hint, typically reverse postorder *)
 }
 
 val of_cfg : Cfg.t -> graph
-
-val reverse : graph -> graph
-(** Swap successors and predecessors (and clear [g_entry]: the boundary
-    of a reversed problem is its no-predecessor nodes). [g_order] is
-    reversed so the hint stays favourable. *)
 
 module type LATTICE = sig
   type fact
@@ -50,10 +39,9 @@ module type LATTICE = sig
   val join : fact -> fact -> fact
 
   val widen : fact -> fact -> fact
-  (** [widen old new_] replaces [join] at a node visited more than
-      [widen_after] times. Must satisfy [leq new_ (widen old new_)] and
-      reach a fixed ceiling in finitely many steps. Finite lattices can
-      use [join]. *)
+  (** [widen old new_] replaces [join] at a node visited more than 16
+      times. Must satisfy [leq new_ (widen old new_)] and reach a fixed
+      ceiling in finitely many steps. Finite lattices can use [join]. *)
 end
 
 exception Non_monotone of { lattice : string; node : int }
@@ -61,46 +49,19 @@ exception Unstable of { lattice : string; node : int }
 
 module Make (L : LATTICE) : sig
   type result = {
-    input : L.fact array;
-        (** per node: fact at block entry ({!Forward}) or block exit
-            ({!Backward}) *)
+    input : L.fact array;  (** per node: fact at block entry *)
     output : L.fact array;  (** [transfer node input.(node)] *)
-    passes : int;  (** node recomputations until the fixpoint *)
   }
 
   val solve :
-    ?direction:direction ->
-    ?boundary:L.fact ->
-    ?widen_after:int ->
-    transfer:(int -> L.fact -> L.fact) ->
-    graph ->
-    result
-  (** [transfer] maps a node id and its input fact to its output fact;
-      for {!Backward} problems the "input" is the fact at block exit.
-      [boundary] (default {!L.bottom}) is joined into the entry node's
-      input ({!Forward}: [g_entry] plus any no-predecessor node;
-      {!Backward}: any no-successor node). [widen_after] defaults to 16.
+    ?boundary:L.fact -> transfer:(int -> L.fact -> L.fact) -> graph -> result
+  (** [transfer] maps a node id and its input fact to its output fact.
+      [boundary] (default {!L.bottom}) is joined into the input of
+      [g_entry] and of any no-predecessor node.
 
       @raise Non_monotone see above.
       @raise Unstable see above. *)
 
   val solve_cfg :
-    ?direction:direction ->
-    ?boundary:L.fact ->
-    ?widen_after:int ->
-    transfer:(int -> L.fact -> L.fact) ->
-    Cfg.t ->
-    result
-
-  val stable :
-    ?direction:direction ->
-    ?boundary:L.fact ->
-    transfer:(int -> L.fact -> L.fact) ->
-    graph ->
-    result ->
-    bool
-  (** Re-derive every node's input from its neighbours' outputs and
-      re-apply [transfer]: [true] iff nothing changes. [solve] already
-      asserts this, so it mainly serves the property tests (re-solving
-      changes nothing). *)
+    ?boundary:L.fact -> transfer:(int -> L.fact -> L.fact) -> Cfg.t -> result
 end

@@ -153,14 +153,3 @@ let containing t b =
   List.sort
     (fun i j -> compare t.loops.(i).l_depth t.loops.(j).l_depth)
     (List.rev !idx)
-
-let pp ppf t =
-  Array.iteri
-    (fun i l ->
-      Format.fprintf ppf "loop %d: header B%d depth %d blocks [%s]%s@." i l.l_header l.l_depth
-        (String.concat ";" (List.map (fun b -> string_of_int b) l.l_blocks))
-        (if l.l_children = [] then " (innermost)" else ""))
-    t.loops;
-  List.iter
-    (fun (s, d) -> Format.fprintf ppf "irreducible edge B%d -> B%d@." s d)
-    t.irreducible

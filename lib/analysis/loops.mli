@@ -36,5 +36,3 @@ val innermost : t -> loop -> bool
 
 val containing : t -> int -> int list
 (** Indices of every loop containing the given block, outermost first. *)
-
-val pp : Format.formatter -> t -> unit

@@ -6,7 +6,6 @@ let create entries =
   if not (Bits.is_pow2 entries) then invalid_arg "Bimod.create: entries must be a power of two";
   { table = Bytes.make entries '\001'; mask = entries - 1 }
 
-let entries t = Bytes.length t.table
 let index t ~pc = (pc lsr 2) land t.mask
 let counter t ~pc = Char.code (Bytes.get t.table (index t ~pc))
 let predict t ~pc = counter t ~pc >= 2

@@ -7,8 +7,6 @@ val create : int -> t
 (** [create entries]; [entries] must be a power of two. Counters start
     weakly not-taken (state 1), the SimpleScalar convention. *)
 
-val entries : t -> int
-
 val predict : t -> pc:int -> bool
 (** True when the counter for [pc] predicts taken. Pure lookup. *)
 

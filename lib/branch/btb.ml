@@ -8,7 +8,6 @@ type t = {
   table : entry array;
   mutable clock : int;
   mutable n_lookup : int;
-  mutable n_hit : int;
 }
 
 let create ~sets ~ways =
@@ -21,7 +20,6 @@ let create ~sets ~ways =
       Array.init (sets * ways) (fun _ -> { tag = 0; target = 0; valid = false; lru = 0 });
     clock = 0;
     n_lookup = 0;
-    n_hit = 0;
   }
 
 (* Table index of the matching way (the last, should two match), or -1:
@@ -45,7 +43,6 @@ let lookup_target t ~pc =
   let i = find_idx t ~pc in
   if i >= 0 then begin
     let e = t.table.(i) in
-    t.n_hit <- t.n_hit + 1;
     e.lru <- t.clock;
     e.target
   end
@@ -79,4 +76,3 @@ let update t ~pc ~target =
   end
 
 let lookups t = t.n_lookup
-let hits t = t.n_hit

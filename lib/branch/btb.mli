@@ -13,4 +13,3 @@ val update : t -> pc:int -> target:int -> unit
 (** Record (or refresh) the taken target. *)
 
 val lookups : t -> int
-val hits : t -> int

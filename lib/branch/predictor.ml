@@ -15,7 +15,6 @@ let baseline = { scheme = Bimodal; entries = 2048; btb_sets = 512; btb_ways = 4;
 type dir = Dir_bimod of Bimod.t | Dir_gshare of Gshare.t
 
 type t = {
-  config : config;
   dir : dir;
   btb : Btb.t;
   ras : Ras.t;
@@ -31,15 +30,12 @@ let create config =
         Dir_gshare (Gshare.create ~entries:config.entries ~history_bits)
   in
   {
-    config;
     dir;
     btb = Btb.create ~sets:config.btb_sets ~ways:config.btb_ways;
     ras = Ras.create config.ras_size;
     n_dir_lookup = 0;
     n_dir_update = 0;
   }
-
-let cfg t = t.config
 
 let predict_dir t ~pc =
   t.n_dir_lookup <- t.n_dir_lookup + 1;

@@ -26,7 +26,6 @@ val baseline : config
 type t
 
 val create : config -> t
-val cfg : t -> config
 
 val lookup_decoded : t -> pc:int -> kind:Insn.kind -> static_target:int -> int
 (** Consult the unit for the control instruction at [pc], of pre-decoded

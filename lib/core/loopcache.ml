@@ -8,16 +8,14 @@ type t = {
   mutable head : int;
   mutable tail : int;
   mutable filled : int;
-  mutable n_fill : int;
   mutable n_supply : int;
   mutable n_activate : int;
 }
 
 let create cap =
   if cap < 4 then invalid_arg "Loopcache.create: capacity must be >= 4";
-  { cap; st = Idle; head = 0; tail = 0; filled = 0; n_fill = 0; n_supply = 0; n_activate = 0 }
+  { cap; st = Idle; head = 0; tail = 0; filled = 0; n_supply = 0; n_activate = 0 }
 
-let capacity t = t.cap
 let state t = t.st
 
 let in_loop t pc = pc >= t.head && pc <= t.tail
@@ -55,7 +53,6 @@ let on_fetch_decoded t ~pc ~kind ~static_target ~pred_npc =
   | Fill ->
       if in_loop t pc then begin
         t.filled <- t.filled + 1;
-        t.n_fill <- t.n_fill + 1;
         if pc = t.tail then
           if pred_npc = t.head && t.filled >= ((t.tail - t.head) / 4) + 1 then begin
             t.st <- Active;
@@ -72,6 +69,5 @@ let on_fetch_decoded t ~pc ~kind ~static_target ~pred_npc =
       else to_idle t
 
 let reset t = to_idle t
-let fills t = t.n_fill
 let supplies t = t.n_supply
 let activations t = t.n_activate

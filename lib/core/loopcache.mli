@@ -23,7 +23,6 @@ type t
 val create : int -> t
 (** [create capacity] in instructions; capacity must be at least 4. *)
 
-val capacity : t -> int
 val state : t -> state
 
 val serving : t -> pc:int -> bool
@@ -40,9 +39,6 @@ val reset : t -> unit
 (** Pipeline redirect (misprediction recovery): back to Idle. *)
 
 (** {2 Statistics} *)
-
-val fills : t -> int
-(** Instructions written into the buffer. *)
 
 val supplies : t -> int
 (** Instructions supplied from the buffer (L1I accesses avoided). *)

@@ -1398,7 +1398,6 @@ let tracer t = t.tracer
 let sampler t = t.sampler
 let hierarchy t = t.hier
 let reuse_state t = t.reuse
-let nblt t = t.nblt
 let loopcache t = t.lc
 let config t = t.cfg
 

@@ -106,7 +106,6 @@ val revokes : loop_decision -> Reuse_state.revoke_cause -> int
 val account : t -> Riq_power.Account.t
 val hierarchy : t -> Hierarchy.t
 val reuse_state : t -> Reuse_state.t
-val nblt : t -> Nblt.t
 val loopcache : t -> Loopcache.t option
 (** Present when [Config.loop_cache_entries > 0] (related-work baseline). *)
 

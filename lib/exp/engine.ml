@@ -63,7 +63,6 @@ let create ?(workers = 1) ?backend ?cache ?(timeout = 600.) ?on_progress () =
 let workers t = t.backend.Backend.parallelism
 let backend_name t = t.backend.Backend.name
 let telemetry t = t.backend.Backend.telemetry ()
-let cache t = t.cache
 
 let stats t =
   {

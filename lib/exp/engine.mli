@@ -64,7 +64,6 @@ val telemetry : t -> (string * Riq_util.Json.t) list
 (** The backend's extra telemetry (e.g. a remote client's service
     counters), merged into the sweep export's engine block. *)
 
-val cache : t -> Cache.t option
 val stats : t -> stats
 
 val job_seconds : t -> float array

@@ -241,5 +241,4 @@ let to_string insn =
   | Nop -> "nop"
   | Halt -> "halt"
 
-let pp ppf insn = Format.pp_print_string ppf (to_string insn)
 let equal (a : t) (b : t) = a = b

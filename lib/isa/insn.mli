@@ -130,6 +130,4 @@ val to_string : t -> string
 (** Assembler syntax, e.g. ["add r3, r1, r2"], ["lw r4, 16(r29)"],
     ["beq r1, r2, -12"]. *)
 
-val pp : Format.formatter -> t -> unit
-
 val equal : t -> t -> bool

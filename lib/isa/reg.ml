@@ -28,5 +28,3 @@ let of_string s =
     | 'r', Some n when n >= 0 && n <= 31 -> Some (r n)
     | 'f', Some n when n >= 0 && n <= 31 -> Some (f n)
     | _, _ -> None
-
-let pp ppf t = Format.pp_print_string ppf (to_string t)

@@ -34,5 +34,3 @@ val to_string : t -> string
 
 val of_string : string -> t option
 (** Parses the [to_string] syntax. *)
-
-val pp : Format.formatter -> t -> unit

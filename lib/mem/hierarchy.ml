@@ -59,7 +59,6 @@ let create (config : config) =
     fill_d = frames config.l1d;
   }
 
-let cfg t = t.config
 
 let dram_latency t ~line_bytes =
   let chunks = max 1 (line_bytes / t.config.chunk_bytes) in

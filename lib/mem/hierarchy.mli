@@ -32,7 +32,6 @@ val baseline : config
 type t
 
 val create : config -> t
-val cfg : t -> config
 
 val fetch_at : t -> now:int -> addr:int -> int
 (** Latency in cycles of an instruction fetch at [addr] issued in cycle

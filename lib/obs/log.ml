@@ -97,7 +97,6 @@ let log l ~scope ?(kv = []) msg =
 let debug ~scope ?kv msg = log Debug ~scope ?kv msg
 let info ~scope ?kv msg = log Info ~scope ?kv msg
 let warn ~scope ?kv msg = log Warn ~scope ?kv msg
-let error ~scope ?kv msg = log Error ~scope ?kv msg
 
 let int = string_of_int
 let float v = Printf.sprintf "%g" v

@@ -15,17 +15,9 @@ type level = Debug | Info | Warn | Error
 val set_level : level -> unit
 (** Override the environment-derived threshold (e.g. [--quiet]). *)
 
-val level : unit -> level
-
-val enabled : level -> bool
-(** [true] when a message at this level would be emitted. *)
-
-val log : level -> scope:string -> ?kv:(string * string) list -> string -> unit
-
 val debug : scope:string -> ?kv:(string * string) list -> string -> unit
 val info : scope:string -> ?kv:(string * string) list -> string -> unit
 val warn : scope:string -> ?kv:(string * string) list -> string -> unit
-val error : scope:string -> ?kv:(string * string) list -> string -> unit
 
 (** {1 Value helpers} — shorthand for the common kv payloads. *)
 

@@ -112,7 +112,6 @@ let stream ?(process_name = "riq-sim") oc =
 let enabled t = t.enabled
 
 let set_pid t pid = t.default_pid <- pid
-let pid t = t.default_pid
 
 let emit t e =
   if t.enabled then begin

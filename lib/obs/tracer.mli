@@ -59,8 +59,6 @@ val set_pid : t -> int -> unit
     serving tier sets the real Unix pid so events from several processes
     merge into one multi-process trace; core traces keep the default. *)
 
-val pid : t -> int
-
 val set_thread_name : t -> ?pid:int -> tid:int -> string -> unit
 (** Label a track; shows as a named thread row in trace viewers. *)
 

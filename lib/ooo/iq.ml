@@ -95,7 +95,6 @@ let create size =
     n_dead = 0;
   }
 
-let size t = t.size
 let count t = t.count
 let free t = t.size - t.count
 let is_full t = t.count = t.size

@@ -60,7 +60,6 @@ type slot = {
 type t
 
 val create : int -> t
-val size : t -> int
 val count : t -> int
 val free : t -> int
 val is_full : t -> bool

@@ -53,7 +53,6 @@ let create size =
     waiting = Array.make 64 0;
   }
 
-let size t = t.size
 let count t = t.count
 let is_full t = t.count = t.size
 

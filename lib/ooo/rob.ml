@@ -54,7 +54,6 @@ let create size =
     count = 0;
   }
 
-let size t = t.size
 let count t = t.count
 let is_full t = t.count = t.size
 let is_empty t = t.count = 0

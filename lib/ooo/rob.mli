@@ -34,7 +34,6 @@ type entry = {
 type t
 
 val create : int -> t
-val size : t -> int
 val count : t -> int
 val is_full : t -> bool
 val is_empty : t -> bool

@@ -19,8 +19,6 @@ let create model =
     n_cycles = 0;
   }
 
-let model t = t.model
-let activity t = t.act
 let add t c n = t.act.(Component.index c) <- t.act.(Component.index c) +. n
 
 let clock_idx = Component.index Component.Clock

@@ -10,11 +10,6 @@
 type t
 
 val create : Model.t -> t
-val model : t -> Model.t
-
-val activity : t -> float array
-(** Scratch array indexed by [Component.index], reset by every [tick]. *)
-
 val add : t -> Component.t -> float -> unit
 (** Convenience: bump this cycle's activity count. *)
 

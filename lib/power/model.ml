@@ -38,7 +38,6 @@ let baseline_geometry =
   }
 
 type t = {
-  geometry : geometry;
   per_access : float array; (* indexed by Component.index *)
   per_idle : float array;
   clock : float;
@@ -141,9 +140,8 @@ let create geometry =
       (fun i e -> 0.10 *. e *. nominal_ports (Component.of_index i))
       per_access
   in
-  { geometry; per_access; per_idle; clock }
+  { per_access; per_idle; clock }
 
-let geometry t = t.geometry
 let energy t c = t.per_access.(Component.index c)
 let idle t c = t.per_idle.(Component.index c)
 let clock_per_cycle t = t.clock

@@ -41,7 +41,6 @@ val baseline_geometry : geometry
 type t
 
 val create : geometry -> t
-val geometry : t -> geometry
 
 val energy : t -> Component.t -> float
 (** Energy of one access (one port operation) of the component. *)

@@ -32,6 +32,12 @@
    connection closing, frees the ticket; its queued and running jobs
    still finish and fill the store.
 
+   Replies never block the loop. Client sockets are non-blocking; a
+   reply the socket does not take at once waits in its connection's
+   unsent bytes, which the loop writes as the socket becomes writable.
+   A connection with unsent bytes is not read, so a peer that stops
+   reading holds about one reply, not one per request it sent.
+
    Failure containment is the worker pool's: a worker that dies mid-job
    gets the job retried once on a fresh worker; a worker that exceeds the
    per-job timeout is SIGKILLed and the job is answered [Job_timeout];
@@ -56,9 +62,8 @@ module Log = Riq_obs.Log
 
 (* A connection whose half-sent frame gets no byte for this long is
    closed: a peer that stopped mid-frame is gone or broken, and its
-   buffer would otherwise be held forever. So is one that takes none of a
-   reply for this long (its socket's send timeout): the loop would
-   otherwise wait in [write] for as long as the peer does not read. *)
+   buffer would otherwise be held forever. So is one that takes none of
+   its unsent reply bytes for this long. *)
 let frame_stall_seconds = 5.
 
 (* Trace events are stamped in wall-clock microseconds, the unit Chrome
@@ -100,8 +105,10 @@ type conn = {
   c_reader : Wire.reader;
   mutable c_hello : bool;
   mutable c_trace_id : string option; (* from its hello *)
-  mutable c_last_read : float; (* wall clock of the last bytes received *)
   mutable c_held : int option; (* the ticket whose outcomes are its held reply *)
+  mutable c_out : Bytes.t; (* reply bytes, sent up to [c_sent] *)
+  mutable c_sent : int;
+  mutable c_progress : float; (* wall clock of the last byte moved or reply queued *)
 }
 
 type ticket = {
@@ -500,16 +507,42 @@ let close_conn t conn =
     (fun _ tk -> if tk.t_conn == conn then None else Some tk)
     t.tickets
 
-(* Take whole frames off the connection's reader and answer each.
-   Responses are written synchronously: a peer that takes none of one
-   within its socket's send timeout ([frame_stall_seconds]) is closed, so
-   the loop waits on it once, for one timeout. *)
+let unsent conn = Bytes.length conn.c_out - conn.c_sent
+
+(* Write what the socket takes of the unsent bytes, without blocking.
+   False when the peer is gone. *)
+let flush conn =
+  match Unix.write conn.c_fd conn.c_out conn.c_sent (unsent conn) with
+  | n ->
+      conn.c_sent <- conn.c_sent + n;
+      conn.c_progress <- Unix.gettimeofday ();
+      if unsent conn = 0 then begin
+        conn.c_out <- Bytes.empty;
+        conn.c_sent <- 0
+      end;
+      true
+  | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _) -> true
+  | exception Unix.Unix_error _ -> false
+
+(* [frame] becomes the connection's only unsent bytes: a connection with
+   unsent bytes is not read, and a held reply answers a request that got
+   no reply of its own. *)
+let queue_frame conn frame =
+  conn.c_out <- frame;
+  conn.c_sent <- 0;
+  conn.c_progress <- Unix.gettimeofday ();
+  flush conn
+
+(* Take whole frames off the connection's reader and answer each, until
+   a reply is held or the socket does not take all of one. *)
 let rec service_conn_buffer t conn =
-  if conn.c_held = None then
+  if conn.c_held = None && unsent conn = 0 then
     match Wire.take conn.c_reader with
     | None -> ()
     | exception Wire.Protocol_error msg ->
-        (try Wire.send conn.c_fd (Protocol.error msg) with _ -> ());
+        (* The stream has lost its framing: the error reply gets what
+           the socket takes now, and the connection closes. *)
+        ignore (queue_frame conn (Wire.frame (Protocol.error msg)));
         close_conn t conn
     | Some frame -> (
         match Result.bind frame Protocol.request_of_wire with
@@ -517,9 +550,15 @@ let rec service_conn_buffer t conn =
         | Ok req -> Option.iter (reply t conn) (handle_request t conn req))
 
 and reply ?payload t conn response =
-  match Wire.send ?payload conn.c_fd response with
-  | () -> service_conn_buffer t conn
-  | exception _ -> close_conn t conn
+  match Wire.frame ?payload response with
+  | exception Wire.Protocol_error _ -> close_conn t conn
+  | frame ->
+      if queue_frame conn frame then service_conn_buffer t conn else close_conn t conn
+
+(* More of the unsent bytes, then, once they are all sent, the frames
+   read behind them. *)
+let conn_writable t conn =
+  if flush conn then service_conn_buffer t conn else close_conn t conn
 
 (* Send the held reply of every completed ticket. That frees the ticket
    and lets its connection be read again, from the frames it buffered. *)
@@ -532,37 +571,47 @@ let rec send_completed t =
       | Some tk ->
           Hashtbl.remove t.tickets id;
           tk.t_conn.c_held <- None;
-          tk.t_conn.c_last_read <- Unix.gettimeofday ();
           let response, payload = outcomes_reply id tk in
           reply ~payload t tk.t_conn response);
       send_completed t
 
 let conn_readable t conn =
   match Wire.read conn.c_reader conn.c_fd with
-  | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
+  | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _) -> ()
   | exception _ -> close_conn t conn
   | 0 -> close_conn t conn
   | _ ->
-      conn.c_last_read <- Unix.gettimeofday ();
+      conn.c_progress <- Unix.gettimeofday ();
       service_conn_buffer t conn
 
-(* The connections being read: those with no reply held. *)
-let reading t = List.filter (fun c -> c.c_held = None) t.conns
+(* The connections being read: those with no reply held or unsent. *)
+let reading t = List.filter (fun c -> c.c_held = None && unsent c = 0) t.conns
 
-(* Complete frames linger in a buffer only behind a held reply, so a
-   connection being read with a non-empty buffer holds a half-sent frame. *)
+let writing t = List.filter (fun c -> unsent c > 0) t.conns
+
+(* Complete frames linger in a buffer only behind a held or unsent
+   reply, so a connection being read with a non-empty buffer holds a
+   half-sent frame. *)
 let close_stalled t =
   let now = Unix.gettimeofday () in
+  let close conn what =
+    Log.warn ~scope:"serve"
+      ~kv:
+        [
+          ("buffered", Log.int (Wire.buffered conn.c_reader));
+          ("unsent", Log.int (unsent conn));
+        ]
+      what;
+    close_conn t conn
+  in
   List.iter
     (fun conn ->
-      let buffered = Wire.buffered conn.c_reader in
-      if buffered > 0 && now -. conn.c_last_read > frame_stall_seconds then begin
-        Log.warn ~scope:"serve"
-          ~kv:[ ("buffered", Log.int buffered) ]
-          "closing a connection stalled mid-frame";
-        close_conn t conn
-      end)
-    (reading t)
+      if now -. conn.c_progress > frame_stall_seconds then
+        if unsent conn > 0 then
+          close conn "closing a connection that takes none of its reply"
+        else if conn.c_held = None && Wire.buffered conn.c_reader > 0 then
+          close conn "closing a connection stalled mid-frame")
+    t.conns
 
 (* ------------------------------------------------------------------ *)
 (* Main loop                                                           *)
@@ -576,7 +625,10 @@ let install_signal_handlers () =
     (fun s -> try Sys.set_signal s handle with _ -> ())
     [ Sys.sigterm; Sys.sigint ]
 
-let work_left t = not (Queue.is_empty t.queue) || Workers.busy t.workers > 0
+(* Unsent replies count: a drain ends once they are out, or their
+   connections are closed as stalled. *)
+let work_left t =
+  (not (Queue.is_empty t.queue)) || Workers.busy t.workers > 0 || writing t <> []
 
 let serve cfg =
   let tracer = Tracer.ring ~capacity:16384 () in
@@ -669,34 +721,41 @@ let serve cfg =
           let select_timeout =
             match Workers.deadline t.workers with Some d -> Float.min 1.0 d | None -> 1.0
           in
-          let readable =
-            match Unix.select read_fds [] [] select_timeout with
-            | r, _, _ -> r
-            | exception Unix.Unix_error (Unix.EINTR, _, _) -> []
-            | exception Unix.Unix_error (Unix.EBADF, _, _) -> []
+          let write_fds = List.map (fun c -> c.c_fd) (writing t) in
+          let readable, writable =
+            match Unix.select read_fds write_fds [] select_timeout with
+            | r, w, _ -> (r, w)
+            | exception Unix.Unix_error (Unix.EINTR, _, _) -> ([], [])
+            | exception Unix.Unix_error (Unix.EBADF, _, _) -> ([], [])
           in
           (* Workers first: results unblock waiters and free slots. *)
           List.iter (finish t) (Workers.collect t.workers readable);
           List.iter
             (fun conn -> if List.memq conn.c_fd readable then conn_readable t conn)
             t.conns;
+          List.iter
+            (fun conn -> if List.memq conn.c_fd writable then conn_writable t conn)
+            t.conns;
           send_completed t;
           close_stalled t;
           if !listener_open && List.memq t.listen_fd readable then begin
             match Unix.accept t.listen_fd with
-            | fd, _ ->
-                (try Unix.setsockopt_float fd Unix.SO_SNDTIMEO frame_stall_seconds
-                 with Unix.Unix_error _ -> ());
-                t.conns <-
-                  {
-                    c_fd = fd;
-                    c_reader = Wire.reader ();
-                    c_hello = false;
-                    c_trace_id = None;
-                    c_last_read = Unix.gettimeofday ();
-                    c_held = None;
-                  }
-                  :: t.conns
+            | fd, _ -> (
+                match Unix.set_nonblock fd with
+                | exception Unix.Unix_error _ -> ( try Unix.close fd with _ -> ())
+                | () ->
+                    t.conns <-
+                      {
+                        c_fd = fd;
+                        c_reader = Wire.reader ();
+                        c_hello = false;
+                        c_trace_id = None;
+                        c_held = None;
+                        c_out = Bytes.empty;
+                        c_sent = 0;
+                        c_progress = Unix.gettimeofday ();
+                      }
+                      :: t.conns)
             | exception _ -> ()
           end
         end

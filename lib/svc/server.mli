@@ -14,11 +14,13 @@
     A ticket belongs to the connection that submitted it, and closing
     that connection frees it. The request that leaves a ticket needing no
     more bodies is answered with its outcomes once it completes; the
-    connection is not read meanwhile. Any other connection that stalls
-    mid-frame for 5 s is closed, and so is one that takes none of a reply
-    for 5 s. SIGTERM/SIGINT drains gracefully: stop
-    accepting, run queued and in-flight jobs to completion (held replies
-    still go out), shut down and reap every worker, unlink the socket.
+    connection is not read meanwhile. Replies are written without
+    blocking, and a connection is not read while part of its last reply
+    is unsent. Any other connection that stalls mid-frame for 5 s is
+    closed, and so is one whose unsent reply makes no progress for 5 s.
+    SIGTERM/SIGINT drains gracefully: stop accepting, run queued and
+    in-flight jobs to completion (held replies still go out), shut down
+    and reap every worker, unlink the socket.
     The daemon never walks, locks or deletes from the store: [riq-cache]
     maintains it.
 

@@ -44,13 +44,7 @@ let frame ?payload json =
     payload;
   b
 
-(* One [Unix.write], which stops short only when the socket's send
-   timeout expires (a blocking write of a frame is otherwise whole). A
-   short write loses the frame: waiting out another timeout for the rest
-   would hold a single-threaded writer once per chunk. *)
-let send ?payload fd json =
-  let b = frame ?payload json in
-  if Unix.write fd b 0 (Bytes.length b) < Bytes.length b then raise Closed
+let send ?payload fd json = write_all fd (frame ?payload json)
 
 (* The body length of the header at [off]. *)
 let body_length b off =

@@ -6,8 +6,7 @@
     the message catalogue. *)
 
 exception Closed
-(** Raised on EOF mid-frame — the peer went away — and by {!send} when a
-    send timeout cuts a frame short. *)
+(** Raised on EOF mid-frame: the peer went away. *)
 
 exception Protocol_error of string
 (** Malformed frame: bad length or invalid JSON. *)
@@ -20,10 +19,7 @@ val frame : ?payload:string -> Riq_util.Json.t -> bytes
     Raises [Protocol_error] past {!max_frame}. *)
 
 val send : ?payload:string -> Unix.file_descr -> Riq_util.Json.t -> unit
-(** Write one whole frame in one blocking [Unix.write]. On a socket with
-    [SO_SNDTIMEO], a peer that takes none of it for that long makes the
-    write fail with [EAGAIN], or stop short, which raises [Closed]: either
-    way the wait is one timeout. *)
+(** Write one whole frame (blocking). *)
 
 val recv : Unix.file_descr -> Riq_util.Json.t * string option
 (** Read one whole frame (blocking): its JSON and its payload, if any. *)

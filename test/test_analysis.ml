@@ -1,12 +1,11 @@
 (* Tests for the static analysis pipeline (lib/analysis): CFG
    construction, dominators, natural loops (including the rejection of
-   irreducible control flow), liveness, trip counts — and the differential
+   irreducible control flow), trip counts — and the differential
    property that anchors the whole pass: on every built-in kernel, the
    static bufferability verdicts must agree with what the dynamic core
    actually decides, and the predicted reuse coverage must track the
    measured one. *)
 
-open Riq_isa
 open Riq_asm
 open Riq_ooo
 open Riq_core
@@ -148,47 +147,6 @@ let test_irreducible_rejected () =
       Alcotest.(check bool) "verdict is irreducible" true
         (l.Bufferability.verdict = Error Bufferability.Irreducible)
   | ls_ -> Alcotest.failf "expected one analysed transfer, got %d" (List.length ls_)
-
-(* ---- Liveness ---- *)
-
-let test_liveness () =
-  let src =
-    {|
-start:
-    addi r2, r0, 10
-loop:
-    add  r4, r2, r3
-    addi r3, r3, 1
-    slti r5, r3, 10
-    bne  r5, r0, loop
-    add  r6, r4, r0
-    halt
-|}
-  in
-  let cfg = cfg_of src in
-  let live = Liveness.compute cfg in
-  let header = Option.get (Cfg.block_at cfg (Option.get (Program.address_of cfg.Cfg.program "loop"))) in
-  let at_header = Liveness.live_in live header.Cfg.b_id in
-  Alcotest.(check bool) "r2 live around the loop" true (Liveness.mem at_header (Reg.r 2));
-  Alcotest.(check bool) "r3 live (loop-carried)" true (Liveness.mem at_header (Reg.r 3));
-  Alcotest.(check bool) "r5 dead at the header" false (Liveness.mem at_header (Reg.r 5));
-  Alcotest.(check bool) "r6 dead inside the loop" false (Liveness.mem at_header (Reg.r 6));
-  (* r4 is redefined before any use on every path through the loop, so it
-     is dead at the header — but live on exit from the body (the use after
-     the loop). *)
-  Alcotest.(check bool) "r4 dead at the header" false (Liveness.mem at_header (Reg.r 4));
-  Alcotest.(check bool) "r4 live at the body's exit" true
-    (Liveness.mem (Liveness.live_out live header.Cfg.b_id) (Reg.r 4))
-
-let test_liveness_before () =
-  let src = "start:\n    addi r2, r0, 1\n    add r3, r2, r2\n    halt\n" in
-  let cfg = cfg_of src in
-  let live = Liveness.compute cfg in
-  let base = cfg.Cfg.program.Program.text_base in
-  Alcotest.(check bool) "r2 live before its use" true
-    (Liveness.mem (Liveness.live_before live ~pc:(base + 4)) (Reg.r 2));
-  Alcotest.(check bool) "r2 dead before its definition" false
-    (Liveness.mem (Liveness.live_before live ~pc:base) (Reg.r 2))
 
 (* ---- Trip counts and verdicts ---- *)
 
@@ -416,11 +374,6 @@ let suites =
       [
         Alcotest.test_case "nest detection" `Quick test_loop_nest;
         Alcotest.test_case "irreducible rejected" `Quick test_irreducible_rejected;
-      ] );
-    ( "analysis.liveness",
-      [
-        Alcotest.test_case "loop-carried registers" `Quick test_liveness;
-        Alcotest.test_case "per-instruction query" `Quick test_liveness_before;
       ] );
     ( "analysis.bufferability",
       [

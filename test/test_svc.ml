@@ -1259,9 +1259,11 @@ let test_daemon_trace_unshifted () =
       Client.close client)
 
 (* A peer that pipelines requests and never reads its replies fills its
-   socket and stops taking them. The daemon gives it one send timeout
-   (5 s), then closes it, and meanwhile another connection's request is
-   answered within 7 s. *)
+   socket and stops taking them. Its unsent reply waits without blocking
+   the loop, so another connection's request is answered within 1 s.
+   While it stays silent, the daemon closes it once that reply has made
+   no progress for 5 s (the probe sees [serve_connections] fall to 1);
+   it then reads its buffered replies and a close. *)
 let test_daemon_silent_peer () =
   with_daemon (fun ~sock ~pid:_ ->
       let probe = greeted sock in
@@ -1282,7 +1284,16 @@ let test_daemon_silent_peer () =
       Alcotest.(check bool) "probe answered" true
         (Json.member "metrics" (rpc probe Protocol.Metrics) <> None);
       let waited = Unix.gettimeofday () -. t0 in
-      if waited > 7. then Alcotest.failf "metrics answered after %.1f s" waited;
+      if waited > 1. then Alcotest.failf "metrics answered after %.1f s" waited;
+      let rec await_close () =
+        if scraped "serve_connections" (rpc probe Protocol.Metrics) > 1 then begin
+          if Unix.gettimeofday () -. t0 > 10. then
+            Alcotest.fail "silent connection still open after 10 s";
+          ignore (Unix.select [] [] [] 0.1);
+          await_close ()
+        end
+      in
+      await_close ();
       (* The silent connection's buffered replies, then its close. *)
       let rec drain () =
         match Wire.recv silent with
