@@ -1347,7 +1347,12 @@ let step_cycle t =
       t.gated_cycles <- t.gated_cycles + 1;
       charge1 t Component.Reuse_logic
     end;
-    let removed = Iq.compact t.iq in
+    (* Queue positions are read only by the reuse engine (promotion and
+       reuse dispatch), so the age order is collapsed only while it is
+       Buffering or Reusing; the collapse writes are charged either way. *)
+    let removed =
+      Iq.end_cycle t.iq ~positions:(t.reuse.Reuse_state.state <> Reuse_state.Normal)
+    in
     if removed > 0 then charge t Component.Iq_payload (float_of_int removed)
   end;
   Account.tick t.acct;
@@ -1378,8 +1383,7 @@ let arch_state t =
     instructions = t.committed;
     int_regs = Array.copy t.arch_i;
     fp_regs = Array.copy t.arch_f;
-    memory =
-      List.rev (Store.fold_nonzero t.memory ~init:[] ~f:(fun acc addr v -> (addr, v) :: acc));
+    memory = Store.snapshot t.memory;
   }
 
 let loop_decisions t =

@@ -116,7 +116,7 @@ type arch_state = {
   instructions : int;
   int_regs : int array;
   fp_regs : float array;
-  memory : (int * int) list;
+  memory : int array;
 }
 
 let arch_state t =
@@ -125,8 +125,7 @@ let arch_state t =
     instructions = t.count;
     int_regs = Array.copy t.int_regs;
     fp_regs = Array.copy t.fp_regs;
-    memory =
-      List.rev (Store.fold_nonzero t.memory ~init:[] ~f:(fun acc addr v -> (addr, v) :: acc));
+    memory = Store.snapshot t.memory;
   }
 
 let equal_arch a b =
@@ -151,24 +150,28 @@ let pp_arch_diff ppf a b =
     if !shown < 8 && Int32.bits_of_float a.fp_regs.(i) <> Int32.bits_of_float b.fp_regs.(i)
     then report "f%d: %h vs %h@." i a.fp_regs.(i) b.fp_regs.(i)
   done;
-  if !shown < 8 && a.memory <> b.memory then begin
-    let ha = Hashtbl.create 64 and hb = Hashtbl.create 64 in
-    List.iter (fun (k, v) -> Hashtbl.replace ha k v) a.memory;
-    List.iter (fun (k, v) -> Hashtbl.replace hb k v) b.memory;
-    let check src dst tag =
-      Hashtbl.iter
-        (fun addr v ->
-          if !shown < 8 then begin
-            match Hashtbl.find_opt dst addr with
-            | Some v' when v' = v -> ()
-            | Some v' -> report "mem[%#x]: %d vs %d@." addr v v'
-            | None -> report "mem[%#x]: %s only (%d)@." addr tag v
-          end)
-        src
-    in
-    check ha hb "left";
-    check hb ha "right"
-  end;
+  (* Both memories are ascending (address, word) pairs: one merge walk
+     reports each differing address once, in address order. *)
+  let ma = a.memory and mb = b.memory in
+  let na = Array.length ma and nb = Array.length mb in
+  let i = ref 0 and j = ref 0 in
+  while !shown < 8 && (!i < na || !j < nb) do
+    let ka = if !i < na then ma.(!i) else max_int and kb = if !j < nb then mb.(!j) else max_int in
+    if ka = kb then begin
+      if ma.(!i + 1) <> mb.(!j + 1) then
+        report "mem[%#x]: %d vs %d@." ka ma.(!i + 1) mb.(!j + 1);
+      i := !i + 2;
+      j := !j + 2
+    end
+    else if ka < kb then begin
+      report "mem[%#x]: left only (%d)@." ka ma.(!i + 1);
+      i := !i + 2
+    end
+    else begin
+      report "mem[%#x]: right only (%d)@." kb mb.(!j + 1);
+      j := !j + 2
+    end
+  done;
   if !shown = 0 then Format.fprintf ppf "states are equal@."
 
 let diff_string a b =

@@ -40,7 +40,10 @@ type arch_state = {
   instructions : int;
   int_regs : int array; (** 32 entries *)
   fp_regs : float array; (** 32 entries *)
-  memory : (int * int) list; (** non-zero words, ascending addresses *)
+  memory : int array;
+      (** the non-zero words as flat (address, word) pairs in ascending
+          address order, [[| a0; w0; a1; w1; ... |]] ({!Store.snapshot}):
+          two heap words per non-zero word *)
 }
 
 val arch_state : t -> arch_state
@@ -51,7 +54,11 @@ val equal_arch : arch_state -> arch_state -> bool
     final PC is included; speculative execution must not leak). *)
 
 val pp_arch_diff : Format.formatter -> arch_state -> arch_state -> unit
-(** Human-readable description of the first few differences. *)
+(** Human-readable description of the first 8 differences, one line each,
+    the left state's value first: final PC, instruction count, registers
+    in index order, then memory in ascending address order — a word on
+    both sides as [mem[ADDR]: L vs R], a word on one side only as
+    [mem[ADDR]: left only (L)] or [mem[ADDR]: right only (R)]. *)
 
 val diff_string : arch_state -> arch_state -> string
 (** {!pp_arch_diff} rendered to a single plain string — what the

@@ -95,20 +95,35 @@ let copy t =
   Hashtbl.iter (fun k page -> Hashtbl.replace t'.pages k (Array.copy page)) t.pages;
   t'
 
-let fold_nonzero t ~init ~f =
-  let pages = Hashtbl.fold (fun k _ acc -> k :: acc) t.pages [] in
-  let pages = List.sort compare pages in
-  List.fold_left
-    (fun acc page_idx ->
+let snapshot t =
+  (* One pass over the table collects the page indices and counts the
+     non-zero words, so the result is allocated once at its final size. *)
+  let pages = Array.make (Hashtbl.length t.pages) 0 in
+  let n = ref 0 and nonzero = ref 0 in
+  Hashtbl.iter
+    (fun page_idx page ->
+      pages.(!n) <- page_idx;
+      incr n;
+      for i = 0 to page_words - 1 do
+        if page.(i) <> 0 then incr nonzero
+      done)
+    t.pages;
+  Array.sort Int.compare pages;
+  let out = Array.make (2 * !nonzero) 0 in
+  let w = ref 0 in
+  Array.iter
+    (fun page_idx ->
       let page = Hashtbl.find t.pages page_idx in
-      let acc = ref acc in
-      Array.iteri
-        (fun i v ->
-          if v <> 0 then acc := f !acc (4 * ((page_idx * page_words) + i)) v)
-        page;
-      !acc)
-    init pages
+      let base = 4 * page_idx * page_words in
+      for i = 0 to page_words - 1 do
+        let v = page.(i) in
+        if v <> 0 then begin
+          out.(!w) <- base + (4 * i);
+          out.(!w + 1) <- v;
+          w := !w + 2
+        end
+      done)
+    pages;
+  out
 
-let equal a b =
-  let dump t = fold_nonzero t ~init:[] ~f:(fun acc addr v -> (addr, v) :: acc) in
-  dump a = dump b
+let equal a b = snapshot a = snapshot b

@@ -42,10 +42,13 @@ val write_half : t -> int -> int -> unit
 val copy : t -> t
 (** Deep copy, used to give each simulator its own image of a program. *)
 
-val fold_nonzero : t -> init:'a -> f:('a -> int -> int -> 'a) -> 'a
-(** [fold_nonzero t ~init ~f] folds [f acc addr word] over all words whose
-    value is non-zero, in increasing address order. Used by differential
-    tests to compare final memory states. *)
+val snapshot : t -> int array
+(** The non-zero words as one flat array of (address, word) pairs in
+    ascending address order: [[| a0; w0; a1; w1; ... |]], two words per
+    non-zero word plus the array header, allocated once at its final size.
+    The architectural snapshots ([Machine.arch_state] and the core's) hold
+    it as their memory, so differential checks compare and diff it
+    directly. *)
 
 val equal : t -> t -> bool
-(** Equality of non-zero contents. *)
+(** Equality of non-zero contents: equal {!snapshot}s. *)

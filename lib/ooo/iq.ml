@@ -31,9 +31,11 @@ let off = -2
 
 type t = {
   pool : slot array; (* indexed by id, never permuted *)
-  order : int array; (* ids: [0, count) live oldest-first, the rest free *)
+  order : int array; (* ids: [0, used) live or dead oldest-first, the rest free *)
   size : int;
-  mutable count : int;
+  mutable used : int; (* positions in [order] holding a live or dead slot *)
+  mutable occ : int; (* occupancy: live slots plus this cycle's kills *)
+  mutable kills : int; (* slots killed since the last {!end_cycle} *)
   mutable rptr : int;
   src_f : float array; (* FP operand values, by node *)
   (* Per-tag waiter lists of operand nodes: the set {!wakeup} walks for a
@@ -50,7 +52,6 @@ type t = {
   r_prev : int array;
   mutable r_head : int;
   mutable r_tail : int;
-  mutable n_dead : int; (* dead slots within [0, count): compact's work *)
 }
 
 let fresh_slot id =
@@ -81,7 +82,9 @@ let create size =
     pool = Array.init size fresh_slot;
     order = Array.init size Fun.id;
     size;
-    count = 0;
+    used = 0;
+    occ = 0;
+    kills = 0;
     rptr = 0;
     src_f = Array.make (2 * size) 0.;
     w_next = Array.make (2 * size) off;
@@ -92,12 +95,11 @@ let create size =
     r_prev = Array.make size nil;
     r_head = nil;
     r_tail = nil;
-    n_dead = 0;
   }
 
-let count t = t.count
-let free t = t.size - t.count
-let is_full t = t.count = t.size
+let count t = t.occ
+let free t = t.size - t.occ
+let is_full t = t.occ = t.size
 let slots t = t.pool
 let at t i = t.pool.(t.order.(i))
 let src1_f t s = t.src_f.(2 * s.id)
@@ -167,15 +169,6 @@ let unlink t s =
   if t.w_next.(node + 1) <> off then wait_unlink t (node + 1) s.src2_tag;
   if t.r_next.(s.id) <> off then ready_unlink t s.id
 
-let dispatch t =
-  if is_full t then failwith "Iq.dispatch: full";
-  let s = t.pool.(t.order.(t.count)) in
-  t.count <- t.count + 1;
-  s.dead <- false;
-  s.issued <- false;
-  s.reusable <- false;
-  s
-
 (* Classify a slot onto the waiter lists and/or ready list once its
    source tags are known. A store is select-ready as soon as its address
    operand resolves: the data operand rides along as a tag on the
@@ -199,7 +192,7 @@ let mark_renamed t s =
 let kill t s =
   if not s.dead then begin
     s.dead <- true;
-    t.n_dead <- t.n_dead + 1
+    t.kills <- t.kills + 1
   end;
   unlink t s
 
@@ -229,14 +222,16 @@ let wakeup t ~tag ~value_i ~value_f =
     t.w_tail.(tag) <- nil
   end
 
-let compact t =
-  if t.n_dead = 0 then 0
-  else begin
+(* Remove every dead slot from [order], keeping the survivors' age order
+   and the reuse pointer on the slot it named. The live slots number
+   [occ - kills]; every other used position holds a dead one. *)
+let walk t =
+  if t.used > t.occ - t.kills then begin
     let order = t.order in
     let orig_rptr = t.rptr in
     let dead_before = ref 0 in
     let w = ref 0 in
-    for r = 0 to t.count - 1 do
+    for r = 0 to t.used - 1 do
       let id = order.(r) in
       if t.pool.(id).dead then begin
         if r < orig_rptr then incr dead_before
@@ -251,26 +246,45 @@ let compact t =
         incr w
       end
     done;
-    let removed = t.count - !w in
-    t.count <- !w;
-    t.n_dead <- 0;
+    t.used <- !w;
     t.rptr <- orig_rptr - !dead_before;
-    if t.rptr > t.count || t.rptr < 0 then t.rptr <- 0;
-    removed
+    if t.rptr > t.used || t.rptr < 0 then t.rptr <- 0
   end
+
+let end_cycle t ~positions =
+  if positions then walk t;
+  let k = t.kills in
+  t.occ <- t.occ - k;
+  t.kills <- 0;
+  k
+
+let compact t = end_cycle t ~positions:true
+
+let dispatch t =
+  if is_full t then failwith "Iq.dispatch: full";
+  (* The occupancy has room, so some taken positions hold dead slots
+     that no end step has walked: collapse them now. *)
+  if t.used = t.size then walk t;
+  let s = t.pool.(t.order.(t.used)) in
+  t.used <- t.used + 1;
+  t.occ <- t.occ + 1;
+  s.dead <- false;
+  s.issued <- false;
+  s.reusable <- false;
+  s
 
 let reuse_ptr t = t.rptr
 let set_reuse_ptr t i = t.rptr <- i
 
 let first_reusable t =
   let i = ref 0 in
-  while !i < t.count && not (at t !i).reusable do
+  while !i < t.used && not (at t !i).reusable do
     incr i
   done;
-  if !i < t.count then !i else -1
+  if !i < t.used then !i else -1
 
 let clear_classification t =
-  for i = 0 to t.count - 1 do
+  for i = 0 to t.used - 1 do
     let s = at t i in
     if s.reusable then begin
       s.reusable <- false;
@@ -280,15 +294,16 @@ let clear_classification t =
 
 let clear t =
   (* Unlink everything before dropping the slots. *)
-  for i = 0 to t.count - 1 do
+  for i = 0 to t.used - 1 do
     unlink t (at t i)
   done;
-  t.count <- 0;
-  t.rptr <- 0;
-  t.n_dead <- 0
+  t.used <- 0;
+  t.occ <- 0;
+  t.kills <- 0;
+  t.rptr <- 0
 
 let squash_after t ~seq =
-  for i = 0 to t.count - 1 do
+  for i = 0 to t.used - 1 do
     let s = at t i in
     if (not s.dead) && s.seq > seq then begin
       if s.reusable then begin

@@ -4,13 +4,23 @@ open Riq_isa
 
     The queue is a {e collapsing} structure over a fixed pool of slots.
     Each slot has a stable id (its index in {!slots}); the queue's age
-    order is a permutation of ids, and {!at} [i] for [i] in
-    [0 .. count-1] is the [i]-th oldest valid slot (program order of their
-    current dynamic instances). Conventional entries are marked dead when
-    they issue and are removed by {!compact} (one pass per cycle);
-    entries with the {e classification bit} ({!field-reusable}) set
-    survive issue — their {e issue-state bit} ({!field-issued}) is set
-    instead, exactly as in Section 2.2 of the paper.
+    order is a permutation of ids, and {!at} [i] is the [i]-th oldest slot
+    (program order of their current dynamic instances). Conventional
+    entries are marked dead when they issue; entries with the
+    {e classification bit} ({!field-reusable}) set survive issue — their
+    {e issue-state bit} ({!field-issued}) is set instead, exactly as in
+    Section 2.2 of the paper.
+
+    Occupancy and positions are kept apart. The occupancy ({!count},
+    {!free}, {!is_full}) is the live slots plus the slots killed since the
+    last {!end_cycle}: a killed entry frees its slot at the end of its
+    cycle. Positions ({!at}, {!reuse_ptr}, {!first_reusable}) are exact —
+    every dead slot is the current cycle's kill, so [at] covers
+    [0 .. count-1] — after an {!end_cycle} [~positions:true] (a
+    {!compact}), until the next [~positions:false] step that had kills
+    to retire. Between a lazy step and the next walk, dead slots keep
+    their positions; {!dispatch} walks on its own when every position is
+    taken.
 
     Operand values are captured into the slot (at dispatch for
     already-ready operands, at {!wakeup} otherwise), so a slot never reads
@@ -53,14 +63,17 @@ type slot = {
   mutable src2_i : int;
   mutable issued : bool; (** issue-state bit *)
   mutable reusable : bool; (** classification bit *)
-  mutable dead : bool; (** removed at the next {!compact} *)
+  mutable dead : bool; (** leaves the occupancy at the next {!end_cycle} *)
   mutable pred_npc : int;
 }
 
 type t
 
 val create : int -> t
+
 val count : t -> int
+(** Occupancy: live slots plus this cycle's kills. *)
+
 val free : t -> int
 val is_full : t -> bool
 
@@ -69,7 +82,8 @@ val slots : t -> slot array
     order, is {!at}'s business. *)
 
 val at : t -> int -> slot
-(** [at t i] is the [i]-th oldest valid slot, [0 <= i < count t]. *)
+(** [at t i] is the [i]-th oldest slot, [0 <= i < count t], while
+    positions are exact (see above). *)
 
 val src1_f : t -> slot -> float
 (** The slot's captured FP value of its first source operand. *)
@@ -86,7 +100,8 @@ val dispatch : t -> slot
 (** Claim the next slot (appended at the tail, preserving age order) and
     return it for the caller to fill. The slot joins no list yet: call
     {!enqueue} once the source tags are resolved. Raises [Failure] when
-    full. *)
+    full. When the occupancy has room but every position holds a live or
+    dead slot, it first removes the dead ones from the age order. *)
 
 val enqueue : t -> slot -> unit
 (** Classify a freshly filled slot onto the waiter lists and/or the ready
@@ -115,22 +130,29 @@ val mark_renamed : t -> slot -> unit
     source tags the caller just refreshed. *)
 
 val kill : t -> slot -> unit
-(** Mark a slot dead (removed by the next {!compact}) and drop it from
-    all lists. *)
+(** Mark a slot dead and drop it from all lists. It counts in the
+    occupancy until the next {!end_cycle}. *)
 
 val wakeup : t -> tag:int -> value_i:int -> value_f:float -> unit
 (** Result broadcast: every un-issued slot waiting on [tag] captures the
     value and marks that operand ready. *)
 
+val end_cycle : t -> positions:bool -> int
+(** The cycle's last step: drop the slots killed since the previous step
+    from the occupancy and return their number (the power model charges
+    the collapse writes). With [~positions:true] it also removes every
+    dead slot from the age order, preserving the order of the rest, so
+    positions are exact again; with [false] the dead slots keep their
+    positions. Slot ids and the lists are untouched. *)
+
 val compact : t -> int
-(** Remove dead slots, preserving the age order of the rest; returns the
-    number removed (the power model charges the collapse writes). Slot
-    ids and the lists are untouched. *)
+(** [end_cycle t ~positions:true]: when every step is a [compact], the
+    number returned is the number of dead slots removed. *)
 
 val reuse_ptr : t -> int
 (** The paper's reuse pointer: age position (an {!at} index) of the next
-    buffered slot to re-dispatch in Code Reuse state. Maintained across
-    {!compact}. *)
+    buffered slot to re-dispatch in Code Reuse state. Every walk of the
+    age order keeps it on the slot it named. *)
 
 val set_reuse_ptr : t -> int -> unit
 

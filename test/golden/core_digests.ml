@@ -21,7 +21,9 @@ let digest (arch : Machine.arch_state) (st : Processor.stats) acct decisions =
   i arch.instructions;
   Array.iter i arch.int_regs;
   Array.iter f arch.fp_regs;
-  List.iter (fun (addr, v) -> i addr; i v) arch.memory;
+  (* The flat (address, word) pairs in address order: the integers, in
+     the order, that core.digests was blessed with. *)
+  Array.iter i arch.memory;
   (* Destructured without [_] so a new field fails to compile here. *)
   let { Processor.cycles; committed; ipc; gated_cycles; gated_fraction; branches;
         mispredicts; loads; stores; reuse_dispatches; reuse_committed; buffer_attempts;

@@ -187,6 +187,44 @@ let test_arch_state_equality () =
   Alcotest.(check bool) "unequal states" false
     (Machine.equal_arch (Machine.arch_state m1) (Machine.arch_state m3))
 
+(* Two runs of one program text with different data words: only memory
+   differs. The diff names each address once, ascending, left value
+   first, and stops after 8 lines. *)
+let test_arch_diff_memory () =
+  let state words =
+    Machine.arch_state (run (Printf.sprintf "halt\n.word d %s\n" words))
+  in
+  Alcotest.(check string) "each address once, ascending"
+    "mem[0x100000]: 1 vs 2\n\
+     mem[0x100008]: left only (7)\n\
+     mem[0x10000c]: right only (9)\n"
+    (Machine.diff_string (state "1 5 7 0") (state "2 5 0 9"));
+  Alcotest.(check string) "at most 8 lines"
+    (String.concat ""
+       (List.init 8 (fun i -> Printf.sprintf "mem[%#x]: %d vs %d\n" (0x100000 + (4 * i)) (i + 1) (i + 11))))
+    (Machine.diff_string (state "1 2 3 4 5 6 7 8 9 10") (state "11 12 13 14 15 16 17 18 19 20"))
+
+(* The reference state core-large checks every btrix cell against holds
+   memory as flat (address, word) pairs: two heap words per non-zero
+   word plus the array header. *)
+let test_btrix_snapshot_footprint () =
+  let m = Machine.create (Riq_workloads.Workloads.program (Riq_workloads.Workloads.find "btrix")) in
+  (match Machine.run m with
+  | Machine.Halted -> ()
+  | Machine.Insn_limit | Machine.Bad_pc _ -> Alcotest.fail "btrix did not halt");
+  let mem = (Machine.arch_state m).Machine.memory in
+  let words = Array.length mem / 2 in
+  Alcotest.(check int) "non-zero words" 72_971 words;
+  for k = 0 to words - 1 do
+    let addr = mem.(2 * k) and v = mem.((2 * k) + 1) in
+    if v = 0 || Riq_mem.Store.read_word (Machine.mem m) addr <> v
+       || (k > 0 && addr <= mem.((2 * k) - 2))
+    then Alcotest.failf "pair %d (%#x, %d) is not the store's next non-zero word" k addr v
+  done;
+  let reachable = Obj.reachable_words (Obj.repr mem) in
+  if reachable > (2 * words) + 1 then
+    Alcotest.failf "%d reachable words for %d non-zero words" reachable words
+
 let suites =
   [
     ( "interp",
@@ -207,5 +245,7 @@ let suites =
         Alcotest.test_case "machine bad pc" `Quick test_machine_bad_pc;
         Alcotest.test_case "machine instruction limit" `Quick test_machine_insn_limit;
         Alcotest.test_case "arch state equality" `Quick test_arch_state_equality;
+        Alcotest.test_case "arch diff of memory" `Quick test_arch_diff_memory;
+        Alcotest.test_case "btrix snapshot footprint" `Quick test_btrix_snapshot_footprint;
       ] );
   ]

@@ -51,8 +51,10 @@ let test_store_fold () =
   let s = Store.create () in
   Store.write_word s 0x2000 5;
   Store.write_word s 0x1000 4;
-  let acc = Store.fold_nonzero s ~init:[] ~f:(fun acc addr v -> (addr, v) :: acc) in
-  Alcotest.(check (list (pair int int))) "ascending" [ (0x1000, 4); (0x2000, 5) ] (List.rev acc)
+  Store.write_word s 0x1004 7;
+  Store.write_word s 0x1004 0;
+  Alcotest.(check (array int)) "ascending pairs, zeros left out" [| 0x1000; 4; 0x2000; 5 |]
+    (Store.snapshot s)
 
 let test_store_subword () =
   let s = Store.create () in

@@ -165,6 +165,29 @@ let test_iq_first_reusable () =
   ignore (dispatch_simple iq ~seq:2 ~reusable:true ~ready:true);
   Alcotest.(check int) "found" 1 (Iq.first_reusable iq)
 
+(* A lazy end-of-cycle step frees the occupancy but leaves the dead slots
+   in the age order; once every position is taken, [dispatch] must
+   collapse the order itself before it can claim one. *)
+let test_iq_dispatch_walks () =
+  let iq = Iq.create 4 in
+  let s = Array.init 4 (fun i -> dispatch_simple iq ~seq:(i + 1) ~reusable:false ~ready:true) in
+  Iq.kill iq s.(0);
+  Iq.kill iq s.(2);
+  Alcotest.(check bool) "kills occupy until the cycle ends" true (Iq.is_full iq);
+  Alcotest.(check int) "lazy step retires two" 2 (Iq.end_cycle iq ~positions:false);
+  Alcotest.(check int) "count" 2 (Iq.count iq);
+  Alcotest.(check int) "free" 2 (Iq.free iq);
+  Alcotest.(check int) "dead slot keeps its position" 1 (Iq.at iq 0).Iq.seq;
+  let s5 = dispatch_simple iq ~seq:5 ~reusable:false ~ready:true in
+  let s6 = dispatch_simple iq ~seq:6 ~reusable:false ~ready:true in
+  Alcotest.(check bool) "full again" true (Iq.is_full iq);
+  Alcotest.(check (list int)) "age order collapsed, then appended" [ 2; 4; 5; 6 ]
+    (List.init (Iq.count iq) (fun i -> (Iq.at iq i).Iq.seq));
+  Alcotest.(check (list int)) "freed slots reclaimed"
+    (List.sort compare [ s.(0).Iq.id; s.(2).Iq.id ])
+    (List.sort compare [ s5.Iq.id; s6.Iq.id ]);
+  Alcotest.(check int) "nothing left to retire" 0 (Iq.compact iq)
+
 let test_iq_full () =
   let iq = Iq.create 2 in
   ignore (dispatch_simple iq ~seq:1 ~reusable:false ~ready:true);
@@ -317,13 +340,18 @@ let prop_iq_compact_order =
       && List.length seqs = List.length (List.filter not kills))
 
 (* qcheck: the queue against a naive list model. Random operation
-   sequences drive both; after every step the age order, the per-tag
-   waiter sets, the ready set, the captured operands, the reuse pointer
-   and [first_reusable] must agree, and so must [compact]'s count.
-   Operations name their target by an index into the slots it is legal
-   for, resolved when it runs, so every sequence respects the queue's
-   preconditions (enqueue once per dispatch, rename only issued buffered
-   slots). *)
+   sequences drive both, with the eager end-of-cycle step ([compact])
+   interleaved with the lazy one ([end_cycle ~positions:false]); the
+   model's list is the eager age order either way. After every step the
+   occupancy ([count], [free], [is_full]), the per-tag waiter sets, the
+   ready set and the captured operands must agree, and so must each
+   step's retired count. While positions are exact — after an eager
+   step, until a lazy one retires kills — the age order, the reuse
+   pointer and [first_reusable] must agree too, and the reuse pointer is
+   set only then, as the core does. Operations name their target by an
+   index into the slots it is legal for, resolved when it runs, so every
+   sequence respects the queue's preconditions (enqueue once per
+   dispatch, rename only issued buffered slots). *)
 
 type mslot = {
   real : Iq.slot;
@@ -348,6 +376,7 @@ type model = {
   mutable pending : mslot list; (* dispatched, not yet enqueued *)
   mutable rptr : int;
   mutable next_seq : int;
+  mutable exact : bool; (* the queue's positions are the model's order *)
 }
 
 type iq_op =
@@ -360,6 +389,7 @@ type iq_op =
   | Squash_after of int
   | Clear_classification
   | Compact
+  | Settle (* the lazy end-of-cycle step *)
   | Set_reuse_ptr of int
 
 let iq_op_to_string = function
@@ -372,6 +402,7 @@ let iq_op_to_string = function
   | Squash_after k -> Printf.sprintf "squash_after %d" k
   | Clear_classification -> "clear_classification"
   | Compact -> "compact"
+  | Settle -> "settle"
   | Set_reuse_ptr k -> Printf.sprintf "set_reuse_ptr %d" k
 
 let model_tags = 6
@@ -393,7 +424,8 @@ let gen_iq_op =
       (2, map (fun k -> Kill k) k);
       (1, map (fun k -> Squash_after k) (int_bound 40));
       (1, return Clear_classification);
-      (3, return Compact);
+      (2, return Compact);
+      (2, return Settle);
       (1, map (fun k -> Set_reuse_ptr k) (int_bound model_size));
     ]
 
@@ -417,8 +449,8 @@ let m_issue m =
   m.m_issued <- true;
   m_unlink m
 
-(* Apply one operation to the queue and to the model. [Error] reports a
-   [compact] count that differs from the model's. *)
+(* Apply one operation to the queue and to the model. [Error] reports an
+   end-of-cycle step whose retired count differs from the model's. *)
 let step_iq iq md op =
   let fresh_seq () =
     md.next_seq <- md.next_seq + 1;
@@ -543,8 +575,8 @@ let step_iq iq md op =
         md.q;
       md.pending <- List.filter (fun m -> not m.m_dead) md.pending;
       Ok ()
-  | Compact ->
-      let removed = Iq.compact iq in
+  | Compact | Settle ->
+      let removed = Iq.end_cycle iq ~positions:(op = Compact) in
       let rec dead_before i = function
         | [] -> 0
         | m :: rest -> if i >= md.rptr then 0 else Bool.to_int m.m_dead + dead_before (i + 1) rest
@@ -555,20 +587,30 @@ let step_iq iq md op =
         md.q <- live;
         if md.rptr > List.length md.q || md.rptr < 0 then md.rptr <- 0
       end;
+      if op = Compact then md.exact <- true else if expected > 0 then md.exact <- false;
       if removed = expected then Ok ()
-      else Error (Printf.sprintf "compact removed %d, model %d" removed expected)
+      else Error (Printf.sprintf "end of cycle retired %d, model %d" removed expected)
   | Set_reuse_ptr k ->
-      let p = k mod (Iq.count iq + 1) in
-      Iq.set_reuse_ptr iq p;
-      md.rptr <- p;
+      if md.exact then begin
+        let p = k mod (Iq.count iq + 1) in
+        Iq.set_reuse_ptr iq p;
+        md.rptr <- p
+      end;
       Ok ()
 
 let sorted l = List.sort compare l
 
 (* Everything observable through the interface, the queue's side and the
-   model's side, as comparable values. *)
-let observe_iq iq =
-  let order = List.init (Iq.count iq) (fun i -> Iq.at iq i) in
+   model's side, as comparable values: the occupancy; the ready set, the
+   waiter sets and the operands of the slots in age order; and what reads
+   positions. *)
+let occupancy_iq iq = (Iq.count iq, Iq.free iq, Iq.is_full iq)
+
+let occupancy_model md =
+  let n = List.length md.q in
+  (n, model_size - n, n = model_size)
+
+let observe_iq iq slots =
   let ready =
     let rec walk id acc =
       if id < 0 then acc else walk (Iq.ready_next iq id) ((Iq.slots iq).(id).Iq.seq :: acc)
@@ -584,16 +626,11 @@ let observe_iq iq =
       (fun s ->
         ( (s.Iq.seq, s.Iq.src1_tag, s.Iq.src2_tag, s.Iq.src1_i, s.Iq.src2_i),
           (Iq.src1_f iq s, Iq.src2_f iq s, s.Iq.issued, s.Iq.reusable, s.Iq.dead) ))
-      order
+      slots
   in
-  ( List.map (fun s -> s.Iq.id) order,
-    ready,
-    waiters,
-    operands,
-    Iq.reuse_ptr iq,
-    Iq.first_reusable iq )
+  (List.map (fun s -> s.Iq.id) slots, ready, waiters, operands)
 
-let observe_model md =
+let observe_model md ms =
   let ready = sorted (List.filter_map (fun m -> if m.rdy then Some m.m_seq else None) md.q) in
   let waiters =
     List.init model_tags (fun tag ->
@@ -609,16 +646,34 @@ let observe_model md =
       (fun m ->
         ( (m.m_seq, m.tag1, m.tag2, m.val1, m.val2),
           (m.fval1, m.fval2, m.m_issued, m.m_reusable, m.m_dead) ))
-      md.q
+      ms
   in
-  let first_reusable =
-    let rec find i = function
-      | [] -> -1
-      | m :: rest -> if m.m_reusable then i else find (i + 1) rest
-    in
-    find 0 md.q
+  (List.map (fun m -> m.real.Iq.id) ms, ready, waiters, operands)
+
+let positions_iq iq = (Iq.reuse_ptr iq, Iq.first_reusable iq)
+
+let positions_model md =
+  let rec find i = function
+    | [] -> -1
+    | m :: rest -> if m.m_reusable then i else find (i + 1) rest
   in
-  (List.map (fun m -> m.real.Iq.id) md.q, ready, waiters, operands, md.rptr, first_reusable)
+  (md.rptr, find 0 md.q)
+
+(* While positions are exact, the queue's slots in its age order against
+   the whole model. Otherwise the positions still hold earlier cycles'
+   dead, and a [dispatch] that collapsed them may have claimed a slot
+   killed this cycle, so the model's live slots are compared, through
+   their own records. *)
+let agrees iq md =
+  let ms, slots =
+    if md.exact then (md.q, List.init (Iq.count iq) (fun i -> Iq.at iq i))
+    else
+      let live = List.filter (fun m -> not m.m_dead) md.q in
+      (live, List.map (fun m -> m.real) live)
+  in
+  occupancy_iq iq = occupancy_model md
+  && observe_iq iq slots = observe_model md ms
+  && ((not md.exact) || positions_iq iq = positions_model md)
 
 let prop_iq_model =
   QCheck.Test.make ~name:"iq agrees with a list model" ~count:500
@@ -628,13 +683,13 @@ let prop_iq_model =
        QCheck.Gen.(list_size (int_range 1 80) gen_iq_op))
     (fun ops ->
       let iq = Iq.create model_size in
-      let md = { q = []; pending = []; rptr = 0; next_seq = 0 } in
+      let md = { q = []; pending = []; rptr = 0; next_seq = 0; exact = true } in
       List.for_all
         (fun op ->
           match step_iq iq md op with
           | Error msg -> QCheck.Test.fail_reportf "after %s: %s" (iq_op_to_string op) msg
           | Ok () ->
-              observe_iq iq = observe_model md
+              agrees iq md
               || QCheck.Test.fail_reportf "state differs after %s" (iq_op_to_string op))
         ops)
 
@@ -861,6 +916,7 @@ let suites =
         Alcotest.test_case "iq reuse pointer under compact" `Quick test_iq_reuse_ptr_compact;
         Alcotest.test_case "iq first reusable" `Quick test_iq_first_reusable;
         Alcotest.test_case "iq full" `Quick test_iq_full;
+        Alcotest.test_case "iq dispatch collapses a full order" `Quick test_iq_dispatch_walks;
         Alcotest.test_case "lsq forwarding" `Quick test_lsq_forwarding;
         Alcotest.test_case "lsq youngest older store" `Quick test_lsq_youngest_older_store_wins;
         Alcotest.test_case "lsq squash/pop" `Quick test_lsq_squash_and_pop;
