@@ -419,8 +419,8 @@ let emit_json path ~iq results =
 
 (* ------------------------------------------------------------------ *)
 
-let lint_one ~iq ~multi ~expect ~dynamic (name, src_opt, lines_opt, program) =
-  let report = Bufferability.analyze ~multi_iter:multi ~iq_size:iq program in
+let lint_one ~cfg ~expect ~dynamic (name, src_opt, lines_opt, program) =
+  let report = Bufferability.analyze_config cfg program in
   let ctx = { c_name = name; c_lines = lines_opt; c_program = program; c_report = report } in
   let expect_diags, suppressed_risks, suppress_unreachable =
     match (expect, src_opt) with
@@ -436,7 +436,7 @@ let lint_one ~iq ~multi ~expect ~dynamic (name, src_opt, lines_opt, program) =
     @ (if suppress_unreachable then [] else pass_unreachable ctx)
     @ pass_irreducible ctx @ expect_diags
   in
-  Printf.printf "%s: iq %d, %d loop%s analysed%s\n" name iq
+  Printf.printf "%s: iq %d, %d loop%s analysed%s\n" name cfg.Riq_ooo.Config.iq_entries
     (List.length report.Bufferability.loops)
     (if List.length report.Bufferability.loops = 1 then "" else "s")
     (if report.Bufferability.exact_trips then "" else " (some trip counts estimated)");
@@ -444,8 +444,7 @@ let lint_one ~iq ~multi ~expect ~dynamic (name, src_opt, lines_opt, program) =
   (match report.Bufferability.coverage with
   | Some c -> Printf.printf "  predicted reuse coverage %.1f%% of committed instructions\n" c
   | None -> ());
-  if dynamic then
-    print_dynamic (Riq_ooo.Config.with_iq_size Riq_ooo.Config.reuse iq) program;
+  if dynamic then print_dynamic cfg program;
   (name, report, diags)
 
 let die fmt = Printf.ksprintf (fun s -> prerr_endline ("riq-lint: " ^ s); exit 2) fmt
@@ -453,6 +452,13 @@ let die fmt = Printf.ksprintf (fun s -> prerr_endline ("riq-lint: " ^ s); exit 2
 let main files benches iq single expect dynamic json_out =
   if expect && benches <> [] then
     die "--expect requires assembly files (directives live in comments), not --bench";
+  (* One configuration for both halves: the static prediction and the
+     measured run (--dynamic) model the same queue and strategy. *)
+  let cfg =
+    match Riq_ooo.Config.with_iq_size Riq_ooo.Config.reuse iq with
+    | cfg -> { cfg with Riq_ooo.Config.buffer_multiple_iterations = not single }
+    | exception Invalid_argument _ -> die "--iq %d: the issue queue needs at least 8 entries" iq
+  in
   let jobs =
     List.map
       (fun path ->
@@ -486,7 +492,7 @@ let main files benches iq single expect dynamic json_out =
   let results =
     List.map
       (fun job ->
-        try lint_one ~iq ~multi:(not single) ~expect ~dynamic job
+        try lint_one ~cfg ~expect ~dynamic job
         with Failure msg ->
           let name, _, _, _ = job in
           die "%s: %s" name msg)

@@ -113,15 +113,14 @@ let run_cmd =
   let action bench file iq reuse optimized breakdown check report =
     let program = load_program bench file optimized in
     let cfg = Config.with_iq_size (if reuse then Config.reuse else Config.baseline) iq in
-    let sampler =
-      match report with
-      | None -> None
-      | Some _ -> Some (Riq_obs.Sampler.create ~channels:Processor.sample_channels ())
-    in
+    (* Only the report reads the sampler. *)
+    let sample_stride = Option.map (fun _ -> 64) report in
     let job = Riq_exp.Job.make ~check cfg program in
     let fail e = failwith (Riq_exp.Outcome.error_to_string e) in
     let p =
-      match Riq_exp.Runner.simulate ?sampler job with Ok (p, _) -> p | Error e -> fail e
+      match Riq_exp.Runner.simulate ?sample_stride job with
+      | Ok (p, _) -> p
+      | Error e -> fail e
     in
     if check then begin
       match Riq_exp.Runner.check job (Riq_exp.Runner.observe p) with
@@ -361,7 +360,7 @@ let fig_cmd =
       | "fig8" -> emit (Figures.fig8 (Lazy.force sweep))
       | "fig9" -> emit (Figures.fig9 ~engine ~check ())
       | "coverage" -> emit (Figures.coverage (Lazy.force sweep))
-      | "revokes" -> emit (Figures.revoke_causes ())
+      | "revokes" -> emit (Figures.revoke_causes ~check ())
       | "nblt" -> emit (Figures.nblt_ablation ~engine ~check ())
       | "strategy" -> emit (Figures.strategy_ablation ~engine ~check ())
       | "related" ->
@@ -428,20 +427,13 @@ let trace_cmd =
     let label = match bench with Some b -> "riq-sim " ^ b | None -> "riq-sim" in
     let oc = open_out path in
     let tracer = Riq_obs.Tracer.stream ~process_name:label oc in
-    let sampler = Riq_obs.Sampler.create ~stride ~channels:Processor.sample_channels () in
     let p =
-      match Riq_exp.Runner.simulate ~tracer ~sampler (Riq_exp.Job.make cfg program) with
+      match
+        Riq_exp.Runner.simulate ~tracer ~sample_stride:stride (Riq_exp.Job.make cfg program)
+      with
       | Ok (p, _) -> p
       | Error e -> failwith (Riq_exp.Outcome.error_to_string e)
     in
-    (* Close any gating span still open when the halt committed, so the
-       viewer never sees an unterminated slice. *)
-    (match (Processor.reuse_state p).Reuse_state.state with
-    | Reuse_state.Buffering ->
-        Riq_obs.Tracer.end_span tracer ~now:(Processor.cycles p) ~cat:"reuse" "loop-buffering"
-    | Reuse_state.Reusing ->
-        Riq_obs.Tracer.end_span tracer ~now:(Processor.cycles p) ~cat:"reuse" "code-reuse"
-    | Reuse_state.Normal -> ());
     Riq_obs.Tracer.close tracer;
     close_out oc;
     Printf.printf "wrote %s: %d events over %d cycles (open in ui.perfetto.dev)\n" path

@@ -1,55 +1,33 @@
-open Riq_obs
-
 type t = {
-  tracer : Tracer.t;
   entries : int array;
   valid : bool array;
   size : int;
   mutable next : int; (* FIFO insertion cursor *)
-  mutable n_lookup : int;
-  mutable n_insert : int;
 }
 
-let create ?tracer size =
+let create size =
   if size < 0 then invalid_arg "Nblt.create";
   {
-    tracer = (match tracer with Some tr -> tr | None -> Tracer.null ());
     entries = Array.make (max size 1) 0;
     valid = Array.make (max size 1) false;
     size;
     next = 0;
-    n_lookup = 0;
-    n_insert = 0;
   }
 
 let capacity t = t.size
 
 let mem t pc =
-  t.n_lookup <- t.n_lookup + 1;
   let found = ref false in
   for i = 0 to t.size - 1 do
     if t.valid.(i) && t.entries.(i) = pc then found := true
   done;
   !found
 
-let present t pc =
-  let found = ref false in
-  for i = 0 to t.size - 1 do
-    if t.valid.(i) && t.entries.(i) = pc then found := true
-  done;
-  !found
-
-let insert ?(now = 0) t pc =
-  if t.size > 0 && not (present t pc) then begin
-    t.n_insert <- t.n_insert + 1;
+let insert t pc =
+  if t.size = 0 || mem t pc then false
+  else begin
     t.entries.(t.next) <- pc;
     t.valid.(t.next) <- true;
     t.next <- (t.next + 1) mod t.size;
-    if Tracer.enabled t.tracer then
-      Tracer.instant t.tracer ~now
-        ~args:[ ("tail", Tracer.Int pc) ]
-        ~cat:"nblt" "nblt-register"
+    true
   end
-
-let lookups t = t.n_lookup
-let insertions t = t.n_insert

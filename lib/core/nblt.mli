@@ -11,19 +11,16 @@
 
 type t
 
-val create : ?tracer:Riq_obs.Tracer.t -> int -> t
-(** With a [tracer], every new registration emits an ["nblt-register"]
-    instant event carrying the loop-tail address. *)
+val create : int -> t
 
 val capacity : t -> int
 
 val mem : t -> int -> bool
 (** [mem t tail_pc] — CAM lookup by loop-ending instruction address. *)
 
-val insert : ?now:int -> t -> int -> unit
+val insert : t -> int -> bool
 (** Register a non-bufferable loop; on overflow the oldest entry is
     evicted (FIFO). Re-inserting a present address refreshes nothing (the
-    paper's table has no use for recency updates). *)
-
-val lookups : t -> int
-val insertions : t -> int
+    paper's table has no use for recency updates). Whether the address
+    was newly registered: [false] when it was present or the table has no
+    entries. *)

@@ -145,7 +145,7 @@ type t = {
   (* Reuse-attribution memo: wi -> smallest logged window containing it
      (None = outside every window); invalidated when a window is logged. *)
   attr_memo : loop_decision option option array;
-  loop_at : loop_decision option array; (* [loop_log] by the tail's wi *)
+  loop_at : loop_decision option array; (* [loops] by the tail's wi *)
   mutable halted : bool;
   mutable halt_pc : int;
   mutable committed : int;
@@ -156,12 +156,11 @@ type t = {
   mutable n_stores : int;
   mutable n_reuse_dispatch : int;
   mutable n_reuse_commit : int;
-  (* Keyed by tail pc. Lookups go through [loop_at]; the table is kept for
-     its iteration order, which breaks ties in the attribution search. *)
-  loop_log : (int, loop_decision) Hashtbl.t;
+  (* Every logged loop, newest first; lookups go through [loop_at]. *)
+  mutable loops : loop_decision list;
   mutable cur_reuse : loop_decision option; (* the last promoted loop *)
   (* Observability. The tracer defaults to the null sink (one dead branch
-     per emission site); the sampler is absent unless attached. *)
+     per emission site); the sampler exists only when a stride is given. *)
   tracer : Tracer.t;
   sampler : Sampler.t option;
   counter_stride : int; (* cadence of the tracer's counter tracks *)
@@ -172,8 +171,7 @@ type t = {
 
 type stop = Halted | Cycle_limit
 
-(* Sample channels, in recording order; callers attaching a sampler must
-   create it with exactly these (see [sample_channels] in the interface). *)
+(* Sample channels, in recording order ([sample_values] fills them). *)
 let sample_channels =
   [
     "ipc"; "iq"; "rob"; "lsq"; "power-icache"; "power-bpred"; "power-iq";
@@ -183,17 +181,13 @@ let sample_channels =
 let sample_groups =
   [| Component.G_icache; G_bpred; G_iq; G_overhead; G_other |]
 
-let create ?tracer ?sampler cfg program =
+let create ?tracer ?sample_stride cfg program =
   Config.validate cfg;
   let tracer = match tracer with Some tr -> tr | None -> Tracer.null () in
   if Tracer.enabled tracer then begin
     Tracer.set_thread_name tracer ~tid:0 "reuse-engine";
     Tracer.set_thread_name tracer ~tid:1 "pipeline-events"
   end;
-  (match sampler with
-  | Some s when Sampler.channels s <> sample_channels ->
-      invalid_arg "Processor.create: sampler channels must be Processor.sample_channels"
-  | Some _ | None -> ());
   let memory = Store.create () in
   Program.load program ~write_word:(Store.write_word memory);
   let arch_i = Array.make 32 0 in
@@ -213,8 +207,8 @@ let create ?tracer ?sampler cfg program =
         ~n_fpalu:cfg.Config.n_fpalu ~n_fpmult:cfg.Config.n_fpmult
         ~n_memport:cfg.Config.n_memport;
     acct = Account.create (Model.create (Config.power_geometry cfg));
-    reuse = Reuse_state.create ~tracer ();
-    nblt = Nblt.create ~tracer cfg.Config.nblt_entries;
+    reuse = Reuse_state.create ();
+    nblt = Nblt.create cfg.Config.nblt_entries;
     lc =
       (if cfg.Config.loop_cache_entries > 0 then
          Some (Loopcache.create cfg.Config.loop_cache_entries)
@@ -258,12 +252,14 @@ let create ?tracer ?sampler cfg program =
     n_stores = 0;
     n_reuse_dispatch = 0;
     n_reuse_commit = 0;
-    loop_log = Hashtbl.create 16;
+    loops = [];
     cur_reuse = None;
     tracer;
-    sampler;
-    counter_stride =
-      (match sampler with Some s -> Sampler.base_stride s | None -> 64);
+    sampler =
+      Option.map
+        (fun stride -> Sampler.create ~stride ~channels:sample_channels ())
+        sample_stride;
+    counter_stride = Option.value sample_stride ~default:64;
     samp_last_cycle = 0;
     samp_last_committed = 0;
     samp_last_energy = Array.make (Array.length sample_groups) 0.;
@@ -292,7 +288,7 @@ let loop_record t ~head ~tail =
           ld_reuse_committed = 0;
         }
       in
-      Hashtbl.replace t.loop_log tail r;
+      t.loops <- r :: t.loops;
       t.loop_at.(wi) <- Some r;
       Array.fill t.attr_memo 0 (Array.length t.attr_memo) None;
       r
@@ -467,6 +463,37 @@ let flush_front_end t =
   ring_clear t.fetch_q;
   ring_clear t.decode_latch
 
+(* The Figure 2 states on the trace's track 0 ("reuse-engine"): a
+   "loop-buffering" span covers Loop Buffering and a "code-reuse" span the
+   gating window, so a timeline shows when the machine held each state. *)
+let loop_args r =
+  [ ("head", Tracer.Int r.Reuse_state.head); ("tail", Tracer.Int r.Reuse_state.tail) ]
+
+let begin_state_span t =
+  let r = t.reuse in
+  match r.Reuse_state.state with
+  | Reuse_state.Buffering ->
+      Tracer.begin_span t.tracer ~now:t.now ~args:(loop_args r) ~cat:"reuse" "loop-buffering"
+  | Reuse_state.Reusing ->
+      Tracer.begin_span t.tracer ~now:t.now
+        ~args:(("iters_buffered", Tracer.Int r.Reuse_state.iters_buffered) :: loop_args r)
+        ~cat:"reuse" "code-reuse"
+  | Reuse_state.Normal -> ()
+
+let end_state_span t =
+  match t.reuse.Reuse_state.state with
+  | Reuse_state.Buffering -> Tracer.end_span t.tracer ~now:t.now ~cat:"reuse" "loop-buffering"
+  | Reuse_state.Reusing -> Tracer.end_span t.tracer ~now:t.now ~cat:"reuse" "code-reuse"
+  | Reuse_state.Normal -> ()
+
+(* One state-machine transition: the span of the state left ends and the
+   span of the state entered begins, both at the current cycle. *)
+let transition t move =
+  let traced = Tracer.enabled t.tracer in
+  if traced then end_state_span t;
+  move t.reuse;
+  if traced then begin_state_span t
+
 let revoke_buffering t ~register_nblt ~cause =
   let r =
     loop_record t ~head:t.reuse.Reuse_state.head ~tail:t.reuse.Reuse_state.tail
@@ -490,15 +517,20 @@ let revoke_buffering t ~register_nblt ~cause =
   if register_nblt then begin
     r.ld_nblt_registered <- r.ld_nblt_registered + 1;
     charge1 t Component.Nblt;
-    Nblt.insert ~now:t.now t.nblt t.reuse.Reuse_state.tail
+    let tail = t.reuse.Reuse_state.tail in
+    let registered = Nblt.insert t.nblt tail in
+    if registered && Tracer.enabled t.tracer then
+      Tracer.instant t.tracer ~now:t.now
+        ~args:[ ("tail", Tracer.Int tail) ]
+        ~cat:"nblt" "nblt-register"
   end;
   Iq.clear_classification t.iq;
-  Reuse_state.revoke ~now:t.now t.reuse
+  transition t Reuse_state.revoke
 
 let exit_reuse t =
   Iq.clear_classification t.iq;
   Iq.set_reuse_ptr t.iq 0;
-  Reuse_state.exit_reuse ~now:t.now t.reuse
+  transition t Reuse_state.exit_reuse
 
 (* Conventional branch-misprediction recovery (Section 2.5), plus the
    revoke / reuse-exit that accompanies it in the buffering states. *)
@@ -593,26 +625,29 @@ let commit_one t (e : Rob.entry) =
       ());
   if e.Rob.from_reuse then begin
     t.n_reuse_commit <- t.n_reuse_commit + 1;
-    (* Attribute to the smallest logged window containing the pc; callee
-       instructions (outside every window) go to the loop being reused.
-       Memoized per word index — reuse commits the same few pcs millions
-       of times and the window set changes only when a loop is first
-       logged (which clears the memo). *)
+    (* Attribute to the smallest logged window containing the pc (of
+       equal spans, the first logged wins); callee instructions (outside
+       every window) go to the loop being reused. Memoized per word index
+       — reuse commits the same few pcs millions of times and the window
+       set changes only when a loop is first logged (which clears the
+       memo). *)
     let wi = e.Rob.wi in
     let best =
       match t.attr_memo.(wi) with
       | Some b -> b
       | None ->
-          let best = ref None in
-          Hashtbl.iter
-            (fun _ r ->
-              if e.Rob.pc >= r.ld_head && e.Rob.pc <= r.ld_tail then
-                match !best with
-                | Some b when b.ld_span <= r.ld_span -> ()
-                | _ -> best := Some r)
-            t.loop_log;
-          t.attr_memo.(wi) <- Some !best;
-          !best
+          let best =
+            List.fold_left
+              (fun best r ->
+                if e.Rob.pc < r.ld_head || e.Rob.pc > r.ld_tail then best
+                else
+                  match best with
+                  | Some b when b.ld_span <= r.ld_span -> best
+                  | _ -> Some r)
+              None (List.rev t.loops)
+          in
+          t.attr_memo.(wi) <- Some best;
+          best
     in
     match best with
     | Some r -> r.ld_reuse_committed <- r.ld_reuse_committed + 1
@@ -997,7 +1032,7 @@ let dispatch_one t (f : fetched) =
           in
           r.ld_promotions <- r.ld_promotions + 1;
           t.cur_reuse <- Some r;
-          Reuse_state.promote ~now:t.now t.reuse;
+          transition t Reuse_state.promote;
           Iq.set_reuse_ptr t.iq (Iq.first_reusable t.iq);
           flush_front_end t
         end
@@ -1100,7 +1135,7 @@ let handle_capture t (f : fetched) ~head ~tail =
     (* Detection works on the predicted target (Section 2.1): buffering
        begins with the second iteration, so it only makes sense when the
        branch is predicted to loop back. *)
-    Reuse_state.start_buffering ~now:t.now t.reuse ~head ~tail;
+    transition t (Reuse_state.start_buffering ~head ~tail);
     (* Everything already in the decode latch is older than this tail, so
        none of it belongs to the new buffer — not even an entry flagged by
        an attempt that was revoked earlier in this decode group. Clearing
@@ -1360,6 +1395,7 @@ let step_cycle t =
   sample_tick t
 
 let run ?(cycle_limit = 200_000_000) t =
+  let halted_before = t.halted in
   let rec go () =
     if t.halted then Halted
     else if t.now >= cycle_limit then Cycle_limit
@@ -1368,7 +1404,11 @@ let run ?(cycle_limit = 200_000_000) t =
       go ()
     end
   in
-  go ()
+  let stop = go () in
+  (* A halt inside Loop Buffering or Code Reuse ends that state's span at
+     the final cycle, so every span the trace opens is closed. *)
+  if stop = Halted && (not halted_before) && Tracer.enabled t.tracer then end_state_span t;
+  stop
 
 let halted t = t.halted
 let cycles t = t.now
@@ -1386,9 +1426,7 @@ let arch_state t =
     memory = Store.snapshot t.memory;
   }
 
-let loop_decisions t =
-  Hashtbl.fold (fun _ r acc -> r :: acc) t.loop_log []
-  |> List.sort (fun a b -> compare a.ld_tail b.ld_tail)
+let loop_decisions t = List.sort (fun a b -> compare a.ld_tail b.ld_tail) t.loops
 
 let revokes d (cause : Reuse_state.revoke_cause) =
   match cause with
@@ -1398,7 +1436,6 @@ let revokes d (cause : Reuse_state.revoke_cause) =
   | Rv_mispredict -> d.ld_rv_mispredict
 
 let account t = t.acct
-let tracer t = t.tracer
 let sampler t = t.sampler
 let hierarchy t = t.hier
 let reuse_state t = t.reuse

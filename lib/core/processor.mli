@@ -21,32 +21,31 @@ open Riq_interp
 
     {2 Observability}
 
-    [create ?tracer ?sampler] attaches the cycle-level tracing subsystem
-    ({!Riq_obs}): the tracer receives span/instant events from the reuse
-    state machine ("loop-buffering" and "code-reuse" gating-window spans),
-    the loop detector, the NBLT and the recovery path, plus periodic
-    [ipc] / [occupancy] / [power] counter tracks; the sampler records the
-    {!sample_channels} time series. Both default to off and the default
-    path costs one dead branch per emission site, so untraced simulations
-    are bit-identical to pre-observability builds. *)
+    The processor is the only producer of what a run reports about
+    itself ({!Riq_obs}). [create ?tracer] streams its events to the
+    tracer: the Figure 2 states as "loop-buffering" and "code-reuse"
+    spans, instants from the loop detector, the NBLT and the recovery
+    path, and periodic [ipc] / [occupancy] / [power] counter tracks.
+    [create ?sample_stride] makes it record a time series of windowed
+    IPC, IQ/ROB/LSQ occupancy, per-{!Riq_power.Component.group} power and
+    total power in its own {!sampler}. Both default to off and the
+    default path costs one dead branch per emission site, so untraced
+    simulations are bit-identical to traced ones. *)
 
 type t
 
-val sample_channels : string list
-(** Channel names (and order) a sampler attached to {!create} must use:
-    windowed IPC, IQ/ROB/LSQ occupancy, per-{!Riq_power.Component.group}
-    power and total power. *)
-
 val create :
-  ?tracer:Riq_obs.Tracer.t -> ?sampler:Riq_obs.Sampler.t -> Config.t -> Program.t -> t
-(** Raises [Invalid_argument] when [sampler]'s channels are not
-    {!sample_channels}. *)
+  ?tracer:Riq_obs.Tracer.t -> ?sample_stride:int -> Config.t -> Program.t -> t
+(** [sample_stride] is the sampler's initial period in cycles; the
+    counter tracks follow it, or every 64 cycles when it is absent.
+    Raises [Invalid_argument] when it is below 1. *)
 
 type stop = Halted | Cycle_limit
 
 val run : ?cycle_limit:int -> t -> stop
 (** Simulate until the [halt] instruction commits (default limit 200
-    million cycles). *)
+    million cycles). A halt inside Loop Buffering or Code Reuse ends that
+    state's span at the final cycle, so the trace's spans balance. *)
 
 val step_cycle : t -> unit
 (** Advance one cycle; exposed for the pipeline unit tests and the
@@ -68,8 +67,8 @@ val occupancy : t -> int * int * int
     (anything younger than the halt is wrong-path), so this reads
     (0, 0, 0). *)
 
-val tracer : t -> Riq_obs.Tracer.t
 val sampler : t -> Riq_obs.Sampler.t option
+(** Present when {!create} was given a [sample_stride]. *)
 
 val arch_state : t -> Machine.arch_state
 (** Architectural snapshot in the reference simulator's format, for
@@ -78,7 +77,9 @@ val arch_state : t -> Machine.arch_state
 (** Per-loop decision record of the dynamic reuse machinery, keyed by the
     loop-ending instruction's pc (the detector's and the NBLT's key).
     Queryable after a run to compare against the static bufferability
-    pass ([Riq_analysis.Bufferability]). *)
+    pass ([Riq_analysis.Bufferability]). A reused commit goes to the
+    smallest record whose window holds its pc; of two windows of equal
+    span, the first logged wins. *)
 type loop_decision = {
   ld_head : int; (** byte address of the loop's first instruction *)
   ld_tail : int; (** byte address of the backward transfer *)
@@ -135,10 +136,9 @@ type stats = {
   skipped_cycles : int;
   ffwd_iterations : int;
       (** Always 0. [skipped_cycles] and [ffwd_iterations] counted the work
-          of two removed fast paths (DESIGN.md §9.5). They keep the
-          [riq-report/3] and [riq-sweep/2] documents and the benchmark
-          under [perfledger/] unchanged in shape until that benchmark drops
-          them. *)
+          of two removed fast paths (DESIGN.md §9.5). No report or sweep
+          document carries them; they stay only because the benchmark
+          under [perfledger/] reads them, until that benchmark drops them. *)
 }
 
 val stats : t -> stats

@@ -1,5 +1,3 @@
-open Riq_obs
-
 type state = Normal | Buffering | Reusing
 
 type revoke_cause = Rv_inner_loop | Rv_left_loop | Rv_overflow | Rv_mispredict
@@ -13,7 +11,6 @@ let cause_to_string = function
   | Rv_mispredict -> "mispredict"
 
 type t = {
-  tracer : Tracer.t;
   mutable state : state;
   mutable head : int;
   mutable tail : int;
@@ -26,9 +23,8 @@ type t = {
   mutable n_reuse_exits : int;
 }
 
-let create ?tracer () =
+let create () =
   {
-    tracer = (match tracer with Some tr -> tr | None -> Tracer.null ());
     state = Normal;
     head = 0;
     tail = 0;
@@ -41,13 +37,7 @@ let create ?tracer () =
     n_reuse_exits = 0;
   }
 
-(* Span conventions: the buffering window and the Code-Reuse gating window
-   are named spans on track 0 ("reuse-engine"), so a Perfetto timeline
-   shows exactly when the machine held each state. *)
-let loop_args t =
-  [ ("head", Tracer.Int t.head); ("tail", Tracer.Int t.tail) ]
-
-let start_buffering ?(now = 0) t ~head ~tail =
+let start_buffering t ~head ~tail =
   assert (t.state = Normal);
   t.state <- Buffering;
   t.head <- head;
@@ -55,33 +45,21 @@ let start_buffering ?(now = 0) t ~head ~tail =
   t.iter_count <- 0;
   t.call_depth <- 0;
   t.iters_buffered <- 0;
-  t.n_buffer_attempts <- t.n_buffer_attempts + 1;
-  if Tracer.enabled t.tracer then
-    Tracer.begin_span t.tracer ~now ~args:(loop_args t) ~cat:"reuse" "loop-buffering"
+  t.n_buffer_attempts <- t.n_buffer_attempts + 1
 
-let revoke ?(now = 0) t =
+let revoke t =
   assert (t.state = Buffering);
   t.state <- Normal;
-  t.n_revokes <- t.n_revokes + 1;
-  if Tracer.enabled t.tracer then
-    Tracer.end_span t.tracer ~now ~cat:"reuse" "loop-buffering"
+  t.n_revokes <- t.n_revokes + 1
 
-let promote ?(now = 0) t =
+let promote t =
   assert (t.state = Buffering);
   t.state <- Reusing;
-  t.n_promotions <- t.n_promotions + 1;
-  if Tracer.enabled t.tracer then begin
-    Tracer.end_span t.tracer ~now ~cat:"reuse" "loop-buffering";
-    Tracer.begin_span t.tracer ~now
-      ~args:(("iters_buffered", Tracer.Int t.iters_buffered) :: loop_args t)
-      ~cat:"reuse" "code-reuse"
-  end
+  t.n_promotions <- t.n_promotions + 1
 
-let exit_reuse ?(now = 0) t =
+let exit_reuse t =
   assert (t.state = Reusing);
   t.state <- Normal;
-  t.n_reuse_exits <- t.n_reuse_exits + 1;
-  if Tracer.enabled t.tracer then
-    Tracer.end_span t.tracer ~now ~cat:"reuse" "code-reuse"
+  t.n_reuse_exits <- t.n_reuse_exits + 1
 
 let in_loop t ~pc = pc >= t.head && pc <= t.tail

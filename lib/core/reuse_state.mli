@@ -5,7 +5,8 @@
 
     Transitions are driven by the pipeline ({!Processor}); this module
     centralises the registers and the statistics the experiments report
-    (buffering attempts, revokes, promotions, reuse exits). *)
+    (buffering attempts, revokes, promotions, reuse exits). The processor
+    also emits the trace spans that mark each state. *)
 
 type state =
   | Normal
@@ -34,8 +35,6 @@ val revoke_causes : revoke_cause list
 val cause_to_string : revoke_cause -> string
 
 type t = {
-  tracer : Riq_obs.Tracer.t;
-      (** sink for the state-machine spans; the null tracer by default *)
   mutable state : state;
   mutable head : int; (** R_loophead: address of the first loop instruction *)
   mutable tail : int; (** R_looptail: address of the loop-ending instruction *)
@@ -48,21 +47,18 @@ type t = {
   mutable n_reuse_exits : int;
 }
 
-val create : ?tracer:Riq_obs.Tracer.t -> unit -> t
-(** With a [tracer], every transition emits span events: a
-    ["loop-buffering"] span covers Buffering, a ["code-reuse"] span covers
-    the gating window ([now] is the span timestamp). *)
+val create : unit -> t
 
-val start_buffering : ?now:int -> t -> head:int -> tail:int -> unit
+val start_buffering : t -> head:int -> tail:int -> unit
 (** Normal -> Buffering (capturable loop detected, NBLT miss). *)
 
-val revoke : ?now:int -> t -> unit
+val revoke : t -> unit
 (** Buffering -> Normal. *)
 
-val promote : ?now:int -> t -> unit
+val promote : t -> unit
 (** Buffering -> Reusing. *)
 
-val exit_reuse : ?now:int -> t -> unit
+val exit_reuse : t -> unit
 (** Reusing -> Normal. *)
 
 val in_loop : t -> pc:int -> bool

@@ -5,8 +5,8 @@ open Riq_analysis
 
 let ( let* ) = Result.bind
 
-let simulate ?tracer ?sampler (job : Job.t) =
-  let p = Processor.create ?tracer ?sampler job.Job.cfg job.Job.program in
+let simulate ?tracer ?sample_stride (job : Job.t) =
+  let p = Processor.create ?tracer ?sample_stride job.Job.cfg job.Job.program in
   (* CPU time, not wall time: the worker may share the host with siblings,
      and throughput telemetry should measure the simulator, not the load. *)
   let t0 = (Unix.times ()).Unix.tms_utime in

@@ -11,13 +11,13 @@ open Riq_analysis
 
 val simulate :
   ?tracer:Riq_obs.Tracer.t ->
-  ?sampler:Riq_obs.Sampler.t ->
+  ?sample_stride:int ->
   Job.t ->
   (Processor.t * float, Outcome.error) result
 (** Run the job's program on its configuration until it halts: the
     finished processor and the CPU seconds spent inside [Processor.run].
     [Error (Cycle_limit_exceeded _)] when the job's cycle budget runs
-    out. [tracer] and [sampler] are handed to [Processor.create]. *)
+    out. [tracer] and [sample_stride] are handed to [Processor.create]. *)
 
 type run = {
   arch : Machine.arch_state;

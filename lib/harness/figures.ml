@@ -423,8 +423,9 @@ let unroll_ablation ?engine ?(check = true) ?(factor = 4) () =
    cause the hardware should observe; the simulator counts the causes it
    actually raised. Runs in-process (like riq-lint --dynamic) because the
    per-loop cause counters live in [Processor.loop_decisions], not in the
-   engine's summary stats. *)
-let revoke_causes ?(iq_size = 32) () =
+   engine's summary stats; [check] validates each run as the engine's
+   jobs are. *)
+let revoke_causes ?(check = true) ?(iq_size = 32) () =
   let cfg = Config.with_iq_size Config.reuse iq_size in
   let t =
     Table.create
@@ -447,11 +448,11 @@ let revoke_causes ?(iq_size = 32) () =
     (fun w ->
       let program = Workloads.program w in
       let report = Riq_analysis.Bufferability.analyze_config cfg program in
-      let p =
-        match Runner.simulate (Job.make cfg program) with
-        | Ok (p, _) -> p
-        | Error e -> failwith (w.Workloads.name ^ ": " ^ Outcome.error_to_string e)
-      in
+      let job = Job.make ~check cfg program in
+      let fail e = failwith (w.Workloads.name ^ ": " ^ Outcome.error_to_string e) in
+      let p = match Runner.simulate job with Ok (p, _) -> p | Error e -> fail e in
+      (if check then
+         match Runner.check job (Runner.observe p) with Ok _ -> () | Error e -> fail e);
       List.iter
         (fun d ->
           let predicted =

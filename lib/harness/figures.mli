@@ -73,11 +73,13 @@ val unroll_ablation :
     how grown bodies lose capturability — and with it the gating and power
     benefit — against the control overhead they save. *)
 
-val revoke_causes : ?iq_size:int -> unit -> Table.t
+val revoke_causes : ?check:bool -> ?iq_size:int -> unit -> Table.t
 (** Static revoke-cause prediction against the simulator's per-loop cause
     counters ([iq_size] defaults to 32): one row per dynamically detected
     loop, the cause the {!Riq_analysis.Bufferability} verdict implies (if
     any), the measured inner-loop / left-loop / overflow / mispredict
     revoke counts, and whether the dominant measured cause matches the
     prediction. Runs {!Riq_exp.Runner.simulate} in-process — the cause
-    counters are per-loop, not part of the engine's summary statistics. *)
+    counters are per-loop, not part of the engine's summary statistics.
+    [check] (default true) holds every run to {!Riq_exp.Runner.check}
+    against the interpreter and raises [Failure] on the first error. *)

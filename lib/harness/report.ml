@@ -6,9 +6,10 @@ open Riq_obs
 
 (* /2: loop decisions gained the per-cause revoke split.
    /3: stats gained skipped_cycles and ffwd_iterations, the counters of
-   two simulator-only fast paths that have since been removed; both are
-   always 0 and stay only to keep this shape (DESIGN.md §9.5). *)
-let schema = "riq-report/3"
+   two simulator-only fast paths.
+   /4: both went (always 0 once the fast paths were removed), and so did
+   the trace block, which no report-writing run filled. *)
+let schema = "riq-report/4"
 
 let stats_json (s : Processor.stats) =
   Json.Obj
@@ -33,8 +34,6 @@ let stats_json (s : Processor.stats) =
       ("icache_misses", Json.Int s.Processor.icache_misses);
       ("dcache_accesses", Json.Int s.Processor.dcache_accesses);
       ("dcache_misses", Json.Int s.Processor.dcache_misses);
-      ("skipped_cycles", Json.Int s.Processor.skipped_cycles);
-      ("ffwd_iterations", Json.Int s.Processor.ffwd_iterations);
     ]
 
 let config_json (cfg : Config.t) =
@@ -95,7 +94,6 @@ let make ?benchmark p =
         ("power", power_json (Processor.account p));
         ( "loop_decisions",
           Json.List (List.map loop_decision_json (Processor.loop_decisions p)) );
-        ("trace", Tracer.summary (Processor.tracer p));
         ( "sampler",
           match Processor.sampler p with
           | None -> Json.Null

@@ -35,15 +35,8 @@ let jobs ?(sizes = default_sizes) ?(benchmarks = Workloads.all) ?(check = true) 
            sizes)
        benchmarks)
 
-let run ?engine ?(sizes = default_sizes) ?(benchmarks = Workloads.all) ?(check = true)
-    ?(progress = fun _ -> ()) () =
+let run ?engine ?(sizes = default_sizes) ?(benchmarks = Workloads.all) ?(check = true) () =
   let engine = match engine with Some e -> e | None -> Engine.create () in
-  List.iter
-    (fun w ->
-      List.iter
-        (fun size -> progress (Printf.sprintf "%s/IQ%d" w.Workloads.name size))
-        sizes)
-    benchmarks;
   let results = Engine.run_exn engine (jobs ~sizes ~benchmarks ~check ()) in
   let idx = ref 0 in
   let next () =
@@ -199,7 +192,7 @@ let to_json ?engine t =
       ]
   in
   Json.Obj
-    (("schema", Json.String "riq-sweep/2")
+    (("schema", Json.String "riq-sweep/3")
     :: ("revision", Json.String Revision.stamp)
     :: ("sizes", Json.List (List.map (fun s -> Json.Int s) t.sizes))
     :: ( "benchmarks",

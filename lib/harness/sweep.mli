@@ -34,14 +34,12 @@ val jobs :
 
 val run :
   ?engine:Riq_exp.Engine.t ->
-  ?sizes:int list -> ?benchmarks:Workloads.t list -> ?check:bool ->
-  ?progress:(string -> unit) -> unit -> t
+  ?sizes:int list -> ?benchmarks:Workloads.t list -> ?check:bool -> unit -> t
 (** [engine] defaults to a transient sequential engine without caching
     (the historical behaviour). [check] (default true) runs the
-    differential validation on every simulation. [progress] is called
-    with a short label per cell at submission time; live completion
-    progress comes from the engine's [on_progress]. Raises [Failure] if
-    any cell fails (see {!Riq_exp.Outcome.error}). *)
+    differential validation on every simulation. Progress comes from the
+    engine's [on_progress]. Raises [Failure] if any cell fails (see
+    {!Riq_exp.Outcome.error}). *)
 
 val cell : t -> bench:string -> size:int -> cell
 
@@ -50,4 +48,4 @@ val to_json : ?engine:Riq_exp.Engine.t -> t -> Riq_util.Json.t
     groups plus derived percentages, and — when [engine] is given — its
     cache/execution statistics plus any backend telemetry (for a remote
     backend, the service's hit/miss, queue-depth, batching and store
-    counters) ([schema = "riq-sweep/2"]). *)
+    counters) ([schema = "riq-sweep/3"]). *)

@@ -2,7 +2,6 @@ open Riq_util
 
 type t = {
   names : string array;
-  base_stride : int;
   max_samples : int;
   mutable cur_stride : int;
   mutable n_decimations : int;
@@ -18,7 +17,6 @@ let create ?(stride = 64) ?(max_samples = 4096) ~channels () =
   let names = Array.of_list channels in
   {
     names;
-    base_stride = stride;
     max_samples;
     cur_stride = stride;
     n_decimations = 0;
@@ -27,8 +25,6 @@ let create ?(stride = 64) ?(max_samples = 4096) ~channels () =
     n = 0;
   }
 
-let channels t = Array.to_list t.names
-let base_stride t = t.base_stride
 let stride t = t.cur_stride
 let decimations t = t.n_decimations
 let length t = t.n
@@ -62,49 +58,9 @@ let record t ~cycle values =
 let samples t =
   List.init t.n (fun i -> (t.cycles.(i), Array.map (fun ch -> ch.(i)) t.data))
 
-let to_csv t =
-  let b = Buffer.create 4096 in
-  Buffer.add_string b "cycle";
-  Array.iter
-    (fun name ->
-      Buffer.add_char b ',';
-      Buffer.add_string b name)
-    t.names;
-  Buffer.add_char b '\n';
-  for i = 0 to t.n - 1 do
-    Buffer.add_string b (string_of_int t.cycles.(i));
-    Array.iter
-      (fun ch ->
-        Buffer.add_char b ',';
-        Buffer.add_string b (Printf.sprintf "%.6g" ch.(i)))
-      t.data;
-    Buffer.add_char b '\n'
-  done;
-  Buffer.contents b
-
-let live t c = Array.sub t.data.(c) 0 t.n
-
-let to_json t =
-  Json.Obj
-    [
-      ("schema", Json.String "riq-sampler/1");
-      ("base_stride", Json.Int t.base_stride);
-      ("stride", Json.Int t.cur_stride);
-      ("decimations", Json.Int t.n_decimations);
-      ("channels", Json.List (Array.to_list (Array.map (fun s -> Json.String s) t.names)));
-      ("cycles", Json.List (List.init t.n (fun i -> Json.Int t.cycles.(i))));
-      ( "series",
-        Json.Obj
-          (Array.to_list
-             (Array.mapi
-                (fun c name ->
-                  (name, Json.List (List.init t.n (fun i -> Json.Float t.data.(c).(i)))))
-                t.names)) );
-    ]
-
 let summary t =
   let channel_summary c =
-    let a = live t c in
+    let a = Array.sub t.data.(c) 0 t.n in
     Json.Obj
       [
         ("min", Json.Float (Stats.quantile 0. a));

@@ -1,7 +1,8 @@
 (** Bounded per-cycle time-series recorder.
 
     The pipeline records one multi-channel sample every [stride] cycles
-    (windowed IPC, queue occupancies, per-group power, ...). Memory stays
+    (windowed IPC, queue occupancies, per-group power, ...) into a sampler
+    it builds itself ([Processor.create ?sample_stride]). Memory stays
     O([max_samples]) for arbitrarily long runs through automatic
     decimation: when the buffer fills, every other sample is discarded and
     the effective stride doubles, so the retained series always covers the
@@ -14,10 +15,8 @@ val create : ?stride:int -> ?max_samples:int -> channels:string list -> unit -> 
     [max_samples] (default 4096, >= 2) bounds the retained series.
     [channels] names the sample components, in recording order. *)
 
-val channels : t -> string list
-val base_stride : t -> int
 val stride : t -> int
-(** Current effective stride: [base_stride * 2^decimations]. *)
+(** Current effective stride: the initial stride times [2^decimations]. *)
 
 val decimations : t -> int
 val length : t -> int
@@ -33,13 +32,6 @@ val record : t -> cycle:int -> float array -> unit
 
 val samples : t -> (int * float array) list
 (** Retained (cycle, values) pairs, oldest first. *)
-
-val to_csv : t -> string
-(** Header [cycle,ch1,ch2,...] then one row per retained sample. *)
-
-val to_json : t -> Riq_util.Json.t
-(** Full series, column-major: [{schema; stride; channels; cycles;
-    series}]. *)
 
 val summary : t -> Riq_util.Json.t
 (** Per-channel min / mean / p50 / p95 / max over the retained samples —

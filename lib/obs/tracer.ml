@@ -30,7 +30,6 @@ type t = {
   enabled : bool;
   mutable default_pid : int;
   mutable n_recorded : int;
-  mutable n_dropped : int;
   by_name : (string, int) Hashtbl.t;
 }
 
@@ -77,7 +76,6 @@ let make sink =
     enabled = sink <> Null;
     default_pid = 1;
     n_recorded = 0;
-    n_dropped = 0;
     by_name = Hashtbl.create 32;
   }
 
@@ -122,8 +120,7 @@ let emit t e =
     match t.sink with
     | Null -> ()
     | Ring r ->
-        if r.buf.(r.next) <> None then t.n_dropped <- t.n_dropped + 1
-        else r.stored <- r.stored + 1;
+        if Option.is_none r.buf.(r.next) then r.stored <- r.stored + 1;
         r.buf.(r.next) <- Some e;
         r.next <- (r.next + 1) mod Array.length r.buf
     | Stream st -> stream_write st e
@@ -171,7 +168,6 @@ let counter t ~now ~name series =
     }
 
 let recorded t = t.n_recorded
-let dropped t = t.n_dropped
 
 let counts t =
   Hashtbl.fold (fun k v acc -> (k, v) :: acc) t.by_name []
@@ -189,18 +185,6 @@ let events t =
         (List.init r.stored Fun.id)
 
 let to_json t = Json.List (List.map event_json (events t))
-
-let sink_name t =
-  match t.sink with Null -> "null" | Ring _ -> "ring" | Stream _ -> "stream"
-
-let summary t =
-  Json.Obj
-    [
-      ("sink", Json.String (sink_name t));
-      ("recorded", Json.Int t.n_recorded);
-      ("dropped", Json.Int t.n_dropped);
-      ("by_name", Json.Obj (List.map (fun (k, v) -> (k, Json.Int v)) (counts t)));
-    ]
 
 let close t =
   match t.sink with

@@ -1,14 +1,15 @@
 (** Structured event tracer with pluggable sinks.
 
     The simulator emits {e span} (begin/end), {e instant} and {e counter}
-    events keyed by cycle number. Three sinks are provided:
+    events keyed by cycle number; in the core, [Riq_core.Processor] is
+    their only emitter. Three sinks are provided:
 
     - {!null}: discards everything. [enabled] is [false], so guarded call
       sites ([if Tracer.enabled tr then ...]) pay one branch and no
       allocation — the default configuration is observability-free.
     - {!ring}: a bounded in-memory ring buffer; when full, the oldest
-      events are overwritten ({!dropped} counts the overwrites). Use for
-      programmatic inspection and post-mortem dumps.
+      events are overwritten. Use for programmatic inspection and
+      post-mortem dumps.
     - {!stream}: streaming Chrome trace-event JSON written to an
       [out_channel] as events arrive — the file (after {!close}) is a
       valid JSON array loadable in Perfetto ([ui.perfetto.dev]) or
@@ -93,9 +94,6 @@ val counter : t -> now:int -> name:string -> (string * float) list -> unit
 val recorded : t -> int
 (** Events accepted since creation (including any later overwritten). *)
 
-val dropped : t -> int
-(** Ring sink only: events overwritten by newer ones. *)
-
 val counts : t -> (string * int) list
 (** Per-event-name emission counts, sorted by name. *)
 
@@ -107,10 +105,6 @@ val event_json : event -> Riq_util.Json.t
 
 val to_json : t -> Riq_util.Json.t
 (** Ring sink contents as a complete Chrome trace (JSON array). *)
-
-val summary : t -> Riq_util.Json.t
-(** Sink kind, recorded/dropped totals and per-name counts — the block
-    embedded in run reports. *)
 
 val close : t -> unit
 (** Finalize: for {!stream}, writes the closing bracket and flushes.

@@ -2,23 +2,6 @@ let mean a =
   let n = Array.length a in
   if n = 0 then 0. else Array.fold_left ( +. ) 0. a /. float_of_int n
 
-let geomean a =
-  let n = Array.length a in
-  if n = 0 then 0.
-  else begin
-    let sum = Array.fold_left (fun acc x -> acc +. log x) 0. a in
-    exp (sum /. float_of_int n)
-  end
-
-let stddev a =
-  let n = Array.length a in
-  if n < 2 then 0.
-  else begin
-    let m = mean a in
-    let sq = Array.fold_left (fun acc x -> acc +. ((x -. m) ** 2.)) 0. a in
-    sqrt (sq /. float_of_int n)
-  end
-
 let quantile q a =
   if q < 0. || q > 1. || Float.is_nan q then invalid_arg "Stats.quantile: q outside [0, 1]";
   let n = Array.length a in
@@ -34,21 +17,5 @@ let quantile q a =
     sorted.(lo) +. (frac *. (sorted.(hi) -. sorted.(lo)))
   end
 
-let min_max a =
-  if Array.length a = 0 then invalid_arg "Stats.min_max: empty array";
-  Array.fold_left
-    (fun (lo, hi) x -> (Float.min lo x, Float.max hi x))
-    (a.(0), a.(0))
-    a
-
 let percent part whole = if whole = 0. then 0. else 100. *. part /. whole
 let ratio a b = if b = 0. then 0. else a /. b
-
-type counter = { cname : string; mutable count : int }
-
-let counter cname = { cname; count = 0 }
-let incr c = c.count <- c.count + 1
-let add c n = c.count <- c.count + n
-let value c = c.count
-let name c = c.cname
-let reset c = c.count <- 0

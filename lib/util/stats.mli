@@ -3,12 +3,6 @@
 val mean : float array -> float
 (** Arithmetic mean; 0. for the empty array. *)
 
-val geomean : float array -> float
-(** Geometric mean of positive values; 0. for the empty array. *)
-
-val stddev : float array -> float
-(** Population standard deviation; 0. for arrays of length < 2. *)
-
 val quantile : float -> float array -> float
 (** [quantile q a] is the [q]-th quantile of [a] (linear interpolation
     between closest ranks, the default of R/numpy): [quantile 0.] is the
@@ -16,21 +10,8 @@ val quantile : float -> float array -> float
     0. for the empty array and the element itself for singletons. Raises
     [Invalid_argument] when [q] is outside [0, 1]. *)
 
-val min_max : float array -> float * float
-(** Smallest and largest element. Raises [Invalid_argument] on empty input. *)
-
 val percent : float -> float -> float
 (** [percent part whole] is [100 * part / whole], or 0. when [whole = 0.]. *)
 
 val ratio : float -> float -> float
 (** [ratio a b] is [a / b], or 0. when [b = 0.]. *)
-
-type counter
-(** A named monotonic event counter. *)
-
-val counter : string -> counter
-val incr : counter -> unit
-val add : counter -> int -> unit
-val value : counter -> int
-val name : counter -> string
-val reset : counter -> unit

@@ -924,7 +924,7 @@ let test_json_export () =
          let rec go i = i + n <= h && (String.sub s i n = needle || go (i + 1)) in
          go 0))
     [
-      "\"schema\":\"riq-sweep/2\"";
+      "\"schema\":\"riq-sweep/3\"";
       "\"benchmark\":\"tsf\"";
       "\"iq_size\":32";
       "\"gated_fraction\"";

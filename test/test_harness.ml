@@ -80,6 +80,12 @@ let test_fig5_values_sane () =
         per_size)
     s.Sweep.cells
 
+(* Checking the revoke-cause runs against the interpreter validates them
+   without moving a number. *)
+let test_revokes_checked () =
+  let csv check = Riq_util.Table.to_csv (Figures.revoke_causes ~check ()) in
+  Alcotest.(check string) "checked table = unchecked table" (csv false) (csv true)
+
 (* ---- Run report ---- *)
 
 let obj_assoc name = function
@@ -129,6 +135,15 @@ let test_report_stats_field_for_field () =
   Alcotest.(check int) "dcache_misses" s.Processor.dcache_misses (geti "dcache_misses");
   (* The sweep export embeds the identical rendering per cell. *)
   Alcotest.(check bool) "sweep-compatible" true (Report.stats_json s = block);
+  (* Nothing fills these, so no document carries them. *)
+  let absent k = function
+    | Riq_util.Json.Obj kvs -> not (List.mem_assoc k kvs)
+    | _ -> false
+  in
+  List.iter
+    (fun k -> Alcotest.(check bool) ("no " ^ k) true (absent k block))
+    [ "skipped_cycles"; "ffwd_iterations" ];
+  Alcotest.(check bool) "no trace block" true (absent "trace" report);
   (* Power groups are present and sum to the total. *)
   let power = obj_assoc "power" report in
   (match power with
@@ -186,6 +201,7 @@ let suites =
         Alcotest.test_case "table 1 text" `Quick test_table1_text;
         Alcotest.test_case "table 2" `Quick test_table2;
         Alcotest.test_case "fig5 sanity" `Slow test_fig5_values_sane;
+        Alcotest.test_case "revokes checked" `Slow test_revokes_checked;
         Alcotest.test_case "report stats field-for-field" `Quick test_report_stats_field_for_field;
         Alcotest.test_case "sweep json telemetry" `Slow test_sweep_json_telemetry;
       ] );

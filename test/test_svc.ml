@@ -1321,7 +1321,7 @@ let test_sweep_json_parses () =
   Alcotest.(check string) "emit/parse/emit fixpoint" text
     (Json.to_string ~indent:true parsed);
   Alcotest.(check bool) "schema field readable" true
-    (Json.member "schema" parsed = Some (Json.String "riq-sweep/2"));
+    (Json.member "schema" parsed = Some (Json.String "riq-sweep/3"));
   Alcotest.(check int) "engine jobs counter readable" 2
     (member_int [ "engine"; "jobs" ] parsed)
 

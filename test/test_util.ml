@@ -50,35 +50,11 @@ let test_mean () =
   checkf "mean" 2.5 (Stats.mean [| 1.; 2.; 3.; 4. |]);
   checkf "empty" 0. (Stats.mean [||])
 
-let test_geomean () =
-  checkf "geomean" 2. (Stats.geomean [| 1.; 2.; 4. |]);
-  checkf "empty" 0. (Stats.geomean [||])
-
-let test_stddev () =
-  checkf "constant" 0. (Stats.stddev [| 5.; 5.; 5. |]);
-  checkf "spread" 2. (Stats.stddev [| 2.; 4.; 4.; 4.; 5.; 5.; 7.; 9. |])
-
-let test_minmax () =
-  let lo, hi = Stats.min_max [| 3.; -1.; 7.; 0. |] in
-  checkf "min" (-1.) lo;
-  checkf "max" 7. hi;
-  Alcotest.check_raises "empty raises" (Invalid_argument "Stats.min_max: empty array")
-    (fun () -> ignore (Stats.min_max [||]))
-
 let test_percent_ratio () =
   checkf "percent" 25. (Stats.percent 1. 4.);
   checkf "percent of zero" 0. (Stats.percent 1. 0.);
   checkf "ratio" 0.5 (Stats.ratio 1. 2.);
   checkf "ratio of zero" 0. (Stats.ratio 1. 0.)
-
-let test_counter () =
-  let c = Stats.counter "events" in
-  Stats.incr c;
-  Stats.add c 4;
-  check "count" 5 (Stats.value c);
-  Alcotest.(check string) "name" "events" (Stats.name c);
-  Stats.reset c;
-  check "reset" 0 (Stats.value c)
 
 let test_quantile () =
   checkf "empty" 0. (Stats.quantile 0.5 [||]);
@@ -313,11 +289,7 @@ let suites =
         Alcotest.test_case "rng split" `Quick test_rng_split;
         Alcotest.test_case "rng shuffle" `Quick test_rng_shuffle;
         Alcotest.test_case "stats mean" `Quick test_mean;
-        Alcotest.test_case "stats geomean" `Quick test_geomean;
-        Alcotest.test_case "stats stddev" `Quick test_stddev;
-        Alcotest.test_case "stats min/max" `Quick test_minmax;
         Alcotest.test_case "stats percent/ratio" `Quick test_percent_ratio;
-        Alcotest.test_case "stats counter" `Quick test_counter;
         Alcotest.test_case "stats quantile" `Quick test_quantile;
         Alcotest.test_case "json string escaping" `Quick test_json_escaping;
         Alcotest.test_case "json null" `Quick test_json_null;
