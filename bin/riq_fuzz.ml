@@ -25,9 +25,16 @@ let config_arg =
   Arg.(value & opt string "default" & info [ "config"; "c" ] ~docv:"NAME"
          ~doc:(Printf.sprintf "Campaign configuration (%s)." names))
 
+(* Refused where it is parsed, before the cache opens: exits 2. *)
 let jobs_arg =
-  Arg.(value & opt int 1 & info [ "jobs"; "j" ] ~docv:"N"
-         ~doc:"Number of worker processes (1 = in-process, no fork).")
+  let check n =
+    if n < 1 then failwith (Printf.sprintf "--jobs %d: must be at least 1" n);
+    n
+  in
+  Term.(
+    const check
+    $ Arg.(value & opt int 1 & info [ "jobs"; "j" ] ~docv:"N"
+             ~doc:"Number of worker processes (1 = in-process, no fork)."))
 
 let get_config name =
   match Driver.config name with Ok c -> c | Error msg -> failwith msg

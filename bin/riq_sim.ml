@@ -11,8 +11,8 @@
      serve  — daemon: accept jobs over a socket, batch duplicates, run
               them on resident workers, answer repeats from the shared
               result store
-     top    — live dashboard over a serve daemon's metrics (or --prom /
-              --json one-shot scrapes)
+     top    — live dashboard over a serve daemon's metrics (or one
+              --json scrape, a riq-metrics/1 document)
      disasm — print the compiled RIQ32 code of a benchmark *)
 
 open Cmdliner
@@ -45,6 +45,19 @@ let load_program bench file optimized =
       Parse.program_exn src
   | Some _, Some _ -> failwith "give either --bench or --file, not both"
   | None, None -> failwith "one of --bench or --file is required"
+
+(* A value the simulator would refuse is refused where it is parsed, before
+   any file or store is opened: the [Failure] exits 2 with its message. *)
+let checked check arg = Term.(const (fun v -> check v; v) $ arg)
+
+let at_least_one flag n =
+  if n < 1 then failwith (Printf.sprintf "%s %d: must be at least 1" flag n)
+
+let iq_size flag n =
+  match Config.with_iq_size Config.baseline n with
+  | _ -> ()
+  | exception Invalid_argument _ ->
+      failwith (Printf.sprintf "%s %d: the issue queue needs at least 8 entries" flag n)
 
 let print_stats cfg (s : Processor.stats) breakdown_requested account =
   Printf.printf "cycles              %d\n" s.Processor.cycles;
@@ -87,8 +100,9 @@ let run_cmd =
            ~doc:"RIQ32 assembly file to simulate instead of a benchmark.")
   in
   let iq =
-    Arg.(value & opt int 64 & info [ "iq" ] ~docv:"N"
-           ~doc:"Issue queue size (ROB scales with it, LSQ to half).")
+    checked (iq_size "--iq")
+      Arg.(value & opt int 64 & info [ "iq" ] ~docv:"N"
+             ~doc:"Issue queue size (ROB scales with it, LSQ to half).")
   in
   let reuse =
     Arg.(value & flag & info [ "reuse"; "r" ]
@@ -151,8 +165,9 @@ let bench_cmd =
 
 (* Shared engine flags: worker count, cache policy, per-job timeout. *)
 let jobs_arg =
-  Arg.(value & opt int 1 & info [ "jobs"; "j" ] ~docv:"N"
-         ~doc:"Number of worker processes (1 = in-process, no fork).")
+  checked (at_least_one "--jobs")
+    Arg.(value & opt int 1 & info [ "jobs"; "j" ] ~docv:"N"
+           ~doc:"Number of worker processes (1 = in-process, no fork).")
 
 let no_cache_arg =
   Arg.(value & flag & info [ "no-cache" ]
@@ -260,8 +275,9 @@ let print_engine_summary engine =
 
 let sweep_cmd =
   let sizes =
-    Arg.(value & opt (list int) Sweep.default_sizes & info [ "sizes"; "s" ] ~docv:"N,N,..."
-           ~doc:"Issue-queue sizes to sweep (default the paper's 32,64,128,256).")
+    checked (List.iter (iq_size "--sizes"))
+      Arg.(value & opt (list int) Sweep.default_sizes & info [ "sizes"; "s" ]
+             ~docv:"N,N,..." ~doc:"Issue-queue sizes to sweep (default the paper's 32,64,128,256).")
   in
   let benches =
     Arg.(value & opt (list string) [] & info [ "bench"; "b" ] ~docv:"NAME,NAME,..."
@@ -414,12 +430,14 @@ let trace_cmd =
            ~doc:"Chrome-trace mode: enable the reusable-instruction issue queue.")
   in
   let iq =
-    Arg.(value & opt int 64 & info [ "iq" ] ~docv:"N"
-           ~doc:"Chrome-trace mode: issue queue size.")
+    checked (iq_size "--iq")
+      Arg.(value & opt int 64 & info [ "iq" ] ~docv:"N"
+             ~doc:"Chrome-trace mode: issue queue size.")
   in
   let stride =
-    Arg.(value & opt int 64 & info [ "stride" ] ~docv:"CYCLES"
-           ~doc:"Chrome-trace mode: cycles between counter-track samples.")
+    checked (at_least_one "--stride")
+      Arg.(value & opt int 64 & info [ "stride" ] ~docv:"CYCLES"
+             ~doc:"Chrome-trace mode: cycles between counter-track samples.")
   in
   let chrome_trace bench file path reuse iq stride =
     let program = load_program bench file false in
@@ -533,8 +551,9 @@ let serve_cmd =
            ~doc:"Unix socket path to listen on.")
   in
   let workers =
-    Arg.(value & opt int 1 & info [ "jobs"; "j" ] ~docv:"N"
-           ~doc:"Resident simulation worker processes.")
+    checked (at_least_one "--jobs")
+      Arg.(value & opt int 1 & info [ "jobs"; "j" ] ~docv:"N"
+             ~doc:"Resident simulation worker processes.")
   in
   let timeout =
     Arg.(value & opt float 600. & info [ "timeout" ] ~docv:"SECONDS"
@@ -578,10 +597,6 @@ let top_cmd =
   in
   let once =
     Arg.(value & flag & info [ "once" ] ~doc:"Print one snapshot and exit.")
-  in
-  let prom =
-    Arg.(value & flag & info [ "prom" ]
-           ~doc:"Print the raw Prometheus text exposition and exit.")
   in
   let json =
     Arg.(value & flag & info [ "json" ]
@@ -643,16 +658,11 @@ let top_cmd =
     Printf.printf "simulate  %s\n" (hist_line snap "serve_simulate_seconds" []);
     flush stdout
   in
-  let action addr interval once prom json =
+  let action addr interval once json =
     let client =
       Riq_svc.Client.connect (Riq_svc.Protocol.address_of_string addr)
     in
-    if prom then begin
-      match Riq_svc.Client.server_exposition client with
-      | Ok s -> print_string s
-      | Error e -> failwith ("metrics scrape failed: " ^ e)
-    end
-    else if json then begin
+    if json then begin
       match Riq_svc.Client.server_metrics client with
       | Ok snap -> print_endline (Json.to_string (M.to_json snap))
       | Error e -> failwith ("metrics scrape failed: " ^ e)
@@ -678,10 +688,10 @@ let top_cmd =
        ~doc:
          "Live terminal view of a running serve daemon: job and store counters, \
           queue depth and wait quantiles, simulate-time quantiles — \
-          each frame drawn from one $(b,metrics) scrape. With $(b,--prom) or \
-          $(b,--json), print one machine-readable scrape instead; a file-based \
-          collector runs $(b,--once --prom) on a timer.")
-    Term.(const action $ addr $ interval $ once $ prom $ json)
+          each frame drawn from one $(b,metrics) scrape. With $(b,--json), print \
+          one scrape as a riq-metrics/1 document instead; a file-based collector \
+          runs $(b,--once --json) on a timer.")
+    Term.(const action $ addr $ interval $ once $ json)
 
 let disasm_cmd =
   let bench =

@@ -651,7 +651,8 @@ let hard_reject = function
    the dataflow stack. The one caller, Riq_exp.Runner.check, runs it on
    every verdict job (the reuse-on leg of every fuzz program) and reports
    the error like any other static/dynamic mismatch. *)
-let validate_no_alias ?(limit = 5_000_000) program report =
+let validate_no_alias program report =
+  let limit = 5_000_000 in
   let claims =
     List.concat_map
       (fun l -> List.map (fun p -> (l, p)) l.no_alias)

@@ -122,11 +122,10 @@ val consistency :
     because a completed scan proves no second backward transfer is
     decodable while buffering. *)
 
-val validate_no_alias :
-  ?limit:int -> Program.t -> report -> (int, string) result
+val validate_no_alias : Program.t -> report -> (int, string) result
 (** [validate_no_alias program report] replays [program] on the reference
-    interpreter (at most [limit] steps, default 5 million) and checks
-    every {!field-no_alias} claim against the effective addresses actually
+    interpreter (at most 5 million steps) and checks every
+    {!field-no_alias} claim against the effective addresses actually
     produced: a store byte range intersecting a load byte range under a
     [No_alias] verdict is a soundness bug in the dataflow stack. Returns
     the number of claims validated. [Riq_exp.Runner.check] calls this on

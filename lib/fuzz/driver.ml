@@ -52,15 +52,15 @@ type result = {
 (* Shrink against the full in-process oracle: any failure keeps the
    candidate (chasing a second bug the shrink uncovers is fine — the repro
    still fails the oracle); a program that stops assembling is dead. *)
-let shrink ~cfg ~max_checks prog =
+let shrink ~cfg prog =
   let still_fails p =
     match Prog.to_program p with
     | Error _ -> false
     | Ok program -> Result.is_error (Oracle.check ~cfg program)
   in
-  Shrink.minimize ~max_checks ~still_fails prog
+  Shrink.minimize ~still_fails prog
 
-let run ?engine ?(shrink_checks = 400) ~config:name ~seed ~count () =
+let run ?engine ~config:name ~seed ~count () =
   match config name with
   | Error _ as e -> e
   | Ok (cfg, params) ->
@@ -136,7 +136,7 @@ let run ?engine ?(shrink_checks = 400) ~config:name ~seed ~count () =
           match Oracle.first_failure (off, on) with
           | None -> ()
           | Some f ->
-              let repro = shrink ~cfg ~max_checks:shrink_checks progs.(i) in
+              let repro = shrink ~cfg progs.(i) in
               failures :=
                 {
                   f_seed = progs.(i).Prog.seed;

@@ -50,7 +50,6 @@ type result = {
 
 val run :
   ?engine:Riq_exp.Engine.t ->
-  ?shrink_checks:int ->
   config:string ->
   seed:int ->
   count:int ->

@@ -19,9 +19,6 @@ type t = {
   data_f : float array;
 }
 
-let strip_breaks items =
-  List.filter (function Break _ -> false | _ -> true) items
-
 (* Which procedures does the program actually call? Calls only occur in
    [main] (procedures are leaves), but walk guards and loops to be safe. *)
 let called_procs t =

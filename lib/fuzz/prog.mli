@@ -66,7 +66,3 @@ val to_program : t -> (Riq_asm.Program.t, string) result
 val size_insns : t -> int
 (** Number of instructions in the assembled image ([0] if the program
     fails to assemble — the shrinker treats that as uninteresting). *)
-
-val strip_breaks : item list -> item list
-(** Drop top-level [Break]s (used when a loop is unwrapped into its
-    body). Does not recurse into nested loops, whose breaks stay valid. *)

@@ -6,6 +6,10 @@ let replace i x l = List.mapi (fun j y -> if j = i then x else y) l
 let splice i xs l =
   List.concat (List.mapi (fun j y -> if j = i then xs else [ y ]) l)
 
+(* A loop unwrapped into its body loses its top-level breaks; breaks of
+   nested loops stay valid. *)
+let strip_breaks items = List.filter (function Break _ -> false | _ -> true) items
+
 (* Every program obtainable by one structural edit, coarse edits first:
    deleting a whole item, unwrapping a loop or guard into its body,
    reducing a trip count, then the same edits one level deeper. *)
@@ -49,10 +53,13 @@ let variants (p : t) =
              (list_variants pr.p_body))
          p.procs)
 
-let minimize ?(max_checks = 400) ~still_fails prog =
+(* Calls to [still_fails] per shrink. *)
+let budget = 400
+
+let minimize ~still_fails prog =
   let checks = ref 0 in
   let fails p =
-    if !checks >= max_checks then false
+    if !checks >= budget then false
     else (
       incr checks;
       still_fails p)
@@ -62,7 +69,7 @@ let minimize ?(max_checks = 400) ~still_fails prog =
      intermediate program. *)
   let rec go p =
     match List.find_opt fails (variants p) with
-    | Some v when !checks < max_checks -> go v
+    | Some v when !checks < budget -> go v
     | Some v -> v
     | None -> p
   in

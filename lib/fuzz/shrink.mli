@@ -4,15 +4,11 @@
     loop or guard into its body, halve or collapse a trip count — coarse
     edits first, takes the first variant on which [still_fails] holds, and
     restarts from it. The result is locally minimal: no single remaining
-    edit preserves the failure (unless [max_checks] ran out first).
+    edit preserves the failure (unless 400 calls to [still_fails] ran out
+    first).
 
     [still_fails] must be deterministic and should return [false] for
     programs that no longer assemble ({!Prog.to_program} = [Error]) —
     the shrinker itself never looks at the rendered assembly. *)
 
-val minimize :
-  ?max_checks:int -> still_fails:(Prog.t -> bool) -> Prog.t -> Prog.t
-(** [max_checks] caps calls to [still_fails] (default 400). *)
-
-val variants : Prog.t -> Prog.t list
-(** The one-edit neighbourhood (exposed for the shrinker's own tests). *)
+val minimize : still_fails:(Prog.t -> bool) -> Prog.t -> Prog.t

@@ -390,11 +390,11 @@ let collect_loop_vars p =
 let index_pattern_float k = 1.0 +. (float_of_int (k mod 13) *. 0.25)
 let index_pattern_int k = ((k * 13) mod 64) - 17
 
-let compile_info ?text_base p =
+let compile_info p =
   (match Ir.validate p with
   | Ok () -> ()
   | Error m -> invalid_arg ("Codegen.compile: " ^ m));
-  let b = Builder.create ?text_base () in
+  let b = Builder.create () in
   let homes = Hashtbl.create 32 in
   let dims = Hashtbl.create 16 in
   (* Scalar allocation: loop indices first (they must be registers), then
@@ -458,4 +458,4 @@ let compile_info ?text_base p =
     p.Ir.procs;
   (Builder.finish ~entry_label:"main" b, List.rev ctx.infos)
 
-let compile ?text_base p = fst (compile_info ?text_base p)
+let compile p = fst (compile_info p)

@@ -24,10 +24,10 @@ type loop_info = {
   li_innermost : bool; (** no loop nested inside this one *)
 }
 
-val compile : ?text_base:int -> Ir.program -> Program.t
+val compile : Ir.program -> Program.t
 (** Raises [Invalid_argument] if [Ir.validate] rejects the program. *)
 
-val compile_info : ?text_base:int -> Ir.program -> Program.t * loop_info list
+val compile_info : Ir.program -> Program.t * loop_info list
 (** Also report the static size of every loop body — the quantity the
     paper's capturability condition compares against the issue-queue
     size. *)

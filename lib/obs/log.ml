@@ -23,14 +23,7 @@ let env_level () =
   | None -> Info
   | Some s -> ( match level_of_string s with Ok l -> l | Error _ -> Info)
 
-let env_output () =
-  match Sys.getenv_opt "RIQ_LOG_FILE" with
-  | None -> stderr
-  | Some path -> (
-      try open_out_gen [ Open_append; Open_creat ] 0o644 path with _ -> stderr)
-
 let current_level = ref None (* None = not yet initialized from env *)
-let output = lazy (env_output ())
 
 let level () =
   match !current_level with
@@ -87,10 +80,9 @@ let log l ~scope ?(kv = []) msg =
       (fun (k, v) -> Buffer.add_string b (Printf.sprintf " %s=%s" k (render_value v)))
       kv;
     Buffer.add_char b '\n';
-    let oc = Lazy.force output in
     try
-      output_string oc (Buffer.contents b);
-      flush oc
+      output_string stderr (Buffer.contents b);
+      flush stderr
     with _ -> () (* a full disk must not take the daemon down *)
   end
 

@@ -1,10 +1,10 @@
 (** Leveled structured logger (logfmt) for the service tier.
 
-    One process-global logger, configured once from the environment:
-    [RIQ_LOG=debug|info|warn|error] sets the threshold (default [info]),
-    [RIQ_LOG_FILE=PATH] appends to a file instead of stderr. Every line
-    is logfmt — [ts=<RFC3339> level=info scope=serve msg="..." k=v ...] —
-    so `grep scope=serve` and any logfmt parser both work on it.
+    One process-global logger on stderr (redirect it to keep a file);
+    [RIQ_LOG=debug|info|warn|error] sets its threshold (default [info]).
+    Every line is logfmt — [ts=<RFC3339> level=info scope=serve msg="..."
+    k=v ...] — so `grep scope=serve` and any logfmt parser both work on
+    it.
 
     Call sites pass a [scope] (the subsystem: ["serve"], ["store"],
     ["client"]) and optional key/value pairs; values are quoted only when

@@ -5,11 +5,10 @@
      Updating a counter is [c.c <- c.c + 1] — no hashing, no allocation —
      so instrumenting the engine's per-job path costs nothing measurable
      next to a simulation.
-   - Histograms hold per-bucket (not cumulative) counts internally;
-     cumulation happens once, at exposition time, where Prometheus wants
-     it.
+   - Histograms hold per-bucket (not cumulative) counts, in the
+     registry and in the riq-metrics/1 document alike.
    - Snapshots are plain immutable data sorted by (name, labels), so
-     equal registries produce byte-equal expositions. *)
+     equal registries produce byte-equal documents. *)
 
 open Riq_util
 
@@ -22,8 +21,6 @@ type histogram = {
   mutable sum : float;
   mutable n : int;
 }
-
-type kind = Counter | Gauge | Histogram
 
 type cell = C of counter | G of gauge | H of histogram
 
@@ -48,12 +45,7 @@ let valid_name n =
        (function 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '_' -> true | _ -> false)
        n
 
-let kind_of_cell = function C _ -> Counter | G _ -> Gauge | H _ -> Histogram
-
-let kind_name = function
-  | Counter -> "counter"
-  | Gauge -> "gauge"
-  | Histogram -> "histogram"
+let kind_name = function C _ -> "counter" | G _ -> "gauge" | H _ -> "histogram"
 
 let register t ~help ~labels name make =
   if not (valid_name name) then
@@ -68,14 +60,14 @@ let register t ~help ~labels name make =
   | Some r -> r.r_cell
   | None ->
       let cell = make () in
-      (* One name, one kind: a counter and a gauge sharing a name would
-         produce an unparseable exposition. *)
+      (* One name, one kind: a reader keys series by name, so a counter
+         and a gauge sharing one would be read as each other. *)
       List.iter
         (fun r ->
-          if r.r_name = name && kind_of_cell r.r_cell <> kind_of_cell cell then
+          if r.r_name = name && kind_name r.r_cell <> kind_name cell then
             invalid_arg
               (Printf.sprintf "Metrics: %s already registered as a %s" name
-                 (kind_name (kind_of_cell r.r_cell))))
+                 (kind_name r.r_cell)))
         t.all;
       let r = { r_name = name; r_help = help; r_labels = labels; r_cell = cell } in
       Hashtbl.replace t.tbl (name, labels) r;
@@ -134,7 +126,7 @@ let histogram t ?(help = "") ?(labels = []) ?buckets name =
   | H h -> h
   | _ -> invalid_arg (Printf.sprintf "Metrics: %s is not a histogram" name)
 
-(* First bucket with v <= bound — Prometheus `le` semantics, so a value
+(* First bucket with v <= bound: upper bounds are inclusive, so a value
    exactly on an edge counts into that edge's bucket. *)
 let bucket_index bounds v =
   let n = Array.length bounds in
@@ -173,11 +165,6 @@ type series = {
 
 type snapshot = series list
 
-let kind_of_sample = function
-  | Counter_sample _ -> Counter
-  | Gauge_sample _ -> Gauge
-  | Histogram_sample _ -> Histogram
-
 let compare_series a b =
   match compare a.s_name b.s_name with
   | 0 -> compare a.s_labels b.s_labels
@@ -201,89 +188,6 @@ let snapshot t =
          in
          { s_name = r.r_name; s_help = r.r_help; s_labels = r.r_labels; s_value = v })
        t.all)
-
-(* ------------------------------------------------------------------ *)
-(* Exposition                                                          *)
-(* ------------------------------------------------------------------ *)
-
-(* %.12g: enough digits that distinct bucket bounds stay distinct, short
-   enough that common values print as humans expect (0.001, not
-   0.001000000000000000021). *)
-let fmt_float v =
-  if Float.is_nan v then "NaN"
-  else if v = Float.infinity then "+Inf"
-  else if v = Float.neg_infinity then "-Inf"
-  else Printf.sprintf "%.12g" v
-
-let escape_label_value v =
-  let b = Buffer.create (String.length v) in
-  String.iter
-    (function
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '"' -> Buffer.add_string b "\\\""
-      | '\n' -> Buffer.add_string b "\\n"
-      | c -> Buffer.add_char b c)
-    v;
-  Buffer.contents b
-
-let label_block labels =
-  match labels with
-  | [] -> ""
-  | _ ->
-      Printf.sprintf "{%s}"
-        (String.concat ","
-           (List.map
-              (fun (k, v) -> Printf.sprintf "%s=\"%s\"" k (escape_label_value v))
-              labels))
-
-(* As label_block, but with the extra pair appended (histogram le). *)
-let label_block_with labels extra =
-  label_block (labels @ [ extra ])
-
-let to_prometheus snap =
-  let b = Buffer.create 1024 in
-  let headed = Hashtbl.create 16 in
-  List.iter
-    (fun s ->
-      (* HELP/TYPE once per metric name; series of one name are adjacent
-         because the snapshot is sorted. *)
-      if not (Hashtbl.mem headed s.s_name) then begin
-        Hashtbl.add headed s.s_name ();
-        if s.s_help <> "" then
-          Buffer.add_string b (Printf.sprintf "# HELP %s %s\n" s.s_name s.s_help);
-        Buffer.add_string b
-          (Printf.sprintf "# TYPE %s %s\n" s.s_name
-             (kind_name (kind_of_sample s.s_value)))
-      end;
-      match s.s_value with
-      | Counter_sample v ->
-          Buffer.add_string b
-            (Printf.sprintf "%s%s %d\n" s.s_name (label_block s.s_labels) v)
-      | Gauge_sample v ->
-          Buffer.add_string b
-            (Printf.sprintf "%s%s %s\n" s.s_name (label_block s.s_labels) (fmt_float v))
-      | Histogram_sample { bounds; counts; sum } ->
-          let cum = ref 0 in
-          Array.iteri
-            (fun i bound ->
-              cum := !cum + counts.(i);
-              Buffer.add_string b
-                (Printf.sprintf "%s_bucket%s %d\n" s.s_name
-                   (label_block_with s.s_labels ("le", fmt_float bound))
-                   !cum))
-            bounds;
-          let total = !cum + counts.(Array.length counts - 1) in
-          Buffer.add_string b
-            (Printf.sprintf "%s_bucket%s %d\n" s.s_name
-               (label_block_with s.s_labels ("le", "+Inf"))
-               total);
-          Buffer.add_string b
-            (Printf.sprintf "%s_sum%s %s\n" s.s_name (label_block s.s_labels)
-               (fmt_float sum));
-          Buffer.add_string b
-            (Printf.sprintf "%s_count%s %d\n" s.s_name (label_block s.s_labels) total))
-    snap;
-  Buffer.contents b
 
 (* ------------------------------------------------------------------ *)
 (* JSON                                                                *)

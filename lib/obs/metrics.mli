@@ -10,9 +10,11 @@
     can instrument themselves against a shared registry without
     coordination.
 
-    Snapshots are immutable data sorted by (name, labels). Exposition:
-    Prometheus text format and a JSON document (schema [riq-metrics/1])
-    that round-trips through {!snapshot_of_json} for wire transport. *)
+    Snapshots are immutable data sorted by (name, labels). They leave the
+    process in one format, the JSON document of schema [riq-metrics/1]
+    ({!to_json}), which round-trips through {!snapshot_of_json}: the
+    daemon's [metrics] op, [riq-sim top --json] and
+    [riq-cache stat --json] all print it. *)
 
 type t
 (** A registry. *)
@@ -59,15 +61,13 @@ val histogram :
     registration wins). *)
 
 val observe : histogram -> float -> unit
-(** Value [v] lands in the first bucket with [v <= bound] — Prometheus
-    [le] semantics, so a value exactly on an edge belongs to that edge's
-    bucket — or in the overflow bucket beyond the last bound. *)
+(** Value [v] lands in the first bucket with [v <= bound] (upper bounds
+    are inclusive, so a value exactly on an edge belongs to that edge's
+    bucket) or in the overflow bucket beyond the last bound. *)
 
 val histogram_count : histogram -> int
 
 (** {1 Snapshots} *)
-
-type kind = Counter | Gauge | Histogram
 
 type sample =
   | Counter_sample of int
@@ -84,20 +84,18 @@ type series = {
 }
 
 type snapshot = series list
-(** Sorted by (name, labels) — deterministic, so expositions diff
+(** Sorted by (name, labels) — deterministic, so documents diff
     cleanly. *)
 
 val snapshot : t -> snapshot
 
-(** {1 Exposition} *)
-
-val to_prometheus : snapshot -> string
-(** Prometheus text exposition format, version 0.0.4: [# HELP]/[# TYPE]
-    per metric name, histogram series as cumulative [_bucket{le=...}]
-    plus [_sum]/[_count]. *)
+(** {1 The riq-metrics/1 document} *)
 
 val to_json : snapshot -> Riq_util.Json.t
-(** Schema [riq-metrics/1]. *)
+(** Schema [riq-metrics/1]: [{"schema", "series": [...]}], one object per
+    series with its [name], [help], [labels] object and [type]; a counter
+    or gauge carries its [value], a histogram its [bounds], per-bucket
+    [counts] (overflow last) and [sum]. *)
 
 val snapshot_of_json : Riq_util.Json.t -> (snapshot, string) result
 (** Inverse of {!to_json} — wire transport for the [metrics] op. *)

@@ -29,39 +29,21 @@ module Metrics = Riq_obs.Metrics
 module Tracer = Riq_obs.Tracer
 module Log = Riq_obs.Log
 
-type instruments = {
-  i_requests : Metrics.counter;
-  i_reconnects : Metrics.counter;
-  i_request_seconds : Metrics.histogram;
-}
-
-let instruments_of registry =
-  {
-    i_requests =
-      Metrics.counter registry ~help:"Wire requests sent to the daemon"
-        "client_requests_total";
-    i_reconnects =
-      Metrics.counter registry ~help:"Reconnect-and-retry cycles"
-        "client_reconnects_total";
-    i_request_seconds =
-      Metrics.histogram registry ~help:"Round-trip seconds per wire request"
-        "client_request_seconds";
-  }
-
 type t = {
   address : Protocol.address;
   request_timeout : float;
-  ins : instruments option;
   tracer : Tracer.t option; (* caller-owned sink for client-side spans *)
   trace_id : string;
   mutable fd : Unix.file_descr option;
   mutable server_workers : int;
-  (* client-visible provenance counters, summed over every run *)
-  mutable c_hits : int;
-  mutable c_executed : int;
-  mutable c_batched : int;
-  mutable c_submitted : int;
-  mutable c_reconnects : int;
+  (* The client's books: series of its registry, read back by service_json. *)
+  requests : Metrics.counter;
+  request_seconds : Metrics.histogram;
+  reconnects : Metrics.counter;
+  submitted : Metrics.counter;
+  hits : Metrics.counter;
+  executed : Metrics.counter;
+  batched : Metrics.counter;
 }
 
 let disconnect t =
@@ -69,6 +51,15 @@ let disconnect t =
   t.fd <- None
 
 let close = disconnect
+
+(* A write to a daemon that went away must fail with EPIPE, which
+   [request] retries, not raise SIGPIPE, whose default action kills the
+   process. The previous disposition is restored after the write. *)
+let send ?payload fd json =
+  let old = Sys.signal Sys.sigpipe Sys.Signal_ignore in
+  Fun.protect
+    ~finally:(fun () -> Sys.set_signal Sys.sigpipe old)
+    (fun () -> Wire.send ?payload fd json)
 
 let do_connect t =
   let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
@@ -85,7 +76,7 @@ let do_connect t =
       raise e);
   (try Unix.setsockopt_float fd Unix.SO_RCVTIMEO t.request_timeout with _ -> ());
   let trace_id = Option.map (fun _ -> t.trace_id) t.tracer in
-  Wire.send fd
+  send fd
     (fst
        (Protocol.request_to_wire
           (Protocol.Hello
@@ -118,49 +109,51 @@ let rec request ?(retried = false) t req =
   match
     Unix.setsockopt_float fd Unix.SO_RCVTIMEO timeout;
     let json, payload = Protocol.request_to_wire req in
-    Wire.send ?payload fd json;
+    send ?payload fd json;
     Wire.recv fd
   with
   | resp ->
-      (match t.ins with
-      | None -> ()
-      | Some ins ->
-          Metrics.inc ins.i_requests;
-          Metrics.observe ins.i_request_seconds (Unix.gettimeofday () -. t0));
+      Metrics.inc t.requests;
+      Metrics.observe t.request_seconds (Unix.gettimeofday () -. t0);
       resp
   | exception e ->
       disconnect t;
       if retried || match req with Protocol.Supply _ -> true | _ -> false then raise e
       else begin
-        t.c_reconnects <- t.c_reconnects + 1;
-        (match t.ins with
-        | None -> ()
-        | Some ins -> Metrics.inc ins.i_reconnects);
+        Metrics.inc t.reconnects;
         Log.warn ~scope:"client"
           ~kv:[ ("address", Protocol.address_to_string t.address) ]
           "connection lost, retrying";
         request ~retried:true t req
       end
 
-let connect ?(request_timeout = 120.) ?metrics ?trace address =
+let connect ?(request_timeout = 120.) ?(metrics = Metrics.create ()) ?trace address =
   let trace_id =
     Printf.sprintf "%d-%06x" (Unix.getpid ())
       (int_of_float (Unix.gettimeofday () *. 1e6) land 0xffffff)
+  in
+  let counter ?labels help name = Metrics.counter metrics ~help ?labels name in
+  let results source =
+    counter ~labels:[ ("source", source) ] "Jobs answered by the daemon, by source"
+      "client_results_total"
   in
   let t =
     {
       address;
       request_timeout;
-      ins = Option.map instruments_of metrics;
       tracer = trace;
       trace_id;
       fd = None;
       server_workers = 1;
-      c_hits = 0;
-      c_executed = 0;
-      c_batched = 0;
-      c_submitted = 0;
-      c_reconnects = 0;
+      requests = counter "Wire requests sent to the daemon" "client_requests_total";
+      request_seconds =
+        Metrics.histogram metrics ~help:"Round-trip seconds per wire request"
+          "client_request_seconds";
+      reconnects = counter "Reconnect-and-retry cycles" "client_reconnects_total";
+      submitted = counter "Jobs submitted to the daemon" "client_submitted_total";
+      hits = results "hit";
+      executed = results "executed";
+      batched = results "batched";
     }
   in
   do_connect t;
@@ -189,8 +182,6 @@ let scrape t =
 
 let server_stats t = Result.to_option (scrape t)
 let server_metrics t = Result.bind (scrape t) Metrics.snapshot_of_json
-
-let server_exposition t = Result.map Metrics.to_prometheus (server_metrics t)
 
 let server_trace ?(since = 0) t =
   match request t (Protocol.Trace { since }) with
@@ -253,7 +244,7 @@ let submit t (jobs : Job.t array) keys indices =
    seconds of the jobs executed for it. *)
 let run_batch t (jobs : Job.t array) keys indices on_result =
   let resp, payload = submit t jobs keys indices in
-  t.c_submitted <- t.c_submitted + List.length indices;
+  Metrics.add t.submitted (List.length indices);
   let entries name conv =
     List.map
       (fun j ->
@@ -274,10 +265,11 @@ let run_batch t (jobs : Job.t array) keys indices on_result =
     raise (Wire.Protocol_error "result count mismatch");
   List.iter2
     (fun i (outcome, (source, secs)) ->
-      (match source with
-      | Protocol.Hit -> t.c_hits <- t.c_hits + 1
-      | Protocol.Executed -> t.c_executed <- t.c_executed + 1
-      | Protocol.Batched -> t.c_batched <- t.c_batched + 1);
+      Metrics.inc
+        (match source with
+        | Protocol.Hit -> t.hits
+        | Protocol.Executed -> t.executed
+        | Protocol.Batched -> t.batched);
       on_result i ~seconds:secs outcome)
     indices
     (List.combine outcomes (List.combine sources seconds));
@@ -286,15 +278,16 @@ let run_batch t (jobs : Job.t array) keys indices on_result =
     0. sources seconds
 
 let service_json t =
+  let count c = Json.Int (Metrics.counter_value c) in
   let client =
     Json.Obj
       [
         ("address", Json.String (Protocol.address_to_string t.address));
-        ("submitted", Json.Int t.c_submitted);
-        ("remote_hits", Json.Int t.c_hits);
-        ("remote_executed", Json.Int t.c_executed);
-        ("remote_batched", Json.Int t.c_batched);
-        ("reconnects", Json.Int t.c_reconnects);
+        ("submitted", count t.submitted);
+        ("remote_hits", count t.hits);
+        ("remote_executed", count t.executed);
+        ("remote_batched", count t.batched);
+        ("reconnects", count t.reconnects);
       ]
   in
   let server = Option.value (server_stats t) ~default:Json.Null in

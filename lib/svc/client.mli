@@ -3,7 +3,11 @@
     cache-missing jobs as one ticket, supply the bodies the daemon lacks,
     replay the outcomes that answer the last of the two through
     [on_result]. A lost connection is retried once per submit; a supply's
-    ticket dies with its connection, so that batch comes back unreported. *)
+    ticket dies with its connection, so that batch comes back unreported.
+    The client ignores SIGPIPE while it writes to the daemon (and restores
+    the previous disposition after each write), so a write to a daemon
+    that went away fails with EPIPE and is retried on a fresh connection
+    instead of killing the process. *)
 
 type t
 
@@ -15,23 +19,24 @@ val connect :
   t
 (** Connect and handshake ([hello] with this build's revision stamp).
     [request_timeout] (default 120 s) is SO_RCVTIMEO for every reply but a
-    submit's or supply's, which waits for its outcomes. With [metrics],
-    the client registers [client_requests_total],
-    [client_reconnects_total] and the [client_request_seconds] histogram.
-    With [trace] (a caller-owned sink), submit/await spans are emitted in
-    wall-clock microseconds under this process's default pid, and the
-    hello carries the client's trace id, which the daemon stamps on the
-    spans of the jobs this connection queues. Raises [Failure] when the
-    daemon is unreachable or rejects the revision. *)
+    submit's or supply's, which waits for its outcomes. [metrics] is the
+    registry that holds the client's counts (a private one when omitted):
+    [client_requests_total], the [client_request_seconds] histogram,
+    [client_reconnects_total], [client_submitted_total] and
+    [client_results_total{source=hit|executed|batched}]. Clients that
+    share one registry count into the same series. With [trace] (a
+    caller-owned sink), submit/await spans are emitted in wall-clock
+    microseconds under this process's default pid, and the hello carries
+    the client's trace id, which the daemon stamps on the spans of the
+    jobs this connection queues. Raises [Failure] when the daemon is
+    unreachable or rejects the revision. *)
 
 val close : t -> unit
 
 val backend : t -> Riq_exp.Backend.t
 (** The engine backend. Its busy time is the worker seconds of the jobs
-    executed for it, and its telemetry hook contributes a ["service"]
-    block: client-side provenance counters (remote hits / executed /
-    batched, reconnects) plus, as [server], one scrape of
-    the daemon's metrics registry in riq-metrics/1 JSON. *)
+    executed for it, and its telemetry hook contributes the
+    {!service_json} block. *)
 
 val server_stats : t -> Riq_util.Json.t option
 (** One [metrics] round trip, returning the daemon's riq-metrics/1
@@ -39,13 +44,15 @@ val server_stats : t -> Riq_util.Json.t option
     {!server_metrics}, unparsed; the ledger's [client.rtt_us] times it. *)
 
 val service_json : t -> Riq_util.Json.t
-(** The telemetry block described under {!backend}. *)
+(** The ["service"] telemetry block: as [client], the address and the
+    counts read back from the client's registry ([submitted],
+    [remote_hits], [remote_executed], [remote_batched], [reconnects]),
+    which are the sums over every client that shares that registry; as
+    [server], one scrape of the daemon's registry in riq-metrics/1 JSON
+    ([null] if the daemon went away). *)
 
 val server_metrics : t -> (Riq_obs.Metrics.snapshot, string) result
 (** One [metrics] round-trip: the daemon's metrics snapshot. *)
-
-val server_exposition : t -> (string, string) result
-(** Same scrape, rendered as Prometheus text exposition. *)
 
 val server_trace : ?since:int -> t -> (Riq_util.Json.t list * int, string) result
 (** One [trace] round-trip: daemon/worker span events with global index

@@ -531,74 +531,82 @@ let test_store_concurrent_writers_one_fingerprint () =
 (* End-to-end daemon                                                   *)
 (* ------------------------------------------------------------------ *)
 
+(* Without the graceful drain, a worker may be mid-job: kill the daemon's
+   whole group, not just the daemon. *)
+let kill_daemon pid =
+  (try Unix.kill (-pid) Sys.sigkill with _ -> ());
+  (try Unix.kill pid Sys.sigkill with _ -> ());
+  ignore (try Unix.waitpid [] pid with _ -> (0, Unix.WEXITED 0))
+
+(* Fork a daemon that serves the store [dir]/cache on [sock], in a
+   process group of its own (workers included, so a failed test can kill
+   them all), and return its pid once it listens. *)
+let spawn_daemon ~workers ~timeout ~dir ~sock =
+  flush stdout;
+  flush stderr;
+  match Unix.fork () with
+  | 0 ->
+      ignore (Unix.setsid ());
+      (try
+         (* One registry for the store and the daemon, as riq-sim serve
+            has it, so store_* series are scraped too. *)
+         let metrics = Riq_obs.Metrics.create () in
+         let store = Cache.open_ ~root:(Filename.concat dir "cache") ~metrics () in
+         Server.serve
+           (Server.config ~workers ~timeout:(Some timeout) ~metrics
+              ~address:(Protocol.Unix_socket sock) store)
+       with _ -> Unix._exit 1);
+      Unix._exit 0
+  | pid -> (
+      let deadline = Unix.gettimeofday () +. 10. in
+      let rec wait_sock () =
+        if Sys.file_exists sock then ()
+        else if Unix.gettimeofday () > deadline then Alcotest.fail "daemon did not come up"
+        else begin
+          ignore (Unix.select [] [] [] 0.02);
+          wait_sock ()
+        end
+      in
+      try
+        wait_sock ();
+        (* The socket file appears only once the daemon listens, so the
+           first connect must succeed. *)
+        let probe = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+        Fun.protect
+          ~finally:(fun () -> Unix.close probe)
+          (fun () ->
+            try Unix.connect probe (Unix.ADDR_UNIX sock)
+            with Unix.Unix_error (e, _, _) ->
+              Alcotest.failf "socket file present but connect failed: %s"
+                (Unix.error_message e));
+        pid
+      with e ->
+        kill_daemon pid;
+        raise e)
+
+(* Graceful drain: SIGTERM, clean exit, socket unlinked. *)
+let drain_daemon ~sock pid =
+  Unix.kill pid Sys.sigterm;
+  (match Unix.waitpid [] pid with
+  | _, Unix.WEXITED 0 -> ()
+  | _, Unix.WEXITED n -> Alcotest.fail (Printf.sprintf "daemon exited with %d" n)
+  | _ -> Alcotest.fail "daemon killed by signal");
+  Alcotest.(check bool) "socket unlinked on drain" true (not (Sys.file_exists sock))
+
 (* [prepare] gets the store root before the daemon opens it. *)
 let with_daemon ?(workers = 1) ?(timeout = 60.) ?(prepare = ignore) f =
-  if not Sys.unix then ()
-  else
+  if Sys.unix then
     with_temp_dir (fun dir ->
         let sock = Filename.concat dir "d.sock" in
         prepare (Filename.concat dir "cache");
-        flush stdout;
-        flush stderr;
-        match Unix.fork () with
-        | 0 ->
-            (* A process group of its own, workers included, so a failed
-               test can kill them all. *)
-            ignore (Unix.setsid ());
-            (try
-               (* One registry for the store and the daemon, as riq-sim
-                  serve has it, so store_* series are scraped too. *)
-               let metrics = Riq_obs.Metrics.create () in
-               let store = Cache.open_ ~root:(Filename.concat dir "cache") ~metrics () in
-               Server.serve
-                 (Server.config ~workers ~timeout:(Some timeout) ~metrics
-                    ~address:(Protocol.Unix_socket sock) store)
-             with _ -> Unix._exit 1);
-            Unix._exit 0
-        | pid ->
-            let termed = ref false in
-            Fun.protect
-              ~finally:(fun () ->
-                (* Without the graceful drain, a worker may be mid-job:
-                   kill the daemon's whole group, not just the daemon. *)
-                if not !termed then begin
-                  (try Unix.kill (-pid) Sys.sigkill with _ -> ());
-                  try Unix.kill pid Sys.sigkill with _ -> ()
-                end;
-                ignore (try Unix.waitpid [] pid with _ -> (0, Unix.WEXITED 0)))
-              (fun () ->
-                let deadline = Unix.gettimeofday () +. 10. in
-                let rec wait_sock () =
-                  if Sys.file_exists sock then ()
-                  else if Unix.gettimeofday () > deadline then
-                    Alcotest.fail "daemon did not come up"
-                  else begin
-                    ignore (Unix.select [] [] [] 0.02);
-                    wait_sock ()
-                  end
-                in
-                wait_sock ();
-                (* The socket file appears only once the daemon listens, so
-                   the first connect must succeed. *)
-                (let probe = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-                 Fun.protect
-                   ~finally:(fun () -> Unix.close probe)
-                   (fun () ->
-                     try Unix.connect probe (Unix.ADDR_UNIX sock)
-                     with Unix.Unix_error (e, _, _) ->
-                       Alcotest.failf "socket file present but connect failed: %s"
-                         (Unix.error_message e)));
-                f ~sock ~pid;
-                (* Graceful drain: SIGTERM, clean exit, socket unlinked. *)
-                Unix.kill pid Sys.sigterm;
-                termed := true;
-                (match Unix.waitpid [] pid with
-                | _, Unix.WEXITED 0 -> ()
-                | _, Unix.WEXITED n ->
-                    Alcotest.fail (Printf.sprintf "daemon exited with %d" n)
-                | _ -> Alcotest.fail "daemon killed by signal");
-                Alcotest.(check bool) "socket unlinked on drain" true
-                  (not (Sys.file_exists sock))))
+        let pid = spawn_daemon ~workers ~timeout ~dir ~sock in
+        let live = ref true in
+        Fun.protect
+          ~finally:(fun () -> if !live then kill_daemon pid)
+          (fun () ->
+            f ~sock ~pid;
+            live := false;
+            drain_daemon ~sock pid))
 
 (* The store the daemon of [with_daemon] serves from, opened alongside. *)
 let daemon_store sock = Cache.open_ ~root:(Filename.concat (Filename.dirname sock) "cache") ()
@@ -675,6 +683,13 @@ let test_daemon_end_to_end () =
             (metric snap "serve_executed_total");
           Alcotest.(check int) "warm run supplied no job body" (Array.length jobs)
             (metric snap "serve_supplied_total");
+          (* Only riq-cache evicts or takes the store's lock, and a daemon
+             store hit is counted once, in store_reads_total. *)
+          List.iter
+            (fun name ->
+              Alcotest.(check bool) ("snapshot has no " ^ name) false
+                (List.exists (fun s -> s.Riq_obs.Metrics.s_name = name) snap))
+            [ "store_hits_total"; "store_evictions_total"; "store_lock_wait_seconds" ];
           match
             List.find_opt (fun s -> s.Riq_obs.Metrics.s_name = "serve_simulate_seconds") snap
           with
@@ -683,26 +698,6 @@ let test_daemon_end_to_end () =
                 (Array.length jobs)
                 (Array.fold_left ( + ) 0 counts)
           | _ -> Alcotest.fail "serve_simulate_seconds not a histogram"));
-      (match Client.server_exposition c2 with
-      | Error msg -> Alcotest.fail ("exposition op failed: " ^ msg)
-      | Ok text ->
-          let contains needle =
-            let n = String.length needle and h = String.length text in
-            let rec go i =
-              i + n <= h && (String.sub text i n = needle || go (i + 1))
-            in
-            go 0
-          in
-          Alcotest.(check bool) "exposition has the store hits" true
-            (contains "store_reads_total{result=\"hit\"} 6");
-          (* Only riq-cache evicts or takes the store's lock, and a daemon
-             store hit is counted once, in store_reads_total. *)
-          List.iter
-            (fun name ->
-              Alcotest.(check bool) ("exposition has no " ^ name) false (contains name))
-            [ "store_hits_total"; "store_evictions_total"; "store_lock_wait_seconds" ];
-          Alcotest.(check bool) "exposition has histogram buckets" true
-            (contains "serve_simulate_seconds_bucket"));
       (* The trace op: daemon + worker spans behind a stable cursor. *)
       (match Client.server_trace ~since:0 c2 with
       | Error msg -> Alcotest.fail ("trace op failed: " ^ msg)
@@ -737,6 +732,48 @@ let test_daemon_end_to_end () =
           Alcotest.(check bool) "two or more processes traced" true
             (List.length pids >= 2));
       Client.close c2)
+
+(* A client outlives its daemon: once that daemon drains and another starts
+   on the same socket, the client's next write meets its closed
+   connection. That write fails with EPIPE instead of raising SIGPIPE, and
+   the request is retried once, on a connection to the new daemon. *)
+let test_client_survives_restart () =
+  if Sys.unix then
+    with_temp_dir (fun dir ->
+        let sock = Filename.concat dir "d.sock" in
+        let live = ref None in
+        let start () = live := Some (spawn_daemon ~workers:1 ~timeout:60. ~dir ~sock) in
+        let drain () =
+          let pid = Option.get !live in
+          live := None;
+          drain_daemon ~sock pid
+        in
+        Fun.protect
+          ~finally:(fun () -> Option.iter kill_daemon !live)
+          (fun () ->
+            start ();
+            let metrics = Riq_obs.Metrics.create () in
+            let client =
+              Client.connect ~request_timeout:30. ~metrics (Protocol.Unix_socket sock)
+            in
+            let run jobs =
+              Array.map Outcome.zero_timing
+                (Engine.run (Engine.create ~backend:(Client.backend client) ()) jobs)
+            in
+            let jobs = e2e_jobs () in
+            let expected = Array.map (fun j -> Outcome.zero_timing (Runner.execute j)) jobs in
+            Alcotest.(check bool) "first daemon answers" true (run jobs = expected);
+            drain ();
+            start ();
+            Alcotest.(check bool) "retried batch answered by the second daemon" true
+              (run jobs = expected);
+            Alcotest.(check int) "client_reconnects_total" 1
+              (Riq_obs.Metrics.counter_value
+                 (Riq_obs.Metrics.counter metrics "client_reconnects_total"));
+            Alcotest.(check int) "service block reconnects" 1
+              (member_int [ "client"; "reconnects" ] (Client.service_json client));
+            Client.close client;
+            drain ()))
 
 (* A job past the daemon's budget is answered [Job_timeout], counted, and
    the daemon keeps serving on a fresh worker. *)
@@ -1382,5 +1419,7 @@ let suites =
           test_daemon_trace_unshifted;
         Alcotest.test_case "silent peer closed, loop not blocked" `Slow
           test_daemon_silent_peer;
+        Alcotest.test_case "client survives a daemon restart" `Slow
+          test_client_survives_restart;
       ] );
   ]
