@@ -44,9 +44,20 @@ let run_cmd =
     Arg.(value & opt int 500 & info [ "count"; "n" ] ~docv:"N"
            ~doc:"Number of programs to generate and check.")
   in
+  (* Refused where it is parsed, before the campaign runs: exits 2. *)
   let out =
-    Arg.(value & opt (some string) None & info [ "out"; "o" ] ~docv:"DIR"
-           ~doc:"Write shrunk reproducers as \\$(DIR)/repro-<seed>.s.")
+    let check = function
+      | Some dir as out ->
+          let parent = Filename.dirname dir in
+          if not (Sys.file_exists parent && Sys.is_directory parent) then
+            failwith (Printf.sprintf "--out %s: no such directory %s" dir parent);
+          out
+      | None -> None
+    in
+    Term.(
+      const check
+      $ Arg.(value & opt (some string) None & info [ "out"; "o" ] ~docv:"DIR"
+               ~doc:"Write shrunk reproducers as \\$(DIR)/repro-<seed>.s."))
   in
   let no_cache =
     Arg.(value & flag & info [ "no-cache" ] ~doc:"Disable the on-disk result cache.")
@@ -175,7 +186,7 @@ let () =
   let cmd = Cmd.group info [ run_cmd; gen_cmd; replay_cmd ] in
   exit
     (try Cmd.eval ~catch:false cmd with
-    | Failure msg ->
+    | Failure msg | Sys_error msg ->
         Printf.eprintf "riq-fuzz: %s\n" msg;
         2
     | e ->

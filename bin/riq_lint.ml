@@ -9,12 +9,8 @@
      loop          one info (or warning, when the loop can never promote)
                    per analysed backward transfer: verdict, predicted
                    unroll, prediction, coverage, predicted revoke cause
-     aliasing-store    warning: a store in the window may hit a buffered
-                       load's bytes (the Section 2.2.3 revoke condition)
      data-dependent-trip  warning: trip count not statically derivable,
                           promotion prediction degraded to marginal
-     no-alias      info: store/load pairs proven disjoint by the
-                   value-range analysis
      unreachable   warning: statically unreachable code range
      irreducible   warning: retreating edge whose target does not
                    dominate it
@@ -31,8 +27,8 @@
                                      callee-loops, indirect, contains-halt,
                                      side-entry, irreducible)
      #= trip LABEL N                 statically derived trip count is N
-     #= risk LABEL aliasing-store    the loop carries that risk; expecting
-     #= risk LABEL data-dependent-trip   a risk also suppresses its warning
+     #= risk LABEL data-dependent-trip   the loop carries that risk;
+                                     expecting it suppresses its warning
      #= unreachable N                expect N unreachable ranges; a match
                                      suppresses the unreachable warnings
 
@@ -96,9 +92,7 @@ let prediction_string = function
   | Never_promotes -> "never"
   | Marginal -> "marginal"
 
-let risk_code = function
-  | Bufferability.Aliasing_store _ -> "aliasing-store"
-  | Bufferability.Data_dependent_trip -> "data-dependent-trip"
+let risk_code = function Bufferability.Data_dependent_trip -> "data-dependent-trip"
 
 (* ------------------------------------------------------------------ *)
 (* Expectation directives.                                             *)
@@ -132,10 +126,9 @@ let parse_expects src =
                  | Some n -> out := Exp_trip (label, n) :: !out
                  | None -> failwith (Printf.sprintf "line %d: bad trip count %S" (lineno + 1) n))
              | [ "risk"; label; kw ] ->
-                 if kw <> "aliasing-store" && kw <> "data-dependent-trip" then
+                 if kw <> "data-dependent-trip" then
                    failwith
-                     (Printf.sprintf
-                        "line %d: unknown risk %S (aliasing-store or data-dependent-trip)"
+                     (Printf.sprintf "line %d: unknown risk %S (data-dependent-trip)"
                         (lineno + 1) kw);
                  out := Exp_risk (label, kw) :: !out
              | [ "unreachable"; n ] -> (
@@ -228,30 +221,12 @@ let pass_risks ctx ~suppressed =
           else
             Some
               (match r with
-              | Bufferability.Aliasing_store { store; load } ->
-                  mk ctx ~pc:store Sev_warn "aliasing-store"
-                    "store %08x may hit buffered load %08x while loop %08x..%08x buffers \
-                     (Section 2.2.3 revoke)"
-                    store load l.head l.tail
               | Bufferability.Data_dependent_trip ->
                   mk ctx ~pc:l.tail Sev_warn "data-dependent-trip"
                     "trip count of loop %08x..%08x is data-dependent; promotion \
                      prediction degraded to marginal"
                     l.head l.tail))
         l.Bufferability.risks)
-    ctx.c_report.Bufferability.loops
-
-let pass_no_alias ctx =
-  List.filter_map
-    (fun (l : Bufferability.loop_report) ->
-      match l.Bufferability.no_alias with
-      | [] -> None
-      | claims ->
-          Some
-            (mk ctx ~pc:l.tail Sev_info "no-alias"
-               "loop %08x..%08x: %d store/load pair%s proven disjoint" l.head l.tail
-               (List.length claims)
-               (if List.length claims = 1 then "" else "s")))
     ctx.c_report.Bufferability.loops
 
 let pass_unreachable ctx =
@@ -432,7 +407,7 @@ let lint_one ~cfg ~expect ~dynamic (name, src_opt, lines_opt, program) =
   (* A risk the directives expect is acknowledged, not news. *)
   let risk_diags = pass_risks ctx ~suppressed:suppressed_risks in
   let diags =
-    pass_loops ctx @ risk_diags @ pass_no_alias ctx
+    pass_loops ctx @ risk_diags
     @ (if suppress_unreachable then [] else pass_unreachable ctx)
     @ pass_irreducible ctx @ expect_diags
   in
@@ -452,6 +427,12 @@ let die fmt = Printf.ksprintf (fun s -> prerr_endline ("riq-lint: " ^ s); exit 2
 let main files benches iq single expect dynamic json_out =
   if expect && benches <> [] then
     die "--expect requires assembly files (directives live in comments), not --bench";
+  Option.iter
+    (fun path ->
+      let dir = Filename.dirname path in
+      if not (Sys.file_exists dir && Sys.is_directory dir) then
+        die "--json %s: no such directory %s" path dir)
+    json_out;
   (* One configuration for both halves: the static prediction and the
      measured run (--dynamic) model the same queue and strategy. *)
   let cfg =
@@ -545,4 +526,13 @@ let cmd =
        ~doc:"Static loop-bufferability lint for the reusable issue queue")
     Term.(const main $ files $ benches $ iq $ single $ expect $ dynamic $ json_out)
 
-let () = exit (Cmd.eval cmd)
+let () =
+  exit
+    (try Cmd.eval ~catch:false cmd with
+    | Sys_error msg ->
+        prerr_endline ("riq-lint: " ^ msg);
+        2
+    | e ->
+        Printf.eprintf "riq-lint: internal error, uncaught exception:\n  %s\n"
+          (Printexc.to_string e);
+        125)

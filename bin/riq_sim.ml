@@ -59,6 +59,12 @@ let iq_size flag n =
   | exception Invalid_argument _ ->
       failwith (Printf.sprintf "%s %d: the issue queue needs at least 8 entries" flag n)
 
+(* An output file goes into a directory that exists, or nothing runs. *)
+let output_file flag path =
+  let dir = Filename.dirname path in
+  if not (Sys.file_exists dir && Sys.is_directory dir) then
+    failwith (Printf.sprintf "%s %s: no such directory %s" flag path dir)
+
 let print_stats cfg (s : Processor.stats) breakdown_requested account =
   Printf.printf "cycles              %d\n" s.Processor.cycles;
   Printf.printf "instructions        %d\n" s.Processor.committed;
@@ -120,9 +126,10 @@ let run_cmd =
            ~doc:"Validate the final architectural state against the reference simulator.")
   in
   let report =
-    Arg.(value & opt (some string) None & info [ "report" ] ~docv:"FILE"
-           ~doc:"Write the unified run report (stats, power groups, loop decisions, \
-                 sampler summary) as schema-versioned JSON.")
+    checked (Option.iter (output_file "--report"))
+      Arg.(value & opt (some string) None & info [ "report" ] ~docv:"FILE"
+             ~doc:"Write the unified run report (stats, power groups, loop decisions, \
+                   sampler summary) as schema-versioned JSON.")
   in
   let action bench file iq reuse optimized breakdown check report =
     let program = load_program bench file optimized in
@@ -288,17 +295,19 @@ let sweep_cmd =
            ~doc:"Skip the per-run differential validation (faster).")
   in
   let json_file =
-    Arg.(value & opt (some string) None & info [ "json" ] ~docv:"FILE"
-           ~doc:"Also export per-cell statistics, power groups and engine counters as JSON.")
+    checked (Option.iter (output_file "--json"))
+      Arg.(value & opt (some string) None & info [ "json" ] ~docv:"FILE"
+             ~doc:"Also export per-cell statistics, power groups and engine counters as JSON.")
   in
   let csv =
     Arg.(value & flag & info [ "csv" ] ~doc:"Emit comma-separated values instead of tables.")
   in
   let trace_file =
-    Arg.(value & opt (some string) None & info [ "trace" ] ~docv:"FILE"
-           ~doc:"Serve mode only: write one merged Chrome trace covering the client's \
-                 submit/await spans and the daemon's queue-wait and per-worker \
-                 simulate spans, on the host's one clock (load it in ui.perfetto.dev).")
+    checked (Option.iter (output_file "--trace"))
+      Arg.(value & opt (some string) None & info [ "trace" ] ~docv:"FILE"
+             ~doc:"Serve mode only: write one merged Chrome trace covering the client's \
+                   submit/await spans and the daemon's queue-wait and per-worker \
+                   simulate spans, on the host's one clock (load it in ui.perfetto.dev).")
   in
   let action jobs no_cache cache_dir timeout serve sizes benches no_check json_file csv
       trace_file =
@@ -349,9 +358,18 @@ let sweep_cmd =
           $ serve_addr_arg $ sizes $ benches $ no_check $ json_file $ csv $ trace_file)
 
 let fig_cmd =
+  let figures =
+    [
+      "table1"; "table2"; "fig5"; "fig6"; "fig7"; "fig8"; "fig9"; "coverage"; "revokes";
+      "nblt"; "strategy"; "related"; "predictor"; "unroll";
+    ]
+  in
   let which =
-    Arg.(required & pos 0 (some string) None & info [] ~docv:"FIGURE"
-           ~doc:"One of: table1 table2 fig5 fig6 fig7 fig8 fig9 coverage revokes nblt strategy related predictor unroll all")
+    checked
+      (fun f ->
+        if f <> "all" && not (List.mem f figures) then failwith ("unknown figure: " ^ f))
+      Arg.(required & pos 0 (some string) None & info [] ~docv:"FIGURE"
+             ~doc:("One of: " ^ String.concat " " figures ^ " all"))
   in
   let no_check =
     Arg.(value & flag & info [ "no-check" ]
@@ -392,10 +410,7 @@ let fig_cmd =
         (fun f ->
           print_fig f;
           print_newline ())
-        [
-          "table1"; "table2"; "fig5"; "fig6"; "fig7"; "fig8"; "fig9"; "coverage"; "revokes";
-          "nblt"; "strategy"; "related"; "predictor"; "unroll";
-        ]
+        figures
     else print_fig which
   in
   Cmd.v
@@ -421,9 +436,10 @@ let trace_cmd =
            ~doc:"Commit-log mode: number of instructions to trace (from the start).")
   in
   let out =
-    Arg.(value & opt (some string) None & info [ "out"; "o" ] ~docv:"FILE"
-           ~doc:"Run the cycle-accurate simulator instead and stream a Chrome trace-event \
-                 JSON file (load it in ui.perfetto.dev or chrome://tracing).")
+    checked (Option.iter (output_file "--out"))
+      Arg.(value & opt (some string) None & info [ "out"; "o" ] ~docv:"FILE"
+             ~doc:"Run the cycle-accurate simulator instead and stream a Chrome trace-event \
+                   JSON file (load it in ui.perfetto.dev or chrome://tracing).")
   in
   let reuse =
     Arg.(value & flag & info [ "reuse"; "r" ]
@@ -719,7 +735,7 @@ let () =
   in
   exit
     (try Cmd.eval ~catch:false cmd with
-    | Failure msg ->
+    | Failure msg | Sys_error msg ->
         Printf.eprintf "riq-sim: %s\n" msg;
         2
     | e ->

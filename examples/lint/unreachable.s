@@ -1,9 +1,8 @@
 # Unreachable code and data-fact directives. The block after the
 # unconditional jump can never execute; riq-lint warns about it from the
 # CFG reachability bits unless the `#= unreachable` directive acknowledges
-# it. The loop walks two disjoint arrays with bumped pointers, so the
-# value-range analysis proves every store/load pair disjoint (no
-# aliasing-store risk), and the countdown gives an exact trip count.
+# it. The loop copies one array into another with bumped pointers, and
+# the value-range analysis derives the countdown's exact trip count.
 #
 #= loops 1
 #= loop copy ok promotes

@@ -14,9 +14,7 @@ type reason =
 
 type prediction = Promotes | Never_promotes | Marginal
 
-type risk =
-  | Aliasing_store of { store : int; load : int }
-  | Data_dependent_trip
+type risk = Data_dependent_trip
 
 type loop_report = {
   head : int;
@@ -32,7 +30,6 @@ type loop_report = {
   nblt_risk : bool;
   reused_insns : float option;
   risks : risk list;
-  no_alias : Alias.pair list;
   predicted_cause : Reuse_state.revoke_cause option;
 }
 
@@ -64,28 +61,20 @@ let default_trip = 10.
 (* Constant resolution and trip counts.                                 *)
 (* ------------------------------------------------------------------ *)
 
-(* The loop head's predecessors outside the address window: the preheader
-   paths, whose dataflow facts give loop-entry register values. *)
-let outside_preds cfg ~head ~tail =
-  match Cfg.block_at cfg head with
-  | None -> []
-  | Some hb ->
-      List.filter
-        (fun p ->
-          let pb = Cfg.block cfg p in
-          pb.Cfg.b_last < head || pb.Cfg.b_first > tail)
-        hb.Cfg.b_preds
-
-(* Loop-entry constant of a register: the value-range join over every
-   preheader edge. Strictly stronger than the old single-predecessor
-   immediate chase, and sound across calls (Valrange havocs them). *)
+(* Loop-entry constant of a register: the value-range join over the edges
+   into the loop head from its predecessors outside the address window
+   (the preheader paths). Sound across calls, which Valrange havocs. *)
 let entry_const cfg values ~head ~tail reg =
   match Cfg.block_at cfg head with
   | None -> None
   | Some hb ->
+      let outside p =
+        let pb = Cfg.block cfg p in
+        pb.Cfg.b_last < head || pb.Cfg.b_first > tail
+      in
       Valrange.const
         (Valrange.value_into values ~block:hb.Cfg.b_id
-           ~from:(outside_preds cfg ~head ~tail)
+           ~from:(List.filter outside hb.Cfg.b_preds)
            reg)
 
 (* The instructions of the address window [head..tail], the quantity the
@@ -107,10 +96,9 @@ let window_insns program ~head ~tail =
    with the induction step the unique in-window update of [ri] and the
    loop-entry values taken from the value-range analysis. Every count
    returned is exact (the tail test fires after exactly that many
-   induction updates), which is what lets {!Alias} lower induction-based
-   addresses to concrete intervals: a [bne]-to-zero countdown whose
-   initial value is not divisible by the step never hits zero, so it
-   yields [None] rather than a bogus ceiling. *)
+   induction updates): a [bne]-to-zero countdown whose initial value is
+   not divisible by the step never hits zero, so it yields [None] rather
+   than a bogus ceiling. *)
 let trip_count cfg values ~head ~tail =
   let program = cfg.Cfg.program in
   let win = window_insns program ~head ~tail in
@@ -323,7 +311,6 @@ let callee_size cfg (ls : Loops.t) =
 let analyze ?(multi_iter = true) ~iq_size program =
   let cfg = Cfg.build program in
   let ls = Loops.detect cfg in
-  let reaching = Reaching.analyze cfg in
   let values = Valrange.analyze cfg in
   let n = Cfg.n_blocks cfg in
   let rpo = Cfg.reverse_postorder cfg in
@@ -535,38 +522,10 @@ let analyze ?(multi_iter = true) ~iq_size program =
          | Error _, _ -> true
          | Ok (), None -> false)
     in
-    (* Data facts: the alias analysis is only meaningful on a proper
-       natural loop (the window equals the loop body and every entry goes
-       through the header); anything else never buffers far enough for a
-       Section 2.2.3 store-hits-buffered-load revoke to matter. *)
-    let alias_window =
-      match verdict with
-      | Ok () ->
-          Some
-            (Alias.window cfg ~reaching ~values ~head ~tail
-               ~outside_preds:(outside_preds cfg ~head ~tail)
-               ~trip)
-      | Error _ -> None
-    in
-    let no_alias =
-      match alias_window with Some w -> Alias.no_alias_claims w | None -> []
-    in
     let risks =
-      let aliasing =
-        match alias_window with
-        | Some w ->
-            List.map
-              (fun (p : Alias.pair) ->
-                Aliasing_store { store = p.Alias.p_store; load = p.Alias.p_load })
-              (Alias.may_alias w)
-        | None -> []
-      in
-      let data_trip =
-        match (verdict, trip) with
-        | Ok (), None -> [ Data_dependent_trip ]
-        | _ -> []
-      in
-      aliasing @ data_trip
+      match (verdict, trip) with
+      | Ok (), None -> [ Data_dependent_trip ]
+      | _ -> []
     in
     let predicted_cause =
       match verdict with
@@ -589,7 +548,6 @@ let analyze ?(multi_iter = true) ~iq_size program =
       nblt_risk;
       reused_insns = reused_per_program;
       risks;
-      no_alias;
       predicted_cause;
     }
   in
@@ -639,88 +597,6 @@ let coverage_of report ~tail =
 let hard_reject = function
   | Too_large _ | Inner_transfer _ | Callee_loops _ -> true
   | Call_overflow _ | Indirect _ | Contains_halt _ | Side_entry | Irreducible -> false
-
-(* ------------------------------------------------------------------ *)
-(* Differential validation of the dataflow facts.                      *)
-(* ------------------------------------------------------------------ *)
-
-(* No-alias claims are global facts, so they are checkable against the
-   reference interpreter directly: replay the program, record every
-   effective address each claimed instruction produces, and test the
-   cartesian byte overlap. One contradicted pair is a soundness bug in
-   the dataflow stack. The one caller, Riq_exp.Runner.check, runs it on
-   every verdict job (the reuse-on leg of every fuzz program) and reports
-   the error like any other static/dynamic mismatch. *)
-let validate_no_alias program report =
-  let limit = 5_000_000 in
-  let claims =
-    List.concat_map
-      (fun l -> List.map (fun p -> (l, p)) l.no_alias)
-      report.loops
-  in
-  if claims = [] then Ok 0
-  else begin
-    let watched = Hashtbl.create 16 in
-    List.iter
-      (fun (_, (p : Alias.pair)) ->
-        Hashtbl.replace watched p.Alias.p_store ();
-        Hashtbl.replace watched p.Alias.p_load ())
-      claims;
-    (* pc -> set of observed start addresses *)
-    let observed : (int, (int, unit) Hashtbl.t) Hashtbl.t = Hashtbl.create 16 in
-    let record pc addr =
-      let tbl =
-        match Hashtbl.find_opt observed pc with
-        | Some tbl -> tbl
-        | None ->
-            let tbl = Hashtbl.create 64 in
-            Hashtbl.replace observed pc tbl;
-            tbl
-      in
-      Hashtbl.replace tbl addr ()
-    in
-    let m = Riq_interp.Machine.create program in
-    let steps = ref 0 in
-    let stopped = ref false in
-    while (not !stopped) && !steps <= limit do
-      incr steps;
-      let pc = Riq_interp.Machine.pc m in
-      if Hashtbl.mem watched pc then
-        (match Option.bind (Program.insn_at program pc) Alias.mem_operand with
-        | Some (base, off) ->
-            record pc (Riq_util.Bits.add32 (Riq_interp.Machine.reg m base) off)
-        | None -> ());
-      if Riq_interp.Machine.step m <> None then stopped := true
-    done;
-    let addrs pc =
-      match Hashtbl.find_opt observed pc with
-      | Some tbl -> Hashtbl.fold (fun a () acc -> a :: acc) tbl []
-      | None -> []
-    in
-    let contradiction =
-      List.find_map
-        (fun (l, (p : Alias.pair)) ->
-          let ws = p.Alias.p_store_bytes and wl = p.Alias.p_load_bytes in
-          let stores = addrs p.Alias.p_store and loads = addrs p.Alias.p_load in
-          List.find_map
-            (fun s ->
-              List.find_map
-                (fun ld ->
-                  if s < ld + wl && ld < s + ws then
-                    Some
-                      (Printf.sprintf
-                         "loop %08x..%08x: store %08x touched %08x..%08x and load %08x touched %08x..%08x despite a no-alias claim"
-                         l.head l.tail p.Alias.p_store s (s + ws - 1)
-                         p.Alias.p_load ld (ld + wl - 1))
-                  else None)
-                loads)
-            stores)
-        claims
-    in
-    match contradiction with
-    | Some msg -> Error msg
-    | None -> Ok (List.length claims)
-  end
 
 (* Verdicts under which a dynamic inner-loop revoke (decode sees a second
    capturable backward transfer while buffering) is statically impossible:

@@ -41,13 +41,10 @@ type prediction =
   | Never_promotes (** detected but expected to revoke or exit early, every time *)
   | Marginal (** too close to a capacity or trip-count boundary to call *)
 
-(** Data-fact risks from the {!Dataflow}-based analyses. These do not
-    change the control-flow verdict; they flag conditions the paper's
-    hardware would react to that the shape analysis alone cannot see. *)
+(** Data-fact risks from the {!Valrange}-based trip-count derivation.
+    They do not change the control-flow verdict; they flag what the shape
+    analysis alone cannot decide. *)
 type risk =
-  | Aliasing_store of { store : int; load : int }
-      (** a store in the window may hit a buffered load's line — the
-          Section 2.2.3 revoke condition; pcs of the pair *)
   | Data_dependent_trip
       (** the trip count is not statically derivable, so the promotion
           prediction degrades to {!constructor-Marginal} *)
@@ -66,10 +63,6 @@ type loop_report = {
   nblt_risk : bool; (** expected to register in the non-bufferable loop table *)
   reused_insns : float option; (** predicted committed instructions supplied by reuse *)
   risks : risk list; (** data-fact risks; empty for control-flow-rejected loops *)
-  no_alias : Alias.pair list;
-      (** globally-valid no-alias claims for store/load pairs in the
-          window — checkable against every address the program touches,
-          which is exactly what the fuzz oracle does *)
   predicted_cause : Riq_core.Reuse_state.revoke_cause option;
       (** the revoke cause the static verdict implies, when it implies
           one: inner-loop for {!constructor-Inner_transfer} /
@@ -121,16 +114,6 @@ val consistency :
     [Side_entry], [Irreducible] — or [Too_large], which never buffers),
     because a completed scan proves no second backward transfer is
     decodable while buffering. *)
-
-val validate_no_alias : Program.t -> report -> (int, string) result
-(** [validate_no_alias program report] replays [program] on the reference
-    interpreter (at most 5 million steps) and checks every
-    {!field-no_alias} claim against the effective addresses actually
-    produced: a store byte range intersecting a load byte range under a
-    [No_alias] verdict is a soundness bug in the dataflow stack. Returns
-    the number of claims validated. [Riq_exp.Runner.check] calls this on
-    every verdict job — the reuse-on leg of every fuzz program — so the
-    analyses are differentially tested on every corpus program. *)
 
 val coverage_of : report -> tail:int -> float option
 (** Predicted coverage contribution (percent of all committed

@@ -43,7 +43,5 @@ val value_into : t -> block:int -> from:int list -> Reg.t -> value
     (no such edge). *)
 
 val const : value -> int option
-val bounds : value -> (int * int) option
-(** [Const c] is [(c, c)]; [Bot]/[Top] are [None]. *)
 
 val to_string : value -> string

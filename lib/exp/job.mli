@@ -10,9 +10,10 @@ type t = {
   program : Program.t;
   check : bool;
   verdicts : bool;
-      (** also cross-check dynamic promotions against the static
-          bufferability analysis (only meaningful with [reuse_enabled];
-          used by the fuzzer) *)
+      (** also cross-check the run's per-loop promotions and revoke
+          causes against the static bufferability analysis
+          ({!Riq_analysis.Bufferability.consistency}; only meaningful with
+          [reuse_enabled]; used by the fuzzer) *)
   cycle_limit : int;
 }
 

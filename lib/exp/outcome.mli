@@ -27,9 +27,8 @@ type error =
   | Verdict_mismatch of string
       (** requested with [Job.verdicts]: a dynamically promoted loop the
           static {!Riq_analysis.Bufferability} pass hard-rejects, a
-          promoted tail the analysis never saw, a revoke cause the
-          analysis rules out, or a no-alias claim the interpreter's
-          addresses contradict *)
+          promoted tail the analysis never saw, or a revoke cause the
+          analysis rules out *)
   | Accounting_mismatch of string
       (** the run's reuse counters contradict each other: reuse activity
           with reuse off, reused commits without a promotion, or per-loop

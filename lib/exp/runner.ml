@@ -29,8 +29,6 @@ let observe p =
     decisions = Processor.loop_decisions p;
   }
 
-type verdicts = { report : Bufferability.report; no_alias_claims : int }
-
 let against_interpreter program arch =
   let m = Machine.create program in
   match Machine.run m with
@@ -59,17 +57,9 @@ let accounting ~reuse r =
 
 let cross_check (job : Job.t) r =
   let report = Bufferability.analyze_config job.Job.cfg job.Job.program in
-  Result.map_error
-    (fun msg -> Outcome.Verdict_mismatch msg)
-    (let* () = Bufferability.consistency report r.decisions in
-     (* No-alias claims must survive the addresses the program actually
-        produces. *)
-     let* no_alias_claims =
-       Result.map_error
-         (fun s -> "no-alias claim contradicted: " ^ s)
-         (Bufferability.validate_no_alias job.Job.program report)
-     in
-     Ok { report; no_alias_claims })
+  match Bufferability.consistency report r.decisions with
+  | Ok () -> Ok report
+  | Error msg -> Error (Outcome.Verdict_mismatch msg)
 
 let check (job : Job.t) r =
   let reuse = job.Job.cfg.Riq_ooo.Config.reuse_enabled in

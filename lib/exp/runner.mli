@@ -30,13 +30,7 @@ val observe : Processor.t -> run
 (** Snapshot a finished processor for {!check} (copies the architectural
     state). *)
 
-type verdicts = {
-  report : Bufferability.report;
-      (** the static analysis of the job's program on its configuration *)
-  no_alias_claims : int;  (** no-alias claims confirmed on the interpreter *)
-}
-
-val check : Job.t -> run -> (verdicts option, Outcome.error) result
+val check : Job.t -> run -> (Bufferability.report option, Outcome.error) result
 (** The contract of a checked run, first failure wins:
     - with [job.check], the final architectural state equals the
       reference interpreter's ([Arch_state_mismatch],
@@ -46,9 +40,9 @@ val check : Job.t -> run -> (verdicts option, Outcome.error) result
       a promotion, and the per-loop promotions sum to [stats.promotions];
     - with [job.verdicts] on a reuse configuration, the per-loop
       promotions and revoke causes agree with the static
-      {!Bufferability} verdicts and every no-alias claim survives the
-      addresses the interpreter produces ([Verdict_mismatch]). The
-      analysis and the confirmed claim count come back as [Some _]. *)
+      {!Bufferability} verdicts ([Verdict_mismatch]). The static
+      analysis of the job's program on its configuration comes back as
+      [Some _]. *)
 
 val execute : Job.t -> Outcome.t
 (** {!simulate}, then — for a job with [check] or [verdicts] set —

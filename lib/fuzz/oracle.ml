@@ -41,20 +41,14 @@ type summary = {
   reuse_committed : int;
   static_loops : int;
   hard_rejected : int;
-  no_alias_claims : int;
-  alias_risks : int;
 }
 
 let ( let* ) = Result.bind
 
-let summarize (r : Runner.run) (verdicts : Runner.verdicts option) =
+let summarize (r : Runner.run) (report : Bufferability.report option) =
   let st = r.Runner.stats in
   let sum f = List.fold_left (fun acc d -> acc + f d) 0 r.Runner.decisions in
-  let loops =
-    match verdicts with
-    | Some v -> v.Runner.report.Bufferability.loops
-    | None -> []
-  in
+  let loops = match report with Some report -> report.Bufferability.loops | None -> [] in
   {
     committed = st.Processor.committed;
     detections = sum (fun d -> d.Processor.ld_detections);
@@ -74,19 +68,6 @@ let summarize (r : Runner.run) (verdicts : Runner.verdicts option) =
              | Error r -> Bufferability.hard_reject r
              | Ok () -> false)
            loops);
-    no_alias_claims =
-      (match verdicts with Some v -> v.Runner.no_alias_claims | None -> 0);
-    alias_risks =
-      List.fold_left
-        (fun acc (l : Bufferability.loop_report) ->
-          acc
-          + List.length
-              (List.filter
-                 (function
-                   | Bufferability.Aliasing_store _ -> true
-                   | Bufferability.Data_dependent_trip -> false)
-                 l.Bufferability.risks))
-        0 loops;
   }
 
 let check ?(runner = default_runner) ~cfg program =
@@ -95,9 +76,9 @@ let check ?(runner = default_runner) ~cfg program =
     Result.map_error
       (fun error -> { leg = name; error })
       (let* r = runner job in
-       let* verdicts = Runner.check job r in
-       Ok (r, verdicts))
+       let* report = Runner.check job r in
+       Ok (r, report))
   in
   let* _ = leg "reuse-off" off in
-  let* r, verdicts = leg "reuse-on" on in
-  Ok (summarize r verdicts)
+  let* r, report = leg "reuse-on" on in
+  Ok (summarize r report)

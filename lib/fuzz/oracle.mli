@@ -67,8 +67,6 @@ type summary = {
   reuse_committed : int;
   static_loops : int;  (** loops the static analysis saw *)
   hard_rejected : int;  (** of those, hard-rejected ones *)
-  no_alias_claims : int;  (** no-alias claims validated against the interpreter *)
-  alias_risks : int;  (** store/load pairs flagged [Aliasing_store] *)
 }
 
 val check : ?runner:runner -> cfg:Config.t -> Program.t -> (summary, failure) result

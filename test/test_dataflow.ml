@@ -1,6 +1,5 @@
-(* Tests for the generic dataflow framework and its clients (reaching
-   definitions, value ranges, store-load alias analysis), plus the
-   soundness properties the ISSUE pins down:
+(* Tests for the generic dataflow framework and its one client, value
+   ranges, plus three soundness properties:
 
    - the solver's fixpoint self-check holds on random CFGs from the fuzz
      generator;
@@ -8,8 +7,7 @@
      "solved";
    - on every built-in kernel, the statically predicted revoke cause
      matches the dominant cause the core actually counted (on loops
-     whose prediction is not Marginal), and no no-alias claim is
-     contradicted by the addresses the reference interpreter observes. *)
+     whose prediction is not Marginal). *)
 
 open Riq_asm
 open Riq_isa
@@ -148,95 +146,6 @@ q:
   | Valrange.Top -> ()
   | other -> Alcotest.failf "tainted query: expected Top, got %s" (Valrange.to_string other))
 
-(* ---- reaching definitions ---- *)
-
-let test_reaching_defs () =
-  let src =
-    {|
-start:
-    addi r2, r0, 1
-    addi r2, r2, 1
-q:
-    halt
-|}
-  in
-  let p = parse src in
-  let r = Reaching.analyze (Cfg.build p) in
-  Alcotest.(check (list int)) "second def shadows the first"
-    [ pc_of p "start" + 4 ]
-    (Reaching.defs_of r ~pc:(pc_of p "q") (Reg.r 2));
-  Alcotest.(check (list int)) "unwritten register keeps its initial def"
-    [ Reaching.entry_pc ]
-    (Reaching.defs_of r ~pc:(pc_of p "q") (Reg.r 9))
-
-(* ---- alias analysis, through the bufferability report ---- *)
-
-let loop_report src =
-  let report = Bufferability.analyze ~iq_size:32 (parse src) in
-  match report.Bufferability.loops with
-  | [ l ] -> (report, l)
-  | ls -> Alcotest.failf "expected one loop, got %d" (List.length ls)
-
-let disjoint_src =
-  (* Pointer-bump idiom: both bases are inductions with constant entry
-     values and an exact trip count, so the analysis lowers each to the
-     concrete interval it sweeps — provably disjoint arrays. *)
-  {|
-.space a 64
-.space b 64
-start:
-    la   r8, a
-    la   r9, b
-    addi r16, r0, 16
-loop:
-    lw   r5, 0(r9)
-    sw   r5, 0(r8)
-    addi r8, r8, 4
-    addi r9, r9, 4
-    addi r16, r16, -1
-    bgtz r16, loop
-    halt
-|}
-
-let test_alias_disjoint_arrays () =
-  let _, l = loop_report disjoint_src in
-  Alcotest.(check bool) "no-alias claim exported" true (l.Bufferability.no_alias <> []);
-  Alcotest.(check bool) "no aliasing-store risk" true
-    (not
-       (List.exists
-          (function Bufferability.Aliasing_store _ -> true | _ -> false)
-          l.Bufferability.risks))
-
-let test_alias_same_address_flagged () =
-  let src =
-    {|
-.space a 64
-start:
-    la   r8, a
-    addi r16, r0, 0
-loop:
-    lw   r5, 0(r8)
-    addi r5, r5, 1
-    sw   r5, 0(r8)
-    addi r16, r16, 1
-    slti r2, r16, 16
-    bne  r2, r0, loop
-    halt
-|}
-  in
-  let _, l = loop_report src in
-  Alcotest.(check bool) "aliasing store flagged" true
-    (List.exists
-       (function Bufferability.Aliasing_store _ -> true | _ -> false)
-       l.Bufferability.risks)
-
-let test_alias_claims_validated () =
-  let p = parse disjoint_src in
-  let report = Bufferability.analyze ~iq_size:32 p in
-  match Bufferability.validate_no_alias p report with
-  | Ok n -> Alcotest.(check bool) "claims checked" true (n > 0)
-  | Error msg -> Alcotest.failf "claim contradicted: %s" msg
-
 (* ---- unreachable code ---- *)
 
 let test_unreachable_reported () =
@@ -260,7 +169,7 @@ out:
       Alcotest.(check int) "range spans both insns" (pc_of p "dead" + 4) last
   | other -> Alcotest.failf "expected one unreachable range, got %d" (List.length other)
 
-(* ---- kernels: predicted vs measured revoke causes, claims validated ---- *)
+(* ---- kernels: predicted vs measured revoke causes ---- *)
 
 let dominant_cause (d : Processor.loop_decision) =
   List.fold_left
@@ -275,9 +184,6 @@ let test_kernel_revoke_causes () =
       let program = Workloads.program w in
       let cfg = Riq_ooo.Config.with_iq_size Riq_ooo.Config.reuse 32 in
       let report = Bufferability.analyze_config cfg program in
-      (match Bufferability.validate_no_alias program report with
-      | Ok _ -> ()
-      | Error msg -> Alcotest.failf "%s: no-alias claim contradicted: %s" w.Workloads.name msg);
       let p = Processor.create cfg program in
       (match Processor.run p with
       | Processor.Halted -> ()
@@ -316,16 +222,6 @@ let suites =
         Alcotest.test_case "constants fold" `Quick test_valrange_constants;
         Alcotest.test_case "join and call havoc" `Quick test_valrange_join_and_call;
         Alcotest.test_case "jalr taints" `Quick test_valrange_tainted_by_jalr;
-      ] );
-    ( "dataflow.reaching",
-      [ Alcotest.test_case "kills and initial defs" `Quick test_reaching_defs ] );
-    ( "dataflow.alias",
-      [
-        Alcotest.test_case "disjoint arrays proven" `Quick test_alias_disjoint_arrays;
-        Alcotest.test_case "same-address store flagged" `Quick
-          test_alias_same_address_flagged;
-        Alcotest.test_case "claims validated dynamically" `Quick
-          test_alias_claims_validated;
       ] );
     ( "dataflow.unreachable",
       [ Alcotest.test_case "dead block reported" `Quick test_unreachable_reported ] );

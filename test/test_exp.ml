@@ -810,9 +810,9 @@ let test_check_genuine_runs_pass () =
   Alcotest.(check bool) "the reuse run promotes" true
     (r.Runner.stats.Riq_core.Processor.promotions > 0);
   match Runner.check on r with
-  | Ok (Some v) ->
+  | Ok (Some report) ->
       Alcotest.(check bool) "static analysis saw the loop" true
-        (v.Runner.report.Riq_analysis.Bufferability.loops <> [])
+        (report.Riq_analysis.Bufferability.loops <> [])
   | Ok None -> Alcotest.fail "verdict job returned no verdicts"
   | Error e -> Alcotest.failf "genuine run failed: %s" (Outcome.error_to_string e)
 

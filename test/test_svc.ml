@@ -531,22 +531,56 @@ let test_store_concurrent_writers_one_fingerprint () =
 (* End-to-end daemon                                                   *)
 (* ------------------------------------------------------------------ *)
 
+(* The write end of each live daemon's lifeline pipe, by daemon pid. Only
+   this process holds it: every daemon child closes all of them. *)
+let lifelines : (int, Unix.file_descr) Hashtbl.t = Hashtbl.create 4
+
+(* Closing the write end makes the daemon's watcher SIGKILL its group, so
+   this comes only once the daemon is gone. *)
+let cut_lifeline pid =
+  Option.iter
+    (fun w ->
+      Hashtbl.remove lifelines pid;
+      Unix.close w)
+    (Hashtbl.find_opt lifelines pid)
+
 (* Without the graceful drain, a worker may be mid-job: kill the daemon's
    whole group, not just the daemon. *)
 let kill_daemon pid =
   (try Unix.kill (-pid) Sys.sigkill with _ -> ());
   (try Unix.kill pid Sys.sigkill with _ -> ());
-  ignore (try Unix.waitpid [] pid with _ -> (0, Unix.WEXITED 0))
+  ignore (try Unix.waitpid [] pid with _ -> (0, Unix.WEXITED 0));
+  cut_lifeline pid
 
 (* Fork a daemon that serves the store [dir]/cache on [sock], in a
    process group of its own (workers included, so a failed test can kill
-   them all), and return its pid once it listens. *)
+   them all), and return its pid once it listens. The daemon dies with
+   this process, however that ends: a watcher in its group blocks on the
+   read end of a lifeline pipe, and when the last write end closes (the
+   kernel closes it even after SIGKILL) it SIGKILLs the group. A
+   [riq-sim serve] started from a shell outlives the shell; only this
+   helper ties a daemon to its runner. *)
 let spawn_daemon ~workers ~timeout ~dir ~sock =
   flush stdout;
   flush stderr;
+  let lifeline, hold = Unix.pipe ~cloexec:true () in
   match Unix.fork () with
   | 0 ->
+      Unix.close hold;
+      Hashtbl.iter (fun _ w -> Unix.close w) lifelines;
       ignore (Unix.setsid ());
+      (match Unix.fork () with
+      | 0 ->
+          let rec await_eof () =
+            match Unix.read lifeline (Bytes.create 1) 0 1 with
+            | 0 -> ()
+            | _ -> await_eof ()
+            | exception Unix.Unix_error (Unix.EINTR, _, _) -> await_eof ()
+          in
+          (try await_eof () with _ -> ());
+          Unix.kill 0 Sys.sigkill;
+          Unix._exit 0
+      | _ -> Unix.close lifeline);
       (try
          (* One registry for the store and the daemon, as riq-sim serve
             has it, so store_* series are scraped too. *)
@@ -558,6 +592,8 @@ let spawn_daemon ~workers ~timeout ~dir ~sock =
        with _ -> Unix._exit 1);
       Unix._exit 0
   | pid -> (
+      Unix.close lifeline;
+      Hashtbl.replace lifelines pid hold;
       let deadline = Unix.gettimeofday () +. 10. in
       let rec wait_sock () =
         if Sys.file_exists sock then ()
@@ -587,9 +623,11 @@ let spawn_daemon ~workers ~timeout ~dir ~sock =
 (* Graceful drain: SIGTERM, clean exit, socket unlinked. *)
 let drain_daemon ~sock pid =
   Unix.kill pid Sys.sigterm;
-  (match Unix.waitpid [] pid with
-  | _, Unix.WEXITED 0 -> ()
-  | _, Unix.WEXITED n -> Alcotest.fail (Printf.sprintf "daemon exited with %d" n)
+  let _, status = Unix.waitpid [] pid in
+  cut_lifeline pid;
+  (match status with
+  | Unix.WEXITED 0 -> ()
+  | Unix.WEXITED n -> Alcotest.fail (Printf.sprintf "daemon exited with %d" n)
   | _ -> Alcotest.fail "daemon killed by signal");
   Alcotest.(check bool) "socket unlinked on drain" true (not (Sys.file_exists sock))
 
@@ -1362,6 +1400,70 @@ let test_sweep_json_parses () =
   Alcotest.(check int) "engine jobs counter readable" 2
     (member_int [ "engine"; "jobs" ] parsed)
 
+(* A process is gone once [kill pid 0] fails, or, where /proc exists, once
+   it is a zombie: an orphan is reaped by whichever process adopts it, and
+   that need not be prompt. *)
+let process_gone pid =
+  match Unix.kill pid 0 with
+  | exception Unix.Unix_error (Unix.ESRCH, _, _) -> true
+  | () -> (
+      let path = Printf.sprintf "/proc/%d/stat" pid in
+      match In_channel.with_open_text path In_channel.input_all with
+      | stat -> (
+          match String.rindex_opt stat ')' with
+          | Some i -> i + 2 < String.length stat && stat.[i + 2] = 'Z'
+          | None -> false)
+      | exception Sys_error _ -> false)
+
+(* A runner that dies without unwinding takes its daemon with it: a forked
+   stand-in runner spawns one through the helper, reports its pid and is
+   SIGKILLed, so no [finally] runs. The daemon must be gone within 10 s;
+   whatever is left is killed before the test fails. *)
+let test_daemon_dies_with_runner () =
+  if Sys.unix then
+    with_temp_dir (fun dir ->
+        let sock = Filename.concat dir "d.sock" in
+        let r, w = Unix.pipe () in
+        flush stdout;
+        flush stderr;
+        match Unix.fork () with
+        | 0 ->
+            Unix.close r;
+            (try
+               let pid = spawn_daemon ~workers:1 ~timeout:60. ~dir ~sock in
+               let line = string_of_int pid ^ "\n" in
+               ignore (Unix.write_substring w line 0 (String.length line));
+               ignore (Unix.select [] [] [] 60.)
+             with _ -> ());
+            Unix._exit 1
+        | runner ->
+            Unix.close w;
+            (* One line, not EOF: the daemon inherits the write end. *)
+            let ic = Unix.in_channel_of_descr r in
+            let daemon = Option.bind (In_channel.input_line ic) int_of_string_opt in
+            close_in ic;
+            Unix.kill runner Sys.sigkill;
+            ignore (Unix.waitpid [] runner);
+            let daemon =
+              match daemon with
+              | Some pid -> pid
+              | None -> Alcotest.fail "the stand-in runner started no daemon"
+            in
+            let deadline = Unix.gettimeofday () +. 10. in
+            let rec await () =
+              if process_gone daemon then true
+              else if Unix.gettimeofday () > deadline then false
+              else begin
+                ignore (Unix.select [] [] [] 0.05);
+                await ()
+              end
+            in
+            if not (await ()) then begin
+              (try Unix.kill (-daemon) Sys.sigkill with _ -> ());
+              (try Unix.kill daemon Sys.sigkill with _ -> ());
+              Alcotest.fail "the daemon outlived its SIGKILLed runner by 10 s"
+            end)
+
 let suites =
   [
     ( "svc-wire",
@@ -1421,5 +1523,7 @@ let suites =
           test_daemon_silent_peer;
         Alcotest.test_case "client survives a daemon restart" `Slow
           test_client_survives_restart;
+        Alcotest.test_case "daemon dies with its SIGKILLed runner" `Slow
+          test_daemon_dies_with_runner;
       ] );
   ]
